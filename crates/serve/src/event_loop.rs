@@ -10,6 +10,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use dl_distributed::FaultEvent;
 use dl_nn::Dataset;
@@ -31,9 +32,10 @@ pub(crate) enum Weights<'a> {
     /// One family served in place from the caller's registry: resident
     /// on every replica, never round-tripped through a store.
     Shared(&'a mut VariantRegistry),
-    /// Many families, each replica holding them in its own store under
-    /// the fleet's budget and eviction policy.
-    Stored(&'a [VariantRegistry], &'a FleetConfig),
+    /// Many families and their encoded artifacts, each replica holding
+    /// them in its own store under the fleet's budget and eviction
+    /// policy. The stores share the artifact bytes.
+    Stored(&'a [VariantRegistry], &'a [Arc<[u8]>], &'a FleetConfig),
 }
 
 impl Weights<'_> {
@@ -44,7 +46,7 @@ impl Weights<'_> {
     fn family(&self, m: usize) -> &VariantRegistry {
         match self {
             Weights::Shared(reg) => reg,
-            Weights::Stored(families, _) => &families[m],
+            Weights::Stored(families, ..) => &families[m],
         }
     }
 }
@@ -218,7 +220,7 @@ pub(crate) fn run(
     let mut sim = Sim {
         n_models: match &weights {
             Weights::Shared(_) => 1,
-            Weights::Stored(families, _) => families.len(),
+            Weights::Stored(families, ..) => families.len(),
         },
         n_variants: weights.family(0).variants.len(),
         weights,
@@ -285,10 +287,10 @@ impl Sim<'_> {
     fn new_replica(&self, idx: usize, warm_until_s: f64) -> Replica {
         let store = match self.weights {
             Weights::Shared(_) => None,
-            Weights::Stored(families, fleet) => {
+            Weights::Stored(families, artifacts, fleet) => {
                 let mut store = WeightStore::new(fleet.store_budget_bytes, fleet.eviction);
-                for (m, fam) in families.iter().enumerate() {
-                    let id = store.insert(&format!("family{m}"), fam);
+                for (m, artifact) in artifacts.iter().enumerate() {
+                    let id = store.insert(&format!("family{m}"), Arc::clone(artifact));
                     debug_assert_eq!(id, m);
                 }
                 // Deployment-time warmup: first-fit in id order.

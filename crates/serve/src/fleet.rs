@@ -4,7 +4,8 @@
 //! The cluster tier scales one family across replicas; this tier hosts
 //! *many* families whose weights do not all fit in device memory at
 //! once. Each replica owns a [`WeightStore`] holding every family's
-//! serialized artifact under a byte budget, plus one [`ReplicaEngine`]
+//! serialized artifact (encoded once per run, shared by all replicas'
+//! stores) under a byte budget, plus one [`ReplicaEngine`]
 //! per family (each family keeps a dedicated execution stream; the
 //! contended resource modeled here is weight memory, not compute).
 //! Arrivals are tagged with a model id and routed residency-first: a
@@ -22,6 +23,8 @@
 //!
 //! [`ReplicaEngine`]: crate::engine::ReplicaEngine
 
+use std::sync::Arc;
+
 use dl_nn::Dataset;
 use dl_obs::Recorder;
 
@@ -29,6 +32,7 @@ use crate::cluster::ClusterConfig;
 use crate::engine::{assemble_report, ServeConfig};
 use crate::event_loop::{run, Weights};
 use crate::load::Request;
+use crate::persist::save_family;
 use crate::report::ServeReport;
 use crate::router::RouterPolicy;
 use crate::store::{EvictionPolicy, WeightStore};
@@ -109,7 +113,9 @@ pub fn serve_fleet(
         ..ClusterConfig::new(cfg.replicas, cfg.serve.clone())
     };
     let arrival = |i: usize| (requests[i].req, requests[i].model);
-    let weights = Weights::Stored(families, cfg);
+    // Encode each family once; every replica's store shares the bytes.
+    let artifacts: Vec<Arc<[u8]>> = families.iter().map(|f| save_family(f).into()).collect();
+    let weights = Weights::Stored(families, &artifacts, cfg);
     let (replicas, tally) = run(weights, data, requests.len(), arrival, &cluster, rec);
     let stores: Vec<&WeightStore> = replicas.iter().filter_map(|r| r.store.as_ref()).collect();
     // Per-model reports gather each family's engines across replicas; the
@@ -140,7 +146,6 @@ mod tests {
     use crate::admission::AdmissionPolicy;
     use crate::batcher::BatchPolicy;
     use crate::device::DeviceModel;
-    use crate::persist::save_family;
     use crate::variant::{build_family, FamilyConfig};
     use dl_obs::NullRecorder;
 

@@ -18,8 +18,10 @@
 //! count and discounted by staleness, so a big, hot family survives over
 //! a small, idle one even when it was touched less recently.
 
+use std::sync::Arc;
+
 use crate::device::DeviceModel;
-use crate::persist::{load_family, save_family};
+use crate::persist::load_family;
 use crate::variant::VariantRegistry;
 use dl_memsched::residency::{eviction_score, reload_cost, ResidencyStats};
 use dl_obs::{fields, Recorder};
@@ -37,7 +39,7 @@ pub enum EvictionPolicy {
 
 struct FamilySlot {
     name: String,
-    artifact: Vec<u8>,
+    artifact: Arc<[u8]>,
     resident: Option<VariantRegistry>,
     stats: ResidencyStats,
 }
@@ -86,19 +88,20 @@ impl WeightStore {
         }
     }
 
-    /// Serializes `reg` and registers it under `name` (cold: on disk,
-    /// not resident). Returns the family's id — the index every other
-    /// method takes.
+    /// Registers a family's encoded artifact (the bytes of
+    /// [`crate::save_family`]) under `name`, cold: on disk, not
+    /// resident. Stores can share one encoding. Returns the family's id
+    /// — the index every other method takes.
     ///
     /// # Panics
-    /// Panics on a duplicate name, or when the family's artifact alone
-    /// exceeds the budget (it could never be served).
-    pub fn insert(&mut self, name: &str, reg: &VariantRegistry) -> usize {
+    /// Panics on a duplicate name, or when the artifact alone exceeds
+    /// the budget (it could never be served). A fetch or preload panics
+    /// when the artifact does not decode.
+    pub fn insert(&mut self, name: &str, artifact: Arc<[u8]>) -> usize {
         assert!(
             self.families.iter().all(|f| f.name != name),
             "duplicate family {name:?}"
         );
-        let artifact = save_family(reg);
         assert!(
             artifact.len() as u64 <= self.budget_bytes,
             "family {name:?} ({} bytes) exceeds the store budget ({} bytes)",
@@ -354,6 +357,7 @@ impl WeightStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::save_family;
     use crate::variant::{build_family, FamilyConfig};
     use dl_obs::{NullRecorder, TimelineRecorder};
 
@@ -377,15 +381,13 @@ mod tests {
     }
 
     fn two_family_store(policy: EvictionPolicy) -> (WeightStore, u64) {
-        let a = family(100);
-        let b = family(200);
-        let bytes_a = save_family(&a).len() as u64;
-        let bytes_b = save_family(&b).len() as u64;
+        let (a, b) = (save_family(&family(100)), save_family(&family(200)));
+        let (bytes_a, bytes_b) = (a.len() as u64, b.len() as u64);
         // Budget fits either family alone but never both.
         let budget = bytes_a.max(bytes_b) + bytes_a.min(bytes_b) / 2;
         let mut store = WeightStore::new(budget, policy);
-        store.insert("a", &a);
-        store.insert("b", &b);
+        store.insert("a", a.into());
+        store.insert("b", b.into());
         (store, budget)
     }
 
@@ -393,7 +395,7 @@ mod tests {
     fn warm_fetches_are_free_and_silent() {
         let reg = family(300);
         let mut store = WeightStore::new(u64::MAX, EvictionPolicy::Lru);
-        let id = store.insert("only", &reg);
+        let id = store.insert("only", save_family(&reg).into());
         store.preload(id);
         let rec = TimelineRecorder::new();
         let out = store.fetch(id, &DeviceModel::nominal(), 0, &rec);
@@ -409,7 +411,7 @@ mod tests {
     fn cold_fetch_charges_the_modeled_artifact_read() {
         let reg = family(300);
         let mut store = WeightStore::new(u64::MAX, EvictionPolicy::Lru);
-        let id = store.insert("only", &reg);
+        let id = store.insert("only", save_family(&reg).into());
         let device = DeviceModel::nominal();
         let rec = TimelineRecorder::new();
         let out = store.fetch(id, &device, 0, &rec);
@@ -450,19 +452,14 @@ mod tests {
 
     #[test]
     fn cost_aware_eviction_spares_the_hot_family() {
-        let a = family(100);
-        let b = family(200);
-        let c = family(400);
-        let sizes: Vec<u64> = [&a, &b, &c]
-            .iter()
-            .map(|r| save_family(r).len() as u64)
-            .collect();
+        let artifacts = [100, 200, 400].map(|seed| save_family(&family(seed)));
+        let sizes = artifacts.each_ref().map(|a| a.len() as u64);
         // Fits any two families, never all three.
         let budget = sizes.iter().sum::<u64>() - sizes.iter().min().unwrap() / 2;
         let mut store = WeightStore::new(budget, EvictionPolicy::CostAware);
-        store.insert("a", &a);
-        store.insert("b", &b);
-        store.insert("c", &c);
+        for (name, artifact) in ["a", "b", "c"].into_iter().zip(artifacts) {
+            store.insert(name, artifact.into());
+        }
         let device = DeviceModel::nominal();
         let rec = NullRecorder::new();
         let _ = store.fetch(0, &device, 0, &rec);
@@ -507,7 +504,7 @@ mod tests {
     fn oversized_family_is_rejected_at_insert() {
         let reg = family(500);
         let mut store = WeightStore::new(16, EvictionPolicy::Lru);
-        let _ = store.insert("too-big", &reg);
+        let _ = store.insert("too-big", save_family(&reg).into());
     }
 
     #[test]
@@ -515,7 +512,7 @@ mod tests {
         let mut reg = family(600);
         let eval = dl_data::blobs(50, 3, 8, 6.0, 0.5, 601);
         let mut store = WeightStore::new(u64::MAX, EvictionPolicy::Lru);
-        let id = store.insert("f", &reg);
+        let id = store.insert("f", save_family(&reg).into());
         let _ = store.fetch(id, &DeviceModel::nominal(), 0, &NullRecorder::new());
         let loaded = store.registry_mut(id);
         for (v, w) in reg.variants.iter_mut().zip(loaded.variants.iter_mut()) {

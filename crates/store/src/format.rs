@@ -27,12 +27,30 @@ const MIN_LEN: usize = 24;
 /// external tools can verify artifacts without this crate.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Continues an FNV-1a chain `h` over `bytes`.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Continues the chain `h` over `bytes` and, in the same loop, starts a
+/// fresh chain over them. The two multiply chains are independent, so
+/// the CPU overlaps them: both cost about what one costs.
+fn fnv1a_extend_and_start(mut h: u64, bytes: &[u8]) -> (u64, u64) {
+    let mut fresh = FNV_OFFSET;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        fresh = (fresh ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    (h, fresh)
 }
 
 /// Payload element encoding.
@@ -288,10 +306,11 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// A parsed artifact view over a byte buffer. Parsing verifies the magic,
-/// version and whole-file trailer checksum eagerly; per-tensor payload
-/// checksums are verified on access (so a mapped file only touches the
-/// pages it reads).
+/// A parsed artifact view over a byte buffer. Parsing verifies
+/// everything up front: magic, version and structure, the whole-file
+/// trailer checksum and every per-tensor payload checksum, the two
+/// checksums in one forward walk that reads each byte once. Reads after
+/// a successful parse slice the verified bytes without re-hashing them.
 #[derive(Debug)]
 #[must_use = "a parsed artifact is a read-only view; query it for tensors"]
 pub struct Artifact<'a> {
@@ -342,14 +361,145 @@ impl<'a> Cursor<'a> {
     }
 }
 
+type Sections = (Vec<(String, HParam)>, Vec<TensorEntry>);
+
+/// Parses the version, hparams and directory from the not yet verified
+/// `body`. Every read is bounds-checked and nothing is reserved from a
+/// count the file claims, so any byte pattern yields sections or a
+/// typed error without a huge allocation. `file_len` is
+/// the whole artifact's length, for [`StoreError::Truncated`].
+fn parse_sections(body: &[u8], file_len: usize) -> Result<Sections, StoreError> {
+    let mut c = Cursor { buf: body, pos: 4 };
+    let version = c.u32()?;
+    if version != VERSION {
+        return Err(StoreError::UnsupportedVersion(version));
+    }
+    let n_hparams = c.u32()? as usize;
+    let n_tensors = c.u32()? as usize;
+
+    let mut hparams = Vec::new();
+    for _ in 0..n_hparams {
+        let name = c.str()?;
+        let value = match c.u8()? {
+            0 => HParam::U64(c.u64()?),
+            1 => HParam::F64(f64::from_bits(c.u64()?)),
+            2 => HParam::Str(c.str()?),
+            3 => {
+                let len = c.u32()? as usize;
+                HParam::Bytes(c.take(len)?.to_vec())
+            }
+            tag => {
+                return Err(StoreError::Corrupt(format!(
+                    "unknown hparam tag {tag} for {name:?}"
+                )))
+            }
+        };
+        hparams.push((name, value));
+    }
+
+    let mut entries = Vec::new();
+    for _ in 0..n_tensors {
+        let name = c.str()?;
+        let dtype = Dtype::from_tag(c.u8()?)
+            .ok_or_else(|| StoreError::Corrupt(format!("unknown dtype for {name:?}")))?;
+        let ndims = c.u32()? as usize;
+        let mut dims = Vec::new();
+        for _ in 0..ndims {
+            dims.push(c.u64()? as usize);
+        }
+        let quant = match dtype {
+            Dtype::F32 => None,
+            Dtype::Q8 => {
+                let scale = f32::from_bits(c.u32()?);
+                let zero = f32::from_bits(c.u32()?);
+                let bits = c.u8()?;
+                Some((scale, zero, bits))
+            }
+        };
+        let offset = c.u64()? as usize;
+        let len = c.u64()? as usize;
+        let checksum = c.u64()?;
+        if !offset.is_multiple_of(ALIGN) {
+            return Err(StoreError::Corrupt(format!(
+                "tensor {name:?} payload offset {offset} is not {ALIGN}-byte aligned"
+            )));
+        }
+        let end = offset.checked_add(len).ok_or_else(|| {
+            StoreError::Corrupt(format!("tensor {name:?} payload range overflows"))
+        })?;
+        if end > body.len() {
+            return Err(StoreError::Truncated {
+                needed: end.saturating_add(8),
+                have: file_len,
+            });
+        }
+        let elem_bytes = match dtype {
+            Dtype::F32 => 4,
+            Dtype::Q8 => 1,
+        };
+        let expect = dims
+            .iter()
+            .try_fold(elem_bytes, |bytes: usize, &d| bytes.checked_mul(d))
+            .ok_or_else(|| {
+                StoreError::Corrupt(format!("tensor {name:?} dims {dims:?} overflow"))
+            })?;
+        if len != expect {
+            return Err(StoreError::Corrupt(format!(
+                "tensor {name:?} payload is {len} bytes for dims {dims:?}"
+            )));
+        }
+        entries.push(TensorEntry {
+            name,
+            dtype,
+            dims,
+            offset,
+            len,
+            checksum,
+            quant,
+        });
+    }
+    Ok((hparams, entries))
+}
+
+/// One forward walk over `body`: returns the FNV-1a of all of it and of
+/// each entry's payload, in directory order. Bytes between payloads
+/// advance only the file chain; payload bytes advance the file chain
+/// and the payload's own chain in the same loop. A payload that starts
+/// behind the walk (overlapping or out of offset order, which only a
+/// hand-made directory has) is hashed on its own. Every range must lie
+/// within `body`.
+fn checksums(body: &[u8], entries: &[TensorEntry]) -> (u64, Vec<u64>) {
+    let mut file = FNV_OFFSET;
+    let mut pos = 0;
+    let mut payloads = Vec::with_capacity(entries.len());
+    for e in entries {
+        let payload = &body[e.offset..e.offset + e.len];
+        if e.offset < pos {
+            payloads.push(fnv1a(payload));
+            continue;
+        }
+        file = fnv1a_extend(file, &body[pos..e.offset]);
+        let (f, p) = fnv1a_extend_and_start(file, payload);
+        file = f;
+        payloads.push(p);
+        pos = e.offset + e.len;
+    }
+    (fnv1a_extend(file, &body[pos..]), payloads)
+}
+
 impl<'a> Artifact<'a> {
-    /// Parses and validates `data` as an artifact.
+    /// Parses and validates `data` as an artifact, verifying the trailer
+    /// and every payload checksum.
     ///
     /// # Errors
-    /// [`StoreError::BadMagic`] / [`StoreError::UnsupportedVersion`] for
-    /// foreign files, [`StoreError::Truncated`] when sections overrun the
-    /// buffer, [`StoreError::ChecksumMismatch`] when the trailer disagrees
-    /// with the bytes, [`StoreError::Corrupt`] for structural damage.
+    /// In order of precedence: [`StoreError::BadMagic`] for a foreign
+    /// file and [`StoreError::Truncated`] for one shorter than a header
+    /// and trailer; [`StoreError::ChecksumMismatch`] on `"file"` when the
+    /// trailer disagrees with the bytes; [`StoreError::UnsupportedVersion`],
+    /// [`StoreError::Truncated`] when sections overrun the buffer, or
+    /// [`StoreError::Corrupt`] for structural damage; last,
+    /// [`StoreError::ChecksumMismatch`] naming the first tensor, in
+    /// directory order, whose payload disagrees with its checksum.
     pub fn parse(data: &'a [u8]) -> Result<Self, StoreError> {
         if data.len() < 4 {
             return Err(StoreError::Truncated {
@@ -369,7 +519,12 @@ impl<'a> Artifact<'a> {
         }
         let body = &data[..data.len() - 8];
         let stored = u64::from_le_bytes(data[data.len() - 8..].try_into().expect("8 bytes"));
-        let actual = fnv1a(body);
+        // The directory locates the payloads the walk hashes. When it is
+        // damaged the walk still runs, over no payloads, because a bad
+        // trailer outranks any structural error.
+        let sections = parse_sections(body, data.len());
+        let directory = sections.as_ref().map_or(&[][..], |(_, e)| e.as_slice());
+        let (actual, payload_sums) = checksums(body, directory);
         if stored != actual {
             return Err(StoreError::ChecksumMismatch {
                 what: "file".into(),
@@ -377,97 +532,16 @@ impl<'a> Artifact<'a> {
                 actual,
             });
         }
-
-        let mut c = Cursor { buf: body, pos: 4 };
-        let version = c.u32()?;
-        if version != VERSION {
-            return Err(StoreError::UnsupportedVersion(version));
-        }
-        let n_hparams = c.u32()? as usize;
-        let n_tensors = c.u32()? as usize;
-
-        let mut hparams = Vec::with_capacity(n_hparams);
-        for _ in 0..n_hparams {
-            let name = c.str()?;
-            let value = match c.u8()? {
-                0 => HParam::U64(c.u64()?),
-                1 => HParam::F64(f64::from_bits(c.u64()?)),
-                2 => HParam::Str(c.str()?),
-                3 => {
-                    let len = c.u32()? as usize;
-                    HParam::Bytes(c.take(len)?.to_vec())
-                }
-                tag => {
-                    return Err(StoreError::Corrupt(format!(
-                        "unknown hparam tag {tag} for {name:?}"
-                    )))
-                }
-            };
-            hparams.push((name, value));
-        }
-
-        let mut entries = Vec::with_capacity(n_tensors);
-        for _ in 0..n_tensors {
-            let name = c.str()?;
-            let dtype = Dtype::from_tag(c.u8()?)
-                .ok_or_else(|| StoreError::Corrupt(format!("unknown dtype for {name:?}")))?;
-            let ndims = c.u32()? as usize;
-            let mut dims = Vec::with_capacity(ndims);
-            for _ in 0..ndims {
-                dims.push(c.u64()? as usize);
-            }
-            let quant = match dtype {
-                Dtype::F32 => None,
-                Dtype::Q8 => {
-                    let scale = f32::from_bits(c.u32()?);
-                    let zero = f32::from_bits(c.u32()?);
-                    let bits = c.u8()?;
-                    Some((scale, zero, bits))
-                }
-            };
-            let offset = c.u64()? as usize;
-            let len = c.u64()? as usize;
-            let checksum = c.u64()?;
-            if !offset.is_multiple_of(ALIGN) {
-                return Err(StoreError::Corrupt(format!(
-                    "tensor {name:?} payload offset {offset} is not {ALIGN}-byte aligned"
-                )));
-            }
-            let end = offset.checked_add(len).ok_or_else(|| {
-                StoreError::Corrupt(format!("tensor {name:?} payload range overflows"))
-            })?;
-            if end > body.len() {
-                return Err(StoreError::Truncated {
-                    needed: end + 8,
-                    have: data.len(),
+        let (hparams, entries) = sections?;
+        for (e, &actual) in entries.iter().zip(&payload_sums) {
+            if actual != e.checksum {
+                return Err(StoreError::ChecksumMismatch {
+                    what: e.name.clone(),
+                    expected: e.checksum,
+                    actual,
                 });
             }
-            let elem_bytes = match dtype {
-                Dtype::F32 => 4,
-                Dtype::Q8 => 1,
-            };
-            let expect = dims
-                .iter()
-                .try_fold(elem_bytes, |bytes: usize, &d| bytes.checked_mul(d))
-                .ok_or_else(|| {
-                    StoreError::Corrupt(format!("tensor {name:?} dims {dims:?} overflow"))
-                })?;
-            if len != expect {
-                return Err(StoreError::Corrupt(format!(
-                    "tensor {name:?} payload is {len} bytes for dims {dims:?}"
-                )));
-            }
-            entries.push(TensorEntry {
-                name,
-                dtype,
-                dims,
-                offset,
-                len,
-                checksum,
-                quant,
-            });
         }
-
         Ok(Artifact {
             data,
             hparams,
@@ -545,29 +619,35 @@ impl<'a> Artifact<'a> {
         self.entries.iter().find(|e| e.name == name)
     }
 
-    /// The raw payload bytes of `entry`, checksum-verified.
+    /// The raw payload bytes of `entry`, which must be one of this
+    /// artifact's [`Artifact::entries`]. [`Artifact::parse`] verified
+    /// them against the directory checksum, so this only slices.
     ///
     /// # Errors
-    /// [`StoreError::ChecksumMismatch`] when the payload bytes do not
-    /// match the directory checksum.
+    /// [`StoreError::Corrupt`] when `entry` does not name a payload of
+    /// this artifact's directory (same offset, length and checksum).
     pub fn payload(&self, entry: &TensorEntry) -> Result<&'a [u8], StoreError> {
-        let bytes = &self.data[entry.offset..entry.offset + entry.len];
-        let actual = fnv1a(bytes);
-        if actual != entry.checksum {
-            return Err(StoreError::ChecksumMismatch {
-                what: entry.name.clone(),
-                expected: entry.checksum,
-                actual,
-            });
+        let ours = self.entries.iter().any(|e| {
+            e.offset == entry.offset && e.len == entry.len && e.checksum == entry.checksum
+        });
+        if !ours {
+            return Err(StoreError::Corrupt(format!(
+                "tensor {:?} is not in this artifact's directory",
+                entry.name
+            )));
         }
-        Ok(bytes)
+        Ok(self.bytes(entry))
+    }
+
+    /// The payload of one of this artifact's own directory entries.
+    fn bytes(&self, entry: &TensorEntry) -> &'a [u8] {
+        &self.data[entry.offset..entry.offset + entry.len]
     }
 
     /// Decodes a named `f32` tensor.
     ///
     /// # Errors
-    /// [`StoreError::Corrupt`] when the tensor is missing or not `F32`;
-    /// checksum errors propagate from [`Artifact::payload`].
+    /// [`StoreError::Corrupt`] when the tensor is missing or not `F32`.
     pub fn tensor_f32(&self, name: &str) -> Result<Tensor, StoreError> {
         let entry = self
             .tensor(name)
@@ -575,7 +655,7 @@ impl<'a> Artifact<'a> {
         if entry.dtype != Dtype::F32 {
             return Err(StoreError::Corrupt(format!("tensor {name:?} is not f32")));
         }
-        let bytes = self.payload(entry)?;
+        let bytes = self.bytes(entry);
         let data: Vec<f32> = bytes
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
@@ -589,8 +669,7 @@ impl<'a> Artifact<'a> {
     /// round-trip.
     ///
     /// # Errors
-    /// [`StoreError::Corrupt`] when the tensor is missing or not `Q8`;
-    /// checksum errors propagate from [`Artifact::payload`].
+    /// [`StoreError::Corrupt`] when the tensor is missing or not `Q8`.
     pub fn tensor_q8(&self, name: &str) -> Result<QuantizedTensor, StoreError> {
         let entry = self
             .tensor(name)
@@ -599,7 +678,7 @@ impl<'a> Artifact<'a> {
             (Dtype::Q8, Some(q)) => q,
             _ => return Err(StoreError::Corrupt(format!("tensor {name:?} is not q8"))),
         };
-        let codes = self.payload(entry)?.to_vec();
+        let codes = self.bytes(entry).to_vec();
         Ok(QuantizedTensor::from_parts(
             codes,
             scale,
@@ -695,25 +774,135 @@ mod tests {
         }
     }
 
+    /// Recomputes the trailer so the file checksum passes again.
+    fn reseal(bytes: &mut [u8]) {
+        let n = bytes.len();
+        let fixed = fnv1a(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&fixed.to_le_bytes());
+    }
+
+    /// Where `e`'s offset, length and checksum fields sit in `bytes`.
+    fn entry_tail_at(bytes: &[u8], e: &TensorEntry) -> usize {
+        let tail: Vec<u8> = [e.offset as u64, e.len as u64, e.checksum]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        bytes
+            .windows(24)
+            .position(|w| w == tail)
+            .expect("entry fields")
+    }
+
     #[test]
     fn payload_corruption_behind_a_fixed_trailer_fails_the_tensor_checksum() {
         let mut bytes = sample();
         // Corrupt one payload byte, then re-seal the trailer so the file
-        // checksum passes — the per-tensor checksum must still catch it.
+        // checksum passes — the per-tensor checksum must still catch it,
+        // at parse, before any tensor is read.
         let a = Artifact::parse(&bytes).unwrap();
         let off = a.tensor("w0").unwrap().offset;
         drop(a);
         bytes[off] ^= 0x01;
-        let n = bytes.len();
-        let fixed = fnv1a(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&fixed.to_le_bytes());
-        let a = Artifact::parse(&bytes).expect("trailer was re-sealed");
-        match a.tensor_f32("w0") {
+        reseal(&mut bytes);
+        match Artifact::parse(&bytes) {
             Err(StoreError::ChecksumMismatch { what, .. }) => assert_eq!(what, "w0"),
             other => panic!("expected tensor checksum failure, got {other:?}"),
         }
-        // The untouched tensor still reads fine.
-        assert!(a.tensor_q8("w1").is_ok());
+    }
+
+    #[test]
+    fn every_flipped_byte_is_rejected_without_a_panic() {
+        let clean = sample();
+        for at in 0..clean.len() {
+            for mask in [0x01, 0xff] {
+                let mut bytes = clean.clone();
+                bytes[at] ^= mask;
+                match Artifact::parse(&bytes) {
+                    Err(StoreError::BadMagic(_)) if at < 4 => {}
+                    Err(StoreError::ChecksumMismatch { what, .. }) if at >= 4 => {
+                        assert_eq!(what, "file", "byte {at} ^ {mask:#04x}");
+                    }
+                    other => panic!("byte {at} ^ {mask:#04x}: unexpected {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resealed_huge_counts_and_dims_are_typed_errors() {
+        let clean = sample();
+        let parsed = Artifact::parse(&clean).unwrap();
+        let tail = entry_tail_at(&clean, parsed.tensor("w0").unwrap());
+        drop(parsed);
+        let dims = tail - 16;
+        // (field offset, field width): hparam count, tensor count, w0's
+        // ndims, first dim, offset and length.
+        let fields = [
+            (8, 4),
+            (12, 4),
+            (dims - 4, 4),
+            (dims, 8),
+            (tail, 8),
+            (tail + 8, 8),
+        ];
+        for (at, width) in fields {
+            let mut bytes = clean.clone();
+            bytes[at..at + width].fill(0xff);
+            reseal(&mut bytes);
+            match Artifact::parse(&bytes) {
+                Err(StoreError::Truncated { .. } | StoreError::Corrupt(_)) => {}
+                other => panic!("field at {at} set to all ones: unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn overlapping_and_reordered_payloads_verify_on_their_own() {
+        let mut b = ArtifactBuilder::new();
+        b.tensor_f32("a", &[2], &[1.0, 2.0]);
+        b.tensor_f32("b", &[2], &[3.0, 4.0]);
+        b.tensor_q8("c", &[4], &[9, 8, 7, 6], 1.0, 0.0, 8);
+        let clean = b.finish();
+        let parsed = Artifact::parse(&clean).unwrap();
+        let [a, b_, c] = [0, 1, 2].map(|i| parsed.entries()[i].clone());
+        drop(parsed);
+        // Re-sealed hand-made directory: a and b swap payloads (out of
+        // offset order) and c's codes alias the first four bytes of a's
+        // payload (an overlap), each with its true checksum.
+        let mut bytes = clean.clone();
+        let redirect = |bytes: &mut Vec<u8>, e: &TensorEntry, offset: usize, len: usize| {
+            let at = entry_tail_at(&clean, e);
+            let sum = fnv1a(&clean[offset..offset + len]);
+            bytes[at..at + 8].copy_from_slice(&(offset as u64).to_le_bytes());
+            bytes[at + 16..at + 24].copy_from_slice(&sum.to_le_bytes());
+        };
+        redirect(&mut bytes, &a, b_.offset, b_.len);
+        redirect(&mut bytes, &b_, a.offset, a.len);
+        redirect(&mut bytes, &c, a.offset, c.len);
+        reseal(&mut bytes);
+        let art = Artifact::parse(&bytes).expect("matching checksums parse");
+        assert_eq!(art.tensor_f32("a").unwrap().data(), &[3.0, 4.0]);
+        assert_eq!(art.tensor_f32("b").unwrap().data(), &[1.0, 2.0]);
+        assert_eq!(art.tensor_q8("c").unwrap().codes(), &1.0f32.to_le_bytes());
+        drop(art);
+
+        // A wrong checksum on the entry hashed apart still names it.
+        bytes[entry_tail_at(&clean, &b_) + 16] ^= 0x01;
+        reseal(&mut bytes);
+        match Artifact::parse(&bytes) {
+            Err(StoreError::ChecksumMismatch { what, .. }) => assert_eq!(what, "b"),
+            other => panic!("expected b's checksum failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn payload_rejects_an_entry_from_another_directory() {
+        let bytes = sample();
+        let a = Artifact::parse(&bytes).unwrap();
+        let mut foreign = a.tensor("w0").unwrap().clone();
+        assert!(a.payload(&foreign).is_ok());
+        foreign.offset += ALIGN;
+        assert!(matches!(a.payload(&foreign), Err(StoreError::Corrupt(_))));
     }
 
     #[test]
@@ -729,9 +918,7 @@ mod tests {
         // The dims are followed by offset, len and checksum.
         bytes[at + 24..at + 32].copy_from_slice(&0u64.to_le_bytes());
         bytes[at + 32..at + 40].copy_from_slice(&fnv1a(&[]).to_le_bytes());
-        let n = bytes.len();
-        let fixed = fnv1a(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&fixed.to_le_bytes());
+        reseal(&mut bytes);
         match Artifact::parse(&bytes) {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("overflow"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
@@ -742,9 +929,7 @@ mod tests {
     fn unsupported_version_is_rejected() {
         let mut bytes = sample();
         bytes[4] = 99;
-        let n = bytes.len();
-        let fixed = fnv1a(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&fixed.to_le_bytes());
+        reseal(&mut bytes);
         match Artifact::parse(&bytes) {
             Err(StoreError::UnsupportedVersion(99)) => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),

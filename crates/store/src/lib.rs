@@ -21,8 +21,9 @@
 //! mmap-friendly: a reader can map the file and point kernels straight at
 //! the payload bytes. Corruption is detected twice over — a whole-file
 //! checksum in the trailer and a per-tensor payload checksum in the
-//! directory — with typed [`StoreError`]s for truncation, bad magic and
-//! checksum mismatches.
+//! directory, both verified by [`Artifact::parse`] in one walk that
+//! hashes each byte once — with typed [`StoreError`]s for truncation,
+//! bad magic and checksum mismatches.
 //!
 //! ```text
 //! offset 0        "DLST" magic · u32 version
