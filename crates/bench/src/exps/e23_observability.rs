@@ -19,11 +19,13 @@ use dl_distributed::{
     resilient_local_sgd, resilient_local_sgd_traced, Cluster, Device, Link, LocalSgdConfig,
     ResilientConfig, StorageProfile,
 };
-use dl_obs::{fields, EventKind, FieldValue, FlightRecorder, Recorder, TimelineRecorder, ToFields};
+use dl_obs::{
+    fields, find_field, EventKind, FieldValue, FlightRecorder, Recorder, TimelineRecorder, ToFields,
+};
 
 /// Modeled simulated cost per recorded event: 0.5 µs, an upper bound for
 /// pushing a preallocated record and reading an atomic clock.
-pub const PER_EVENT_SECONDS: f64 = 5e-7;
+const PER_EVENT_SECONDS: f64 = 5e-7;
 
 /// Flight-recorder capacity used in the wraparound demonstration.
 const FLIGHT_CAPACITY: usize = 64;
@@ -47,14 +49,10 @@ fn headline_config() -> ResilientConfig {
     }
 }
 
-fn field<'a>(fields: &'a dl_obs::Fields, key: &str) -> Option<&'a FieldValue> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
 /// Renders one fault-recovery event as a `detail` cell.
 fn detail(event: &dl_obs::Event) -> String {
     let get = |k: &str| {
-        field(&event.fields, k)
+        find_field(&event.fields, k)
             .map(|v| match v {
                 FieldValue::Str(s) => s.clone(),
                 FieldValue::U64(n) => n.to_string(),

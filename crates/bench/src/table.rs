@@ -8,6 +8,8 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use dl_obs::field::write_json_string;
+
 /// A rendered experiment table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -100,7 +102,7 @@ impl ExperimentResult {
     }
 
     /// Directory where experiment JSON records are written.
-    pub fn output_dir() -> PathBuf {
+    fn output_dir() -> PathBuf {
         let dir = std::env::var("DL_EXPERIMENT_DIR")
             .map(PathBuf::from)
             .unwrap_or_else(|_| PathBuf::from("target/experiments"));
@@ -111,9 +113,9 @@ impl ExperimentResult {
     /// The full result as byte-stable JSON: fixed top-level key order,
     /// records encoded with sorted keys via `dl_obs::export`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"id\": {},", json_str(&self.id));
-        out.push_str("  \"records\": [");
+        let mut out = String::from("{\n  \"id\": ");
+        write_json_string(&mut out, &self.id);
+        out.push_str(",\n  \"records\": [");
         for (i, record) in self.records.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -134,10 +136,11 @@ impl ExperimentResult {
             }
             write_str_array(&mut out, row);
         }
-        out.push_str("]},\n");
-        let _ = writeln!(out, "  \"title\": {},", json_str(&self.title));
-        let _ = writeln!(out, "  \"verdict\": {}", json_str(&self.verdict));
-        out.push_str("}\n");
+        out.push_str("]},\n  \"title\": ");
+        write_json_string(&mut out, &self.title);
+        out.push_str(",\n  \"verdict\": ");
+        write_json_string(&mut out, &self.verdict);
+        out.push_str("\n}\n");
         out
     }
 
@@ -149,33 +152,13 @@ impl ExperimentResult {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn write_str_array(out: &mut String, items: &[String]) {
     out.push('[');
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&json_str(item));
+        write_json_string(out, item);
     }
     out.push(']');
 }
@@ -184,7 +167,7 @@ fn write_str_array(out: &mut String, items: &[String]) {
 /// 0/1) — the replacement for indexing into a dynamic JSON value.
 pub fn field_f64(fields: &dl_obs::Fields, key: &str) -> Option<f64> {
     use dl_obs::FieldValue;
-    fields.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
+    dl_obs::find_field(fields, key).and_then(|v| match v {
         FieldValue::Bool(b) => Some(f64::from(u8::from(*b))),
         other => other.as_f64(),
     })

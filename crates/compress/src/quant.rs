@@ -146,18 +146,13 @@ impl QuantizedTensor {
 
     /// Storage in bytes after bit packing: `ceil(len * bits / 8)` plus the
     /// 8-byte scale/zero header.
-    pub fn storage_bytes(&self) -> usize {
+    fn storage_bytes(&self) -> usize {
         (self.codes.len() * self.bits as usize).div_ceil(8) + 8
     }
 
     /// Bit width of each code.
     pub fn bits(&self) -> u8 {
         self.bits
-    }
-
-    /// Worst-case absolute reconstruction error (half a quantization step).
-    pub fn max_error_bound(&self) -> f32 {
-        self.scale / 2.0
     }
 }
 
@@ -364,7 +359,7 @@ impl HuffmanCode {
     }
 
     /// Total encoded size of `data` in bits.
-    pub fn encoded_bits(&self, data: &[u8]) -> u64 {
+    fn encoded_bits(&self, data: &[u8]) -> u64 {
         data.iter()
             .map(|&b| u64::from(self.lengths[b as usize]))
             .sum()
@@ -563,7 +558,7 @@ mod tests {
         for bits in [2u8, 4, 8] {
             let q = QuantizedTensor::quantize(&t, bits);
             let back = q.dequantize();
-            let bound = q.max_error_bound() + 1e-6;
+            let bound = q.scale() / 2.0 + 1e-6;
             for (a, b) in t.data().iter().zip(back.data()) {
                 assert!((a - b).abs() <= bound, "{bits}-bit error {}", (a - b).abs());
             }
@@ -699,7 +694,7 @@ mod tests {
             let t = init::uniform([64], -3.0, 3.0, &mut r);
             let q = QuantizedTensor::quantize(&t, bits);
             let back = q.dequantize();
-            let bound = q.max_error_bound() + 1e-5;
+            let bound = q.scale() / 2.0 + 1e-5;
             for (a, b) in t.data().iter().zip(back.data()) {
                 assert!((a - b).abs() <= bound, "case {case}");
             }
@@ -746,7 +741,7 @@ mod tests {
             let t = Tensor::from_vec(values, [n]).unwrap();
             let q = QuantizedTensor::quantize(&t, 8);
             let back = q.dequantize();
-            let bound = q.max_error_bound() * (1.0 + 1e-4) + 1e-6;
+            let bound = q.scale() / 2.0 * (1.0 + 1e-4) + 1e-6;
             for (a, b) in t.data().iter().zip(back.data()) {
                 assert!(
                     (a - b).abs() <= bound,

@@ -32,7 +32,7 @@ pub enum Constraint {
 
 impl Constraint {
     /// Does the technique satisfy this constraint?
-    pub fn satisfied_by(&self, t: &Technique) -> bool {
+    fn satisfied_by(&self, t: &Technique) -> bool {
         match *self {
             Constraint::MaxTrainFlops(v) => t.metrics.train_flops <= v,
             Constraint::MaxInferenceFlops(v) => t.metrics.inference_flops <= v,
@@ -69,19 +69,6 @@ impl<'a> TradeoffNavigator<'a> {
             .iter()
             .filter(|t| constraints.iter().all(|c| c.satisfied_by(t)))
             .max_by(|a, b| a.metrics.accuracy.total_cmp(&b.metrics.accuracy))
-    }
-
-    /// The accuracy sacrificed (vs. the best unconstrained accuracy) by
-    /// imposing `constraints` — the "price" of a resource budget.
-    pub fn accuracy_cost(&self, constraints: &[Constraint]) -> Option<f64> {
-        let best = self
-            .registry
-            .techniques()
-            .iter()
-            .map(|t| t.metrics.accuracy)
-            .fold(f64::NEG_INFINITY, f64::max);
-        self.recommend(constraints)
-            .map(|t| best - t.metrics.accuracy)
     }
 }
 
@@ -265,20 +252,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn accuracy_cost_grows_as_budget_shrinks() {
-        let r = registry();
-        let nav = TradeoffNavigator::new(&r);
-        let loose = nav
-            .accuracy_cost(&[Constraint::MaxMemoryBytes(300)])
-            .unwrap();
-        let tight = nav
-            .accuracy_cost(&[Constraint::MaxMemoryBytes(50)])
-            .unwrap();
-        assert!(tight > loose);
-        assert!((loose - 0.01).abs() < 1e-9); // 0.95 (fp32) - 0.94 (int8)
-        assert!((tight - 0.25).abs() < 1e-9); // 0.95 - 0.70 (binary)
     }
 }

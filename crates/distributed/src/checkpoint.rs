@@ -11,8 +11,6 @@
 //! rare checkpoints cost replayed work after a failure (experiment E22).
 
 use dl_nn::{Network, Optimizer};
-use dl_store::{load_checkpoint, save_checkpoint, CheckpointData, StoreError};
-use std::path::Path;
 
 /// Simulated storage target for checkpoints.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,12 +44,12 @@ impl StorageProfile {
     }
 
     /// Simulated seconds to persist `bytes`.
-    pub fn write_time(&self, bytes: u64) -> f64 {
+    fn write_time(&self, bytes: u64) -> f64 {
         self.latency + bytes as f64 / self.write_bandwidth
     }
 
     /// Simulated seconds to load `bytes`.
-    pub fn read_time(&self, bytes: u64) -> f64 {
+    fn read_time(&self, bytes: u64) -> f64 {
         self.latency + bytes as f64 / self.read_bandwidth
     }
 }
@@ -89,57 +87,7 @@ impl Checkpoint {
     pub fn restore_into(&self, net: &mut Network) {
         net.set_flat_params(&self.params);
     }
-
-    /// Persists the checkpoint as a `dl-store` binary artifact (real
-    /// I/O, for tooling — the simulated cost model lives in
-    /// [`CheckpointStore`]). Params and optimizer hyper-parameters
-    /// round-trip bit-for-bit; moment buffers are not persisted.
-    pub fn save_file(&self, path: &Path) -> Result<(), CheckpointError> {
-        std::fs::write(path, save_checkpoint(&self.to_data())).map_err(CheckpointError::Io)
-    }
-
-    /// Loads a checkpoint previously written by [`Checkpoint::save_file`].
-    pub fn load_file(path: &Path) -> Result<Self, CheckpointError> {
-        let bytes = std::fs::read(path).map_err(CheckpointError::Io)?;
-        let data = load_checkpoint(&bytes).map_err(CheckpointError::Format)?;
-        Ok(Checkpoint {
-            step: data.step as usize,
-            params: data.params,
-            optimizer: data.optimizer,
-            cursors: data.cursors,
-        })
-    }
-
-    /// The format-level view this checkpoint serializes through.
-    pub fn to_data(&self) -> CheckpointData {
-        CheckpointData {
-            step: self.step as u64,
-            params: self.params.clone(),
-            optimizer: self.optimizer.clone(),
-            cursors: self.cursors.clone(),
-        }
-    }
 }
-
-/// Why a checkpoint file failed to round-trip.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// Artifact-format failure (bad magic, truncation, checksum, ...).
-    Format(StoreError),
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint io error: {e}"),
-            CheckpointError::Format(e) => write!(f, "checkpoint format error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
 
 /// Holds the latest checkpoint and meters the simulated cost of every
 /// storage operation.
@@ -238,45 +186,6 @@ mod tests {
         assert_ne!(net.flat_params(), other.flat_params());
         ckpt.restore_into(&mut other);
         assert_eq!(net.flat_params(), other.flat_params());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let (_, ckpt) = sample_checkpoint();
-        let dir = std::env::temp_dir().join("dl_distributed_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.dlst");
-        ckpt.save_file(&path).unwrap();
-        let raw = std::fs::read(&path).unwrap();
-        assert_eq!(&raw[..4], b"DLST", "checkpoints use the artifact format");
-        let loaded = Checkpoint::load_file(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.step, ckpt.step);
-        assert_eq!(loaded.cursors, ckpt.cursors);
-        assert_eq!(loaded.params.len(), ckpt.params.len());
-        for (x, y) in ckpt.params.iter().zip(&loaded.params) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(loaded.optimizer.base_lr(), ckpt.optimizer.base_lr());
-        // Same pricing as before: the cost model keys off size_bytes,
-        // which is unchanged by the serializer swap.
-        assert_eq!(loaded.size_bytes(), ckpt.size_bytes());
-    }
-
-    #[test]
-    fn corrupt_checkpoint_file_is_detected() {
-        let (_, ckpt) = sample_checkpoint();
-        let dir = std::env::temp_dir().join("dl_distributed_ckpt_corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.dlst");
-        ckpt.save_file(&path).unwrap();
-        let mut raw = std::fs::read(&path).unwrap();
-        let mid = raw.len() / 2;
-        raw[mid] ^= 0x10;
-        std::fs::write(&path, &raw).unwrap();
-        let err = Checkpoint::load_file(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(matches!(err, CheckpointError::Format(_)));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod priority;
 pub mod resilient;
 pub mod sim;
 
-pub use checkpoint::{Checkpoint, CheckpointError, CheckpointStore, StorageProfile};
+pub use checkpoint::{Checkpoint, CheckpointStore, StorageProfile};
 pub use datapar::{
     local_sgd, local_sgd_traced, local_sgd_with_failures, LocalSgdConfig, LocalSgdReport,
 };

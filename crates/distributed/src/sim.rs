@@ -108,18 +108,6 @@ impl Cluster {
         let volume = 2.0 * (n - 1.0) / n * bytes as f64;
         volume / self.link.bandwidth + 2.0 * (n - 1.0) * self.link.latency
     }
-
-    /// Simulated time for a synchronous training step where every worker
-    /// computes `flops` then all-reduces `grad_bytes`. Stragglers dominate:
-    /// the step takes the slowest worker's compute time.
-    pub fn sync_step_time(&self, flops: u64, grad_bytes: u64) -> f64 {
-        let slowest = self
-            .devices
-            .iter()
-            .map(|d| d.compute_time(flops))
-            .fold(0.0, f64::max);
-        slowest + self.allreduce_time(grad_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -168,17 +156,7 @@ mod tests {
         assert!(v8 > v2);
     }
 
-    #[test]
-    fn sync_step_dominated_by_slowest_device() {
-        let mut c = Cluster::homogeneous(2, Device::accelerator(), Link::nvlink());
-        c.devices[1] = Device::edge();
-        let t = c.sync_step_time(1_000_000_000_000, 0);
-        // edge device takes 2 s for 1 TFLOP; accelerator 0.1 s
-        assert!((2.0..2.1).contains(&t));
-    }
-
-    /// All-reduce time is monotone in bytes and never negative; the
-    /// synchronous step is bounded below by the slowest compute.
+    /// All-reduce time is monotone in bytes and never negative.
     #[test]
     fn sim_cost_monotonicity() {
         for case in 0..256 {
@@ -186,16 +164,11 @@ mod tests {
             let n = rng.gen_range(1usize..16);
             let bytes = rng.gen_range(0u64..1_000_000_000);
             let extra = rng.gen_range(1u64..1_000_000_000);
-            let flops = rng.gen_range(0u64..10_000_000_000_000);
             let c = Cluster::homogeneous(n, Device::accelerator(), Link::ethernet());
             let t1 = c.allreduce_time(bytes);
             let t2 = c.allreduce_time(bytes + extra);
             assert!(t1 >= 0.0, "case {case}");
             assert!(t2 >= t1, "case {case}");
-            let step = c.sync_step_time(flops, bytes);
-            let compute = c.devices[0].compute_time(flops);
-            assert!(step >= compute, "case {case}");
-            assert!(step >= t1, "case {case}");
         }
     }
 

@@ -28,7 +28,6 @@ pub mod snapshot;
 pub mod treenet;
 
 pub use fge::{fge, FgeConfig};
-// independent_parallel is defined below in this module.
 pub use mothernet::{hatch, mothernet, MotherNetConfig};
 pub use snapshot::snapshot;
 pub use treenet::{treenet, TreeNet, TreeNetConfig};
@@ -152,56 +151,6 @@ pub fn independent(
     (ensemble, report)
 }
 
-/// [`independent`] with members trained on OS threads (`std` scoped
-/// threads): the embarrassingly-parallel structure of independent ensemble
-/// training made literal. Produces networks identical to the sequential
-/// version (each member's seed is derived the same way), so the only
-/// difference is wall-clock.
-pub fn independent_parallel(
-    data: &Dataset,
-    eval: &Dataset,
-    dims: &[usize],
-    members: usize,
-    config: &TrainConfig,
-    seed: u64,
-) -> (Ensemble, EnsembleReport) {
-    assert!(members > 0, "need at least one member");
-    let results: Vec<(Network, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..members)
-            .map(|m| {
-                let config = config.clone();
-                scope.spawn(move || {
-                    let mut rng = dl_tensor::init::rng(seed.wrapping_add(m as u64));
-                    let mut net = Network::mlp(dims, &mut rng);
-                    let mut trainer = Trainer::new(
-                        TrainConfig {
-                            seed: config.seed.wrapping_add(m as u64),
-                            ..config
-                        },
-                        Optimizer::adam(0.01),
-                    );
-                    trainer.fit(&mut net, data);
-                    (net, trainer.flops)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("member training panicked"))
-            .collect()
-    });
-    let flops = results.iter().map(|(_, f)| f).sum();
-    let mut ensemble = Ensemble::new(results.into_iter().map(|(n, _)| n).collect());
-    let report = EnsembleReport {
-        strategy: "independent-parallel",
-        accuracy: ensemble.accuracy(eval),
-        train_flops: flops,
-        params: ensemble.total_params(),
-        inference_flops: ensemble.inference_flops(),
-    };
-    (ensemble, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,23 +201,6 @@ mod tests {
         assert_eq!(report.params, single * 3);
         assert!(report.train_flops > 0);
         assert_eq!(report.inference_flops, ens.inference_flops());
-    }
-
-    #[test]
-    fn parallel_training_learns_and_is_deterministic() {
-        let data = blobs(120, 2, 4, 6.0, 0.4, 6);
-        let cfg = TrainConfig {
-            epochs: 10,
-            ..TrainConfig::default()
-        };
-        let (a, ra) = independent_parallel(&data, &data, &[4, 12, 2], 3, &cfg, 7);
-        let (b, rb) = independent_parallel(&data, &data, &[4, 12, 2], 3, &cfg, 7);
-        assert_eq!(a.len(), 3);
-        assert!(ra.accuracy > 0.9, "accuracy {}", ra.accuracy);
-        assert_eq!(ra.accuracy, rb.accuracy, "thread order must not matter");
-        for (ma, mb) in a.members.iter().zip(&b.members) {
-            assert_eq!(ma.flat_params(), mb.flat_params());
-        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! measurement side and one intervention per level:
 //!
 //! * [`metrics`] — group fairness metrics over binary classifiers:
-//!   demographic parity, disparate impact, equal opportunity, equalized
-//!   odds, and per-group calibration.
+//!   demographic parity, disparate impact, equal opportunity and equalized
+//!   odds.
 //! * [`mitigate`] — interventions:
 //!   * **reweighing** (pre-processing): weight training samples so group
 //!     and label become statistically independent,

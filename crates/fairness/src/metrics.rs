@@ -23,7 +23,7 @@ impl GroupConfusion {
     }
 
     /// Predicted-positive rate: `(TP + FP) / total`.
-    pub fn positive_rate(&self) -> f64 {
+    fn positive_rate(&self) -> f64 {
         let t = self.total();
         if t == 0 {
             0.0
@@ -166,13 +166,6 @@ impl FairnessReport {
         tpr_gap.max(fpr_gap)
     }
 
-    /// Calibration gap: difference in precision between groups (a model is
-    /// group-calibrated when a positive prediction means the same thing
-    /// for both groups).
-    pub fn calibration_gap(&self) -> f64 {
-        (self.group0.precision() - self.group1.precision()).abs()
-    }
-
     /// Overall accuracy.
     pub fn accuracy(&self) -> f64 {
         let correct = self.group0.tp + self.group0.tn + self.group1.tp + self.group1.tn;
@@ -207,7 +200,6 @@ mod tests {
         assert_eq!(r.disparate_impact(), 1.0);
         assert_eq!(r.equal_opportunity_diff(), 0.0);
         assert_eq!(r.equalized_odds_gap(), 0.0);
-        assert_eq!(r.calibration_gap(), 0.0);
     }
 
     #[test]
@@ -299,7 +291,6 @@ mod tests {
             assert!(r.demographic_parity_diff().abs() <= 1.0, "case {case}");
             assert!(r.equal_opportunity_diff().abs() <= 1.0, "case {case}");
             assert!((0.0..=1.0).contains(&r.equalized_odds_gap()), "case {case}");
-            assert!((0.0..=1.0).contains(&r.calibration_gap()), "case {case}");
             assert!((0.0..=1.0).contains(&r.accuracy()), "case {case}");
             assert!(r.disparate_impact() >= 0.0, "case {case}");
         }

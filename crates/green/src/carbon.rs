@@ -78,10 +78,6 @@ pub struct CarbonReport {
     pub grams_co2e: f64,
 }
 
-/// Lifetime emissions of an average car, used for the tutorial's
-/// "training emits as much as N cars" equivalence (~57 tCO2e).
-pub const CAR_LIFETIME_GRAMS: f64 = 57.0e6;
-
 impl CarbonReport {
     /// Emissions of an energy report executed in `region`.
     pub fn from_energy(energy: &EnergyReport, region: Region) -> Self {
@@ -90,11 +86,6 @@ impl CarbonReport {
             region,
             grams_co2e: energy.total_kwh * region.intensity(),
         }
-    }
-
-    /// The run's emissions as a fraction of one car's lifetime emissions.
-    pub fn car_equivalents(&self) -> f64 {
-        self.grams_co2e / CAR_LIFETIME_GRAMS
     }
 }
 
@@ -133,19 +124,5 @@ mod tests {
             (max - min) / r.intensity()
         };
         assert!(swing(Region::WindCoast) > swing(Region::HydroNorth) * 3.0);
-    }
-
-    #[test]
-    fn car_equivalence_is_sane() {
-        // a huge training run: 1e19 FLOPs/device-job x 100 jobs worth
-        let e = energy_for(&HardwareProfile::datacenter_gpu(), 10u64.pow(19), 1.6);
-        let e = crate::energy::EnergyReport {
-            total_kwh: e.total_kwh * 100.0,
-            ..e
-        };
-        let r = CarbonReport::from_energy(&e, Region::MixedAverage);
-        // thousands of kWh -> a meaningful fraction of cars
-        assert!(r.car_equivalents() > 0.01, "{}", r.car_equivalents());
-        assert!(r.car_equivalents() < 100.0);
     }
 }

@@ -30,7 +30,7 @@ impl HardwareProfile {
     }
 
     /// A desktop GPU (180 W, ~7 TFLOP/s).
-    pub fn desktop_gpu() -> Self {
+    fn desktop_gpu() -> Self {
         HardwareProfile {
             name: "desktop-gpu",
             tdp_watts: 180.0,
@@ -53,7 +53,7 @@ impl HardwareProfile {
     /// quantum hardware as FLOPs/W escape hatches): published prototypes
     /// target ~100x the FLOPs/W of electronic accelerators. Speculative,
     /// flagged by name.
-    pub fn photonic_projection() -> Self {
+    fn photonic_projection() -> Self {
         HardwareProfile {
             name: "photonic-projection",
             tdp_watts: 50.0,
@@ -72,13 +72,8 @@ impl HardwareProfile {
         ]
     }
 
-    /// Energy efficiency in FLOPs per watt (the §4.3 hardware metric).
-    pub fn flops_per_watt(&self) -> f64 {
-        self.sustained_flops / (self.tdp_watts * self.utilization)
-    }
-
     /// Seconds to execute `flops` of work.
-    pub fn runtime_seconds(&self, flops: u64) -> f64 {
+    fn runtime_seconds(&self, flops: u64) -> f64 {
         flops as f64 / self.sustained_flops
     }
 }
@@ -147,21 +142,8 @@ mod tests {
     }
 
     #[test]
-    fn gpu_more_efficient_than_cpu() {
-        assert!(
-            HardwareProfile::datacenter_gpu().flops_per_watt()
-                > HardwareProfile::laptop_cpu().flops_per_watt() * 5.0
-        );
-    }
-
-    #[test]
     fn photonic_projection_dominates_on_efficiency() {
         let photonic = HardwareProfile::photonic_projection();
-        for hw in HardwareProfile::all() {
-            if hw.name != photonic.name {
-                assert!(photonic.flops_per_watt() > hw.flops_per_watt() * 10.0);
-            }
-        }
         // same job: vastly less energy
         let flops = 10u64.pow(18);
         let gpu = energy_for(&HardwareProfile::datacenter_gpu(), flops, 1.2);

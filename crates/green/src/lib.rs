@@ -9,8 +9,7 @@
 //!   utilization) turn FLOP counts from `dl-nn`'s cost model into
 //!   kilowatt-hours; datacenter PUE multiplies in overhead.
 //! * [`carbon`] — regional grid carbon intensities convert energy into
-//!   gCO2e, with the calculator-style per-run report (including the
-//!   "cars" equivalence the tutorial quotes).
+//!   gCO2e, with the calculator-style per-run report.
 //! * [`scheduler`] — a carbon-aware scheduler that places training jobs
 //!   across regions and hours to minimize emissions under deadline
 //!   constraints, against a naive first-fit baseline.

@@ -1,7 +1,7 @@
 //! Per-decision and global explanations: LIME, saliency maps, activation
 //! maximization, and decision-tree surrogates.
 
-use dl_nn::{loss::one_hot, Network};
+use dl_nn::Network;
 use dl_tensor::{init, Tensor};
 
 // ----------------------------------------------------------------------
@@ -311,7 +311,7 @@ impl SurrogateTree {
     }
 
     /// Predicts the class of a feature row.
-    pub fn predict_row(&self, row: &[f32]) -> usize {
+    fn predict_row(&self, row: &[f32]) -> usize {
         match self {
             SurrogateTree::Leaf { class } => *class,
             SurrogateTree::Split {
@@ -350,11 +350,6 @@ impl SurrogateTree {
             SurrogateTree::Split { left, right, .. } => 1 + left.node_count() + right.node_count(),
         }
     }
-}
-
-/// Convenience: one-hot helper re-export used in doctests/examples.
-pub fn one_hot_targets(labels: &[usize], classes: usize) -> Tensor {
-    one_hot(labels, classes)
 }
 
 #[cfg(test)]

@@ -93,7 +93,7 @@ impl IntermediateStore {
     ///
     /// # Panics
     /// Panics unless `lo < hi`.
-    pub fn with_range(lo: f32, hi: f32) -> Self {
+    fn with_range(lo: f32, hi: f32) -> Self {
         assert!(lo < hi, "quantization range must be non-empty");
         IntermediateStore {
             matrices: HashMap::new(),

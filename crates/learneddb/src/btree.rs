@@ -8,7 +8,7 @@
 
 /// Default number of keys per node (fanout), sized so a node of `u64`s is
 /// about one 512-byte cache-line group.
-pub const DEFAULT_FANOUT: usize = 64;
+const DEFAULT_FANOUT: usize = 64;
 
 /// An immutable B-tree index mapping each key to its position in the
 /// original sorted array.

@@ -53,7 +53,7 @@ enum FilterImpl {
     Learned(Box<LearnedBloom>),
 }
 
-/// Per-store operation counters (reset with [`LearnedStore::reset_stats`]).
+/// Per-store operation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounters {
     /// Lookups answered negatively by the filter without touching the index.
@@ -163,29 +163,9 @@ impl LearnedStore {
         }
     }
 
-    /// Memory footprint of the access-path components (index + filter),
-    /// excluding the data itself.
-    pub fn access_path_bytes(&self) -> usize {
-        let idx = match &self.index {
-            IndexImpl::BTree(t) => t.size_bytes(),
-            IndexImpl::Rmi(r) => r.size_bytes(),
-        };
-        let flt = match &self.filter {
-            FilterImpl::None => 0,
-            FilterImpl::Bloom(f) => f.size_bytes(),
-            FilterImpl::Learned(f) => f.size_bytes(),
-        };
-        idx + flt
-    }
-
     /// Operation counters so far.
     pub fn counters(&self) -> StoreCounters {
         self.counters
-    }
-
-    /// Clears the operation counters.
-    pub fn reset_stats(&mut self) {
-        self.counters = StoreCounters::default();
     }
 }
 
@@ -258,19 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn learned_index_uses_less_memory_than_btree_here() {
-        let ks = keys();
-        let bt = LearnedStore::build(ks.clone(), IndexChoice::BTree, FilterChoice::None, 5);
-        let rmi = LearnedStore::build(
-            ks,
-            IndexChoice::Learned { leaves: 64 },
-            FilterChoice::None,
-            5,
-        );
-        assert!(rmi.access_path_bytes() < bt.access_path_bytes());
-    }
-
-    #[test]
     fn range_scans_agree_across_indexes() {
         let ks = keys();
         let bt = LearnedStore::build(ks.clone(), IndexChoice::BTree, FilterChoice::None, 6);
@@ -283,15 +250,5 @@ mod tests {
         for (lo, hi) in [(ks[10], ks[500]), (0, ks[0]), (ks[100], ks[100])] {
             assert_eq!(bt.range(lo, hi), rmi.range(lo, hi), "range {lo}..{hi}");
         }
-    }
-
-    #[test]
-    fn counters_reset() {
-        let ks = keys();
-        let mut s = LearnedStore::build(ks.clone(), IndexChoice::BTree, FilterChoice::None, 7);
-        s.get(ks[0]);
-        assert!(s.counters().index_probes > 0);
-        s.reset_stats();
-        assert_eq!(s.counters(), StoreCounters::default());
     }
 }

@@ -69,35 +69,6 @@ pub fn offload_plan(
     }
 }
 
-/// Sweeps offload fractions and returns the smallest fraction whose device
-/// memory fits `device_budget`, or `None` when even full offloading does
-/// not fit (parameters and workspace are outside this model).
-#[must_use]
-pub fn min_fraction_for_budget(
-    profile: &CostProfile,
-    device_budget: u64,
-    flops_per_sec: f64,
-    host_bandwidth: f64,
-) -> Option<OffloadPlan> {
-    let act = profile.activation_bytes();
-    if act <= device_budget {
-        return Some(offload_plan(profile, 0.0, flops_per_sec, host_bandwidth));
-    }
-    let needed = act - device_budget;
-    let fraction = needed as f64 / act as f64;
-    if fraction > 1.0 {
-        return None;
-    }
-    // round up slightly so integer truncation cannot violate the budget
-    let fraction = (fraction + 1e-9).min(1.0);
-    let plan = offload_plan(profile, fraction, flops_per_sec, host_bandwidth);
-    if plan.device_bytes <= device_budget {
-        Some(plan)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,21 +116,6 @@ mod tests {
         let p75 = offload_plan(&profile(), 0.75, 1e12, 5e9);
         assert!(p75.extra_seconds_per_step > p25.extra_seconds_per_step);
         assert!(p75.device_bytes < p25.device_bytes);
-    }
-
-    #[test]
-    fn min_fraction_meets_budget_exactly() {
-        let p = min_fraction_for_budget(&profile(), 40_000_000, 1e12, 10e9)
-            .expect("feasible");
-        assert!(p.device_bytes <= 40_000_000);
-        assert!(p.fraction > 0.55 && p.fraction < 0.65, "fraction {}", p.fraction);
-    }
-
-    #[test]
-    fn min_fraction_zero_when_it_already_fits() {
-        let p = min_fraction_for_budget(&profile(), 200_000_000, 1e12, 10e9)
-            .expect("feasible");
-        assert_eq!(p.fraction, 0.0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 
 /// Smoothing floor applied to every bin probability before the log
 /// ratios (keeps PSI/KL finite when a bin is empty on one side).
-pub const DRIFT_EPS: f64 = 1e-6;
+const DRIFT_EPS: f64 = 1e-6;
 
 /// Population stability index between an expected (reference) and an
 /// observed distribution over the same bins.
@@ -110,7 +110,7 @@ impl ReferenceProfile {
     /// The bin index for `v`: `0` underflow, `1..=bins` interior,
     /// `bins + 1` overflow (non-finite values land in overflow).
     #[must_use]
-    pub fn bin_of(&self, v: f64) -> usize {
+    fn bin_of(&self, v: f64) -> usize {
         if !v.is_finite() || v >= self.lo + self.width * self.bins as f64 {
             return self.bins + 1;
         }
@@ -122,7 +122,7 @@ impl ReferenceProfile {
 
     /// Number of bins including the two outlier bins.
     #[must_use]
-    pub fn n_bins(&self) -> usize {
+    fn n_bins(&self) -> usize {
         self.bins + 2
     }
 

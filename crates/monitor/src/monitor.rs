@@ -20,7 +20,9 @@
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
-use dl_obs::{fields, Event, EventKind, FieldValue, Fields, Recorder, ToFields, VirtualClock};
+use dl_obs::{
+    fields, find_field, Event, EventKind, FieldValue, Fields, Recorder, ToFields, VirtualClock,
+};
 
 use crate::drift::{DriftConfig, DriftDetector};
 use crate::sketch::WindowedSketch;
@@ -134,18 +136,6 @@ pub struct Monitor<'a> {
     inner: &'a dyn Recorder,
     cfg: MonitorConfig,
     state: Mutex<State>,
-}
-
-fn field_f64(fields: &Fields, key: &str) -> Option<f64> {
-    fields.iter().find(|(k, _)| k == key).and_then(|(_, v)| v.as_f64())
-}
-
-fn field_u64(fields: &Fields, key: &str) -> Option<u64> {
-    fields.iter().find(|(k, _)| k == key).and_then(|(_, v)| match *v {
-        FieldValue::U64(n) => Some(n),
-        FieldValue::I64(n) if n >= 0 => Some(n as u64),
-        _ => None,
-    })
 }
 
 impl<'a> Monitor<'a> {
@@ -429,21 +419,24 @@ impl<'a> Monitor<'a> {
         let mut state = self.state.lock().expect("monitor state lock");
         let fired = self.roll_to(&mut state, now_s);
         state.last_event_s = state.last_event_s.max(now_s);
-        let replica = field_u64(&event.fields, "replica").unwrap_or(0) as usize;
+        let field = |key: &str| find_field(&event.fields, key);
+        let replica = field("replica").and_then(FieldValue::as_u64).unwrap_or(0) as usize;
         match event.name.as_str() {
             "serve.admit" => {
                 state.fleet.admits.add(1);
-                if let Some(q) = field_f64(&event.fields, "queue") {
+                if let Some(q) = field("queue").and_then(FieldValue::as_f64) {
                     state.fleet.queue.observe(q);
                 }
                 let r = Self::replica_series(&mut state, &self.cfg, replica);
                 r.admits.add(1);
-                if let Some(q) = field_f64(&event.fields, "queue") {
+                if let Some(q) = field("queue").and_then(FieldValue::as_f64) {
                     r.queue.observe(q);
                 }
             }
             "serve.complete" => {
-                let latency = field_f64(&event.fields, "latency_s").unwrap_or(0.0);
+                let latency = field("latency_s")
+                    .and_then(FieldValue::as_f64)
+                    .unwrap_or(0.0);
                 let healthy = if latency <= self.cfg.latency_slo_s { 1.0 } else { 0.0 };
                 state.fleet.completions.add(1);
                 state.fleet.latency.observe(latency);
@@ -467,12 +460,12 @@ impl<'a> Monitor<'a> {
                     }
                 }
                 if let Some(d) = &mut state.drift {
-                    if let Some(s) = field_u64(&event.fields, "sample") {
+                    if let Some(s) = field("sample").and_then(FieldValue::as_u64) {
                         if let Some(&f) = self.cfg.feature_of_sample.get(s as usize) {
                             d.observe_input(f);
                         }
                     }
-                    if let Some(p) = field_u64(&event.fields, "pred") {
+                    if let Some(p) = field("pred").and_then(FieldValue::as_u64) {
                         d.observe_pred(p as usize);
                     }
                 }
@@ -486,12 +479,12 @@ impl<'a> Monitor<'a> {
             }
             "serve.downgrade" => {
                 state.fleet.downgrades.add(1);
-                if let Some(q) = field_f64(&event.fields, "queue") {
+                if let Some(q) = field("queue").and_then(FieldValue::as_f64) {
                     state.fleet.queue.observe(q);
                 }
                 let r = Self::replica_series(&mut state, &self.cfg, replica);
                 r.downgrades.add(1);
-                if let Some(q) = field_f64(&event.fields, "queue") {
+                if let Some(q) = field("queue").and_then(FieldValue::as_f64) {
                     r.queue.observe(q);
                 }
             }

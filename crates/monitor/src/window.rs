@@ -76,7 +76,7 @@ impl RateWindow {
 
     /// Events inside the window trailing `now_s`.
     #[must_use]
-    pub fn count_at(&mut self, now_s: f64) -> usize {
+    fn count_at(&mut self, now_s: f64) -> usize {
         self.evict(now_s);
         self.times.len()
     }
@@ -207,18 +207,6 @@ impl WindowCounter {
     pub fn over_last(&self, k: usize) -> u64 {
         self.closed.iter().rev().take(k).sum()
     }
-
-    /// Rate over the most recent `k` closed windows of length
-    /// `window_s`: `sum / (k * window_s)`, with the *requested* span as
-    /// denominator even before `k` windows exist — and exactly `0.0`
-    /// when `k` is zero (the empty-window convention).
-    #[must_use]
-    pub fn rate_over_last(&self, k: usize, window_s: f64) -> f64 {
-        if k == 0 {
-            return 0.0;
-        }
-        self.over_last(k) as f64 / (k as f64 * window_s)
-    }
 }
 
 #[cfg(test)]
@@ -280,8 +268,6 @@ mod tests {
         assert_eq!(c.over_last(3), 12);
         assert_eq!(c.over_last(10), 12, "asking past history saturates");
         assert_eq!(c.total(), 15, "all-time total survives eviction");
-        assert_eq!(c.rate_over_last(2, 0.5), 9.0);
-        assert_eq!(c.rate_over_last(0, 0.5), 0.0, "k=0 is the empty convention");
     }
 
     #[test]

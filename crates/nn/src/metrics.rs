@@ -1,4 +1,4 @@
-//! Quality metrics: accuracy, confusion matrices, per-group breakdowns.
+//! Quality metrics: accuracy and confusion matrices.
 
 /// Fraction of predictions equal to the labels.
 ///
@@ -72,17 +72,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// F1 score of class `c`.
-    pub fn f1(&self, c: usize) -> Option<f64> {
-        let p = self.precision(c)?;
-        let r = self.recall(c)?;
-        if p + r == 0.0 {
-            Some(0.0)
-        } else {
-            Some(2.0 * p * r / (p + r))
-        }
-    }
-
     /// Overall accuracy (trace / total).
     pub fn accuracy(&self) -> f64 {
         let total: usize = self.counts.iter().flatten().sum();
@@ -92,31 +81,6 @@ impl ConfusionMatrix {
         let diag: usize = (0..self.classes()).map(|i| self.counts[i][i]).sum();
         diag as f64 / total as f64
     }
-}
-
-/// Accuracy computed separately per group label — the basic tool for the
-/// fairness experiments (`dl-fairness` builds richer metrics on top).
-///
-/// Returns `(group, accuracy, count)` sorted by group.
-pub fn grouped_accuracy(
-    predictions: &[usize],
-    labels: &[usize],
-    groups: &[usize],
-) -> Vec<(usize, f64, usize)> {
-    assert_eq!(predictions.len(), labels.len());
-    assert_eq!(predictions.len(), groups.len());
-    let mut per_group: std::collections::BTreeMap<usize, (usize, usize)> = Default::default();
-    for ((&p, &l), &g) in predictions.iter().zip(labels).zip(groups) {
-        let e = per_group.entry(g).or_insert((0, 0));
-        e.1 += 1;
-        if p == l {
-            e.0 += 1;
-        }
-    }
-    per_group
-        .into_iter()
-        .map(|(g, (correct, total))| (g, correct as f64 / total as f64, total))
-        .collect()
 }
 
 #[cfg(test)]
@@ -147,15 +111,13 @@ mod tests {
     }
 
     #[test]
-    fn precision_recall_f1() {
+    fn precision_and_recall() {
         // predictions: class 0 predicted 3 times (2 right), class 1 once (right)
         let m = ConfusionMatrix::new(&[0, 0, 0, 1], &[0, 0, 1, 1], 2);
         assert_eq!(m.precision(0), Some(2.0 / 3.0));
         assert_eq!(m.recall(0), Some(1.0));
         assert_eq!(m.precision(1), Some(1.0));
         assert_eq!(m.recall(1), Some(0.5));
-        let f1 = m.f1(1).unwrap();
-        assert!((f1 - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -163,14 +125,5 @@ mod tests {
         let m = ConfusionMatrix::new(&[0, 0], &[0, 1], 3);
         assert_eq!(m.precision(2), None);
         assert_eq!(m.recall(2), None);
-    }
-
-    #[test]
-    fn grouped_accuracy_splits_by_group() {
-        let preds = [0, 0, 1, 1];
-        let labels = [0, 1, 1, 1];
-        let groups = [0, 0, 1, 1];
-        let g = grouped_accuracy(&preds, &labels, &groups);
-        assert_eq!(g, vec![(0, 0.5, 2), (1, 1.0, 2)]);
     }
 }

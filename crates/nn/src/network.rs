@@ -58,38 +58,6 @@ impl Network {
         net
     }
 
-    /// An MLP with batch normalization and dropout between hidden layers:
-    /// `dense -> batchnorm -> relu -> dropout` per hidden layer, then the
-    /// output dense. The regularized variant of [`Network::mlp`] for
-    /// noisy-data training.
-    ///
-    /// # Panics
-    /// Panics when fewer than two widths are given or `dropout >= 1`.
-    pub fn mlp_regularized(
-        dims: &[usize],
-        dropout: f32,
-        seed: u64,
-        rng: &mut StdRng,
-    ) -> Self {
-        assert!(dims.len() >= 2, "an MLP needs at least input and output widths");
-        let mut net = Network::new(dims[0]);
-        for (i, w) in dims.windows(2).take(dims.len() - 2).enumerate() {
-            net.layers.push(Layer::Dense(Dense::new(w[0], w[1], rng)));
-            net.layers
-                .push(Layer::BatchNorm1d(crate::layers::BatchNorm1d::new(w[1])));
-            net.layers.push(Layer::ReLU(ReLU::new()));
-            if dropout > 0.0 {
-                net.layers.push(Layer::Dropout(crate::layers::Dropout::new(
-                    dropout,
-                    seed.wrapping_add(i as u64),
-                )));
-            }
-        }
-        let last = &dims[dims.len() - 2..];
-        net.layers.push(Layer::Dense(Dense::new(last[0], last[1], rng)));
-        net
-    }
-
     /// A small convolutional network over `[channels, height, width]`
     /// rows: conv(3x3, `filters`, pad 1) -> ReLU -> 2x2 maxpool ->
     /// dense(`hidden`) -> ReLU -> dense(`classes`).
@@ -496,9 +464,20 @@ mod tests {
     #[test]
     fn regularized_mlp_trains_through_bn_and_dropout() {
         let mut r = rng(30);
-        let mut net = Network::mlp_regularized(&[4, 16, 16, 2], 0.2, 7, &mut r);
-        // dense+bn+relu+dropout twice, plus the output dense
-        assert_eq!(net.layers().len(), 9);
+        // dense -> batchnorm -> relu -> dropout per hidden layer, then the
+        // output dense.
+        let mut net = Network::new(4);
+        for (i, (fan_in, fan_out)) in [(4, 16), (16, 16)].into_iter().enumerate() {
+            net = net
+                .push(Layer::Dense(Dense::new(fan_in, fan_out, &mut r)))
+                .push(Layer::BatchNorm1d(crate::layers::BatchNorm1d::new(fan_out)))
+                .push(Layer::ReLU(ReLU::new()))
+                .push(Layer::Dropout(crate::layers::Dropout::new(
+                    0.2,
+                    7 + i as u64,
+                )));
+        }
+        let mut net = net.push(Layer::Dense(Dense::new(16, 2, &mut r)));
         let data_x = init::uniform([60, 4], -1.0, 1.0, &mut r);
         let labels: Vec<usize> = (0..60)
             .map(|i| usize::from(data_x.get(&[i, 0]) + data_x.get(&[i, 1]) > 0.0))

@@ -70,15 +70,6 @@ impl Optimizer {
         }
     }
 
-    /// The configured base learning rate.
-    pub fn base_lr(&self) -> f32 {
-        match self {
-            Optimizer::Sgd { lr } | Optimizer::Momentum { lr, .. } | Optimizer::Adam { lr, .. } => {
-                *lr
-            }
-        }
-    }
-
     /// Applies one update to `params` given `grads`, scaling the base
     /// learning rate by `lr_scale` (supplied by the active [`LrSchedule`]).
     ///

@@ -5,10 +5,6 @@
 //! crates convert the resource counts into simulated time and energy; the
 //! counts themselves are hardware-independent and deterministic.
 
-use std::sync::Arc;
-
-use dl_obs::{fields, FieldValue, NullRecorder, Recorder, ToFields};
-use dl_tensor::acct::{self, OpCost};
 use dl_tensor::{init, Tensor};
 use rand::rngs::StdRng;
 
@@ -16,12 +12,6 @@ use crate::loss::{one_hot, Loss};
 use crate::metrics::accuracy;
 use crate::network::Network;
 use crate::optim::{LrSchedule, Optimizer};
-
-/// Nominal device rate used to convert hardware-independent FLOP counts
-/// into virtual-clock seconds for traces (matches the simulator's
-/// mid-range accelerator: 10 TFLOP/s). Purely an observability concern —
-/// no training arithmetic depends on it.
-const NOMINAL_FLOPS_PER_SEC: f64 = 10e12;
 
 /// A labeled classification dataset: feature rows plus integer labels.
 #[derive(Debug, Clone)]
@@ -126,22 +116,6 @@ pub struct EpochRecord {
     pub cycle_end: bool,
 }
 
-impl ToFields for EpochRecord {
-    /// The record under the shared event schema — the single
-    /// serialization path used for epoch-span annotations and the bench
-    /// harness's JSON records alike.
-    fn to_fields(&self) -> Vec<(String, FieldValue)> {
-        fields! {
-            "epoch" => self.epoch,
-            "train_loss" => self.train_loss,
-            "train_accuracy" => self.train_accuracy,
-            "lr_scale" => self.lr_scale,
-            "cumulative_flops" => self.cumulative_flops,
-            "cycle_end" => self.cycle_end,
-        }
-    }
-}
-
 /// Batched gradient-descent training with per-epoch instrumentation.
 pub struct Trainer {
     /// Hyper-parameters.
@@ -156,8 +130,6 @@ pub struct Trainer {
     /// Optional callback invoked after each epoch (snapshotting hooks).
     #[allow(clippy::type_complexity)]
     epoch_hook: Option<Box<dyn FnMut(&mut Network, &EpochRecord)>>,
-    /// Structured-event recorder; a no-op [`NullRecorder`] by default.
-    recorder: Arc<dyn Recorder>,
 }
 
 impl Trainer {
@@ -171,7 +143,6 @@ impl Trainer {
             flops: 0,
             rng,
             epoch_hook: None,
-            recorder: Arc::new(NullRecorder::new()),
         }
     }
 
@@ -179,14 +150,6 @@ impl Trainer {
     /// to copy the model at cycle ends).
     pub fn on_epoch(&mut self, hook: impl FnMut(&mut Network, &EpochRecord) + 'static) {
         self.epoch_hook = Some(Box::new(hook));
-    }
-
-    /// Attaches a structured-event recorder: subsequent `fit` calls emit
-    /// per-epoch and per-batch spans (loss/accuracy/FLOPs fields) and
-    /// advance the recorder's virtual clock by nominal compute time.
-    /// Tracing never alters the training trajectory.
-    pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.recorder = recorder;
     }
 
     /// Trains `net` on `data`, returning the per-epoch records added by
@@ -213,25 +176,13 @@ impl Trainer {
         let step_flops = net.cost_profile(self.config.batch_size).train_step_flops();
         let start_epoch = self.history.len();
         let mut added = Vec::with_capacity(self.config.epochs);
-        let batch_seconds = step_flops as f64 / NOMINAL_FLOPS_PER_SEC;
-        // Measured cost accounting only runs when someone is listening:
-        // with the default NullRecorder no acct scope ever opens, so the
-        // untraced path stays bit-identical and pays a single flag check.
-        let measuring = self.recorder.enabled();
         for e in 0..self.config.epochs {
             let epoch = start_epoch + e;
             let scale = self.config.schedule.scale(epoch);
-            let epoch_span = self
-                .recorder
-                .span_start(0, "epoch", fields! { "epoch" => epoch });
             let order = init::permutation(data.len(), &mut self.rng);
             let mut loss_sum = 0.0;
             let mut batches = 0;
-            let mut epoch_cost = OpCost::default();
             for chunk in order.chunks(self.config.batch_size) {
-                let batch_span = self
-                    .recorder
-                    .span_start(0, "batch", fields! { "batch" => batches as usize });
                 let xb = data.x.select_rows(chunk);
                 let targets = match soft_targets {
                     Some(t) => t.select_rows(chunk),
@@ -240,9 +191,6 @@ impl Trainer {
                         one_hot(&labels, data.classes)
                     }
                 };
-                if measuring {
-                    acct::begin();
-                }
                 net.zero_grads();
                 let logits = net.forward(&xb, true);
                 let (loss, grad) = self.config.loss.evaluate(&logits, &targets);
@@ -250,27 +198,9 @@ impl Trainer {
                 let mut pg = net.params_and_grads();
                 apply_grad_transforms(&mut pg, self.config.weight_decay, self.config.clip_norm);
                 self.optimizer.step(&mut pg, scale);
-                if measuring {
-                    // The whole update — forward, loss, backward, transforms,
-                    // optimizer — counts as one measured training step.
-                    epoch_cost = epoch_cost.merge(acct::end());
-                }
                 loss_sum += loss;
                 batches += 1;
                 self.flops += step_flops;
-                self.recorder.clock().advance(batch_seconds);
-                self.recorder.observe("train.batch_loss", f64::from(loss));
-                self.recorder.counter(0, "train.samples", chunk.len() as u64);
-                self.recorder
-                    .span_end(batch_span, fields! { "loss" => loss, "flops" => step_flops });
-            }
-            if measuring {
-                self.recorder
-                    .counter(0, "train.measured_flops", epoch_cost.flops);
-                self.recorder
-                    .counter(0, "train.measured_bytes_read", epoch_cost.bytes_read);
-                self.recorder
-                    .counter(0, "train.measured_bytes_written", epoch_cost.bytes_written);
             }
             let preds = net.predict(&data.x);
             let record = EpochRecord {
@@ -281,7 +211,6 @@ impl Trainer {
                 cumulative_flops: self.flops,
                 cycle_end: self.config.schedule.is_cycle_end(epoch),
             };
-            self.recorder.span_end(epoch_span, record.to_fields());
             if let Some(hook) = &mut self.epoch_hook {
                 hook(net, &record);
             }
@@ -297,8 +226,8 @@ impl Trainer {
     /// 2048 meant every eval was a single chunk and the chunking logic
     /// never ran), while still amortizing each dense layer's weight read
     /// over hundreds of rows. Chunking is bitwise invisible: see
-    /// `predict_batched` and [`Trainer::evaluate_metrics`].
-    pub const EVAL_BATCH: usize = 256;
+    /// `predict_batched`.
+    const EVAL_BATCH: usize = 256;
 
     /// Evaluates accuracy of `net` on a dataset without training.
     ///
@@ -308,65 +237,6 @@ impl Trainer {
     /// (see `predict_batched`).
     pub fn evaluate(net: &mut Network, data: &Dataset) -> f64 {
         accuracy(&net.predict_batched(&data.x, Self::EVAL_BATCH), &data.y)
-    }
-
-    /// Cross-entropy loss *and* accuracy of `net` on a dataset, computed
-    /// [`Trainer::EVAL_BATCH`] rows at a time so peak activation memory
-    /// stays bounded on arbitrarily large evaluation sets.
-    ///
-    /// Both numbers are **bit-identical to the unchunked computation**:
-    /// the forward pass is row-independent (see `predict_batched`), and
-    /// the loss accumulates each element's contribution — the exact
-    /// `t * ln(max(p, 1e-12))` expression `Loss::SoftmaxCrossEntropy`
-    /// uses — into one running `f32` sum in global row-major element
-    /// order, the same addition sequence `Tensor::sum` performs over the
-    /// full matrix, before the single division by the total row count.
-    pub fn evaluate_metrics(net: &mut Network, data: &Dataset) -> (f64, f64) {
-        let rows = data.x.dims()[0];
-        let classes = data.classes;
-        let mut acc_sum = 0.0f32;
-        let mut correct = 0usize;
-        let mut lo = 0usize;
-        while lo < rows {
-            let hi = usize::min(lo + Self::EVAL_BATCH, rows);
-            let idx: Vec<usize> = (lo..hi).collect();
-            let chunk = if lo == 0 && hi == rows {
-                // Single chunk: forward the matrix as-is, no row copies.
-                data.x.clone()
-            } else {
-                data.x.select_rows(&idx)
-            };
-            let logits = net.forward(&chunk, false);
-            let probs = crate::loss::softmax(&logits);
-            for (r, &row) in idx.iter().enumerate() {
-                let p_row = &probs.data()[r * classes..(r + 1) * classes];
-                // Argmax on the *logits* (not the probs), matching
-                // `Network::predict` exactly even where float rounding
-                // collapses distinct logits to equal probabilities.
-                let l_row = &logits.data()[r * classes..(r + 1) * classes];
-                let mut best = 0usize;
-                for c in 0..classes {
-                    // Replicate the unchunked zip+sum element-for-element,
-                    // zeros included, so the running sum sees the same f32
-                    // addition sequence.
-                    let t = if data.y[row] == c { 1.0f32 } else { 0.0 };
-                    acc_sum += if t > 0.0 {
-                        t * p_row[c].max(1e-12).ln()
-                    } else {
-                        0.0
-                    };
-                    if l_row[c] > l_row[best] {
-                        best = c;
-                    }
-                }
-                if best == data.y[row] {
-                    correct += 1;
-                }
-            }
-            lo = hi;
-        }
-        let loss = f64::from(-acc_sum / rows as f32);
-        (loss, correct as f64 / rows as f64)
     }
 }
 
@@ -511,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_metrics_chunked_matches_unchunked_bitwise() {
+    fn evaluate_chunked_matches_unchunked_bitwise() {
         // More rows than EVAL_BATCH so the multi-chunk path genuinely
         // runs (2 full chunks plus a ragged tail).
         let data = blobs(Trainer::EVAL_BATCH * 2 + 37, 11);
@@ -525,15 +395,8 @@ mod tests {
             Optimizer::sgd(0.1),
         );
         trainer.fit(&mut net, &data);
-        let (loss, acc) = Trainer::evaluate_metrics(&mut net, &data);
-        // Unchunked reference: one full forward, the library loss, the
-        // library accuracy.
-        let logits = net.forward(&data.x, false);
-        let targets = one_hot(&data.y, data.classes);
-        let (ref_loss, _) = Loss::SoftmaxCrossEntropy.evaluate(&logits, &targets);
+        // Unchunked reference: one full forward, the library accuracy.
         let ref_acc = accuracy(&net.predict(&data.x), &data.y);
-        assert_eq!(loss, f64::from(ref_loss), "chunked loss must be bit-identical");
-        assert_eq!(acc, ref_acc, "chunked accuracy must be bit-identical");
         assert_eq!(Trainer::evaluate(&mut net, &data), ref_acc);
     }
 
@@ -611,107 +474,6 @@ mod tests {
         assert!(
             clipped < unclipped / 10.0,
             "clipping must bound the step: {clipped} vs {unclipped}"
-        );
-    }
-
-    #[test]
-    fn tracing_emits_spans_without_perturbing_training() {
-        use dl_obs::{EventKind, TimelineRecorder};
-        let data = blobs(40, 20);
-        let train = |traced: bool| {
-            let mut r = rng(21);
-            let mut net = Network::mlp(&[2, 8, 2], &mut r);
-            let mut trainer = Trainer::new(
-                TrainConfig {
-                    epochs: 3,
-                    batch_size: 8,
-                    ..TrainConfig::default()
-                },
-                Optimizer::sgd(0.1),
-            );
-            let rec = Arc::new(TimelineRecorder::new());
-            if traced {
-                trainer.set_recorder(rec.clone());
-            }
-            trainer.fit(&mut net, &data);
-            (net.flat_params(), rec)
-        };
-        let (plain, _) = train(false);
-        let (traced, rec) = train(true);
-        assert_eq!(plain, traced, "tracing must not alter the trajectory");
-        let events = rec.events();
-        let epoch_starts = events
-            .iter()
-            .filter(|e| e.kind == EventKind::SpanStart && e.name == "epoch")
-            .count();
-        assert_eq!(epoch_starts, 3);
-        // 40 samples / batch 8 = 5 batches per epoch
-        assert_eq!(rec.counters()["train.samples"], 120);
-        assert_eq!(rec.histogram("train.batch_loss").unwrap().count, 15);
-        // the epoch end edge carries the EpochRecord fields
-        let end = events
-            .iter()
-            .find(|e| e.kind == EventKind::SpanEnd && e.name == "epoch")
-            .unwrap();
-        assert!(end.fields.iter().any(|(k, _)| k == "train_accuracy"));
-        assert!(rec.clock().now() > 0.0, "batches advance the virtual clock");
-    }
-
-    #[test]
-    fn traced_training_reports_measured_kernel_costs() {
-        use dl_obs::TimelineRecorder;
-        let data = blobs(40, 22);
-        let mut r = rng(23);
-        let mut net = Network::mlp(&[2, 8, 2], &mut r);
-        let mut trainer = Trainer::new(
-            TrainConfig {
-                epochs: 2,
-                batch_size: 8,
-                ..TrainConfig::default()
-            },
-            Optimizer::sgd(0.1),
-        );
-        let rec = Arc::new(TimelineRecorder::new());
-        trainer.set_recorder(rec.clone());
-        trainer.fit(&mut net, &data);
-        let counters = rec.counters();
-        let measured = counters["train.measured_flops"];
-        assert!(measured > 0, "measured FLOPs must be recorded");
-        assert!(counters["train.measured_bytes_read"] > 0);
-        assert!(counters["train.measured_bytes_written"] > 0);
-        // The static model only counts layer forward/backward; the measured
-        // number adds loss and optimizer work and subtracts sparse-matmul
-        // skips, so same order of magnitude, not equality.
-        let modeled = trainer.flops;
-        let ratio = measured as f64 / modeled as f64;
-        assert!(
-            (0.2..5.0).contains(&ratio),
-            "measured/modeled ratio {ratio} implausible (measured {measured}, modeled {modeled})"
-        );
-    }
-
-    #[test]
-    fn epoch_record_to_fields_covers_every_metric() {
-        let r = EpochRecord {
-            epoch: 2,
-            train_loss: 0.5,
-            train_accuracy: 0.75,
-            lr_scale: 1.0,
-            cumulative_flops: 1000,
-            cycle_end: true,
-        };
-        let fields = r.to_fields();
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "epoch",
-                "train_loss",
-                "train_accuracy",
-                "lr_scale",
-                "cumulative_flops",
-                "cycle_end"
-            ]
         );
     }
 

@@ -124,7 +124,7 @@ fn flow_record(flow: &Flow) -> String {
 ///
 /// # Errors
 /// Propagates sink I/O errors.
-pub fn write_chrome_trace(events: &[Event], sink: &mut dyn Write) -> io::Result<()> {
+fn write_chrome_trace(events: &[Event], sink: &mut dyn Write) -> io::Result<()> {
     write_chrome_trace_with_flows(events, &[], sink)
 }
 
@@ -173,7 +173,7 @@ pub fn chrome_trace_to_string(events: &[Event]) -> String {
 ///
 /// # Errors
 /// Propagates sink I/O errors.
-pub fn write_json_lines(events: &[Event], sink: &mut dyn Write) -> io::Result<()> {
+fn write_json_lines(events: &[Event], sink: &mut dyn Write) -> io::Result<()> {
     for event in events {
         let mut out = String::new();
         out.push_str("{\"fields\":");

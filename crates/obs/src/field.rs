@@ -23,11 +23,13 @@ pub enum FieldValue {
 }
 
 impl FieldValue {
-    /// The value as a `u64`, when it is one.
+    /// The value as a `u64`: unsigned integers directly, signed ones when
+    /// non-negative.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
             FieldValue::U64(n) => Some(n),
+            FieldValue::I64(n) => u64::try_from(n).ok(),
             _ => None,
         }
     }
@@ -112,10 +114,17 @@ impl From<String> for FieldValue {
 /// call-site convenience, not part of the format.
 pub type Fields = Vec<(String, FieldValue)>;
 
+/// The value of the first field named `key`, or `None` when there is none.
+/// Read it with the `FieldValue::as_*` accessors.
+#[must_use]
+pub fn find_field<'a>(fields: &'a [(String, FieldValue)], key: &str) -> Option<&'a FieldValue> {
+    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
 /// Conversion of a report/record type into the shared event field schema.
 ///
-/// This is the single serialization path for structs like
-/// `dl_nn::EpochRecord` and the distributed reports: the same
+/// This is the single serialization path for report structs like the
+/// distributed and serving reports: the same
 /// `to_fields()` output feeds span annotations, JSON-lines export, and
 /// the bench harness's machine-readable records, replacing the
 /// field-by-field formatting each experiment used to hand-roll.
@@ -160,7 +169,7 @@ pub(crate) fn write_json_value(out: &mut String, v: &FieldValue) {
 }
 
 /// Appends `s` to `out` as a JSON string literal with full escaping.
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -197,6 +206,35 @@ mod tests {
         assert_eq!(f.len(), 3);
         assert_eq!(f[0].0, "a");
         assert_eq!(f[2].1, FieldValue::Str("v".into()));
+    }
+
+    #[test]
+    fn find_field_and_accessors_pin_each_kind() {
+        let f: Fields = fields! {
+            "u" => 7u64,
+            "i" => 5i64,
+            "neg" => -2i64,
+            "x" => 1.5,
+            "b" => true,
+            "s" => "v",
+        };
+        let get = |k: &str| find_field(&f, k);
+        assert_eq!(get("missing"), None);
+        assert_eq!(get("u").and_then(FieldValue::as_u64), Some(7));
+        assert_eq!(get("i").and_then(FieldValue::as_u64), Some(5));
+        assert_eq!(get("neg").and_then(FieldValue::as_u64), None);
+        assert_eq!(get("x").and_then(FieldValue::as_u64), None);
+        assert_eq!(get("b").and_then(FieldValue::as_u64), None);
+        assert_eq!(get("u").and_then(FieldValue::as_f64), Some(7.0));
+        assert_eq!(get("i").and_then(FieldValue::as_f64), Some(5.0));
+        assert_eq!(get("neg").and_then(FieldValue::as_f64), Some(-2.0));
+        assert_eq!(get("x").and_then(FieldValue::as_f64), Some(1.5));
+        assert_eq!(get("b").and_then(FieldValue::as_f64), None);
+        assert_eq!(get("s").and_then(FieldValue::as_str), Some("v"));
+        assert_eq!(get("u").and_then(FieldValue::as_str), None);
+        // The first field under a repeated key wins.
+        let dup: Fields = fields! { "k" => 1u64, "k" => 2u64 };
+        assert_eq!(find_field(&dup, "k"), Some(&FieldValue::U64(1)));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   `chrome://tracing` / Perfetto) and JSON-lines, written through any
 //!   `std::io::Write` sink so tests capture in-memory.
 //! * [`ToFields`] — the single serialization path for the workspace's
-//!   report structs (`EpochRecord`, the distributed reports), shared
+//!   report structs (the distributed and serving reports), shared
 //!   between event annotations and the bench harness's JSON records.
 //!
 //! The crate is dependency-free and `unsafe`-free, so any workspace crate
@@ -54,7 +54,7 @@ pub mod recorder;
 
 pub use clock::VirtualClock;
 pub use export::{Flow, FlowPhase};
-pub use field::{FieldValue, Fields, ToFields};
+pub use field::{find_field, FieldValue, Fields, ToFields};
 pub use flight::FlightRecorder;
 pub use recorder::{
     Event, EventKind, Histogram, NullRecorder, Recorder, SpanId, TimelineRecorder,

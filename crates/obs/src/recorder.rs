@@ -205,7 +205,7 @@ impl Default for Histogram {
 impl Histogram {
     /// The bucket index `value` falls into.
     #[must_use]
-    pub fn bucket_index(value: f64) -> usize {
+    fn bucket_index(value: f64) -> usize {
         if !value.is_finite() || value <= 0.0 {
             return 0;
         }
@@ -308,7 +308,7 @@ impl Histogram {
 
     /// 90th percentile (upper bucket edge).
     #[must_use]
-    pub fn p90(&self) -> f64 {
+    fn p90(&self) -> f64 {
         self.quantile(0.90)
     }
 

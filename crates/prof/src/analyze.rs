@@ -17,7 +17,7 @@
 //! crashes" view of E22.
 
 use dl_obs::recorder::{Event, EventKind};
-use dl_obs::{fields, FieldValue, Fields, ToFields};
+use dl_obs::{fields, find_field, FieldValue, Fields, ToFields};
 use std::collections::BTreeMap;
 
 /// Aggregate of all spans sharing one name.
@@ -196,14 +196,6 @@ pub fn runs<'a>(events: &'a [Event], run_name: &str) -> Vec<&'a [Event]> {
     out
 }
 
-fn field_u64(fields: &Fields, key: &str) -> Option<u64> {
-    fields.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
-        FieldValue::U64(n) => Some(*n),
-        FieldValue::I64(n) => u64::try_from(*n).ok(),
-        _ => None,
-    })
-}
-
 #[derive(Default)]
 struct Attribution {
     crashes: usize,
@@ -248,13 +240,14 @@ pub fn analyze(events: &[Event]) -> TraceProfile {
     };
 
     for event in events {
+        let field = |key: &str| find_field(&event.fields, key);
         let gap = micros_delta(last_ts, event.ts_micros);
         match event.kind {
             EventKind::SpanStart => {
                 if !in_leaf(&open_spans) {
                     match event.name.as_str() {
                         "sync_round" => {
-                            let step = field_u64(&event.fields, "step");
+                            let step = field("step").and_then(FieldValue::as_u64);
                             let is_replay = replaying
                                 && matches!((step, max_step), (Some(s), Some(m)) if s <= m);
                             if is_replay {
@@ -267,7 +260,7 @@ pub fn analyze(events: &[Event]) -> TraceProfile {
                         _ => profile.compute_seconds += gap,
                     }
                 }
-                let step = field_u64(&event.fields, "step");
+                let step = field("step").and_then(FieldValue::as_u64);
                 open_spans.push((event.name.clone(), event.track, event.ts_micros, step));
             }
             EventKind::SpanEnd => {
@@ -320,7 +313,7 @@ pub fn analyze(events: &[Event]) -> TraceProfile {
                 match event.name.as_str() {
                     "crash" => {
                         profile.crash_count += 1;
-                        let worker = field_u64(&event.fields, "worker").unwrap_or(0);
+                        let worker = field("worker").and_then(FieldValue::as_u64).unwrap_or(0);
                         last_crash_worker = Some(worker);
                         let a = attribution.entry(worker).or_default();
                         a.crashes += 1;
@@ -340,7 +333,7 @@ pub fn analyze(events: &[Event]) -> TraceProfile {
                         }
                     }
                     "rejoin" => {
-                        let worker = field_u64(&event.fields, "worker").unwrap_or(0);
+                        let worker = field("worker").and_then(FieldValue::as_u64).unwrap_or(0);
                         let a = attribution.entry(worker).or_default();
                         a.rejoins += 1;
                         if !covered {

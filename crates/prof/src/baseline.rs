@@ -8,6 +8,7 @@
 //! recursive-descent parser, so a seeded run writes the identical file
 //! every time and CI diffs are real drift, never formatting noise.
 
+use dl_obs::field::write_json_string;
 use dl_obs::{FieldValue, Fields};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -54,7 +55,7 @@ impl Default for Tolerance {
 impl Tolerance {
     /// Whether `current` is outside the band around `baseline`.
     #[must_use]
-    pub fn exceeded(&self, baseline: f64, current: f64) -> bool {
+    fn exceeded(&self, baseline: f64, current: f64) -> bool {
         (current - baseline).abs() > self.abs + self.rel * baseline.abs()
     }
 }
@@ -136,7 +137,7 @@ impl Baseline {
 
     /// The baseline path for `id` inside `dir`.
     #[must_use]
-    pub fn path_for(dir: &Path, id: &str) -> PathBuf {
+    fn path_for(dir: &Path, id: &str) -> PathBuf {
         dir.join(Self::file_name(id))
     }
 
@@ -144,22 +145,25 @@ impl Baseline {
     /// shortest round-trip float formatting.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"id\": {},", json_string(&self.id));
-        out.push_str("  \"metrics\": {");
+        let mut out = String::from("{\n  \"id\": ");
+        write_json_string(&mut out, &self.id);
+        out.push_str(",\n  \"metrics\": {");
         for (i, (key, value)) in self.metrics.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\n    {}: {}", json_string(key), json_number(*value));
+            out.push_str("\n    ");
+            write_json_string(&mut out, key);
+            let _ = write!(out, ": {}", json_number(*value));
         }
         if !self.metrics.is_empty() {
             out.push_str("\n  ");
         }
-        out.push_str("},\n");
-        let _ = writeln!(out, "  \"title\": {},", json_string(&self.title));
-        let _ = writeln!(out, "  \"verdict\": {}", json_string(&self.verdict));
-        out.push_str("}\n");
+        out.push_str("},\n  \"title\": ");
+        write_json_string(&mut out, &self.title);
+        out.push_str(",\n  \"verdict\": ");
+        write_json_string(&mut out, &self.verdict);
+        out.push_str("\n}\n");
         out
     }
 
@@ -168,7 +172,7 @@ impl Baseline {
     ///
     /// # Errors
     /// Returns a description of the first syntax or shape problem.
-    pub fn from_json(text: &str) -> Result<Self, String> {
+    fn from_json(text: &str) -> Result<Self, String> {
         let value = json::parse(text)?;
         let obj = value.as_object().ok_or("baseline root must be an object")?;
         let str_field = |key: &str| -> Result<String, String> {
@@ -252,26 +256,6 @@ impl Baseline {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn json_number(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
@@ -302,7 +286,7 @@ mod json {
 
     impl Value {
         /// The value as an object's entry list, when it is one.
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
+        pub(super) fn as_object(&self) -> Option<&[(String, Value)]> {
             match self {
                 Value::Object(entries) => Some(entries),
                 _ => None,

@@ -87,7 +87,7 @@ impl AdmissionContext<'_> {
     /// in-flight work, every queue drained ahead of it (the server is
     /// shared), the flush-delay wait, and its own batch.
     #[must_use]
-    pub fn predicted_delay_s(&self, v: usize) -> f64 {
+    fn predicted_delay_s(&self, v: usize) -> f64 {
         let queued: f64 = (0..self.queue_lens.len())
             .map(|u| self.drain_time_s(u, self.queue_lens[u] + usize::from(u == v)))
             .sum();

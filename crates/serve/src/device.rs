@@ -74,7 +74,7 @@ impl DeviceModel {
 impl DeviceModel {
     /// A thread must take on at least this many launch-overheads' worth
     /// of serial work before [`DeviceModel::threads_for`] adds it.
-    pub const MIN_WORK_PER_THREAD_LAUNCHES: f64 = 4.0;
+    const MIN_WORK_PER_THREAD_LAUNCHES: f64 = 4.0;
 }
 
 impl ToFields for DeviceModel {

@@ -28,7 +28,7 @@ use dl_tensor::acct::OpCost;
 use std::path::Path;
 
 /// Value of the `artifact.kind` hparam written by [`save_family`].
-pub const FAMILY_KIND: &str = "variant-family";
+const FAMILY_KIND: &str = "variant-family";
 
 struct U64Packer(Vec<u8>);
 

@@ -62,18 +62,6 @@ pub struct ServeReport {
     pub per_variant: Vec<VariantServeStats>,
 }
 
-impl ServeReport {
-    /// Fraction of offered requests that were shed.
-    #[must_use]
-    pub fn shed_fraction(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.shed as f64 / self.offered as f64
-        }
-    }
-}
-
 impl ToFields for ServeReport {
     fn to_fields(&self) -> Fields {
         fields! {
@@ -148,25 +136,5 @@ mod tests {
         assert_eq!(percentile(&v, 1.0), 3.0);
         assert_eq!(percentile(&v, 2.0), 3.0);
         assert_eq!(percentile(&v, -1.0), 1.0);
-    }
-
-    #[test]
-    fn shed_fraction_handles_empty() {
-        let r = ServeReport {
-            offered: 0,
-            served: 0,
-            shed: 0,
-            downgraded: 0,
-            sim_seconds: 0.0,
-            throughput_rps: 0.0,
-            accuracy: 0.0,
-            p50_s: 0.0,
-            p99_s: 0.0,
-            max_s: 0.0,
-            mean_s: 0.0,
-            mean_batch: 0.0,
-            per_variant: vec![],
-        };
-        assert_eq!(r.shed_fraction(), 0.0);
     }
 }

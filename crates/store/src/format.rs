@@ -9,10 +9,10 @@ use dl_compress::QuantizedTensor;
 use dl_tensor::Tensor;
 
 /// File magic: the first four bytes of every artifact.
-pub const MAGIC: [u8; 4] = *b"DLST";
+const MAGIC: [u8; 4] = *b"DLST";
 
 /// Format version this build writes and reads.
-pub const VERSION: u32 = 1;
+const VERSION: u32 = 1;
 
 /// Tensor payload alignment in bytes. Payload offsets are multiples of
 /// this, so a memory-mapped artifact can hand kernels cache-line- and
@@ -366,8 +366,10 @@ type Sections = (Vec<(String, HParam)>, Vec<TensorEntry>);
 /// Parses the version, hparams and directory from the not yet verified
 /// `body`. Every read is bounds-checked and nothing is reserved from a
 /// count the file claims, so any byte pattern yields sections or a
-/// typed error without a huge allocation. `file_len` is
-/// the whole artifact's length, for [`StoreError::Truncated`].
+/// typed error without a huge allocation. Payload ranges must ascend
+/// without overlap, as [`ArtifactBuilder::finish`] writes them; anything
+/// else is [`StoreError::Corrupt`]. `file_len` is the whole artifact's
+/// length, for [`StoreError::Truncated`].
 fn parse_sections(body: &[u8], file_len: usize) -> Result<Sections, StoreError> {
     let mut c = Cursor { buf: body, pos: 4 };
     let version = c.u32()?;
@@ -398,6 +400,7 @@ fn parse_sections(body: &[u8], file_len: usize) -> Result<Sections, StoreError> 
     }
 
     let mut entries = Vec::new();
+    let mut prev_end = 0;
     for _ in 0..n_tensors {
         let name = c.str()?;
         let dtype = Dtype::from_tag(c.u8()?)
@@ -424,9 +427,15 @@ fn parse_sections(body: &[u8], file_len: usize) -> Result<Sections, StoreError> 
                 "tensor {name:?} payload offset {offset} is not {ALIGN}-byte aligned"
             )));
         }
+        if offset < prev_end {
+            return Err(StoreError::Corrupt(format!(
+                "tensor {name:?} payload at {offset} starts before the previous one ends at {prev_end}"
+            )));
+        }
         let end = offset.checked_add(len).ok_or_else(|| {
             StoreError::Corrupt(format!("tensor {name:?} payload range overflows"))
         })?;
+        prev_end = end;
         if end > body.len() {
             return Err(StoreError::Truncated {
                 needed: end.saturating_add(8),
@@ -464,22 +473,15 @@ fn parse_sections(body: &[u8], file_len: usize) -> Result<Sections, StoreError> 
 /// One forward walk over `body`: returns the FNV-1a of all of it and of
 /// each entry's payload, in directory order. Bytes between payloads
 /// advance only the file chain; payload bytes advance the file chain
-/// and the payload's own chain in the same loop. A payload that starts
-/// behind the walk (overlapping or out of offset order, which only a
-/// hand-made directory has) is hashed on its own. Every range must lie
-/// within `body`.
+/// and the payload's own chain in the same loop. The ranges must lie
+/// within `body`, in ascending order without overlap.
 fn checksums(body: &[u8], entries: &[TensorEntry]) -> (u64, Vec<u64>) {
     let mut file = FNV_OFFSET;
     let mut pos = 0;
     let mut payloads = Vec::with_capacity(entries.len());
     for e in entries {
-        let payload = &body[e.offset..e.offset + e.len];
-        if e.offset < pos {
-            payloads.push(fnv1a(payload));
-            continue;
-        }
         file = fnv1a_extend(file, &body[pos..e.offset]);
-        let (f, p) = fnv1a_extend_and_start(file, payload);
+        let (f, p) = fnv1a_extend_and_start(file, &body[e.offset..e.offset + e.len]);
         file = f;
         payloads.push(p);
         pos = e.offset + e.len;
@@ -856,8 +858,24 @@ mod tests {
         }
     }
 
+    /// Points `e`'s directory entry at `offset`, carrying the true
+    /// checksum of the `len` bytes there, in a copy of `clean`.
+    fn redirect(bytes: &mut [u8], clean: &[u8], e: &TensorEntry, offset: usize, len: usize) {
+        let at = entry_tail_at(clean, e);
+        let sum = fnv1a(&clean[offset..offset + len]);
+        bytes[at..at + 8].copy_from_slice(&(offset as u64).to_le_bytes());
+        bytes[at + 16..at + 24].copy_from_slice(&sum.to_le_bytes());
+    }
+
     #[test]
-    fn overlapping_and_reordered_payloads_verify_on_their_own() {
+    fn overlapping_and_reordered_payloads_are_corrupt() {
+        let expect_corrupt = |bytes: &mut Vec<u8>, case: &str| {
+            reseal(bytes);
+            match Artifact::parse(bytes) {
+                Err(StoreError::Corrupt(msg)) => assert!(msg.contains("previous"), "{case}: {msg}"),
+                other => panic!("{case}: expected Corrupt, got {other:?}"),
+            }
+        };
         let mut b = ArtifactBuilder::new();
         b.tensor_f32("a", &[2], &[1.0, 2.0]);
         b.tensor_f32("b", &[2], &[3.0, 4.0]);
@@ -866,33 +884,30 @@ mod tests {
         let parsed = Artifact::parse(&clean).unwrap();
         let [a, b_, c] = [0, 1, 2].map(|i| parsed.entries()[i].clone());
         drop(parsed);
-        // Re-sealed hand-made directory: a and b swap payloads (out of
-        // offset order) and c's codes alias the first four bytes of a's
-        // payload (an overlap), each with its true checksum.
-        let mut bytes = clean.clone();
-        let redirect = |bytes: &mut Vec<u8>, e: &TensorEntry, offset: usize, len: usize| {
-            let at = entry_tail_at(&clean, e);
-            let sum = fnv1a(&clean[offset..offset + len]);
-            bytes[at..at + 8].copy_from_slice(&(offset as u64).to_le_bytes());
-            bytes[at + 16..at + 24].copy_from_slice(&sum.to_le_bytes());
-        };
-        redirect(&mut bytes, &a, b_.offset, b_.len);
-        redirect(&mut bytes, &b_, a.offset, a.len);
-        redirect(&mut bytes, &c, a.offset, c.len);
-        reseal(&mut bytes);
-        let art = Artifact::parse(&bytes).expect("matching checksums parse");
-        assert_eq!(art.tensor_f32("a").unwrap().data(), &[3.0, 4.0]);
-        assert_eq!(art.tensor_f32("b").unwrap().data(), &[1.0, 2.0]);
-        assert_eq!(art.tensor_q8("c").unwrap().codes(), &1.0f32.to_le_bytes());
-        drop(art);
+        // Re-sealed hand-made directories, each entry with its true
+        // checksum: a and b swap payloads (out of offset order), and
+        // c's codes alias the first four bytes of a's payload (overlap).
+        let mut swapped = clean.clone();
+        redirect(&mut swapped, &clean, &a, b_.offset, b_.len);
+        redirect(&mut swapped, &clean, &b_, a.offset, a.len);
+        expect_corrupt(&mut swapped, "swapped");
+        let mut aliased = clean.clone();
+        redirect(&mut aliased, &clean, &c, a.offset, c.len);
+        expect_corrupt(&mut aliased, "aliased");
 
-        // A wrong checksum on the entry hashed apart still names it.
-        bytes[entry_tail_at(&clean, &b_) + 16] ^= 0x01;
-        reseal(&mut bytes);
-        match Artifact::parse(&bytes) {
-            Err(StoreError::ChecksumMismatch { what, .. }) => assert_eq!(what, "b"),
-            other => panic!("expected b's checksum failure, got {other:?}"),
+        // Many entries re-pointed at one payload are rejected from the
+        // directory, not hashed once per entry.
+        let mut b = ArtifactBuilder::new();
+        for i in 0..64 {
+            b.tensor_f32(format!("t{i}"), &[256], &[i as f32; 256]);
         }
+        let clean = b.finish();
+        let entries = Artifact::parse(&clean).unwrap().entries().to_vec();
+        let mut bytes = clean.clone();
+        for e in &entries[1..] {
+            redirect(&mut bytes, &clean, e, entries[0].offset, entries[0].len);
+        }
+        expect_corrupt(&mut bytes, "many aliased");
     }
 
     #[test]

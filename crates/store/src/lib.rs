@@ -1,8 +1,7 @@
 //! `dl-store` — byte-stable binary model artifacts.
 //!
 //! Nothing in the stack survived a process before this crate: trained
-//! networks, quantized variants and distributed checkpoints all lived as
-//! in-memory structs. `dl-store` is the hinge between training and
+//! networks and quantized variants all lived as in-memory structs. `dl-store` is the hinge between training and
 //! deployment — a hand-rolled, zero-dependency binary format in the
 //! ggml lineage (magic + version header, an hparams section, a named
 //! tensor directory) with two hard guarantees:
@@ -41,17 +40,13 @@
 //! On top of the raw [`format`] live the model codecs: [`network`]
 //! encodes/decodes any `dl_nn::Network` (all eight layer kinds) under a
 //! key prefix so several models share one artifact — which is how
-//! `dl-serve` persists whole variant families — and [`checkpoint`]
-//! carries `dl-distributed`'s training checkpoints (step, flat params,
-//! optimizer hyper-parameters, data cursors) through the same format.
+//! `dl-serve` persists whole variant families.
 
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod format;
 pub mod network;
 
-pub use checkpoint::{load_checkpoint, save_checkpoint, CheckpointData};
 pub use format::{fnv1a, Artifact, ArtifactBuilder, Dtype, HParam, TensorEntry, ALIGN};
 pub use network::{
     decode_network, decode_network_with_quant, encode_network, encode_network_q8, load_network,

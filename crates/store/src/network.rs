@@ -21,7 +21,7 @@ use dl_tensor::{init, Tensor};
 use std::path::Path;
 
 /// Value of the `artifact.kind` hparam written by [`save_network`].
-pub const NETWORK_KIND: &str = "network";
+const NETWORK_KIND: &str = "network";
 
 fn key(prefix: &str, i: usize, field: &str) -> String {
     format!("{prefix}.layer{i}.{field}")

@@ -2,8 +2,8 @@
 //!
 //! The static model in `dl-nn::cost` predicts what a layer *should* cost;
 //! this module counts what the tensor kernels *actually* do. Profiling
-//! code opens a scope with [`begin`], runs tensor work, and collects the
-//! measured [`OpCost`] with [`end`] (or uses the [`measure`] wrapper).
+//! code runs tensor work inside [`measure`], which opens a scope and
+//! returns the measured [`OpCost`].
 //! Every instrumented kernel ([`Tensor::matmul`], the elementwise maps,
 //! `im2col`/`col2im`, the reductions) charges its scope as it executes.
 //!
@@ -113,7 +113,7 @@ pub fn enabled() -> bool {
 }
 
 /// Opens a nested accounting scope on this thread.
-pub fn begin() {
+fn begin() {
     DEPTH.with(|d| d.set(d.get() + 1));
     SCOPES.with(|s| s.borrow_mut().push(OpCost::default()));
 }
@@ -123,7 +123,7 @@ pub fn begin() {
 ///
 /// # Panics
 /// Panics when no scope is open.
-pub fn end() -> OpCost {
+fn end() -> OpCost {
     let cost = SCOPES.with(|s| {
         let mut stack = s.borrow_mut();
         let cost = stack.pop().expect("acct::end without a matching begin");

@@ -35,15 +35,6 @@ pub fn normal(shape: impl Into<Shape>, mean: f32, std: f32, rng: &mut StdRng) ->
     Tensor::from_vec(data, shape).expect("length matches by construction")
 }
 
-/// Xavier/Glorot uniform initialization for a dense weight matrix of shape
-/// `[fan_in, fan_out]`: uniform in `±sqrt(6 / (fan_in + fan_out))`.
-///
-/// Keeps activation variance stable through sigmoid/tanh-style layers.
-pub fn xavier(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Tensor {
-    let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    uniform([fan_in, fan_out], -bound, bound, rng)
-}
-
 /// He (Kaiming) normal initialization for ReLU layers: `N(0, sqrt(2/fan_in))`.
 pub fn he(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Tensor {
     normal([fan_in, fan_out], 0.0, (2.0 / fan_in as f32).sqrt(), rng)
@@ -123,15 +114,6 @@ mod tests {
         assert!((t.mean() - 1.0).abs() < 0.05, "mean was {}", t.mean());
         let var = t.map(|x| (x - t.mean()).powi(2)).mean();
         assert!((var - 4.0).abs() < 0.2, "variance was {var}");
-    }
-
-    #[test]
-    fn xavier_bound() {
-        let mut r = rng(3);
-        let t = xavier(100, 100, &mut r);
-        let bound = (6.0f32 / 200.0).sqrt();
-        assert!(t.max() <= bound && t.min() >= -bound);
-        assert_eq!(t.dims(), &[100, 100]);
     }
 
     #[test]

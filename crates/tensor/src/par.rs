@@ -90,12 +90,12 @@ use dl_obs::{fields, Recorder};
 
 /// Hard upper bound on pool workers; `set_threads`/`with_threads` clamp
 /// to this.
-pub const MAX_THREADS: usize = 64;
+const MAX_THREADS: usize = 64;
 
 /// Default output-column tile width for [`matmul`]: 128 columns × 4 bytes
 /// = 512 B per packed panel row, so a `[k, tile]` panel stays L1/L2
 /// resident for every `k` in this workspace.
-pub const DEFAULT_TILE_COLS: usize = 128;
+const DEFAULT_TILE_COLS: usize = 128;
 
 // ----------------------------------------------------------------------
 // Thread-count configuration

@@ -99,26 +99,6 @@ impl Shape {
         flat
     }
 
-    /// Inverse of [`Shape::flat_index`]: the multi-dimensional index of a
-    /// flat offset.
-    ///
-    /// # Panics
-    /// Panics when `flat >= len()`.
-    pub fn multi_index(&self, flat: usize) -> Vec<usize> {
-        assert!(
-            flat < self.len().max(1),
-            "flat index {flat} out of bounds for shape of {} elements",
-            self.len()
-        );
-        let mut rem = flat;
-        let mut index = vec![0; self.dims.len()];
-        for (axis, &stride) in self.strides().iter().enumerate() {
-            index[axis] = rem / stride;
-            rem %= stride;
-        }
-        index
-    }
-
     /// Computes the shape two operands broadcast to under NumPy rules
     /// (trailing dimensions aligned; a dimension broadcasts when either side
     /// is 1), or `None` when they are incompatible.
@@ -255,21 +235,6 @@ mod tests {
     #[test]
     fn broadcast_incompatible() {
         assert_eq!(Shape::from([2, 3]).broadcast(&Shape::from([2, 4])), None);
-    }
-
-    /// flat_index and multi_index are inverses for every valid offset.
-    #[test]
-    fn flat_and_multi_index_roundtrip() {
-        for case in 0..256 {
-            let mut rng = StdRng::seed_from_u64(case);
-            let rank = rng.gen_range(1..4);
-            let dims: Vec<usize> = (0..rank).map(|_| rng.gen_range(1..6)).collect();
-            let frac = rng.gen_range(0.0f64..1.0);
-            let shape = Shape::new(dims);
-            let flat = ((shape.len() as f64 - 1.0) * frac) as usize;
-            let multi = shape.multi_index(flat);
-            assert_eq!(shape.flat_index(&multi), flat, "case {case}");
-        }
     }
 
     /// Broadcasting is symmetric.

@@ -47,7 +47,7 @@ impl std::error::Error for TensorError {}
 /// ```
 /// use dl_tensor::Tensor;
 /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]).unwrap();
-/// let b = Tensor::eye(2);
+/// let b = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], [2, 2]).unwrap();
 /// let c = a.matmul(&b);
 /// assert_eq!(c.data(), a.data());
 /// ```
@@ -97,15 +97,6 @@ impl Tensor {
             shape: Shape::scalar(),
             data: vec![value],
         }
-    }
-
-    /// The `n`-by-`n` identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros([n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
     }
 
     /// Evenly spaced values `start, start+step, ...` of length `len`,
@@ -247,26 +238,6 @@ impl Tensor {
         }
     }
 
-    /// Stacks rank-1 tensors of equal length into a matrix `[n, len]`.
-    ///
-    /// # Panics
-    /// Panics when `rows` is empty or lengths differ.
-    pub fn stack_rows(rows: &[Tensor]) -> Self {
-        assert!(!rows.is_empty(), "stack_rows needs at least one row");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "stack_rows requires equal-length rows");
-            data.extend_from_slice(&r.data);
-        }
-        let moved = 4 * (rows.len() * cols) as u64;
-        acct::charge(0, moved, moved);
-        Tensor {
-            shape: Shape::from([rows.len(), cols]),
-            data,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Elementwise maps
     // ------------------------------------------------------------------
@@ -321,7 +292,7 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics when shapes are not broadcast-compatible.
-    pub fn broadcast_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Self {
+    fn broadcast_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Self {
         if self.shape == other.shape {
             return self.zip(other, f);
         }
@@ -812,7 +783,6 @@ mod tests {
         assert_eq!(Tensor::ones([2, 2]).sum(), 4.0);
         assert_eq!(Tensor::full([3], 2.5).sum(), 7.5);
         assert_eq!(Tensor::scalar(3.0).item(), 3.0);
-        assert_eq!(Tensor::eye(3).sum(), 3.0);
         assert_eq!(Tensor::arange(1.0, 0.5, 3).data(), &[1.0, 1.5, 2.0]);
     }
 
@@ -881,8 +851,9 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let a = t(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        assert_eq!(a.matmul(&Tensor::eye(2)).data(), a.data());
-        assert_eq!(Tensor::eye(2).matmul(&a).data(), a.data());
+        let eye = t(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
+        assert_eq!(a.matmul(&eye).data(), a.data());
+        assert_eq!(eye.matmul(&a).data(), a.data());
     }
 
     #[test]
@@ -949,15 +920,6 @@ mod tests {
         let sel = a.select_rows(&[2, 0]);
         assert_eq!(sel.dims(), &[2, 2]);
         assert_eq!(sel.data(), &[5.0, 6.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn stack_rows_builds_matrix() {
-        let r0 = t(vec![1.0, 2.0], &[2]);
-        let r1 = t(vec![3.0, 4.0], &[2]);
-        let m = Tensor::stack_rows(&[r0, r1]);
-        assert_eq!(m.dims(), &[2, 2]);
-        assert_eq!(m.data(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

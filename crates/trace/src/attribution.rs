@@ -3,7 +3,7 @@
 //! JSON export, and Chrome flow arrows for cross-track handoffs.
 
 use dl_obs::export::{fields_to_json, Flow, FlowPhase};
-use dl_obs::{fields, Event, EventKind, Fields};
+use dl_obs::{fields, find_field, Event, EventKind, FieldValue, Fields};
 
 use crate::context::{names, DispatchKind};
 use crate::waterfall::{Outcome, Phase, RequestTrace, TraceSet, PHASE_COUNT};
@@ -386,8 +386,8 @@ pub fn flows(events: &[Event]) -> Vec<Flow> {
             continue;
         }
         let (Some(id), Some(replica)) = (
-            event.fields.iter().find(|(k, _)| k == "request").and_then(|(_, v)| v.as_u64()),
-            event.fields.iter().find(|(k, _)| k == "replica").and_then(|(_, v)| v.as_u64()),
+            find_field(&event.fields, "request").and_then(FieldValue::as_u64),
+            find_field(&event.fields, "replica").and_then(FieldValue::as_u64),
         ) else {
             continue;
         };
@@ -398,11 +398,8 @@ pub fn flows(events: &[Event]) -> Vec<Flow> {
             replica: replica as u32,
         };
         if event.name == names::DISPATCH {
-            let kind = event
-                .fields
-                .iter()
-                .find(|(k, _)| k == "kind")
-                .and_then(|(_, v)| v.as_str())
+            let kind = find_field(&event.fields, "kind")
+                .and_then(FieldValue::as_str)
                 .and_then(DispatchKind::parse)
                 .unwrap_or(DispatchKind::Primary);
             dispatches.entry(id).or_default().push((mark, kind));

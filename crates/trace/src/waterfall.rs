@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use dl_obs::{Event, EventKind};
+use dl_obs::{find_field, Event, EventKind, FieldValue};
 
 use crate::context::{names, DispatchKind};
 
@@ -214,30 +214,6 @@ struct Pending {
     wasted_us: u64,
 }
 
-fn field_u64(event: &Event, key: &str) -> Option<u64> {
-    event
-        .fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| v.as_u64())
-}
-
-fn field_f64(event: &Event, key: &str) -> Option<f64> {
-    event
-        .fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| v.as_f64())
-}
-
-fn field_str<'e>(event: &'e Event, key: &str) -> Option<&'e str> {
-    event
-        .fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| v.as_str())
-}
-
 /// All requests reconstructed from one event stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSet {
@@ -262,9 +238,10 @@ impl TraceSet {
         // replica's device last went idle — the queue/batch-wait split.
         let mut device_free: BTreeMap<u32, u64> = BTreeMap::new();
         for event in events {
+            let field = |key: &str| find_field(&event.fields, key);
             match event.kind {
                 EventKind::SpanEnd if event.name == names::BATCH_SPAN => {
-                    if let Some(replica) = field_u64(event, "replica") {
+                    if let Some(replica) = field("replica").and_then(FieldValue::as_u64) {
                         device_free.insert(replica as u32, event.ts_micros);
                     }
                 }
@@ -284,18 +261,19 @@ impl TraceSet {
                     ) {
                         continue;
                     }
-                    let Some(id) = field_u64(event, "request") else {
+                    let Some(id) = field("request").and_then(FieldValue::as_u64) else {
                         continue;
                     };
                     let ts = event.ts_micros;
-                    let replica = field_u64(event, "replica").unwrap_or(0) as u32;
+                    let replica = field("replica").and_then(FieldValue::as_u64).unwrap_or(0) as u32;
                     let free = device_free.get(&replica).copied().unwrap_or(0);
                     let entry = pending.entry(id).or_default();
                     entry.first_ts.get_or_insert(ts);
                     entry.last_ts = entry.last_ts.max(ts);
                     match name {
                         names::DISPATCH => {
-                            let kind = field_str(event, "kind")
+                            let kind = field("kind")
+                                .and_then(FieldValue::as_str)
                                 .and_then(DispatchKind::parse)
                                 .unwrap_or(DispatchKind::Primary);
                             entry.hedged |= kind == DispatchKind::Hedge;
@@ -305,15 +283,21 @@ impl TraceSet {
                         names::BATCH_JOIN => {
                             let batch = BatchRef {
                                 replica,
-                                seq: field_u64(event, "seq").unwrap_or(0),
-                                pos: field_u64(event, "pos").unwrap_or(0) as u32,
-                                size: field_u64(event, "size").unwrap_or(0) as u32,
-                                trigger: field_str(event, "trigger").unwrap_or("?").to_string(),
+                                seq: field("seq").and_then(FieldValue::as_u64).unwrap_or(0),
+                                pos: field("pos").and_then(FieldValue::as_u64).unwrap_or(0) as u32,
+                                size: field("size").and_then(FieldValue::as_u64).unwrap_or(0)
+                                    as u32,
+                                trigger: field("trigger")
+                                    .and_then(FieldValue::as_str)
+                                    .unwrap_or("?")
+                                    .to_string(),
                             };
                             entry.joins.push((ts, replica, free, batch));
                         }
                         names::COMPLETE => {
-                            let latency = field_f64(event, "latency_s").unwrap_or(0.0);
+                            let latency = field("latency_s")
+                                .and_then(FieldValue::as_f64)
+                                .unwrap_or(0.0);
                             // `fresh` dedup upstream guarantees at most
                             // one, but keep the first defensively.
                             entry.complete.get_or_insert((ts, replica, latency));
@@ -322,7 +306,9 @@ impl TraceSet {
                         names::LOST => entry.lost.push(ts),
                         names::UNAVAILABLE => entry.unavailable.push(ts),
                         names::HEDGE_LOSER => {
-                            let elapsed = field_f64(event, "elapsed_s").unwrap_or(0.0);
+                            let elapsed = field("elapsed_s")
+                                .and_then(FieldValue::as_f64)
+                                .unwrap_or(0.0);
                             entry.wasted_us += (elapsed.max(0.0) * 1e6).round() as u64;
                         }
                         _ => unreachable!("filtered above"),

@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Fail when a `pub fn` is named in no file but its own.
+
+A word-match scan over the `.rs` files under `crates/`, `tests/` and
+`examples/`: a `pub fn` counts as referenced when its name appears as a
+whole word in any other of those files or in `perfbench/src`. The
+benchmark's own functions are not checked; its files only count as
+references. Run from the repository root:
+
+    python3 tools/unreferenced_pub_fns.py
+
+Exit status 1 lists each unreferenced function as `path:line`.
+"""
+
+import pathlib
+import re
+import sys
+
+# Deliberate API that no other file names yet: function name -> reason.
+ALLOWLIST = {}
+
+CHECKED = ("crates", "tests", "examples")
+REFERENCE_ONLY = ("perfbench/src",)
+PUB_FN = re.compile(r"^\s*pub\s+(?:const\s+|async\s+|unsafe\s+)*fn\s+(\w+)", re.M)
+WORD = re.compile(r"\w+")
+
+
+def rust_files(root):
+    return [p for p in sorted(pathlib.Path(root).rglob("*.rs")) if "target" not in p.parts]
+
+
+def main():
+    files = {p: p.read_text() for root in CHECKED + REFERENCE_ONLY for p in rust_files(root)}
+    named_in = {}
+    for path, text in files.items():
+        for word in set(WORD.findall(text)):
+            named_in.setdefault(word, set()).add(path)
+    hits = []
+    checked = 0
+    for path, text in files.items():
+        if path.parts[0] not in CHECKED:
+            continue
+        for m in PUB_FN.finditer(text):
+            checked += 1
+            name = m.group(1)
+            if name in ALLOWLIST or named_in[name] - {path}:
+                continue
+            line = text.count("\n", 0, m.start()) + 1
+            hits.append(f"{path}:{line}: pub fn {name} is named in no other file")
+    if hits:
+        print("\n".join(hits))
+        print(
+            f"{len(hits)} unreferenced pub fn(s): make each private, delete it, "
+            f"or allowlist it in {sys.argv[0]} with a reason"
+        )
+        return 1
+    print(f"ok: all {checked} pub fns outside perfbench/ are named in another file")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
