@@ -209,7 +209,7 @@ fn profiles_json(id: &str, profiles: &[(String, TraceProfile)]) -> String {
             out.push_str(", ");
         }
         let mut fields = p.to_fields();
-        fields.insert(0, ("run".to_string(), label.as_str().into()));
+        fields.insert(0, ("run".into(), label.clone().into()));
         out.push_str("{\"profile\": ");
         out.push_str(&export::fields_to_json(&fields));
         out.push_str(", \"workers\": [");

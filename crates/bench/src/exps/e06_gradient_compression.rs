@@ -35,7 +35,7 @@ pub fn run() -> ExperimentResult {
             format!("{:.4}", r.simulated_seconds),
         ]);
         records.push(fields! {
-            "compressor" => r.compressor.as_str(), "accuracy" => r.accuracy,
+            "compressor" => r.compressor.clone(), "accuracy" => r.accuracy,
             "bytes" => r.bytes_communicated, "ratio" => r.ratio(),
         });
         reports.push(r);

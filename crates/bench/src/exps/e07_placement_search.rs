@@ -34,7 +34,7 @@ pub fn run() -> ExperimentResult {
             format!("{bytes}"),
             format!("{evals}"),
         ]);
-        records.push(fields! {"strategy" => name, "step_seconds" => secs, "transfer_bytes" => bytes});
+        records.push(fields! {"strategy" => name.to_string(), "step_seconds" => secs, "transfer_bytes" => bytes});
     };
     add("single-device", single.step_seconds, single.transfer_bytes, 1);
     add("round-robin", rr.step_seconds, rr.transfer_bytes, 1);

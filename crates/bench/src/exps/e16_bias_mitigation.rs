@@ -45,7 +45,7 @@ pub fn run() -> ExperimentResult {
             f3(r.accuracy()),
         ]);
         records.push(fields! {
-            "intervention" => name,
+            "intervention" => name.to_string(),
             "parity_gap" => r.demographic_parity_diff(),
             "eq_odds_gap" => r.equalized_odds_gap(),
             "accuracy" => r.accuracy(),

@@ -109,7 +109,7 @@ pub fn run() -> ExperimentResult {
         .iter()
         .map(|t| {
             fields! {
-                "name" => t.name.as_str(), "accuracy" => t.metrics.accuracy,
+                "name" => t.name.clone(), "accuracy" => t.metrics.accuracy,
                 "memory" => t.metrics.memory_bytes,
                 "frontier" => frontier_names.contains(&t.name.as_str()),
             }

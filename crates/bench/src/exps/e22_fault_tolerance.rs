@@ -118,7 +118,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
                 // One serialization path: the same fields annotate the
                 // run span and become the machine-readable record.
                 let mut fields = report.to_fields();
-                fields.insert(0, ("faults".to_string(), label.into()));
+                fields.insert(0, ("faults".into(), label.into()));
                 records.push(fields.clone());
                 seconds.insert((label, sync_period, interval), report.simulated_seconds);
                 if label == "mtbf48" {

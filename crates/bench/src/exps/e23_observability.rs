@@ -54,7 +54,7 @@ fn detail(event: &dl_obs::Event) -> String {
     let get = |k: &str| {
         find_field(&event.fields, k)
             .map(|v| match v {
-                FieldValue::Str(s) => s.clone(),
+                FieldValue::Str(s) => s.to_string(),
                 FieldValue::U64(n) => n.to_string(),
                 FieldValue::I64(n) => n.to_string(),
                 FieldValue::F64(x) => format!("{x:.4}"),
@@ -62,7 +62,7 @@ fn detail(event: &dl_obs::Event) -> String {
             })
             .unwrap_or_default()
     };
-    match event.name.as_str() {
+    match event.name {
         "crash" => format!("worker {} at step {}", get("worker"), get("step")),
         "rollback" => format!(
             "step {} -> {} ({} samples lost)",
@@ -110,7 +110,7 @@ pub fn run() -> ExperimentResult {
     let mut timeline_rows = 0usize;
     for e in &events {
         let interesting = matches!(
-            e.name.as_str(),
+            e.name,
             "crash" | "rollback" | "rejoin" | "abort" | "allreduce_retry"
         ) && e.kind == EventKind::Instant
             || (e.name == "checkpoint_write" && e.kind == EventKind::SpanStart);
@@ -126,7 +126,7 @@ pub fn run() -> ExperimentResult {
         table.row(&[
             format!("{:.4}", e.ts_micros as f64 / 1e6),
             track,
-            e.name.clone(),
+            e.name.to_string(),
             detail(e),
         ]);
     }

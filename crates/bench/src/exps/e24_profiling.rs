@@ -89,7 +89,7 @@ pub fn run() -> ExperimentResult {
         let label = format!("local sgd, sync={period}");
         profile_row(&mut table, &label, &p);
         let mut f = p.to_fields();
-        f.insert(0, ("run".to_string(), label.into()));
+        f.insert(0, ("run".into(), label.into()));
         records.push(f);
         local_profiles.push(p);
     }
@@ -137,7 +137,7 @@ pub fn run() -> ExperimentResult {
     let flabel = format!("resilient, sync={sync_period} ckpt={interval}");
     profile_row(&mut table, &flabel, &fault);
     let mut f = fault.to_fields();
-    f.insert(0, ("run".to_string(), flabel.into()));
+    f.insert(0, ("run".into(), flabel.into()));
     records.push(f);
     for w in &fault.workers {
         table.row(&[

@@ -48,8 +48,8 @@ fn serve_cell(
 
 fn cell_record(label: &str, policy: &str, rate_rps: f64, r: &ServeReport) -> Fields {
     let mut f = fields! {
-        "cell" => label,
-        "policy" => policy,
+        "cell" => label.to_string(),
+        "policy" => policy.to_string(),
         "rate_rps" => rate_rps,
     };
     f.extend(r.to_fields());

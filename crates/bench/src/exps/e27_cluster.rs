@@ -38,8 +38,8 @@ fn base_engine(admission: AdmissionPolicy) -> ServeConfig {
 
 fn cluster_record(scenario: &str, config: &str, replicas: usize, r: &ClusterReport) -> Fields {
     let mut f = fields! {
-        "scenario" => scenario,
-        "config" => config,
+        "scenario" => scenario.to_string(),
+        "config" => config.to_string(),
         "replicas" => replicas,
         "lost" => r.lost,
         "unavailable" => r.unavailable,

@@ -68,7 +68,7 @@ fn tail_of(set: &TraceSet) -> ([f64; PHASE_COUNT], f64) {
 
 /// One traced cell's record: outcome tallies, exact phase quantiles, and
 /// the tail decomposition.
-fn trace_record(scenario: &str, config: &str, set: &TraceSet) -> Fields {
+fn trace_record(scenario: &'static str, config: &'static str, set: &TraceSet) -> Fields {
     let pb = phase_breakdown(set);
     let (tail, tail_e2e) = tail_of(set);
     let mut f = fields! {
@@ -84,8 +84,8 @@ fn trace_record(scenario: &str, config: &str, set: &TraceSet) -> Fields {
         "tail_e2e_us" => tail_e2e,
     };
     for (i, phase) in Phase::ALL.iter().enumerate() {
-        f.push((format!("p99_{}_us", phase.label()), pb.p99_us[i].into()));
-        f.push((format!("tail_{}_us", phase.label()), tail[i].into()));
+        f.push((format!("p99_{}_us", phase.label()).into(), pb.p99_us[i].into()));
+        f.push((format!("tail_{}_us", phase.label()).into(), tail[i].into()));
     }
     f
 }
@@ -301,7 +301,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         && plain_null == over_timeline
         && timeline.events() == timeline_inner.events()
         && timeline.histogram("serve.latency_s") == timeline_inner.histogram("serve.latency_s")
-        && traced_null.events() == traced_timeline.events();
+        && traced_null.traces() == traced_timeline.traces();
     let steady_set = traced_timeline.traces();
     let exact = steady_set.verify_conservation().is_ok()
         && steady_set
@@ -373,20 +373,9 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     records.push(trace_record("crash-storm", "slo+retry2", &storm_set));
 
     // --- the trace tap in the tradeoff navigator ---------------------------
-    // Tracing costs retained-event memory, zero simulated time. Price the
+    // Tracing costs retained-record memory, zero simulated time. Price the
     // tap from the storm cell's actual retention.
-    let trace_state_bytes: u64 = storm_tap
-        .events()
-        .iter()
-        .map(|e| {
-            (std::mem::size_of_val(e)
-                + e.name.len()
-                + e.fields
-                    .iter()
-                    .map(|(k, v)| k.len() + std::mem::size_of_val(v))
-                    .sum::<usize>()) as u64
-        })
-        .sum();
+    let trace_state_bytes = storm_tap.retained_bytes();
     let mut registry = Registry::new();
     registry
         .add(Technique {

@@ -191,7 +191,7 @@ fn run_cell(
 
 fn cell_record(label: &str, families: usize, budget: u64, c: &Cell) -> Fields {
     fields! {
-        "cell" => label,
+        "cell" => label.to_string(),
         "families" => families,
         "budget_bytes" => budget,
         "served" => c.report.report.served,

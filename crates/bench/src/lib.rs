@@ -42,13 +42,13 @@ pub fn run_experiment(id: &str) -> Result<ExperimentResult, String> {
 /// Returns an error string for unknown ids.
 pub fn run_experiment_traced(id: &str, rec: &dyn Recorder) -> Result<ExperimentResult, String> {
     let canonical = id.to_ascii_lowercase();
-    let span = rec.span_start(0, "experiment", fields! { "id" => canonical.as_str() });
+    let span = rec.span_start(0, "experiment", fields! { "id" => canonical.clone() });
     // Route per-kernel spans (kernel.matmul etc.) from the parallel
     // compute backend onto the same recorder for the span's duration.
     let result = dl_tensor::par::with_recorder(rec, || dispatch(&canonical, rec));
     match &result {
-        Ok(r) => rec.span_end(span, fields! { "id" => canonical.as_str(), "verdict" => r.verdict.as_str() }),
-        Err(e) => rec.span_end(span, fields! { "id" => canonical.as_str(), "error" => e.as_str() }),
+        Ok(r) => rec.span_end(span, fields! { "id" => canonical.clone(), "verdict" => r.verdict.clone() }),
+        Err(e) => rec.span_end(span, fields! { "id" => canonical.clone(), "error" => e.clone() }),
     }
     result
 }

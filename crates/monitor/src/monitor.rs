@@ -20,9 +20,8 @@
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
-use dl_obs::{
-    fields, find_field, Event, EventKind, FieldValue, Fields, Recorder, ToFields, VirtualClock,
-};
+use dl_obs::{fields, Event, Fields, Recorder, ToFields, VirtualClock};
+use dl_trace::ServeEvent;
 
 use crate::drift::{DriftConfig, DriftDetector};
 use crate::sketch::WindowedSketch;
@@ -404,39 +403,42 @@ impl<'a> Monitor<'a> {
 
     /// Ingests one forwarded event into the live series.
     fn ingest(&self, event: &Event) {
-        if event.kind != EventKind::Instant {
+        let Some(ev) = ServeEvent::decode(event) else {
             return;
-        }
-        let tap = matches!(
-            event.name.as_str(),
-            "serve.admit" | "serve.complete" | "serve.shed" | "serve.downgrade"
-                | "cluster.crash" | "cluster.rejoin"
-        );
-        if !tap {
-            return;
-        }
+        };
+        // Only these events roll the windows; the tracing-layer edges
+        // (dispatch, batch membership, losses) pass through untouched.
+        let replica = match ev {
+            ServeEvent::Admit { replica, .. }
+            | ServeEvent::Complete { replica, .. }
+            | ServeEvent::Shed { replica, .. }
+            | ServeEvent::Downgrade { replica, .. }
+            | ServeEvent::Crash { replica }
+            | ServeEvent::Rejoin { replica } => replica as usize,
+            _ => return,
+        };
         let now_s = self.inner.clock().now();
         let mut state = self.state.lock().expect("monitor state lock");
         let fired = self.roll_to(&mut state, now_s);
         state.last_event_s = state.last_event_s.max(now_s);
-        let field = |key: &str| find_field(&event.fields, key);
-        let replica = field("replica").and_then(FieldValue::as_u64).unwrap_or(0) as usize;
-        match event.name.as_str() {
-            "serve.admit" => {
+        match ev {
+            ServeEvent::Admit { queue, .. } => {
                 state.fleet.admits.add(1);
-                if let Some(q) = field("queue").and_then(FieldValue::as_f64) {
+                if let Some(q) = queue {
                     state.fleet.queue.observe(q);
                 }
                 let r = Self::replica_series(&mut state, &self.cfg, replica);
                 r.admits.add(1);
-                if let Some(q) = field("queue").and_then(FieldValue::as_f64) {
+                if let Some(q) = queue {
                     r.queue.observe(q);
                 }
             }
-            "serve.complete" => {
-                let latency = field("latency_s")
-                    .and_then(FieldValue::as_f64)
-                    .unwrap_or(0.0);
+            ServeEvent::Complete {
+                latency_s: latency,
+                sample,
+                pred,
+                ..
+            } => {
                 let healthy = if latency <= self.cfg.latency_slo_s { 1.0 } else { 0.0 };
                 state.fleet.completions.add(1);
                 state.fleet.latency.observe(latency);
@@ -460,47 +462,47 @@ impl<'a> Monitor<'a> {
                     }
                 }
                 if let Some(d) = &mut state.drift {
-                    if let Some(s) = field("sample").and_then(FieldValue::as_u64) {
+                    if let Some(s) = sample {
                         if let Some(&f) = self.cfg.feature_of_sample.get(s as usize) {
                             d.observe_input(f);
                         }
                     }
-                    if let Some(p) = field("pred").and_then(FieldValue::as_u64) {
+                    if let Some(p) = pred {
                         d.observe_pred(p as usize);
                     }
                 }
             }
-            "serve.shed" => {
+            ServeEvent::Shed { .. } => {
                 state.fleet.sheds.add(1);
                 state.fleet.health.observe(0.0);
                 let r = Self::replica_series(&mut state, &self.cfg, replica);
                 r.sheds.add(1);
                 r.health.observe(0.0);
             }
-            "serve.downgrade" => {
+            ServeEvent::Downgrade { queue, .. } => {
                 state.fleet.downgrades.add(1);
-                if let Some(q) = field("queue").and_then(FieldValue::as_f64) {
+                if let Some(q) = queue {
                     state.fleet.queue.observe(q);
                 }
                 let r = Self::replica_series(&mut state, &self.cfg, replica);
                 r.downgrades.add(1);
-                if let Some(q) = field("queue").and_then(FieldValue::as_f64) {
+                if let Some(q) = queue {
                     r.queue.observe(q);
                 }
             }
-            "cluster.crash" => {
+            ServeEvent::Crash { .. } => {
                 state.fleet.crashes += 1;
                 state.fleet.health.observe(0.0);
                 let r = Self::replica_series(&mut state, &self.cfg, replica);
                 r.crashes += 1;
                 r.health.set(0.0);
             }
-            "cluster.rejoin" => {
+            ServeEvent::Rejoin { .. } => {
                 state.fleet.rejoins += 1;
                 let r = Self::replica_series(&mut state, &self.cfg, replica);
                 r.rejoins += 1;
             }
-            _ => unreachable!("tap list matched above"),
+            _ => unreachable!("filtered above"),
         }
         drop(state);
         self.emit(fired);

@@ -8,7 +8,7 @@
 
 use std::io::{self, Write};
 
-use crate::field::{write_json_string, write_json_value, FieldValue, Fields};
+use crate::field::{write_json_string, write_json_value, Fields};
 use crate::recorder::{Event, EventKind};
 
 /// Renders `fields` as a JSON object string with keys in sorted order —
@@ -24,7 +24,7 @@ pub fn fields_to_json(fields: &Fields) -> String {
 
 /// Appends `fields` as a JSON object with keys in sorted order.
 fn write_fields_object(out: &mut String, fields: &Fields) {
-    let mut sorted: Vec<&(String, FieldValue)> = fields.iter().collect();
+    let mut sorted: Vec<_> = fields.iter().collect();
     sorted.sort_by(|a, b| a.0.cmp(&b.0));
     out.push('{');
     for (i, (key, value)) in sorted.iter().enumerate() {
@@ -52,7 +52,7 @@ fn chrome_record(event: &Event) -> String {
     out.push_str(",\"cat\":");
     write_json_string(&mut out, event.kind.label());
     out.push_str(",\"name\":");
-    write_json_string(&mut out, &event.name);
+    write_json_string(&mut out, event.name);
     out.push_str(",\"ph\":\"");
     out.push_str(ph);
     out.push_str("\",\"pid\":0");
@@ -181,7 +181,7 @@ fn write_json_lines(events: &[Event], sink: &mut dyn Write) -> io::Result<()> {
         out.push_str(",\"kind\":");
         write_json_string(&mut out, event.kind.label());
         out.push_str(",\"name\":");
-        write_json_string(&mut out, &event.name);
+        write_json_string(&mut out, event.name);
         out.push_str(&format!(
             ",\"track\":{},\"ts_us\":{}}}\n",
             event.track, event.ts_micros

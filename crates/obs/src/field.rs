@@ -1,6 +1,7 @@
 //! Typed key-value fields attached to events, and the [`ToFields`]
 //! conversion shared by every report/record type in the workspace.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// One typed field value.
@@ -18,14 +19,16 @@ pub enum FieldValue {
     F64(f64),
     /// Boolean flag.
     Bool(bool),
-    /// Free-form label (worker names, verdicts, technique ids).
-    Str(String),
+    /// Free-form label (worker names, verdicts, technique ids). Literal
+    /// labels are borrowed, so emitting one does not allocate.
+    Str(Cow<'static, str>),
 }
 
 impl FieldValue {
     /// The value as a `u64`: unsigned integers directly, signed ones when
     /// non-negative.
     #[must_use]
+    #[inline]
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
             FieldValue::U64(n) => Some(n),
@@ -37,6 +40,7 @@ impl FieldValue {
     /// The value as an `f64`: floats directly, integers losslessly
     /// widened (the usual "read a metric off an event" accessor).
     #[must_use]
+    #[inline]
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
             FieldValue::F64(x) => Some(x),
@@ -48,6 +52,7 @@ impl FieldValue {
 
     /// The value as a string slice, when it is one.
     #[must_use]
+    #[inline]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             FieldValue::Str(s) => Some(s),
@@ -98,26 +103,33 @@ impl From<bool> for FieldValue {
     }
 }
 
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_string())
+impl From<&'static str> for FieldValue {
+    fn from(v: &'static str) -> Self {
+        FieldValue::Str(Cow::Borrowed(v))
     }
 }
 
 impl From<String> for FieldValue {
     fn from(v: String) -> Self {
-        FieldValue::Str(v)
+        FieldValue::Str(Cow::Owned(v))
     }
 }
 
 /// An ordered field list. Exporters sort by key, so emission order is a
-/// call-site convenience, not part of the format.
-pub type Fields = Vec<(String, FieldValue)>;
+/// call-site convenience, not part of the format. Keys are borrowed
+/// literals except where a call site builds one at run time.
+pub type Fields = Vec<(Cow<'static, str>, FieldValue)>;
 
 /// The value of the first field named `key`, or `None` when there is none.
-/// Read it with the `FieldValue::as_*` accessors.
+/// Read it with the `FieldValue::as_*` accessors. Inlined so that callers
+/// passing a literal `key` compare against a constant: the serve-schema
+/// decode runs this for every field of every tapped event.
 #[must_use]
-pub fn find_field<'a>(fields: &'a [(String, FieldValue)], key: &str) -> Option<&'a FieldValue> {
+#[inline(always)]
+pub fn find_field<'a>(
+    fields: &'a [(Cow<'static, str>, FieldValue)],
+    key: &str,
+) -> Option<&'a FieldValue> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
@@ -135,12 +147,13 @@ pub trait ToFields {
 
 /// Builds a [`Fields`] list: `fields! { "epoch" => 3usize, "loss" => 0.5 }`.
 ///
-/// Values may be any type with a `From` conversion into [`FieldValue`].
+/// Keys may be `&'static str` (borrowed, no allocation) or `String`;
+/// values may be any type with a `From` conversion into [`FieldValue`].
 #[macro_export]
 macro_rules! fields {
     () => { Vec::new() };
     ($($key:expr => $value:expr),+ $(,)?) => {
-        vec![$(($key.to_string(), $crate::FieldValue::from($value))),+]
+        vec![$((::std::borrow::Cow::from($key), $crate::FieldValue::from($value))),+]
     };
 }
 
@@ -202,10 +215,14 @@ mod tests {
 
     #[test]
     fn fields_macro_builds_ordered_pairs() {
-        let f: Fields = fields! { "a" => 1u64, "b" => 0.5, "c" => "v" };
-        assert_eq!(f.len(), 3);
+        let f: Fields = fields! { "a" => 1u64, "b" => 0.5, "c" => "v", format!("d{}", 1) => 2u64 };
+        assert_eq!(f.len(), 4);
         assert_eq!(f[0].0, "a");
         assert_eq!(f[2].1, FieldValue::Str("v".into()));
+        // Literal keys and labels are borrowed; only run-time keys own.
+        assert!(f[..3].iter().all(|(k, _)| matches!(k, Cow::Borrowed(_))));
+        assert!(matches!(&f[2].1, FieldValue::Str(Cow::Borrowed("v"))));
+        assert!(matches!(&f[3].0, Cow::Owned(k) if k == "d1"));
     }
 
     #[test]

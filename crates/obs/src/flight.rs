@@ -121,15 +121,20 @@ mod tests {
     use super::*;
     use crate::fields;
 
-    fn names(events: &[Event]) -> Vec<String> {
-        events.iter().map(|e| e.name.clone()).collect()
+    /// Distinct event names for the ring tests (names are `'static`).
+    const E: [&str; 11] = [
+        "e0", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10",
+    ];
+
+    fn names(events: &[Event]) -> Vec<&'static str> {
+        events.iter().map(|e| e.name).collect()
     }
 
     #[test]
     fn under_capacity_keeps_everything_in_order() {
         let rec = FlightRecorder::new(8);
-        for i in 0..5 {
-            rec.instant(0, &format!("e{i}"), fields!());
+        for name in &E[..5] {
+            rec.instant(0, name, fields!());
         }
         assert_eq!(rec.dropped(), 0);
         assert_eq!(names(&rec.dump()), ["e0", "e1", "e2", "e3", "e4"]);
@@ -138,9 +143,9 @@ mod tests {
     #[test]
     fn wraparound_keeps_the_most_recent_window() {
         let rec = FlightRecorder::new(4);
-        for i in 0..11 {
+        for name in E {
             rec.clock().advance(1.0);
-            rec.instant(0, &format!("e{i}"), fields!());
+            rec.instant(0, name, fields!());
         }
         assert_eq!(rec.dropped(), 7);
         let dump = rec.dump();
@@ -152,8 +157,8 @@ mod tests {
     #[test]
     fn exact_capacity_boundary_does_not_drop() {
         let rec = FlightRecorder::new(3);
-        for i in 0..3 {
-            rec.instant(0, &format!("e{i}"), fields!());
+        for name in &E[..3] {
+            rec.instant(0, name, fields!());
         }
         assert_eq!(rec.dropped(), 0);
         assert_eq!(rec.dump().len(), 3);
@@ -185,12 +190,12 @@ mod tests {
         // going out of bounds, and the dump is always that one event.
         let rec = FlightRecorder::new(1);
         assert!(rec.dump().is_empty(), "empty before any event");
-        for i in 0..5 {
+        for (i, name) in (1u64..).zip(&E[..5]) {
             rec.clock().advance(1.0);
-            rec.instant(0, &format!("e{i}"), fields!());
+            rec.instant(0, name, fields!());
             let dump = rec.dump();
-            assert_eq!(names(&dump), [format!("e{i}")]);
-            assert_eq!(dump[0].ts_micros, (i + 1) * 1_000_000);
+            assert_eq!(names(&dump), [*name]);
+            assert_eq!(dump[0].ts_micros, i * 1_000_000);
         }
         assert_eq!(rec.dropped(), 4);
         assert_eq!(rec.capacity(), 1);

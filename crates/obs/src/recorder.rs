@@ -42,8 +42,9 @@ pub struct Event {
     pub ts_micros: u64,
     /// Span edge / instant / counter sample.
     pub kind: EventKind,
-    /// Event name (the span or counter name).
-    pub name: String,
+    /// Event name (the span or counter name). Names are fixed by the
+    /// emitting code, so recording one never allocates.
+    pub name: &'static str,
     /// Timeline lane, rendered as the Chrome `tid`. Drivers use one track
     /// per simulated worker (track 0 for driver-level events).
     pub track: u32,
@@ -57,7 +58,7 @@ pub struct Event {
 #[derive(Debug)]
 #[must_use = "an unclosed span never gets its end edge; pass this to span_end"]
 pub struct SpanId {
-    name: String,
+    name: &'static str,
     track: u32,
 }
 
@@ -105,18 +106,15 @@ pub trait Recorder: Send + Sync {
     }
 
     /// Opens a span named `name` on `track` at the current virtual time.
-    fn span_start(&self, track: u32, name: &str, fields: Fields) -> SpanId {
+    fn span_start(&self, track: u32, name: &'static str, fields: Fields) -> SpanId {
         self.record(Event {
             ts_micros: self.clock().now_micros(),
             kind: EventKind::SpanStart,
-            name: name.to_string(),
+            name,
             track,
             fields,
         });
-        SpanId {
-            name: name.to_string(),
-            track,
-        }
+        SpanId { name, track }
     }
 
     /// Closes `span` at the current virtual time, attaching `fields` to
@@ -132,11 +130,11 @@ pub trait Recorder: Send + Sync {
     }
 
     /// Marks a point event (fault injections, rollbacks, rejoins).
-    fn instant(&self, track: u32, name: &str, fields: Fields) {
+    fn instant(&self, track: u32, name: &'static str, fields: Fields) {
         self.record(Event {
             ts_micros: self.clock().now_micros(),
             kind: EventKind::Instant,
-            name: name.to_string(),
+            name,
             track,
             fields,
         });
@@ -144,14 +142,14 @@ pub trait Recorder: Send + Sync {
 
     /// Bumps the named counter by `delta` and drops a counter sample on
     /// the timeline so viewers can plot its trajectory.
-    fn counter(&self, track: u32, name: &str, delta: u64) {
+    fn counter(&self, track: u32, name: &'static str, delta: u64) {
         let total = self.add_counter(name, delta);
         self.record(Event {
             ts_micros: self.clock().now_micros(),
             kind: EventKind::Counter,
-            name: name.to_string(),
+            name,
             track,
-            fields: vec![("value".to_string(), total.into())],
+            fields: crate::fields! { "value" => total },
         });
     }
 }
@@ -450,19 +448,15 @@ impl Recorder for NullRecorder {
     fn observe(&self, _name: &str, _value: f64) {}
 
     // Skip building Event values the base methods would discard.
-    fn span_start(&self, track: u32, name: &str, _fields: Fields) -> SpanId {
-        let _ = name;
-        SpanId {
-            name: String::new(),
-            track,
-        }
+    fn span_start(&self, track: u32, name: &'static str, _fields: Fields) -> SpanId {
+        SpanId { name, track }
     }
 
     fn span_end(&self, _span: SpanId, _fields: Fields) {}
 
-    fn instant(&self, _track: u32, _name: &str, _fields: Fields) {}
+    fn instant(&self, _track: u32, _name: &'static str, _fields: Fields) {}
 
-    fn counter(&self, _track: u32, _name: &str, _delta: u64) {}
+    fn counter(&self, _track: u32, _name: &'static str, _delta: u64) {}
 }
 
 /// A recorder that keeps the complete event timeline in memory, plus

@@ -221,10 +221,10 @@ pub fn analyze(events: &[Event]) -> TraceProfile {
     };
     profile.total_seconds = micros_delta(first.ts_micros, last.ts_micros);
 
-    let mut span_stats: BTreeMap<String, SpanStat> = BTreeMap::new();
+    let mut span_stats: BTreeMap<&str, SpanStat> = BTreeMap::new();
     let mut attribution: BTreeMap<u64, Attribution> = BTreeMap::new();
     // Open-span bookkeeping: (name, track, start_ts, step field).
-    let mut open_spans: Vec<(String, u32, u64, Option<u64>)> = Vec::new();
+    let mut open_spans: Vec<(&str, u32, u64, Option<u64>)> = Vec::new();
     let mut last_ts = first.ts_micros;
     // Step high-water mark: a sync round at or below it is re-execution.
     let mut max_step: Option<u64> = None;
@@ -234,9 +234,9 @@ pub fn analyze(events: &[Event]) -> TraceProfile {
     // True when the gap before the current event belongs to an open leaf
     // span (sync_round retries, checkpoint writes) and is therefore
     // already covered by that span's duration.
-    let in_leaf = |open: &[(String, u32, u64, Option<u64>)]| {
+    let in_leaf = |open: &[(&str, u32, u64, Option<u64>)]| {
         open.iter()
-            .any(|(n, ..)| n == "sync_round" || n == "checkpoint_write")
+            .any(|(n, ..)| *n == "sync_round" || *n == "checkpoint_write")
     };
 
     for event in events {
@@ -245,7 +245,7 @@ pub fn analyze(events: &[Event]) -> TraceProfile {
         match event.kind {
             EventKind::SpanStart => {
                 if !in_leaf(&open_spans) {
-                    match event.name.as_str() {
+                    match event.name {
                         "sync_round" => {
                             let step = field("step").and_then(FieldValue::as_u64);
                             let is_replay = replaying
@@ -261,7 +261,7 @@ pub fn analyze(events: &[Event]) -> TraceProfile {
                     }
                 }
                 let step = field("step").and_then(FieldValue::as_u64);
-                open_spans.push((event.name.clone(), event.track, event.ts_micros, step));
+                open_spans.push((event.name, event.track, event.ts_micros, step));
             }
             EventKind::SpanEnd => {
                 let opened = open_spans
@@ -273,14 +273,14 @@ pub fn analyze(events: &[Event]) -> TraceProfile {
                 };
                 let (name, _, start_ts, step) = open_spans.remove(idx);
                 let duration = micros_delta(start_ts, event.ts_micros);
-                let stat = span_stats.entry(name.clone()).or_insert_with(|| SpanStat {
-                    name: name.clone(),
+                let stat = span_stats.entry(name).or_insert_with(|| SpanStat {
+                    name: name.to_string(),
                     count: 0,
                     seconds: 0.0,
                 });
                 stat.count += 1;
                 stat.seconds += duration;
-                match name.as_str() {
+                match name {
                     "sync_round" => {
                         let is_replay =
                             replaying && matches!((step, max_step), (Some(s), Some(m)) if s <= m);
@@ -310,7 +310,7 @@ pub fn analyze(events: &[Event]) -> TraceProfile {
             }
             EventKind::Instant => {
                 let covered = in_leaf(&open_spans);
-                match event.name.as_str() {
+                match event.name {
                     "crash" => {
                         profile.crash_count += 1;
                         let worker = field("worker").and_then(FieldValue::as_u64).unwrap_or(0);

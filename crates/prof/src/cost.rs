@@ -38,7 +38,7 @@ impl ToFields for LayerProfile {
     fn to_fields(&self) -> Fields {
         fields! {
             "layer" => self.index,
-            "name" => self.name.as_str(),
+            "name" => self.name.clone(),
             "fwd_flops" => self.forward.flops,
             "fwd_bytes" => self.forward.bytes_moved(),
             "bwd_flops" => self.backward.flops,

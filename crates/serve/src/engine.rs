@@ -244,7 +244,12 @@ impl ReplicaEngine {
         self.downgraded += downgrades;
         rec.add_counter("serve.served", served as u64);
         rec.add_counter("serve.downgraded", downgrades as u64);
-        rec.span_end(fl.span, fields! { "batch" => b, "replica" => self.replica });
+        let end_fields = if rec.enabled() {
+            fields! { "batch" => b, "replica" => self.replica }
+        } else {
+            fields!()
+        };
+        rec.span_end(fl.span, end_fields);
         self.last_completion = self.last_completion.max(fl.done_s);
         true
     }
@@ -297,26 +302,30 @@ impl ReplicaEngine {
             }
             Decision::Downgrade { from, to } => {
                 self.queues[to].push_back((req, true));
-                rec.instant(
-                    self.track_base + to as u32,
-                    "serve.downgrade",
-                    fields! {
-                        "request" => req.id,
-                        "replica" => self.replica,
-                        "queue" => self.load(),
-                        "from" => registry.variants[from].name.clone(),
-                        "to" => registry.variants[to].name.clone(),
-                    },
-                );
+                if rec.enabled() {
+                    rec.instant(
+                        self.track_base + to as u32,
+                        "serve.downgrade",
+                        fields! {
+                            "request" => req.id,
+                            "replica" => self.replica,
+                            "queue" => self.load(),
+                            "from" => registry.variants[from].name.clone(),
+                            "to" => registry.variants[to].name.clone(),
+                        },
+                    );
+                }
             }
             Decision::Shed => {
                 self.shed += 1;
                 rec.add_counter("serve.shed", 1);
-                rec.instant(
-                    self.track_base + self.primary as u32,
-                    "serve.shed",
-                    fields! { "request" => req.id, "replica" => self.replica },
-                );
+                if rec.enabled() {
+                    rec.instant(
+                        self.track_base + self.primary as u32,
+                        "serve.shed",
+                        fields! { "request" => req.id, "replica" => self.replica },
+                    );
+                }
             }
         }
         decision
@@ -381,16 +390,17 @@ impl ReplicaEngine {
             .map(|(p, &s)| *p == data.y[s])
             .collect();
         let dur = cfg.device.service_time(&cost) * service_factor;
-        let span = rec.span_start(
-            self.track_base + v as u32,
-            "serve.batch",
+        let start_fields = if rec.enabled() {
             fields! {
                 "variant" => registry.variants[v].name.clone(),
                 "batch" => b,
                 "replica" => self.replica,
                 "seq" => self.batch_seq,
-            },
-        );
+            }
+        } else {
+            fields!()
+        };
+        let span = rec.span_start(self.track_base + v as u32, "serve.batch", start_fields);
         if rec.enabled() {
             for (pos, (r, _)) in requests.iter().enumerate() {
                 dl_trace::emit_batch_join(

@@ -134,7 +134,7 @@ fn hash_timeline(h: &mut Fnv, rec: &TimelineRecorder) {
     for e in &events {
         h.u(e.ts_micros);
         h.s(e.kind.label());
-        h.s(&e.name);
+        h.s(e.name);
         h.u(u64::from(e.track));
         h.u(e.fields.len() as u64);
         for (k, v) in &e.fields {

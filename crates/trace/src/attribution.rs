@@ -3,9 +3,9 @@
 //! JSON export, and Chrome flow arrows for cross-track handoffs.
 
 use dl_obs::export::{fields_to_json, Flow, FlowPhase};
-use dl_obs::{fields, find_field, Event, EventKind, FieldValue, Fields};
+use dl_obs::{fields, Event, Fields};
 
-use crate::context::{names, DispatchKind};
+use crate::context::{DispatchKind, ServeEvent};
 use crate::waterfall::{Outcome, Phase, RequestTrace, TraceSet, PHASE_COUNT};
 
 /// Nearest-rank quantile over an ascending-sorted slice (0 when empty).
@@ -163,7 +163,7 @@ pub fn render_waterfall(t: &RequestTrace, rank: usize) -> String {
                 b.seq,
                 b.pos + 1,
                 b.size,
-                b.trigger
+                b.trigger.label()
             )
         })
         .unwrap_or_default();
@@ -278,7 +278,7 @@ pub fn render_requests(set: &TraceSet, k: usize) -> String {
 fn phases_fields(p50: &[u64; PHASE_COUNT]) -> Fields {
     let mut fields = Fields::new();
     for (i, phase) in Phase::ALL.iter().enumerate() {
-        fields.push((phase.label().to_string(), p50[i].into()));
+        fields.push((phase.label().into(), p50[i].into()));
     }
     fields
 }
@@ -336,8 +336,16 @@ pub fn requests_json(set: &TraceSet, k: usize) -> String {
         };
         if let Some(b) = &t.batch {
             pre.push((
-                "batch".to_string(),
-                format!("r{}#{}[{}/{}]{}", b.replica, b.seq, b.pos + 1, b.size, b.trigger).into(),
+                "batch".into(),
+                format!(
+                    "r{}#{}[{}/{}]{}",
+                    b.replica,
+                    b.seq,
+                    b.pos + 1,
+                    b.size,
+                    b.trigger.label()
+                )
+                .into(),
             ));
         }
         let mut post = fields! {
@@ -345,8 +353,8 @@ pub fn requests_json(set: &TraceSet, k: usize) -> String {
             "wasted_us" => t.wasted_us,
         };
         if let Outcome::Served { replica, via } = t.outcome {
-            post.push(("replica".to_string(), replica.into()));
-            post.push(("via".to_string(), via.label().into()));
+            post.push(("replica".into(), replica.into()));
+            post.push(("via".into(), via.label().into()));
         }
         let pre_json = fields_to_json(&pre);
         let post_json = fields_to_json(&post);
@@ -378,33 +386,31 @@ pub fn flows(events: &[Event]) -> Vec<Flow> {
     let mut dispatches: std::collections::BTreeMap<u64, Vec<(Mark, DispatchKind)>> =
         Default::default();
     for (idx, event) in events.iter().enumerate() {
-        if event.kind != EventKind::Instant {
-            continue;
-        }
-        let relevant = matches!(event.name.as_str(), names::DISPATCH | names::ADMIT | names::DOWNGRADE);
-        if !relevant {
-            continue;
-        }
-        let (Some(id), Some(replica)) = (
-            find_field(&event.fields, "request").and_then(FieldValue::as_u64),
-            find_field(&event.fields, "replica").and_then(FieldValue::as_u64),
-        ) else {
-            continue;
-        };
-        let mark = Mark {
+        let mark = |replica: u32| Mark {
             idx,
             ts: event.ts_micros,
             track: event.track,
-            replica: replica as u32,
+            replica,
         };
-        if event.name == names::DISPATCH {
-            let kind = find_field(&event.fields, "kind")
-                .and_then(FieldValue::as_str)
-                .and_then(DispatchKind::parse)
-                .unwrap_or(DispatchKind::Primary);
-            dispatches.entry(id).or_default().push((mark, kind));
-        } else {
-            admits.entry(id).or_default().push(mark);
+        match ServeEvent::decode(event) {
+            Some(ServeEvent::Dispatch {
+                request,
+                replica,
+                kind,
+                ..
+            }) => dispatches
+                .entry(request)
+                .or_default()
+                .push((mark(replica), kind)),
+            Some(
+                ServeEvent::Admit {
+                    request, replica, ..
+                }
+                | ServeEvent::Downgrade {
+                    request, replica, ..
+                },
+            ) => admits.entry(request).or_default().push(mark(replica)),
+            _ => {}
         }
     }
 
@@ -460,7 +466,7 @@ pub fn flows(events: &[Event]) -> Vec<Flow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{self, FlushTrigger, SpanContext};
+    use crate::context::{self, names, FlushTrigger, SpanContext};
     use dl_obs::{Recorder, TimelineRecorder};
 
     fn sample_set() -> TraceSet {

@@ -10,10 +10,12 @@
 //!    `rec.enabled()`-gated emit helpers for the causal edges the engine
 //!    did not previously name — dispatch decisions (primary / retry /
 //!    hedge), batch membership, hedge dedup losses, terminal losses.
+//!    [`ServeEvent::decode`] is the one typed reader of that schema,
+//!    shared with `dl_monitor::Monitor`.
 //! 2. **Collection** ([`tracer`]): [`Tracer`], a pure forwarding tap in
 //!    the style of `dl_monitor::Monitor` — the inner recorder sees the
 //!    exact untapped stream (byte-identical timelines), while the tap
-//!    retains the per-request subset.
+//!    keeps a compact `(ts, ServeEvent)` record of the per-request subset.
 //! 3. **Reconstruction** ([`waterfall`]): [`TraceSet::reconstruct`]
 //!    rebuilds each request's lifecycle into typed phases whose integer
 //!    microsecond durations telescope *exactly* to the end-to-end
@@ -42,7 +44,7 @@ pub use attribution::{
 };
 pub use context::{
     emit_batch_join, emit_dispatch, emit_hedge_loser, emit_lost, emit_unavailable, DispatchKind,
-    FlushTrigger, RequestId, SpanContext,
+    FlushTrigger, RequestId, ServeEvent, SpanContext,
 };
 pub use tracer::Tracer;
 pub use waterfall::{

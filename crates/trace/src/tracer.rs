@@ -1,47 +1,28 @@
 //! The [`Tracer`] recorder tap: forwards every call to an inner recorder
-//! unchanged while retaining a copy of the per-request trace events.
+//! unchanged while keeping a compact typed record of the per-request
+//! trace events.
 //!
 //! Like `dl_monitor::Monitor`, the tap reports `enabled() == true` even
 //! over a `NullRecorder`, so the serving stack emits its structured
-//! samples; the tracer keeps the request-lifecycle subset and the inner
-//! recorder sees the exact stream it would have seen untapped. Wrapping a
-//! `TimelineRecorder` therefore leaves its timeline byte-identical, and
-//! wrapping a `NullRecorder` adds tracing to an otherwise silent run.
+//! samples; the tracer decodes the serve-schema subset with
+//! [`ServeEvent::decode`] and keeps `(ts_micros, ServeEvent)` pairs, and
+//! the inner recorder sees the exact stream it would have seen untapped.
+//! Wrapping a `TimelineRecorder` therefore leaves its timeline
+//! byte-identical, and wrapping a `NullRecorder` adds tracing to an
+//! otherwise silent run.
 
 use std::sync::Mutex;
 
-use dl_obs::{Event, EventKind, Recorder, VirtualClock};
+use dl_obs::{Event, Recorder, VirtualClock};
 
-use crate::context::names;
+use crate::context::ServeEvent;
 use crate::waterfall::TraceSet;
-
-/// Returns true for events the tracer retains: the per-request instants
-/// of the trace schema plus `serve.batch` span edges (whose end edges
-/// mark device-idle boundaries for queue/batch-wait attribution).
-fn is_trace_event(event: &Event) -> bool {
-    match event.kind {
-        EventKind::Instant => matches!(
-            event.name.as_str(),
-            names::DISPATCH
-                | names::BATCH_JOIN
-                | names::HEDGE_LOSER
-                | names::LOST
-                | names::UNAVAILABLE
-                | names::ADMIT
-                | names::DOWNGRADE
-                | names::SHED
-                | names::COMPLETE
-        ),
-        EventKind::SpanStart | EventKind::SpanEnd => event.name == names::BATCH_SPAN,
-        EventKind::Counter => false,
-    }
-}
 
 /// A pure forwarding tap over any [`Recorder`] that retains the
 /// request-lifecycle events needed to reconstruct waterfalls.
 pub struct Tracer<'a> {
     inner: &'a dyn Recorder,
-    events: Mutex<Vec<Event>>,
+    records: Mutex<Vec<(u64, ServeEvent)>>,
 }
 
 impl<'a> Tracer<'a> {
@@ -50,20 +31,22 @@ impl<'a> Tracer<'a> {
     pub fn new(inner: &'a dyn Recorder) -> Self {
         Tracer {
             inner,
-            events: Mutex::new(Vec::new()),
+            records: Mutex::new(Vec::new()),
         }
     }
 
-    /// The retained trace events, in emission (record) order.
+    /// Bytes of trace state retained so far: one fixed-size
+    /// `(ts_micros, ServeEvent)` record per serve-schema event.
     #[must_use]
-    pub fn events(&self) -> Vec<Event> {
-        self.events.lock().expect("tracer events lock").clone()
+    pub fn retained_bytes(&self) -> u64 {
+        let records = self.records.lock().expect("tracer records lock").len();
+        (records * std::mem::size_of::<(u64, ServeEvent)>()) as u64
     }
 
-    /// Reconstructs per-request waterfalls from the retained events.
+    /// Reconstructs per-request waterfalls from the retained records.
     #[must_use]
     pub fn traces(&self) -> TraceSet {
-        TraceSet::reconstruct(&self.events.lock().expect("tracer events lock"))
+        TraceSet::from_records(&self.records.lock().expect("tracer records lock"))
     }
 }
 
@@ -79,11 +62,11 @@ impl Recorder for Tracer<'_> {
     }
 
     fn record(&self, event: Event) {
-        if is_trace_event(&event) {
-            self.events
+        if let Some(decoded) = ServeEvent::decode(&event) {
+            self.records
                 .lock()
-                .expect("tracer events lock")
-                .push(event.clone());
+                .expect("tracer records lock")
+                .push((event.ts_micros, decoded));
         }
         self.inner.record(event);
     }
@@ -118,19 +101,28 @@ mod tests {
             rec.instant(3, "serve.admit", fields! { "request" => 1u64, "replica" => 0usize });
             rec.counter(0, "cluster.lost", 1);
             rec.observe("serve.latency_s", 0.25);
-            rec.span_end(span, fields! { "batch" => 4usize });
+            rec.span_end(span, fields! { "batch" => 4usize, "replica" => 0usize });
             rec.instant(0, "unrelated", fields! {});
         };
         drive(&plain);
         let tracer = Tracer::new(&tapped);
         drive(&tracer);
         assert_eq!(plain.events(), tapped.events());
-        // The tap retained only the trace schema subset.
-        let kept = tracer.events();
-        assert_eq!(kept.len(), 3);
-        assert_eq!(kept[0].name, "serve.batch");
-        assert_eq!(kept[1].name, "serve.admit");
-        assert_eq!(kept[2].name, "serve.batch");
+        // The tap retained only the serve schema subset.
+        assert_eq!(
+            *tracer.records.lock().unwrap(),
+            [
+                (
+                    500_000,
+                    ServeEvent::Admit {
+                        request: 1,
+                        replica: 0,
+                        queue: None
+                    }
+                ),
+                (500_000, ServeEvent::BatchEnd { replica: 0 }),
+            ]
+        );
         // Clocks advance in lockstep because there is only one clock.
         assert_eq!(plain.clock().now(), tapped.clock().now());
     }
@@ -143,7 +135,9 @@ mod tests {
         assert!(tracer.enabled());
         tracer.instant(0, "serve.complete", fields! { "request" => 9u64 });
         tracer.instant(0, "not.traced", fields! {});
-        assert_eq!(tracer.events().len(), 1);
-        assert_eq!(tracer.events()[0].name, "serve.complete");
+        let set = tracer.traces();
+        assert_eq!(set.requests.len(), 1);
+        assert_eq!(set.requests[0].id, 9);
+        assert_eq!(set.counts.served, 1);
     }
 }

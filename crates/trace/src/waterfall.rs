@@ -11,9 +11,9 @@
 
 use std::collections::BTreeMap;
 
-use dl_obs::{find_field, Event, EventKind, FieldValue};
+use dl_obs::Event;
 
-use crate::context::{names, DispatchKind};
+use crate::context::{DispatchKind, FlushTrigger, ServeEvent};
 
 /// Number of phase slots in a [`RequestTrace`].
 pub const PHASE_COUNT: usize = 7;
@@ -115,7 +115,7 @@ impl Outcome {
 }
 
 /// Which batch a served request rode in.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchRef {
     /// Replica that formed the batch.
     pub replica: u32,
@@ -125,8 +125,8 @@ pub struct BatchRef {
     pub pos: u32,
     /// Batch size.
     pub size: u32,
-    /// Why the batch flushed (`full` / `aged` / `drain`).
-    pub trigger: String,
+    /// Why the batch flushed.
+    pub trigger: FlushTrigger,
 }
 
 /// One request's reconstructed lifecycle.
@@ -195,23 +195,17 @@ impl OutcomeCounts {
     }
 }
 
-/// Per-request accumulator while scanning the stream.
-#[derive(Default)]
-struct Pending {
-    first_ts: Option<u64>,
-    last_ts: u64,
-    /// (ts, replica, kind) per explicit dispatch edge, in record order.
-    dispatches: Vec<(u64, u32, DispatchKind)>,
-    /// (ts, replica) per admit/downgrade, in record order.
-    admits: Vec<(u64, u32)>,
-    /// (ts, replica, device_free_ts, batch) per batch join.
-    joins: Vec<(u64, u32, u64, BatchRef)>,
-    complete: Option<(u64, u32, f64)>,
-    shed: Vec<u64>,
-    lost: Vec<u64>,
-    unavailable: Vec<u64>,
-    hedged: bool,
-    wasted_us: u64,
+/// The `join_free` index of a record that is not a batch join.
+const NOT_A_JOIN: u32 = u32::MAX;
+
+/// One lifecycle record tagged with its request, ready to be grouped.
+struct Keyed {
+    request: u64,
+    ts: u64,
+    /// For a batch join: when the joining replica's device last went
+    /// idle, as of the join (0 before its first batch ended).
+    free: u64,
+    event: ServeEvent,
 }
 
 /// All requests reconstructed from one event stream.
@@ -224,109 +218,81 @@ pub struct TraceSet {
 }
 
 impl TraceSet {
-    /// Rebuilds every request's lifecycle from `events`.
+    /// Rebuilds every request's lifecycle from `events`: decodes each
+    /// with [`ServeEvent::decode`], then runs [`TraceSet::from_records`].
     ///
-    /// Events must be in record order (as `TimelineRecorder::events` and
-    /// [`crate::Tracer::events`] return them); record order doubles as
-    /// the chronological tie-breaker for equal timestamps, so the stream
-    /// is never re-sorted here.
+    /// Events must be in record order (as `TimelineRecorder::events`
+    /// returns them); record order doubles as the chronological
+    /// tie-breaker for equal timestamps, so the stream is never re-sorted
+    /// by time.
     #[must_use]
     pub fn reconstruct(events: &[Event]) -> TraceSet {
-        let mut pending: BTreeMap<u64, Pending> = BTreeMap::new();
+        let records: Vec<(u64, ServeEvent)> = events
+            .iter()
+            .filter_map(|e| Some((e.ts_micros, ServeEvent::decode(e)?)))
+            .collect();
+        TraceSet::from_records(&records)
+    }
+
+    /// Rebuilds every request's lifecycle from decoded `(ts_micros,
+    /// event)` records in record order — the [`crate::Tracer`]'s compact
+    /// form of the stream.
+    ///
+    /// One pass in record order tags each lifecycle record with its
+    /// request and record index (and each batch join with the moment its
+    /// replica's device last went idle); a stable radix sort of those
+    /// compact keys by request lines every request's records up in record
+    /// order, and one linear pass over the groups finishes each trace
+    /// without allocating per request.
+    #[must_use]
+    pub fn from_records(records: &[(u64, ServeEvent)]) -> TraceSet {
+        assert!(
+            u32::try_from(records.len()).is_ok(),
+            "more trace records than a u32 index can address"
+        );
         // Latest `serve.batch` end edge per replica, maintained in record
         // order: when a request joins a batch, this is the moment its
         // replica's device last went idle — the queue/batch-wait split.
         let mut device_free: BTreeMap<u32, u64> = BTreeMap::new();
-        for event in events {
-            let field = |key: &str| find_field(&event.fields, key);
-            match event.kind {
-                EventKind::SpanEnd if event.name == names::BATCH_SPAN => {
-                    if let Some(replica) = field("replica").and_then(FieldValue::as_u64) {
-                        device_free.insert(replica as u32, event.ts_micros);
-                    }
-                }
-                EventKind::Instant => {
-                    let name = event.name.as_str();
-                    if !matches!(
-                        name,
-                        names::DISPATCH
-                            | names::ADMIT
-                            | names::DOWNGRADE
-                            | names::BATCH_JOIN
-                            | names::COMPLETE
-                            | names::SHED
-                            | names::LOST
-                            | names::UNAVAILABLE
-                            | names::HEDGE_LOSER
-                    ) {
-                        continue;
-                    }
-                    let Some(id) = field("request").and_then(FieldValue::as_u64) else {
-                        continue;
-                    };
-                    let ts = event.ts_micros;
-                    let replica = field("replica").and_then(FieldValue::as_u64).unwrap_or(0) as u32;
-                    let free = device_free.get(&replica).copied().unwrap_or(0);
-                    let entry = pending.entry(id).or_default();
-                    entry.first_ts.get_or_insert(ts);
-                    entry.last_ts = entry.last_ts.max(ts);
-                    match name {
-                        names::DISPATCH => {
-                            let kind = field("kind")
-                                .and_then(FieldValue::as_str)
-                                .and_then(DispatchKind::parse)
-                                .unwrap_or(DispatchKind::Primary);
-                            entry.hedged |= kind == DispatchKind::Hedge;
-                            entry.dispatches.push((ts, replica, kind));
-                        }
-                        names::ADMIT | names::DOWNGRADE => entry.admits.push((ts, replica)),
-                        names::BATCH_JOIN => {
-                            let batch = BatchRef {
-                                replica,
-                                seq: field("seq").and_then(FieldValue::as_u64).unwrap_or(0),
-                                pos: field("pos").and_then(FieldValue::as_u64).unwrap_or(0) as u32,
-                                size: field("size").and_then(FieldValue::as_u64).unwrap_or(0)
-                                    as u32,
-                                trigger: field("trigger")
-                                    .and_then(FieldValue::as_str)
-                                    .unwrap_or("?")
-                                    .to_string(),
-                            };
-                            entry.joins.push((ts, replica, free, batch));
-                        }
-                        names::COMPLETE => {
-                            let latency = field("latency_s")
-                                .and_then(FieldValue::as_f64)
-                                .unwrap_or(0.0);
-                            // `fresh` dedup upstream guarantees at most
-                            // one, but keep the first defensively.
-                            entry.complete.get_or_insert((ts, replica, latency));
-                        }
-                        names::SHED => entry.shed.push(ts),
-                        names::LOST => entry.lost.push(ts),
-                        names::UNAVAILABLE => entry.unavailable.push(ts),
-                        names::HEDGE_LOSER => {
-                            let elapsed = field("elapsed_s")
-                                .and_then(FieldValue::as_f64)
-                                .unwrap_or(0.0);
-                            entry.wasted_us += (elapsed.max(0.0) * 1e6).round() as u64;
-                        }
-                        _ => unreachable!("filtered above"),
-                    }
-                }
-                _ => {}
+        // That moment for each batch join, in record order.
+        let mut join_free: Vec<u64> = Vec::new();
+        // (request, record index, `join_free` index) per lifecycle record,
+        // pushed in record order.
+        let mut order: Vec<(u64, u32, u32)> = Vec::with_capacity(records.len());
+        for (i, &(ts, event)) in (0u32..).zip(records) {
+            if let ServeEvent::BatchEnd { replica } = event {
+                device_free.insert(replica, ts);
             }
+            let Some(request) = event.request() else {
+                continue;
+            };
+            let join = match event {
+                ServeEvent::BatchJoin { replica, .. } => {
+                    join_free.push(device_free.get(&replica).copied().unwrap_or(0));
+                    (join_free.len() - 1) as u32
+                }
+                _ => NOT_A_JOIN,
+            };
+            order.push((request, i, join));
         }
+        sort_by_request(&mut order);
 
+        let keyed = |&(request, i, join): &(u64, u32, u32)| {
+            let (ts, event) = records[i as usize];
+            Keyed {
+                request,
+                ts,
+                free: join_free.get(join as usize).copied().unwrap_or(0),
+                event,
+            }
+        };
         let mut counts = OutcomeCounts::default();
-        let mut requests = Vec::with_capacity(pending.len());
-        for (id, p) in pending {
-            counts.served += usize::from(p.complete.is_some());
-            counts.shed += p.shed.len();
-            counts.lost += p.lost.len();
-            counts.unavailable += p.unavailable.len();
-            requests.push(finalize(id, p));
-        }
+        let mut requests = Vec::with_capacity(order.len());
+        requests.extend(
+            order
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|group| finalize(group.iter().map(keyed), &mut counts)),
+        );
         TraceSet { requests, counts }
     }
 
@@ -388,40 +354,136 @@ impl TraceSet {
     }
 }
 
-/// Collapses one request's accumulated events into its trace. Cut points
-/// are clamped into monotone order before differencing, so the phase sum
-/// telescopes to `end - start` exactly no matter what the stream held.
-fn finalize(id: u64, p: Pending) -> RequestTrace {
-    let start = p.first_ts.unwrap_or(0);
-    let dispatches = p.dispatches.len() as u32;
+/// Stable LSD radix sort of `keys` by request id, one byte per pass over
+/// the bytes the largest id uses; a pass over a byte that every key
+/// shares is skipped. The request generators mint dense ids `0..n`, so a
+/// run takes two or three linear passes where a comparison sort of the
+/// same keys measured about twice as slow.
+fn sort_by_request(keys: &mut Vec<(u64, u32, u32)>) {
+    let max = keys.iter().map(|k| k.0).max().unwrap_or(0);
+    let mut out = Vec::new();
+    for shift in (0..64).step_by(8).take_while(|&s| s == 0 || max >> s > 0) {
+        let digit = |k: &(u64, u32, u32)| (k.0 >> shift) as usize & 0xff;
+        let mut start = [0usize; 256];
+        for k in keys.iter() {
+            start[digit(k)] += 1;
+        }
+        if start.contains(&keys.len()) {
+            continue;
+        }
+        let mut total = 0;
+        for slot in &mut start {
+            (*slot, total) = (total, total + *slot);
+        }
+        out.resize(keys.len(), (0, 0, 0));
+        for k in keys.iter() {
+            let slot = &mut start[digit(k)];
+            out[*slot] = *k;
+            *slot += 1;
+        }
+        std::mem::swap(keys, &mut out);
+    }
+}
+
+/// Collapses one request's records (in record order) into its trace and
+/// adds its outcomes to `counts`. Cut points are clamped into monotone
+/// order before differencing, so the phase sum telescopes to
+/// `end - start` exactly no matter what the stream held.
+fn finalize(
+    group: impl DoubleEndedIterator<Item = Keyed> + Clone,
+    counts: &mut OutcomeCounts,
+) -> RequestTrace {
+    let first = group.clone().next().expect("groups are non-empty");
+    let (id, start) = (first.request, first.ts);
+    let mut last_ts = 0;
+    let mut dispatches = 0u32;
+    let mut hedged = false;
+    let mut wasted_us = 0u64;
+    // `fresh` dedup upstream guarantees at most one completion, but keep
+    // the first defensively.
+    let mut complete: Option<(u64, u32, f64)> = None;
+    let (mut shed, mut lost, mut unavailable) = (None, None, None);
+    for k in group.clone() {
+        last_ts = last_ts.max(k.ts);
+        match k.event {
+            ServeEvent::Dispatch { kind, .. } => {
+                dispatches += 1;
+                hedged |= kind == DispatchKind::Hedge;
+            }
+            ServeEvent::Complete {
+                replica, latency_s, ..
+            } => {
+                complete.get_or_insert((k.ts, replica, latency_s));
+            }
+            ServeEvent::Shed { .. } => {
+                counts.shed += 1;
+                shed = Some(k.ts);
+            }
+            ServeEvent::Lost { .. } => {
+                counts.lost += 1;
+                lost = Some(k.ts);
+            }
+            ServeEvent::Unavailable { .. } => {
+                counts.unavailable += 1;
+                unavailable = Some(k.ts);
+            }
+            ServeEvent::HedgeLoser { elapsed_s, .. } => {
+                wasted_us += (elapsed_s.max(0.0) * 1e6).round() as u64;
+            }
+            _ => {}
+        }
+    }
     let mut phases = [0u64; PHASE_COUNT];
 
-    if let Some((done, winner, latency)) = p.complete {
-        // Winning attempt: the last dispatch toward the serving replica
-        // at or before completion. No explicit dispatch edge means the
-        // instantaneous primary path.
-        let (wd_raw, via) = p
-            .dispatches
-            .iter()
-            .rev()
-            .find(|(ts, r, _)| *r == winner && *ts <= done)
-            .map(|(ts, _, k)| (*ts, *k))
+    if let Some((done, winner, latency)) = complete {
+        counts.served += 1;
+        // The winning copy's latest edges toward the serving replica at or
+        // before completion.
+        let winning = || group.clone().rev().filter(move |k| k.ts <= done);
+        // Winning attempt: the last dispatch toward the serving replica.
+        // No explicit dispatch edge means the instantaneous primary path.
+        let (wd_raw, via) = winning()
+            .find_map(|k| match k.event {
+                ServeEvent::Dispatch { replica, kind, .. } if replica == winner => {
+                    Some((k.ts, kind))
+                }
+                _ => None,
+            })
             .unwrap_or((start, DispatchKind::Primary));
         let wd = wd_raw.clamp(start, done);
-        let wa = p
-            .admits
-            .iter()
-            .rev()
-            .find(|(ts, r)| *r == winner && *ts <= done)
-            .map(|(ts, _)| *ts)
+        let wa = winning()
+            .find_map(|k| match k.event {
+                ServeEvent::Admit { replica, .. } | ServeEvent::Downgrade { replica, .. }
+                    if replica == winner =>
+                {
+                    Some(k.ts)
+                }
+                _ => None,
+            })
             .unwrap_or(wd)
             .clamp(wd, done);
-        let (wj_raw, free_raw, batch) = p
-            .joins
-            .iter()
-            .rev()
-            .find(|(ts, r, _, _)| *r == winner && *ts <= done)
-            .map(|(ts, _, free, b)| (*ts, *free, Some(b.clone())))
+        let (wj_raw, free_raw, batch) = winning()
+            .find_map(|k| match k.event {
+                ServeEvent::BatchJoin {
+                    replica,
+                    seq,
+                    pos,
+                    size,
+                    trigger,
+                    ..
+                } if replica == winner => Some((
+                    k.ts,
+                    k.free,
+                    Some(BatchRef {
+                        replica,
+                        seq,
+                        pos,
+                        size,
+                        trigger,
+                    }),
+                )),
+                _ => None,
+            })
             .unwrap_or((wa, wa, None));
         let wj = wj_raw.clamp(wa, done);
         let free = free_raw.clamp(wa, wj);
@@ -446,25 +508,25 @@ fn finalize(id: u64, p: Pending) -> RequestTrace {
             end_us: done,
             phases,
             dispatches,
-            hedged: p.hedged,
+            hedged,
             batch,
-            wasted_us: p.wasted_us,
+            wasted_us,
             reported_latency_s: latency,
         };
     }
 
     // Non-served terminals: attribute the whole interval to the edge that
     // ended it so the conservation sum still telescopes.
-    let (outcome, end, slot) = if let Some(&ts) = p.lost.last() {
+    let (outcome, end, slot) = if let Some(ts) = lost {
         (Outcome::Lost, ts, Phase::RetryWait)
-    } else if let Some(&ts) = p.shed.last() {
+    } else if let Some(ts) = shed {
         (Outcome::Shed, ts, Phase::Admit)
-    } else if let Some(&ts) = p.unavailable.last() {
+    } else if let Some(ts) = unavailable {
         (Outcome::Unavailable, ts, Phase::Admit)
     } else {
         // Defensive: a request with events but no terminal (should not
         // happen after drain) renders as lost at its last event.
-        (Outcome::Lost, p.last_ts.max(start), Phase::RetryWait)
+        (Outcome::Lost, last_ts.max(start), Phase::RetryWait)
     };
     let end = end.max(start);
     phases[slot.index()] = end - start;
@@ -475,9 +537,9 @@ fn finalize(id: u64, p: Pending) -> RequestTrace {
         end_us: end,
         phases,
         dispatches,
-        hedged: p.hedged,
+        hedged,
         batch: None,
-        wasted_us: p.wasted_us,
+        wasted_us,
         reported_latency_s: 0.0,
     }
 }
@@ -485,7 +547,7 @@ fn finalize(id: u64, p: Pending) -> RequestTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{self, FlushTrigger, SpanContext};
+    use crate::context::{self, names, SpanContext};
     use dl_obs::{fields, Recorder, TimelineRecorder};
 
     /// Hand-built stream: request 0 sails through (admit → join → done),
@@ -563,7 +625,7 @@ mod tests {
         assert_eq!(t0.phase_us(Phase::Queue), 0);
         assert_eq!(t0.phase_us(Phase::BatchWait), 10);
         assert_eq!(t0.phase_us(Phase::Service), 30);
-        assert_eq!(t0.batch.as_ref().unwrap().trigger, "aged");
+        assert_eq!(t0.batch.unwrap().trigger, FlushTrigger::Aged);
 
         let t1 = &set.requests[1];
         assert_eq!(
@@ -636,5 +698,20 @@ mod tests {
         assert_eq!(t.outcome, Outcome::Lost);
         assert_eq!(t.e2e_us(), 42);
         assert_eq!(t.phase_us(Phase::RetryWait), 42);
+    }
+
+    #[test]
+    fn radix_sort_orders_by_request_and_keeps_record_order() {
+        // Ids spanning several bytes (with gaps and a byte every key
+        // shares), each repeated, pushed in record order.
+        let ids: [u64; 9] = [0x1_0000_0100, 7, 0x100, 7, 0xff, 0x1_0000_0100, 0x100, 0, 7];
+        let mut keys: Vec<_> = (0u32..).zip(ids).map(|(i, id)| (id, i, 0)).collect();
+        let mut want = keys.clone();
+        want.sort_by_key(|k| k.0); // std's stable sort as the oracle
+        sort_by_request(&mut keys);
+        assert_eq!(keys, want);
+        let mut empty = Vec::new();
+        sort_by_request(&mut empty);
+        assert!(empty.is_empty());
     }
 }

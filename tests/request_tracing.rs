@@ -11,9 +11,11 @@ use dl_distributed::{FaultPlan, FaultProfile};
 use dl_obs::{NullRecorder, TimelineRecorder};
 use dl_serve::{
     build_family, open_loop, serve, serve_cluster, AdmissionPolicy, BatchPolicy, ClusterConfig,
-    DeviceModel, FamilyConfig, LoadConfig, RetryPolicy, ServeConfig,
+    DeviceModel, FamilyConfig, LoadConfig, RetryPolicy, RouterPolicy, ServeConfig,
 };
 use dl_trace::{Outcome, TraceSet, Tracer};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn family_and_eval() -> (dl_serve::VariantRegistry, dl_nn::Dataset) {
     let data = dl_data::blobs(160, 4, 10, 6.0, 0.6, 70);
@@ -149,11 +151,15 @@ fn all_four_recorder_paths_agree_on_the_outcome() {
         "the tap forwards the timeline byte-for-byte"
     );
     assert_eq!(
-        traced_null.events(),
-        traced_timeline.events(),
+        traced_null.retained_bytes(),
+        traced_timeline.retained_bytes(),
+        "the tap retains as much regardless of the inner recorder"
+    );
+    assert_eq!(
+        traced_null.traces(),
+        traced_timeline.traces(),
         "the tap retains the same trace regardless of the inner recorder"
     );
-    assert_eq!(traced_null.traces(), traced_timeline.traces());
 }
 
 #[test]
@@ -228,4 +234,92 @@ fn crash_storm_reconstruction_conserves_every_request() {
     // The reconstruction is a pure function of the event stream: feeding
     // the full timeline (not just the tap's copy) gives the same answer.
     assert_eq!(traces, TraceSet::reconstruct(&rec.events()));
+}
+
+/// The live tap and the timeline agree over many seeded chaos runs: for
+/// each small `serve_cluster` run with a random fault plan (crashes,
+/// degraded links, stragglers), retry or hedge policy and router, the
+/// tracer's waterfalls equal the ones rebuilt from the inner timeline,
+/// every waterfall telescopes exactly, and the outcomes match the report.
+#[test]
+fn tracer_equals_timeline_reconstruction_over_many_seeds() {
+    let (mut family, eval) = family_and_eval();
+    let device = DeviceModel::nominal();
+    let service_s = device.service_time(family.variants[0].cost_at(1));
+    const STEPS: usize = 32;
+    let mut hedged_runs = 0;
+    let mut crashed_runs = 0;
+    for seed in 0..300u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let replicas = rng.gen_range(1..5usize);
+        let load = open_loop(
+            &LoadConfig {
+                rate_rps: rng.gen_range(1.0..8.0) / service_s,
+                requests: rng.gen_range(10..60usize),
+                seed,
+            },
+            eval.x.dims()[0],
+        );
+        let horizon_s = load.last().unwrap().arrival_s * 1.5;
+        let profile = FaultProfile {
+            crash_mtbf: rng.gen_range(4.0..40.0),
+            repair_mttr: rng.gen_range(1.0..12.0),
+            degrade_mtbf: rng.gen_range(0.0..20.0),
+            degrade_duration: 3.0,
+            degrade_factor: 0.25,
+            straggler_mtbf: rng.gen_range(0.0..20.0),
+            straggler_duration: 4.0,
+            straggler_slowdown: 6.0,
+            ..FaultProfile::none(seed)
+        };
+        let retry = match seed % 3 {
+            0 => RetryPolicy::retries(rng.gen_range(0..3usize)),
+            1 => RetryPolicy::hedged(
+                rng.gen_range(0..3usize),
+                service_s * rng.gen_range(0.5..4.0),
+            ),
+            _ => RetryPolicy::none(),
+        };
+        let router = match seed % 4 {
+            0 => RouterPolicy::RoundRobin,
+            1 => RouterPolicy::LeastLoaded,
+            _ => RouterPolicy::PowerOfTwoChoices { seed },
+        };
+        let cfg = ClusterConfig {
+            router,
+            retry,
+            faults: FaultPlan::from_profile(&profile, replicas, STEPS),
+            seconds_per_step: horizon_s / STEPS as f64,
+            dispatch_s: if seed % 2 == 0 { service_s * 0.1 } else { 0.0 },
+            warmup_s: horizon_s / STEPS as f64,
+            warmup_factor: 2.0,
+            ..ClusterConfig::new(replicas, serve_cfg(device.clone()))
+        };
+
+        let timeline = TimelineRecorder::new();
+        let tracer = Tracer::new(&timeline);
+        let report = serve_cluster(&mut family, &eval, &load, &cfg, &tracer);
+        hedged_runs += usize::from(report.hedged > 0);
+        crashed_runs += usize::from(report.crashes > 0);
+
+        let live = tracer.traces();
+        assert_eq!(
+            live,
+            TraceSet::reconstruct(&timeline.events()),
+            "seed {seed}: the tap and the timeline disagree"
+        );
+        live.verify_conservation()
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        live.matches_report(
+            report.serve.served,
+            report.serve.shed,
+            report.lost,
+            report.unavailable,
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert_eq!(live.requests.len(), load.len(), "seed {seed}");
+    }
+    // The sweep must actually reach the chaos it claims to cover.
+    assert!(hedged_runs >= 30, "only {hedged_runs} runs hedged");
+    assert!(crashed_runs >= 100, "only {crashed_runs} runs crashed");
 }
