@@ -40,11 +40,11 @@
 //! * [`Kernel::Scalar`] is the reference oracle: plain multiply-then-add
 //!   in strict ascending order, bit-identical to the sequential
 //!   [`Tensor`] kernels.
-//! * [`Kernel::Unrolled`] is the data-level parallel path: width-8
-//!   explicitly unrolled inner loops built on [`f32::mul_add`] (one
-//!   rounding per multiply-add instead of two), and one-output
+//! * [`Kernel::Unrolled`] is the data-level parallel path: the GEMM adds
+//!   each term with [`f32::mul_add`] (one rounding per multiply-add
+//!   instead of two), [`map`] runs a width-8 unrolled body, and one-output
 //!   reductions ([`sum`], [`dot`], the `mid` loop of [`sum_axis`])
-//!   accumulated in **eight lanes folded by a fixed tree**: element `i`
+//!   accumulate in **eight lanes folded by a fixed tree**: element `i`
 //!   goes to lane `i % 8` in ascending order, and the lanes reduce as
 //!   `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`. Because the accumulation
 //!   order is fixed per output element and work only ever splits along
@@ -61,13 +61,25 @@
 //! associative, so it has a single implementation — deterministic at any
 //! thread count with no kernel dispatch.
 //!
-//! Cache blocking: [`matmul_blocked`] tiles the output columns and packs
-//! each `[k, tile]` panel of `B` into a contiguous scratch buffer per
-//! tile, so the inner fused multiply-add loop walks two dense arrays that
-//! both fit in cache even when `B`'s rows are long. Blocking wins once
-//! `B`'s working set (`4·k·n` bytes) spills the last-level cache; below
-//! that the packing copy is pure overhead, which is why the default tile
-//! is generous.
+//! Register blocking: [`matmul`], [`matmul_blocked`] and [`matmul_acc`]
+//! share one GEMM routine. It first compacts each `A` row's non-zero
+//! `(k, a)` terms in ascending `k`, without a branch, so the zero-skip
+//! costs no mispredictions on post-ReLU activations. It then covers the
+//! output in 32-, 16- and 8-column strips, two or four rows at a time.
+//! Each block's accumulators stay in registers across the rows' term
+//! lists and are stored once, instead of loading and storing the output
+//! row once per `k`. The last 1–7 columns run as one 8-wide strip over a
+//! zero-padded copy. Cache blocking: [`matmul_blocked`] tiles the output
+//! columns. A tile narrower than `B` packs its `[k, tile]` panel into a
+//! contiguous buffer; a tile that covers `B` reads it in place. Every
+//! output element still adds the same terms in the same ascending order,
+//! so none of this changes a bit.
+//!
+//! The zero-skip is part of the contract, for both kernels: an `a` that
+//! compares equal to zero (`+0.0` or `-0.0`) contributes no term and no
+//! flops, so a skipped zero drops its `0·inf` and `0·NaN` products and
+//! leaves the output finite. A NaN or infinite `a` is not skipped and
+//! propagates.
 //!
 //! ```
 //! use dl_tensor::{par, Tensor};
@@ -179,8 +191,8 @@ pub enum Kernel {
     /// order, bit-identical to the sequential [`Tensor`] kernels. The
     /// oracle every other implementation is tested against.
     Scalar,
-    /// Width-8 explicitly unrolled kernels built on [`f32::mul_add`]
-    /// with the fixed eight-lane tree-reduce for one-output reductions.
+    /// Fused kernels: the GEMM adds each term with [`f32::mul_add`], and
+    /// one-output reductions use the fixed eight-lane tree-reduce.
     /// Bitwise-pinned across thread counts and tile widths; differs from
     /// [`Kernel::Scalar`] only by the fused roundings.
     Unrolled,
@@ -473,20 +485,24 @@ fn ranges(count: usize, parts: usize) -> Vec<(usize, usize)> {
 // ----------------------------------------------------------------------
 
 /// The shared row-range GEMM: computes `out[lo..hi, :] += A[lo..hi, :] · B`
-/// over a caller-provided slice that holds exactly rows `lo..hi`, with
-/// output columns processed `tile` at a time through a packed panel of
-/// `B`. For every output element the `k` accumulation runs in ascending
-/// index order with the sequential kernel's `a == 0.0` skip, so the
-/// result is bit-identical across thread counts and tile widths for
-/// either kernel: [`Kernel::Scalar`] reproduces [`Tensor::matmul`]'s
-/// triple loop exactly, while [`Kernel::Unrolled`] folds each
-/// multiply-add with [`f32::mul_add`] in width-8 chunks — the same
-/// per-element order, one rounding per step instead of two. Returns the
-/// number of non-zero `A` elements visited (counted once per element,
-/// on the first tile), the sequential kernel's `nnz`.
+/// over a caller-provided slice that holds exactly rows `lo..hi`. Both
+/// kernels run this one routine; `FUSED` selects the per-term operation:
+/// `acc + a*b` for [`Kernel::Scalar`] (exactly [`Tensor::matmul`]'s
+/// triple loop) and `a.mul_add(b, acc)` for [`Kernel::Unrolled`] (one
+/// rounding per term instead of two).
+///
+/// Each `A` row's non-zero `(k, a)` terms are compacted once, in
+/// ascending `k` and without a branch. Output columns are then processed
+/// `tile` at a time and, within a tile, in 32/16/8-wide column strips by
+/// [`gemm_block`], whose accumulators stay in registers across the term
+/// lists and are stored once; the last 1..=7 columns run as one padded
+/// 8-wide strip. Every output element therefore
+/// starts from its existing value and adds the same terms in the same
+/// ascending order as the sequential i-k-j loop, so the result is
+/// bit-identical across thread counts and tile widths. Returns the number
+/// of non-zero `A` elements (the sequential kernel's `nnz`).
 #[allow(clippy::too_many_arguments)]
-fn gemm_rows(
-    kern: Kernel,
+fn gemm_rows<const FUSED: bool>(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -496,62 +512,194 @@ fn gemm_rows(
     n: usize,
     tile: usize,
 ) -> u64 {
-    let mut nnz = 0u64;
-    if n == 0 || lo >= hi {
+    if n == 0 || k == 0 || lo >= hi {
         return 0;
     }
-    let mut panel = vec![0.0f32; k * tile.min(n)];
+    assert!(
+        u32::try_from(k).is_ok(),
+        "matmul inner dimension {k} exceeds u32"
+    );
+    // Row r's terms are terms[r*k..r*k + lens[r]]. Every element is
+    // written and only a non-zero advances the cursor, so the zero-skip
+    // costs no mispredicted branch on activations full of exact zeros.
+    let mut terms = vec![(0u32, 0.0f32); (hi - lo) * k];
+    let mut lens = vec![0usize; hi - lo];
+    for ((a_row, row_terms), len) in a[lo * k..hi * k]
+        .chunks_exact(k)
+        .zip(terms.chunks_exact_mut(k))
+        .zip(&mut lens)
+    {
+        let mut c = 0;
+        for (kk, &av) in (0u32..).zip(a_row) {
+            row_terms[c] = (kk, av);
+            c += usize::from(av != 0.0);
+        }
+        *len = c;
+    }
+    let rows = Rows {
+        terms: &terms,
+        lens: &lens,
+        k,
+    };
+    // A tile covering all of B reads it in place; a narrower tile packs
+    // its [k, tw] panel contiguously.
+    let mut panel = if tile < n {
+        vec![0.0f32; k * tile]
+    } else {
+        Vec::new()
+    };
+    let (mut tail_b, mut tail_out) = (Vec::new(), Vec::new());
     let mut j0 = 0usize;
-    let mut first_tile = true;
     while j0 < n {
         let tw = tile.min(n - j0);
-        // Pack B[:, j0..j0+tw] into a contiguous [k, tw] panel so the
-        // inner loop streams it regardless of B's row stride.
-        for kk in 0..k {
-            panel[kk * tw..kk * tw + tw].copy_from_slice(&b[kk * n + j0..kk * n + j0 + tw]);
+        let (bp, stride) = if tw == n {
+            (b, n)
+        } else {
+            for kk in 0..k {
+                panel[kk * tw..kk * tw + tw].copy_from_slice(&b[kk * n + j0..kk * n + j0 + tw]);
+            }
+            (&panel[..k * tw], tw)
+        };
+        let out = &mut out[j0..];
+        let mut j = 0;
+        // Wide strips hold two rows of accumulators, narrow ones four:
+        // enough independent multiply-add chains to hide their latency.
+        while tw - j >= 32 {
+            rows.strip::<2, 32, FUSED>(bp, stride, j, &mut out[j..], n);
+            j += 32;
         }
-        for i in lo..hi {
-            let a_row = &a[i * k..(i + 1) * k];
-            let local = (i - lo) * n + j0;
-            let out_row = &mut out[local..local + tw];
-            for (kk, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue; // the sequential kernel's sparse skip
-                }
-                if first_tile {
-                    nnz += 1;
-                }
-                let b_row = &panel[kk * tw..kk * tw + tw];
-                match kern {
-                    Kernel::Scalar => {
-                        for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                            *o += av * bv;
-                        }
-                    }
-                    Kernel::Unrolled => {
-                        let mut oc = out_row.chunks_exact_mut(8);
-                        let mut bc = b_row.chunks_exact(8);
-                        for (o8, b8) in (&mut oc).zip(&mut bc) {
-                            o8[0] = av.mul_add(b8[0], o8[0]);
-                            o8[1] = av.mul_add(b8[1], o8[1]);
-                            o8[2] = av.mul_add(b8[2], o8[2]);
-                            o8[3] = av.mul_add(b8[3], o8[3]);
-                            o8[4] = av.mul_add(b8[4], o8[4]);
-                            o8[5] = av.mul_add(b8[5], o8[5]);
-                            o8[6] = av.mul_add(b8[6], o8[6]);
-                            o8[7] = av.mul_add(b8[7], o8[7]);
-                        }
-                        for (o, &bv) in oc.into_remainder().iter_mut().zip(bc.remainder()) {
-                            *o = av.mul_add(bv, *o);
-                        }
-                    }
-                }
+        if tw - j >= 16 {
+            rows.strip::<2, 16, FUSED>(bp, stride, j, &mut out[j..], n);
+            j += 16;
+        }
+        if tw - j >= 8 {
+            rows.strip::<4, 8, FUSED>(bp, stride, j, &mut out[j..], n);
+            j += 8;
+        }
+        if j < tw {
+            // The last 1..=7 columns run as one 8-wide strip over padded
+            // copies of B and of the output; the padding lanes are dropped.
+            let w = tw - j;
+            tail_b.resize(k * 8, 0.0);
+            tail_out.resize(lens.len() * 8, 0.0);
+            for (kk, t) in tail_b.chunks_exact_mut(8).enumerate() {
+                t[..w].copy_from_slice(&bp[kk * stride + j..kk * stride + j + w]);
+            }
+            for (t, o) in tail_out.chunks_exact_mut(8).zip(out[j..].chunks_mut(n)) {
+                t[..w].copy_from_slice(&o[..w]);
+            }
+            rows.strip::<4, 8, FUSED>(&tail_b, 8, 0, &mut tail_out, 8);
+            for (t, o) in tail_out.chunks_exact(8).zip(out[j..].chunks_mut(n)) {
+                o[..w].copy_from_slice(&t[..w]);
             }
         }
-        first_tile = false;
         j0 += tw;
     }
-    nnz
+    lens.iter().sum::<usize>() as u64
+}
+
+/// The compacted `A` rows of one [`gemm_rows`] call.
+struct Rows<'t> {
+    terms: &'t [(u32, f32)],
+    lens: &'t [usize],
+    /// Row stride of `terms` (`A`'s column count).
+    k: usize,
+}
+
+impl Rows<'_> {
+    /// Row `r`'s non-zero `(k, a)` terms in ascending `k`.
+    fn row(&self, r: usize) -> &[(u32, f32)] {
+        &self.terms[r * self.k..r * self.k + self.lens[r]]
+    }
+
+    /// One `W`-wide output column strip over every row, `R` rows per
+    /// [`gemm_block`] and the leftover rows one at a time. `B` row `kk`
+    /// of the strip starts at `bp[kk * stride + col]`, output row `r` at
+    /// `out[r * out_stride]`.
+    fn strip<const R: usize, const W: usize, const FUSED: bool>(
+        &self,
+        bp: &[f32],
+        stride: usize,
+        col: usize,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
+        let mut r = 0;
+        while self.lens.len() - r >= R {
+            let mut terms: [&[(u32, f32)]; R] = [&[]; R];
+            for (i, t) in terms.iter_mut().enumerate() {
+                *t = self.row(r + i);
+            }
+            gemm_block::<R, W, FUSED>(
+                terms,
+                bp,
+                stride,
+                col,
+                &mut out[r * out_stride..],
+                out_stride,
+            );
+            r += R;
+        }
+        for r in r..self.lens.len() {
+            let out = &mut out[r * out_stride..];
+            gemm_block::<1, W, FUSED>([self.row(r)], bp, stride, col, out, out_stride);
+        }
+    }
+}
+
+/// The register-blocked micro-kernel: adds each of `R` rows' compacted
+/// `terms` into that row's `W` columns (`out` row `i` starts at
+/// `i * out_stride`), reading `B` at column `col`. The accumulators start
+/// from the stored values and are stored once. The rows advance together
+/// over their common term count, then each finishes its own tail; the
+/// order of terms within every element is unchanged.
+#[inline(always)]
+fn gemm_block<const R: usize, const W: usize, const FUSED: bool>(
+    terms: [&[(u32, f32)]; R],
+    bp: &[f32],
+    stride: usize,
+    col: usize,
+    out: &mut [f32],
+    out_stride: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for (i, acc) in acc.iter_mut().enumerate() {
+        acc.copy_from_slice(&out[i * out_stride..i * out_stride + W]);
+    }
+    let common = terms.iter().map(|t| t.len()).min().unwrap_or(0);
+    for t in 0..common {
+        for (acc, row_terms) in acc.iter_mut().zip(&terms) {
+            gemm_step::<W, FUSED>(acc, row_terms[t], bp, stride, col);
+        }
+    }
+    for (acc, row_terms) in acc.iter_mut().zip(&terms) {
+        for &term in &row_terms[common..] {
+            gemm_step::<W, FUSED>(acc, term, bp, stride, col);
+        }
+    }
+    for (i, acc) in acc.iter().enumerate() {
+        out[i * out_stride..i * out_stride + W].copy_from_slice(acc);
+    }
+}
+
+/// Adds one term `a · B[kk, col..col + W]` into `W` accumulators.
+#[inline(always)]
+fn gemm_step<const W: usize, const FUSED: bool>(
+    acc: &mut [f32; W],
+    (kk, av): (u32, f32),
+    bp: &[f32],
+    stride: usize,
+    col: usize,
+) {
+    let at = kk as usize * stride + col;
+    let b_row: &[f32; W] = bp[at..at + W].try_into().expect("strip is W wide");
+    for (o, &bv) in acc.iter_mut().zip(b_row) {
+        *o = if FUSED {
+            av.mul_add(bv, *o)
+        } else {
+            *o + av * bv
+        };
+    }
 }
 
 /// Validates matmul operands, returning `(m, k, n)`.
@@ -576,31 +724,37 @@ fn gemm_parallel(a: &Tensor, b: &Tensor, out: &mut [f32], k: usize, n: usize, ti
     // Resolve the kernel on the launching thread: workers must not read
     // their own (unset) thread-local override.
     let kern = kernel();
+    let (a, b) = (a.data(), b.data());
+    let rows = |out: &mut [f32], lo: usize, hi: usize| match kern {
+        Kernel::Scalar => gemm_rows::<false>(a, b, out, lo, hi, k, n, tile),
+        Kernel::Unrolled => gemm_rows::<true>(a, b, out, lo, hi, k, n, tile),
+    };
     let m = out.len() / n.max(1);
     let splits = ranges(m, threads());
     if splits.len() <= 1 {
-        return gemm_rows(kern, a.data(), b.data(), out, 0, m, k, n, tile);
+        return rows(out, 0, m);
     }
     let mut shares = vec![0u64; splits.len()];
     {
-        let a_data = a.data();
-        let b_data = b.data();
+        let rows = &rows;
         let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(splits.len());
         let mut remaining = out;
         for (&(lo, hi), share) in splits.iter().zip(shares.iter_mut()) {
             let (mine, rest) = remaining.split_at_mut((hi - lo) * n);
             remaining = rest;
-            tasks.push(Box::new(move || {
-                *share = gemm_rows(kern, a_data, b_data, mine, lo, hi, k, n, tile);
-            }));
+            tasks.push(Box::new(move || *share = rows(mine, lo, hi)));
         }
         run_tasks(tasks);
     }
     shares.iter().sum()
 }
 
-/// Parallel, cache-blocked matrix multiplication, bit-identical to
+/// Parallel, register-blocked matrix multiplication, bit-identical to
 /// [`Tensor::matmul`] and charging the identical [`acct`] cost.
+///
+/// Under both kernels an `a` equal to `±0.0` is skipped: it adds no term
+/// (so `0·inf` and `0·NaN` never reach the output) and no flops. A NaN or
+/// infinite `a` is multiplied like any other value and propagates.
 ///
 /// # Panics
 /// Panics when operands are not matrices or inner dimensions differ.
@@ -635,7 +789,9 @@ pub fn matmul_blocked(a: &Tensor, b: &Tensor, tile_cols: usize) -> Tensor {
 /// sequential zero-skip), so the result is bit-identical at any thread
 /// count and equals `&out + &a.matmul(b)` up to the addition order — the
 /// accumulated form folds each product directly into `out` instead of
-/// summing into a zeroed temporary first.
+/// summing into a zeroed temporary first. The zero-skip is [`matmul`]'s,
+/// so an all-zero `a` row leaves its output row untouched, `-0.0`
+/// included.
 ///
 /// Charges `2·nnz·n` FLOPs and counts `out` among the bytes read.
 ///
@@ -728,39 +884,45 @@ pub fn matmul_q8(
     let za_sb = f64::from(a_zero) * f64::from(b_scale);
     let zb_sa = f64::from(b_zero) * f64::from(a_scale);
     let sa_sb = f64::from(a_scale) * f64::from(b_scale);
+    let col_sums = &col_sums;
+    // Rows lo..hi into `mine`, which holds exactly those rows.
+    let row_loop = |lo: usize, hi: usize, mine: &mut [f32]| {
+        let mut acc = vec![0i64; n];
+        for i in lo..hi {
+            let a_row = &a_codes[i * k..(i + 1) * k];
+            acc.fill(0);
+            let mut row_sum = 0i64;
+            for (kk, &ac) in a_row.iter().enumerate() {
+                let av = i64::from(ac);
+                row_sum += av;
+                if av == 0 {
+                    continue; // 0·b is exactly 0: pure speed, same bits
+                }
+                let b_row = &b_codes[kk * n..(kk + 1) * n];
+                for (s, &bc) in acc.iter_mut().zip(b_row) {
+                    *s += av * i64::from(bc);
+                }
+            }
+            let row_term = base + zb_sa * row_sum as f64;
+            let out_row = &mut mine[(i - lo) * n..(i - lo + 1) * n];
+            for ((o, &s), &cs) in out_row.iter_mut().zip(&acc).zip(col_sums) {
+                *o = (row_term + za_sb * cs as f64 + sa_sb * s as f64) as f32;
+            }
+        }
+    };
     let mut out = vec![0.0f32; m * n];
-    {
-        let splits = ranges(m, t);
-        let col_sums = &col_sums;
+    let splits = ranges(m, t);
+    if splits.len() <= 1 {
+        // One split runs inline, with no boxed task.
+        row_loop(0, m, &mut out);
+    } else {
+        let row_loop = &row_loop;
         let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(splits.len());
         let mut remaining = out.as_mut_slice();
         for &(lo, hi) in &splits {
             let (mine, rest) = remaining.split_at_mut((hi - lo) * n);
             remaining = rest;
-            tasks.push(Box::new(move || {
-                let mut acc = vec![0i64; n];
-                for i in lo..hi {
-                    let a_row = &a_codes[i * k..(i + 1) * k];
-                    acc.fill(0);
-                    let mut row_sum = 0i64;
-                    for (kk, &ac) in a_row.iter().enumerate() {
-                        let av = i64::from(ac);
-                        row_sum += av;
-                        if av == 0 {
-                            continue; // 0·b is exactly 0: pure speed, same bits
-                        }
-                        let b_row = &b_codes[kk * n..(kk + 1) * n];
-                        for (s, &bc) in acc.iter_mut().zip(b_row) {
-                            *s += av * i64::from(bc);
-                        }
-                    }
-                    let row_term = base + zb_sa * row_sum as f64;
-                    let out_row = &mut mine[(i - lo) * n..(i - lo + 1) * n];
-                    for ((o, &s), &cs) in out_row.iter_mut().zip(&acc).zip(col_sums) {
-                        *o = (row_term + za_sb * cs as f64 + sa_sb * s as f64) as f32;
-                    }
-                }
-            }));
+            tasks.push(Box::new(move || row_loop(lo, hi, mine)));
         }
         run_tasks(tasks);
     }

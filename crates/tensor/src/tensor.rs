@@ -462,6 +462,10 @@ impl Tensor {
     /// loop is a contiguous fused multiply-add — the classic cache-friendly
     /// ordering for row-major data.
     ///
+    /// An `a` equal to `±0.0` is skipped: it adds no term and is not
+    /// counted in the charged flops, so a zero in `self` drops its `0·inf`
+    /// and `0·NaN` products. A NaN or infinite `a` propagates.
+    ///
     /// # Panics
     /// Panics when operands are not matrices or inner dimensions differ.
     pub fn matmul(&self, other: &Tensor) -> Self {
