@@ -6,7 +6,7 @@
 //! perturbing the trajectory by a single bit.
 //!
 //! Overhead is *modeled*, not wall-clocked: each recorded event is
-//! charged a generous simulated cost ([`PER_EVENT_SECONDS`], roughly an
+//! charged a generous simulated cost (`PER_EVENT_SECONDS`, 0.5 µs, roughly an
 //! in-memory ring-buffer push plus timestamping on the coordinator) and
 //! compared against the run's simulated seconds. That keeps the
 //! experiment deterministic on any machine, in the same spirit as the

@@ -11,7 +11,7 @@
 //! * [`prune`] — **parameter pruning**: unstructured magnitude pruning,
 //!   first-order loss-saliency pruning, and structural neuron pruning that
 //!   physically shrinks consecutive dense layers.
-//! * [`distill`] — **knowledge distillation**: temperature-softened teacher
+//! * [`distill`](mod@distill) — **knowledge distillation**: temperature-softened teacher
 //!   probabilities transferred into a smaller student.
 //! * [`qnn`] — **native int8 inference**: serve a quantized MLP directly on
 //!   its packed codes (integer GEMM + one affine rescale per output) instead

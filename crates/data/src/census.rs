@@ -65,7 +65,7 @@ pub struct CensusData {
 }
 
 impl CensusData {
-    /// Number of feature columns produced by [`generate`].
+    /// Number of feature columns produced by [`CensusData::generate`].
     pub const FEATURES: usize = 6;
 
     /// Generates the dataset.

@@ -5,15 +5,15 @@
 //!
 //! * [`independent`] — the gold-standard baseline: every member trained
 //!   from scratch. Best accuracy, cost scales linearly with members.
-//! * [`snapshot`] — Snapshot Ensembles: one training run with a cyclic
+//! * [`snapshot`](mod@snapshot) — Snapshot Ensembles: one training run with a cyclic
 //!   cosine schedule; a copy of the model is saved at the end of every
 //!   annealing cycle. M members for the training cost of one.
-//! * [`fge`] — Fast Geometric Ensembles: warm up once, then collect
+//! * [`fge`](mod@fge) — Fast Geometric Ensembles: warm up once, then collect
 //!   models at the minima of short triangular learning-rate cycles.
-//! * [`treenet`] — TreeNets: members share a trunk of early layers and
+//! * [`treenet`](mod@treenet) — TreeNets: members share a trunk of early layers and
 //!   branch into per-member heads; the trunk is trained once and evaluated
 //!   once at inference, cutting memory *and* inference time.
-//! * [`mothernet`] — MotherNets: train a small "mother" network capturing
+//! * [`mothernet`](mod@mothernet) — MotherNets: train a small "mother" network capturing
 //!   the shared structure, hatch every (possibly wider) member from her
 //!   weights, then briefly fine-tune each member.
 //!

@@ -46,7 +46,7 @@ impl BTreeIndex {
         }
     }
 
-    /// Bulk-load with [`DEFAULT_FANOUT`].
+    /// Bulk-load with the default fanout, `DEFAULT_FANOUT` (64).
     pub fn build_default(keys: Vec<u64>) -> Self {
         Self::build(keys, DEFAULT_FANOUT)
     }

@@ -24,7 +24,7 @@ const DRIFT_EPS: f64 = 1e-6;
 /// observed distribution over the same bins.
 ///
 /// `sum_i (o_i - e_i) * ln(o_i / e_i)` with probabilities floored at
-/// [`DRIFT_EPS`]. Conventional reading: `< 0.1` stable, `0.1..0.25`
+/// `DRIFT_EPS` (1e-6). Conventional reading: `< 0.1` stable, `0.1..0.25`
 /// moderate shift, `> 0.25` major shift.
 ///
 /// # Panics
@@ -44,7 +44,7 @@ pub fn psi(expected: &[f64], observed: &[f64]) -> f64 {
 }
 
 /// KL divergence `D(observed || expected)` in nats, with probabilities
-/// floored at [`DRIFT_EPS`].
+/// floored at `DRIFT_EPS` (1e-6).
 ///
 /// # Panics
 /// Panics when the distributions have different lengths.

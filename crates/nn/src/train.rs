@@ -232,7 +232,7 @@ impl Trainer {
     /// Evaluates accuracy of `net` on a dataset without training.
     ///
     /// Runs through the chunked eval-mode forward path so peak
-    /// activation memory is bounded by [`Trainer::EVAL_BATCH`] rows on
+    /// activation memory is bounded by `EVAL_BATCH` (256) rows on
     /// arbitrarily large evaluation sets; chunking is bitwise invisible
     /// (see `predict_batched`).
     pub fn evaluate(net: &mut Network, data: &Dataset) -> f64 {

@@ -160,7 +160,7 @@ pub fn write_chrome_trace_with_flows(
 }
 
 /// The Chrome trace as an in-memory string (convenience over
-/// [`write_chrome_trace`]).
+/// `write_chrome_trace`).
 #[must_use]
 pub fn chrome_trace_to_string(events: &[Event]) -> String {
     let mut buf = Vec::new();

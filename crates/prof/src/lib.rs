@@ -9,7 +9,7 @@
 //!   the FLOPs and bytes its kernels *actually executed*, per layer and
 //!   per phase, next to the static model from `dl-nn::cost`. Untraced
 //!   paths never open a scope, so they stay bit-identical.
-//! * [`analyze`] — trace analysis: consume a `TimelineRecorder` event
+//! * [`analyze`](mod@analyze) — trace analysis: consume a `TimelineRecorder` event
 //!   stream and decompose wall time into compute / sync / checkpoint /
 //!   recovery / replay, extract the critical path through distributed
 //!   sync rounds, and attribute lost time to the workers whose crashes

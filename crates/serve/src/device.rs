@@ -53,7 +53,7 @@ impl DeviceModel {
     /// pool size). Each extra thread is modeled as paying one more launch
     /// overhead, so fanning out is only worth it while every thread's
     /// slice of the serial time covers at least
-    /// [`DeviceModel::MIN_WORK_PER_THREAD_LAUNCHES`] launches — small
+    /// `MIN_WORK_PER_THREAD_LAUNCHES` (4) launches — small
     /// batches (the batch=1 admission path, tiny distilled variants)
     /// stay single-threaded instead of drowning in coordination.
     ///

@@ -37,7 +37,7 @@
 //! end - 8         u64 FNV-1a checksum of every preceding byte
 //! ```
 //!
-//! On top of the raw [`format`] live the model codecs: [`network`]
+//! On top of the raw [`format`](mod@format) live the model codecs: [`network`]
 //! encodes/decodes any `dl_nn::Network` (all eight layer kinds) under a
 //! key prefix so several models share one artifact — which is how
 //! `dl-serve` persists whole variant families.

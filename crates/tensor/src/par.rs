@@ -20,7 +20,7 @@
 //!    same totals the sequential kernel charges. See the merge rule in
 //!    the [`acct`] module docs.
 //! 3. **A persistent pool.** Workers are spawned once (lazily, up to
-//!    [`MAX_THREADS`]) and parked on a condvar between kernels, so a
+//!    `MAX_THREADS`, 64) and parked on a condvar between kernels, so a
 //!    training loop issuing thousands of small launches pays no
 //!    per-kernel thread spawn. Panics inside a worker task are caught
 //!    and re-raised on the calling thread after every sibling task has

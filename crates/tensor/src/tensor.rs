@@ -290,6 +290,18 @@ impl Tensor {
 
     /// Elementwise binary operation with NumPy-style broadcasting.
     ///
+    /// Equal shapes go through [`Tensor::zip`]. Otherwise each operand gets
+    /// broadcast strides (0 on an axis it is broadcast along), and the
+    /// output is written in row-major order by a stride walk: an odometer
+    /// over the outer axes adds each operand's stride when a coordinate
+    /// steps and takes back `stride × dim` when it wraps, and the last axis
+    /// runs as one contiguous loop. A last-axis stride is 0 or 1, so that
+    /// loop has four cases: both operands contiguous, either one held as a
+    /// scalar, or both held. Every output element is `f(a, b)` of the same
+    /// two operand elements NumPy's rule picks, whatever order the walk
+    /// visits them in. The charge is `out.len()` FLOPs, both operands read
+    /// once and the output written once.
+    ///
     /// # Panics
     /// Panics when shapes are not broadcast-compatible.
     fn broadcast_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Self {
@@ -302,23 +314,52 @@ impl Tensor {
                 self.shape, other.shape
             )
         });
-        let mut out = vec![0.0; out_shape.len()];
-        let a_dims = pad_dims(self.shape.dims(), out_shape.rank());
-        let b_dims = pad_dims(other.shape.dims(), out_shape.rank());
-        let a_strides = broadcast_strides(&a_dims, &self.shape);
-        let b_strides = broadcast_strides(&b_dims, &other.shape);
-        let out_strides = out_shape.strides();
-        for (flat, slot) in out.iter_mut().enumerate() {
-            let mut rem = flat;
-            let mut a_off = 0;
-            let mut b_off = 0;
-            for axis in 0..out_shape.rank() {
-                let coord = rem / out_strides[axis];
-                rem %= out_strides[axis];
-                a_off += coord.min(a_dims[axis] - 1) * a_strides[axis];
-                b_off += coord.min(b_dims[axis] - 1) * b_strides[axis];
+        let rank = out_shape.rank();
+        let a_strides = broadcast_strides(&pad_dims(self.shape.dims(), rank), &self.shape);
+        let b_strides = broadcast_strides(&pad_dims(other.shape.dims(), rank), &other.shape);
+        let mut out = Vec::with_capacity(out_shape.len());
+        if !out_shape.is_empty() {
+            let dims = out_shape.dims();
+            // Two distinct shapes broadcast to rank ≥ 1.
+            let last = rank - 1;
+            let inner = dims[last];
+            let (a, b) = (&self.data[..], &other.data[..]);
+            let mut coord = vec![0; last];
+            let (mut a_off, mut b_off) = (0, 0);
+            for _ in 0..out_shape.len() / inner {
+                match (a_strides[last], b_strides[last]) {
+                    (1, 1) => out.extend(
+                        a[a_off..a_off + inner]
+                            .iter()
+                            .zip(&b[b_off..b_off + inner])
+                            .map(|(&x, &y)| f(x, y)),
+                    ),
+                    (1, _) => {
+                        let y = b[b_off];
+                        out.extend(a[a_off..a_off + inner].iter().map(|&x| f(x, y)));
+                    }
+                    (_, 1) => {
+                        let x = a[a_off];
+                        out.extend(b[b_off..b_off + inner].iter().map(|&y| f(x, y)));
+                    }
+                    _ => {
+                        let (x, y) = (a[a_off], b[b_off]);
+                        out.extend((0..inner).map(|_| f(x, y)));
+                    }
+                }
+                // After the last row every axis wraps back to 0.
+                for axis in (0..last).rev() {
+                    coord[axis] += 1;
+                    a_off += a_strides[axis];
+                    b_off += b_strides[axis];
+                    if coord[axis] < dims[axis] {
+                        break;
+                    }
+                    coord[axis] = 0;
+                    a_off -= a_strides[axis] * dims[axis];
+                    b_off -= b_strides[axis] * dims[axis];
+                }
             }
-            *slot = f(self.data[a_off], other.data[b_off]);
         }
         acct::charge(
             out.len() as u64,

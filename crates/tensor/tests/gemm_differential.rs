@@ -11,6 +11,9 @@
 //!   each non-zero `a`'s fused products into the output row in ascending
 //!   `k`;
 //! * both must charge the sequential kernel's `acct` cost.
+//!
+//! The same check runs again with NaN, ±inf and subnormals placed in `B`
+//! and at random positions of `A`. A NaN result only has to be a NaN.
 
 use dl_tensor::acct::{self, OpCost};
 use dl_tensor::par::{self, Kernel};
@@ -73,12 +76,61 @@ fn ikj(a: &Tensor, b: &Tensor, out: &mut [f32], fused: bool) -> u64 {
     nnz
 }
 
+/// Bit patterns, with every NaN mapped to `f32::NAN`'s. Rust leaves the
+/// sign and payload of a NaN result open, and the kernels and oracles do
+/// differ there once NaNs meet. Everything else, `-0.0` and subnormals
+/// included, is compared exactly.
 fn bits(xs: &[f32]) -> Vec<u32> {
-    xs.iter().map(|x| x.to_bits()).collect()
+    xs.iter()
+        .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+        .collect()
 }
 
 fn run<R>(kern: Kernel, threads: usize, f: impl FnOnce() -> R) -> (R, OpCost) {
     acct::measure(|| par::with_kernel(kern, || par::with_threads(threads, f)))
+}
+
+/// Runs `a · b` through `matmul_blocked` at every thread count and tile
+/// width, and `start += a · b` through `matmul_acc`, on both kernels:
+/// `Kernel::Scalar` must give `Tensor::matmul`'s bits and [`ikj`]'s
+/// unfused sums, `Kernel::Unrolled` [`ikj`]'s fused ones, each with the
+/// sequential kernel's charge.
+fn check_against_oracles(a: &Tensor, b: &Tensor, start: &Tensor) {
+    let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
+    let shape = format!("({m},{k},{n})");
+
+    let (scalar_want, seq_cost) = acct::measure(|| a.matmul(b));
+    let mut fused_want = vec![0.0f32; m * n];
+    let nnz = ikj(a, b, &mut fused_want, true);
+    assert_eq!(seq_cost.flops, 2 * nnz * n as u64, "{shape}: oracle nnz");
+    let mut acc_want = [start.data().to_vec(), start.data().to_vec()];
+    ikj(a, b, &mut acc_want[0], false);
+    ikj(a, b, &mut acc_want[1], true);
+    let acc_cost = OpCost {
+        flops: seq_cost.flops,
+        bytes_read: 4 * (m * k + k * n + m * n) as u64,
+        bytes_written: 4 * (m * n) as u64,
+    };
+
+    for (kern, want, acc_want) in [
+        (Kernel::Scalar, scalar_want.data(), &acc_want[0]),
+        (Kernel::Unrolled, &fused_want[..], &acc_want[1]),
+    ] {
+        for t in THREADS {
+            for tile in TILES {
+                let (got, cost) = run(kern, t, || par::matmul_blocked(a, b, tile));
+                let at = format!("{kern:?} {shape} threads {t} tile {tile}");
+                assert_eq!(got.dims(), &[m, n], "{at}");
+                assert_eq!(bits(got.data()), bits(want), "{at}");
+                assert_eq!(cost, seq_cost, "{at}: charge");
+            }
+            let mut out = start.clone();
+            let ((), cost) = run(kern, t, || par::matmul_acc(a, b, &mut out));
+            let at = format!("{kern:?} matmul_acc {shape} threads {t}");
+            assert_eq!(bits(out.data()), bits(acc_want), "{at}");
+            assert_eq!(cost, acc_cost, "{at}: charge");
+        }
+    }
 }
 
 #[test]
@@ -92,44 +144,48 @@ fn both_kernels_match_their_oracles_bitwise_with_equal_charges() {
             let a = operand(m, k, true, &mut rng);
             let b = operand(k, n, false, &mut rng);
             let start = operand(m, n, true, &mut rng);
-            let shape = format!("({m},{k},{n})");
-
-            let (scalar_want, seq_cost) = acct::measure(|| a.matmul(&b));
-            let mut fused_want = vec![0.0f32; m * n];
-            let nnz = ikj(&a, &b, &mut fused_want, true);
-            assert_eq!(seq_cost.flops, 2 * nnz * n as u64, "{shape}: oracle nnz");
-            let mut acc_want = [start.data().to_vec(), start.data().to_vec()];
-            ikj(&a, &b, &mut acc_want[0], false);
-            ikj(&a, &b, &mut acc_want[1], true);
-            let acc_cost = OpCost {
-                flops: seq_cost.flops,
-                bytes_read: 4 * (m * k + k * n + m * n) as u64,
-                bytes_written: 4 * (m * n) as u64,
-            };
-
-            for (kern, want, acc_want) in [
-                (Kernel::Scalar, scalar_want.data(), &acc_want[0]),
-                (Kernel::Unrolled, &fused_want[..], &acc_want[1]),
-            ] {
-                for t in THREADS {
-                    for tile in TILES {
-                        let (got, cost) = run(kern, t, || par::matmul_blocked(&a, &b, tile));
-                        let at = format!("{kern:?} {shape} threads {t} tile {tile}");
-                        assert_eq!(got.dims(), &[m, n], "{at}");
-                        assert_eq!(bits(got.data()), bits(want), "{at}");
-                        assert_eq!(cost, seq_cost, "{at}: charge");
-                    }
-                    let mut out = start.clone();
-                    let ((), cost) = run(kern, t, || par::matmul_acc(&a, &b, &mut out));
-                    let at = format!("{kern:?} matmul_acc {shape} threads {t}");
-                    assert_eq!(bits(out.data()), bits(acc_want), "{at}");
-                    assert_eq!(cost, acc_cost, "{at}: charge");
-                }
-            }
+            check_against_oracles(&a, &b, &start);
             cases += 1;
         }
     }
     assert_eq!(cases, 8 * widths().len());
+}
+
+/// Replaces about one element in `every` of `t` with NaN, ±inf or a
+/// subnormal, at seeded positions.
+fn sprinkle_specials(t: &mut Tensor, every: u32, rng: &mut rand::rngs::StdRng) {
+    const SPECIAL: [f32; 6] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE / 8.0,
+        -f32::MIN_POSITIVE / 1024.0,
+        f32::from_bits(1),
+    ];
+    for x in t.data_mut() {
+        if rng.gen_range(0..every) == 0 {
+            *x = SPECIAL[rng.gen_range(0..SPECIAL.len())];
+        }
+    }
+}
+
+#[test]
+fn special_values_in_b_and_anywhere_in_a_match_the_oracles() {
+    let mut rng = init::rng(0x5bec);
+    for n in widths() {
+        for _ in 0..4 {
+            let m = MS[rng.gen_range(0..MS.len())];
+            let k = KS[rng.gen_range(0..KS.len())];
+            let mut a = operand(m, k, true, &mut rng);
+            let mut b = operand(k, n, false, &mut rng);
+            let start = operand(m, n, true, &mut rng);
+            // Specials in B meet both skipped zeros and live values of A;
+            // specials in A land in any row, column and strip.
+            sprinkle_specials(&mut b, 16, &mut rng);
+            sprinkle_specials(&mut a, 32, &mut rng);
+            check_against_oracles(&a, &b, &start);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
