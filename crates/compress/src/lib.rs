@@ -32,6 +32,6 @@ pub use distill::{distill, DistillConfig, DistillReport};
 pub use qnn::{QuantizedDense, QuantizedMlp};
 pub use prune::{filter_prune, magnitude_prune, neuron_prune, saliency_prune, sparsity, PruneReport};
 pub use quant::{
-    binarize_network, quantize_network, quantize_network_tensors, CodebookQuantizer, HuffmanCode,
-    QuantScheme, QuantizedTensor,
+    quantize_network, quantize_network_tensors, CodebookQuantizer, HuffmanCode, QuantScheme,
+    QuantizedTensor,
 };

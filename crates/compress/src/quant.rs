@@ -9,8 +9,8 @@
 //! * [`QuantizedTensor`] — per-tensor affine codes at 1-8 bits,
 //! * [`CodebookQuantizer`] — 1-D k-means (Lloyd) centroids, the scalar form
 //!   of vector quantization,
-//! * [`binarize_network`] — sign(w) times a per-tensor scale, the Binary
-//!   Neural Network extreme,
+//! * [`QuantScheme::Binary`] — sign(w) times a per-tensor scale, the
+//!   Binary Neural Network extreme,
 //! * [`HuffmanCode`] — entropy coding of the codes, measuring how far the
 //!   lossless half can shrink things.
 
@@ -540,11 +540,6 @@ pub fn quantize_network_tensors(
     )
 }
 
-/// Convenience wrapper: [`quantize_network`] with [`QuantScheme::Binary`].
-pub fn binarize_network(net: &Network) -> (Network, QuantReport) {
-    quantize_network(net, QuantScheme::Binary)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,7 +772,7 @@ mod tests {
         let acc8 = Trainer::evaluate(&mut q8, &data);
         assert!(rep8.ratio() > 3.5, "8-bit ratio {}", rep8.ratio());
         assert!(base_acc - acc8 < 0.02, "8-bit hurt too much: {base_acc} -> {acc8}");
-        let (mut q1, rep1) = binarize_network(&net);
+        let (mut q1, rep1) = quantize_network(&net, QuantScheme::Binary);
         let acc1 = Trainer::evaluate(&mut q1, &data);
         assert!(rep1.ratio() > 20.0);
         // binary is allowed to hurt, but the report must still be coherent

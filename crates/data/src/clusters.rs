@@ -1,4 +1,4 @@
-//! Gaussian blob and two-moons generators.
+//! Gaussian blob generators.
 
 use dl_nn::Dataset;
 use dl_tensor::{init, Tensor};
@@ -39,35 +39,6 @@ pub fn blobs(n: usize, k: usize, dim: usize, separation: f32, noise: f32, seed: 
         Tensor::from_vec(xs, [n, dim]).expect("length matches by construction"),
         ys,
         k,
-    )
-}
-
-/// The classic two interleaved half-moons in 2-D: linearly inseparable,
-/// good for showing why depth matters.
-pub fn two_moons(n: usize, noise: f32, seed: u64) -> Dataset {
-    assert!(n > 0, "two_moons requires positive n");
-    let mut rng = init::rng(seed);
-    let mut xs = Vec::with_capacity(n * 2);
-    let mut ys = Vec::with_capacity(n);
-    for i in 0..n {
-        let c = i % 2;
-        let t = std::f32::consts::PI * (i / 2) as f32 / ((n / 2).max(1) as f32);
-        let (mut x, mut y) = if c == 0 {
-            (t.cos(), t.sin())
-        } else {
-            (1.0 - t.cos(), 0.5 - t.sin())
-        };
-        let jitter = init::normal([2], 0.0, noise, &mut rng);
-        x += jitter.data()[0];
-        y += jitter.data()[1];
-        xs.push(x);
-        xs.push(y);
-        ys.push(c);
-    }
-    Dataset::new(
-        Tensor::from_vec(xs, [n, 2]).expect("length matches by construction"),
-        ys,
-        2,
     )
 }
 
@@ -132,13 +103,6 @@ mod tests {
             }
         }
         assert!(within / wn as f32 * 2.0 < across / an as f32);
-    }
-
-    #[test]
-    fn two_moons_is_balanced_and_2d() {
-        let d = two_moons(100, 0.05, 0);
-        assert_eq!(d.x.dims(), &[100, 2]);
-        assert_eq!(d.y.iter().filter(|&&y| y == 0).count(), 50);
     }
 
     #[test]

@@ -37,7 +37,7 @@ const SEGMENTS: [[bool; 7]; 10] = [
 ///
 /// # Panics
 /// Panics when `digit >= 10`.
-pub fn render_digit(digit: usize) -> Vec<f32> {
+fn render_digit(digit: usize) -> Vec<f32> {
     assert!(digit < 10, "digit must be 0-9, got {digit}");
     let s = DIGIT_SIDE;
     let mut img = vec![0.0f32; s * s];

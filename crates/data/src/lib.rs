@@ -6,7 +6,7 @@
 //! equivalent that exercises the same code paths (see the substitution
 //! table in `DESIGN.md`):
 //!
-//! * [`clusters`] — Gaussian blobs and two-moons in arbitrary dimension;
+//! * [`clusters`] — Gaussian blobs in arbitrary dimension;
 //!   the workhorse for classification, ensembles and t-SNE experiments.
 //! * [`digits`] — procedural 12x12 "digit" glyph images with stroke jitter;
 //!   a stand-in for MNIST that convolutional layers, quantization and
@@ -36,7 +36,7 @@ pub mod tabular;
 
 pub use canopy::{CanopyStats, DataCanopy};
 pub use census::{CensusConfig, CensusData};
-pub use clusters::{blobs, high_dim_clusters, two_moons};
-pub use digits::{digits_dataset, render_digit, DIGIT_CLASSES, DIGIT_SIDE};
+pub use clusters::{blobs, high_dim_clusters};
+pub use digits::{digits_dataset, DIGIT_CLASSES, DIGIT_SIDE};
 pub use keys::{KeyDistribution, RangeWorkload};
 pub use tabular::{CorrelatedTable, RangePredicate};

@@ -6,11 +6,22 @@
 //! gracefully. `sync_period == 1` recovers fully-synchronous data-parallel
 //! training (each worker still takes its own local step before averaging,
 //! the standard local-update formulation).
+//!
+//! [`local_sgd`] is the fault-free case of the one Local SGD loop in
+//! [`crate::resilient`]: it runs that loop with an empty [`FaultPlan`] and
+//! no checkpoints, so both drivers share every RNG draw and every
+//! arithmetic step. The module also holds the round-robin shards and
+//! seeded per-worker sampling streams that loop and
+//! [`crate::gradcomp::compressed_sgd`] draw their minibatches from.
 
+use crate::fault::FaultPlan;
+use crate::resilient::{self, ResilientConfig};
 use crate::sim::Cluster;
-use dl_nn::{loss::one_hot, Dataset, Loss, Network, Optimizer};
+use dl_nn::{loss::one_hot, Dataset, Loss, Network};
 use dl_obs::{fields, NullRecorder, Recorder, ToFields};
 use dl_tensor::init;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 /// Local SGD configuration.
 #[derive(Debug, Clone)]
@@ -89,6 +100,8 @@ pub fn local_sgd(
 /// [`local_sgd`] with tracing: the run, each averaging round, and the
 /// communicated bytes are emitted onto `rec`, with the recorder's
 /// [`dl_obs::VirtualClock`] mirroring the report's simulated seconds.
+/// Inside the `local_sgd` run span the events are exactly those of a
+/// fault-free [`crate::resilient::resilient_local_sgd_traced`] run.
 ///
 /// The recorder only *observes* — it never participates in an RNG draw or
 /// an arithmetic operation — so the trajectory is bit-identical to the
@@ -104,226 +117,98 @@ pub fn local_sgd_traced(
     config: &LocalSgdConfig,
     rec: &dyn Recorder,
 ) -> (Network, LocalSgdReport) {
-    assert!(config.sync_period > 0, "sync_period must be positive");
-    let workers = cluster.len();
-    assert!(
-        data.len() >= workers,
-        "dataset of {} rows cannot shard across {workers} workers",
-        data.len()
-    );
-    // identical initialization on every worker (standard practice)
-    let mut seed_rng = init::rng(config.seed);
-    let reference = Network::mlp(dims, &mut seed_rng);
-    let mut nets: Vec<Network> = (0..workers).map(|_| reference.clone()).collect();
-    let mut opts: Vec<Optimizer> = (0..workers).map(|_| Optimizer::sgd(config.lr)).collect();
-    // round-robin shards
-    let shards: Vec<Vec<usize>> = (0..workers)
-        .map(|w| (w..data.len()).step_by(workers).collect())
-        .collect();
-    let mut shard_rngs: Vec<_> = (0..workers)
-        .map(|w| init::rng(config.seed.wrapping_add(w as u64 + 1)))
-        .collect();
-    let step_flops = reference.cost_profile(config.batch_size).train_step_flops();
-    let grad_bytes = (reference.param_count() * 4) as u64;
-    let mut bytes = 0u64;
-    let mut seconds = 0.0f64;
-    let mut rounds = 0usize;
-    // Simulated-time origin: the shared clock may already be past zero
-    // when several runs trace onto one recorder.
-    let t0 = rec.clock().now();
     let run_span = rec.span_start(
         0,
         "local_sgd",
         fields! {
-            "workers" => workers,
+            "workers" => cluster.len(),
             "sync_period" => config.sync_period,
             "steps" => config.steps,
         },
     );
-    for step in 0..config.steps {
-        for w in 0..workers {
-            // sample a batch from this worker's shard
-            let idx: Vec<usize> = (0..config.batch_size)
-                .map(|_| shards[w][init::sample_indices(shards[w].len(), 1, &mut shard_rngs[w])[0]])
-                .collect();
-            let xb = data.x.select_rows(&idx);
-            let labels: Vec<usize> = idx.iter().map(|&i| data.y[i]).collect();
-            let targets = one_hot(&labels, data.classes);
-            nets[w].zero_grads();
-            let logits = nets[w].forward(&xb, true);
-            let (_, grad) = Loss::SoftmaxCrossEntropy.evaluate(&logits, &targets);
-            nets[w].backward(&grad);
-            let mut pg = nets[w].params_and_grads();
-            opts[w].step(&mut pg, 1.0);
-        }
-        // compute time: workers run in parallel, slowest dominates
-        seconds += cluster
-            .devices
-            .iter()
-            .map(|d| d.compute_time(step_flops))
-            .fold(0.0, f64::max);
-        rec.clock().set(t0 + seconds);
-        if (step + 1) % config.sync_period == 0 {
-            let round_span =
-                rec.span_start(0, "sync_round", fields! { "round" => rounds, "step" => step });
-            average_params(&mut nets);
-            seconds += cluster.allreduce_time(grad_bytes);
-            bytes += grad_bytes * workers as u64;
-            rounds += 1;
-            rec.clock().set(t0 + seconds);
-            rec.counter(0, "bytes_communicated", grad_bytes * workers as u64);
-            rec.span_end(round_span, fields! { "bytes" => grad_bytes * workers as u64 });
-        }
-    }
-    average_params(&mut nets);
-    let mut model = nets.swap_remove(0);
-    model.clear_caches();
-    let accuracy = dl_nn::metrics::accuracy(&model.predict(&eval.x), &eval.y);
+    let fault_free = ResilientConfig {
+        base: config.clone(),
+        checkpoint_interval: 0,
+        ..ResilientConfig::default()
+    };
+    let (model, run) = resilient::train(
+        cluster,
+        data,
+        eval,
+        dims,
+        &fault_free,
+        &FaultPlan::none(),
+        rec,
+    );
     let report = LocalSgdReport {
-        sync_period: config.sync_period,
-        accuracy,
-        bytes_communicated: bytes,
-        simulated_seconds: seconds,
-        sync_rounds: rounds,
+        sync_period: run.sync_period,
+        accuracy: run.accuracy,
+        bytes_communicated: run.bytes_communicated,
+        simulated_seconds: run.simulated_seconds,
+        sync_rounds: run.sync_rounds,
     };
     rec.span_end(run_span, report.to_fields());
     (model, report)
 }
 
-/// Local SGD with **failure injection**: `failures` lists `(step, worker)`
-/// pairs; from its failure step onward a worker stops training and stops
-/// contributing to averages (crash-stop). Training proceeds on the
-/// survivors — the graceful-degradation behaviour a synchronous system
-/// must exhibit.
-///
-/// Returns the model, the report, and the number of workers still alive.
-///
-/// # Panics
-/// Panics when every worker fails, or on the same invalid inputs as
-/// [`local_sgd`].
-pub fn local_sgd_with_failures(
-    cluster: &Cluster,
-    data: &Dataset,
-    eval: &Dataset,
-    dims: &[usize],
-    config: &LocalSgdConfig,
-    failures: &[(usize, usize)],
-) -> (Network, LocalSgdReport, usize) {
-    assert!(config.sync_period > 0, "sync_period must be positive");
-    let workers = cluster.len();
-    assert!(
-        failures.iter().all(|&(_, w)| w < workers),
-        "failure names an unknown worker"
-    );
-    let mut seed_rng = init::rng(config.seed);
-    let reference = Network::mlp(dims, &mut seed_rng);
-    let mut nets: Vec<Network> = (0..workers).map(|_| reference.clone()).collect();
-    let mut opts: Vec<Optimizer> = (0..workers).map(|_| Optimizer::sgd(config.lr)).collect();
-    let mut alive = vec![true; workers];
-    let shards: Vec<Vec<usize>> = (0..workers)
-        .map(|w| (w..data.len()).step_by(workers).collect())
-        .collect();
-    let mut shard_rngs: Vec<_> = (0..workers)
-        .map(|w| init::rng(config.seed.wrapping_add(w as u64 + 1)))
-        .collect();
-    let step_flops = reference.cost_profile(config.batch_size).train_step_flops();
-    let grad_bytes = (reference.param_count() * 4) as u64;
-    let mut bytes = 0u64;
-    let mut seconds = 0.0f64;
-    let mut rounds = 0usize;
-    for step in 0..config.steps {
-        for &(fail_step, worker) in failures {
-            if fail_step == step {
-                alive[worker] = false;
-            }
-        }
-        let living: Vec<usize> = (0..workers).filter(|&w| alive[w]).collect();
-        assert!(!living.is_empty(), "all workers failed at step {step}");
-        for &w in &living {
-            let idx: Vec<usize> = (0..config.batch_size)
-                .map(|_| shards[w][init::sample_indices(shards[w].len(), 1, &mut shard_rngs[w])[0]])
-                .collect();
-            let xb = data.x.select_rows(&idx);
-            let labels: Vec<usize> = idx.iter().map(|&i| data.y[i]).collect();
-            let targets = one_hot(&labels, data.classes);
-            nets[w].zero_grads();
-            let logits = nets[w].forward(&xb, true);
-            let (_, grad) = Loss::SoftmaxCrossEntropy.evaluate(&logits, &targets);
-            nets[w].backward(&grad);
-            let mut pg = nets[w].params_and_grads();
-            opts[w].step(&mut pg, 1.0);
-        }
-        seconds += cluster
-            .devices
-            .iter()
-            .map(|d| d.compute_time(step_flops))
-            .fold(0.0, f64::max);
-        if (step + 1) % config.sync_period == 0 {
-            average_surviving(&mut nets, &alive);
-            seconds += cluster.allreduce_time(grad_bytes);
-            bytes += grad_bytes * living.len() as u64;
-            rounds += 1;
-        }
-    }
-    average_surviving(&mut nets, &alive);
-    let survivor = (0..workers).find(|&w| alive[w]).expect("checked above");
-    let mut model = nets.swap_remove(survivor);
-    model.clear_caches();
-    let accuracy = dl_nn::metrics::accuracy(&model.predict(&eval.x), &eval.y);
-    let living = alive.iter().filter(|&&a| a).count();
-    (
-        model,
-        LocalSgdReport {
-            sync_period: config.sync_period,
-            accuracy,
-            bytes_communicated: bytes,
-            simulated_seconds: seconds,
-            sync_rounds: rounds,
-        },
-        living,
-    )
+/// A dataset split round-robin into one shard per worker, each sampled by
+/// its own seeded stream (`seed + w + 1`; `seed` itself initialises the
+/// model).
+pub(crate) struct Shards<'a> {
+    data: &'a Dataset,
+    seed: u64,
+    rows: Vec<Vec<usize>>,
+    rngs: Vec<StdRng>,
 }
 
-/// Averages parameters over surviving workers only (also the averaging
-/// primitive of [`crate::resilient`]'s elastic driver).
-pub(crate) fn average_surviving(nets: &mut [Network], alive: &[bool]) {
-    let living: Vec<usize> = (0..nets.len()).filter(|&w| alive[w]).collect();
-    if living.len() <= 1 {
-        return;
-    }
-    let mut mean = nets[living[0]].flat_params();
-    for &w in living.iter().skip(1) {
-        for (m, v) in mean.iter_mut().zip(nets[w].flat_params()) {
-            *m += v;
+impl<'a> Shards<'a> {
+    /// # Panics
+    /// Panics when `data` has fewer rows than there are workers.
+    pub(crate) fn new(data: &'a Dataset, workers: usize, seed: u64) -> Self {
+        assert!(
+            data.len() >= workers,
+            "dataset of {} rows cannot shard across {workers} workers",
+            data.len()
+        );
+        Shards {
+            data,
+            seed,
+            rows: (0..workers)
+                .map(|w| (w..data.len()).step_by(workers).collect())
+                .collect(),
+            rngs: (0..workers).map(|w| stream(seed, w)).collect(),
         }
     }
-    let n = living.len() as f32;
-    for m in &mut mean {
-        *m /= n;
+
+    /// Rewinds worker `w`'s stream to its state after `draws` samples.
+    pub(crate) fn replay(&mut self, w: usize, draws: u64) {
+        let mut rng = stream(self.seed, w);
+        for _ in 0..draws {
+            let _: usize = rng.gen_range(0..self.rows[w].len());
+        }
+        self.rngs[w] = rng;
     }
-    for &w in &living {
-        nets[w].set_flat_params(&mean);
+
+    /// Draws worker `w`'s next `batch_size` rows (with replacement) from
+    /// its shard and backpropagates their softmax cross-entropy through
+    /// `net`, leaving the gradients in `net`.
+    pub(crate) fn backprop(&mut self, w: usize, net: &mut Network, batch_size: usize) {
+        let (shard, rng) = (&self.rows[w], &mut self.rngs[w]);
+        let idx: Vec<usize> = (0..batch_size)
+            .map(|_| shard[rng.gen_range(0..shard.len())])
+            .collect();
+        let xb = self.data.x.select_rows(&idx);
+        let labels: Vec<usize> = idx.iter().map(|&i| self.data.y[i]).collect();
+        let targets = one_hot(&labels, self.data.classes);
+        net.zero_grads();
+        let logits = net.forward(&xb, true);
+        let (_, grad) = Loss::SoftmaxCrossEntropy.evaluate(&logits, &targets);
+        net.backward(&grad);
     }
 }
 
-/// Replaces every network's parameters with the elementwise mean.
-fn average_params(nets: &mut [Network]) {
-    if nets.len() <= 1 {
-        return;
-    }
-    let mut mean = nets[0].flat_params();
-    for net in nets.iter().skip(1) {
-        for (m, v) in mean.iter_mut().zip(net.flat_params()) {
-            *m += v;
-        }
-    }
-    let n = nets.len() as f32;
-    for m in &mut mean {
-        *m /= n;
-    }
-    for net in nets.iter_mut() {
-        net.set_flat_params(&mean);
-    }
+fn stream(seed: u64, worker: usize) -> StdRng {
+    init::rng(seed.wrapping_add(worker as u64 + 1))
 }
 
 #[cfg(test)]
@@ -334,27 +219,6 @@ mod tests {
 
     fn cluster(n: usize) -> Cluster {
         Cluster::homogeneous(n, Device::accelerator(), Link::ethernet())
-    }
-
-    #[test]
-    fn average_params_is_elementwise_mean() {
-        let mut r = init::rng(0);
-        let a = Network::mlp(&[2, 3, 2], &mut r);
-        let b = Network::mlp(&[2, 3, 2], &mut r);
-        let expected: Vec<f32> = a
-            .flat_params()
-            .iter()
-            .zip(b.flat_params())
-            .map(|(&x, y)| (x + y) / 2.0)
-            .collect();
-        let mut nets = vec![a, b];
-        average_params(&mut nets);
-        for net in &nets {
-            let got = net.flat_params();
-            for (g, e) in got.iter().zip(&expected) {
-                assert!((g - e).abs() < 1e-6);
-            }
-        }
     }
 
     #[test]
@@ -421,62 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn training_survives_worker_failures() {
-        let data = blobs(200, 2, 4, 6.0, 0.4, 10);
-        let eval = blobs(80, 2, 4, 6.0, 0.4, 11);
-        // two of four workers crash mid-training
-        let (_, report, living) = local_sgd_with_failures(
-            &cluster(4),
-            &data,
-            &eval,
-            &[4, 16, 2],
-            &LocalSgdConfig {
-                steps: 150,
-                ..LocalSgdConfig::default()
-            },
-            &[(40, 1), (80, 3)],
-        );
-        assert_eq!(living, 2);
-        assert!(
-            report.accuracy > 0.9,
-            "survivors should still learn: {}",
-            report.accuracy
-        );
-    }
-
-    #[test]
-    fn no_failures_matches_plain_local_sgd() {
-        let data = blobs(120, 2, 3, 6.0, 0.4, 12);
-        let cfg = LocalSgdConfig {
-            steps: 60,
-            ..LocalSgdConfig::default()
-        };
-        let (m1, r1) = local_sgd(&cluster(3), &data, &data, &[3, 8, 2], &cfg);
-        let (m2, r2, living) =
-            local_sgd_with_failures(&cluster(3), &data, &data, &[3, 8, 2], &cfg, &[]);
-        assert_eq!(living, 3);
-        assert_eq!(r1.accuracy, r2.accuracy);
-        assert_eq!(m1.flat_params(), m2.flat_params());
-    }
-
-    #[test]
-    #[should_panic(expected = "all workers failed")]
-    fn total_failure_is_fatal() {
-        let data = blobs(60, 2, 3, 6.0, 0.4, 13);
-        let _ = local_sgd_with_failures(
-            &cluster(2),
-            &data,
-            &data,
-            &[3, 4, 2],
-            &LocalSgdConfig {
-                steps: 20,
-                ..LocalSgdConfig::default()
-            },
-            &[(5, 0), (5, 1)],
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "sync_period must be positive")]
     fn zero_period_rejected() {
         let data = blobs(50, 2, 3, 6.0, 0.4, 5);
@@ -502,37 +310,6 @@ mod tests {
             &data,
             &[3, 4, 2],
             &LocalSgdConfig::default(),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "sync_period must be positive")]
-    fn zero_period_rejected_with_failures() {
-        let data = blobs(50, 2, 3, 6.0, 0.4, 7);
-        let _ = local_sgd_with_failures(
-            &cluster(2),
-            &data,
-            &data,
-            &[3, 4, 2],
-            &LocalSgdConfig {
-                sync_period: 0,
-                ..LocalSgdConfig::default()
-            },
-            &[],
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown worker")]
-    fn failure_for_unknown_worker_rejected() {
-        let data = blobs(50, 2, 3, 6.0, 0.4, 8);
-        let _ = local_sgd_with_failures(
-            &cluster(2),
-            &data,
-            &data,
-            &[3, 4, 2],
-            &LocalSgdConfig::default(),
-            &[(5, 9)],
         );
     }
 

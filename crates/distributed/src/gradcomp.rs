@@ -11,8 +11,9 @@
 //! The compressor is exact about the bytes it would put on the wire, so
 //! experiments can plot accuracy against real communication volume.
 
+use crate::datapar::Shards;
 use crate::sim::Cluster;
-use dl_nn::{loss::one_hot, Dataset, Loss, Network, Optimizer};
+use dl_nn::{Dataset, Network, Optimizer};
 use dl_tensor::init;
 
 /// A lossy gradient encoder with error feedback.
@@ -144,7 +145,12 @@ impl GradCompressionReport {
 ///
 /// Workers compute gradients on their shards, compress with error
 /// feedback, and the (decoded) compressed gradients are averaged and
-/// applied by every worker identically.
+/// applied by every worker identically. Sharding and per-worker sampling
+/// streams are those of [`crate::datapar::local_sgd`].
+///
+/// # Panics
+/// Panics when the dataset is smaller than the worker count, or on an
+/// invalid compressor.
 #[allow(clippy::too_many_arguments)]
 pub fn compressed_sgd(
     cluster: &Cluster,
@@ -180,15 +186,10 @@ pub fn compressed_sgd_opts(
     error_feedback: bool,
 ) -> (Network, GradCompressionReport) {
     let workers = cluster.len();
+    let mut shards = Shards::new(data, workers, seed);
     let mut seed_rng = init::rng(seed);
     let mut model = Network::mlp(dims, &mut seed_rng);
     let mut opt = Optimizer::sgd(lr);
-    let shards: Vec<Vec<usize>> = (0..workers)
-        .map(|w| (w..data.len()).step_by(workers).collect())
-        .collect();
-    let mut shard_rngs: Vec<_> = (0..workers)
-        .map(|w| init::rng(seed.wrapping_add(w as u64 + 1)))
-        .collect();
     let nparams = model.param_count();
     let mut residuals = vec![vec![0.0f32; nparams]; workers];
     let step_flops = model.cost_profile(batch_size).train_step_flops();
@@ -197,21 +198,12 @@ pub fn compressed_sgd_opts(
     for _ in 0..steps {
         let mut mean_grad = vec![0.0f32; nparams];
         let mut step_bytes = 0u64;
-        for w in 0..workers {
-            let idx: Vec<usize> = (0..batch_size)
-                .map(|_| shards[w][init::sample_indices(shards[w].len(), 1, &mut shard_rngs[w])[0]])
-                .collect();
-            let xb = data.x.select_rows(&idx);
-            let labels: Vec<usize> = idx.iter().map(|&i| data.y[i]).collect();
-            let targets = one_hot(&labels, data.classes);
-            model.zero_grads();
-            let logits = model.forward(&xb, true);
-            let (_, grad) = Loss::SoftmaxCrossEntropy.evaluate(&logits, &targets);
-            model.backward(&grad);
+        for (w, residual) in residuals.iter_mut().enumerate() {
+            shards.backprop(w, &mut model, batch_size);
             let mut g = model.flat_grads();
-            step_bytes += compressor.compress(&mut g, &mut residuals[w]);
+            step_bytes += compressor.compress(&mut g, residual);
             if !error_feedback {
-                residuals[w].fill(0.0); // ablation: drop the unsent signal
+                residual.fill(0.0); // ablation: drop the unsent signal
             }
             for (m, v) in mean_grad.iter_mut().zip(&g) {
                 *m += v / workers as f32;
@@ -320,6 +312,15 @@ mod tests {
         assert!(sparse.accuracy > dense.accuracy - 0.15);
         assert!(quant.accuracy > dense.accuracy - 0.15);
         assert!(sparse.simulated_seconds < dense.simulated_seconds);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot shard")]
+    fn fewer_rows_than_workers_rejected() {
+        let data = blobs(3, 2, 4, 6.0, 0.4, 2);
+        let cluster = Cluster::homogeneous(4, Device::accelerator(), Link::ethernet());
+        let none = GradCompressor::None;
+        let _ = compressed_sgd(&cluster, &data, &data, &[4, 8, 2], &none, 5, 4, 0.05, 0);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!
 //! * [`sim`] — the cluster cost model.
 //! * [`datapar`] — synchronous data-parallel SGD and **Local SGD**
-//!   (§2.1: relaxing the freshness constraint to cut communication).
+//!   (§2.1: relaxing the freshness constraint to cut communication), plus
+//!   the round-robin shards and per-worker sampling streams every training
+//!   driver here draws minibatches from.
 //! * [`gradcomp`] — **gradient compression**: top-k sparsification and
 //!   low-bit quantization with error feedback.
 //! * [`priority`] — **priority-based parameter propagation**: overlapping
@@ -24,7 +26,9 @@
 //! * [`checkpoint`] — checkpoint/restore of training state with a
 //!   simulated storage cost model.
 //! * [`resilient`] — **elastic Local SGD**: crash detection, group
-//!   re-formation, checkpoint rollback, allreduce retry with backoff.
+//!   re-formation, checkpoint rollback, allreduce retry with backoff. Its
+//!   loop is the crate's only Local SGD loop; [`local_sgd`] runs it with
+//!   an empty [`FaultPlan`].
 
 #![warn(missing_docs)]
 
@@ -39,9 +43,7 @@ pub mod resilient;
 pub mod sim;
 
 pub use checkpoint::{Checkpoint, CheckpointStore, StorageProfile};
-pub use datapar::{
-    local_sgd, local_sgd_traced, local_sgd_with_failures, LocalSgdConfig, LocalSgdReport,
-};
+pub use datapar::{local_sgd, local_sgd_traced, LocalSgdConfig, LocalSgdReport};
 pub use fault::{FaultEvent, FaultPlan, FaultProfile};
 pub use resilient::{
     resilient_local_sgd, resilient_local_sgd_traced, BackoffPolicy, ResilienceReport,
@@ -50,5 +52,5 @@ pub use resilient::{
 pub use flexflow::{data_parallel_cost, optimize_placement, Placement, PlacementSearchConfig, StrategyCost};
 pub use gradcomp::{compressed_sgd, compressed_sgd_opts, GradCompressionReport, GradCompressor};
 pub use morph::{morph_resize, uniform_baseline, MorphConfig, MorphReport};
-pub use priority::{layer_comm_profile, schedule_backward_comm, CommSchedule, LayerComm, SchedulePolicy};
+pub use priority::{schedule_backward_comm, CommSchedule, LayerComm, SchedulePolicy};
 pub use sim::{Cluster, Device, Link};

@@ -189,22 +189,6 @@ pub fn schedule_backward_comm(
     }
 }
 
-/// Builds [`LayerComm`] inputs from a network's layer costs on a device of
-/// the given FLOP/s rate.
-pub fn layer_comm_profile(
-    costs: &[dl_nn::LayerCost],
-    flops_per_sec: f64,
-) -> Vec<LayerComm> {
-    costs
-        .iter()
-        .map(|c| LayerComm {
-            backward_time: c.backward_flops as f64 / flops_per_sec,
-            forward_time: c.forward_flops as f64 / flops_per_sec,
-            grad_bytes: c.params * 4,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,20 +283,6 @@ mod tests {
         let s = schedule_backward_comm(&layers, &link, SchedulePolicy::Priority);
         // latency-only transfers complete during compute: negligible stall
         assert!(s.stall_seconds < 1e-3);
-    }
-
-    #[test]
-    fn profile_conversion_matches_costs() {
-        let costs = vec![dl_nn::LayerCost {
-            forward_flops: 1_000_000,
-            backward_flops: 2_000_000,
-            params: 100,
-            activation_elems: 10,
-        }];
-        let p = layer_comm_profile(&costs, 1e9);
-        assert!((p[0].forward_time - 1e-3).abs() < 1e-12);
-        assert!((p[0].backward_time - 2e-3).abs() < 1e-12);
-        assert_eq!(p[0].grad_bytes, 400);
     }
 
     #[test]

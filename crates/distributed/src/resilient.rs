@@ -1,7 +1,8 @@
 //! Elastic, checkpointed Local SGD under injected faults.
 //!
-//! [`resilient_local_sgd`] wraps the machinery of [`crate::datapar`] in a
-//! TorchElastic-style recovery loop driven by a [`FaultPlan`]:
+//! This module holds the crate's one Local SGD training loop.
+//! [`resilient_local_sgd`] runs it as a TorchElastic-style recovery loop
+//! driven by a [`FaultPlan`]:
 //!
 //! * **Crash detection** — a crashed worker is noticed after a simulated
 //!   `detection_timeout`, the survivors re-form the averaging group with a
@@ -18,19 +19,19 @@
 //!   `BackoffPolicy::fail_threshold`, averaging rounds fail and retry
 //!   with exponentially growing backoff (all in simulated time).
 //!
-//! With an empty plan the driver executes *exactly* the fault-free
-//! trajectory of [`crate::datapar::local_sgd`] — the same RNG draws in
-//! the same order, the same `x * 1.0`-free arithmetic — so the final
-//! parameters are bit-identical (enforced by a regression test).
+//! With an empty plan and `checkpoint_interval: 0` the loop is plain
+//! fault-free Local SGD; [`crate::datapar::local_sgd`] runs it that way.
+//! Stragglers and link degradation change only the simulated clock, never
+//! the parameters (a healthy worker's compute time is multiplied by a
+//! slowdown of exactly `1.0`, which is bit-exact).
 
 use crate::checkpoint::{Checkpoint, CheckpointStore, StorageProfile};
-use crate::datapar::{average_surviving, LocalSgdConfig};
+use crate::datapar::{LocalSgdConfig, Shards};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::sim::Cluster;
-use dl_nn::{loss::one_hot, Dataset, Loss, Network, Optimizer};
+use dl_nn::{Dataset, Network, Optimizer};
 use dl_obs::{fields, NullRecorder, Recorder, ToFields};
 use dl_tensor::init;
-use rand::rngs::StdRng;
 
 /// Exponential-backoff policy for failed allreduce rounds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -163,14 +164,14 @@ impl ToFields for ResilienceReport {
 
 /// Runs elastic Local SGD under the given fault plan.
 ///
-/// Setup (sharding, seeding, initialization) is identical to
-/// [`crate::datapar::local_sgd`]; see the module docs for the recovery
-/// semantics. Returns the final surviving model and the report.
+/// See the module docs for the recovery semantics. Returns the final
+/// surviving model and the report. A plan that kills every worker stops
+/// the run early and returns the last checkpoint, with
+/// `final_workers == 0`.
 ///
 /// # Panics
 /// Panics on `sync_period == 0`, a dataset smaller than the worker
-/// count, a plan referencing an unknown worker, or a plan that kills
-/// every worker with no rejoin (training cannot make progress).
+/// count, or a plan referencing an unknown worker.
 pub fn resilient_local_sgd(
     cluster: &Cluster,
     data: &Dataset,
@@ -205,14 +206,37 @@ pub fn resilient_local_sgd_traced(
     plan: &FaultPlan,
     rec: &dyn Recorder,
 ) -> (Network, ResilienceReport) {
+    let run_span = rec.span_start(
+        0,
+        "resilient_local_sgd",
+        fields! {
+            "workers" => cluster.len(),
+            "sync_period" => config.base.sync_period,
+            "steps" => config.base.steps,
+            "checkpoint_interval" => config.checkpoint_interval,
+        },
+    );
+    let (model, report) = train(cluster, data, eval, dims, config, plan, rec);
+    rec.span_end(run_span, report.to_fields());
+    (model, report)
+}
+
+/// The Local SGD loop behind [`resilient_local_sgd_traced`] and
+/// [`crate::datapar::local_sgd_traced`]. It emits every event of the run
+/// except the run span, which each caller opens and closes itself.
+pub(crate) fn train(
+    cluster: &Cluster,
+    data: &Dataset,
+    eval: &Dataset,
+    dims: &[usize],
+    config: &ResilientConfig,
+    plan: &FaultPlan,
+    rec: &dyn Recorder,
+) -> (Network, ResilienceReport) {
     let base = &config.base;
     assert!(base.sync_period > 0, "sync_period must be positive");
     let workers = cluster.len();
-    assert!(
-        data.len() >= workers,
-        "dataset of {} rows cannot shard across {workers} workers",
-        data.len()
-    );
+    let mut shards = Shards::new(data, workers, base.seed);
     for e in plan.events() {
         if let FaultEvent::WorkerCrash { worker, .. }
         | FaultEvent::WorkerRejoin { worker, .. }
@@ -222,18 +246,11 @@ pub fn resilient_local_sgd_traced(
         }
     }
 
-    // Setup mirrors `local_sgd` exactly (same RNG construction order) so
-    // an empty plan reproduces its trajectory bit for bit.
+    // Identical initialization on every worker (standard practice).
     let mut seed_rng = init::rng(base.seed);
     let reference = Network::mlp(dims, &mut seed_rng);
     let mut nets: Vec<Network> = (0..workers).map(|_| reference.clone()).collect();
     let mut opts: Vec<Optimizer> = (0..workers).map(|_| Optimizer::sgd(base.lr)).collect();
-    let shards: Vec<Vec<usize>> = (0..workers)
-        .map(|w| (w..data.len()).step_by(workers).collect())
-        .collect();
-    let mut shard_rngs: Vec<StdRng> = (0..workers)
-        .map(|w| init::rng(base.seed.wrapping_add(w as u64 + 1)))
-        .collect();
     let step_flops = reference.cost_profile(base.batch_size).train_step_flops();
     let grad_bytes = (reference.param_count() * 4) as u64;
 
@@ -249,15 +266,14 @@ pub fn resilient_local_sgd_traced(
     let mut last_ckpt_step = 0usize;
     let mut samples_since_ckpt = 0u64;
 
-    // Membership events fire exactly once: the index only advances, so a
-    // rollback (which rewinds `step`) cannot re-trigger a crash.
-    let membership: Vec<FaultEvent> = plan
-        .events()
-        .iter()
-        .copied()
-        .filter(FaultEvent::is_membership)
-        .collect();
-    let mut next_event = 0usize;
+    // Membership events (crash, rejoin) fire exactly once, and fault
+    // *episodes* (degradation, straggling) get an annotating instant when
+    // they first take effect. Both indices only advance, so a rollback
+    // (which rewinds `step`) cannot re-trigger a crash or re-announce an
+    // episode.
+    let (membership, episodes): (Vec<FaultEvent>, Vec<FaultEvent>) =
+        plan.events().iter().partition(|e| e.is_membership());
+    let (mut next_event, mut next_episode) = (0usize, 0usize);
 
     let mut bytes = 0u64;
     let mut seconds = 0.0f64;
@@ -273,30 +289,9 @@ pub fn resilient_local_sgd_traced(
 
     let regroup_bytes = 64u64; // membership-agreement control message
 
-    // Fault *episodes* (degradation, straggling) get an annotating instant
-    // when they first take effect; like membership events the index only
-    // advances, so a rollback cannot re-announce an episode.
-    let episodes: Vec<FaultEvent> = plan
-        .events()
-        .iter()
-        .copied()
-        .filter(|e| !e.is_membership())
-        .collect();
-    let mut next_episode = 0usize;
-
     // Simulated-time origin on the shared clock (several runs may trace
     // onto one recorder back to back).
     let t0 = rec.clock().now();
-    let run_span = rec.span_start(
-        0,
-        "resilient_local_sgd",
-        fields! {
-            "workers" => workers,
-            "sync_period" => base.sync_period,
-            "steps" => base.steps,
-            "checkpoint_interval" => config.checkpoint_interval,
-        },
-    );
 
     let mut step = 0usize;
     'training: while step < base.steps {
@@ -355,17 +350,16 @@ pub fn resilient_local_sgd_traced(
                         let read = store.charge_read();
                         seconds += read;
                         recovery_seconds += read;
-                        let ckpt = store.latest().expect("store is seeded").clone();
-                        rollback(
-                            &ckpt,
-                            &mut nets,
-                            &mut opts,
-                            &mut cursors,
-                            &mut shard_rngs,
-                            &shards,
-                            &alive,
-                            base,
-                        );
+                        // Every worker rewinds its cursor; the live ones
+                        // also restore their model, optimizer and stream (a
+                        // dead worker's stream is replayed when it rejoins).
+                        let ckpt = store.latest().expect("store is seeded");
+                        cursors.copy_from_slice(&ckpt.cursors);
+                        for w in (0..workers).filter(|&w| alive[w]) {
+                            ckpt.restore_into(&mut nets[w]);
+                            opts[w] = ckpt.optimizer.clone();
+                            shards.replay(w, cursors[w]);
+                        }
                         lost_samples += samples_since_ckpt;
                         rec.clock().set(t0 + seconds);
                         rec.instant(
@@ -416,12 +410,7 @@ pub fn resilient_local_sgd_traced(
                         nets[worker].set_flat_params(&params);
                         opts[worker] = Optimizer::sgd(base.lr);
                     }
-                    shard_rngs[worker] = replayed_rng(
-                        base.seed,
-                        worker,
-                        shards[worker].len(),
-                        cursors[worker],
-                    );
+                    shards.replay(worker, cursors[worker]);
                     alive[worker] = true;
                     rejoins += 1;
                     rec.clock().set(t0 + seconds);
@@ -441,16 +430,7 @@ pub fn resilient_local_sgd_traced(
 
         let living: Vec<usize> = (0..workers).filter(|&w| alive[w]).collect();
         for &w in &living {
-            let idx: Vec<usize> = (0..base.batch_size)
-                .map(|_| shards[w][init::sample_indices(shards[w].len(), 1, &mut shard_rngs[w])[0]])
-                .collect();
-            let xb = data.x.select_rows(&idx);
-            let labels: Vec<usize> = idx.iter().map(|&i| data.y[i]).collect();
-            let targets = one_hot(&labels, data.classes);
-            nets[w].zero_grads();
-            let logits = nets[w].forward(&xb, true);
-            let (_, grad) = Loss::SoftmaxCrossEntropy.evaluate(&logits, &targets);
-            nets[w].backward(&grad);
+            shards.backprop(w, &mut nets[w], base.batch_size);
             let mut pg = nets[w].params_and_grads();
             opts[w].step(&mut pg, 1.0);
             cursors[w] += base.batch_size as u64;
@@ -459,9 +439,8 @@ pub fn resilient_local_sgd_traced(
         total_samples += drawn;
         samples_since_ckpt += drawn;
 
-        // Slowest living worker dominates, stragglers included. With all
-        // workers healthy this folds the same values as `local_sgd`
-        // (`x * 1.0` is bit-exact).
+        // Workers run in parallel: the slowest living one dominates,
+        // stragglers included.
         seconds += living
             .iter()
             .map(|&w| cluster.devices[w].compute_time(step_flops) * plan.slowdown_at(step, w))
@@ -573,43 +552,28 @@ pub fn resilient_local_sgd_traced(
         final_workers,
     };
     rec.clock().set(t0 + seconds);
-    rec.span_end(run_span, report.to_fields());
     (model, report)
 }
 
-/// Restores every worker's training state from `ckpt`: parameters and
-/// optimizer for the live workers, shard cursors for everyone (a dead
-/// worker's cursor is rebuilt into an RNG when it rejoins).
-#[allow(clippy::too_many_arguments)]
-fn rollback(
-    ckpt: &Checkpoint,
-    nets: &mut [Network],
-    opts: &mut [Optimizer],
-    cursors: &mut [u64],
-    shard_rngs: &mut [StdRng],
-    shards: &[Vec<usize>],
-    alive: &[bool],
-    base: &LocalSgdConfig,
-) {
-    for w in 0..nets.len() {
-        cursors[w] = ckpt.cursors[w];
-        if alive[w] {
-            ckpt.restore_into(&mut nets[w]);
-            opts[w] = ckpt.optimizer.clone();
-            shard_rngs[w] = replayed_rng(base.seed, w, shards[w].len(), cursors[w]);
+/// Replaces every live worker's parameters with their elementwise mean.
+fn average_surviving(nets: &mut [Network], alive: &[bool]) {
+    let living: Vec<usize> = (0..nets.len()).filter(|&w| alive[w]).collect();
+    if living.len() <= 1 {
+        return;
+    }
+    let mut mean = nets[living[0]].flat_params();
+    for &w in living.iter().skip(1) {
+        for (m, v) in mean.iter_mut().zip(nets[w].flat_params()) {
+            *m += v;
         }
     }
-}
-
-/// Rebuilds a worker's sampling RNG in the exact state it had after
-/// drawing `draws` samples: recreate the seeded stream and replay the
-/// draws (each batch sample consumes one `sample_indices` call).
-fn replayed_rng(seed: u64, worker: usize, shard_len: usize, draws: u64) -> StdRng {
-    let mut rng = init::rng(seed.wrapping_add(worker as u64 + 1));
-    for _ in 0..draws {
-        let _ = init::sample_indices(shard_len, 1, &mut rng);
+    let n = living.len() as f32;
+    for m in &mut mean {
+        *m /= n;
     }
-    rng
+    for &w in &living {
+        nets[w].set_flat_params(&mean);
+    }
 }
 
 #[cfg(test)]
@@ -812,6 +776,133 @@ mod tests {
         assert_eq!(report.final_workers, 0);
         assert!(report.sync_rounds < 10, "run must have stopped early");
         assert!(report.accuracy > 0.0);
+    }
+
+    #[test]
+    fn average_surviving_is_the_elementwise_mean_of_the_living() {
+        let mut r = init::rng(0);
+        let nets: Vec<Network> = (0..3).map(|_| Network::mlp(&[2, 3, 2], &mut r)).collect();
+        let dead = nets[1].flat_params();
+        let expected: Vec<f32> = nets[0]
+            .flat_params()
+            .iter()
+            .zip(nets[2].flat_params())
+            .map(|(&x, y)| (x + y) / 2.0)
+            .collect();
+        let mut nets = nets;
+        average_surviving(&mut nets, &[true, false, true]);
+        assert_eq!(nets[0].flat_params(), expected);
+        assert_eq!(nets[2].flat_params(), expected);
+        assert_eq!(nets[1].flat_params(), dead, "a dead worker is left alone");
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown worker")]
+    fn plan_naming_an_unknown_worker_is_rejected() {
+        let data = blobs(40, 3, 6, 6.0, 0.5, 8);
+        let plan = FaultPlan::new(vec![FaultEvent::WorkerCrash {
+            worker: 9,
+            at_step: 5,
+        }]);
+        let config = small_config(8, 2, 0);
+        let _ = resilient_local_sgd(&cluster(2), &data, &data, &[6, 4, 3], &config, &plan);
+    }
+
+    /// A random small run: 1-4 workers, a few rows per worker, 4-24 steps.
+    fn random_run(rng: &mut StdRng) -> (Cluster, Dataset, ResilientConfig) {
+        let workers = rng.gen_range(1usize..5);
+        let rows = rng.gen_range(workers..workers * 6 + 1);
+        let data = blobs(rows, 2, 4, 6.0, 0.5, rng.gen_range(0u64..1000));
+        let config = ResilientConfig {
+            base: LocalSgdConfig {
+                sync_period: rng.gen_range(1usize..5),
+                steps: rng.gen_range(4usize..25),
+                batch_size: rng.gen_range(1usize..6),
+                lr: 0.05,
+                seed: rng.gen_range(0u64..1000),
+            },
+            checkpoint_interval: rng.gen_range(0usize..9),
+            ..ResilientConfig::default()
+        };
+        (cluster(workers), data, config)
+    }
+
+    /// A random episode `[from, to)` inside `0..steps + 4`.
+    fn random_episode(rng: &mut StdRng, steps: usize) -> (usize, usize) {
+        let from = rng.gen_range(0..steps + 4);
+        (from, rng.gen_range(from + 1..steps + 5))
+    }
+
+    /// Property: stragglers and link degradation cost time, never
+    /// parameters. The final model is bit-identical to the empty-plan run
+    /// and the clock never runs faster.
+    #[test]
+    fn slowdowns_change_the_clock_never_the_parameters() {
+        for case in 0..64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let (cluster, data, config) = random_run(&mut rng);
+            let steps = config.base.steps;
+            let events = (0..rng.gen_range(1usize..5))
+                .map(|_| {
+                    let (from_step, to_step) = random_episode(&mut rng, steps);
+                    if rng.gen_range(0..2) == 0 {
+                        FaultEvent::Straggler {
+                            worker: rng.gen_range(0..cluster.len()),
+                            slowdown: rng.gen_range(1.0..10.0),
+                            from_step,
+                            to_step,
+                        }
+                    } else {
+                        FaultEvent::LinkDegrade {
+                            factor: rng.gen_range(0.01..1.0),
+                            from_step,
+                            to_step,
+                        }
+                    }
+                })
+                .collect();
+            let run = |plan: &FaultPlan| {
+                resilient_local_sgd(&cluster, &data, &data, &[4, 6, 2], &config, plan)
+            };
+            let (clean_net, clean) = run(&FaultPlan::none());
+            let (slow_net, slow) = run(&FaultPlan::new(events));
+            assert_eq!(clean_net.flat_params(), slow_net.flat_params(), "case {case}");
+            assert!(slow.simulated_seconds >= clean.simulated_seconds, "case {case}");
+            assert_eq!(slow.sync_rounds, clean.sync_rounds, "case {case}");
+            assert_eq!(slow.bytes_communicated, clean.bytes_communicated, "case {case}");
+        }
+    }
+
+    /// Property: under random crash/rejoin plans (including ones that kill
+    /// every worker) the sample accounting balances and a rerun reproduces
+    /// the report exactly.
+    #[test]
+    fn random_crash_plans_conserve_samples_and_rerun_identically() {
+        for case in 0..64 {
+            let mut rng = StdRng::seed_from_u64(1000 + case);
+            let (cluster, data, config) = random_run(&mut rng);
+            let steps = config.base.steps;
+            let events = (0..rng.gen_range(1usize..6))
+                .map(|_| {
+                    let worker = rng.gen_range(0..cluster.len());
+                    let at_step = rng.gen_range(0..steps);
+                    if rng.gen_range(0..3) == 0 {
+                        FaultEvent::WorkerRejoin { worker, at_step }
+                    } else {
+                        FaultEvent::WorkerCrash { worker, at_step }
+                    }
+                })
+                .collect();
+            let plan = FaultPlan::new(events);
+            let run = || resilient_local_sgd(&cluster, &data, &data, &[4, 6, 2], &config, &plan);
+            let (net_a, a) = run();
+            let (net_b, b) = run();
+            assert_eq!(a.useful_samples + a.lost_samples, a.total_samples, "case {case}");
+            assert!(a.crashes <= plan.crash_count(), "case {case}");
+            assert!(a.final_workers <= cluster.len(), "case {case}");
+            assert_eq!(a, b, "case {case}");
+            assert_eq!(net_a.flat_params(), net_b.flat_params(), "case {case}");
+        }
     }
 
     /// Goodput must not increase as crashes are added. Checked on nested

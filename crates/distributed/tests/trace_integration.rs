@@ -1,14 +1,15 @@
 //! Integration test: the trace a resilient run emits must tell the same
 //! story as its report — every crash is followed by its rollback, every
 //! rejoin lands on the crashed worker's track, and the virtual clock
-//! mirrors the simulated-seconds accounting.
+//! mirrors the simulated-seconds accounting. Plain Local SGD traces the
+//! same loop, so its trace is the fault-free resilient trace.
 
 use dl_distributed::{
-    resilient_local_sgd, resilient_local_sgd_traced, FaultEvent, FaultPlan, LocalSgdConfig,
-    ResilientConfig, {Cluster, Device, Link},
+    local_sgd_traced, resilient_local_sgd, resilient_local_sgd_traced, FaultEvent, FaultPlan,
+    LocalSgdConfig, ResilientConfig, {Cluster, Device, Link},
 };
 use dl_nn::Network;
-use dl_obs::{EventKind, Recorder, TimelineRecorder};
+use dl_obs::{EventKind, Recorder, TimelineRecorder, ToFields};
 
 fn cluster(n: usize) -> Cluster {
     Cluster::homogeneous(n, Device::accelerator(), Link::ethernet())
@@ -176,4 +177,44 @@ fn clean_run_trace_has_no_fault_instants() {
         rec.counters()["bytes_communicated"],
         report.bytes_communicated
     );
+}
+
+#[test]
+fn local_sgd_trace_is_the_fault_free_resilient_trace_in_its_own_run_span() {
+    let data = dl_data::blobs(120, 3, 6, 6.0, 0.5, 2);
+    let eval = dl_data::blobs(60, 3, 6, 6.0, 0.5, 3);
+    let fault_free = ResilientConfig {
+        checkpoint_interval: 0,
+        ..config(24)
+    };
+    let plain = TimelineRecorder::new();
+    let (plain_net, report) = local_sgd_traced(
+        &cluster(4),
+        &data,
+        &eval,
+        &[6, 16, 3],
+        &fault_free.base,
+        &plain,
+    );
+    let resilient = TimelineRecorder::new();
+    let (resilient_net, _) = resilient_local_sgd_traced(
+        &cluster(4),
+        &data,
+        &eval,
+        &[6, 16, 3],
+        &fault_free,
+        &FaultPlan::none(),
+        &resilient,
+    );
+    assert_eq!(plain_net.flat_params(), resilient_net.flat_params());
+
+    let (p, r) = (plain.events(), resilient.events());
+    assert_eq!(p.len(), r.len());
+    let (start, end) = (&p[0], &p[p.len() - 1]);
+    assert_eq!((start.kind, start.name), (EventKind::SpanStart, "local_sgd"));
+    assert_eq!((end.kind, end.name), (EventKind::SpanEnd, "local_sgd"));
+    assert_eq!(end.fields, report.to_fields());
+    assert_eq!((r[0].kind, r[0].name), (EventKind::SpanStart, "resilient_local_sgd"));
+    assert_eq!(p[1..p.len() - 1], r[1..r.len() - 1]);
+    assert_eq!(plain.clock().now(), report.simulated_seconds);
 }

@@ -29,6 +29,6 @@ pub mod mitigate;
 
 pub use metrics::{FairnessReport, GroupConfusion};
 pub use mitigate::{
-    adversarial_debias, reweigh, threshold_adjust, threshold_equal_opportunity, train_reweighed,
+    adversarial_debias, threshold_adjust, threshold_equal_opportunity, train_reweighed,
     AdversarialConfig, MitigationResult,
 };

@@ -31,7 +31,7 @@ pub struct MitigationResult {
 ///
 /// # Panics
 /// Panics on length mismatch or empty input.
-pub fn reweigh(labels: &[usize], groups: &[usize]) -> Vec<f64> {
+fn reweigh(labels: &[usize], groups: &[usize]) -> Vec<f64> {
     assert_eq!(labels.len(), groups.len(), "length mismatch");
     assert!(!labels.is_empty(), "cannot reweigh an empty dataset");
     let n = labels.len() as f64;

@@ -65,7 +65,7 @@ pub struct Inversion {
 
 /// Inverts `target` (a `[1, units]` activation of `net` truncated at
 /// `layer_count` layers) back to input space.
-pub fn invert_activation(
+fn invert_activation(
     net: &Network,
     layer_count: usize,
     target: &Tensor,

@@ -49,7 +49,7 @@ pub fn psi(expected: &[f64], observed: &[f64]) -> f64 {
 /// # Panics
 /// Panics when the distributions have different lengths.
 #[must_use]
-pub fn kl_divergence(observed: &[f64], expected: &[f64]) -> f64 {
+fn kl_divergence(observed: &[f64], expected: &[f64]) -> f64 {
     assert_eq!(expected.len(), observed.len(), "bin grids must match");
     observed
         .iter()

@@ -42,7 +42,7 @@ pub mod sketch;
 pub mod slo;
 pub mod window;
 
-pub use drift::{kl_divergence, psi, DriftConfig, DriftDetector, DriftStatus, ReferenceProfile};
+pub use drift::{psi, DriftConfig, DriftDetector, DriftStatus, ReferenceProfile};
 pub use monitor::{Monitor, MonitorConfig, MonitorReport, SeriesSummary};
 pub use sketch::WindowedSketch;
 pub use slo::{Alert, AlertKind, SloRule};

@@ -82,7 +82,7 @@ pub use device::DeviceModel;
 pub use engine::{serve, ServeConfig};
 pub use fleet::{serve_fleet, FleetConfig, FleetReport, ModelRequest};
 pub use load::{bursty, open_loop, BurstConfig, LoadConfig, Request};
-pub use persist::{load_family, load_family_file, save_family, save_family_file};
+pub use persist::{load_family, save_family};
 pub use report::{percentile, ServeReport, VariantServeStats};
 pub use router::{Router, RouterPolicy};
 pub use store::{EvictionPolicy, FetchOutcome, WeightStore};

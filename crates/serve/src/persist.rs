@@ -25,7 +25,6 @@ use dl_store::{
 use dl_ensemble::Ensemble;
 use dl_nn::{CostProfile, LayerCost};
 use dl_tensor::acct::OpCost;
-use std::path::Path;
 
 /// Value of the `artifact.kind` hparam written by [`save_family`].
 const FAMILY_KIND: &str = "variant-family";
@@ -293,23 +292,6 @@ pub fn load_family(bytes: &[u8]) -> Result<VariantRegistry, StoreError> {
         });
     }
     Ok(VariantRegistry { variants })
-}
-
-/// Writes [`save_family`] bytes to `path`.
-///
-/// # Errors
-/// Propagates filesystem errors.
-pub fn save_family_file(reg: &VariantRegistry, path: &Path) -> Result<(), StoreError> {
-    std::fs::write(path, save_family(reg)).map_err(StoreError::Io)
-}
-
-/// Reads and parses a [`save_family_file`] artifact.
-///
-/// # Errors
-/// Filesystem errors plus everything [`load_family`] can return.
-pub fn load_family_file(path: &Path) -> Result<VariantRegistry, StoreError> {
-    let bytes = std::fs::read(path)?;
-    load_family(&bytes)
 }
 
 #[cfg(test)]

@@ -49,8 +49,7 @@ pub mod network;
 
 pub use format::{fnv1a, Artifact, ArtifactBuilder, Dtype, HParam, TensorEntry, ALIGN};
 pub use network::{
-    decode_network, decode_network_with_quant, encode_network, encode_network_q8, load_network,
-    load_network_file, save_network, save_network_file,
+    decode_network_with_quant, encode_network, encode_network_q8, load_network, save_network,
 };
 
 /// Everything that can go wrong reading an artifact.

@@ -18,7 +18,6 @@ use dl_compress::QuantizedTensor;
 use dl_nn::layers::{BatchNorm1d, Conv2d, Dense, Dropout, Layer, MaxPool2d, ReLU, Sigmoid, Tanh};
 use dl_nn::Network;
 use dl_tensor::{init, Tensor};
-use std::path::Path;
 
 /// Value of the `artifact.kind` hparam written by [`save_network`].
 const NETWORK_KIND: &str = "network";
@@ -172,7 +171,7 @@ fn param_tensor(
 /// # Errors
 /// [`StoreError::Corrupt`] for missing or inconsistent sections; checksum
 /// errors propagate from payload reads.
-pub fn decode_network(a: &Artifact<'_>, prefix: &str) -> Result<Network, StoreError> {
+fn decode_network(a: &Artifact<'_>, prefix: &str) -> Result<Network, StoreError> {
     decode_network_with_quant(a, prefix).map(|(net, _)| net)
 }
 
@@ -288,23 +287,6 @@ pub fn load_network(bytes: &[u8]) -> Result<Network, StoreError> {
         )));
     }
     decode_network(&a, "net")
-}
-
-/// Writes [`save_network`] bytes to `path`.
-///
-/// # Errors
-/// Propagates filesystem errors.
-pub fn save_network_file(net: &Network, path: &Path) -> Result<(), StoreError> {
-    std::fs::write(path, save_network(net)).map_err(StoreError::Io)
-}
-
-/// Reads and parses a [`save_network_file`] artifact.
-///
-/// # Errors
-/// Filesystem errors plus everything [`load_network`] can return.
-pub fn load_network_file(path: &Path) -> Result<Network, StoreError> {
-    let bytes = std::fs::read(path)?;
-    load_network(&bytes)
 }
 
 #[cfg(test)]

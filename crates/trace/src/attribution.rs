@@ -146,7 +146,7 @@ fn fmt_us(us: u64) -> String {
 /// Renders one request's ASCII waterfall (indent two spaces per line).
 /// Zero-duration phases are elided from the bar rows.
 #[must_use]
-pub fn render_waterfall(t: &RequestTrace, rank: usize) -> String {
+fn render_waterfall(t: &RequestTrace, rank: usize) -> String {
     const WIDTH: u64 = 40;
     let mut out = String::new();
     let head = match t.outcome {

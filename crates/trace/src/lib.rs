@@ -39,7 +39,7 @@ pub mod tracer;
 pub mod waterfall;
 
 pub use attribution::{
-    by_replica, flows, phase_breakdown, render_requests, render_waterfall, requests_json, slowest,
+    by_replica, flows, phase_breakdown, render_requests, requests_json, slowest,
     tail_mean_phase_us, PhaseBreakdown, ReplicaBreakdown,
 };
 pub use context::{
