@@ -13,14 +13,11 @@ use dl_tensor::acct;
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
     let (_, test, net, _) = super::digits_setup(600, &[64, 32], 20, 1);
-    let base_acc = Trainer::evaluate(&mut net.clone(), &test);
+    let base_acc = Trainer::evaluate(&net, &test);
     // measured inference cost: what the kernels actually execute for one
     // pass over the test set (zeroed weights after aggressive quantization
     // genuinely skip multiplies).
-    let measure_fwd = |n: &dl_nn::Network| {
-        let mut m = n.clone();
-        acct::measure(|| m.predict(&test.x)).1.flops
-    };
+    let measure_fwd = |n: &dl_nn::Network| acct::measure(|| n.predict(&test.x)).1.flops;
     let base_fwd = measure_fwd(&net);
     let mut table = Table::new(&[
         "scheme", "accuracy", "acc drop", "bytes", "ratio", "huffman bytes", "measured fwd",
@@ -52,8 +49,8 @@ pub fn run() -> ExperimentResult {
     });
     let mut monotone_check: Vec<(u8, f64)> = Vec::new();
     for scheme in schemes {
-        let (mut q, report) = quantize_network(&net, scheme);
-        let acc = Trainer::evaluate(&mut q, &test);
+        let (q, report) = quantize_network(&net, scheme);
+        let acc = Trainer::evaluate(&q, &test);
         let q_fwd = measure_fwd(&q);
         table.row(&[
             report.scheme.clone(),

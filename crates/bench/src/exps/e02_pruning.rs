@@ -32,7 +32,7 @@ fn measured_sparse_fwd(net: &Network, x: &dl_tensor::Tensor) -> u64 {
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
     let (train, test, net, _) = super::digits_setup(600, &[48], 20, 2);
-    let base_acc = Trainer::evaluate(&mut net.clone(), &test);
+    let base_acc = Trainer::evaluate(&net, &test);
     let mut table = Table::new(&["sparsity", "magnitude acc", "saliency acc", "measured fwd"]);
     let mut records = Vec::new();
     let mut cliff_seen = false;
@@ -42,7 +42,7 @@ pub fn run() -> ExperimentResult {
     for sparsity in [0.0, 0.3, 0.5, 0.7, 0.9, 0.98] {
         let mut mag = net.clone();
         magnitude_prune(&mut mag, sparsity);
-        let mag_acc = Trainer::evaluate(&mut mag, &test);
+        let mag_acc = Trainer::evaluate(&mag, &test);
         let mag_fwd = measured_sparse_fwd(&mag, &test.x);
         if sparsity == 0.0 {
             dense_fwd = mag_fwd;
@@ -50,7 +50,7 @@ pub fn run() -> ExperimentResult {
         sparse_fwd = sparse_fwd.min(mag_fwd);
         let mut sal = net.clone();
         saliency_prune(&mut sal, &train, sparsity);
-        let sal_acc = Trainer::evaluate(&mut sal, &test);
+        let sal_acc = Trainer::evaluate(&sal, &test);
         table.row(&[
             format!("{:.0}%", sparsity * 100.0),
             f3(mag_acc),
@@ -71,7 +71,7 @@ pub fn run() -> ExperimentResult {
     // structural pruning row: physically remove half the hidden neurons
     let mut structural = net.clone();
     let report = dl_compress::neuron_prune(&mut structural, 0, 24);
-    let s_acc = Trainer::evaluate(&mut structural, &test);
+    let s_acc = Trainer::evaluate(&structural, &test);
     table.row(&[
         "24/48 neurons".into(),
         f3(s_acc),
@@ -96,9 +96,9 @@ pub fn run() -> ExperimentResult {
         Optimizer::adam(0.01),
     );
     cnn_trainer.fit(&mut cnn, &cnn_data);
-    let cnn_base = Trainer::evaluate(&mut cnn, &cnn_data);
+    let cnn_base = Trainer::evaluate(&cnn, &cnn_data);
     filter_prune(&mut cnn, 0, 1);
-    let cnn_pruned = Trainer::evaluate(&mut cnn, &cnn_data);
+    let cnn_pruned = Trainer::evaluate(&cnn, &cnn_data);
     table.row(&[
         "cnn: 1/4 filters".into(),
         f3(cnn_pruned),

@@ -26,7 +26,7 @@ pub fn run() -> ExperimentResult {
         Optimizer::adam(0.01),
     );
     teacher_trainer.fit(&mut teacher, &train);
-    let teacher_acc = Trainer::evaluate(&mut teacher.clone(), &test);
+    let teacher_acc = Trainer::evaluate(&teacher, &test);
     let mut table = Table::new(&[
         "student hidden", "params", "scratch acc", "distilled acc", "gain",
     ]);
@@ -44,7 +44,7 @@ pub fn run() -> ExperimentResult {
             Optimizer::adam(0.01),
         );
         t.fit(&mut scratch, &train);
-        let scratch_acc = Trainer::evaluate(&mut scratch, &test);
+        let scratch_acc = Trainer::evaluate(&scratch, &test);
         // distilled
         let mut student = Network::mlp(&dims, &mut init::rng(200 + hidden as u64));
         let report = distill(
@@ -59,7 +59,7 @@ pub fn run() -> ExperimentResult {
                 ..DistillConfig::default()
             },
         );
-        let distilled_acc = Trainer::evaluate(&mut student, &test);
+        let distilled_acc = Trainer::evaluate(&student, &test);
         table.row(&[
             format!("{hidden}"),
             format!("{}", student.param_count()),

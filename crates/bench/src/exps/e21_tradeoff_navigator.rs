@@ -17,7 +17,7 @@ use dl_obs::fields;
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
     let (_, test, net, trainer) = super::digits_setup(600, &[64, 32], 20, 170);
-    let base_acc = Trainer::evaluate(&mut net.clone(), &test);
+    let base_acc = Trainer::evaluate(&net, &test);
     let inference = net.cost_profile(1).forward_flops;
     let mut registry = Registry::new();
     registry
@@ -40,8 +40,8 @@ pub fn run() -> ExperimentResult {
         QuantScheme::Affine { bits: 4 },
         QuantScheme::Binary,
     ] {
-        let (mut q, report) = quantize_network(&net, scheme);
-        let acc = Trainer::evaluate(&mut q, &test);
+        let (q, report) = quantize_network(&net, scheme);
+        let acc = Trainer::evaluate(&q, &test);
         registry
             .add(Technique {
                 name: format!("quant-{}", report.scheme),
@@ -61,7 +61,7 @@ pub fn run() -> ExperimentResult {
     for sparsity in [0.5, 0.9] {
         let mut p = net.clone();
         magnitude_prune(&mut p, sparsity);
-        let acc = Trainer::evaluate(&mut p, &test);
+        let acc = Trainer::evaluate(&p, &test);
         let kept = ((1.0 - sparsity) * net.param_count() as f64) as u64;
         registry
             .add(Technique {

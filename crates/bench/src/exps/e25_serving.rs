@@ -27,7 +27,7 @@ const CELL_REQUESTS: usize = 1200;
 const OVERLOAD_REQUESTS: usize = 2500;
 
 fn serve_cell(
-    registry: &mut VariantRegistry,
+    registry: &VariantRegistry,
     eval: &dl_nn::Dataset,
     rate_rps: f64,
     seed: u64,
@@ -73,7 +73,7 @@ fn cell_row(table: &mut Table, label: &str, policy: &str, rate_rps: f64, r: &Ser
 pub fn run() -> ExperimentResult {
     let data = dl_data::blobs(400, 5, 16, 2.4, 1.1, 90);
     let eval = dl_data::blobs(200, 5, 16, 2.4, 1.1, 91);
-    let mut family = build_family(
+    let family = build_family(
         &data,
         &eval,
         &FamilyConfig {
@@ -141,7 +141,7 @@ pub fn run() -> ExperimentResult {
                 device: device.clone(),
             };
             let r = serve_cell(
-                &mut family,
+                &family,
                 &eval,
                 rate,
                 seed,
@@ -174,7 +174,7 @@ pub fn run() -> ExperimentResult {
     // --- pillar 2: past the knee, shed or melt ----------------------------
     let overload = 2.5 * cap_dyn;
     let melted = serve_cell(
-        &mut family,
+        &family,
         &eval,
         overload,
         200,
@@ -193,7 +193,7 @@ pub fn run() -> ExperimentResult {
     // (p99/p999), exactly what a production gate would scrape.
     let rec = TimelineRecorder::new();
     let governed = serve_cell(
-        &mut family,
+        &family,
         &eval,
         overload,
         200,

@@ -97,7 +97,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     let data = dl_data::blobs(160, 3, 8, 6.0, 0.5, 93);
     let eval = dl_data::blobs(96, 3, 8, 6.0, 0.5, 94);
     let rows = eval.x.dims()[0];
-    let mut family = build_family(
+    let family = build_family(
         &data,
         &eval,
         &FamilyConfig {
@@ -164,7 +164,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         };
         // The 3-replica cell is the headline trace.
         let cell_rec: &dyn Recorder = if replicas == 3 { rec } else { &NullRecorder::new() };
-        let r = serve_cluster(&mut family, &eval, &storm_reqs, &cfg, cell_rec);
+        let r = serve_cluster(&family, &eval, &storm_reqs, &cfg, cell_rec);
         cluster_row(&mut table, "crash-storm", "slo+retry2", replicas, &r);
         records.push(cluster_record("crash-storm", "slo+retry2", replicas, &r));
         sweep.push((replicas, r));
@@ -208,7 +208,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
             dispatch_s: 1e-6,
             ..ClusterConfig::new(3, base_engine(AdmissionPolicy::AcceptAll))
         };
-        let r = serve_cluster(&mut family, &eval, &router_reqs, &cfg, &NullRecorder::new());
+        let r = serve_cluster(&family, &eval, &router_reqs, &cfg, &NullRecorder::new());
         cluster_row(&mut table, "degraded", name, 3, &r);
         records.push(cluster_record("degraded", name, 3, &r));
         router_p99.push((name, r.serve.p99_s, r.serve.served));
@@ -251,7 +251,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
             warmup_factor: 2.0,
             ..ClusterConfig::new(3, base_engine(AdmissionPolicy::AcceptAll))
         };
-        let r = serve_cluster(&mut family, &eval, &tail_reqs, &cfg, &NullRecorder::new());
+        let r = serve_cluster(&family, &eval, &tail_reqs, &cfg, &NullRecorder::new());
         cluster_row(&mut table, "tail", name, 3, &r);
         records.push(cluster_record("tail", name, 3, &r));
         tail_cells.push((name, r));
@@ -299,11 +299,11 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         warmup_factor: 1.5,
         ..ClusterConfig::new(1, base_engine(AdmissionPolicy::AcceptAll))
     };
-    let auto = serve_cluster(&mut family, &eval, &step_reqs, &auto_cfg, &NullRecorder::new());
+    let auto = serve_cluster(&family, &eval, &step_reqs, &auto_cfg, &NullRecorder::new());
     cluster_row(&mut table, "load-step", "autoscale", 1, &auto);
     records.push(cluster_record("load-step", "autoscale", 1, &auto));
     let fixed = serve_cluster(
-        &mut family,
+        &family,
         &eval,
         &step_reqs,
         &ClusterConfig::new(1, base_engine(AdmissionPolicy::AcceptAll)),

@@ -95,7 +95,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     let data = dl_data::blobs(160, 3, 8, 6.0, 0.5, 111);
     let eval = dl_data::blobs(96, 3, 8, 6.0, 0.5, 112);
     let rows = eval.x.dims()[0];
-    let mut family = build_family(
+    let family = build_family(
         &data,
         &eval,
         &FamilyConfig {
@@ -134,7 +134,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         },
         rows,
     );
-    let healthy = serve(&mut family, &eval, &healthy_reqs, &scfg, &NullRecorder::new());
+    let healthy = serve(&family, &eval, &healthy_reqs, &scfg, &NullRecorder::new());
     let p99h = healthy.p99_s;
     let slo_s = 6.0 * p99h;
     let tight_s = 1.5 * p99h;
@@ -209,7 +209,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
             ..MonitorConfig::default()
         },
     );
-    let ramp = serve(&mut family, &eval, &ramp_reqs, &scfg, &ramp_monitor);
+    let ramp = serve(&family, &eval, &ramp_reqs, &scfg, &ramp_monitor);
     let ramp_rep = ramp_monitor.report();
     // Mirror the monitored timeline (events carry their own timestamps)
     // into the harness trace.
@@ -302,7 +302,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
                 ..MonitorConfig::default()
             },
         );
-        let drift_serve = serve(&mut family, &served_data, &reqs, &scfg, &monitor);
+        let drift_serve = serve(&family, &served_data, &reqs, &scfg, &monitor);
         let rep = monitor.report();
         let input_alerts = rep.alert_count(AlertKind::InputDrift);
         let pred_alerts = rep.alert_count(AlertKind::PredictionDrift);
@@ -375,15 +375,15 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     // Unmonitored timeline run vs the same run with the monitor tapping
     // the timeline, plus both NullRecorder paths.
     let plain_tl = TimelineRecorder::new();
-    let plain = serve(&mut family, &eval, &steady_reqs, &scfg, &plain_tl);
+    let plain = serve(&family, &eval, &steady_reqs, &scfg, &plain_tl);
     let mon_tl = TimelineRecorder::new();
     let steady_monitor = Monitor::new(&mon_tl, steady_cfg.clone());
-    let monitored = serve(&mut family, &eval, &steady_reqs, &scfg, &steady_monitor);
+    let monitored = serve(&family, &eval, &steady_reqs, &scfg, &steady_monitor);
     let steady_rep = steady_monitor.report();
-    let unmonitored_null = serve(&mut family, &eval, &steady_reqs, &scfg, &NullRecorder::new());
+    let unmonitored_null = serve(&family, &eval, &steady_reqs, &scfg, &NullRecorder::new());
     let null_inner = NullRecorder::new();
     let null_monitor = Monitor::new(&null_inner, steady_cfg);
-    let monitored_null = serve(&mut family, &eval, &steady_reqs, &scfg, &null_monitor);
+    let monitored_null = serve(&family, &eval, &steady_reqs, &scfg, &null_monitor);
     let false_alerts = steady_rep.alerts.len();
     let bit_identical = plain == monitored
         && plain == unmonitored_null

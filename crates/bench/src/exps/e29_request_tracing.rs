@@ -117,7 +117,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     let data = dl_data::blobs(160, 3, 8, 6.0, 0.5, 93);
     let eval = dl_data::blobs(96, 3, 8, 6.0, 0.5, 94);
     let rows = eval.x.dims()[0];
-    let mut family = build_family(
+    let family = build_family(
         &data,
         &eval,
         &FamilyConfig {
@@ -177,7 +177,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         };
         let inner = NullRecorder::new();
         let tracer = Tracer::new(&inner);
-        let r = serve_cluster(&mut family, &eval, &router_reqs, &cfg, &tracer);
+        let r = serve_cluster(&family, &eval, &router_reqs, &cfg, &tracer);
         let set = tracer.traces();
         set.matches_report(r.serve.served, r.serve.shed, r.lost, r.unavailable)
             .expect("degraded cell conserves");
@@ -238,7 +238,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         };
         let inner = NullRecorder::new();
         let tracer = Tracer::new(&inner);
-        let r = serve_cluster(&mut family, &eval, &tail_reqs, &cfg, &tracer);
+        let r = serve_cluster(&family, &eval, &tail_reqs, &cfg, &tracer);
         let set = tracer.traces();
         set.matches_report(r.serve.served, r.serve.shed, r.lost, r.unavailable)
             .expect("chaos cell conserves");
@@ -286,16 +286,16 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         }),
     );
     let null = NullRecorder::new();
-    let plain_null = serve_cluster(&mut family, &eval, &steady_reqs, &steady_cfg, &null);
+    let plain_null = serve_cluster(&family, &eval, &steady_reqs, &steady_cfg, &null);
     let timeline = TimelineRecorder::new();
-    let plain_timeline = serve_cluster(&mut family, &eval, &steady_reqs, &steady_cfg, &timeline);
+    let plain_timeline = serve_cluster(&family, &eval, &steady_reqs, &steady_cfg, &timeline);
     let null_inner = NullRecorder::new();
     let traced_null = Tracer::new(&null_inner);
-    let over_null = serve_cluster(&mut family, &eval, &steady_reqs, &steady_cfg, &traced_null);
+    let over_null = serve_cluster(&family, &eval, &steady_reqs, &steady_cfg, &traced_null);
     let timeline_inner = TimelineRecorder::new();
     let traced_timeline = Tracer::new(&timeline_inner);
     let over_timeline =
-        serve_cluster(&mut family, &eval, &steady_reqs, &steady_cfg, &traced_timeline);
+        serve_cluster(&family, &eval, &steady_reqs, &steady_cfg, &traced_timeline);
     let invisible = plain_null == plain_timeline
         && plain_null == over_null
         && plain_null == over_timeline
@@ -344,7 +344,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         )
     };
     let storm_tap = Tracer::new(rec);
-    let storm = serve_cluster(&mut family, &eval, &storm_reqs, &storm_cfg, &storm_tap);
+    let storm = serve_cluster(&family, &eval, &storm_reqs, &storm_cfg, &storm_tap);
     let storm_set = storm_tap.traces();
     let storm_conserved = storm.crashes > 0
         && storm_set

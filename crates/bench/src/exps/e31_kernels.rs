@@ -86,7 +86,7 @@ fn max_rel_diff(a: &Tensor, b: &Tensor) -> f64 {
 
 /// Measured eval-mode forward cost of `model` at batch `b` (same recipe
 /// as the registry's build-time calibration).
-fn cost_at_batch(model: &mut VariantModel, calib: &Tensor, b: usize) -> OpCost {
+fn cost_at_batch(model: &VariantModel, calib: &Tensor, b: usize) -> OpCost {
     let rows = calib.dims()[0];
     let idx: Vec<usize> = (0..b).map(|i| i % rows).collect();
     let xb = calib.select_rows(&idx);
@@ -296,10 +296,9 @@ pub fn run() -> ExperimentResult {
         VariantModel::Quantized(q) => q.to_network(),
         other => panic!("int8 variant must be native-quantized, got {other:?}"),
     };
-    let mut shadow_model = VariantModel::Single(shadow_net);
+    let shadow_model = VariantModel::Single(shadow_net);
     let native_agree = {
-        let mut native = family.variants[int8_idx].model.clone();
-        let a = native.predict(&eval.x);
+        let a = family.variants[int8_idx].model.predict(&eval.x);
         let b = shadow_model.predict(&eval.x);
         a.iter().zip(&b).filter(|(x, y)| x == y).count() as f64 / a.len() as f64
     };
@@ -308,7 +307,7 @@ pub fn run() -> ExperimentResult {
     let mut bytes_shrink = true;
     for &b in &BATCHES {
         let native_cost = *family.variants[int8_idx].cost_at(b);
-        let shadow_cost = cost_at_batch(&mut shadow_model, &eval.x, b);
+        let shadow_cost = cost_at_batch(&shadow_model, &eval.x, b);
         let native_s = device.service_time(&native_cost);
         let shadow_s = device.service_time(&shadow_cost);
         let reduction = shadow_s / native_s;
@@ -342,7 +341,7 @@ pub fn run() -> ExperimentResult {
     // just past the shadow's full-batch capacity, so only a cheaper
     // per-batch cost can hold the tail inside the SLO.
     let shadow_costs: Vec<OpCost> =
-        (1..=32).map(|b| cost_at_batch(&mut shadow_model, &eval.x, b)).collect();
+        (1..=32).map(|b| cost_at_batch(&shadow_model, &eval.x, b)).collect();
     let shadow_cap = 32.0 / device.service_time(&shadow_costs[31]);
     let rate = 1.2 * shadow_cap;
     let native_report = serve_cell(&mut family, &eval, rate, "int8", &device);

@@ -360,13 +360,13 @@ mod tests {
     #[test]
     fn mild_pruning_keeps_accuracy_heavy_pruning_kills_it() {
         let (net, data) = trained_net(3);
-        let base = Trainer::evaluate(&mut net.clone(), &data);
+        let base = Trainer::evaluate(&net, &data);
         let mut mild = net.clone();
         magnitude_prune(&mut mild, 0.3);
-        let mild_acc = Trainer::evaluate(&mut mild, &data);
+        let mild_acc = Trainer::evaluate(&mild, &data);
         let mut heavy = net.clone();
         magnitude_prune(&mut heavy, 0.99);
-        let heavy_acc = Trainer::evaluate(&mut heavy, &data);
+        let heavy_acc = Trainer::evaluate(&heavy, &data);
         assert!(base - mild_acc < 0.1, "mild pruning lost {}", base - mild_acc);
         assert!(heavy_acc < base, "99% pruning should hurt: {heavy_acc} vs {base}");
     }
@@ -374,10 +374,10 @@ mod tests {
     #[test]
     fn saliency_prune_hits_target_and_respects_loss() {
         let (mut net, data) = trained_net(4);
-        let base = Trainer::evaluate(&mut net.clone(), &data);
+        let base = Trainer::evaluate(&net, &data);
         let report = saliency_prune(&mut net, &data, 0.4);
         assert!((report.achieved_sparsity - 0.4).abs() < 0.01);
-        let acc = Trainer::evaluate(&mut net, &data);
+        let acc = Trainer::evaluate(&net, &data);
         assert!(base - acc < 0.15, "saliency pruning lost {}", base - acc);
     }
 
@@ -394,7 +394,7 @@ mod tests {
             assert_eq!(d.fan_in(), 8);
         }
         // network still runs end to end
-        let acc = Trainer::evaluate(&mut net, &data);
+        let acc = Trainer::evaluate(&net, &data);
         assert!(acc > 0.4, "pruned net collapsed to {acc}");
     }
 
@@ -486,10 +486,10 @@ mod tests {
             Optimizer::adam(0.01),
         );
         trainer.fit(&mut net, &data);
-        let base = Trainer::evaluate(&mut net, &data);
+        let base = Trainer::evaluate(&net, &data);
         assert!(base > 0.8, "cnn failed to train: {base}");
         filter_prune(&mut net, 0, 1);
-        let pruned = Trainer::evaluate(&mut net, &data);
+        let pruned = Trainer::evaluate(&net, &data);
         assert!(pruned > 0.5, "one filter should not collapse the model: {pruned}");
     }
 

@@ -39,8 +39,10 @@ pub struct QuantizedDense {
 impl QuantizedDense {
     /// Applies the layer to a `[batch, in]` activation matrix: dynamic
     /// 8-bit activation quantization, native int8 GEMM on the packed
-    /// weight codes, bias add, then ReLU when the source network had
-    /// one (`max(0, x)`, the exact [`dl_nn::layers::ReLU`] formula).
+    /// weight codes, then one in-place pass adding the bias and applying
+    /// ReLU when the source network had one (`max(0, x)`, the exact
+    /// [`dl_nn::layers::ReLU`] formula). The pass charges a broadcast add
+    /// and one elementwise map, as the separate ops it replaces did.
     ///
     /// # Panics
     /// Panics when `x` is not `[batch, in]` for this layer's `in`.
@@ -66,13 +68,9 @@ impl QuantizedDense {
             k,
             n,
         );
-        let y = Tensor::from_vec(data, [m, n]).expect("q8 gemm output length matches");
-        let y = &y + &self.bias;
-        if self.relu {
-            y.map(|v| v.max(0.0))
-        } else {
-            y
-        }
+        let mut y = Tensor::from_vec(data, [m, n]).expect("q8 gemm output length matches");
+        y.add_bias_inplace(&self.bias, self.relu);
+        y
     }
 }
 
@@ -166,11 +164,11 @@ impl QuantizedMlp {
             self.input_dim,
             "quantized forward input width does not match the model"
         );
-        let mut cur = x.clone();
+        let mut cur: Option<Tensor> = None;
         for layer in &self.layers {
-            cur = layer.apply(&cur);
+            cur = Some(layer.apply(cur.as_ref().unwrap_or(x)));
         }
-        cur
+        cur.unwrap_or_else(|| x.clone())
     }
 
     /// Class predictions (row-wise argmax of the native int8 logits).
@@ -312,6 +310,81 @@ mod tests {
             native.bytes_read,
             f32_cost.bytes_read
         );
+    }
+
+    /// `apply` as it was before the in-place epilogue: a broadcast bias
+    /// add, then a separate ReLU map.
+    fn unfused_apply(layer: &QuantizedDense, x: &Tensor) -> Tensor {
+        let (m, k, n) = (x.dims()[0], x.dims()[1], layer.bias.len());
+        let xq = quantize_activations(x);
+        let w = &layer.weight;
+        let (xs, xz, ws, wz) = (xq.scale(), xq.zero_point(), w.scale(), w.zero_point());
+        let data = par::matmul_q8(xq.codes(), xs, xz, w.codes(), ws, wz, m, k, n);
+        let y = &Tensor::from_vec(data, [m, n]).unwrap() + &layer.bias;
+        if layer.relu {
+            y.map(|v| v.max(0.0))
+        } else {
+            y
+        }
+    }
+
+    #[test]
+    fn apply_matches_the_unfused_bias_add_and_relu() {
+        let specials = [f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 1e-40];
+        for case in 0..64 {
+            let mut r = init::rng(100 + case);
+            let (m, k, n) = (r.gen_range(0..6), r.gen_range(0..7), r.gen_range(0..6));
+            let mut x = init::uniform([m, k], -3.0, 3.0, &mut r);
+            for v in x.data_mut() {
+                if r.gen::<f32>() < 0.2 {
+                    *v = specials[r.gen_range(0..specials.len())];
+                }
+            }
+            let w = init::uniform([k, n], -1.0, 1.0, &mut r);
+            let layer = QuantizedDense {
+                weight: QuantizedTensor::quantize(&w, 8),
+                bias: init::uniform([n], -1.0, 1.0, &mut r),
+                relu: case % 2 == 0,
+            };
+            for kernel in [par::Kernel::Scalar, par::Kernel::Unrolled] {
+                for threads in [1, 4] {
+                    let run = |f: &dyn Fn() -> Tensor| {
+                        par::with_kernel(kernel, || par::with_threads(threads, || acct::measure(f)))
+                    };
+                    let (got, got_cost) = run(&|| layer.apply(&x));
+                    let (want, want_cost) = run(&|| unfused_apply(&layer, &x));
+                    let bits =
+                        |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    let what = format!("case {case} ({m}x{k}x{n}), {kernel:?}/{threads}t");
+                    assert_eq!(got.dims(), want.dims(), "{what}");
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                    assert_eq!(got_cost, want_cost, "{what}");
+                }
+            }
+        }
+    }
+
+    /// One infinite feature in row 0 must not change any other row's
+    /// answer: the batch quantizes as if the infinity were the batch's
+    /// finite max (or min).
+    #[test]
+    fn an_infinite_feature_leaves_the_other_rows_alone() {
+        let net = Network::mlp(&[6, 16, 4], &mut init::rng(21));
+        let (_, _, qts) = quantize_network_tensors(&net, 8);
+        let q = QuantizedMlp::from_network_tensors(&net, &qts);
+        let x = init::uniform([32, 6], -2.0, 2.0, &mut init::rng(22));
+        for inf in [f32::INFINITY, f32::NEG_INFINITY] {
+            let mut poisoned = x.clone();
+            poisoned.data_mut()[3] = inf;
+            let mut clamped = x.clone();
+            clamped.data_mut()[3] = if inf > 0.0 { x.max() } else { x.min() };
+            let want = q.predict(&clamped);
+            assert!(
+                want[1..].iter().any(|&p| p != want[1]),
+                "predictions must vary"
+            );
+            assert_eq!(q.predict(&poisoned)[1..], want[1..], "inf = {inf}");
+        }
     }
 
     #[test]

@@ -58,18 +58,34 @@ pub struct QuantizedTensor {
 impl QuantizedTensor {
     /// Quantizes `t` to `bits`-wide affine codes (1-8 bits).
     ///
-    /// The range is calibrated to the tensor's min/max (the standard
-    /// post-training calibration).
+    /// The range is calibrated to the min/max of the tensor's finite
+    /// values (the standard post-training calibration), so one infinite
+    /// value cannot blow the scale up for every other element: `+inf`
+    /// saturates to the top code, `-inf` to code 0, and NaN encodes as
+    /// code 0. A tensor with no finite value gets the range `[0, 0]`.
     ///
     /// # Panics
     /// Panics unless `1 <= bits <= 8`.
     pub fn quantize(t: &Tensor, bits: u8) -> Self {
         assert!((1..=8).contains(&bits), "bits must be 1-8, got {bits}");
         let levels = (1u32 << bits) - 1;
-        let (lo, hi) = (t.min(), t.max());
+        let (mut lo, mut hi) = (t.min(), t.max());
+        if !(lo.is_finite() && hi.is_finite()) {
+            // An infinity, or no value at all, would make the scale
+            // infinite or NaN: calibrate on the finite values alone.
+            let finite = t.data().iter().copied().filter(|v| v.is_finite());
+            (lo, hi) = finite.fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), v| {
+                (lo.min(v), hi.max(v))
+            });
+            if lo > hi {
+                (lo, hi) = (0.0, 0.0);
+            }
+        }
         let range = (hi - lo).max(1e-12);
         let scale = range / levels as f32;
         let zero = lo;
+        // `as u32` saturates: +inf to u32::MAX (clamped to the top code),
+        // -inf and NaN to 0.
         let codes = t
             .data()
             .iter()
@@ -582,6 +598,24 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_values_saturate_and_keep_the_range_finite() {
+        let t =
+            Tensor::from_vec(vec![f32::NEG_INFINITY, -1.0, 0.5, 3.0, f32::INFINITY], [5]).unwrap();
+        let q = QuantizedTensor::quantize(&t, 8);
+        let finite = QuantizedTensor::quantize(&t.map(|v| v.clamp(-1.0, 3.0)), 8);
+        assert_eq!(
+            (q.scale(), q.zero_point()),
+            (finite.scale(), finite.zero_point())
+        );
+        assert_eq!(q.codes(), finite.codes());
+        assert_eq!((q.codes()[0], q.codes()[4]), (0, 255));
+        for t in [Tensor::zeros([0]), Tensor::full([3], f32::INFINITY)] {
+            let q = QuantizedTensor::quantize(&t, 8);
+            assert!(q.scale().is_finite() && q.scale() > 0.0 && q.zero_point() == 0.0);
+        }
+    }
+
+    #[test]
     fn constant_tensor_quantizes_exactly() {
         let t = Tensor::full([10], 3.25);
         let q = QuantizedTensor::quantize(&t, 2);
@@ -767,13 +801,13 @@ mod tests {
             Optimizer::adam(0.01),
         );
         trainer.fit(&mut net, &data);
-        let base_acc = Trainer::evaluate(&mut net, &data);
-        let (mut q8, rep8) = quantize_network(&net, QuantScheme::Affine { bits: 8 });
-        let acc8 = Trainer::evaluate(&mut q8, &data);
+        let base_acc = Trainer::evaluate(&net, &data);
+        let (q8, rep8) = quantize_network(&net, QuantScheme::Affine { bits: 8 });
+        let acc8 = Trainer::evaluate(&q8, &data);
         assert!(rep8.ratio() > 3.5, "8-bit ratio {}", rep8.ratio());
         assert!(base_acc - acc8 < 0.02, "8-bit hurt too much: {base_acc} -> {acc8}");
-        let (mut q1, rep1) = quantize_network(&net, QuantScheme::Binary);
-        let acc1 = Trainer::evaluate(&mut q1, &data);
+        let (q1, rep1) = quantize_network(&net, QuantScheme::Binary);
+        let acc1 = Trainer::evaluate(&q1, &data);
         assert!(rep1.ratio() > 20.0);
         // binary is allowed to hurt, but the report must still be coherent
         assert!(acc1 <= 1.0);

@@ -205,7 +205,7 @@ mod tests {
             Optimizer::adam(0.01),
         );
         trainer.fit(&mut net, &data);
-        let acc = Trainer::evaluate(&mut net, &data);
+        let acc = Trainer::evaluate(&net, &data);
         assert!(acc > 0.9, "digit accuracy only {acc}");
     }
 }

@@ -96,7 +96,7 @@ pub fn fge(
     let members = Rc::try_unwrap(collected)
         .expect("trainer dropped its hook")
         .into_inner();
-    let mut ensemble = Ensemble::new(members);
+    let ensemble = Ensemble::new(members);
     let report = EnsembleReport {
         strategy: "fge",
         accuracy: ensemble.accuracy(eval),

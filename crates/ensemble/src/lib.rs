@@ -32,7 +32,7 @@ pub use mothernet::{hatch, mothernet, MotherNetConfig};
 pub use snapshot::snapshot;
 pub use treenet::{treenet, TreeNet, TreeNetConfig};
 
-use dl_nn::{loss::softmax, Dataset, Network, Optimizer, TrainConfig, Trainer};
+use dl_nn::{Dataset, Network, Optimizer, TrainConfig, Trainer};
 use dl_tensor::Tensor;
 use rand::rngs::StdRng;
 
@@ -64,10 +64,10 @@ impl Ensemble {
     }
 
     /// Mean of member softmax probabilities.
-    pub fn predict_proba(&mut self, x: &Tensor) -> Tensor {
+    pub fn predict_proba(&self, x: &Tensor) -> Tensor {
         let mut acc: Option<Tensor> = None;
-        for m in &mut self.members {
-            let p = softmax(&m.forward(x, false));
+        for m in &self.members {
+            let p = m.predict_proba(x);
             acc = Some(match acc {
                 None => p,
                 Some(a) => &a + &p,
@@ -78,12 +78,12 @@ impl Ensemble {
     }
 
     /// Class predictions by averaged probability.
-    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
+    pub fn predict(&self, x: &Tensor) -> Vec<usize> {
         self.predict_proba(x).argmax_rows()
     }
 
     /// Ensemble accuracy on a dataset.
-    pub fn accuracy(&mut self, data: &Dataset) -> f64 {
+    pub fn accuracy(&self, data: &Dataset) -> f64 {
         dl_nn::metrics::accuracy(&self.predict(&data.x), &data.y)
     }
 
@@ -140,7 +140,7 @@ pub fn independent(
         flops += trainer.flops;
         nets.push(net);
     }
-    let mut ensemble = Ensemble::new(nets);
+    let ensemble = Ensemble::new(nets);
     let report = EnsembleReport {
         strategy: "independent",
         accuracy: ensemble.accuracy(eval),
@@ -155,6 +155,7 @@ pub fn independent(
 mod tests {
     use super::*;
     use dl_data::blobs;
+    use dl_nn::loss::softmax;
     use dl_tensor::init::rng;
 
     #[test]
@@ -162,7 +163,7 @@ mod tests {
         let mut r = rng(0);
         let a = Network::mlp(&[2, 4, 2], &mut r);
         let b = Network::mlp(&[2, 4, 2], &mut r);
-        let mut ens = Ensemble::new(vec![a.clone(), b.clone()]);
+        let ens = Ensemble::new(vec![a.clone(), b.clone()]);
         let x = dl_tensor::init::uniform([3, 2], -1.0, 1.0, &mut r);
         let p = ens.predict_proba(&x);
         let pa = softmax(&a.clone().forward(&x, false));
@@ -207,7 +208,7 @@ mod tests {
     fn ensemble_is_at_least_as_good_as_worst_member() {
         let data = blobs(150, 2, 3, 6.0, 0.5, 4);
         let mut r = rng(5);
-        let (mut ens, _) = independent(
+        let (ens, _) = independent(
             &data,
             &data,
             &[3, 8, 2],
@@ -221,7 +222,7 @@ mod tests {
         let worst = ens
             .members
             .iter()
-            .map(|m| Trainer::evaluate(&mut m.clone(), &data))
+            .map(|m| Trainer::evaluate(m, &data))
             .fold(f64::INFINITY, f64::min);
         let ens_acc = ens.accuracy(&data);
         assert!(

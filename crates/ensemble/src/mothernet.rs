@@ -159,7 +159,7 @@ pub fn mothernet(
         flops += ft.flops;
         members.push(member);
     }
-    let mut ensemble = Ensemble::new(members);
+    let ensemble = Ensemble::new(members);
     let report = EnsembleReport {
         strategy: "mothernet",
         accuracy: ensemble.accuracy(eval),

@@ -53,7 +53,7 @@ pub fn snapshot(
     let members_vec = Rc::try_unwrap(snapshots)
         .expect("trainer dropped its hook reference")
         .into_inner();
-    let mut ensemble = Ensemble::new(members_vec);
+    let ensemble = Ensemble::new(members_vec);
     let report = EnsembleReport {
         strategy: "snapshot",
         accuracy: ensemble.accuracy(eval),

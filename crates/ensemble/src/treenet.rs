@@ -8,7 +8,7 @@
 
 use crate::{Ensemble, EnsembleReport};
 use dl_nn::{
-    loss::{one_hot, softmax, Loss},
+    loss::{one_hot, Loss},
     Dataset, Network, Optimizer,
 };
 use dl_tensor::{init, Tensor};
@@ -69,11 +69,11 @@ impl TreeNet {
     }
 
     /// Averaged branch probabilities (trunk evaluated once).
-    pub fn predict_proba(&mut self, x: &Tensor) -> Tensor {
-        let features = self.trunk.forward(x, false);
+    pub fn predict_proba(&self, x: &Tensor) -> Tensor {
+        let features = self.trunk.eval(x);
         let mut acc: Option<Tensor> = None;
-        for b in &mut self.branches {
-            let p = softmax(&b.forward(&features, false));
+        for b in &self.branches {
+            let p = b.predict_proba(&features);
             acc = Some(match acc {
                 None => p,
                 Some(a) => &a + &p,
@@ -83,12 +83,12 @@ impl TreeNet {
     }
 
     /// Class predictions.
-    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
+    pub fn predict(&self, x: &Tensor) -> Vec<usize> {
         self.predict_proba(x).argmax_rows()
     }
 
     /// Accuracy on a dataset.
-    pub fn accuracy(&mut self, data: &Dataset) -> f64 {
+    pub fn accuracy(&self, data: &Dataset) -> f64 {
         dl_nn::metrics::accuracy(&self.predict(&data.x), &data.y)
     }
 
@@ -223,7 +223,7 @@ mod tests {
     fn treenet_learns() {
         let data = blobs(150, 3, 4, 6.0, 0.4, 0);
         let mut r = rng(1);
-        let (mut tree, report) = treenet(&data, &data, &config(), &mut r);
+        let (tree, report) = treenet(&data, &data, &config(), &mut r);
         assert!(report.accuracy > 0.85, "accuracy {}", report.accuracy);
         assert_eq!(tree.branches.len(), 3);
         assert_eq!(tree.predict(&data.x).len(), 150);
@@ -284,8 +284,8 @@ mod tests {
             batch_size: 16,
             seed: 1,
         };
-        let (mut tree, _) = treenet(&data, &data, &cfg, &mut r);
-        let mut flat = flatten(&tree);
+        let (tree, _) = treenet(&data, &data, &cfg, &mut r);
+        let flat = flatten(&tree);
         let p_tree = tree.predict_proba(&data.x);
         let p_flat = flat.predict_proba(&data.x);
         assert!(p_tree.approx_eq(&p_flat, 1e-5));

@@ -390,7 +390,7 @@ mod tests {
     #[test]
     fn threshold_adjust_closes_parity_almost_exactly() {
         let census = biased_census(6);
-        let (mut net, base) = baseline(&census, 7);
+        let (net, base) = baseline(&census, 7);
         let scores = net.predict_proba(&census.features);
         let result = threshold_adjust(&scores, &census.labels, &census.groups);
         assert!(
@@ -404,7 +404,7 @@ mod tests {
     #[test]
     fn equal_opportunity_thresholds_close_the_tpr_gap() {
         let census = biased_census(10);
-        let (mut net, base) = baseline(&census, 11);
+        let (net, base) = baseline(&census, 11);
         let scores = net.predict_proba(&census.features);
         let result =
             threshold_equal_opportunity(&scores, &census.labels, &census.groups, 0.85);
@@ -424,7 +424,7 @@ mod tests {
     #[should_panic(expected = "TPR must lie")]
     fn equal_opportunity_rejects_bad_target() {
         let census = biased_census(12);
-        let (mut net, _) = baseline(&census, 13);
+        let (net, _) = baseline(&census, 13);
         let scores = net.predict_proba(&census.features);
         threshold_equal_opportunity(&scores, &census.labels, &census.groups, 1.5);
     }
@@ -432,7 +432,7 @@ mod tests {
     #[test]
     fn threshold_adjust_trades_some_accuracy() {
         let census = biased_census(8);
-        let (mut net, base) = baseline(&census, 9);
+        let (net, base) = baseline(&census, 9);
         let scores = net.predict_proba(&census.features);
         let result = threshold_adjust(&scores, &census.labels, &census.groups);
         // parity is enforced against biased labels, so accuracy can dip,

@@ -8,7 +8,7 @@
 //! spatial layers ([`Conv2d`], [`MaxPool2d`]) carry their own `[C, H, W]`
 //! geometry and reinterpret each row.
 
-use dl_tensor::{init, par, Tensor};
+use dl_tensor::{acct, init, par, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,6 +40,22 @@ pub enum Layer {
 }
 
 impl Layer {
+    /// The read-only inference forward: the arithmetic of
+    /// `forward(x, false)`, with the same bits and the same
+    /// [`dl_tensor::acct`] charge, but nothing cached for backward.
+    pub fn eval(&self, x: &Tensor) -> Tensor {
+        match self {
+            Layer::Dense(l) => l.eval(x, false),
+            Layer::ReLU(_) => ReLU::eval(x),
+            Layer::Sigmoid(_) => Sigmoid::eval(x),
+            Layer::Tanh(_) => Tanh::eval(x),
+            Layer::Dropout(_) => x.clone(),
+            Layer::Conv2d(l) => l.apply(x, None),
+            Layer::MaxPool2d(l) => l.apply(x, None),
+            Layer::BatchNorm1d(l) => l.eval(x),
+        }
+    }
+
     /// Runs the layer forward. `train` enables training-only behaviour
     /// (dropout masks, batch statistics).
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
@@ -218,12 +234,22 @@ impl Dense {
         self.weight.dims()[1]
     }
 
+    /// `x W + b`, with a ReLU folded into the bias pass when `relu` is
+    /// set. The parallel kernel is bit-identical to `x.matmul(..)` at any
+    /// thread count, so training trajectories do not depend on
+    /// DL_THREADS.
+    pub(crate) fn eval(&self, x: &Tensor, relu: bool) -> Tensor {
+        let mut y = par::matmul(x, &self.weight);
+        y.add_bias_inplace(&self.bias, relu);
+        if relu {
+            ReLU::charge_mask(y.len());
+        }
+        y
+    }
+
     fn forward(&mut self, x: &Tensor) -> Tensor {
         self.input = Some(x.clone());
-        // The parallel kernel is bit-identical to `x.matmul(..)` at any
-        // thread count, so training trajectories do not depend on
-        // DL_THREADS.
-        &par::matmul(x, &self.weight) + &self.bias
+        self.eval(x, false)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -253,9 +279,26 @@ impl ReLU {
         ReLU::default()
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.mask = Some(x.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
+    /// Charges the mask map that the training forward builds for
+    /// backward (`n` flops, `4n` bytes read, `4n` written). Inference
+    /// builds no mask but charges it too, so every measured cost table,
+    /// and the admission decisions priced from them, is the same on
+    /// either path.
+    fn charge_mask(n: usize) {
+        let n = n as u64;
+        acct::charge(n, 4 * n, 4 * n);
+    }
+
+    fn eval(x: &Tensor) -> Tensor {
+        ReLU::charge_mask(x.len());
         x.map(|v| v.max(0.0))
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let mask = x.data().iter().map(|&v| if v > 0.0 { 1.0 } else { 0.0 });
+        self.mask =
+            Some(Tensor::from_vec(mask.collect(), x.shape().clone()).expect("mask matches input"));
+        ReLU::eval(x)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -279,8 +322,12 @@ impl Sigmoid {
         Sigmoid::default()
     }
 
+    fn eval(x: &Tensor) -> Tensor {
+        x.map(|v| 1.0 / (1.0 + (-v).exp()))
+    }
+
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = x.map(|v| 1.0 / (1.0 + (-v).exp()));
+        let y = Sigmoid::eval(x);
         self.output = Some(y.clone());
         y
     }
@@ -306,8 +353,12 @@ impl Tanh {
         Tanh::default()
     }
 
+    fn eval(x: &Tensor) -> Tensor {
+        x.map(f32::tanh)
+    }
+
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = x.map(f32::tanh);
+        let y = Tanh::eval(x);
         self.output = Some(y.clone());
         y
     }
@@ -496,7 +547,9 @@ impl Conv2d {
         self.out_channels * oh * ow
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    /// The convolution; each sample's `im2col` matrix goes to `cols`
+    /// when backward will need it.
+    fn apply(&self, x: &Tensor, mut cols_cache: Option<&mut Vec<Tensor>>) -> Tensor {
         let batch = x.dims()[0];
         let in_dim = self.in_channels * self.height * self.width;
         assert_eq!(
@@ -510,7 +563,6 @@ impl Conv2d {
         let (oh, ow) = self.output_hw();
         let out_dim = self.out_channels * oh * ow;
         let mut out = Vec::with_capacity(batch * out_dim);
-        let mut cols_cache = Vec::with_capacity(batch);
         for s in 0..batch {
             let img = x
                 .row(s)
@@ -524,10 +576,18 @@ impl Conv2d {
                     out.push(y.data()[c * oh * ow + p] + b);
                 }
             }
-            cols_cache.push(cols);
+            if let Some(cache) = cols_cache.as_deref_mut() {
+                cache.push(cols);
+            }
         }
-        self.cols = Some(cols_cache);
         Tensor::from_vec(out, [batch, out_dim]).expect("length matches by construction")
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let mut cols = Vec::with_capacity(x.dims()[0]);
+        let y = self.apply(x, Some(&mut cols));
+        self.cols = Some(cols);
+        y
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -618,14 +678,15 @@ impl MaxPool2d {
         self.channels * oh * ow
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    /// The pooling; each window's flat input index of its maximum goes
+    /// to `argmax` when backward will need it.
+    fn apply(&self, x: &Tensor, mut argmax: Option<&mut Vec<usize>>) -> Tensor {
         let batch = x.dims()[0];
         let in_dim = self.channels * self.height * self.width;
         assert_eq!(x.dims()[1], in_dim, "MaxPool2d row width mismatch");
         let (oh, ow) = self.output_hw();
         let out_dim = self.channels * oh * ow;
         let mut out = Vec::with_capacity(batch * out_dim);
-        let mut argmax = Vec::with_capacity(batch * out_dim);
         for s in 0..batch {
             let base = s * in_dim;
             for c in 0..self.channels {
@@ -647,14 +708,22 @@ impl MaxPool2d {
                             }
                         }
                         out.push(best_val);
-                        argmax.push(best_idx);
+                        if let Some(argmax) = argmax.as_deref_mut() {
+                            argmax.push(best_idx);
+                        }
                     }
                 }
             }
         }
-        self.argmax = Some(argmax);
-        self.in_dims = Some((batch, in_dim));
         Tensor::from_vec(out, [batch, out_dim]).expect("length matches by construction")
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let mut argmax = Vec::with_capacity(x.dims()[0] * self.output_dim());
+        let y = self.apply(x, Some(&mut argmax));
+        self.argmax = Some(argmax);
+        self.in_dims = Some((x.dims()[0], x.dims()[1]));
+        y
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -749,10 +818,15 @@ impl BatchNorm1d {
             self.cache = Some(BnCache { x_hat, std_inv });
             out
         } else {
-            let std_inv = self.running_var.map(|v| 1.0 / (v + self.eps).sqrt());
-            let x_hat = &(x - &self.running_mean) * &std_inv;
-            &(&x_hat * &self.gamma) + &self.beta
+            self.eval(x)
         }
+    }
+
+    /// Normalizes with the running statistics.
+    fn eval(&self, x: &Tensor) -> Tensor {
+        let std_inv = self.running_var.map(|v| 1.0 / (v + self.eps).sqrt());
+        let x_hat = &(x - &self.running_mean) * &std_inv;
+        &(&x_hat * &self.gamma) + &self.beta
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {

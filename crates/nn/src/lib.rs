@@ -8,7 +8,8 @@
 //!
 //! * [`layers`] — the pipeline operators ([`Dense`], [`Conv2d`],
 //!   [`MaxPool2d`], activations, [`Dropout`], [`BatchNorm1d`]), each with an
-//!   explicit `forward`/`backward` pair and cached intermediates,
+//!   explicit `forward`/`backward` pair and cached intermediates, and a
+//!   read-only `eval` that caches nothing (the inference path),
 //! * [`Network`] — an ordered pipeline of layers with parameter surgery
 //!   hooks (used by `dl-compress`) and cost accounting (`dl-store` saves
 //!   and loads it),

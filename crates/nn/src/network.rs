@@ -115,6 +115,27 @@ impl Network {
         cur
     }
 
+    /// The read-only inference forward: the bits and the
+    /// [`dl_tensor::acct`] charge of `forward(x, false)`, without touching
+    /// any layer's backward cache. It copies no input, and runs a Dense
+    /// followed by a ReLU as one GEMM plus one in-place bias + ReLU pass
+    /// over its output.
+    pub fn eval(&self, x: &Tensor) -> Tensor {
+        let mut cur: Option<Tensor> = None;
+        let mut layers = self.layers.iter().peekable();
+        while let Some(layer) = layers.next() {
+            let input = cur.as_ref().unwrap_or(x);
+            cur = Some(match (layer, layers.peek()) {
+                (Layer::Dense(d), Some(Layer::ReLU(_))) => {
+                    layers.next();
+                    d.eval(input, true)
+                }
+                _ => layer.eval(input),
+            });
+        }
+        cur.unwrap_or_else(|| x.clone())
+    }
+
     /// Forward pass that also returns every intermediate activation
     /// (input first, logits last). Feeds the interpretability stack.
     pub fn forward_trace(&mut self, x: &Tensor, train: bool) -> Vec<Tensor> {
@@ -168,13 +189,13 @@ impl Network {
     }
 
     /// Class predictions (row-wise argmax of the logits).
-    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
-        self.forward(x, false).argmax_rows()
+    pub fn predict(&self, x: &Tensor) -> Vec<usize> {
+        self.eval(x).argmax_rows()
     }
 
     /// Class probabilities (softmax of the logits).
-    pub fn predict_proba(&mut self, x: &Tensor) -> Tensor {
-        softmax(&self.forward(x, false))
+    pub fn predict_proba(&self, x: &Tensor) -> Tensor {
+        softmax(&self.eval(x))
     }
 
     /// Eval-mode class predictions computed `max_batch` rows at a time —
@@ -189,7 +210,7 @@ impl Network {
     ///
     /// # Panics
     /// Panics when `max_batch` is zero or `x` is not a matrix.
-    pub fn predict_batched(&mut self, x: &Tensor, max_batch: usize) -> Vec<usize> {
+    pub fn predict_batched(&self, x: &Tensor, max_batch: usize) -> Vec<usize> {
         assert!(max_batch > 0, "max_batch must be positive");
         let rows = x.dims()[0];
         if rows <= max_batch {
@@ -419,7 +440,7 @@ mod tests {
     #[test]
     fn predict_proba_rows_sum_to_one() {
         let mut r = rng(4);
-        let mut net = Network::mlp(&[3, 4, 3], &mut r);
+        let net = Network::mlp(&[3, 4, 3], &mut r);
         let x = init::uniform([2, 3], -1.0, 1.0, &mut r);
         let p = net.predict_proba(&x);
         for row in 0..2 {
@@ -491,7 +512,7 @@ mod tests {
             crate::optim::Optimizer::adam(0.01),
         );
         trainer.fit(&mut net, &data);
-        let acc = crate::train::Trainer::evaluate(&mut net, &data);
+        let acc = crate::train::Trainer::evaluate(&net, &data);
         assert!(acc > 0.85, "regularized mlp accuracy {acc}");
         // eval mode is deterministic despite dropout
         let a = net.forward(&data.x, false);

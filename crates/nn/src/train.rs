@@ -235,7 +235,7 @@ impl Trainer {
     /// activation memory is bounded by `EVAL_BATCH` (256) rows on
     /// arbitrarily large evaluation sets; chunking is bitwise invisible
     /// (see `predict_batched`).
-    pub fn evaluate(net: &mut Network, data: &Dataset) -> f64 {
+    pub fn evaluate(net: &Network, data: &Dataset) -> f64 {
         accuracy(&net.predict_batched(&data.x, Self::EVAL_BATCH), &data.y)
     }
 }
@@ -397,7 +397,7 @@ mod tests {
         trainer.fit(&mut net, &data);
         // Unchunked reference: one full forward, the library accuracy.
         let ref_acc = accuracy(&net.predict(&data.x), &data.y);
-        assert_eq!(Trainer::evaluate(&mut net, &data), ref_acc);
+        assert_eq!(Trainer::evaluate(&net, &data), ref_acc);
     }
 
     #[test]
@@ -414,7 +414,7 @@ mod tests {
             Optimizer::adam(0.02),
         );
         trainer.fit_soft(&mut net, &data, Some(&soft));
-        assert!(Trainer::evaluate(&mut net, &data) > 0.9);
+        assert!(Trainer::evaluate(&net, &data) > 0.9);
     }
 
     #[test]

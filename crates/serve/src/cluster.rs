@@ -219,7 +219,7 @@ impl ClusterReport {
 /// the open-loop generators produce (per-request retry/hedge state is
 /// indexed by id).
 pub fn serve_cluster(
-    registry: &mut VariantRegistry,
+    registry: &VariantRegistry,
     data: &Dataset,
     requests: &[Request],
     cfg: &ClusterConfig,
@@ -317,7 +317,7 @@ mod tests {
 
     #[test]
     fn crashes_lose_work_without_retries_and_recover_with_them() {
-        let (mut reg, eval) = family_and_data();
+        let (reg, eval) = family_and_data();
         let reqs = load(400_000.0, 800, 22, eval.x.dims()[0]);
         let horizon_s = reqs.last().unwrap().arrival_s * 1.5;
         let seconds_per_step = horizon_s / 64.0;
@@ -332,7 +332,7 @@ mod tests {
             ..ClusterConfig::new(3, base_cfg())
         };
         let lossy = serve_cluster(
-            &mut reg,
+            &reg,
             &eval,
             &reqs,
             &mk(RetryPolicy::none()),
@@ -342,7 +342,7 @@ mod tests {
         assert!(lossy.lost > 0, "fire-and-forget must lose crash work");
         assert_eq!(lossy.retried, 0);
         let retrying = serve_cluster(
-            &mut reg,
+            &reg,
             &eval,
             &reqs,
             &mk(RetryPolicy::retries(3)),
@@ -371,7 +371,7 @@ mod tests {
 
     #[test]
     fn cluster_runs_are_deterministic_for_every_router() {
-        let (mut reg, eval) = family_and_data();
+        let (reg, eval) = family_and_data();
         let reqs = load(400_000.0, 400, 23, eval.x.dims()[0]);
         let horizon_s = reqs.last().unwrap().arrival_s * 1.5;
         let faults = FaultPlan::from_profile(&FaultProfile::crashes(9, 20.0, 8.0), 3, 64);
@@ -388,18 +388,18 @@ mod tests {
                 dispatch_s: 1e-6,
                 ..ClusterConfig::new(3, base_cfg())
             };
-            let a = serve_cluster(&mut reg, &eval, &reqs, &cfg, &NullRecorder::new());
-            let b = serve_cluster(&mut reg, &eval, &reqs, &cfg, &NullRecorder::new());
+            let a = serve_cluster(&reg, &eval, &reqs, &cfg, &NullRecorder::new());
+            let b = serve_cluster(&reg, &eval, &reqs, &cfg, &NullRecorder::new());
             assert_eq!(a, b, "router {router:?} must be deterministic");
             let rec = TimelineRecorder::new();
-            let traced = serve_cluster(&mut reg, &eval, &reqs, &cfg, &rec);
+            let traced = serve_cluster(&reg, &eval, &reqs, &cfg, &rec);
             assert_eq!(a, traced, "tracing must not change the result");
         }
     }
 
     #[test]
     fn hedging_dispatches_duplicates_and_dedups_completions() {
-        let (mut reg, eval) = family_and_data();
+        let (reg, eval) = family_and_data();
         let reqs = load(300_000.0, 400, 24, eval.x.dims()[0]);
         // A straggling replica 0 makes primary dispatches slow enough for
         // hedges to fire and win on other replicas.
@@ -416,7 +416,7 @@ mod tests {
             seconds_per_step: horizon_s / 64.0,
             ..ClusterConfig::new(2, base_cfg())
         };
-        let r = serve_cluster(&mut reg, &eval, &reqs, &cfg, &NullRecorder::new());
+        let r = serve_cluster(&reg, &eval, &reqs, &cfg, &NullRecorder::new());
         assert!(r.hedged > 0, "hedges must fire against a straggler");
         let wasted: usize = r.per_replica.iter().map(|p| p.wasted).sum();
         assert!(wasted > 0, "losing twins are wasted, not double-counted");
@@ -429,7 +429,7 @@ mod tests {
 
     #[test]
     fn every_wasted_hedge_twin_emits_a_loser_instant() {
-        let (mut reg, eval) = family_and_data();
+        let (reg, eval) = family_and_data();
         let reqs = load(300_000.0, 400, 24, eval.x.dims()[0]);
         let faults = FaultPlan::new(vec![dl_distributed::FaultEvent::Straggler {
             worker: 0,
@@ -445,7 +445,7 @@ mod tests {
             ..ClusterConfig::new(2, base_cfg())
         };
         let rec = TimelineRecorder::new();
-        let r = serve_cluster(&mut reg, &eval, &reqs, &cfg, &rec);
+        let r = serve_cluster(&reg, &eval, &reqs, &cfg, &rec);
         let wasted: usize = r.per_replica.iter().map(|p| p.wasted).sum();
         assert!(wasted > 0, "scenario must produce losing twins");
         let losers = rec
@@ -470,7 +470,7 @@ mod tests {
 
     #[test]
     fn autoscaler_grows_fleet_under_load_and_drains_it_after() {
-        let (mut reg, eval) = family_and_data();
+        let (reg, eval) = family_and_data();
         let device = DeviceModel::nominal();
         let cap = {
             let v = &reg.variants[0];
@@ -491,7 +491,7 @@ mod tests {
             warmup_factor: 1.5,
             ..ClusterConfig::new(1, base_cfg())
         };
-        let r = serve_cluster(&mut reg, &eval, &reqs, &cfg, &NullRecorder::new());
+        let r = serve_cluster(&reg, &eval, &reqs, &cfg, &NullRecorder::new());
         assert!(
             r.peak_replicas > 1,
             "3x one replica's capacity must scale up: peak {}",
@@ -507,7 +507,7 @@ mod tests {
         // tail should be in the same regime as over-provisioning, far
         // from the melted single-replica tail.
         let melted = serve_cluster(
-            &mut reg,
+            &reg,
             &eval,
             &reqs,
             &ClusterConfig::new(1, base_cfg()),

@@ -338,7 +338,7 @@ impl ReplicaEngine {
     #[allow(clippy::too_many_arguments)]
     pub fn try_flush(
         &mut self,
-        registry: &mut VariantRegistry,
+        registry: &VariantRegistry,
         data: &Dataset,
         cfg: &ServeConfig,
         now_s: f64,
@@ -382,7 +382,7 @@ impl ReplicaEngine {
         let cost = *registry.variants[v].cost_at(b);
         let threads = cfg.device.threads_for(&cost, dl_tensor::par::threads());
         let xb = data.x.select_rows(&samples);
-        let variant = &mut registry.variants[v];
+        let variant = &registry.variants[v];
         let preds = dl_tensor::par::with_threads(threads, || variant.model.predict(&xb));
         let correct: Vec<bool> = preds
             .iter()
@@ -520,7 +520,7 @@ pub(crate) fn assemble_report<'a>(
 /// Panics when the primary variant is unknown or a request's sample index
 /// is out of range for `data`.
 pub fn serve(
-    registry: &mut VariantRegistry,
+    registry: &VariantRegistry,
     data: &Dataset,
     requests: &[Request],
     cfg: &ServeConfig,
@@ -570,7 +570,7 @@ mod tests {
 
     #[test]
     fn run_is_deterministic_and_recorder_invisible() {
-        let (mut reg, eval) = family_and_data();
+        let (reg, eval) = family_and_data();
         let load = open_loop(
             &LoadConfig {
                 rate_rps: 200_000.0,
@@ -580,11 +580,11 @@ mod tests {
             eval.x.dims()[0],
         );
         let c = cfg(BatchPolicy::dynamic(16, 5e-6), AdmissionPolicy::AcceptAll);
-        let a = serve(&mut reg, &eval, &load, &c, &NullRecorder::new());
-        let b = serve(&mut reg, &eval, &load, &c, &NullRecorder::new());
+        let a = serve(&reg, &eval, &load, &c, &NullRecorder::new());
+        let b = serve(&reg, &eval, &load, &c, &NullRecorder::new());
         assert_eq!(a, b, "same schedule, same report");
         let rec = TimelineRecorder::new();
-        let traced = serve(&mut reg, &eval, &load, &c, &rec);
+        let traced = serve(&reg, &eval, &load, &c, &rec);
         assert_eq!(a, traced, "tracing must not change the result");
         let events = rec.events();
         assert!(events.iter().any(|e| e.name == "serve.batch"));
@@ -594,7 +594,7 @@ mod tests {
 
     #[test]
     fn all_requests_served_without_admission_control() {
-        let (mut reg, eval) = family_and_data();
+        let (reg, eval) = family_and_data();
         let load = open_loop(
             &LoadConfig {
                 rate_rps: 50_000.0,
@@ -604,7 +604,7 @@ mod tests {
             eval.x.dims()[0],
         );
         let c = cfg(BatchPolicy::no_batching(), AdmissionPolicy::AcceptAll);
-        let r = serve(&mut reg, &eval, &load, &c, &NullRecorder::new());
+        let r = serve(&reg, &eval, &load, &c, &NullRecorder::new());
         assert_eq!(r.served, 300);
         assert_eq!(r.shed, 0);
         assert_eq!(r.downgraded, 0);
@@ -615,7 +615,7 @@ mod tests {
 
     #[test]
     fn batching_multiplies_throughput_at_bounded_tail() {
-        let (mut reg, eval) = family_and_data();
+        let (reg, eval) = family_and_data();
         // Offered load near the batch=1 saturation knee.
         let base = &reg.variants[0];
         let device = DeviceModel::nominal();
@@ -629,14 +629,14 @@ mod tests {
             eval.x.dims()[0],
         );
         let single = serve(
-            &mut reg,
+            &reg,
             &eval,
             &load,
             &cfg(BatchPolicy::no_batching(), AdmissionPolicy::AcceptAll),
             &NullRecorder::new(),
         );
         let dynamic = serve(
-            &mut reg,
+            &reg,
             &eval,
             &load,
             &cfg(BatchPolicy::dynamic(16, 5e-6), AdmissionPolicy::AcceptAll),
@@ -657,7 +657,7 @@ mod tests {
 
     #[test]
     fn slo_aware_admission_bounds_the_tail_under_overload() {
-        let (mut reg, eval) = family_and_data();
+        let (reg, eval) = family_and_data();
         let device = DeviceModel::nominal();
         let batch = BatchPolicy::dynamic(16, 5e-6);
         let base = &reg.variants[0];
@@ -672,14 +672,14 @@ mod tests {
             eval.x.dims()[0],
         );
         let melted = serve(
-            &mut reg,
+            &reg,
             &eval,
             &load,
             &cfg(batch, AdmissionPolicy::AcceptAll),
             &NullRecorder::new(),
         );
         let governed = serve(
-            &mut reg,
+            &reg,
             &eval,
             &load,
             &cfg(

@@ -31,7 +31,7 @@ use crate::variant::VariantRegistry;
 pub(crate) enum Weights<'a> {
     /// One family served in place from the caller's registry: resident
     /// on every replica, never round-tripped through a store.
-    Shared(&'a mut VariantRegistry),
+    Shared(&'a VariantRegistry),
     /// Many families and their encoded artifacts, each replica holding
     /// them in its own store under the fleet's budget and eviction
     /// policy. The stores share the artifact bytes.
@@ -541,9 +541,9 @@ impl Sim<'_> {
                     if now < r.ready_s[m] || !r.holds(m) {
                         continue;
                     }
-                    let registry = match (&mut self.weights, &mut r.store) {
-                        (Weights::Shared(reg), _) => &mut **reg,
-                        (_, store) => store.as_mut().expect("stored weights").registry_mut(m),
+                    let registry = match (&self.weights, &r.store) {
+                        (Weights::Shared(reg), _) => reg,
+                        (_, store) => store.as_ref().expect("stored weights").registry(m),
                     };
                     let (data, drain) = (self.data, self.drain);
                     r.engines[m].try_flush(registry, data, &cfg.engine, now, drain, factor, rec);

@@ -371,8 +371,7 @@ mod tests {
             matches!(back.variants[i].model, VariantModel::Quantized(_)),
             "load must rebuild the native int8 model, not an f32 shadow"
         );
-        let mut a = reg.variants[i].model.clone();
-        let mut b = back.variants[i].model.clone();
+        let (a, b) = (&reg.variants[i].model, &back.variants[i].model);
         assert_eq!(a.predict(&eval.x), b.predict(&eval.x));
     }
 

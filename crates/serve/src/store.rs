@@ -340,18 +340,6 @@ impl WeightStore {
             .as_ref()
             .unwrap_or_else(|| panic!("family {:?} is not resident", self.families[id].name))
     }
-
-    /// The resident registry (mutable — batches run real forwards).
-    ///
-    /// # Panics
-    /// Panics when the family is not resident — fetch first.
-    pub fn registry_mut(&mut self, id: usize) -> &mut VariantRegistry {
-        let name = self.families[id].name.clone();
-        self.families[id]
-            .resident
-            .as_mut()
-            .unwrap_or_else(|| panic!("family {name:?} is not resident"))
-    }
 }
 
 #[cfg(test)]
@@ -509,13 +497,13 @@ mod tests {
 
     #[test]
     fn loaded_registry_predicts_identically_to_the_original() {
-        let mut reg = family(600);
+        let reg = family(600);
         let eval = dl_data::blobs(50, 3, 8, 6.0, 0.5, 601);
         let mut store = WeightStore::new(u64::MAX, EvictionPolicy::Lru);
         let id = store.insert("f", save_family(&reg).into());
         let _ = store.fetch(id, &DeviceModel::nominal(), 0, &NullRecorder::new());
-        let loaded = store.registry_mut(id);
-        for (v, w) in reg.variants.iter_mut().zip(loaded.variants.iter_mut()) {
+        let loaded = store.registry(id);
+        for (v, w) in reg.variants.iter().zip(&loaded.variants) {
             assert_eq!(v.model.predict(&eval.x), w.model.predict(&eval.x), "{}", v.name);
         }
     }

@@ -36,7 +36,7 @@ pub enum VariantModel {
 impl VariantModel {
     /// Eval-mode class predictions for a `[B, d]` batch — one batched
     /// forward per network (the dl-nn batched path), never a per-row loop.
-    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
+    pub fn predict(&self, x: &Tensor) -> Vec<usize> {
         match self {
             VariantModel::Single(net) => net.predict(x),
             VariantModel::Ensemble(e) => e.predict(x),
@@ -171,7 +171,7 @@ impl VariantRegistry {
 /// `1..=max_batch`, using rows cycled from `calib` as representative
 /// inputs (zero-skip kernels make cost mildly input-dependent, so the
 /// table is calibrated on the same distribution it will serve).
-fn measure_batch_costs(model: &mut VariantModel, calib: &Tensor, max_batch: usize) -> Vec<OpCost> {
+fn measure_batch_costs(model: &VariantModel, calib: &Tensor, max_batch: usize) -> Vec<OpCost> {
     let rows = calib.dims()[0];
     (1..=max_batch)
         .map(|b| {
@@ -190,7 +190,7 @@ fn build_variant(
     eval: &Dataset,
     max_batch: usize,
 ) -> Variant {
-    let accuracy = match &mut model {
+    let accuracy = match &model {
         VariantModel::Single(net) => Trainer::evaluate(net, eval),
         VariantModel::Ensemble(e) => e.accuracy(eval),
         VariantModel::Quantized(q) => metrics::accuracy(&q.predict(&eval.x), &eval.y),
@@ -204,7 +204,7 @@ fn build_variant(
         VariantModel::Ensemble(e) => NetworkProfile::profile(&mut e.members[0], &x1),
         VariantModel::Quantized(q) => NetworkProfile::profile(&mut q.to_network(), &x1),
     };
-    let batch_costs = measure_batch_costs(&mut model, &eval.x, max_batch);
+    let batch_costs = measure_batch_costs(&model, &eval.x, max_batch);
     Variant {
         name: name.to_string(),
         model,
@@ -428,7 +428,7 @@ mod tests {
 
     #[test]
     fn int8_variant_serves_natively_on_packed_codes() {
-        let (mut reg, eval) = tiny_family();
+        let (reg, eval) = tiny_family();
         let i = reg.index_of("int8").unwrap();
         assert!(
             matches!(reg.variants[i].model, VariantModel::Quantized(_)),
@@ -448,7 +448,7 @@ mod tests {
             _ => unreachable!(),
         };
         let native = reg.variants[i].model.predict(&eval.x);
-        let want = { let mut s = shadow; s.predict(&eval.x) };
+        let want = shadow.predict(&eval.x);
         let agree = native.iter().zip(&want).filter(|(a, b)| a == b).count();
         assert!(
             agree * 10 >= native.len() * 9,

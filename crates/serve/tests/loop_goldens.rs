@@ -282,7 +282,7 @@ fn ids(reqs: &[dl_serve::Request]) -> Vec<u64> {
     reqs.iter().map(|r| r.id).collect()
 }
 
-fn serve_cells(reg: &mut VariantRegistry, eval: &Dataset, out: &mut String) {
+fn serve_cells(reg: &VariantRegistry, eval: &Dataset, out: &mut String) {
     let batches = [
         ("b1", BatchPolicy::no_batching()),
         ("dyn8", BatchPolicy::dynamic(8, 5e-6)),
@@ -309,7 +309,7 @@ fn serve_cells(reg: &mut VariantRegistry, eval: &Dataset, out: &mut String) {
     }
 }
 
-fn cluster_cells(reg: &mut VariantRegistry, eval: &Dataset, out: &mut String) {
+fn cluster_cells(reg: &VariantRegistry, eval: &Dataset, out: &mut String) {
     let reqs = load(4.0 * capacity_rps(reg), 160, 21, eval);
     let horizon_s = reqs.last().expect("non-empty load").arrival_s * 1.5;
     let seconds_per_step = horizon_s / 64.0;
@@ -445,10 +445,10 @@ fn sweep() -> String {
     par::with_kernel(Kernel::Scalar, || {
         par::with_threads(1, || {
             let eval = dl_data::blobs(60, 3, 8, 6.0, 0.5, 901);
-            let mut single = family(80, 24, 8);
+            let single = family(80, 24, 8);
             let mut out = String::new();
-            serve_cells(&mut single, &eval, &mut out);
-            cluster_cells(&mut single, &eval, &mut out);
+            serve_cells(&single, &eval, &mut out);
+            cluster_cells(&single, &eval, &mut out);
             let fleet: Vec<VariantRegistry> = [900, 910, 920, 930, 940]
                 .iter()
                 .map(|&s| family(s, 16, 6))

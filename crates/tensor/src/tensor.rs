@@ -265,6 +265,49 @@ impl Tensor {
         }
     }
 
+    /// Adds `bias` to every row of this `[m, n]` matrix in place, then
+    /// applies ReLU (`v.max(0.0)`) when `relu` is set: the epilogue of a
+    /// dense layer over its GEMM output.
+    ///
+    /// Each element is `(acc + b)` then `.max(0.0)`, the same two
+    /// operations in the same order as `&y + &bias` followed by
+    /// `map(|v| v.max(0.0))`, so the bits are the same. So is the charge:
+    /// the broadcast add's (`m·n` flops, both operands read, the output
+    /// written) plus one elementwise map's when `relu` is set.
+    ///
+    /// # Panics
+    /// Panics unless this tensor is a matrix and `bias` has one value per
+    /// column.
+    pub fn add_bias_inplace(&mut self, bias: &Tensor, relu: bool) {
+        assert_eq!(self.rank(), 2, "bias epilogue needs a matrix");
+        let n = self.dims()[1];
+        assert_eq!(
+            bias.len(),
+            n,
+            "bias of {} values for {n} columns",
+            bias.len()
+        );
+        let len = self.data.len() as u64;
+        acct::charge(len, 4 * (len + n as u64), 4 * len);
+        if relu {
+            acct::charge(len, 4 * len, 4 * len);
+        }
+        if n == 0 {
+            return;
+        }
+        for row in self.data.chunks_exact_mut(n) {
+            if relu {
+                for (v, &b) in row.iter_mut().zip(&bias.data) {
+                    *v = (*v + b).max(0.0);
+                }
+            } else {
+                for (v, &b) in row.iter_mut().zip(&bias.data) {
+                    *v += b;
+                }
+            }
+        }
+    }
+
     /// Combines two same-shaped tensors elementwise with `f`.
     ///
     /// # Panics

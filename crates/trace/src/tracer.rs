@@ -10,6 +10,13 @@
 //! Wrapping a `TimelineRecorder` therefore leaves its timeline
 //! byte-identical, and wrapping a `NullRecorder` adds tracing to an
 //! otherwise silent run.
+//!
+//! The pairs are kept in fixed-size blocks, not one growing vector. A
+//! long trace holds megabytes of records, and a vector doubling into that
+//! range copies its buffer; whether the allocator grows it in place or
+//! leaves the old copy behind as a resident hole depends on everything
+//! allocated before, so peak memory would differ from run to run. A block
+//! never moves once allocated.
 
 use std::sync::Mutex;
 
@@ -18,11 +25,16 @@ use dl_obs::{Event, Recorder, VirtualClock};
 use crate::context::ServeEvent;
 use crate::waterfall::TraceSet;
 
+/// Records per storage block of a [`Tracer`]: tens of KiB, small enough
+/// for the allocator to hand a freed block straight to the next one.
+const BLOCK_RECORDS: usize = 1024;
+
 /// A pure forwarding tap over any [`Recorder`] that retains the
 /// request-lifecycle events needed to reconstruct waterfalls.
 pub struct Tracer<'a> {
     inner: &'a dyn Recorder,
-    records: Mutex<Vec<(u64, ServeEvent)>>,
+    /// Records in record order; every block but the last is full.
+    records: Mutex<Vec<Vec<(u64, ServeEvent)>>>,
 }
 
 impl<'a> Tracer<'a> {
@@ -39,14 +51,15 @@ impl<'a> Tracer<'a> {
     /// `(ts_micros, ServeEvent)` record per serve-schema event.
     #[must_use]
     pub fn retained_bytes(&self) -> u64 {
-        let records = self.records.lock().expect("tracer records lock").len();
+        let blocks = self.records.lock().expect("tracer records lock");
+        let records: usize = blocks.iter().map(Vec::len).sum();
         (records * std::mem::size_of::<(u64, ServeEvent)>()) as u64
     }
 
     /// Reconstructs per-request waterfalls from the retained records.
     #[must_use]
     pub fn traces(&self) -> TraceSet {
-        TraceSet::from_records(&self.records.lock().expect("tracer records lock"))
+        TraceSet::from_blocks(&self.records.lock().expect("tracer records lock"))
     }
 }
 
@@ -63,10 +76,17 @@ impl Recorder for Tracer<'_> {
 
     fn record(&self, event: Event) {
         if let Some(decoded) = ServeEvent::decode(&event) {
-            self.records
-                .lock()
-                .expect("tracer records lock")
-                .push((event.ts_micros, decoded));
+            let mut blocks = self.records.lock().expect("tracer records lock");
+            match blocks.last_mut() {
+                Some(block) if block.len() < BLOCK_RECORDS => {
+                    block.push((event.ts_micros, decoded));
+                }
+                _ => {
+                    let mut block = Vec::with_capacity(BLOCK_RECORDS);
+                    block.push((event.ts_micros, decoded));
+                    blocks.push(block);
+                }
+            }
         }
         self.inner.record(event);
     }
@@ -110,7 +130,7 @@ mod tests {
         assert_eq!(plain.events(), tapped.events());
         // The tap retained only the serve schema subset.
         assert_eq!(
-            *tracer.records.lock().unwrap(),
+            tracer.records.lock().unwrap().concat(),
             [
                 (
                     500_000,
@@ -125,6 +145,27 @@ mod tests {
         );
         // Clocks advance in lockstep because there is only one clock.
         assert_eq!(plain.clock().now(), tapped.clock().now());
+    }
+
+    #[test]
+    fn traces_across_record_blocks_match_the_timeline() {
+        let timeline = TimelineRecorder::new();
+        let tracer = Tracer::new(&timeline);
+        // Every admit precedes every completion, so each request's two
+        // records sit in different blocks, and the last block is partial.
+        let requests = BLOCK_RECORDS + 7;
+        for request in 0..requests as u64 {
+            tracer.instant(0, "serve.admit", fields! { "request" => request, "replica" => 0usize });
+        }
+        tracer.clock().advance(1e-6);
+        for request in 0..requests as u64 {
+            tracer.instant(0, "serve.complete", fields! { "request" => request, "replica" => 0usize });
+        }
+        assert_eq!(tracer.records.lock().unwrap().len(), 3);
+        let set = tracer.traces();
+        assert_eq!(set, TraceSet::reconstruct(&timeline.events()));
+        assert_eq!(set.requests.len(), requests);
+        assert_eq!(set.counts.served, requests);
     }
 
     #[test]

@@ -246,10 +246,21 @@ impl TraceSet {
     /// without allocating per request.
     #[must_use]
     pub fn from_records(records: &[(u64, ServeEvent)]) -> TraceSet {
+        TraceSet::from_blocks(&[records])
+    }
+
+    /// [`TraceSet::from_records`] over records stored as consecutive
+    /// blocks, every block but the last holding the same number of
+    /// records.
+    pub(crate) fn from_blocks<B: AsRef<[(u64, ServeEvent)]>>(blocks: &[B]) -> TraceSet {
+        let len: usize = blocks.iter().map(|b| b.as_ref().len()).sum();
         assert!(
-            u32::try_from(records.len()).is_ok(),
+            u32::try_from(len).is_ok(),
             "more trace records than a u32 index can address"
         );
+        let per_block = blocks.first().map_or(1, |b| b.as_ref().len().max(1));
+        let record = |i: u32| blocks[i as usize / per_block].as_ref()[i as usize % per_block];
+        let records = blocks.iter().flat_map(AsRef::as_ref);
         // Latest `serve.batch` end edge per replica, maintained in record
         // order: when a request joins a batch, this is the moment its
         // replica's device last went idle — the queue/batch-wait split.
@@ -258,7 +269,7 @@ impl TraceSet {
         let mut join_free: Vec<u64> = Vec::new();
         // (request, record index, `join_free` index) per lifecycle record,
         // pushed in record order.
-        let mut order: Vec<(u64, u32, u32)> = Vec::with_capacity(records.len());
+        let mut order: Vec<(u64, u32, u32)> = Vec::with_capacity(len);
         for (i, &(ts, event)) in (0u32..).zip(records) {
             if let ServeEvent::BatchEnd { replica } = event {
                 device_free.insert(replica, ts);
@@ -278,7 +289,7 @@ impl TraceSet {
         sort_by_request(&mut order);
 
         let keyed = |&(request, i, join): &(u64, u32, u32)| {
-            let (ts, event) = records[i as usize];
+            let (ts, event) = record(i);
             Keyed {
                 request,
                 ts,

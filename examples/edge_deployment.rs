@@ -47,7 +47,7 @@ fn main() {
             })
             .expect("unique names");
     };
-    let teacher_acc = Trainer::evaluate(&mut teacher.clone(), &test);
+    let teacher_acc = Trainer::evaluate(&teacher, &test);
     register("teacher", &teacher, teacher_acc, None);
     println!(
         "teacher: acc {:.3}, {} KiB",
@@ -58,23 +58,23 @@ fn main() {
     // candidate 1: distilled student
     let mut student = Network::mlp(&[144, 24, 10], &mut init::rng(10));
     distill(&mut teacher, &mut student, &train, &DistillConfig::default());
-    let student_acc = Trainer::evaluate(&mut student.clone(), &test);
+    let student_acc = Trainer::evaluate(&student, &test);
     register("distilled-24", &student, student_acc, None);
 
     // candidate 2: distilled + int8 quantized
     let (q8, q8_report) = quantize_network(&student, QuantScheme::Affine { bits: 8 });
-    let q8_acc = Trainer::evaluate(&mut q8.clone(), &test);
+    let q8_acc = Trainer::evaluate(&q8, &test);
     register("distilled-24-int8", &q8, q8_acc, Some(q8_report.compressed_bytes as u64));
 
     // candidate 3: structurally pruned student (physically smaller)
     let mut slim = student.clone();
     neuron_prune(&mut slim, 0, 12);
-    let slim_acc = Trainer::evaluate(&mut slim.clone(), &test);
+    let slim_acc = Trainer::evaluate(&slim, &test);
     register("distilled-12-structural", &slim, slim_acc, None);
 
     // candidate 4: binary extreme
     let (bin, bin_report) = quantize_network(&student, QuantScheme::Binary);
-    let bin_acc = Trainer::evaluate(&mut bin.clone(), &test);
+    let bin_acc = Trainer::evaluate(&bin, &test);
     register("distilled-24-binary", &bin, bin_acc, Some(bin_report.compressed_bytes as u64));
 
     // the navigator answers the deployment question

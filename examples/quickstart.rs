@@ -37,7 +37,7 @@ fn main() {
         last.train_accuracy,
         last.cumulative_flops as f64 / 1e6
     );
-    println!("test accuracy: {:.3}", Trainer::evaluate(&mut net, &test));
+    println!("test accuracy: {:.3}", Trainer::evaluate(&net, &test));
 
     // 4. The resource half of the tutorial's metric pairs.
     let profile = net.cost_profile(1);
@@ -49,11 +49,11 @@ fn main() {
     );
 
     // 5. Compression: int8 quantization, then 70% pruning on top.
-    let (mut q8, report) = quantize_network(&net, QuantScheme::Affine { bits: 8 });
+    let (q8, report) = quantize_network(&net, QuantScheme::Affine { bits: 8 });
     println!(
         "int8: {:.1}x smaller, test acc {:.3}",
         report.ratio(),
-        Trainer::evaluate(&mut q8, &test)
+        Trainer::evaluate(&q8, &test)
     );
     let mut pruned = net.clone();
     let prune_report = magnitude_prune(&mut pruned, 0.7);
@@ -61,6 +61,6 @@ fn main() {
         "70% pruned: {} of {} weights left, test acc {:.3}",
         prune_report.params_after,
         prune_report.params_before,
-        Trainer::evaluate(&mut pruned, &test)
+        Trainer::evaluate(&pruned, &test)
     );
 }

@@ -47,7 +47,7 @@ fn engine(device: DeviceModel) -> ServeConfig {
 
 #[test]
 fn monitored_fault_free_cluster_run_is_bit_identical() {
-    let (mut family, eval) = family_and_eval();
+    let (family, eval) = family_and_eval();
     let device = DeviceModel::nominal();
     let cap1 = 1.0 / device.service_time(family.variants[0].cost_at(1));
     let load = open_loop(
@@ -66,15 +66,15 @@ fn monitored_fault_free_cluster_run_is_bit_identical() {
     // Four paths over the identical run: plain timeline, monitored
     // timeline, plain null, monitored null.
     let plain_tl = TimelineRecorder::new();
-    let plain = serve_cluster(&mut family, &eval, &load, &cfg, &plain_tl);
+    let plain = serve_cluster(&family, &eval, &load, &cfg, &plain_tl);
     let mon_tl = TimelineRecorder::new();
     let monitor = Monitor::new(&mon_tl, MonitorConfig::default());
-    let monitored = serve_cluster(&mut family, &eval, &load, &cfg, &monitor);
+    let monitored = serve_cluster(&family, &eval, &load, &cfg, &monitor);
     let report = monitor.report();
-    let plain_null = serve_cluster(&mut family, &eval, &load, &cfg, &NullRecorder::new());
+    let plain_null = serve_cluster(&family, &eval, &load, &cfg, &NullRecorder::new());
     let null = NullRecorder::new();
     let null_monitor = Monitor::new(&null, MonitorConfig::default());
-    let monitored_null = serve_cluster(&mut family, &eval, &load, &cfg, &null_monitor);
+    let monitored_null = serve_cluster(&family, &eval, &load, &cfg, &null_monitor);
 
     assert_eq!(plain, monitored, "monitor tap changed the cluster outcome");
     assert_eq!(plain, plain_null, "recorder choice changed the outcome");
@@ -104,7 +104,7 @@ fn monitored_fault_free_cluster_run_is_bit_identical() {
 
 #[test]
 fn monitor_over_null_recorder_aggregates_and_alerts_under_overload() {
-    let (mut family, eval) = family_and_eval();
+    let (family, eval) = family_and_eval();
     let device = DeviceModel::nominal();
     let vmax = &family.variants[0];
     let cap_dyn =
@@ -119,7 +119,7 @@ fn monitor_over_null_recorder_aggregates_and_alerts_under_overload() {
         eval.x.dims()[0],
     );
     let scfg = engine(device);
-    let healthy = serve(&mut family, &eval, &calibrate, &scfg, &NullRecorder::new());
+    let healthy = serve(&family, &eval, &calibrate, &scfg, &NullRecorder::new());
     // 2x capacity: the queue grows without bound, so the burn rule on a
     // 1.5x-healthy-p99 objective must fire.
     let overload = open_loop(
@@ -148,7 +148,7 @@ fn monitor_over_null_recorder_aggregates_and_alerts_under_overload() {
             ..MonitorConfig::default()
         },
     );
-    let report_serve = serve(&mut family, &eval, &overload, &scfg, &monitor);
+    let report_serve = serve(&family, &eval, &overload, &scfg, &monitor);
     let rep = monitor.report();
     // enabled() == true over a NullRecorder inner keeps the structured
     // samples flowing even though nothing is stored downstream.
@@ -166,7 +166,7 @@ fn monitor_over_null_recorder_aggregates_and_alerts_under_overload() {
 
 #[test]
 fn cluster_crash_instants_reach_the_health_series() {
-    let (mut family, eval) = family_and_eval();
+    let (family, eval) = family_and_eval();
     let device = DeviceModel::nominal();
     let cap1 = 1.0 / device.service_time(family.variants[0].cost_at(1));
     let load = open_loop(
@@ -190,7 +190,7 @@ fn cluster_crash_instants_reach_the_health_series() {
     };
     let null = NullRecorder::new();
     let monitor = Monitor::new(&null, MonitorConfig::default());
-    let report = serve_cluster(&mut family, &eval, &load, &cfg, &monitor);
+    let report = serve_cluster(&family, &eval, &load, &cfg, &monitor);
     let rep = monitor.report();
     assert_eq!(report.crashes, 1);
     assert_eq!(rep.fleet.crashes, 1, "crash instant must reach the monitor");

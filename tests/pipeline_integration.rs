@@ -23,7 +23,7 @@ fn train_compress_navigate() {
         Optimizer::adam(0.01),
     );
     trainer.fit(&mut net, &train);
-    let base_acc = Trainer::evaluate(&mut net.clone(), &test);
+    let base_acc = Trainer::evaluate(&net, &test);
     assert!(base_acc > 0.9, "baseline failed to train: {base_acc}");
 
     // compress two ways and register everything
@@ -43,11 +43,11 @@ fn train_compress_navigate() {
     registry
         .add(reg("fp32", base_acc, (net.param_count() * 4) as u64))
         .unwrap();
-    let (mut q, qr) = quantize_network(&net, QuantScheme::Affine { bits: 8 });
+    let (q, qr) = quantize_network(&net, QuantScheme::Affine { bits: 8 });
     registry
         .add(reg(
             "int8",
-            Trainer::evaluate(&mut q, &test),
+            Trainer::evaluate(&q, &test),
             qr.compressed_bytes as u64,
         ))
         .unwrap();
@@ -56,7 +56,7 @@ fn train_compress_navigate() {
     registry
         .add(reg(
             "prune80",
-            Trainer::evaluate(&mut p, &test),
+            Trainer::evaluate(&p, &test),
             (net.param_count() / 5 * 8) as u64,
         ))
         .unwrap();

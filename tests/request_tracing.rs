@@ -52,7 +52,7 @@ fn serve_cfg(device: DeviceModel) -> ServeConfig {
 
 #[test]
 fn traced_single_node_is_bit_identical_to_untraced() {
-    let (mut family, eval) = family_and_eval();
+    let (family, eval) = family_and_eval();
     let device = DeviceModel::nominal();
     let cap1 = 1.0 / device.service_time(family.variants[0].cost_at(1));
     let load = open_loop(
@@ -67,12 +67,12 @@ fn traced_single_node_is_bit_identical_to_untraced() {
 
     // Reference: untraced serving on a plain timeline.
     let plain_rec = TimelineRecorder::new();
-    let single = serve(&mut family, &eval, &load, &cfg, &plain_rec);
+    let single = serve(&family, &eval, &load, &cfg, &plain_rec);
 
     // The same run with the Tracer tap wrapping the timeline.
     let traced_rec = TimelineRecorder::new();
     let tracer = Tracer::new(&traced_rec);
-    let traced = serve(&mut family, &eval, &load, &cfg, &tracer);
+    let traced = serve(&family, &eval, &load, &cfg, &tracer);
 
     assert_eq!(traced, single, "tracing changed the serving outcome");
     assert_eq!(
@@ -115,7 +115,7 @@ fn traced_single_node_is_bit_identical_to_untraced() {
 
 #[test]
 fn all_four_recorder_paths_agree_on_the_outcome() {
-    let (mut family, eval) = family_and_eval();
+    let (family, eval) = family_and_eval();
     let device = DeviceModel::nominal();
     let cap1 = 1.0 / device.service_time(family.variants[0].cost_at(1));
     let load = open_loop(
@@ -129,18 +129,18 @@ fn all_four_recorder_paths_agree_on_the_outcome() {
     let cfg = ClusterConfig::new(2, serve_cfg(device));
 
     let null = NullRecorder::new();
-    let plain_null = serve_cluster(&mut family, &eval, &load, &cfg, &null);
+    let plain_null = serve_cluster(&family, &eval, &load, &cfg, &null);
 
     let timeline = TimelineRecorder::new();
-    let plain_timeline = serve_cluster(&mut family, &eval, &load, &cfg, &timeline);
+    let plain_timeline = serve_cluster(&family, &eval, &load, &cfg, &timeline);
 
     let null_inner = NullRecorder::new();
     let traced_null = Tracer::new(&null_inner);
-    let over_null = serve_cluster(&mut family, &eval, &load, &cfg, &traced_null);
+    let over_null = serve_cluster(&family, &eval, &load, &cfg, &traced_null);
 
     let timeline_inner = TimelineRecorder::new();
     let traced_timeline = Tracer::new(&timeline_inner);
-    let over_timeline = serve_cluster(&mut family, &eval, &load, &cfg, &traced_timeline);
+    let over_timeline = serve_cluster(&family, &eval, &load, &cfg, &traced_timeline);
 
     assert_eq!(plain_null, plain_timeline, "timeline recording is invisible");
     assert_eq!(plain_null, over_null, "tracing over null is invisible");
@@ -164,7 +164,7 @@ fn all_four_recorder_paths_agree_on_the_outcome() {
 
 #[test]
 fn crash_storm_reconstruction_conserves_every_request() {
-    let (mut family, eval) = family_and_eval();
+    let (family, eval) = family_and_eval();
     let device = DeviceModel::nominal();
     let cap1 = 1.0 / device.service_time(family.variants[0].cost_at(1));
     let load = open_loop(
@@ -189,7 +189,7 @@ fn crash_storm_reconstruction_conserves_every_request() {
 
     let rec = TimelineRecorder::new();
     let tracer = Tracer::new(&rec);
-    let report = serve_cluster(&mut family, &eval, &load, &cfg, &tracer);
+    let report = serve_cluster(&family, &eval, &load, &cfg, &tracer);
     assert!(report.crashes >= 2, "crashes must fire");
 
     let traces = tracer.traces();
@@ -243,7 +243,7 @@ fn crash_storm_reconstruction_conserves_every_request() {
 /// every waterfall telescopes exactly, and the outcomes match the report.
 #[test]
 fn tracer_equals_timeline_reconstruction_over_many_seeds() {
-    let (mut family, eval) = family_and_eval();
+    let (family, eval) = family_and_eval();
     let device = DeviceModel::nominal();
     let service_s = device.service_time(family.variants[0].cost_at(1));
     const STEPS: usize = 32;
@@ -298,7 +298,7 @@ fn tracer_equals_timeline_reconstruction_over_many_seeds() {
 
         let timeline = TimelineRecorder::new();
         let tracer = Tracer::new(&timeline);
-        let report = serve_cluster(&mut family, &eval, &load, &cfg, &tracer);
+        let report = serve_cluster(&family, &eval, &load, &cfg, &tracer);
         hedged_runs += usize::from(report.hedged > 0);
         crashed_runs += usize::from(report.crashes > 0);
 

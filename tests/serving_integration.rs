@@ -31,7 +31,7 @@ fn family_and_eval() -> (dl_serve::VariantRegistry, dl_nn::Dataset) {
 
 #[test]
 fn traced_and_untraced_serving_agree_and_the_trace_is_complete() {
-    let (mut family, eval) = family_and_eval();
+    let (family, eval) = family_and_eval();
     let device = DeviceModel::nominal();
     let cap1 = 1.0 / device.service_time(family.variants[0].cost_at(1));
     let load = open_loop(
@@ -53,9 +53,9 @@ fn traced_and_untraced_serving_agree_and_the_trace_is_complete() {
         device,
     };
 
-    let silent = serve(&mut family, &eval, &load, &cfg, &NullRecorder::new());
+    let silent = serve(&family, &eval, &load, &cfg, &NullRecorder::new());
     let rec = TimelineRecorder::new();
-    let traced = serve(&mut family, &eval, &load, &cfg, &rec);
+    let traced = serve(&family, &eval, &load, &cfg, &rec);
     // Tracing must be invisible to the simulated outcome.
     assert_eq!(silent, traced, "recorder choice changed the serving outcome");
     assert_eq!(silent.offered, 400);
@@ -87,7 +87,7 @@ fn traced_and_untraced_serving_agree_and_the_trace_is_complete() {
 
 #[test]
 fn dynamic_batching_beats_batch_one_end_to_end() {
-    let (mut family, eval) = family_and_eval();
+    let (family, eval) = family_and_eval();
     let device = DeviceModel::nominal();
     let cap1 = 1.0 / device.service_time(family.variants[0].cost_at(1));
     let load = open_loop(
@@ -98,14 +98,14 @@ fn dynamic_batching_beats_batch_one_end_to_end() {
         },
         eval.x.dims()[0],
     );
-    let mut run = |batch: BatchPolicy| {
+    let run = |batch: BatchPolicy| {
         let cfg = ServeConfig {
             batch,
             admission: AdmissionPolicy::AcceptAll,
             primary: "fp32-base".into(),
             device: device.clone(),
         };
-        serve(&mut family, &eval, &load, &cfg, &NullRecorder::new())
+        serve(&family, &eval, &load, &cfg, &NullRecorder::new())
     };
     let single = run(BatchPolicy::no_batching());
     let dynamic = run(BatchPolicy::dynamic(16, 5e-6));

@@ -9,9 +9,9 @@
 //! starts allocating per event again. This file is a test binary of its
 //! own with a single test, so no other test allocates while it counts.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod counting_alloc;
 
+use counting_alloc::allocations_during;
 use dl_distributed::{FaultPlan, FaultProfile};
 use dl_monitor::{Monitor, MonitorConfig, SloRule};
 use dl_obs::NullRecorder;
@@ -23,8 +23,8 @@ use dl_trace::Tracer;
 
 /// Allocations (including reallocations) per offered request of the
 /// serving call over a bare `NullRecorder`, rounded up from the measured
-/// 3.43.
-const BARE_ALLOCS_PER_REQUEST: f64 = 4.0;
+/// 1.49.
+const BARE_ALLOCS_PER_REQUEST: f64 = 2.0;
 
 /// Allocations per offered request of the serving call through both taps,
 /// rounded up from the measured 8.03.
@@ -34,58 +34,11 @@ const TAPPED_ALLOCS_PER_REQUEST: f64 = 9.0;
 /// requests: a handful of buffers (14 measured), none per request.
 const RECONSTRUCT_ALLOCS: u64 = 64;
 
-struct CountingAlloc;
-
-/// Allocation and reallocation calls so far. A statistic only: it
-/// publishes no other data, so `Relaxed` suffices.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, so
-// `System`'s implementation upholds the `GlobalAlloc` contract; the only
-// addition is a relaxed counter increment, which neither allocates nor
-// touches the memory being managed.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller guarantees `ptr` came from this allocator with
-        // `layout`, and `new_size` is valid for it.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller guarantees `ptr` came from this allocator with
-        // `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns its result with the allocations it made.
-fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
-}
-
 #[test]
 fn tracer_over_monitor_stays_within_its_allocation_budget() {
     let data = dl_data::blobs(160, 4, 10, 6.0, 0.6, 70);
     let eval = dl_data::blobs(80, 4, 10, 6.0, 0.6, 71);
-    let mut family = build_family(
+    let family = build_family(
         &data,
         &eval,
         &FamilyConfig {
@@ -151,9 +104,9 @@ fn tracer_over_monitor_stays_within_its_allocation_budget() {
     };
 
     // One kernel thread, so the counts do not depend on `DL_THREADS`.
-    let mut serve_through = |rec: &dyn dl_obs::Recorder| {
+    let serve_through = |rec: &dyn dl_obs::Recorder| {
         let (report, allocs) = allocations_during(|| {
-            dl_tensor::par::with_threads(1, || serve_cluster(&mut family, &eval, &load, &cfg, rec))
+            dl_tensor::par::with_threads(1, || serve_cluster(&family, &eval, &load, &cfg, rec))
         });
         (report, allocs as f64 / requests as f64)
     };
