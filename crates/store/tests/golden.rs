@@ -1,16 +1,17 @@
 //! Golden-file regression test for the artifact byte layout.
 //!
 //! `tests/golden/tiny_mlp.dlst` is a committed artifact for a tiny
-//! deterministic MLP. If encoding ever drifts — field order, alignment,
-//! checksum, endianness — this test fails before any consumer does.
-//! To regenerate after an *intentional* format-version bump:
+//! deterministic MLP, written in format version 2 (the lane checksum).
+//! If encoding ever drifts — field order, alignment, checksum,
+//! endianness — this test fails before any consumer does. To regenerate
+//! after an *intentional* format-version bump:
 //!
 //! ```text
 //! DL_STORE_REGEN_GOLDEN=1 cargo test -p dl-store --test golden
 //! ```
 
 use dl_nn::Network;
-use dl_store::{fnv1a, load_network, save_network, Artifact, ALIGN};
+use dl_store::{checksum, load_network, save_network, Artifact, ALIGN};
 use dl_tensor::init;
 use std::path::PathBuf;
 
@@ -58,9 +59,9 @@ fn golden_artifact_is_aligned_and_checksummed() {
     let a = Artifact::parse(&golden).expect("parses");
     for e in a.entries() {
         assert_eq!(e.offset % ALIGN, 0, "payload {} unaligned", e.name);
-        assert_eq!(fnv1a(a.payload(e).unwrap()), e.checksum);
+        assert_eq!(checksum(a.payload(e).unwrap()), e.checksum);
     }
     let n = golden.len();
     let stored = u64::from_le_bytes(golden[n - 8..].try_into().unwrap());
-    assert_eq!(stored, fnv1a(&golden[..n - 8]));
+    assert_eq!(stored, checksum(&golden[..n - 8]));
 }
