@@ -100,55 +100,79 @@ impl QuantizedMlp {
     /// on the packed codes.
     ///
     /// # Panics
-    /// Panics when the network contains layers other than Dense/ReLU,
-    /// when a ReLU precedes the first Dense, or when the tensor list
-    /// does not match the network's parameter list.
+    /// Panics where [`QuantizedMlp::try_from_network_tensors`] returns
+    /// an error.
     #[must_use]
     pub fn from_network_tensors(net: &Network, quantized: &[QuantizedTensor]) -> Self {
+        Self::try_from_network_tensors(net, quantized).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`QuantizedMlp::from_network_tensors`] for inputs that may be
+    /// malformed, such as a decoded artifact.
+    ///
+    /// # Errors
+    /// A message when the network contains layers other than Dense/ReLU,
+    /// when a ReLU precedes the first Dense, when the tensor list does
+    /// not match the network's parameter list one to one, or when a
+    /// layer's weight is not a `[in, out]` matrix taking the previous
+    /// layer's width with an `out`-long bias — anything the forward
+    /// would otherwise panic on.
+    pub fn try_from_network_tensors(
+        net: &Network,
+        quantized: &[QuantizedTensor],
+    ) -> Result<Self, String> {
         let mut layers: Vec<QuantizedDense> = Vec::new();
-        let mut qi = 0usize;
+        let mut width = net.input_dim;
+        let mut params = quantized.iter();
         for layer in net.layers() {
             match layer {
                 Layer::Dense(d) => {
-                    assert!(
-                        qi + 2 <= quantized.len(),
-                        "quantized tensor list is shorter than the network's parameters"
-                    );
-                    let weight = quantized[qi].clone();
-                    let bias_q = &quantized[qi + 1];
-                    qi += 2;
-                    assert_eq!(
-                        weight.dims(),
-                        d.weight.dims(),
-                        "quantized weight dims do not match the network"
-                    );
+                    let (Some(weight), Some(bias_q)) = (params.next(), params.next()) else {
+                        return Err(
+                            "quantized tensor list is shorter than the network's parameters".into(),
+                        );
+                    };
+                    if weight.dims() != d.weight.dims() {
+                        return Err("quantized weight dims do not match the network".into());
+                    }
+                    let &[fan_in, fan_out] = weight.dims() else {
+                        return Err(format!(
+                            "quantized weight dims {:?} are not a matrix",
+                            weight.dims()
+                        ));
+                    };
+                    if fan_in != width || bias_q.codes().len() != fan_out {
+                        return Err(format!(
+                            "quantized layer [{fan_in}, {fan_out}] with a {}-long bias does not take width {width}",
+                            bias_q.codes().len()
+                        ));
+                    }
+                    width = fan_out;
                     layers.push(QuantizedDense {
-                        weight,
+                        weight: weight.clone(),
                         bias: bias_q.dequantize(),
                         relu: false,
                     });
                 }
-                Layer::ReLU(_) => {
-                    let last = layers
-                        .last_mut()
-                        .expect("ReLU must follow a Dense layer in a quantized MLP");
-                    last.relu = true;
+                Layer::ReLU(_) => match layers.last_mut() {
+                    Some(last) => last.relu = true,
+                    None => return Err("ReLU must follow a Dense layer in a quantized MLP".into()),
+                },
+                other => {
+                    return Err(format!(
+                        "native int8 serving supports Dense/ReLU MLPs; got a {} layer",
+                        other.name()
+                    ))
                 }
-                other => panic!(
-                    "native int8 serving supports Dense/ReLU MLPs; got a {} layer",
-                    other.name()
-                ),
             }
         }
-        assert_eq!(
-            qi,
-            quantized.len(),
-            "quantized tensor list is longer than the network's parameters"
-        );
-        QuantizedMlp {
+        if params.next().is_some() {
+            return Err("quantized tensor list is longer than the network's parameters".into());
+        }
+        Ok(QuantizedMlp {
             layers,
             input_dim: net.input_dim,
-        }
+        })
     }
 
     /// Logits for a `[batch, input_dim]` matrix, computed natively on
