@@ -100,79 +100,73 @@ impl QuantizedMlp {
     /// on the packed codes.
     ///
     /// # Panics
-    /// Panics where [`QuantizedMlp::try_from_network_tensors`] returns
-    /// an error.
+    /// Panics when the network contains layers other than Dense/ReLU,
+    /// when a ReLU precedes the first Dense, when the tensor list does
+    /// not match the network's parameter list one to one, or where
+    /// [`QuantizedMlp::try_from_layers`] fails.
     #[must_use]
     pub fn from_network_tensors(net: &Network, quantized: &[QuantizedTensor]) -> Self {
-        Self::try_from_network_tensors(net, quantized).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`QuantizedMlp::from_network_tensors`] for inputs that may be
-    /// malformed, such as a decoded artifact.
-    ///
-    /// # Errors
-    /// A message when the network contains layers other than Dense/ReLU,
-    /// when a ReLU precedes the first Dense, when the tensor list does
-    /// not match the network's parameter list one to one, or when a
-    /// layer's weight is not a `[in, out]` matrix taking the previous
-    /// layer's width with an `out`-long bias — anything the forward
-    /// would otherwise panic on.
-    pub fn try_from_network_tensors(
-        net: &Network,
-        quantized: &[QuantizedTensor],
-    ) -> Result<Self, String> {
         let mut layers: Vec<QuantizedDense> = Vec::new();
-        let mut width = net.input_dim;
         let mut params = quantized.iter();
         for layer in net.layers() {
             match layer {
                 Layer::Dense(d) => {
                     let (Some(weight), Some(bias_q)) = (params.next(), params.next()) else {
-                        return Err(
-                            "quantized tensor list is shorter than the network's parameters".into(),
-                        );
+                        panic!("quantized tensor list is shorter than the network's parameters");
                     };
-                    if weight.dims() != d.weight.dims() {
-                        return Err("quantized weight dims do not match the network".into());
-                    }
-                    let &[fan_in, fan_out] = weight.dims() else {
-                        return Err(format!(
-                            "quantized weight dims {:?} are not a matrix",
-                            weight.dims()
-                        ));
-                    };
-                    if fan_in != width || bias_q.codes().len() != fan_out {
-                        return Err(format!(
-                            "quantized layer [{fan_in}, {fan_out}] with a {}-long bias does not take width {width}",
-                            bias_q.codes().len()
-                        ));
-                    }
-                    width = fan_out;
+                    assert_eq!(
+                        weight.dims(),
+                        d.weight.dims(),
+                        "quantized weight dims do not match the network"
+                    );
                     layers.push(QuantizedDense {
                         weight: weight.clone(),
                         bias: bias_q.dequantize(),
                         relu: false,
                     });
                 }
-                Layer::ReLU(_) => match layers.last_mut() {
-                    Some(last) => last.relu = true,
-                    None => return Err("ReLU must follow a Dense layer in a quantized MLP".into()),
-                },
-                other => {
-                    return Err(format!(
-                        "native int8 serving supports Dense/ReLU MLPs; got a {} layer",
-                        other.name()
-                    ))
+                Layer::ReLU(_) => {
+                    let last = layers.last_mut();
+                    last.expect("ReLU must follow a Dense layer in a quantized MLP").relu = true;
                 }
+                other => panic!(
+                    "native int8 serving supports Dense/ReLU MLPs; got a {} layer",
+                    other.name()
+                ),
             }
         }
-        if params.next().is_some() {
-            return Err("quantized tensor list is longer than the network's parameters".into());
+        assert!(
+            params.next().is_none(),
+            "quantized tensor list is longer than the network's parameters"
+        );
+        Self::try_from_layers(net.input_dim, layers).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// A native int8 model taking `input_dim`-wide rows through `layers`
+    /// in order, such as the layers an artifact decoder read.
+    ///
+    /// # Errors
+    /// A message when a layer's weight is not a `[in, out]` matrix
+    /// taking the previous layer's width (`input_dim` for the first) with
+    /// an `out`-long bias.
+    pub fn try_from_layers(input_dim: usize, layers: Vec<QuantizedDense>) -> Result<Self, String> {
+        let mut width = input_dim;
+        for l in &layers {
+            let &[fan_in, fan_out] = l.weight.dims() else {
+                return Err(format!(
+                    "quantized weight dims {:?} are not a matrix",
+                    l.weight.dims()
+                ));
+            };
+            if fan_in != width || l.bias.dims() != [fan_out] {
+                return Err(format!(
+                    "quantized layer [{fan_in}, {fan_out}] with a {:?} bias does not take width {width}",
+                    l.bias.dims()
+                ));
+            }
+            width = fan_out;
         }
-        Ok(QuantizedMlp {
-            layers,
-            input_dim: net.input_dim,
-        })
+        Ok(QuantizedMlp { layers, input_dim })
     }
 
     /// Logits for a `[batch, input_dim]` matrix, computed natively on
@@ -224,9 +218,8 @@ impl QuantizedMlp {
 
     /// Reconstructs the dequantized f32 shadow network — the exact
     /// Dense/ReLU network [`crate::quantize_network_tensors`] returns as
-    /// its reconstruction. Used for structural profiling and for the
-    /// artifact codec (which re-derives codes from the same tensors);
-    /// never on the serving hot path.
+    /// its reconstruction. Used for structural profiling; never on the
+    /// serving hot path.
     #[must_use]
     pub fn to_network(&self) -> Network {
         let mut net = Network::new(self.input_dim);

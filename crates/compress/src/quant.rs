@@ -111,30 +111,51 @@ impl QuantizedTensor {
     }
 
     /// Reassembles a quantized tensor from its stored parts — the inverse
-    /// of reading [`QuantizedTensor::codes`] plus the quant params, used
-    /// by the artifact loader so int8 payloads never take a dequantize
-    /// round-trip through `f32` on the way to disk and back.
+    /// of reading [`QuantizedTensor::codes`] plus the quant params.
     ///
     /// # Panics
-    /// Panics unless `1 <= bits <= 8`, the code count matches the product
-    /// of `dims`, and every code fits in `bits`.
+    /// Panics where [`QuantizedTensor::try_from_parts`] returns an error.
     #[must_use]
     pub fn from_parts(codes: Vec<u8>, scale: f32, zero: f32, bits: u8, dims: Vec<usize>) -> Self {
-        assert!((1..=8).contains(&bits), "bits must be 1-8, got {bits}");
-        let len: usize = dims.iter().product();
-        assert_eq!(codes.len(), len, "code count must match the dims product");
+        Self::try_from_parts(codes, scale, zero, bits, dims).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`QuantizedTensor::from_parts`] for parts that may be malformed,
+    /// such as a decoded artifact's: the artifact loader reassembles int8
+    /// payloads through it, so they never take a dequantize round-trip
+    /// through `f32` on the way to disk and back.
+    ///
+    /// # Errors
+    /// A message unless `1 <= bits <= 8`, the code count matches the
+    /// product of `dims`, and every code fits in `bits`.
+    pub fn try_from_parts(
+        codes: Vec<u8>,
+        scale: f32,
+        zero: f32,
+        bits: u8,
+        dims: Vec<usize>,
+    ) -> Result<Self, String> {
+        if !(1..=8).contains(&bits) {
+            return Err(format!("bits must be 1-8, got {bits}"));
+        }
+        let len = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        if len != Some(codes.len()) {
+            return Err(format!(
+                "code count {} must match the dims product of {dims:?}",
+                codes.len()
+            ));
+        }
         let levels = ((1u32 << bits) - 1) as u8;
-        assert!(
-            codes.iter().all(|&c| c <= levels),
-            "codes must fit in {bits} bits"
-        );
-        QuantizedTensor {
+        if codes.iter().any(|&c| c > levels) {
+            return Err(format!("codes must fit in {bits} bits"));
+        }
+        Ok(QuantizedTensor {
             codes,
             scale,
             zero,
             bits,
             dims,
-        }
+        })
     }
 
     /// The raw codes (one byte each before bit packing).

@@ -19,8 +19,8 @@
 use crate::variant::{Variant, VariantModel, VariantRegistry};
 use dl_prof::{LayerProfile, NetworkProfile};
 use dl_store::{
-    decode_network_with_quant, encode_network, encode_network_q8, Artifact, ArtifactBuilder,
-    HParam, StoreError,
+    decode_network_with_quant, decode_quantized_mlp, encode_network, encode_network_q8,
+    encode_quantized_mlp, Artifact, ArtifactBuilder, HParam, StoreError,
 };
 use dl_ensemble::Ensemble;
 use dl_nn::{CostProfile, LayerCost, Network};
@@ -80,7 +80,7 @@ impl U64Unpacker<'_> {
     }
 }
 
-fn encode_profile(b: &mut ArtifactBuilder, prefix: &str, p: &NetworkProfile) {
+fn encode_profile<'a>(b: &mut ArtifactBuilder<'a>, prefix: &str, p: &'a NetworkProfile) {
     b.hparam(format!("{prefix}.batch"), HParam::U64(p.batch as u64));
     b.hparam(
         format!("{prefix}.layer_count"),
@@ -90,7 +90,7 @@ fn encode_profile(b: &mut ArtifactBuilder, prefix: &str, p: &NetworkProfile) {
     for l in &p.layers {
         b.hparam(
             format!("{prefix}.layer{}.name", l.index),
-            HParam::Str(l.name.clone()),
+            HParam::Str(l.name.as_str().into()),
         );
         pk.push(l.index as u64);
         pk.push_op(&l.forward);
@@ -109,20 +109,14 @@ fn encode_profile(b: &mut ArtifactBuilder, prefix: &str, p: &NetworkProfile) {
         params: p.modeled.params,
         activation_elems: p.modeled.activation_elems,
     });
-    b.hparam(format!("{prefix}.nums"), HParam::Bytes(pk.0));
+    b.hparam(format!("{prefix}.nums"), HParam::Bytes(pk.0.into()));
 }
 
 fn decode_profile(a: &Artifact<'_>, prefix: &str) -> Result<NetworkProfile, StoreError> {
-    let batch = a.hparam_u64(&format!("{prefix}.batch"))? as usize;
-    let layer_count = a.hparam_u64(&format!("{prefix}.layer_count"))? as usize;
-    let raw = match a.hparam(&format!("{prefix}.nums")) {
-        Some(HParam::Bytes(raw)) => raw,
-        _ => {
-            return Err(StoreError::Corrupt(format!(
-                "missing profile blob {prefix}.nums"
-            )))
-        }
-    };
+    let mut s = a.scope(format_args!("{prefix}."));
+    let batch = s.u64("batch")? as usize;
+    let layer_count = s.u64("layer_count")? as usize;
+    let raw = s.bytes("nums")?;
     // Twelve words per layer, thirteen for the totals: checking the blob
     // against the claimed count first keeps the reservation to the
     // bytes the file really holds.
@@ -140,7 +134,8 @@ fn decode_profile(a: &Artifact<'_>, prefix: &str) -> Result<NetworkProfile, Stor
     let mut layers = Vec::with_capacity(layer_count);
     for _ in 0..layer_count {
         let index = up.pop()? as usize;
-        let name = a.hparam_str(&format!("{prefix}.layer{index}.name"))?.to_string();
+        s.enter(format_args!("{prefix}.layer{index}."));
+        let name = s.str("name")?.to_string();
         layers.push(LayerProfile {
             index,
             name,
@@ -177,25 +172,25 @@ fn decode_profile(a: &Artifact<'_>, prefix: &str) -> Result<NetworkProfile, Stor
 #[must_use]
 pub fn save_family(reg: &VariantRegistry) -> Vec<u8> {
     let mut b = ArtifactBuilder::new();
-    b.hparam("artifact.kind", HParam::Str(FAMILY_KIND.to_string()));
+    b.hparam("artifact.kind", HParam::Str(FAMILY_KIND.into()));
     b.hparam(
         "family.variant_count",
         HParam::U64(reg.variants.len() as u64),
     );
     for (i, v) in reg.variants.iter().enumerate() {
-        b.hparam(format!("v{i}.name"), HParam::Str(v.name.clone()));
+        b.hparam(format!("v{i}.name"), HParam::Str(v.name.as_str().into()));
         b.hparam(format!("v{i}.accuracy"), HParam::F64(v.accuracy));
         b.hparam(format!("v{i}.weight_bytes"), HParam::U64(v.weight_bytes));
         match &v.model {
             VariantModel::Single(net) => {
-                b.hparam(format!("v{i}.model"), HParam::Str("single".to_string()));
+                b.hparam(format!("v{i}.model"), HParam::Str("single".into()));
                 match &v.quantized {
                     Some(qts) => encode_network_q8(&mut b, &format!("v{i}.net"), net, qts),
                     None => encode_network(&mut b, &format!("v{i}.net"), net),
                 }
             }
             VariantModel::Ensemble(e) => {
-                b.hparam(format!("v{i}.model"), HParam::Str("ensemble".to_string()));
+                b.hparam(format!("v{i}.model"), HParam::Str("ensemble".into()));
                 b.hparam(
                     format!("v{i}.members"),
                     HParam::U64(e.members.len() as u64),
@@ -205,15 +200,15 @@ pub fn save_family(reg: &VariantRegistry) -> Vec<u8> {
                 }
             }
             VariantModel::Quantized(q) => {
-                // The architecture is written as the dequantized shadow,
-                // but every parameter payload is the packed codes — the
-                // codec re-derives nothing from the f32s.
-                b.hparam(format!("v{i}.model"), HParam::Str("quantized".to_string()));
+                // Every parameter payload is the packed codes, and the
+                // architecture comes from the native layers: nothing is
+                // dequantized on the way to disk.
+                b.hparam(format!("v{i}.model"), HParam::Str("quantized".into()));
                 let qts = v
                     .quantized
                     .as_ref()
                     .expect("a quantized variant always retains its packed tensors");
-                encode_network_q8(&mut b, &format!("v{i}.net"), &q.to_network(), qts);
+                encode_quantized_mlp(&mut b, &format!("v{i}.net"), q, qts);
             }
         }
         encode_profile(&mut b, &format!("v{i}.profile"), &v.profile);
@@ -221,7 +216,7 @@ pub fn save_family(reg: &VariantRegistry) -> Vec<u8> {
         for c in &v.batch_costs {
             pk.push_op(c);
         }
-        b.hparam(format!("v{i}.batch_costs"), HParam::Bytes(pk.0));
+        b.hparam(format!("v{i}.batch_costs"), HParam::Bytes(pk.0.into()));
     }
     b.finish()
 }
@@ -239,10 +234,10 @@ fn row_widths(net: &Network) -> (usize, usize) {
 /// non-family artifact or inconsistent sections. Counts the file claims
 /// (variants, ensemble members, profile layers) reserve nothing before
 /// the sections they count are found, and a `quantized` variant that is
-/// not a Dense/ReLU MLP lined up with its packed tensors is corrupt. So
-/// is a family whose variants or ensemble members do not all take rows
-/// of one width and return logits of one width: any variant must be
-/// able to answer any request.
+/// not a Dense/ReLU MLP of packed tensors whose widths chain is corrupt.
+/// So is a family whose variants or ensemble members do not all take
+/// rows of one width and return logits of one width: any variant must
+/// be able to answer any request.
 pub fn load_family(bytes: &[u8]) -> Result<VariantRegistry, StoreError> {
     let a = Artifact::parse(bytes)?;
     let kind = a.hparam_str("artifact.kind")?;
@@ -253,11 +248,10 @@ pub fn load_family(bytes: &[u8]) -> Result<VariantRegistry, StoreError> {
     }
     let count = a.hparam_u64("family.variant_count")? as usize;
     let mut variants = Vec::new();
-    // Row and logit widths of the first network decoded; every other
-    // network must match them.
+    // Row and logit widths of the first model decoded; every other
+    // model must match them.
     let mut family_widths = None;
-    let mut check_widths = |net: &Network, what: &str| {
-        let (rows, logits) = row_widths(net);
+    let mut check_widths = |(rows, logits): (usize, usize), what: &dyn std::fmt::Display| {
         let family = *family_widths.get_or_insert((rows, logits));
         if family == (rows, logits) {
             return Ok(());
@@ -267,39 +261,38 @@ pub fn load_family(bytes: &[u8]) -> Result<VariantRegistry, StoreError> {
             family.0, family.1
         )))
     };
+    let mut s = a.scope(format_args!(""));
     for i in 0..count {
-        let name = a.hparam_str(&format!("v{i}.name"))?.to_string();
-        let accuracy = a.hparam_f64(&format!("v{i}.accuracy"))?;
-        let weight_bytes = a.hparam_u64(&format!("v{i}.weight_bytes"))?;
-        let (model, quantized) = match a.hparam_str(&format!("v{i}.model"))? {
+        s.enter(format_args!("v{i}."));
+        let name = s.str("name")?.to_string();
+        let accuracy = s.f64("accuracy")?;
+        let weight_bytes = s.u64("weight_bytes")?;
+        let (model, quantized) = match s.str("model")? {
             "single" => {
-                let (net, q) = decode_network_with_quant(&a, &format!("v{i}.net"))?;
-                check_widths(&net, &format!("v{i}"))?;
+                let (net, q) = decode_network_with_quant(&a, s.name("net"))?;
+                check_widths(row_widths(&net), &format_args!("v{i}"))?;
                 (VariantModel::Single(net), q)
             }
             "ensemble" => {
-                let members = a.hparam_u64(&format!("v{i}.members"))? as usize;
+                let members = s.u64("members")? as usize;
                 if members == 0 {
                     return Err(StoreError::Corrupt(format!("ensemble v{i} has no members")));
                 }
                 let mut nets = Vec::new();
                 for j in 0..members {
-                    let (net, _) = decode_network_with_quant(&a, &format!("v{i}.m{j}"))?;
-                    check_widths(&net, &format!("v{i}.m{j}"))?;
+                    let (net, _) = decode_network_with_quant(&a, s.name(&format!("m{j}")))?;
+                    check_widths(row_widths(&net), &format_args!("v{i}.m{j}"))?;
                     nets.push(net);
                 }
                 (VariantModel::Ensemble(Ensemble::new(nets)), None)
             }
             "quantized" => {
-                let (net, q) = decode_network_with_quant(&a, &format!("v{i}.net"))?;
-                check_widths(&net, &format!("v{i}"))?;
-                let qts = q.ok_or_else(|| {
-                    StoreError::Corrupt(format!(
-                        "quantized variant v{i} carries no packed tensors"
-                    ))
-                })?;
-                let mlp = dl_compress::QuantizedMlp::try_from_network_tensors(&net, &qts)
-                    .map_err(|e| StoreError::Corrupt(format!("quantized variant v{i}: {e}")))?;
+                let (mlp, qts) = decode_quantized_mlp(&a, s.name("net"))?;
+                let logits = mlp
+                    .layers()
+                    .last()
+                    .map_or(mlp.input_dim(), |l| l.bias.len());
+                check_widths((mlp.input_dim(), logits), &format_args!("v{i}"))?;
                 (VariantModel::Quantized(mlp), Some(qts))
             }
             other => {
@@ -308,15 +301,8 @@ pub fn load_family(bytes: &[u8]) -> Result<VariantRegistry, StoreError> {
                 )))
             }
         };
-        let profile = decode_profile(&a, &format!("v{i}.profile"))?;
-        let raw = match a.hparam(&format!("v{i}.batch_costs")) {
-            Some(HParam::Bytes(raw)) => raw,
-            _ => {
-                return Err(StoreError::Corrupt(format!(
-                    "missing batch costs for v{i}"
-                )))
-            }
-        };
+        let profile = decode_profile(&a, s.name("profile"))?;
+        let raw = s.bytes("batch_costs")?;
         if raw.len() % 24 != 0 {
             return Err(StoreError::Corrupt(format!(
                 "batch-cost blob for v{i} is not a whole number of entries"

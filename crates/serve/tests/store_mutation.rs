@@ -11,7 +11,7 @@
 //! - byte mutations of the committed `tiny_mlp.dlst` golden and of a
 //!   small family artifact: flips, truncations and splices, half of
 //!   them behind a re-sealed trailer so the parser gets past the file
-//!   checksum;
+//!   checksum to the padding and payload checks;
 //! - structured mutations of the family: one hparam or tensor changed
 //!   and the artifact rebuilt, so every checksum holds and only the
 //!   decoders stand between the damage and a panic.
@@ -98,10 +98,11 @@ fn no_panic<T>(case: &str, f: impl FnOnce() -> Result<T, StoreError>) -> Result<
     }
 }
 
-/// Recomputes the trailer so the whole-file checksum passes again.
-fn reseal(bytes: &mut [u8]) {
+/// Recomputes the trailer over the first `head` bytes (the header,
+/// hparams and directory it covers), so it passes again.
+fn reseal(bytes: &mut [u8], head: usize) {
     if let Some(body) = bytes.len().checked_sub(8) {
-        let sum = checksum(&bytes[..body]);
+        let sum = checksum(&bytes[..head.min(body)]);
         bytes[body..].copy_from_slice(&sum.to_le_bytes());
     }
 }
@@ -113,6 +114,8 @@ fn reseal(bytes: &mut [u8]) {
 fn mutate_bytes(clean: &[u8], rng: &mut StdRng) -> (Vec<u8>, &'static str) {
     let mut bytes = clean.to_vec();
     let n = bytes.len();
+    // Where the mutated head ends, for a reseal.
+    let mut head = Artifact::parse(clean).expect("clean artifact").head_len();
     let kind = match rng.gen_range(0..4u32) {
         0 => {
             let at = rng.gen_range(0..n);
@@ -143,12 +146,15 @@ fn mutate_bytes(clean: &[u8], rng: &mut StdRng) -> (Vec<u8>, &'static str) {
                 bytes[to..end].copy_from_slice(&run[..end - to]);
             } else {
                 bytes.splice(to..to, run);
+                if to < head {
+                    head += len;
+                }
             }
             "splice"
         }
     };
     if rng.gen::<bool>() {
-        reseal(&mut bytes);
+        reseal(&mut bytes, head);
         return (bytes, "resealed");
     }
     (bytes, kind)
@@ -164,11 +170,12 @@ fn random_builder_artifacts_round_trip_and_survive_mutation() {
             let value = match rng.gen_range(0..4u32) {
                 0 => HParam::U64(rng.next_u64()),
                 1 => HParam::F64(f64::from_bits(rng.next_u64())),
-                2 => HParam::Str("é".repeat(rng.gen_range(0..4usize))),
+                2 => HParam::Str("é".repeat(rng.gen_range(0..4usize)).into()),
                 _ => HParam::Bytes(
                     (0..rng.gen_range(0..20usize))
                         .map(|_| rng.next_u32() as u8)
-                        .collect(),
+                        .collect::<Vec<u8>>()
+                        .into(),
                 ),
             };
             b.hparam(format!("h{i}"), value.clone());
@@ -204,7 +211,7 @@ fn random_builder_artifacts_round_trip_and_survive_mutation() {
         );
         assert_eq!(a.entries().len(), tensors.len(), "seed {seed}");
         for (e, (dtype, dims, payload)) in a.entries().iter().zip(&tensors) {
-            assert_eq!((e.dtype, &e.dims), (*dtype, dims), "seed {seed}");
+            assert_eq!((e.dtype, &e.dims.to_vec()), (*dtype, dims), "seed {seed}");
             assert_eq!(a.payload(e).unwrap(), payload.as_slice(), "seed {seed}");
         }
         let (bytes, kind) = mutate_bytes(&clean, &mut rng);
@@ -248,8 +255,8 @@ fn mutated_golden_and_family_artifacts_never_panic() {
 
 /// A parsed artifact's hparams and tensors, to edit and rebuild with
 /// valid checksums.
-struct Parts {
-    hparams: Vec<(String, HParam)>,
+struct Parts<'a> {
+    hparams: Vec<(String, HParam<'a>)>,
     tensors: Vec<Stored>,
 }
 
@@ -279,17 +286,21 @@ impl Stored {
     }
 }
 
-impl Parts {
-    fn of(bytes: &[u8]) -> Parts {
+impl<'a> Parts<'a> {
+    fn of(bytes: &'a [u8]) -> Parts<'a> {
         let a = Artifact::parse(bytes).expect("clean artifact");
         Parts {
-            hparams: a.hparams().to_vec(),
+            hparams: a
+                .hparams()
+                .iter()
+                .map(|(n, v)| (n.to_string(), v.clone()))
+                .collect(),
             tensors: a
                 .entries()
                 .iter()
                 .map(|e| Stored {
-                    name: e.name.clone(),
-                    dims: e.dims.clone(),
+                    name: e.name.to_string(),
+                    dims: e.dims.to_vec(),
                     quant: e.quant,
                     payload: a.payload(e).unwrap().to_vec(),
                 })
@@ -297,7 +308,7 @@ impl Parts {
         }
     }
 
-    fn set(&mut self, name: &str, value: HParam) {
+    fn set(&mut self, name: &str, value: HParam<'a>) {
         let slot = self.hparams.iter_mut().find(|(n, _)| n == name);
         slot.unwrap_or_else(|| panic!("no hparam {name:?}")).1 = value;
     }
@@ -327,13 +338,13 @@ impl Parts {
 }
 
 /// One structured mutation: an hparam's value, type or presence, or a
-/// tensor's presence, shape or dtype.
+/// tensor's presence, shape, dtype or quant params.
 fn mutate_parts(parts: &mut Parts, rng: &mut StdRng) {
     let strings: Vec<String> = parts
         .hparams
         .iter()
         .filter_map(|(_, v)| match v {
-            HParam::Str(s) => Some(s.clone()),
+            HParam::Str(s) => Some(s.to_string()),
             _ => None,
         })
         .collect();
@@ -362,14 +373,14 @@ fn mutate_parts(parts: &mut Parts, rng: &mut StdRng) {
             (1 | 2, HParam::F64(_)) => {
                 HParam::F64([f64::NAN, -0.0, f64::INFINITY][rng.gen_range(0..3usize)])
             }
-            (2, HParam::Bytes(b)) => HParam::Bytes(b[..rng.gen_range(0..=b.len())].to_vec()),
-            (3, _) => HParam::Str(strings[rng.gen_range(0..strings.len())].clone()),
+            (2, HParam::Bytes(b)) => HParam::Bytes(b[..rng.gen_range(0..=b.len())].to_vec().into()),
+            (3, _) => HParam::Str(strings[rng.gen_range(0..strings.len())].clone().into()),
             _ => HParam::U64(rng.gen_range(0..4u64)),
         };
         return;
     }
     let i = rng.gen_range(0..parts.tensors.len());
-    match rng.gen_range(0..3u32) {
+    match rng.gen_range(0..4u32) {
         0 => {
             parts.tensors.remove(i);
         }
@@ -383,7 +394,24 @@ fn mutate_parts(parts: &mut Parts, rng: &mut StdRng) {
                 _ => vec![1, count, 1],
             };
         }
-        _ => parts.tensors[i].flip_dtype(),
+        2 => parts.tensors[i].flip_dtype(),
+        _ => {
+            // A q8 tensor's bit width or scale: widths outside 1..=8, or
+            // one too narrow for the codes it holds.
+            let t = &mut parts.tensors[i];
+            if t.quant.is_none() {
+                t.flip_dtype();
+            }
+            let (scale, zero, bits) = t.quant.as_mut().expect("q8 after the flip");
+            match rng.gen_range(0..6u32) {
+                0 => *bits = 0,
+                1 => *bits = 9,
+                2 => *bits = u8::MAX,
+                3 => *bits = rng.gen_range(1..8u8),
+                4 => *scale = [f32::NAN, f32::INFINITY, 0.0][rng.gen_range(0..3usize)],
+                _ => *zero = [f32::NAN, f32::NEG_INFINITY, 1e30][rng.gen_range(0..3usize)],
+            }
+        }
     }
 }
 
@@ -437,7 +465,8 @@ fn structurally_mutated_artifacts_never_panic() {
 
 /// `small_family()` with `edit` applied, rebuilt with valid checksums.
 fn edited_family(edit: impl FnOnce(&mut Parts)) -> Vec<u8> {
-    let mut parts = Parts::of(&small_family());
+    let clean = small_family();
+    let mut parts = Parts::of(&clean);
     edit(&mut parts);
     parts.build()
 }

@@ -2,18 +2,22 @@
 //!
 //! Everything is little-endian and insertion-ordered; there is no
 //! hash-map anywhere in the encode path, so the same inputs always
-//! produce the same bytes. See the crate docs for the layout diagram.
+//! produce the same bytes. See the crate docs for the layout diagram and
+//! for which check covers which bytes.
 
 use crate::StoreError;
 use dl_compress::QuantizedTensor;
 use dl_tensor::Tensor;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// File magic: the first four bytes of every artifact.
 const MAGIC: [u8; 4] = *b"DLST";
 
-/// Format version this build writes and reads: 2, whose checksums are
-/// [`checksum`].
-const VERSION: u32 = 2;
+/// Format version this build writes and reads: 3, whose trailer covers
+/// the header, hparams and directory, and whose payloads are covered by
+/// their directory checksums alone.
+const VERSION: u32 = 3;
 
 /// Tensor payload alignment in bytes. Payload offsets are multiples of
 /// this, so a memory-mapped artifact can hand kernels cache-line- and
@@ -22,6 +26,13 @@ pub const ALIGN: usize = 64;
 
 /// Minimum parseable artifact: header (16 bytes) + trailer checksum (8).
 const MIN_LEN: usize = 24;
+
+/// Fewest bytes an hparam takes (empty name, tag, empty string) and a
+/// directory entry takes (empty name, dtype, no dims, offset, length,
+/// checksum). A walk reserves no more of either than the bytes left
+/// could hold, whatever count the header claims.
+const MIN_HPARAM_LEN: usize = 4 + 1 + 4;
+const MIN_ENTRY_LEN: usize = 4 + 1 + 4 + 24;
 
 /// Seed of every lane and of the fold: the FNV-1a 64-bit offset basis.
 const SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -101,39 +112,87 @@ impl Dtype {
             _ => None,
         }
     }
+
+    fn elem_bytes(self) -> usize {
+        match self {
+            Dtype::F32 => 4,
+            Dtype::Q8 => 1,
+        }
+    }
 }
 
 /// A typed hparam value. Floating hyper-parameters that must round-trip
 /// exactly are stored as bit patterns in [`HParam::U64`] by convention
 /// (the codecs in [`crate::network`] do this for every `f32` knob).
+///
+/// A parsed artifact's `Str` and `Bytes` values borrow its bytes; a
+/// value handed to an [`ArtifactBuilder`] may borrow or own.
 #[derive(Debug, Clone, PartialEq)]
-pub enum HParam {
+pub enum HParam<'a> {
     /// Unsigned integer (also used for `f32`/`f64` bit patterns).
     U64(u64),
     /// Double-precision float (only for values where rounding is benign).
     F64(f64),
     /// UTF-8 string.
-    Str(String),
+    Str(Cow<'a, str>),
     /// Opaque bytes (e.g. shard cursors packed little-endian).
-    Bytes(Vec<u8>),
+    Bytes(Cow<'a, [u8]>),
+}
+
+/// The dimensions of a directory entry, read in place from the
+/// artifact (one little-endian `u64` each), so a parse allocates
+/// nothing per entry.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Dims<'a>(&'a [u8]);
+
+impl<'a> Dims<'a> {
+    /// Number of dimensions.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.len() / 8
+    }
+
+    /// Whether there are no dimensions (a scalar).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The dimensions in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = usize> + 'a {
+        let words = self.0.as_chunks::<8>().0;
+        words.iter().map(|w| u64::from_le_bytes(*w) as usize)
+    }
+
+    /// The dimensions as an owned list, such as a tensor's shape.
+    #[must_use]
+    pub fn to_vec(&self) -> Vec<usize> {
+        self.iter().collect()
+    }
+}
+
+impl fmt::Debug for Dims<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// One tensor directory entry, as parsed back from an artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TensorEntry {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TensorEntry<'a> {
     /// Namespaced tensor name (e.g. `net.layer0.weight`).
-    pub name: String,
+    pub name: &'a str,
     /// Payload encoding.
     pub dtype: Dtype,
     /// Logical dimensions.
-    pub dims: Vec<usize>,
+    pub dims: Dims<'a>,
     /// Absolute payload offset (a multiple of [`ALIGN`]).
     pub offset: usize,
     /// Payload length in bytes.
     pub len: usize,
     /// [`checksum`] of the payload bytes.
     pub checksum: u64,
-    /// `(scale, zero, bits)` for [`Dtype::Q8`] entries.
+    /// `(scale, zero, bits)` for [`Dtype::Q8`] entries; `bits` is 1 to 8.
     pub quant: Option<(f32, f32, u8)>,
 }
 
@@ -149,12 +208,12 @@ struct PendingTensor {
 /// lays out the bytes. Hparams and tensors keep insertion order.
 #[derive(Default)]
 #[must_use = "a builder does nothing until finish() lays out the bytes"]
-pub struct ArtifactBuilder {
-    hparams: Vec<(String, HParam)>,
+pub struct ArtifactBuilder<'a> {
+    hparams: Vec<(String, HParam<'a>)>,
     tensors: Vec<PendingTensor>,
 }
 
-impl ArtifactBuilder {
+impl<'a> ArtifactBuilder<'a> {
     /// An empty builder.
     pub fn new() -> Self {
         ArtifactBuilder::default()
@@ -165,7 +224,7 @@ impl ArtifactBuilder {
     /// # Panics
     /// Panics on a duplicate name — keys are namespaced by the codecs, so
     /// a collision is a programming error, not a data error.
-    pub fn hparam(&mut self, name: impl Into<String>, value: HParam) {
+    pub fn hparam(&mut self, name: impl Into<String>, value: HParam<'a>) {
         let name = name.into();
         assert!(
             self.hparams.iter().all(|(n, _)| *n != name),
@@ -244,69 +303,72 @@ impl ArtifactBuilder {
     }
 
     /// Lays out the final byte image: header, hparams, directory,
-    /// aligned payloads, trailer checksum.
+    /// aligned payloads, trailer. Every byte is hashed once: each
+    /// payload for its directory entry, the head (header, hparams,
+    /// directory) for the trailer.
     #[must_use]
     pub fn finish(self) -> Vec<u8> {
-        let mut head = Vec::new();
-        head.extend_from_slice(&MAGIC);
-        put_u32(&mut head, VERSION);
-        put_u32(&mut head, self.hparams.len() as u32);
-        put_u32(&mut head, self.tensors.len() as u32);
+        let mut out = Vec::new();
+        out.extend_from_slice(&MAGIC);
+        put_u32(&mut out, VERSION);
+        put_u32(&mut out, self.hparams.len() as u32);
+        put_u32(&mut out, self.tensors.len() as u32);
         for (name, value) in &self.hparams {
-            put_str(&mut head, name);
+            put_str(&mut out, name);
             match value {
                 HParam::U64(v) => {
-                    head.push(0);
-                    put_u64(&mut head, *v);
+                    out.push(0);
+                    put_u64(&mut out, *v);
                 }
                 HParam::F64(v) => {
-                    head.push(1);
-                    put_u64(&mut head, v.to_bits());
+                    out.push(1);
+                    put_u64(&mut out, v.to_bits());
                 }
                 HParam::Str(s) => {
-                    head.push(2);
-                    put_str(&mut head, s);
+                    out.push(2);
+                    put_str(&mut out, s);
                 }
                 HParam::Bytes(b) => {
-                    head.push(3);
-                    put_u32(&mut head, b.len() as u32);
-                    head.extend_from_slice(b);
+                    out.push(3);
+                    put_u32(&mut out, b.len() as u32);
+                    out.extend_from_slice(b);
                 }
             }
         }
 
         // Directory size is known up front, so payload offsets are too.
-        let dir_len: usize = self.tensors.iter().map(Self::entry_len).sum();
-        let mut offset = align_up(head.len() + dir_len);
+        let head_len = out.len() + self.tensors.iter().map(Self::entry_len).sum::<usize>();
+        let mut end = head_len;
         let mut offsets = Vec::with_capacity(self.tensors.len());
         for t in &self.tensors {
+            let offset = align_up(end);
             offsets.push(offset);
-            offset = align_up(offset + t.payload.len());
+            end = offset + t.payload.len();
         }
+        out.reserve_exact(end + 8 - out.len());
 
         for (t, &off) in self.tensors.iter().zip(&offsets) {
-            put_str(&mut head, &t.name);
-            head.push(t.dtype.tag());
-            put_u32(&mut head, t.dims.len() as u32);
+            put_str(&mut out, &t.name);
+            out.push(t.dtype.tag());
+            put_u32(&mut out, t.dims.len() as u32);
             for &d in &t.dims {
-                put_u64(&mut head, d as u64);
+                put_u64(&mut out, d as u64);
             }
             if let Some((scale, zero, bits)) = t.quant {
-                put_u32(&mut head, scale.to_bits());
-                put_u32(&mut head, zero.to_bits());
-                head.push(bits);
+                put_u32(&mut out, scale.to_bits());
+                put_u32(&mut out, zero.to_bits());
+                out.push(bits);
             }
-            put_u64(&mut head, off as u64);
-            put_u64(&mut head, t.payload.len() as u64);
-            put_u64(&mut head, checksum(&t.payload));
+            put_u64(&mut out, off as u64);
+            put_u64(&mut out, t.payload.len() as u64);
+            put_u64(&mut out, checksum(&t.payload));
         }
+        let trailer = checksum(&out);
 
-        let mut out = head;
         for (t, &off) in self.tensors.iter().zip(&offsets) {
             out.resize(off, 0);
             out.extend_from_slice(&t.payload);
         }
-        let trailer = checksum(&out);
         put_u64(&mut out, trailer);
         out
     }
@@ -330,15 +392,19 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 /// A parsed artifact view over a byte buffer. Parsing verifies
-/// everything up front: magic, version, the whole-file trailer checksum,
-/// structure and every per-tensor payload checksum. Reads after a
-/// successful parse slice the verified bytes without re-hashing them.
+/// everything up front: magic, version, structure, the trailer over the
+/// head, the zero padding and every per-tensor payload checksum. Names,
+/// string and byte hparams and dims are read in place, so a parse makes
+/// two allocations however many sections the artifact holds. Reads
+/// after a successful parse slice the verified bytes without re-hashing
+/// them.
 #[derive(Debug)]
 #[must_use = "a parsed artifact is a read-only view; query it for tensors"]
 pub struct Artifact<'a> {
     data: &'a [u8],
-    hparams: Vec<(String, HParam)>,
-    entries: Vec<TensorEntry>,
+    hparams: Vec<(&'a str, HParam<'a>)>,
+    entries: Vec<TensorEntry<'a>>,
+    head_len: usize,
 }
 
 struct Cursor<'a> {
@@ -375,39 +441,53 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
-    fn str(&mut self) -> Result<String, StoreError> {
+    fn str(&mut self) -> Result<&'a str, StoreError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(self.take(len)?)
             .map_err(|_| StoreError::Corrupt("non-UTF-8 name".into()))
+    }
+
+    /// The most items of `min_len` bytes each that the rest could hold.
+    fn room_for(&self, count: usize, min_len: usize) -> usize {
+        count.min((self.buf.len() - self.pos) / min_len)
     }
 }
 
-type Sections = (Vec<(String, HParam)>, Vec<TensorEntry>);
+/// The hparams and directory of an artifact, and where the directory
+/// ends: the end of the head that the trailer covers.
+struct Sections<'a> {
+    hparams: Vec<(&'a str, HParam<'a>)>,
+    entries: Vec<TensorEntry<'a>>,
+    head_len: usize,
+}
 
-/// Parses the hparams and directory that follow the magic and version in
-/// `body`, the artifact without its trailer. A matching trailer proves nothing
-/// about intent, so every read is bounds-checked and nothing is reserved
-/// from a count the file claims: any byte pattern yields sections or a
-/// typed error without a huge allocation. Payload ranges must ascend
-/// without overlap, as [`ArtifactBuilder::finish`] writes them; anything
-/// else is [`StoreError::Corrupt`]. `file_len` is the whole artifact's
-/// length, for [`StoreError::Truncated`].
-fn parse_sections(body: &[u8], file_len: usize) -> Result<Sections, StoreError> {
+/// Walks the hparams and directory that follow the magic and version in
+/// `body`, the artifact without its trailer. The walk runs before any
+/// checksum (it finds the end of the head the trailer covers), and a
+/// matching trailer would prove nothing about intent anyway, so every
+/// read is bounds-checked and no count the file claims reserves more
+/// than the bytes left could hold: any
+/// byte pattern yields sections or a typed error without a huge
+/// allocation. Payload ranges must start after the directory and ascend
+/// without overlap, as [`ArtifactBuilder::finish`] writes them; q8
+/// codes must take 1 to 8 bits; anything else is [`StoreError::Corrupt`].
+/// `file_len` is the whole artifact's length, for
+/// [`StoreError::Truncated`].
+fn parse_sections(body: &[u8], file_len: usize) -> Result<Sections<'_>, StoreError> {
     let mut c = Cursor { buf: body, pos: 8 };
     let n_hparams = c.u32()? as usize;
     let n_tensors = c.u32()? as usize;
 
-    let mut hparams = Vec::new();
+    let mut hparams = Vec::with_capacity(c.room_for(n_hparams, MIN_HPARAM_LEN));
     for _ in 0..n_hparams {
         let name = c.str()?;
         let value = match c.u8()? {
             0 => HParam::U64(c.u64()?),
             1 => HParam::F64(f64::from_bits(c.u64()?)),
-            2 => HParam::Str(c.str()?),
+            2 => HParam::Str(Cow::Borrowed(c.str()?)),
             3 => {
                 let len = c.u32()? as usize;
-                HParam::Bytes(c.take(len)?.to_vec())
+                HParam::Bytes(Cow::Borrowed(c.take(len)?))
             }
             tag => {
                 return Err(StoreError::Corrupt(format!(
@@ -418,23 +498,26 @@ fn parse_sections(body: &[u8], file_len: usize) -> Result<Sections, StoreError> 
         hparams.push((name, value));
     }
 
-    let mut entries = Vec::new();
+    let mut entries: Vec<TensorEntry<'_>> =
+        Vec::with_capacity(c.room_for(n_tensors, MIN_ENTRY_LEN));
     let mut prev_end = 0;
     for _ in 0..n_tensors {
         let name = c.str()?;
         let dtype = Dtype::from_tag(c.u8()?)
             .ok_or_else(|| StoreError::Corrupt(format!("unknown dtype for {name:?}")))?;
         let ndims = c.u32()? as usize;
-        let mut dims = Vec::new();
-        for _ in 0..ndims {
-            dims.push(c.u64()? as usize);
-        }
+        let dims = Dims(c.take(ndims.saturating_mul(8))?);
         let quant = match dtype {
             Dtype::F32 => None,
             Dtype::Q8 => {
                 let scale = f32::from_bits(c.u32()?);
                 let zero = f32::from_bits(c.u32()?);
                 let bits = c.u8()?;
+                if !(1..=8).contains(&bits) {
+                    return Err(StoreError::Corrupt(format!(
+                        "tensor {name:?} claims {bits}-bit codes; q8 codes take 1 to 8 bits"
+                    )));
+                }
                 Some((scale, zero, bits))
             }
         };
@@ -461,13 +544,9 @@ fn parse_sections(body: &[u8], file_len: usize) -> Result<Sections, StoreError> 
                 have: file_len,
             });
         }
-        let elem_bytes = match dtype {
-            Dtype::F32 => 4,
-            Dtype::Q8 => 1,
-        };
         let expect = dims
             .iter()
-            .try_fold(elem_bytes, |bytes: usize, &d| bytes.checked_mul(d))
+            .try_fold(dtype.elem_bytes(), usize::checked_mul)
             .ok_or_else(|| {
                 StoreError::Corrupt(format!("tensor {name:?} dims {dims:?} overflow"))
             })?;
@@ -486,24 +565,67 @@ fn parse_sections(body: &[u8], file_len: usize) -> Result<Sections, StoreError> 
             quant,
         });
     }
-    Ok((hparams, entries))
+    let head_len = c.pos;
+    if let Some(first) = entries.first().filter(|e| e.offset < head_len) {
+        return Err(StoreError::Corrupt(format!(
+            "tensor {:?} payload at {} starts inside the directory, which ends at {head_len}",
+            first.name, first.offset
+        )));
+    }
+    Ok(Sections {
+        hparams,
+        entries,
+        head_len,
+    })
+}
+
+/// Requires every byte of `body` outside the head and the payloads to be
+/// zero, and the body to end where the last payload ends (where the head
+/// ends when there are no tensors). `entries` ascend from `head_len`, as
+/// [`parse_sections`] checked.
+fn check_padding(
+    body: &[u8],
+    head_len: usize,
+    entries: &[TensorEntry<'_>],
+) -> Result<(), StoreError> {
+    let mut at = head_len;
+    for e in entries {
+        if let Some(i) = body[at..e.offset].iter().position(|&b| b != 0) {
+            return Err(StoreError::Corrupt(format!(
+                "padding byte {} before tensor {:?} is not zero",
+                at + i,
+                e.name
+            )));
+        }
+        at = e.offset + e.len;
+    }
+    if at != body.len() {
+        return Err(StoreError::Corrupt(format!(
+            "{} stray bytes between the last section, ending at {at}, and the trailer",
+            body.len() - at
+        )));
+    }
+    Ok(())
 }
 
 impl<'a> Artifact<'a> {
-    /// Parses and validates `data` as an artifact, verifying the version,
-    /// the trailer and every payload checksum.
+    /// Parses and validates `data` as an artifact: every byte is read by
+    /// exactly one check, and each payload is hashed once.
     ///
     /// # Errors
     /// In order of precedence: [`StoreError::BadMagic`] for a foreign
     /// file; [`StoreError::UnsupportedVersion`] for any version but this
-    /// build's, so a file of an older version is named as such rather
-    /// than failing its checksum; [`StoreError::Truncated`] for one
-    /// shorter than a header and trailer; [`StoreError::ChecksumMismatch`]
-    /// on `"file"` when the trailer disagrees with the bytes;
-    /// [`StoreError::Truncated`] when sections overrun the buffer, or
-    /// [`StoreError::Corrupt`] for structural damage; last,
-    /// [`StoreError::ChecksumMismatch`] naming the first tensor, in
-    /// directory order, whose payload disagrees with its checksum.
+    /// build's, so a file of another version is named as such rather
+    /// than failing a check; [`StoreError::Truncated`] for one shorter
+    /// than a header and trailer; [`StoreError::Truncated`] when the
+    /// sections overrun the buffer, or [`StoreError::Corrupt`] for any
+    /// other structural damage found walking them;
+    /// [`StoreError::ChecksumMismatch`] on `"file"` when the trailer
+    /// disagrees with the head (header, hparams and directory);
+    /// [`StoreError::Corrupt`] for a non-zero padding byte or bytes after
+    /// the last payload; last, [`StoreError::ChecksumMismatch`] naming
+    /// the first tensor, in directory order, whose payload disagrees with
+    /// its checksum.
     pub fn parse(data: &'a [u8]) -> Result<Self, StoreError> {
         let truncated = || StoreError::Truncated {
             needed: MIN_LEN,
@@ -522,8 +644,13 @@ impl<'a> Artifact<'a> {
             return Err(truncated());
         }
         let (body, trailer) = data.split_at(data.len() - 8);
+        let Sections {
+            hparams,
+            entries,
+            head_len,
+        } = parse_sections(body, data.len())?;
         let stored = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-        let actual = checksum(body);
+        let actual = checksum(&body[..head_len]);
         if stored != actual {
             return Err(StoreError::ChecksumMismatch {
                 what: "file".into(),
@@ -531,12 +658,12 @@ impl<'a> Artifact<'a> {
                 actual,
             });
         }
-        let (hparams, entries) = parse_sections(body, data.len())?;
+        check_padding(body, head_len, &entries)?;
         for e in &entries {
             let actual = checksum(&body[e.offset..e.offset + e.len]);
             if actual != e.checksum {
                 return Err(StoreError::ChecksumMismatch {
-                    what: e.name.clone(),
+                    what: e.name.to_string(),
                     expected: e.checksum,
                     actual,
                 });
@@ -546,25 +673,39 @@ impl<'a> Artifact<'a> {
             data,
             hparams,
             entries,
+            head_len,
         })
+    }
+
+    /// Length of the head: the header, hparams and directory, which
+    /// start the artifact and are the bytes its trailer covers.
+    #[must_use]
+    pub fn head_len(&self) -> usize {
+        self.head_len
     }
 
     /// All hparams in stored order.
     #[must_use]
-    pub fn hparams(&self) -> &[(String, HParam)] {
+    pub fn hparams(&self) -> &[(&'a str, HParam<'a>)] {
         &self.hparams
     }
 
     /// All tensor directory entries in stored order.
     #[must_use]
-    pub fn entries(&self) -> &[TensorEntry] {
+    pub fn entries(&self) -> &[TensorEntry<'a>] {
         &self.entries
     }
 
     /// Looks up one hparam by name.
     #[must_use]
-    pub fn hparam(&self, name: &str) -> Option<&HParam> {
-        self.hparams.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    pub fn hparam(&self, name: &str) -> Option<&HParam<'a>> {
+        self.find_hparam(name, &mut 0)
+    }
+
+    /// [`Artifact::hparam`], searching from `*hint` on and moving the
+    /// hint past the match.
+    fn find_hparam(&self, name: &str, hint: &mut usize) -> Option<&HParam<'a>> {
+        find_from(&self.hparams, hint, |(n, _)| *n == name).map(|(_, v)| v)
     }
 
     /// A required `U64` hparam.
@@ -572,34 +713,7 @@ impl<'a> Artifact<'a> {
     /// # Errors
     /// [`StoreError::Corrupt`] when missing or differently typed.
     pub fn hparam_u64(&self, name: &str) -> Result<u64, StoreError> {
-        match self.hparam(name) {
-            Some(HParam::U64(v)) => Ok(*v),
-            _ => Err(StoreError::Corrupt(format!("missing u64 hparam {name:?}"))),
-        }
-    }
-
-    /// A required `f32` hparam stored as a `U64` bit pattern.
-    ///
-    /// # Errors
-    /// [`StoreError::Corrupt`] when missing, differently typed, or not a
-    /// valid `f32` bit pattern.
-    pub fn hparam_f32_bits(&self, name: &str) -> Result<f32, StoreError> {
-        let bits = self.hparam_u64(name)?;
-        u32::try_from(bits)
-            .map(f32::from_bits)
-            .map_err(|_| StoreError::Corrupt(format!("hparam {name:?} is not an f32 bit pattern")))
-    }
-
-    /// A required `F64` hparam (stored as a bit pattern, recovered
-    /// exactly).
-    ///
-    /// # Errors
-    /// [`StoreError::Corrupt`] when missing or differently typed.
-    pub fn hparam_f64(&self, name: &str) -> Result<f64, StoreError> {
-        match self.hparam(name) {
-            Some(HParam::F64(v)) => Ok(*v),
-            _ => Err(StoreError::Corrupt(format!("missing f64 hparam {name:?}"))),
-        }
+        u64_of(name, self.hparam(name))
     }
 
     /// A required `Str` hparam.
@@ -607,16 +721,20 @@ impl<'a> Artifact<'a> {
     /// # Errors
     /// [`StoreError::Corrupt`] when missing or differently typed.
     pub fn hparam_str(&self, name: &str) -> Result<&str, StoreError> {
-        match self.hparam(name) {
-            Some(HParam::Str(s)) => Ok(s),
-            _ => Err(StoreError::Corrupt(format!("missing str hparam {name:?}"))),
-        }
+        str_of(name, self.hparam(name))
     }
 
     /// Looks up a tensor entry by name.
     #[must_use]
-    pub fn tensor(&self, name: &str) -> Option<&TensorEntry> {
-        self.entries.iter().find(|e| e.name == name)
+    pub fn tensor(&self, name: &str) -> Option<&TensorEntry<'a>> {
+        self.find_entry(name, &mut 0).ok()
+    }
+
+    /// A required tensor entry, searched for from `*hint` on; the hint
+    /// moves past the match.
+    fn find_entry(&self, name: &str, hint: &mut usize) -> Result<&TensorEntry<'a>, StoreError> {
+        find_from(&self.entries, hint, |e| e.name == name)
+            .ok_or_else(|| StoreError::Corrupt(format!("missing tensor {name:?}")))
     }
 
     /// The raw payload bytes of `entry`, which must be one of this
@@ -626,7 +744,7 @@ impl<'a> Artifact<'a> {
     /// # Errors
     /// [`StoreError::Corrupt`] when `entry` does not name a payload of
     /// this artifact's directory (same offset, length and checksum).
-    pub fn payload(&self, entry: &TensorEntry) -> Result<&'a [u8], StoreError> {
+    pub fn payload(&self, entry: &TensorEntry<'_>) -> Result<&'a [u8], StoreError> {
         let ours = self.entries.iter().any(|e| {
             e.offset == entry.offset && e.len == entry.len && e.checksum == entry.checksum
         });
@@ -640,7 +758,7 @@ impl<'a> Artifact<'a> {
     }
 
     /// The payload of one of this artifact's own directory entries.
-    fn bytes(&self, entry: &TensorEntry) -> &'a [u8] {
+    fn bytes(&self, entry: &TensorEntry<'_>) -> &'a [u8] {
         &self.data[entry.offset..entry.offset + entry.len]
     }
 
@@ -649,19 +767,7 @@ impl<'a> Artifact<'a> {
     /// # Errors
     /// [`StoreError::Corrupt`] when the tensor is missing or not `F32`.
     pub fn tensor_f32(&self, name: &str) -> Result<Tensor, StoreError> {
-        let entry = self
-            .tensor(name)
-            .ok_or_else(|| StoreError::Corrupt(format!("missing tensor {name:?}")))?;
-        if entry.dtype != Dtype::F32 {
-            return Err(StoreError::Corrupt(format!("tensor {name:?} is not f32")));
-        }
-        let bytes = self.bytes(entry);
-        let data: Vec<f32> = bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
-        Tensor::from_vec(data, entry.dims.as_slice())
-            .map_err(|e| StoreError::Corrupt(format!("tensor {name:?}: {e:?}")))
+        self.f32_of(self.find_entry(name, &mut 0)?)
     }
 
     /// Decodes a named packed-int8 tensor back into a
@@ -669,23 +775,192 @@ impl<'a> Artifact<'a> {
     /// round-trip.
     ///
     /// # Errors
-    /// [`StoreError::Corrupt`] when the tensor is missing or not `Q8`.
+    /// [`StoreError::Corrupt`] when the tensor is missing, not `Q8`, or
+    /// holds a code wider than its bit width.
     pub fn tensor_q8(&self, name: &str) -> Result<QuantizedTensor, StoreError> {
-        let entry = self
-            .tensor(name)
-            .ok_or_else(|| StoreError::Corrupt(format!("missing tensor {name:?}")))?;
-        let (scale, zero, bits) = match (entry.dtype, entry.quant) {
-            (Dtype::Q8, Some(q)) => q,
-            _ => return Err(StoreError::Corrupt(format!("tensor {name:?} is not q8"))),
+        self.q8_of(self.find_entry(name, &mut 0)?)
+    }
+
+    /// Decodes `entry`, one of this artifact's own, as an `f32` tensor:
+    /// one pass from the payload into the tensor's buffer.
+    pub(crate) fn f32_of(&self, entry: &TensorEntry<'_>) -> Result<Tensor, StoreError> {
+        if entry.dtype != Dtype::F32 {
+            return Err(StoreError::Corrupt(format!(
+                "tensor {:?} is not f32",
+                entry.name
+            )));
+        }
+        let words = self.bytes(entry).as_chunks::<4>().0;
+        let data = words.iter().map(|w| f32::from_le_bytes(*w)).collect();
+        Tensor::from_vec(data, entry.dims.to_vec())
+            .map_err(|e| StoreError::Corrupt(format!("tensor {:?}: {e:?}", entry.name)))
+    }
+
+    /// Decodes `entry`, one of this artifact's own, as packed codes.
+    pub(crate) fn q8_of(&self, entry: &TensorEntry<'_>) -> Result<QuantizedTensor, StoreError> {
+        let Some((scale, zero, bits)) = entry.quant.filter(|_| entry.dtype == Dtype::Q8) else {
+            return Err(StoreError::Corrupt(format!(
+                "tensor {:?} is not q8",
+                entry.name
+            )));
         };
         let codes = self.bytes(entry).to_vec();
-        Ok(QuantizedTensor::from_parts(
-            codes,
-            scale,
-            zero,
-            bits,
-            entry.dims.clone(),
-        ))
+        QuantizedTensor::try_from_parts(codes, scale, zero, bits, entry.dims.to_vec())
+            .map_err(|e| StoreError::Corrupt(format!("tensor {:?}: {e}", entry.name)))
+    }
+
+    /// Lookups under the name scope `scope` (such as `v2.net.layer1.`),
+    /// formatted once.
+    pub fn scope(&self, scope: fmt::Arguments<'_>) -> Scope<'_, 'a> {
+        let mut s = Scope {
+            artifact: self,
+            name: String::new(),
+            scope_len: 0,
+            next_hparam: 0,
+            next_entry: 0,
+        };
+        s.enter(scope);
+        s
+    }
+}
+
+/// The first item of `items` that `is` picks, searching from `*hint` to
+/// the end and then from the start; the hint moves past the match.
+/// Decoders read fields in about the order the encoders wrote them, so
+/// with the hint a lookup mostly hits on its first comparison.
+fn find_from<'s, T>(items: &'s [T], hint: &mut usize, is: impl Fn(&T) -> bool) -> Option<&'s T> {
+    let start = (*hint).min(items.len());
+    let (front, back) = items.split_at(start);
+    let at = match back.iter().position(&is) {
+        Some(i) => start + i,
+        None => front.iter().position(&is)?,
+    };
+    *hint = at + 1;
+    Some(&items[at])
+}
+
+fn u64_of(name: &str, value: Option<&HParam<'_>>) -> Result<u64, StoreError> {
+    match value {
+        Some(HParam::U64(v)) => Ok(*v),
+        _ => Err(StoreError::Corrupt(format!("missing u64 hparam {name:?}"))),
+    }
+}
+
+fn f32_bits_of(name: &str, value: Option<&HParam<'_>>) -> Result<f32, StoreError> {
+    u32::try_from(u64_of(name, value)?)
+        .map(f32::from_bits)
+        .map_err(|_| StoreError::Corrupt(format!("hparam {name:?} is not an f32 bit pattern")))
+}
+
+fn f64_of(name: &str, value: Option<&HParam<'_>>) -> Result<f64, StoreError> {
+    match value {
+        Some(HParam::F64(v)) => Ok(*v),
+        _ => Err(StoreError::Corrupt(format!("missing f64 hparam {name:?}"))),
+    }
+}
+
+fn str_of<'r>(name: &str, value: Option<&'r HParam<'_>>) -> Result<&'r str, StoreError> {
+    match value {
+        Some(HParam::Str(s)) => Ok(s),
+        _ => Err(StoreError::Corrupt(format!("missing str hparam {name:?}"))),
+    }
+}
+
+/// Lookups of one artifact under a name scope: a field's name is the
+/// scope followed by the field (`v2.net.layer1.` and `weight`), built in
+/// one reused buffer, so a decoder allocates nothing per lookup. Each
+/// search starts where the last one matched, so in a file that holds a
+/// name twice (no builder writes one) a lookup may find either copy.
+#[must_use = "a scope only looks names up"]
+pub struct Scope<'r, 'a> {
+    artifact: &'r Artifact<'a>,
+    name: String,
+    scope_len: usize,
+    next_hparam: usize,
+    next_entry: usize,
+}
+
+impl<'r, 'a> Scope<'r, 'a> {
+    /// Moves to the name scope `scope`, reusing the buffer.
+    pub fn enter(&mut self, scope: fmt::Arguments<'_>) {
+        self.name.clear();
+        self.name
+            .write_fmt(scope)
+            .expect("formatting into a String cannot fail");
+        self.scope_len = self.name.len();
+    }
+
+    /// The full name of `field` in this scope.
+    pub fn name(&mut self, field: &str) -> &str {
+        self.name.truncate(self.scope_len);
+        self.name.push_str(field);
+        &self.name
+    }
+
+    /// The full name of hparam `field` and its value, if present.
+    fn hparam(&mut self, field: &str) -> (&str, Option<&'r HParam<'a>>) {
+        let a = self.artifact;
+        self.name(field);
+        (&self.name, a.find_hparam(&self.name, &mut self.next_hparam))
+    }
+
+    /// [`Artifact::hparam_u64`] of `field`.
+    ///
+    /// # Errors
+    /// As [`Artifact::hparam_u64`].
+    pub fn u64(&mut self, field: &str) -> Result<u64, StoreError> {
+        let (name, value) = self.hparam(field);
+        u64_of(name, value)
+    }
+
+    /// The `f32` hparam `field`, stored as a `U64` bit pattern.
+    ///
+    /// # Errors
+    /// [`StoreError::Corrupt`] when missing, differently typed, or not a
+    /// valid `f32` bit pattern.
+    pub fn f32_bits(&mut self, field: &str) -> Result<f32, StoreError> {
+        let (name, value) = self.hparam(field);
+        f32_bits_of(name, value)
+    }
+
+    /// The `F64` hparam `field` (stored as a bit pattern, recovered
+    /// exactly).
+    ///
+    /// # Errors
+    /// [`StoreError::Corrupt`] when missing or differently typed.
+    pub fn f64(&mut self, field: &str) -> Result<f64, StoreError> {
+        let (name, value) = self.hparam(field);
+        f64_of(name, value)
+    }
+
+    /// [`Artifact::hparam_str`] of `field`.
+    ///
+    /// # Errors
+    /// As [`Artifact::hparam_str`].
+    pub fn str(&mut self, field: &str) -> Result<&'r str, StoreError> {
+        let (name, value) = self.hparam(field);
+        str_of(name, value)
+    }
+
+    /// The `Bytes` hparam `field`.
+    ///
+    /// # Errors
+    /// [`StoreError::Corrupt`] when missing or differently typed.
+    pub fn bytes(&mut self, field: &str) -> Result<&'r [u8], StoreError> {
+        match self.hparam(field) {
+            (_, Some(HParam::Bytes(b))) => Ok(b),
+            (name, _) => Err(StoreError::Corrupt(format!("missing bytes hparam {name:?}"))),
+        }
+    }
+
+    /// The directory entry of the tensor `field`.
+    ///
+    /// # Errors
+    /// [`StoreError::Corrupt`] when there is none.
+    pub fn tensor(&mut self, field: &str) -> Result<&'r TensorEntry<'a>, StoreError> {
+        let a = self.artifact;
+        self.name(field);
+        a.find_entry(&self.name, &mut self.next_entry)
     }
 }
 
@@ -700,7 +975,7 @@ mod tests {
         b.hparam("model.kind", HParam::Str("test".into()));
         b.hparam("model.layers", HParam::U64(2));
         b.hparam("model.lr", HParam::F64(0.125));
-        b.hparam("model.cursors", HParam::Bytes(vec![1, 2, 3, 4]));
+        b.hparam("model.cursors", HParam::Bytes(vec![1, 2, 3, 4].into()));
         b.tensor_f32("w0", &[2, 3], &[1.0, -2.5, 3.25, 0.0, 4.5, -6.75]);
         b.tensor_q8("w1", &[4], &[0, 127, 255, 63], 0.5, -1.0, 8);
         b.finish()
@@ -715,7 +990,7 @@ mod tests {
         assert_eq!(a.hparam("model.lr"), Some(&HParam::F64(0.125)));
         assert_eq!(
             a.hparam("model.cursors"),
-            Some(&HParam::Bytes(vec![1, 2, 3, 4]))
+            Some(&HParam::Bytes(vec![1, 2, 3, 4].into()))
         );
         let w0 = a.tensor_f32("w0").unwrap();
         assert_eq!(w0.dims(), &[2, 3]);
@@ -765,21 +1040,43 @@ mod tests {
         }
     }
 
+    /// Length of `clean`'s head, the bytes its trailer covers.
+    fn head_len(clean: &[u8]) -> usize {
+        Artifact::parse(clean).expect("clean artifact").head_len()
+    }
+
+    #[test]
+    fn head_length_counts_header_hparams_and_directory() {
+        // Header 16; hparams 23 + 25 + 21 + 26; directory entries
+        // 51 (w0: f32, two dims) + 52 (w1: q8, one dim).
+        let bytes = sample();
+        assert_eq!(head_len(&bytes), 16 + 95 + 103);
+        let a = Artifact::parse(&bytes).unwrap();
+        // w0 starts at the next boundary, w1 after zero padding, and the
+        // trailer right after w1.
+        let [w0, w1] = [0, 1].map(|i| a.entries()[i]);
+        assert_eq!((w0.offset, w0.len, w1.offset, w1.len), (256, 24, 320, 4));
+        assert_eq!(bytes.len(), 324 + 8);
+    }
+
     #[test]
     fn flipped_byte_fails_the_file_checksum() {
+        // Model.lr's value: any bit pattern is an f64, so the sections
+        // still walk and only the trailer can notice.
         let mut bytes = sample();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
+        let lr = 0.125f64.to_bits().to_le_bytes();
+        let at = bytes.windows(8).position(|w| w == lr).expect("lr value");
+        bytes[at + 3] ^= 0x10;
         match Artifact::parse(&bytes) {
             Err(StoreError::ChecksumMismatch { what, .. }) => assert_eq!(what, "file"),
             other => panic!("expected file checksum failure, got {other:?}"),
         }
     }
 
-    /// Recomputes the trailer so the file checksum passes again.
-    fn reseal(bytes: &mut [u8]) {
+    /// Recomputes the trailer over the first `head` bytes.
+    fn reseal(bytes: &mut [u8], head: usize) {
         let n = bytes.len();
-        let fixed = checksum(&bytes[..n - 8]);
+        let fixed = checksum(&bytes[..head]);
         bytes[n - 8..].copy_from_slice(&fixed.to_le_bytes());
     }
 
@@ -797,15 +1094,16 @@ mod tests {
 
     #[test]
     fn payload_corruption_behind_a_fixed_trailer_fails_the_tensor_checksum() {
+        // The trailer covers the head, not the payloads, so it still
+        // holds over a flipped payload byte; the tensor's own directory
+        // checksum catches it at parse, before any tensor is read.
         let mut bytes = sample();
-        // Corrupt one payload byte, then re-seal the trailer so the file
-        // checksum passes — the per-tensor checksum must still catch it,
-        // at parse, before any tensor is read.
-        let a = Artifact::parse(&bytes).unwrap();
-        let off = a.tensor("w0").unwrap().offset;
-        drop(a);
+        let off = Artifact::parse(&bytes)
+            .unwrap()
+            .tensor("w0")
+            .unwrap()
+            .offset;
         bytes[off] ^= 0x01;
-        reseal(&mut bytes);
         match Artifact::parse(&bytes) {
             Err(StoreError::ChecksumMismatch { what, .. }) => assert_eq!(what, "w0"),
             other => panic!("expected tensor checksum failure, got {other:?}"),
@@ -815,17 +1113,79 @@ mod tests {
     #[test]
     fn every_flipped_byte_is_rejected_without_a_panic() {
         let clean = sample();
+        let a = Artifact::parse(&clean).unwrap();
+        let head = a.head_len();
+        let payload_of = |at: usize| {
+            a.entries()
+                .iter()
+                .find(|e| (e.offset..e.offset + e.len).contains(&at))
+                .map(|e| e.name)
+        };
+        let trailer = clean.len() - 8;
         for at in 0..clean.len() {
-            for mask in [0x01, 0xff] {
+            for mask in [0x01, 0x80, 0xff] {
                 let mut bytes = clean.clone();
                 bytes[at] ^= mask;
-                match Artifact::parse(&bytes) {
-                    Err(StoreError::BadMagic(_)) if at < 4 => {}
-                    Err(StoreError::UnsupportedVersion(_)) if (4..8).contains(&at) => {}
-                    Err(StoreError::ChecksumMismatch { what, .. }) if at >= 8 => {
-                        assert_eq!(what, "file", "byte {at} ^ {mask:#04x}");
+                let case = format!("byte {at} ^ {mask:#04x}");
+                match (Artifact::parse(&bytes), payload_of(at)) {
+                    (Err(StoreError::BadMagic(_)), _) if at < 4 => {}
+                    (Err(StoreError::UnsupportedVersion(_)), _) if (4..8).contains(&at) => {}
+                    // A head byte: the trailer catches it, unless the
+                    // sections no longer walk.
+                    (Err(StoreError::ChecksumMismatch { what, .. }), _)
+                        if (8..head).contains(&at) =>
+                    {
+                        assert_eq!(what, "file", "{case}");
                     }
-                    other => panic!("byte {at} ^ {mask:#04x}: unexpected {other:?}"),
+                    (Err(StoreError::Truncated { .. } | StoreError::Corrupt(_)), _)
+                        if (8..head).contains(&at) => {}
+                    (Err(StoreError::ChecksumMismatch { what, .. }), _) if at >= trailer => {
+                        assert_eq!(what, "file", "{case}");
+                    }
+                    (Err(StoreError::ChecksumMismatch { what, .. }), Some(name)) => {
+                        assert_eq!(what, name, "{case}");
+                    }
+                    (Err(StoreError::Corrupt(msg)), None) if (head..trailer).contains(&at) => {
+                        assert!(msg.contains("padding"), "{case}: {msg}");
+                    }
+                    (other, _) => panic!("{case}: unexpected {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_zero_padding_is_corrupt() {
+        // Padding is covered by no checksum, so it must be zero: between
+        // the directory and w0, between w0 and w1.
+        let clean = sample();
+        for at in [head_len(&clean), 300, 319] {
+            let mut bytes = clean.clone();
+            bytes[at] = 1;
+            match Artifact::parse(&bytes) {
+                Err(StoreError::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("padding byte {at}")), "{msg}");
+                }
+                other => panic!("padding byte {at}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn bytes_inserted_before_the_trailer_are_corrupt() {
+        let mut no_tensors = ArtifactBuilder::new();
+        no_tensors.hparam("k", HParam::U64(7));
+        for clean in [sample(), no_tensors.finish()] {
+            for stray in [&[0u8][..], &[0; 64], &[1, 2, 3]] {
+                let mut bytes = clean.clone();
+                let trailer = bytes.len() - 8;
+                bytes.splice(trailer..trailer, stray.iter().copied());
+                match Artifact::parse(&bytes) {
+                    Err(StoreError::Corrupt(msg)) => assert!(msg.contains("stray"), "{msg}"),
+                    other => panic!(
+                        "{} stray bytes: expected Corrupt, got {other:?}",
+                        stray.len()
+                    ),
                 }
             }
         }
@@ -851,7 +1211,7 @@ mod tests {
         for (at, width) in fields {
             let mut bytes = clean.clone();
             bytes[at..at + width].fill(0xff);
-            reseal(&mut bytes);
+            reseal(&mut bytes, head_len(&clean));
             match Artifact::parse(&bytes) {
                 Err(StoreError::Truncated { .. } | StoreError::Corrupt(_)) => {}
                 other => panic!("field at {at} set to all ones: unexpected {other:?}"),
@@ -870,8 +1230,8 @@ mod tests {
 
     #[test]
     fn overlapping_and_reordered_payloads_are_corrupt() {
-        let expect_corrupt = |bytes: &mut Vec<u8>, case: &str| {
-            reseal(bytes);
+        let expect_corrupt = |bytes: &mut Vec<u8>, head: usize, case: &str| {
+            reseal(bytes, head);
             match Artifact::parse(bytes) {
                 Err(StoreError::Corrupt(msg)) => assert!(msg.contains("previous"), "{case}: {msg}"),
                 other => panic!("{case}: expected Corrupt, got {other:?}"),
@@ -883,7 +1243,7 @@ mod tests {
         b.tensor_q8("c", &[4], &[9, 8, 7, 6], 1.0, 0.0, 8);
         let clean = b.finish();
         let parsed = Artifact::parse(&clean).unwrap();
-        let [a, b_, c] = [0, 1, 2].map(|i| parsed.entries()[i].clone());
+        let [a, b_, c] = [0, 1, 2].map(|i| parsed.entries()[i]);
         drop(parsed);
         // Re-sealed hand-made directories, each entry with its true
         // checksum: a and b swap payloads (out of offset order), and
@@ -891,10 +1251,11 @@ mod tests {
         let mut swapped = clean.clone();
         redirect(&mut swapped, &clean, &a, b_.offset, b_.len);
         redirect(&mut swapped, &clean, &b_, a.offset, a.len);
-        expect_corrupt(&mut swapped, "swapped");
+        let head = head_len(&clean);
+        expect_corrupt(&mut swapped, head, "swapped");
         let mut aliased = clean.clone();
         redirect(&mut aliased, &clean, &c, a.offset, c.len);
-        expect_corrupt(&mut aliased, "aliased");
+        expect_corrupt(&mut aliased, head, "aliased");
 
         // Many entries re-pointed at one payload are rejected from the
         // directory, not hashed once per entry.
@@ -908,14 +1269,14 @@ mod tests {
         for e in &entries[1..] {
             redirect(&mut bytes, &clean, e, entries[0].offset, entries[0].len);
         }
-        expect_corrupt(&mut bytes, "many aliased");
+        expect_corrupt(&mut bytes, head_len(&clean), "many aliased");
     }
 
     #[test]
     fn payload_rejects_an_entry_from_another_directory() {
         let bytes = sample();
         let a = Artifact::parse(&bytes).unwrap();
-        let mut foreign = a.tensor("w0").unwrap().clone();
+        let mut foreign = *a.tensor("w0").unwrap();
         assert!(a.payload(&foreign).is_ok());
         foreign.offset += ALIGN;
         assert!(matches!(a.payload(&foreign), Err(StoreError::Corrupt(_))));
@@ -927,6 +1288,7 @@ mod tests {
         // an empty payload with its true checksum, and a re-sealed
         // trailer. It must not load as a zero-element tensor.
         let mut bytes = sample();
+        let head = head_len(&bytes);
         let dims: Vec<u8> = [2u64, 3].iter().flat_map(|d| d.to_le_bytes()).collect();
         let at = bytes.windows(16).position(|w| w == dims).expect("w0 dims");
         bytes[at..at + 8].copy_from_slice(&(1u64 << 63).to_le_bytes());
@@ -934,7 +1296,7 @@ mod tests {
         // The dims are followed by offset, len and checksum.
         bytes[at + 24..at + 32].copy_from_slice(&0u64.to_le_bytes());
         bytes[at + 32..at + 40].copy_from_slice(&checksum(&[]).to_le_bytes());
-        reseal(&mut bytes);
+        reseal(&mut bytes, head);
         match Artifact::parse(&bytes) {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("overflow"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
@@ -945,7 +1307,7 @@ mod tests {
     fn unsupported_version_is_rejected() {
         let mut bytes = sample();
         bytes[4] = 99;
-        reseal(&mut bytes);
+        reseal(&mut bytes, head_len(&sample()));
         match Artifact::parse(&bytes) {
             Err(StoreError::UnsupportedVersion(99)) => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
@@ -966,6 +1328,23 @@ mod tests {
         match Artifact::parse(&bytes[..8]) {
             Err(StoreError::UnsupportedVersion(1)) => {}
             other => panic!("expected UnsupportedVersion(1), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_version_2_file_is_named_before_any_other_check() {
+        // Version 2 had the same layout and checksum but a trailer over
+        // the whole body. A genuine version 2 file: this sample with its
+        // version byte and a version 2 trailer, which this build must
+        // name rather than report as a trailer mismatch.
+        let mut bytes = sample();
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let body = bytes.len() - 8;
+        let whole_body = checksum(&bytes[..body]);
+        bytes[body..].copy_from_slice(&whole_body.to_le_bytes());
+        match Artifact::parse(&bytes) {
+            Err(StoreError::UnsupportedVersion(2)) => {}
+            other => panic!("expected UnsupportedVersion(2), got {other:?}"),
         }
     }
 

@@ -18,26 +18,53 @@
 //!
 //! Tensor payloads start on 64-byte-aligned offsets so the layout is
 //! mmap-friendly: a reader can map the file and point kernels straight at
-//! the payload bytes. Corruption is detected twice over — a whole-file
-//! checksum in the trailer and a per-tensor payload checksum in the
-//! directory, both verified by [`Artifact::parse`] — with typed
-//! [`StoreError`]s for truncation, bad magic, a foreign version and
-//! checksum mismatches. The version is checked right after the magic, so
-//! a file of another version is reported as
-//! [`StoreError::UnsupportedVersion`], never as a checksum mismatch.
+//! the payload bytes. [`Artifact::parse`] checks every byte of a file
+//! exactly once, and hashes each byte at most once:
+//!
+//! - the trailer is the [`checksum`] of the **head**: the header, the
+//!   hparams and the tensor directory;
+//! - each payload is covered by its own directory checksum alone (the
+//!   directory, and so every payload sum, is under the trailer);
+//! - every padding byte, between the directory and the first payload and
+//!   between payloads, must be zero;
+//! - the body ends exactly where the last payload ends (where the
+//!   directory ends when there are no tensors), so the trailer follows
+//!   it directly.
+//!
+//! Errors are typed [`StoreError`]s, reported in this order: bad magic;
+//! a foreign version ([`StoreError::UnsupportedVersion`], checked right
+//! after the magic, so a file of another version is named as such and
+//! never fails a later check instead); a file shorter than a header and
+//! trailer; damage found walking the sections (bounds, UTF-8, tags,
+//! dims, quant bit widths, payload ranges) as
+//! [`StoreError::Truncated`] or [`StoreError::Corrupt`]; a trailer that
+//! disagrees with the head ([`StoreError::ChecksumMismatch`] on
+//! `"file"`); non-zero padding or stray bytes before the trailer
+//! ([`StoreError::Corrupt`]); last, the first payload, in directory
+//! order, that disagrees with its checksum (a mismatch naming the
+//! tensor). The walk comes before the trailer because it is what finds
+//! the head's end; it reads every length it follows against the buffer,
+//! so a damaged head gives a typed error either way.
 //!
 //! ```text
-//! offset 0        "DLST" magic · u32 version (2)
-//!                 u32 hparam count · u32 tensor count
-//!                 hparams      (name, tagged value) ...
-//!                 directory    (name, dtype, dims, quant params,
-//!                               payload offset/len/checksum) ...
+//! offset 0        "DLST" magic · u32 version (3)        -+
+//!                 u32 hparam count · u32 tensor count    | the head,
+//!                 hparams    (name, tagged value) ...    | covered by
+//!                 directory  (name, dtype, dims, quant   | the trailer
+//!                             params, payload offset,    |
+//!                             len, checksum) ...        -+
 //!                 -- zero pad to 64 --
-//! aligned 64      payload 0    (f32 little-endian or packed int8 codes)
+//! aligned 64      payload 0  (f32 little-endian or packed int8 codes,
+//!                             covered by its directory checksum)
 //!                 -- zero pad to 64 --
-//! aligned 64      payload 1 ...
-//! end - 8         u64 checksum of every preceding byte
+//! aligned 64      payload 1 ...                         (last payload)
+//! end - 8         u64 checksum of the head
 //! ```
+//!
+//! A parse reads names, string and byte hparams and dims in place (see
+//! [`HParam`] and [`Dims`]), so it makes two allocations however many
+//! sections an artifact holds; [`Scope`] builds the names a decoder
+//! looks up in one reused buffer.
 //!
 //! # The checksum
 //!
@@ -73,21 +100,26 @@
 //! step a flipped bit 63 (the sign of every odd-index `f32` in a
 //! payload) would pass through every later step unchanged, and two
 //! such flips would cancel. Version 1 used serial FNV-1a, one byte per
-//! multiply; this build does not read it.
+//! multiply; version 2 had this checksum but a trailer over the whole
+//! body, which hashed every payload twice. This build reads neither.
 //!
 //! On top of the raw [`format`](mod@format) live the model codecs: [`network`]
 //! encodes/decodes any `dl_nn::Network` (all eight layer kinds) under a
 //! key prefix so several models share one artifact — which is how
-//! `dl-serve` persists whole variant families.
+//! `dl-serve` persists whole variant families — and reads a native int8
+//! `dl_compress::QuantizedMlp` straight from its packed codes.
 
 #![warn(missing_docs)]
 
 pub mod format;
 pub mod network;
 
-pub use format::{checksum, Artifact, ArtifactBuilder, Dtype, HParam, TensorEntry, ALIGN};
+pub use format::{
+    checksum, Artifact, ArtifactBuilder, Dims, Dtype, HParam, Scope, TensorEntry, ALIGN,
+};
 pub use network::{
-    decode_network_with_quant, encode_network, encode_network_q8, load_network, save_network,
+    decode_network_with_quant, decode_quantized_mlp, encode_network, encode_network_q8,
+    encode_quantized_mlp, load_network, save_network,
 };
 
 /// Everything that can go wrong reading an artifact.

@@ -12,9 +12,9 @@
 //! one. Parameters, structure, dropout mask streams and batch-norm
 //! running statistics round-trip bit-for-bit.
 
-use crate::format::{Artifact, ArtifactBuilder, Dtype, HParam};
+use crate::format::{Artifact, ArtifactBuilder, Dtype, HParam, TensorEntry};
 use crate::StoreError;
-use dl_compress::QuantizedTensor;
+use dl_compress::{QuantizedDense, QuantizedMlp, QuantizedTensor};
 use dl_nn::layers::{BatchNorm1d, Conv2d, Dense, Dropout, Layer, MaxPool2d, ReLU, Sigmoid, Tanh};
 use dl_nn::Network;
 use dl_tensor::{init, Tensor};
@@ -26,12 +26,16 @@ fn key(prefix: &str, i: usize, field: &str) -> String {
     format!("{prefix}.layer{i}.{field}")
 }
 
-fn put_f32_bits(b: &mut ArtifactBuilder, name: String, v: f32) {
+fn put_f32_bits(b: &mut ArtifactBuilder<'_>, name: String, v: f32) {
     b.hparam(name, HParam::U64(u64::from(v.to_bits())));
 }
 
+fn put_q8(b: &mut ArtifactBuilder<'_>, name: String, q: &QuantizedTensor) {
+    b.tensor_q8(name, q.dims(), q.codes(), q.scale(), q.zero_point(), q.bits());
+}
+
 /// Writes `net` into `b` under `prefix`, all parameters as f32.
-pub fn encode_network(b: &mut ArtifactBuilder, prefix: &str, net: &Network) {
+pub fn encode_network(b: &mut ArtifactBuilder<'_>, prefix: &str, net: &Network) {
     encode_impl(b, prefix, net, None);
 }
 
@@ -45,7 +49,7 @@ pub fn encode_network(b: &mut ArtifactBuilder, prefix: &str, net: &Network) {
 /// Panics when `quantized` does not line up one-to-one with the
 /// network's parameter tensors (count or dims).
 pub fn encode_network_q8(
-    b: &mut ArtifactBuilder,
+    b: &mut ArtifactBuilder<'_>,
     prefix: &str,
     net: &Network,
     quantized: &[QuantizedTensor],
@@ -54,7 +58,7 @@ pub fn encode_network_q8(
 }
 
 fn encode_impl(
-    b: &mut ArtifactBuilder,
+    b: &mut ArtifactBuilder<'_>,
     prefix: &str,
     net: &Network,
     quantized: Option<&[QuantizedTensor]>,
@@ -67,19 +71,19 @@ fn encode_impl(
     let mut qi = 0usize;
     // Writes one parameter tensor: the next quantized entry when
     // persisting a q8 model, the raw f32 data otherwise.
-    let param = |b: &mut ArtifactBuilder, name: String, t: &Tensor, qi: &mut usize| match quantized {
+    let param = |b: &mut ArtifactBuilder<'_>, name: String, t: &Tensor, qi: &mut usize| match quantized {
         Some(qts) => {
             let q = qts
                 .get(*qi)
                 .unwrap_or_else(|| panic!("quantized tensor list too short at {name}"));
             assert_eq!(q.dims(), t.dims(), "quantized dims mismatch at {name}");
-            b.tensor_q8(name, q.dims(), q.codes(), q.scale(), q.zero_point(), q.bits());
+            put_q8(b, name, q);
             *qi += 1;
         }
         None => b.tensor_f32(name, t.dims(), t.data()),
     };
     for (i, layer) in net.layers().iter().enumerate() {
-        b.hparam(key(prefix, i, "kind"), HParam::Str(layer.name().to_string()));
+        b.hparam(key(prefix, i, "kind"), HParam::Str(layer.name().into()));
         match layer {
             Layer::Dense(d) => {
                 param(b, key(prefix, i, "weight"), &d.weight, &mut qi);
@@ -141,23 +145,68 @@ fn encode_impl(
     }
 }
 
+/// Writes a native int8 MLP into `b` under `prefix`: the same bytes
+/// [`encode_network_q8`] writes for its dequantized shadow network, with
+/// the architecture read from `mlp`'s layers and every parameter payload
+/// from `quantized` (weight and bias codes per layer, in order, as
+/// [`decode_quantized_mlp`] returns them). No shadow network is built.
+///
+/// # Panics
+/// Panics when `quantized` does not hold a weight and a bias for each of
+/// `mlp`'s layers, or a weight's dims differ from the layer's.
+pub fn encode_quantized_mlp(
+    b: &mut ArtifactBuilder<'_>,
+    prefix: &str,
+    mlp: &QuantizedMlp,
+    quantized: &[QuantizedTensor],
+) {
+    let layers = mlp.layers();
+    assert_eq!(
+        quantized.len(),
+        2 * layers.len(),
+        "a weight and a bias per quantized layer"
+    );
+    let layer_count: usize = layers.iter().map(|l| 1 + usize::from(l.relu)).sum();
+    b.hparam(
+        format!("{prefix}.input_dim"),
+        HParam::U64(mlp.input_dim() as u64),
+    );
+    b.hparam(
+        format!("{prefix}.layer_count"),
+        HParam::U64(layer_count as u64),
+    );
+    let mut i = 0;
+    for (l, q) in layers.iter().zip(quantized.chunks_exact(2)) {
+        assert_eq!(
+            q[0].dims(),
+            l.weight.dims(),
+            "quantized dims mismatch at {prefix}.layer{i}"
+        );
+        b.hparam(key(prefix, i, "kind"), HParam::Str("dense".into()));
+        put_q8(b, key(prefix, i, "weight"), &q[0]);
+        put_q8(b, key(prefix, i, "bias"), &q[1]);
+        i += 1;
+        if l.relu {
+            b.hparam(key(prefix, i, "kind"), HParam::Str("relu".into()));
+            i += 1;
+        }
+    }
+}
+
 /// Reads one parameter tensor, collecting the packed codes when the
 /// entry is stored q8 (int8 payloads dequantize through the exact same
 /// `zero + scale * code` expression `dl-compress` used in memory, so the
 /// reconstruction is bit-identical).
 fn param_tensor(
     a: &Artifact<'_>,
-    name: &str,
+    entry: &TensorEntry<'_>,
     quants: &mut Vec<QuantizedTensor>,
     any_q8: &mut bool,
 ) -> Result<Tensor, StoreError> {
-    let entry = a
-        .tensor(name)
-        .ok_or_else(|| StoreError::Corrupt(format!("missing tensor {name:?}")))?;
     match entry.dtype {
-        Dtype::F32 => a.tensor_f32(name),
+        Dtype::F32 => a.f32_of(entry),
         Dtype::Q8 => {
-            let q = a.tensor_q8(name)?;
+            let q = a.q8_of(entry)?;
             let t = q.dequantize();
             quants.push(q);
             *any_q8 = true;
@@ -207,8 +256,9 @@ pub fn decode_network_with_quant(
     a: &Artifact<'_>,
     prefix: &str,
 ) -> Result<(Network, Option<Vec<QuantizedTensor>>), StoreError> {
-    let input_dim = a.hparam_u64(&format!("{prefix}.input_dim"))? as usize;
-    let layer_count = a.hparam_u64(&format!("{prefix}.layer_count"))? as usize;
+    let mut s = a.scope(format_args!("{prefix}."));
+    let input_dim = s.u64("input_dim")? as usize;
+    let layer_count = s.u64("layer_count")? as usize;
     if input_dim == 0 {
         return Err(StoreError::Corrupt(format!("{prefix}: zero input width")));
     }
@@ -218,13 +268,12 @@ pub fn decode_network_with_quant(
     // Width of the rows reaching layer `i`.
     let mut width = input_dim;
     for i in 0..layer_count {
-        let kind = a.hparam_str(&key(prefix, i, "kind"))?.to_string();
-        let u = |field: &str| a.hparam_u64(&key(prefix, i, field)).map(|v| v as usize);
+        s.enter(format_args!("{prefix}.layer{i}."));
         let corrupt = |what: String| StoreError::Corrupt(format!("{prefix}.layer{i}: {what}"));
-        let layer = match kind.as_str() {
+        let layer = match s.str("kind")? {
             "dense" => {
-                let w = param_tensor(a, &key(prefix, i, "weight"), &mut quants, &mut any_q8)?;
-                let bias = param_tensor(a, &key(prefix, i, "bias"), &mut quants, &mut any_q8)?;
+                let w = param_tensor(a, s.tensor("weight")?, &mut quants, &mut any_q8)?;
+                let bias = param_tensor(a, s.tensor("bias")?, &mut quants, &mut any_q8)?;
                 match *w.dims() {
                     [fan_in, fan_out] if fan_in == width && bias.dims() == [fan_out] => {
                         width = fan_out;
@@ -242,12 +291,12 @@ pub fn decode_network_with_quant(
             "sigmoid" => Layer::Sigmoid(Sigmoid::new()),
             "tanh" => Layer::Tanh(Tanh::new()),
             "dropout" => {
-                let p = a.hparam_f32_bits(&key(prefix, i, "p_bits"))?;
+                let p = s.f32_bits("p_bits")?;
                 if !(0.0..1.0).contains(&p) {
                     return Err(corrupt(format!("dropout probability {p}")));
                 }
-                let seed = a.hparam_u64(&key(prefix, i, "seed"))?;
-                let step = a.hparam_u64(&key(prefix, i, "step"))?;
+                let seed = s.u64("seed")?;
+                let step = s.u64("step")?;
                 Layer::Dropout(Dropout::from_state(p, seed, step))
             }
             "conv2d" => {
@@ -257,8 +306,9 @@ pub fn decode_network_with_quant(
                 // reconstruction. The stored tensors are read and their
                 // shapes checked against the claimed geometry first, so
                 // `new` allocates no more than the file holds.
-                let w = param_tensor(a, &key(prefix, i, "weight"), &mut quants, &mut any_q8)?;
-                let bias = param_tensor(a, &key(prefix, i, "bias"), &mut quants, &mut any_q8)?;
+                let w = param_tensor(a, s.tensor("weight")?, &mut quants, &mut any_q8)?;
+                let bias = param_tensor(a, s.tensor("bias")?, &mut quants, &mut any_q8)?;
+                let mut u = |field: &str| s.u64(field).map(|v| v as usize);
                 let (cin, cout, kh, kw) =
                     (u("in_channels")?, u("out_channels")?, u("kh")?, u("kw")?);
                 let (height, wide, stride, pad) =
@@ -302,6 +352,7 @@ pub fn decode_network_with_quant(
                 Layer::Conv2d(c)
             }
             "maxpool2d" => {
+                let mut u = |field: &str| s.u64(field).map(|v| v as usize);
                 let (channels, height, wide) = (u("channels")?, u("height")?, u("width")?);
                 let (k, stride) = (u("k")?, u("stride")?);
                 let windows =
@@ -321,12 +372,12 @@ pub fn decode_network_with_quant(
                 Layer::MaxPool2d(MaxPool2d::new(channels, height, wide, k, stride))
             }
             "batchnorm1d" => {
-                let momentum = a.hparam_f32_bits(&key(prefix, i, "momentum_bits"))?;
-                let eps = a.hparam_f32_bits(&key(prefix, i, "eps_bits"))?;
-                let gamma = param_tensor(a, &key(prefix, i, "gamma"), &mut quants, &mut any_q8)?;
-                let beta = param_tensor(a, &key(prefix, i, "beta"), &mut quants, &mut any_q8)?;
-                let running_mean = a.tensor_f32(&key(prefix, i, "running_mean"))?;
-                let running_var = a.tensor_f32(&key(prefix, i, "running_var"))?;
+                let momentum = s.f32_bits("momentum_bits")?;
+                let eps = s.f32_bits("eps_bits")?;
+                let gamma = param_tensor(a, s.tensor("gamma")?, &mut quants, &mut any_q8)?;
+                let beta = param_tensor(a, s.tensor("beta")?, &mut quants, &mut any_q8)?;
+                let running_mean = a.f32_of(s.tensor("running_mean")?)?;
+                let running_var = a.f32_of(s.tensor("running_var")?)?;
                 if gamma.dims() != [width] {
                     let gd = gamma.dims();
                     return Err(corrupt(format!(
@@ -360,11 +411,68 @@ pub fn decode_network_with_quant(
     Ok((net, any_q8.then_some(quants)))
 }
 
+/// Reads a Dense/ReLU MLP stored under `prefix` with packed int8
+/// parameters (as [`encode_quantized_mlp`] or [`encode_network_q8`]
+/// write one) straight into a native [`QuantizedMlp`]: each payload is
+/// read once into its codes, and no dequantized shadow network is built.
+/// Also returns the packed tensors in parameter order, weight and bias
+/// per layer, which re-encode the model byte for byte.
+///
+/// # Errors
+/// [`StoreError::Corrupt`] for missing sections, a layer other than
+/// dense or relu, a relu before the first dense layer, a parameter not
+/// stored q8 or with codes wider than its bit width, and layers whose
+/// widths do not chain from a non-zero `input_dim` or are zero.
+pub fn decode_quantized_mlp(
+    a: &Artifact<'_>,
+    prefix: &str,
+) -> Result<(QuantizedMlp, Vec<QuantizedTensor>), StoreError> {
+    let mut s = a.scope(format_args!("{prefix}."));
+    let input_dim = s.u64("input_dim")? as usize;
+    let layer_count = s.u64("layer_count")? as usize;
+    if input_dim == 0 {
+        return Err(StoreError::Corrupt(format!("{prefix}: zero input width")));
+    }
+    let mut layers: Vec<QuantizedDense> = Vec::new();
+    let mut quants = Vec::new();
+    for i in 0..layer_count {
+        s.enter(format_args!("{prefix}.layer{i}."));
+        let corrupt = |what: String| StoreError::Corrupt(format!("{prefix}.layer{i}: {what}"));
+        match s.str("kind")? {
+            "dense" => {
+                let weight = a.q8_of(s.tensor("weight")?)?;
+                let bias = a.q8_of(s.tensor("bias")?)?;
+                if weight.dims().get(1) == Some(&0) {
+                    return Err(corrupt("zero-wide output".into()));
+                }
+                layers.push(QuantizedDense {
+                    weight: weight.clone(),
+                    bias: bias.dequantize(),
+                    relu: false,
+                });
+                quants.extend([weight, bias]);
+            }
+            "relu" => match layers.last_mut() {
+                Some(last) => last.relu = true,
+                None => return Err(corrupt("a relu before the first dense layer".into())),
+            },
+            other => {
+                return Err(corrupt(format!(
+                    "a {other:?} layer in an int8 MLP, which holds dense and relu layers only"
+                )))
+            }
+        }
+    }
+    let mlp = QuantizedMlp::try_from_layers(input_dim, layers)
+        .map_err(|e| StoreError::Corrupt(format!("{prefix}: {e}")))?;
+    Ok((mlp, quants))
+}
+
 /// Serializes one network as a standalone artifact.
 #[must_use]
 pub fn save_network(net: &Network) -> Vec<u8> {
     let mut b = ArtifactBuilder::new();
-    b.hparam("artifact.kind", HParam::Str(NETWORK_KIND.to_string()));
+    b.hparam("artifact.kind", HParam::Str(NETWORK_KIND.into()));
     encode_network(&mut b, "net", net);
     b.finish()
 }
@@ -463,7 +571,7 @@ mod tests {
         let teacher = Network::mlp(&[6, 10, 4], &mut rng);
         let (mut deq, _report, qts) = dl_compress::quantize_network_tensors(&teacher, 8);
         let mut b = ArtifactBuilder::new();
-        b.hparam("artifact.kind", HParam::Str(NETWORK_KIND.to_string()));
+        b.hparam("artifact.kind", HParam::Str(NETWORK_KIND.into()));
         encode_network_q8(&mut b, "net", &deq, &qts);
         let bytes = b.finish();
 
@@ -488,9 +596,45 @@ mod tests {
         }
         // Re-encoding from the recovered codes is byte-identical.
         let mut b2 = ArtifactBuilder::new();
-        b2.hparam("artifact.kind", HParam::Str(NETWORK_KIND.to_string()));
+        b2.hparam("artifact.kind", HParam::Str(NETWORK_KIND.into()));
         encode_network_q8(&mut b2, "net", &back, &quants);
         assert_eq!(b2.finish(), bytes);
+    }
+
+    #[test]
+    fn native_int8_mlps_encode_as_their_shadow_and_decode_bitwise() {
+        let mut rng = init::rng(23);
+        let net = Network::mlp(&[6, 10, 8, 4], &mut rng);
+        let (deq, _report, qts) = dl_compress::quantize_network_tensors(&net, 8);
+        let mlp = QuantizedMlp::from_network_tensors(&deq, &qts);
+        // Written from the native layers, the bytes are those of the
+        // dequantized shadow network's encoding.
+        let mut native = ArtifactBuilder::new();
+        encode_quantized_mlp(&mut native, "q", &mlp, &qts);
+        let bytes = native.finish();
+        let mut shadow = ArtifactBuilder::new();
+        encode_network_q8(&mut shadow, "q", &mlp.to_network(), &qts);
+        assert_eq!(bytes, shadow.finish());
+
+        let a = Artifact::parse(&bytes).unwrap();
+        let (back, back_qts) = decode_quantized_mlp(&a, "q").unwrap();
+        let x = Tensor::from_vec((0..18).map(|i| i as f32 * 0.37 - 3.0).collect(), [3, 6]).unwrap();
+        let (ya, yb) = (mlp.forward(&x), back.forward(&x));
+        for (p, q) in ya.data().iter().zip(yb.data()) {
+            assert_eq!(p.to_bits(), q.to_bits());
+        }
+        let mut again = ArtifactBuilder::new();
+        encode_quantized_mlp(&mut again, "q", &back, &back_qts);
+        assert_eq!(again.finish(), bytes, "the decoded codes re-encode byte for byte");
+
+        // An f32 network is not an int8 MLP.
+        let f32_bytes = {
+            let mut b = ArtifactBuilder::new();
+            encode_network(&mut b, "q", &net);
+            b.finish()
+        };
+        let a = Artifact::parse(&f32_bytes).unwrap();
+        assert!(matches!(decode_quantized_mlp(&a, "q"), Err(StoreError::Corrupt(_))));
     }
 
     #[test]
@@ -553,6 +697,13 @@ mod tests {
                 b.tensor_f32(key("net", 0, "bias"), &[cols], &vec![0.0; cols]);
             })
         };
+        // The same with packed weight codes, all `code`, of `bits` bits.
+        let dense_q8 = |bits: u8, code: u8| {
+            one_layer("dense", &|b| {
+                b.tensor_q8(key("net", 0, "weight"), &[16, 3], &[code; 48], 0.5, 0.0, bits);
+                b.tensor_f32(key("net", 0, "bias"), &[3], &[0.0; 3]);
+            })
+        };
         let x = Tensor::zeros([1, 16]);
         for (case, bytes) in [
             ("conv", conv(&[], 9)),
@@ -561,6 +712,7 @@ mod tests {
             ("pool", pool(2, 2)),
             ("whole-image pool", pool(4, 9)),
             ("dense", dense(16, 3)),
+            ("4-bit dense", dense_q8(4, 15)),
         ] {
             let net = load_network(&bytes).unwrap_or_else(|e| panic!("a consistent {case}: {e}"));
             assert_eq!(net.predict(&x).len(), 1, "{case}");
@@ -590,6 +742,9 @@ mod tests {
             ("pool window 0", pool(0, 1)),
             ("dense weight taking other rows", dense(10, 16)),
             ("dense weight with no outputs", dense(16, 0)),
+            ("0-bit codes", dense_q8(0, 0)),
+            ("9-bit codes", dense_q8(9, 1)),
+            ("a code too wide for 4 bits", dense_q8(4, 200)),
             ("dropout probability 1", dropout),
             ("rank-0 batch-norm gamma", scalar_batch_norm),
         ] {

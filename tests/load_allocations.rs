@@ -1,0 +1,93 @@
+//! Allocation budget of one cold family load.
+//!
+//! A counting global allocator tallies the heap allocations of
+//! `Artifact::parse` and `load_family` on a family shaped like the serving
+//! benchmark's fleet families (a 16-64-64-5 teacher with its int8,
+//! pruned, distilled, morph and ensemble variants). Parsing reads names,
+//! string and byte hparams and dims in place, so it allocates the same
+//! for an artifact with twice the sections; decoding builds every lookup
+//! name in one reused buffer and reads each tensor once. This file is a
+//! test binary of its own with a single test, so no other test allocates
+//! while it counts.
+
+mod counting_alloc;
+
+use counting_alloc::allocations_during;
+use dl_serve::{build_family, load_family, save_family, FamilyConfig};
+use dl_store::{Artifact, ArtifactBuilder, Dtype};
+
+/// Allocations of one `load_family` of the fleet-shaped family, rounded
+/// up from the measured 268 (1,003 when every hparam, name and dims list
+/// was copied out of the artifact and every lookup formatted its name).
+const LOAD_FAMILY_ALLOCS: u64 = 300;
+
+/// `clean` with every hparam and tensor stored a second time under a
+/// `copy.` prefix: twice the sections of each kind.
+fn doubled(clean: &[u8]) -> Vec<u8> {
+    let a = Artifact::parse(clean).expect("clean artifact");
+    let mut b = ArtifactBuilder::new();
+    for prefix in ["", "copy."] {
+        for (name, value) in a.hparams() {
+            b.hparam(format!("{prefix}{name}"), value.clone());
+        }
+    }
+    for prefix in ["", "copy."] {
+        for e in a.entries() {
+            let name = format!("{prefix}{}", e.name);
+            let (dims, payload) = (e.dims.to_vec(), a.payload(e).expect("own entry"));
+            match (e.dtype, e.quant) {
+                (Dtype::Q8, Some((scale, zero, bits))) => {
+                    b.tensor_q8(name, &dims, payload, scale, zero, bits);
+                }
+                _ => {
+                    let data: Vec<f32> = payload
+                        .chunks_exact(4)
+                        .map(|w| f32::from_le_bytes(w.try_into().expect("4 bytes")))
+                        .collect();
+                    b.tensor_f32(name, &dims, &data);
+                }
+            }
+        }
+    }
+    b.finish()
+}
+
+#[test]
+fn cold_load_stays_within_its_allocation_budget() {
+    let data = dl_data::blobs(240, 5, 16, 2.4, 1.1, 310);
+    let eval = dl_data::blobs(200, 5, 16, 2.4, 1.1, 301);
+    let reg = build_family(
+        &data,
+        &eval,
+        &FamilyConfig {
+            teacher_dims: vec![16, 64, 64, 5],
+            student_hidden: vec![16],
+            prune_sparsity: 0.8,
+            morph_budget: 1200,
+            ensemble_members: 2,
+            max_batch: 8,
+            epochs: 4,
+            seed: 310,
+        },
+    );
+    let family = save_family(&reg);
+    let twice = doubled(&family);
+
+    let (a, family_parse) = allocations_during(|| Artifact::parse(&family).map(drop));
+    a.expect("family parses");
+    let (a, twice_parse) = allocations_during(|| Artifact::parse(&twice).map(drop));
+    a.expect("doubled artifact parses");
+    eprintln!("allocations per parse: {family_parse} (family), {twice_parse} (doubled)");
+    assert_eq!(
+        family_parse, twice_parse,
+        "parse allocations grow with the section count"
+    );
+
+    let (loaded, allocs) = allocations_during(|| load_family(&family).map(drop));
+    loaded.expect("family loads");
+    eprintln!("allocations per load_family: {allocs}");
+    assert!(
+        allocs <= LOAD_FAMILY_ALLOCS,
+        "{allocs} allocations per load_family, budget {LOAD_FAMILY_ALLOCS}"
+    );
+}
