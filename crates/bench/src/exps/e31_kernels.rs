@@ -348,7 +348,6 @@ pub fn run() -> ExperimentResult {
     let mut shadow_family = family.clone();
     shadow_family.variants[int8_idx].model = shadow_model;
     shadow_family.variants[int8_idx].batch_costs = shadow_costs;
-    shadow_family.variants[int8_idx].quantized = None;
     let shadow_report = serve_cell(&mut shadow_family, &eval, rate, "int8", &device);
     for (mode, r) in [("native", &native_report), ("shadow", &shadow_report)] {
         table.row(&[

@@ -11,9 +11,11 @@
 //! from SystemML's compressed linear algebra, applied to the serving
 //! path.
 //!
-//! The bias vector is dequantized **once at construction** — a
-//! `[fan_out]` vector, negligible next to the `[fan_in, fan_out]` weight
-//! matrix that this module keeps packed through the hot path.
+//! A layer holds its bias as packed codes too, so a model is exactly
+//! what an artifact stores. The `f32` bias the epilogue adds is derived
+//! from those codes once, in [`QuantizedDense::new`]: a `[fan_out]`
+//! vector, negligible next to the `[fan_in, fan_out]` weight matrix that
+//! stays packed through the hot path.
 //!
 //! Inference is deterministic: the int8 GEMM is exact integer
 //! arithmetic (bitwise identical at every `DL_THREADS` count) and the
@@ -28,15 +30,40 @@ use dl_tensor::{acct, par, Tensor};
 /// One dense layer held in packed int8 form.
 #[derive(Debug, Clone)]
 pub struct QuantizedDense {
-    /// Packed affine codes of the `[in, out]` weight matrix.
-    pub weight: QuantizedTensor,
-    /// Bias vector `[out]`, dequantized once at construction.
-    pub bias: Tensor,
+    weight: QuantizedTensor,
+    bias: QuantizedTensor,
+    /// `bias` dequantized: the vector the epilogue adds.
+    bias_f32: Tensor,
     /// Whether a ReLU follows this layer in the source network.
     pub relu: bool,
 }
 
 impl QuantizedDense {
+    /// A layer of packed `[in, out]` weight codes and `[out]` bias codes;
+    /// the bias is dequantized here, once.
+    #[must_use]
+    pub fn new(weight: QuantizedTensor, bias: QuantizedTensor, relu: bool) -> Self {
+        let bias_f32 = bias.dequantize();
+        QuantizedDense {
+            weight,
+            bias,
+            bias_f32,
+            relu,
+        }
+    }
+
+    /// Packed affine codes of the `[in, out]` weight matrix.
+    #[must_use]
+    pub fn weight(&self) -> &QuantizedTensor {
+        &self.weight
+    }
+
+    /// Packed affine codes of the `[out]` bias vector.
+    #[must_use]
+    pub fn bias(&self) -> &QuantizedTensor {
+        &self.bias
+    }
+
     /// Applies the layer to a `[batch, in]` activation matrix: dynamic
     /// 8-bit activation quantization, native int8 GEMM on the packed
     /// weight codes, then one in-place pass adding the bias and applying
@@ -69,7 +96,7 @@ impl QuantizedDense {
             n,
         );
         let mut y = Tensor::from_vec(data, [m, n]).expect("q8 gemm output length matches");
-        y.add_bias_inplace(&self.bias, self.relu);
+        y.add_bias_inplace(&self.bias_f32, self.relu);
         y
     }
 }
@@ -119,11 +146,7 @@ impl QuantizedMlp {
                         d.weight.dims(),
                         "quantized weight dims do not match the network"
                     );
-                    layers.push(QuantizedDense {
-                        weight: weight.clone(),
-                        bias: bias_q.dequantize(),
-                        relu: false,
-                    });
+                    layers.push(QuantizedDense::new(weight.clone(), bias_q.clone(), false));
                 }
                 Layer::ReLU(_) => {
                     let last = layers.last_mut();
@@ -195,12 +218,12 @@ impl QuantizedMlp {
         self.forward(x).argmax_rows()
     }
 
-    /// Total stored parameter count (packed weight codes + bias values).
+    /// Total stored parameter count (packed weight and bias codes).
     #[must_use]
     pub fn param_count(&self) -> usize {
         self.layers
             .iter()
-            .map(|l| l.weight.codes().len() + l.bias.len())
+            .map(|l| l.weight.codes().len() + l.bias.codes().len())
             .sum()
     }
 
@@ -210,7 +233,7 @@ impl QuantizedMlp {
         self.input_dim
     }
 
-    /// The dense layers in order (packed weights, dequantized biases).
+    /// The dense layers in order.
     #[must_use]
     pub fn layers(&self) -> &[QuantizedDense] {
         &self.layers
@@ -226,7 +249,7 @@ impl QuantizedMlp {
         for l in &self.layers {
             net = net.push(Layer::Dense(Dense::from_parts(
                 l.weight.dequantize(),
-                l.bias.clone(),
+                l.bias_f32.clone(),
             )));
             if l.relu {
                 net = net.push(Layer::ReLU(ReLU::new()));
@@ -332,12 +355,12 @@ mod tests {
     /// `apply` as it was before the in-place epilogue: a broadcast bias
     /// add, then a separate ReLU map.
     fn unfused_apply(layer: &QuantizedDense, x: &Tensor) -> Tensor {
-        let (m, k, n) = (x.dims()[0], x.dims()[1], layer.bias.len());
+        let (m, k, n) = (x.dims()[0], x.dims()[1], layer.bias_f32.len());
         let xq = quantize_activations(x);
         let w = &layer.weight;
         let (xs, xz, ws, wz) = (xq.scale(), xq.zero_point(), w.scale(), w.zero_point());
         let data = par::matmul_q8(xq.codes(), xs, xz, w.codes(), ws, wz, m, k, n);
-        let y = &Tensor::from_vec(data, [m, n]).unwrap() + &layer.bias;
+        let y = &Tensor::from_vec(data, [m, n]).unwrap() + &layer.bias_f32;
         if layer.relu {
             y.map(|v| v.max(0.0))
         } else {
@@ -358,11 +381,12 @@ mod tests {
                 }
             }
             let w = init::uniform([k, n], -1.0, 1.0, &mut r);
-            let layer = QuantizedDense {
-                weight: QuantizedTensor::quantize(&w, 8),
-                bias: init::uniform([n], -1.0, 1.0, &mut r),
-                relu: case % 2 == 0,
-            };
+            let bias = init::uniform([n], -1.0, 1.0, &mut r);
+            let layer = QuantizedDense::new(
+                QuantizedTensor::quantize(&w, 8),
+                QuantizedTensor::quantize(&bias, 8),
+                case % 2 == 0,
+            );
             for kernel in [par::Kernel::Scalar, par::Kernel::Unrolled] {
                 for threads in [1, 4] {
                     let run = |f: &dyn Fn() -> Tensor| {
@@ -433,11 +457,8 @@ mod tests {
                 .map(|i| ((i as u64).wrapping_mul(31).wrapping_add(case) % 256) as u8)
                 .collect();
             let wq = QuantizedTensor::from_parts(w_codes, w_scale, w_zero, 8, vec![k, n]);
-            let layer = QuantizedDense {
-                weight: wq.clone(),
-                bias: Tensor::zeros([n]),
-                relu: false,
-            };
+            let zero_bias = QuantizedTensor::from_parts(vec![0; n], 1.0, 0.0, 8, vec![n]);
+            let layer = QuantizedDense::new(wq.clone(), zero_bias, false);
             let native = layer.apply(&x);
             let reference = x.matmul(&wq.dequantize());
             // Activation quantization step for this batch: the only

@@ -19,8 +19,8 @@
 use crate::variant::{Variant, VariantModel, VariantRegistry};
 use dl_prof::{LayerProfile, NetworkProfile};
 use dl_store::{
-    decode_network_with_quant, decode_quantized_mlp, encode_network, encode_network_q8,
-    encode_quantized_mlp, Artifact, ArtifactBuilder, HParam, StoreError,
+    decode_network, decode_quantized_mlp, encode_network, encode_quantized_mlp, Artifact,
+    ArtifactBuilder, HParam, StoreError,
 };
 use dl_ensemble::Ensemble;
 use dl_nn::{CostProfile, LayerCost, Network};
@@ -184,10 +184,7 @@ pub fn save_family(reg: &VariantRegistry) -> Vec<u8> {
         match &v.model {
             VariantModel::Single(net) => {
                 b.hparam(format!("v{i}.model"), HParam::Str("single".into()));
-                match &v.quantized {
-                    Some(qts) => encode_network_q8(&mut b, &format!("v{i}.net"), net, qts),
-                    None => encode_network(&mut b, &format!("v{i}.net"), net),
-                }
+                encode_network(&mut b, &format!("v{i}.net"), net);
             }
             VariantModel::Ensemble(e) => {
                 b.hparam(format!("v{i}.model"), HParam::Str("ensemble".into()));
@@ -200,15 +197,8 @@ pub fn save_family(reg: &VariantRegistry) -> Vec<u8> {
                 }
             }
             VariantModel::Quantized(q) => {
-                // Every parameter payload is the packed codes, and the
-                // architecture comes from the native layers: nothing is
-                // dequantized on the way to disk.
                 b.hparam(format!("v{i}.model"), HParam::Str("quantized".into()));
-                let qts = v
-                    .quantized
-                    .as_ref()
-                    .expect("a quantized variant always retains its packed tensors");
-                encode_quantized_mlp(&mut b, &format!("v{i}.net"), q, qts);
+                encode_quantized_mlp(&mut b, &format!("v{i}.net"), q);
             }
         }
         encode_profile(&mut b, &format!("v{i}.profile"), &v.profile);
@@ -267,11 +257,11 @@ pub fn load_family(bytes: &[u8]) -> Result<VariantRegistry, StoreError> {
         let name = s.str("name")?.to_string();
         let accuracy = s.f64("accuracy")?;
         let weight_bytes = s.u64("weight_bytes")?;
-        let (model, quantized) = match s.str("model")? {
+        let model = match s.str("model")? {
             "single" => {
-                let (net, q) = decode_network_with_quant(&a, s.name("net"))?;
+                let net = decode_network(&a, s.name("net"))?;
                 check_widths(row_widths(&net), &format_args!("v{i}"))?;
-                (VariantModel::Single(net), q)
+                VariantModel::Single(net)
             }
             "ensemble" => {
                 let members = s.u64("members")? as usize;
@@ -280,20 +270,20 @@ pub fn load_family(bytes: &[u8]) -> Result<VariantRegistry, StoreError> {
                 }
                 let mut nets = Vec::new();
                 for j in 0..members {
-                    let (net, _) = decode_network_with_quant(&a, s.name(&format!("m{j}")))?;
+                    let net = decode_network(&a, s.name(&format!("m{j}")))?;
                     check_widths(row_widths(&net), &format_args!("v{i}.m{j}"))?;
                     nets.push(net);
                 }
-                (VariantModel::Ensemble(Ensemble::new(nets)), None)
+                VariantModel::Ensemble(Ensemble::new(nets))
             }
             "quantized" => {
-                let (mlp, qts) = decode_quantized_mlp(&a, s.name("net"))?;
+                let mlp = decode_quantized_mlp(&a, s.name("net"))?;
                 let logits = mlp
                     .layers()
                     .last()
-                    .map_or(mlp.input_dim(), |l| l.bias.len());
+                    .map_or(mlp.input_dim(), |l| l.bias().dims()[0]);
                 check_widths((mlp.input_dim(), logits), &format_args!("v{i}"))?;
-                (VariantModel::Quantized(mlp), Some(qts))
+                VariantModel::Quantized(mlp)
             }
             other => {
                 return Err(StoreError::Corrupt(format!(
@@ -320,7 +310,6 @@ pub fn load_family(bytes: &[u8]) -> Result<VariantRegistry, StoreError> {
             weight_bytes,
             profile,
             batch_costs,
-            quantized,
         });
     }
     Ok(VariantRegistry { variants })
@@ -387,8 +376,10 @@ mod tests {
             .tensor(&format!("v{i}.net.layer0.weight"))
             .expect("int8 weight entry");
         assert_eq!(entry.dtype, Dtype::Q8, "codes stored natively");
-        let qts = reg.variants[i].quantized.as_ref().expect("retained codes");
-        assert_eq!(a.payload(entry).unwrap(), qts[0].codes());
+        let VariantModel::Quantized(q) = &reg.variants[i].model else {
+            panic!("int8 variant is native-quantized");
+        };
+        assert_eq!(a.payload(entry).unwrap(), q.layers()[0].weight().codes());
         // And the fp32 teacher is stored as f32.
         let t = a.tensor("v0.net.layer0.weight").expect("teacher weight");
         assert_eq!(t.dtype, Dtype::F32);

@@ -9,10 +9,7 @@
 //! it with a per-layer [`dl_prof::NetworkProfile`]. The admission
 //! controller later routes between these variants by measured cost.
 
-use dl_compress::{
-    distill, magnitude_prune, quantize_network_tensors, DistillConfig, QuantizedMlp,
-    QuantizedTensor,
-};
+use dl_compress::{distill, magnitude_prune, quantize_network_tensors, DistillConfig, QuantizedMlp};
 use dl_distributed::{morph_resize, MorphConfig};
 use dl_ensemble::{snapshot, Ensemble};
 use dl_nn::{metrics, Dataset, Network, Optimizer, TrainConfig, Trainer};
@@ -73,11 +70,6 @@ pub struct Variant {
     /// Measured eval-mode forward cost of the whole model at batch
     /// `b`, stored at index `b - 1` for `b` in `1..=max_batch`.
     pub batch_costs: Vec<OpCost>,
-    /// The packed int8 tensors behind a quantized variant (parameter
-    /// order), retained from quantization so persistence can store the
-    /// codes natively instead of dequantized f32s. `None` for fp32
-    /// variants.
-    pub quantized: Option<Vec<QuantizedTensor>>,
 }
 
 impl Variant {
@@ -212,7 +204,6 @@ fn build_variant(
         weight_bytes,
         profile,
         batch_costs,
-        quantized: None,
     }
 }
 
@@ -236,9 +227,10 @@ pub fn build_family(data: &Dataset, eval: &Dataset, cfg: &FamilyConfig) -> Varia
     Trainer::new(train_cfg.clone(), Optimizer::adam(0.01)).fit(&mut teacher, data);
     let fp32_bytes = 4 * teacher.param_count() as u64;
 
-    // Int8: the packed codes both serve (native int8 GEMM on the codes,
-    // no dequantized f32 weights on the hot path) and persist. The
-    // reconstruction network supplies only the Dense/ReLU architecture.
+    // Int8: the model owns its packed codes, which both serve (native
+    // int8 GEMM on the codes, no dequantized f32 weights on the hot path)
+    // and persist. The reconstruction network supplies only the
+    // Dense/ReLU architecture.
     let (int8_shadow, quant_report, int8_tensors) = quantize_network_tensors(&teacher, 8);
     let int8_native = QuantizedMlp::from_network_tensors(&int8_shadow, &int8_tensors);
 
@@ -308,7 +300,7 @@ pub fn build_family(data: &Dataset, eval: &Dataset, cfg: &FamilyConfig) -> Varia
     let student_bytes = 4 * student.param_count() as u64;
     let morph_bytes = 4 * morph_net.param_count() as u64;
     let pruned_bytes = 4 * pruned.param_count() as u64;
-    let mut variants = vec![
+    let variants = vec![
         build_variant(
             "fp32-base",
             VariantModel::Single(teacher),
@@ -352,7 +344,6 @@ pub fn build_family(data: &Dataset, eval: &Dataset, cfg: &FamilyConfig) -> Varia
             cfg.max_batch,
         ),
     ];
-    variants[1].quantized = Some(int8_tensors);
     VariantRegistry { variants }
 }
 
@@ -434,7 +425,6 @@ mod tests {
             matches!(reg.variants[i].model, VariantModel::Quantized(_)),
             "int8 variant must execute on packed codes, not a dequantized f32 net"
         );
-        assert!(reg.variants[i].quantized.is_some(), "codes retained for persistence");
         // It still predicts competitively against the f32 teacher.
         let fp32_acc = reg.variants[0].accuracy;
         let int8_acc = reg.variants[i].accuracy;

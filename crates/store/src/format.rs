@@ -205,7 +205,8 @@ struct PendingTensor {
 }
 
 /// Incrementally assembles an artifact; [`ArtifactBuilder::finish`]
-/// lays out the bytes. Hparams and tensors keep insertion order.
+/// lays out the bytes. Hparams and tensors keep insertion order, and
+/// names are checked for duplicates once, when the bytes are laid out.
 #[derive(Default)]
 #[must_use = "a builder does nothing until finish() lays out the bytes"]
 pub struct ArtifactBuilder<'a> {
@@ -220,24 +221,14 @@ impl<'a> ArtifactBuilder<'a> {
     }
 
     /// Appends one hparam.
-    ///
-    /// # Panics
-    /// Panics on a duplicate name — keys are namespaced by the codecs, so
-    /// a collision is a programming error, not a data error.
     pub fn hparam(&mut self, name: impl Into<String>, value: HParam<'a>) {
-        let name = name.into();
-        assert!(
-            self.hparams.iter().all(|(n, _)| *n != name),
-            "duplicate hparam {name:?}"
-        );
-        self.hparams.push((name, value));
+        self.hparams.push((name.into(), value));
     }
 
     /// Appends an `f32` tensor.
     ///
     /// # Panics
-    /// Panics if `data.len()` does not match the product of `dims`, or on
-    /// a duplicate tensor name.
+    /// Panics if `data.len()` does not match the product of `dims`.
     pub fn tensor_f32(&mut self, name: impl Into<String>, dims: &[usize], data: &[f32]) {
         let len: usize = dims.iter().product();
         assert_eq!(data.len(), len, "payload length must match dims");
@@ -252,8 +243,7 @@ impl<'a> ArtifactBuilder<'a> {
     /// exactly as held by a `dl_compress::QuantizedTensor`.
     ///
     /// # Panics
-    /// Panics if the code count does not match the product of `dims`, or
-    /// on a duplicate tensor name.
+    /// Panics if the code count does not match the product of `dims`.
     pub fn tensor_q8(
         &mut self,
         name: impl Into<String>,
@@ -282,10 +272,6 @@ impl<'a> ArtifactBuilder<'a> {
         quant: Option<(f32, f32, u8)>,
         payload: Vec<u8>,
     ) {
-        assert!(
-            self.tensors.iter().all(|t| t.name != name),
-            "duplicate tensor {name:?}"
-        );
         self.tensors.push(PendingTensor {
             name,
             dtype,
@@ -306,8 +292,15 @@ impl<'a> ArtifactBuilder<'a> {
     /// aligned payloads, trailer. Every byte is hashed once: each
     /// payload for its directory entry, the head (header, hparams,
     /// directory) for the trailer.
+    ///
+    /// # Panics
+    /// Panics on a duplicate hparam or tensor name — keys are namespaced
+    /// by the codecs, so a collision is a programming error, not a data
+    /// error.
     #[must_use]
     pub fn finish(self) -> Vec<u8> {
+        assert_unique("hparam", self.hparams.iter().map(|(n, _)| n.as_str()));
+        assert_unique("tensor", self.tensors.iter().map(|t| t.name.as_str()));
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
         put_u32(&mut out, VERSION);
@@ -371,6 +364,17 @@ impl<'a> ArtifactBuilder<'a> {
         }
         put_u64(&mut out, trailer);
         out
+    }
+}
+
+/// Panics naming a `what` that `names` holds twice: one sort, so a
+/// family's hundreds of names cost a few thousand compares, not one per
+/// pair.
+fn assert_unique<'n>(what: &str, names: impl Iterator<Item = &'n str>) {
+    let mut sorted: Vec<&str> = names.collect();
+    sorted.sort_unstable();
+    if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+        panic!("duplicate {what} {:?}", pair[0]);
     }
 }
 
@@ -696,14 +700,8 @@ impl<'a> Artifact<'a> {
         &self.entries
     }
 
-    /// Looks up one hparam by name.
-    #[must_use]
-    pub fn hparam(&self, name: &str) -> Option<&HParam<'a>> {
-        self.find_hparam(name, &mut 0)
-    }
-
-    /// [`Artifact::hparam`], searching from `*hint` on and moving the
-    /// hint past the match.
+    /// The hparam `name`, searching from `*hint` on and moving the hint
+    /// past the match.
     fn find_hparam(&self, name: &str, hint: &mut usize) -> Option<&HParam<'a>> {
         find_from(&self.hparams, hint, |(n, _)| *n == name).map(|(_, v)| v)
     }
@@ -713,7 +711,7 @@ impl<'a> Artifact<'a> {
     /// # Errors
     /// [`StoreError::Corrupt`] when missing or differently typed.
     pub fn hparam_u64(&self, name: &str) -> Result<u64, StoreError> {
-        u64_of(name, self.hparam(name))
+        u64_of(name, self.find_hparam(name, &mut 0))
     }
 
     /// A required `Str` hparam.
@@ -721,7 +719,7 @@ impl<'a> Artifact<'a> {
     /// # Errors
     /// [`StoreError::Corrupt`] when missing or differently typed.
     pub fn hparam_str(&self, name: &str) -> Result<&str, StoreError> {
-        str_of(name, self.hparam(name))
+        str_of(name, self.find_hparam(name, &mut 0))
     }
 
     /// Looks up a tensor entry by name.
@@ -762,27 +760,11 @@ impl<'a> Artifact<'a> {
         &self.data[entry.offset..entry.offset + entry.len]
     }
 
-    /// Decodes a named `f32` tensor.
-    ///
-    /// # Errors
-    /// [`StoreError::Corrupt`] when the tensor is missing or not `F32`.
-    pub fn tensor_f32(&self, name: &str) -> Result<Tensor, StoreError> {
-        self.f32_of(self.find_entry(name, &mut 0)?)
-    }
-
-    /// Decodes a named packed-int8 tensor back into a
-    /// `dl_compress::QuantizedTensor` — codes untouched, no dequantize
-    /// round-trip.
-    ///
-    /// # Errors
-    /// [`StoreError::Corrupt`] when the tensor is missing, not `Q8`, or
-    /// holds a code wider than its bit width.
-    pub fn tensor_q8(&self, name: &str) -> Result<QuantizedTensor, StoreError> {
-        self.q8_of(self.find_entry(name, &mut 0)?)
-    }
-
     /// Decodes `entry`, one of this artifact's own, as an `f32` tensor:
     /// one pass from the payload into the tensor's buffer.
+    ///
+    /// # Errors
+    /// [`StoreError::Corrupt`], naming the tensor, when it is not `F32`.
     pub(crate) fn f32_of(&self, entry: &TensorEntry<'_>) -> Result<Tensor, StoreError> {
         if entry.dtype != Dtype::F32 {
             return Err(StoreError::Corrupt(format!(
@@ -796,7 +778,13 @@ impl<'a> Artifact<'a> {
             .map_err(|e| StoreError::Corrupt(format!("tensor {:?}: {e:?}", entry.name)))
     }
 
-    /// Decodes `entry`, one of this artifact's own, as packed codes.
+    /// Decodes `entry`, one of this artifact's own, back into a
+    /// `dl_compress::QuantizedTensor`: codes untouched, no dequantize
+    /// round-trip.
+    ///
+    /// # Errors
+    /// [`StoreError::Corrupt`], naming the tensor, when it is not `Q8` or
+    /// holds a code wider than its bit width.
     pub(crate) fn q8_of(&self, entry: &TensorEntry<'_>) -> Result<QuantizedTensor, StoreError> {
         let Some((scale, zero, bits)) = entry.quant.filter(|_| entry.dtype == Dtype::Q8) else {
             return Err(StoreError::Corrupt(format!(
@@ -987,15 +975,16 @@ mod tests {
         let a = Artifact::parse(&bytes).expect("valid artifact");
         assert_eq!(a.hparam_str("model.kind").unwrap(), "test");
         assert_eq!(a.hparam_u64("model.layers").unwrap(), 2);
-        assert_eq!(a.hparam("model.lr"), Some(&HParam::F64(0.125)));
-        assert_eq!(
-            a.hparam("model.cursors"),
-            Some(&HParam::Bytes(vec![1, 2, 3, 4].into()))
-        );
-        let w0 = a.tensor_f32("w0").unwrap();
+        let mut s = a.scope(format_args!("model."));
+        assert_eq!(s.f64("lr").unwrap(), 0.125);
+        assert_eq!(s.bytes("cursors").unwrap(), &[1, 2, 3, 4]);
+        let names: Vec<&str> = a.entries().iter().map(|e| e.name).collect();
+        assert_eq!(names, ["w0", "w1"]);
+        let mut s = a.scope(format_args!(""));
+        let w0 = a.f32_of(s.tensor("w0").unwrap()).unwrap();
         assert_eq!(w0.dims(), &[2, 3]);
         assert_eq!(w0.data(), &[1.0, -2.5, 3.25, 0.0, 4.5, -6.75]);
-        let w1 = a.tensor_q8("w1").unwrap();
+        let w1 = a.q8_of(s.tensor("w1").unwrap()).unwrap();
         assert_eq!(w1.codes(), &[0, 127, 255, 63]);
         assert_eq!(w1.scale(), 0.5);
         assert_eq!(w1.zero_point(), -1.0);
@@ -1455,10 +1444,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate tensor")]
+    #[should_panic(expected = "duplicate tensor \"w\"")]
     fn duplicate_tensor_names_panic() {
         let mut b = ArtifactBuilder::new();
         b.tensor_f32("w", &[1], &[0.0]);
+        b.tensor_q8("v", &[1], &[0], 1.0, 0.0, 8);
         b.tensor_f32("w", &[1], &[1.0]);
+        let _ = b.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate hparam \"k\"")]
+    fn duplicate_hparam_names_panic() {
+        let mut b = ArtifactBuilder::new();
+        b.hparam("k", HParam::U64(1));
+        b.hparam("j", HParam::U64(2));
+        b.hparam("k", HParam::Str("again".into()));
+        let _ = b.finish();
     }
 }

@@ -11,10 +11,11 @@
 //!    hash-map iteration anywhere. A committed golden file regression-
 //!    tests the layout itself.
 //! 2. **Bit-identical round-trips.** `save → load` reproduces parameters,
-//!    structure and forward behaviour exactly. Int8 tensors from
-//!    `dl-compress` are stored as their packed codes plus quant params —
-//!    never dequantized on the way to disk — so `load → dequantize`
-//!    equals `dequantize → save` to the bit.
+//!    structure and forward behaviour exactly. A `dl_compress::QuantizedMlp`
+//!    is stored as the packed weight and bias codes plus quant params it
+//!    holds — never dequantized on the way to disk — and decodes back into
+//!    those same codes, so it re-encodes byte for byte and `load →
+//!    dequantize` equals `dequantize → save` to the bit.
 //!
 //! Tensor payloads start on 64-byte-aligned offsets so the layout is
 //! mmap-friendly: a reader can map the file and point kernels straight at
@@ -104,10 +105,11 @@
 //! body, which hashed every payload twice. This build reads neither.
 //!
 //! On top of the raw [`format`](mod@format) live the model codecs: [`network`]
-//! encodes/decodes any `dl_nn::Network` (all eight layer kinds) under a
-//! key prefix so several models share one artifact — which is how
-//! `dl-serve` persists whole variant families — and reads a native int8
-//! `dl_compress::QuantizedMlp` straight from its packed codes.
+//! encodes/decodes any f32 `dl_nn::Network` (all eight layer kinds) under
+//! a key prefix so several models share one artifact — which is how
+//! `dl-serve` persists whole variant families — and, through a codec of
+//! its own, a native int8 `dl_compress::QuantizedMlp` as its packed
+//! codes.
 
 #![warn(missing_docs)]
 
@@ -118,8 +120,8 @@ pub use format::{
     checksum, Artifact, ArtifactBuilder, Dims, Dtype, HParam, Scope, TensorEntry, ALIGN,
 };
 pub use network::{
-    decode_network_with_quant, decode_quantized_mlp, encode_network, encode_network_q8,
-    encode_quantized_mlp, load_network, save_network,
+    decode_network, decode_quantized_mlp, encode_network, encode_quantized_mlp, load_network,
+    save_network,
 };
 
 /// Everything that can go wrong reading an artifact.

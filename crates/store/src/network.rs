@@ -1,18 +1,24 @@
-//! Encoding and decoding `dl_nn::Network` through the artifact format.
+//! Encoding and decoding models through the artifact format: f32
+//! `dl_nn::Network`s, and native int8 `dl_compress::QuantizedMlp`s
+//! through their own codec.
 //!
-//! Every layer kind round-trips: parameters land in the tensor directory
-//! (f32, or packed int8 codes for quantized models), structure and scalar
-//! knobs land in the hparams section under a caller-chosen key prefix so
-//! several networks can share one artifact (how dl-serve persists whole
-//! variant families). `f32` knobs are stored as bit patterns, never
-//! re-parsed from text, so reconstruction is exact.
+//! Every network layer kind round-trips: parameters land in the tensor
+//! directory as f32, structure and scalar knobs land in the hparams
+//! section under a caller-chosen key prefix so several models can share
+//! one artifact (how dl-serve persists whole variant families). `f32`
+//! knobs are stored as bit patterns, never re-parsed from text, so
+//! reconstruction is exact. An int8 MLP uses the same key layout for
+//! its Dense/ReLU layers, but stores each weight and bias as the packed
+//! codes and quant params the model holds; [`decode_quantized_mlp`]
+//! reads them back into those codes, and [`decode_network`] rejects
+//! them, since no f32 network holds codes.
 //!
 //! Gradients are training scratch and are not persisted; a loaded network
 //! carries zeroed gradient buffers, identical to a freshly constructed
 //! one. Parameters, structure, dropout mask streams and batch-norm
 //! running statistics round-trip bit-for-bit.
 
-use crate::format::{Artifact, ArtifactBuilder, Dtype, HParam, TensorEntry};
+use crate::format::{Artifact, ArtifactBuilder, HParam};
 use crate::StoreError;
 use dl_compress::{QuantizedDense, QuantizedMlp, QuantizedTensor};
 use dl_nn::layers::{BatchNorm1d, Conv2d, Dense, Dropout, Layer, MaxPool2d, ReLU, Sigmoid, Tanh};
@@ -34,60 +40,23 @@ fn put_q8(b: &mut ArtifactBuilder<'_>, name: String, q: &QuantizedTensor) {
     b.tensor_q8(name, q.dims(), q.codes(), q.scale(), q.zero_point(), q.bits());
 }
 
-/// Writes `net` into `b` under `prefix`, all parameters as f32.
+fn put_f32(b: &mut ArtifactBuilder<'_>, name: String, t: &Tensor) {
+    b.tensor_f32(name, t.dims(), t.data());
+}
+
+/// Writes `net` into `b` under `prefix`, every tensor as f32.
 pub fn encode_network(b: &mut ArtifactBuilder<'_>, prefix: &str, net: &Network) {
-    encode_impl(b, prefix, net, None);
-}
-
-/// Writes `net` into `b` under `prefix`, storing its parameter tensors as
-/// the packed int8 codes in `quantized` (one per parameter tensor, in
-/// `params_and_grads` order — exactly what
-/// `dl_compress::quantize_network_tensors` returns). Non-parameter
-/// tensors (batch-norm running statistics) stay f32.
-///
-/// # Panics
-/// Panics when `quantized` does not line up one-to-one with the
-/// network's parameter tensors (count or dims).
-pub fn encode_network_q8(
-    b: &mut ArtifactBuilder<'_>,
-    prefix: &str,
-    net: &Network,
-    quantized: &[QuantizedTensor],
-) {
-    encode_impl(b, prefix, net, Some(quantized));
-}
-
-fn encode_impl(
-    b: &mut ArtifactBuilder<'_>,
-    prefix: &str,
-    net: &Network,
-    quantized: Option<&[QuantizedTensor]>,
-) {
     b.hparam(format!("{prefix}.input_dim"), HParam::U64(net.input_dim as u64));
     b.hparam(
         format!("{prefix}.layer_count"),
         HParam::U64(net.layers().len() as u64),
     );
-    let mut qi = 0usize;
-    // Writes one parameter tensor: the next quantized entry when
-    // persisting a q8 model, the raw f32 data otherwise.
-    let param = |b: &mut ArtifactBuilder<'_>, name: String, t: &Tensor, qi: &mut usize| match quantized {
-        Some(qts) => {
-            let q = qts
-                .get(*qi)
-                .unwrap_or_else(|| panic!("quantized tensor list too short at {name}"));
-            assert_eq!(q.dims(), t.dims(), "quantized dims mismatch at {name}");
-            put_q8(b, name, q);
-            *qi += 1;
-        }
-        None => b.tensor_f32(name, t.dims(), t.data()),
-    };
     for (i, layer) in net.layers().iter().enumerate() {
         b.hparam(key(prefix, i, "kind"), HParam::Str(layer.name().into()));
         match layer {
             Layer::Dense(d) => {
-                param(b, key(prefix, i, "weight"), &d.weight, &mut qi);
-                param(b, key(prefix, i, "bias"), &d.bias, &mut qi);
+                put_f32(b, key(prefix, i, "weight"), &d.weight);
+                put_f32(b, key(prefix, i, "bias"), &d.bias);
             }
             Layer::ReLU(_) | Layer::Sigmoid(_) | Layer::Tanh(_) => {}
             Layer::Dropout(d) => {
@@ -108,8 +77,8 @@ fn encode_impl(
                 ] {
                     b.hparam(key(prefix, i, field), HParam::U64(v as u64));
                 }
-                param(b, key(prefix, i, "weight"), &c.weight, &mut qi);
-                param(b, key(prefix, i, "bias"), &c.bias, &mut qi);
+                put_f32(b, key(prefix, i, "weight"), &c.weight);
+                put_f32(b, key(prefix, i, "bias"), &c.bias);
             }
             Layer::MaxPool2d(m) => {
                 for (field, v) in [
@@ -125,47 +94,20 @@ fn encode_impl(
             Layer::BatchNorm1d(bn) => {
                 put_f32_bits(b, key(prefix, i, "momentum_bits"), bn.momentum);
                 put_f32_bits(b, key(prefix, i, "eps_bits"), bn.eps());
-                param(b, key(prefix, i, "gamma"), &bn.gamma, &mut qi);
-                param(b, key(prefix, i, "beta"), &bn.beta, &mut qi);
-                b.tensor_f32(
-                    key(prefix, i, "running_mean"),
-                    bn.running_mean.dims(),
-                    bn.running_mean.data(),
-                );
-                b.tensor_f32(
-                    key(prefix, i, "running_var"),
-                    bn.running_var.dims(),
-                    bn.running_var.data(),
-                );
+                put_f32(b, key(prefix, i, "gamma"), &bn.gamma);
+                put_f32(b, key(prefix, i, "beta"), &bn.beta);
+                put_f32(b, key(prefix, i, "running_mean"), &bn.running_mean);
+                put_f32(b, key(prefix, i, "running_var"), &bn.running_var);
             }
         }
     }
-    if let Some(qts) = quantized {
-        assert_eq!(qi, qts.len(), "quantized tensor list longer than the network's params");
-    }
 }
 
-/// Writes a native int8 MLP into `b` under `prefix`: the same bytes
-/// [`encode_network_q8`] writes for its dequantized shadow network, with
-/// the architecture read from `mlp`'s layers and every parameter payload
-/// from `quantized` (weight and bias codes per layer, in order, as
-/// [`decode_quantized_mlp`] returns them). No shadow network is built.
-///
-/// # Panics
-/// Panics when `quantized` does not hold a weight and a bias for each of
-/// `mlp`'s layers, or a weight's dims differ from the layer's.
-pub fn encode_quantized_mlp(
-    b: &mut ArtifactBuilder<'_>,
-    prefix: &str,
-    mlp: &QuantizedMlp,
-    quantized: &[QuantizedTensor],
-) {
+/// Writes a native int8 MLP into `b` under `prefix`: the key layout of
+/// a Dense/ReLU network, with each dense layer's weight and bias stored
+/// as the packed codes `mlp` holds.
+pub fn encode_quantized_mlp(b: &mut ArtifactBuilder<'_>, prefix: &str, mlp: &QuantizedMlp) {
     let layers = mlp.layers();
-    assert_eq!(
-        quantized.len(),
-        2 * layers.len(),
-        "a weight and a bias per quantized layer"
-    );
     let layer_count: usize = layers.iter().map(|l| 1 + usize::from(l.relu)).sum();
     b.hparam(
         format!("{prefix}.input_dim"),
@@ -176,41 +118,14 @@ pub fn encode_quantized_mlp(
         HParam::U64(layer_count as u64),
     );
     let mut i = 0;
-    for (l, q) in layers.iter().zip(quantized.chunks_exact(2)) {
-        assert_eq!(
-            q[0].dims(),
-            l.weight.dims(),
-            "quantized dims mismatch at {prefix}.layer{i}"
-        );
+    for l in layers {
         b.hparam(key(prefix, i, "kind"), HParam::Str("dense".into()));
-        put_q8(b, key(prefix, i, "weight"), &q[0]);
-        put_q8(b, key(prefix, i, "bias"), &q[1]);
+        put_q8(b, key(prefix, i, "weight"), l.weight());
+        put_q8(b, key(prefix, i, "bias"), l.bias());
         i += 1;
         if l.relu {
             b.hparam(key(prefix, i, "kind"), HParam::Str("relu".into()));
             i += 1;
-        }
-    }
-}
-
-/// Reads one parameter tensor, collecting the packed codes when the
-/// entry is stored q8 (int8 payloads dequantize through the exact same
-/// `zero + scale * code` expression `dl-compress` used in memory, so the
-/// reconstruction is bit-identical).
-fn param_tensor(
-    a: &Artifact<'_>,
-    entry: &TensorEntry<'_>,
-    quants: &mut Vec<QuantizedTensor>,
-    any_q8: &mut bool,
-) -> Result<Tensor, StoreError> {
-    match entry.dtype {
-        Dtype::F32 => a.f32_of(entry),
-        Dtype::Q8 => {
-            let q = a.q8_of(entry)?;
-            let t = q.dequantize();
-            quants.push(q);
-            *any_q8 = true;
-            Ok(t)
         }
     }
 }
@@ -229,19 +144,7 @@ fn image_width(channels: usize, height: usize, width: usize) -> Option<usize> {
     channels.checked_mul(height)?.checked_mul(width)
 }
 
-/// Reconstructs a network stored under `prefix`.
-///
-/// # Errors
-/// [`StoreError::Corrupt`] for missing or inconsistent sections; checksum
-/// errors propagate from payload reads.
-fn decode_network(a: &Artifact<'_>, prefix: &str) -> Result<Network, StoreError> {
-    decode_network_with_quant(a, prefix).map(|(net, _)| net)
-}
-
-/// Reconstructs a network stored under `prefix`, additionally returning
-/// its packed int8 tensors (in parameter order) when any parameter was
-/// stored q8 — so a loaded quantized model can be re-saved byte-for-byte
-/// without a dequantize round-trip.
+/// Reconstructs an f32 network stored under `prefix`.
 ///
 /// Every layer is checked to take the rows the one before it produces,
 /// starting from `input_dim`, and to produce rows of at least one value,
@@ -249,13 +152,11 @@ fn decode_network(a: &Artifact<'_>, prefix: &str) -> Result<Network, StoreError>
 /// on shapes or divide by zero.
 ///
 /// # Errors
-/// [`StoreError::Corrupt`] for missing or inconsistent sections, layers
-/// whose widths do not chain, and a zero or over-large kernel or stride;
-/// checksum errors propagate from payload reads.
-pub fn decode_network_with_quant(
-    a: &Artifact<'_>,
-    prefix: &str,
-) -> Result<(Network, Option<Vec<QuantizedTensor>>), StoreError> {
+/// [`StoreError::Corrupt`] for missing or inconsistent sections, a
+/// tensor not stored as f32 (int8 MLPs have their own codec,
+/// [`decode_quantized_mlp`]), layers whose widths do not chain, and a
+/// zero or over-large kernel or stride.
+pub fn decode_network(a: &Artifact<'_>, prefix: &str) -> Result<Network, StoreError> {
     let mut s = a.scope(format_args!("{prefix}."));
     let input_dim = s.u64("input_dim")? as usize;
     let layer_count = s.u64("layer_count")? as usize;
@@ -263,8 +164,6 @@ pub fn decode_network_with_quant(
         return Err(StoreError::Corrupt(format!("{prefix}: zero input width")));
     }
     let mut net = Network::new(input_dim);
-    let mut quants = Vec::new();
-    let mut any_q8 = false;
     // Width of the rows reaching layer `i`.
     let mut width = input_dim;
     for i in 0..layer_count {
@@ -272,8 +171,8 @@ pub fn decode_network_with_quant(
         let corrupt = |what: String| StoreError::Corrupt(format!("{prefix}.layer{i}: {what}"));
         let layer = match s.str("kind")? {
             "dense" => {
-                let w = param_tensor(a, s.tensor("weight")?, &mut quants, &mut any_q8)?;
-                let bias = param_tensor(a, s.tensor("bias")?, &mut quants, &mut any_q8)?;
+                let w = a.f32_of(s.tensor("weight")?)?;
+                let bias = a.f32_of(s.tensor("bias")?)?;
                 match *w.dims() {
                     [fan_in, fan_out] if fan_in == width && bias.dims() == [fan_out] => {
                         width = fan_out;
@@ -306,8 +205,8 @@ pub fn decode_network_with_quant(
                 // reconstruction. The stored tensors are read and their
                 // shapes checked against the claimed geometry first, so
                 // `new` allocates no more than the file holds.
-                let w = param_tensor(a, s.tensor("weight")?, &mut quants, &mut any_q8)?;
-                let bias = param_tensor(a, s.tensor("bias")?, &mut quants, &mut any_q8)?;
+                let w = a.f32_of(s.tensor("weight")?)?;
+                let bias = a.f32_of(s.tensor("bias")?)?;
                 let mut u = |field: &str| s.u64(field).map(|v| v as usize);
                 let (cin, cout, kh, kw) =
                     (u("in_channels")?, u("out_channels")?, u("kh")?, u("kw")?);
@@ -374,8 +273,8 @@ pub fn decode_network_with_quant(
             "batchnorm1d" => {
                 let momentum = s.f32_bits("momentum_bits")?;
                 let eps = s.f32_bits("eps_bits")?;
-                let gamma = param_tensor(a, s.tensor("gamma")?, &mut quants, &mut any_q8)?;
-                let beta = param_tensor(a, s.tensor("beta")?, &mut quants, &mut any_q8)?;
+                let gamma = a.f32_of(s.tensor("gamma")?)?;
+                let beta = a.f32_of(s.tensor("beta")?)?;
                 let running_mean = a.f32_of(s.tensor("running_mean")?)?;
                 let running_var = a.f32_of(s.tensor("running_var")?)?;
                 if gamma.dims() != [width] {
@@ -408,25 +307,21 @@ pub fn decode_network_with_quant(
         }
         net = net.push(layer);
     }
-    Ok((net, any_q8.then_some(quants)))
+    Ok(net)
 }
 
 /// Reads a Dense/ReLU MLP stored under `prefix` with packed int8
-/// parameters (as [`encode_quantized_mlp`] or [`encode_network_q8`]
-/// write one) straight into a native [`QuantizedMlp`]: each payload is
-/// read once into its codes, and no dequantized shadow network is built.
-/// Also returns the packed tensors in parameter order, weight and bias
-/// per layer, which re-encode the model byte for byte.
+/// parameters (as [`encode_quantized_mlp`] writes one) straight into a
+/// native [`QuantizedMlp`]: each payload is read once into the codes the
+/// model keeps, which re-encode it byte for byte, and no dequantized
+/// shadow network is built.
 ///
 /// # Errors
 /// [`StoreError::Corrupt`] for missing sections, a layer other than
 /// dense or relu, a relu before the first dense layer, a parameter not
 /// stored q8 or with codes wider than its bit width, and layers whose
 /// widths do not chain from a non-zero `input_dim` or are zero.
-pub fn decode_quantized_mlp(
-    a: &Artifact<'_>,
-    prefix: &str,
-) -> Result<(QuantizedMlp, Vec<QuantizedTensor>), StoreError> {
+pub fn decode_quantized_mlp(a: &Artifact<'_>, prefix: &str) -> Result<QuantizedMlp, StoreError> {
     let mut s = a.scope(format_args!("{prefix}."));
     let input_dim = s.u64("input_dim")? as usize;
     let layer_count = s.u64("layer_count")? as usize;
@@ -434,7 +329,6 @@ pub fn decode_quantized_mlp(
         return Err(StoreError::Corrupt(format!("{prefix}: zero input width")));
     }
     let mut layers: Vec<QuantizedDense> = Vec::new();
-    let mut quants = Vec::new();
     for i in 0..layer_count {
         s.enter(format_args!("{prefix}.layer{i}."));
         let corrupt = |what: String| StoreError::Corrupt(format!("{prefix}.layer{i}: {what}"));
@@ -445,12 +339,7 @@ pub fn decode_quantized_mlp(
                 if weight.dims().get(1) == Some(&0) {
                     return Err(corrupt("zero-wide output".into()));
                 }
-                layers.push(QuantizedDense {
-                    weight: weight.clone(),
-                    bias: bias.dequantize(),
-                    relu: false,
-                });
-                quants.extend([weight, bias]);
+                layers.push(QuantizedDense::new(weight, bias, false));
             }
             "relu" => match layers.last_mut() {
                 Some(last) => last.relu = true,
@@ -463,9 +352,8 @@ pub fn decode_quantized_mlp(
             }
         }
     }
-    let mlp = QuantizedMlp::try_from_layers(input_dim, layers)
-        .map_err(|e| StoreError::Corrupt(format!("{prefix}: {e}")))?;
-    Ok((mlp, quants))
+    QuantizedMlp::try_from_layers(input_dim, layers)
+        .map_err(|e| StoreError::Corrupt(format!("{prefix}: {e}")))
 }
 
 /// Serializes one network as a standalone artifact.
@@ -566,65 +454,34 @@ mod tests {
     }
 
     #[test]
-    fn q8_networks_store_codes_natively_and_roundtrip_bitwise() {
-        let mut rng = init::rng(21);
-        let teacher = Network::mlp(&[6, 10, 4], &mut rng);
-        let (mut deq, _report, qts) = dl_compress::quantize_network_tensors(&teacher, 8);
-        let mut b = ArtifactBuilder::new();
-        b.hparam("artifact.kind", HParam::Str(NETWORK_KIND.into()));
-        encode_network_q8(&mut b, "net", &deq, &qts);
-        let bytes = b.finish();
-
-        let a = Artifact::parse(&bytes).unwrap();
-        // The payloads really are the packed codes, not dequantized f32s.
-        let entry = a.tensor("net.layer0.weight").expect("directory entry");
-        assert_eq!(entry.dtype, Dtype::Q8);
-        assert_eq!(a.payload(entry).unwrap(), qts[0].codes());
-
-        let (mut back, quants) = decode_network_with_quant(&a, "net").unwrap();
-        let quants = quants.expect("q8 params detected");
-        assert_eq!(quants.len(), qts.len());
-        // load -> dequantize equals dequantize-before-save, bitwise.
-        for (x, y) in deq.flat_params().iter().zip(back.flat_params()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        let x = Tensor::from_vec(vec![1.0, -0.5, 0.25, 2.0, 0.0, -1.5], [1, 6]).unwrap();
-        let ya = deq.forward(&x, false);
-        let yb = back.forward(&x, false);
-        for (p, q) in ya.data().iter().zip(yb.data()) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
-        // Re-encoding from the recovered codes is byte-identical.
-        let mut b2 = ArtifactBuilder::new();
-        b2.hparam("artifact.kind", HParam::Str(NETWORK_KIND.into()));
-        encode_network_q8(&mut b2, "net", &back, &quants);
-        assert_eq!(b2.finish(), bytes);
-    }
-
-    #[test]
-    fn native_int8_mlps_encode_as_their_shadow_and_decode_bitwise() {
+    fn native_int8_mlps_store_packed_codes_and_decode_bitwise() {
         let mut rng = init::rng(23);
         let net = Network::mlp(&[6, 10, 8, 4], &mut rng);
         let (deq, _report, qts) = dl_compress::quantize_network_tensors(&net, 8);
         let mlp = QuantizedMlp::from_network_tensors(&deq, &qts);
-        // Written from the native layers, the bytes are those of the
-        // dequantized shadow network's encoding.
-        let mut native = ArtifactBuilder::new();
-        encode_quantized_mlp(&mut native, "q", &mlp, &qts);
-        let bytes = native.finish();
-        let mut shadow = ArtifactBuilder::new();
-        encode_network_q8(&mut shadow, "q", &mlp.to_network(), &qts);
-        assert_eq!(bytes, shadow.finish());
+        let mut b = ArtifactBuilder::new();
+        encode_quantized_mlp(&mut b, "q", &mlp);
+        let bytes = b.finish();
 
+        // Every parameter payload is the packed codes, not dequantized
+        // f32s, and the model kept the codes it was built from.
         let a = Artifact::parse(&bytes).unwrap();
-        let (back, back_qts) = decode_quantized_mlp(&a, "q").unwrap();
+        let held = mlp.layers().iter().flat_map(|l| [l.weight(), l.bias()]);
+        assert_eq!(a.entries().len(), qts.len());
+        for ((e, q), held) in a.entries().iter().zip(&qts).zip(held) {
+            assert_eq!(e.dtype, crate::Dtype::Q8, "{}", e.name);
+            assert_eq!(a.payload(e).unwrap(), q.codes(), "{}", e.name);
+            assert_eq!(held.codes(), q.codes(), "{}", e.name);
+        }
+
+        let back = decode_quantized_mlp(&a, "q").unwrap();
         let x = Tensor::from_vec((0..18).map(|i| i as f32 * 0.37 - 3.0).collect(), [3, 6]).unwrap();
         let (ya, yb) = (mlp.forward(&x), back.forward(&x));
         for (p, q) in ya.data().iter().zip(yb.data()) {
             assert_eq!(p.to_bits(), q.to_bits());
         }
         let mut again = ArtifactBuilder::new();
-        encode_quantized_mlp(&mut again, "q", &back, &back_qts);
+        encode_quantized_mlp(&mut again, "q", &back);
         assert_eq!(again.finish(), bytes, "the decoded codes re-encode byte for byte");
 
         // An f32 network is not an int8 MLP.
@@ -697,13 +554,6 @@ mod tests {
                 b.tensor_f32(key("net", 0, "bias"), &[cols], &vec![0.0; cols]);
             })
         };
-        // The same with packed weight codes, all `code`, of `bits` bits.
-        let dense_q8 = |bits: u8, code: u8| {
-            one_layer("dense", &|b| {
-                b.tensor_q8(key("net", 0, "weight"), &[16, 3], &[code; 48], 0.5, 0.0, bits);
-                b.tensor_f32(key("net", 0, "bias"), &[3], &[0.0; 3]);
-            })
-        };
         let x = Tensor::zeros([1, 16]);
         for (case, bytes) in [
             ("conv", conv(&[], 9)),
@@ -712,7 +562,6 @@ mod tests {
             ("pool", pool(2, 2)),
             ("whole-image pool", pool(4, 9)),
             ("dense", dense(16, 3)),
-            ("4-bit dense", dense_q8(4, 15)),
         ] {
             let net = load_network(&bytes).unwrap_or_else(|e| panic!("a consistent {case}: {e}"));
             assert_eq!(net.predict(&x).len(), 1, "{case}");
@@ -742,9 +591,6 @@ mod tests {
             ("pool window 0", pool(0, 1)),
             ("dense weight taking other rows", dense(10, 16)),
             ("dense weight with no outputs", dense(16, 0)),
-            ("0-bit codes", dense_q8(0, 0)),
-            ("9-bit codes", dense_q8(9, 1)),
-            ("a code too wide for 4 bits", dense_q8(4, 200)),
             ("dropout probability 1", dropout),
             ("rank-0 batch-norm gamma", scalar_batch_norm),
         ] {
@@ -753,23 +599,65 @@ mod tests {
                 other => panic!("{case}: expected Corrupt, got {other:?}"),
             }
         }
+        // Packed codes in an f32 network: no writer makes one, and the
+        // error names the tensor.
+        let q8_weight = one_layer("dense", &|b| {
+            b.tensor_q8(key("net", 0, "weight"), &[16, 3], &[1; 48], 0.5, 0.0, 8);
+            b.tensor_f32(key("net", 0, "bias"), &[3], &[0.0; 3]);
+        });
+        match load_network(&q8_weight) {
+            Err(StoreError::Corrupt(msg)) => {
+                assert!(msg.contains("\"net.layer0.weight\" is not f32"), "{msg}");
+            }
+            other => panic!("q8 weight in an f32 network: expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_int8_fields_are_corrupt_not_panics() {
+        // One-layer int8 MLP artifacts: a [16, 3] dense layer whose
+        // weight codes are all `code`, of `bits` bits.
+        let dense_q8 = |bits: u8, code: u8| {
+            let mut b = ArtifactBuilder::new();
+            b.hparam("q.input_dim", HParam::U64(16));
+            b.hparam("q.layer_count", HParam::U64(1));
+            b.hparam("q.layer0.kind", HParam::Str("dense".into()));
+            b.tensor_q8(key("q", 0, "weight"), &[16, 3], &[code; 48], 0.5, 0.0, bits);
+            b.tensor_q8(key("q", 0, "bias"), &[3], &[0; 3], 1.0, 0.0, 8);
+            b.finish()
+        };
+        let load =
+            |bytes: &[u8]| Artifact::parse(bytes).and_then(|a| decode_quantized_mlp(&a, "q"));
+        let mlp = load(&dense_q8(4, 15)).expect("a consistent 4-bit dense layer loads");
+        assert_eq!(mlp.predict(&Tensor::zeros([1, 16])).len(), 1);
+        for (case, bytes) in [
+            ("0-bit codes", dense_q8(0, 0)),
+            ("9-bit codes", dense_q8(9, 1)),
+            ("a code too wide for 4 bits", dense_q8(4, 200)),
+        ] {
+            match load(&bytes) {
+                Err(StoreError::Corrupt(msg)) => assert!(msg.contains("q.layer0"), "{case}: {msg}"),
+                other => panic!("{case}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn save_load_dequantize_equals_dequantize_before_save() {
-        // The satellite contract, as a property over random models:
-        // persisting the packed int8 codes and dequantizing after
-        // load gives exactly the f32s the in-memory model served.
+        // As a property over random models: persisting an int8 MLP's
+        // packed codes and dequantizing after load gives exactly the f32s
+        // of the dequantized model before the save.
         for case in 0..256 {
             let mut rng = init::rng(case);
             let hidden = rng.gen_range(2usize..12);
             let net = Network::mlp(&[4, hidden, 3], &mut rng);
             let (deq, _report, qts) = dl_compress::quantize_network_tensors(&net, 8);
             let mut b = ArtifactBuilder::new();
-            encode_network_q8(&mut b, "net", &deq, &qts);
+            encode_quantized_mlp(&mut b, "net", &QuantizedMlp::from_network_tensors(&deq, &qts));
             let bytes = b.finish();
             let a = Artifact::parse(&bytes).unwrap();
-            let (back, _) = decode_network_with_quant(&a, "net").unwrap();
+            let back = decode_quantized_mlp(&a, "net").unwrap().to_network();
+            assert_eq!(back.param_count(), deq.param_count(), "case {case}");
             for (x, y) in deq.flat_params().iter().zip(back.flat_params()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "case {case}");
             }

@@ -17,7 +17,7 @@ use dl_serve::{build_family, load_family, save_family, FamilyConfig};
 use dl_store::{Artifact, ArtifactBuilder, Dtype};
 
 /// Allocations of one `load_family` of the fleet-shaped family, rounded
-/// up from the measured 268 (1,003 when every hparam, name and dims list
+/// up from the measured 260 (1,003 when every hparam, name and dims list
 /// was copied out of the artifact and every lookup formatted its name).
 const LOAD_FAMILY_ALLOCS: u64 = 300;
 
