@@ -153,8 +153,15 @@ fn parse(args: &[String]) -> Result<Args, String> {
 fn render_profile(label: &str, p: &TraceProfile) -> String {
     let mut out = String::new();
     let mut phases = Table::new(&[
-        "run", "total s", "compute s", "sync s", "ckpt s", "recovery s", "replay s",
-        "crit path s", "explained",
+        "run",
+        "total s",
+        "compute s",
+        "sync s",
+        "ckpt s",
+        "recovery s",
+        "replay s",
+        "crit path s",
+        "explained",
     ]);
     phases.row(&[
         label.into(),
@@ -170,7 +177,13 @@ fn render_profile(label: &str, p: &TraceProfile) -> String {
     out.push_str(&phases.render());
     if !p.workers.is_empty() {
         let mut workers = Table::new(&[
-            "worker", "crashes", "rejoins", "recovery s", "replay s", "lost s", "share of lost",
+            "worker",
+            "crashes",
+            "rejoins",
+            "recovery s",
+            "replay s",
+            "lost s",
+            "share of lost",
         ]);
         for w in &p.workers {
             workers.row(&[
@@ -370,11 +383,17 @@ fn check(dir: &Path, ids: &[String]) -> i32 {
         let drifts = stored.diff(&current, Tolerance::default());
         let verdict_changed = stored.verdict != current.verdict;
         if drifts.is_empty() && !verdict_changed {
-            println!("{id}: ok ({} metrics within tolerance)", stored.metrics.len());
+            println!(
+                "{id}: ok ({} metrics within tolerance)",
+                stored.metrics.len()
+            );
             continue;
         }
         drifted = true;
-        println!("{id}: REGRESSION ({} drifts)", drifts.len() + usize::from(verdict_changed));
+        println!(
+            "{id}: REGRESSION ({} drifts)",
+            drifts.len() + usize::from(verdict_changed)
+        );
         for d in &drifts {
             println!("  {}", d.describe());
         }
@@ -481,7 +500,8 @@ fn main() {
                     Err(e) => eprintln!("warning: could not save record: {e}"),
                 }
                 if let Some(dir) = &args.baseline_dir {
-                    let b = Baseline::from_records(id, &result.title, &result.verdict, &result.records);
+                    let b =
+                        Baseline::from_records(id, &result.title, &result.verdict, &result.records);
                     match b.save(Path::new(dir)) {
                         Ok(path) => println!("baseline: {}\n", path.display()),
                         Err(e) => {

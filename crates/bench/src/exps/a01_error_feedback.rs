@@ -26,7 +26,19 @@ pub fn run() -> ExperimentResult {
         GradCompressor::Quantize { bits: 2 },
     ] {
         let run = |fb: bool| {
-            compressed_sgd_opts(&cluster, &data, &eval, &[10, 32, 8], &c, 250, 16, 0.05, 30, fb).1
+            compressed_sgd_opts(
+                &cluster,
+                &data,
+                &eval,
+                &[10, 32, 8],
+                &c,
+                250,
+                16,
+                0.05,
+                30,
+                fb,
+            )
+            .1
         };
         let with = run(true);
         let without = run(false);

@@ -11,7 +11,7 @@
 //! shipped code stays simple.
 
 use crate::table::{ExperimentResult, Table};
-use dl_distributed::{Link, LayerComm};
+use dl_distributed::{LayerComm, Link};
 use dl_obs::fields;
 
 /// A local re-implementation of the priority schedule with configurable

@@ -7,15 +7,21 @@
 
 use crate::table::{f3, flops, ExperimentResult, Table};
 use dl_ensemble::{fge, snapshot, FgeConfig};
-use dl_tensor::init;
 use dl_obs::fields;
+use dl_tensor::init;
 
 /// Runs the ablation.
 pub fn run() -> ExperimentResult {
     let all = dl_data::digits_dataset(600, 0.12, 220);
     let (train, test) = all.split(0.3, 221);
     let budget = 24usize; // total epochs, fixed across variants
-    let mut table = Table::new(&["strategy", "members", "cycle len", "accuracy", "train flops"]);
+    let mut table = Table::new(&[
+        "strategy",
+        "members",
+        "cycle len",
+        "accuracy",
+        "train flops",
+    ]);
     let mut records = Vec::new();
     let mut best_snapshot = 0.0f64;
     for (members, cycle) in [(12usize, 2usize), (6, 4), (4, 6), (2, 12)] {

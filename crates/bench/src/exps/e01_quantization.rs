@@ -20,7 +20,13 @@ pub fn run() -> ExperimentResult {
     let measure_fwd = |n: &dl_nn::Network| acct::measure(|| n.predict(&test.x)).1.flops;
     let base_fwd = measure_fwd(&net);
     let mut table = Table::new(&[
-        "scheme", "accuracy", "acc drop", "bytes", "ratio", "huffman bytes", "measured fwd",
+        "scheme",
+        "accuracy",
+        "acc drop",
+        "bytes",
+        "ratio",
+        "huffman bytes",
+        "measured fwd",
     ]);
     let mut records = Vec::new();
     let schemes = [

@@ -137,6 +137,9 @@ mod tests {
         // the sparse-aware kernel must measure real savings at 98% sparsity
         let summary = r.records.last().unwrap();
         let speedup = crate::table::field_f64(summary, "sparse_speedup").unwrap();
-        assert!(speedup > 2.0, "sparse execution speedup {speedup} too small");
+        assert!(
+            speedup > 2.0,
+            "sparse execution speedup {speedup} too small"
+        );
     }
 }

@@ -7,8 +7,8 @@
 use crate::table::{f3, ExperimentResult, Table};
 use dl_compress::{distill, DistillConfig};
 use dl_nn::{Network, Optimizer, TrainConfig, Trainer};
-use dl_tensor::init;
 use dl_obs::fields;
+use dl_tensor::init;
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -28,7 +28,11 @@ pub fn run() -> ExperimentResult {
     teacher_trainer.fit(&mut teacher, &train);
     let teacher_acc = Trainer::evaluate(&teacher, &test);
     let mut table = Table::new(&[
-        "student hidden", "params", "scratch acc", "distilled acc", "gain",
+        "student hidden",
+        "params",
+        "scratch acc",
+        "distilled acc",
+        "gain",
     ]);
     let mut records = Vec::new();
     let mut gains = Vec::new();

@@ -7,8 +7,8 @@
 use crate::table::{f3, flops, ExperimentResult, Table};
 use dl_ensemble::{independent, mothernet, snapshot, treenet, MotherNetConfig, TreeNetConfig};
 use dl_nn::TrainConfig;
-use dl_tensor::init;
 use dl_obs::fields;
+use dl_tensor::init;
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -17,7 +17,11 @@ pub fn run() -> ExperimentResult {
     let members = 3;
     let epochs = 18;
     let mut table = Table::new(&[
-        "strategy", "accuracy", "train flops", "params", "inference flops",
+        "strategy",
+        "accuracy",
+        "train flops",
+        "params",
+        "inference flops",
     ]);
     let mut records = Vec::new();
     let mut push = |r: &dl_ensemble::EnsembleReport| {
@@ -88,10 +92,10 @@ pub fn run() -> ExperimentResult {
         &mut init::rng(13),
     );
     push(&mother);
-    let cheap_enough = snap.train_flops * 2 < indep.train_flops
-        && mother.train_flops < indep.train_flops;
-    let close_enough = snap.accuracy > indep.accuracy - 0.1
-        && mother.accuracy > indep.accuracy - 0.1;
+    let cheap_enough =
+        snap.train_flops * 2 < indep.train_flops && mother.train_flops < indep.train_flops;
+    let close_enough =
+        snap.accuracy > indep.accuracy - 0.1 && mother.accuracy > indep.accuracy - 0.1;
     let sharing_saves = tree.params < indep.params && tree.inference_flops < indep.inference_flops;
     ExperimentResult {
         id: "e4".into(),
@@ -102,9 +106,7 @@ pub fn run() -> ExperimentResult {
              the FLOPs; treenet also cuts params and inference"
                 .into()
         } else {
-            format!(
-                "PARTIAL: cheap={cheap_enough} close={close_enough} sharing={sharing_saves}"
-            )
+            format!("PARTIAL: cheap={cheap_enough} close={close_enough} sharing={sharing_saves}")
         },
         records,
     }

@@ -19,7 +19,11 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     let eval = dl_data::blobs(150, 3, 8, 6.0, 0.5, 7);
     let cluster = Cluster::homogeneous(4, Device::accelerator(), Link::ethernet());
     let mut table = Table::new(&[
-        "sync period", "accuracy", "bytes", "sim seconds", "sync rounds",
+        "sync period",
+        "accuracy",
+        "bytes",
+        "sim seconds",
+        "sync rounds",
     ]);
     let mut records = Vec::new();
     let mut results = Vec::new();
@@ -49,7 +53,9 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         records.push(report.to_fields());
         results.push(report);
     }
-    let comm_drops = results.windows(2).all(|w| w[1].bytes_communicated < w[0].bytes_communicated);
+    let comm_drops = results
+        .windows(2)
+        .all(|w| w[1].bytes_communicated < w[0].bytes_communicated);
     let acc_holds = results[2].accuracy > results[0].accuracy - 0.12;
     ExperimentResult {
         id: "e5".into(),

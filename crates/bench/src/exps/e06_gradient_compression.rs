@@ -5,17 +5,23 @@
 //! accuracy cost; priority scheduling further hides what remains.
 
 use crate::table::{bytes, f3, ExperimentResult, Table};
-use dl_obs::fields;
 use dl_distributed::{
     compressed_sgd, schedule_backward_comm, Cluster, Device, GradCompressor, Link, SchedulePolicy,
 };
+use dl_obs::fields;
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
     let data = dl_data::blobs(400, 3, 8, 6.0, 0.5, 8);
     let eval = dl_data::blobs(150, 3, 8, 6.0, 0.5, 9);
     let cluster = Cluster::homogeneous(4, Device::accelerator(), Link::ethernet());
-    let mut table = Table::new(&["compressor", "accuracy", "wire bytes", "ratio", "sim seconds"]);
+    let mut table = Table::new(&[
+        "compressor",
+        "accuracy",
+        "wire bytes",
+        "ratio",
+        "sim seconds",
+    ]);
     let mut records = Vec::new();
     let compressors = [
         GradCompressor::None,
@@ -64,7 +70,10 @@ pub fn run() -> ExperimentResult {
             "{:.1}% faster iter",
             (1.0 - prio.iteration_seconds / fifo.iteration_seconds) * 100.0
         ),
-        format!("{:.5} vs {:.5}", prio.iteration_seconds, fifo.iteration_seconds),
+        format!(
+            "{:.5} vs {:.5}",
+            prio.iteration_seconds, fifo.iteration_seconds
+        ),
     ]);
     records.push(fields! {
         "p3_fifo_seconds" => fifo.iteration_seconds,

@@ -6,11 +6,10 @@
 
 use crate::table::{f3, ExperimentResult, Table};
 use dl_distributed::{
-    data_parallel_cost, optimize_placement, Cluster, Device, Link, Placement,
-    PlacementSearchConfig,
+    data_parallel_cost, optimize_placement, Cluster, Device, Link, Placement, PlacementSearchConfig,
 };
-use dl_tensor::init;
 use dl_obs::fields;
+use dl_tensor::init;
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -36,7 +35,12 @@ pub fn run() -> ExperimentResult {
         ]);
         records.push(fields! {"strategy" => name.to_string(), "step_seconds" => secs, "transfer_bytes" => bytes});
     };
-    add("single-device", single.step_seconds, single.transfer_bytes, 1);
+    add(
+        "single-device",
+        single.step_seconds,
+        single.transfer_bytes,
+        1,
+    );
     add("round-robin", rr.step_seconds, rr.transfer_bytes, 1);
     add("data-parallel", dp.step_seconds, dp.transfer_bytes, 1);
     // sweep optimization budgets: more search -> better strategies
@@ -63,8 +67,13 @@ pub fn run() -> ExperimentResult {
         < single
             .step_seconds
             .min(rr.step_seconds)
-            .min(dp.step_seconds) + 1e-15;
-    let speedup = single.step_seconds.min(rr.step_seconds).min(dp.step_seconds) / best_found;
+            .min(dp.step_seconds)
+            + 1e-15;
+    let speedup = single
+        .step_seconds
+        .min(rr.step_seconds)
+        .min(dp.step_seconds)
+        / best_found;
     ExperimentResult {
         id: "e7".into(),
         title: "FlexFlow-style placement search vs standard parallelization defaults".into(),

@@ -5,8 +5,8 @@
 
 use crate::table::{f3, ExperimentResult, Table};
 use dl_distributed::{morph_resize, uniform_baseline, MorphConfig};
-use dl_tensor::init;
 use dl_obs::fields;
+use dl_tensor::init;
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {

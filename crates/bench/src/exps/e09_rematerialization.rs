@@ -49,7 +49,8 @@ pub fn run() -> ExperimentResult {
         flops(sq_measured.recompute_flops),
         format!("{}", sq_measured.checkpoints.len()),
     ]);
-    records.push(fields! {"schedule" => "store-all", "peak" => base.peak_bytes, "recompute" => 0u64});
+    records
+        .push(fields! {"schedule" => "store-all", "peak" => base.peak_bytes, "recompute" => 0u64});
     records.push(fields! {
         "schedule" => "sqrt", "peak" => sq.peak_bytes, "recompute" => sq.recompute_flops
     });

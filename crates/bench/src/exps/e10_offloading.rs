@@ -12,10 +12,7 @@ use dl_tensor::init;
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
-    let net = dl_nn::Network::mlp(
-        &[512, 2048, 2048, 1024, 512, 10],
-        &mut init::rng(70),
-    );
+    let net = dl_nn::Network::mlp(&[512, 2048, 2048, 1024, 512, 10], &mut init::rng(70));
     let profile = net.cost_profile(128);
     // ground the model in a measurement: profile the same architecture at a
     // small batch and check the modeled activation bytes against what a
@@ -29,7 +26,11 @@ pub fn run() -> ExperimentResult {
         / (measured.param_bytes + measured.input_bytes + modeled_small.activation_bytes()) as f64;
     let flops_per_sec = 10e12;
     let mut table = Table::new(&[
-        "offload %", "device bytes", "host bytes", "slowdown (fast link)", "slowdown (slow link)",
+        "offload %",
+        "device bytes",
+        "host bytes",
+        "slowdown (fast link)",
+        "slowdown (slow link)",
     ]);
     let mut records = Vec::new();
     let mut hidden_on_fast = true;

@@ -13,7 +13,12 @@ use dl_obs::fields;
 pub fn run() -> ExperimentResult {
     let n = 200_000;
     let mut table = Table::new(&[
-        "distribution", "index", "size", "mean window", "max window", "depth/leaves",
+        "distribution",
+        "index",
+        "size",
+        "mean window",
+        "max window",
+        "depth/leaves",
     ]);
     let mut records = Vec::new();
     let mut rmi_smaller_on_smooth = true;
@@ -71,9 +76,7 @@ pub fn run() -> ExperimentResult {
              data-dependence of learned indexes"
                 .into()
         } else {
-            format!(
-                "PARTIAL: rmi_smaller_on_smooth={rmi_smaller_on_smooth} crossover={crossover}"
-            )
+            format!("PARTIAL: rmi_smaller_on_smooth={rmi_smaller_on_smooth} crossover={crossover}")
         },
         records,
     }

@@ -6,8 +6,8 @@
 
 use crate::table::{bytes, ExperimentResult, Table};
 use dl_learneddb::{BloomFilter, LearnedBloom};
-use dl_tensor::init;
 use dl_obs::fields;
+use dl_tensor::init;
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -16,7 +16,13 @@ pub fn run() -> ExperimentResult {
     let mut rng = init::rng(90);
     let train_neg = dl_data::keys::absent_keys(&keys, 20_000, &mut rng);
     let test_neg = dl_data::keys::absent_keys(&keys, 30_000, &mut rng);
-    let mut table = Table::new(&["filter", "target fpr", "measured fpr", "bytes", "false negs"]);
+    let mut table = Table::new(&[
+        "filter",
+        "target fpr",
+        "measured fpr",
+        "bytes",
+        "false negs",
+    ]);
     let mut records = Vec::new();
     let mut learned_smaller_somewhere = false;
     for target in [0.05f64, 0.01] {
@@ -35,7 +41,11 @@ pub fn run() -> ExperimentResult {
         ]);
         let mut learned = LearnedBloom::build(&keys, &train_neg, target, 91);
         let l_fpr = learned.empirical_fpr(&test_neg);
-        let l_fn = keys.iter().step_by(17).filter(|&&k| !learned.contains(k)).count();
+        let l_fn = keys
+            .iter()
+            .step_by(17)
+            .filter(|&&k| !learned.contains(k))
+            .count();
         table.row(&[
             "learned".into(),
             format!("{target}"),
@@ -63,8 +73,7 @@ pub fn run() -> ExperimentResult {
              comparable FPR, with zero false negatives preserved"
                 .into()
         } else {
-            "PARTIAL: the learned filter did not undercut the classic size at these targets"
-                .into()
+            "PARTIAL: the learned filter did not undercut the classic size at these targets".into()
         },
         records,
     }

@@ -6,10 +6,10 @@
 
 use crate::table::{f3, ExperimentResult, Table};
 use dl_data::{CorrelatedTable, RangePredicate};
-use dl_learneddb::{HistogramEstimator, NeuralEstimator, SamplingEstimator};
 use dl_learneddb::cardinality::q_error;
-use dl_tensor::init;
+use dl_learneddb::{HistogramEstimator, NeuralEstimator, SamplingEstimator};
 use dl_obs::fields;
+use dl_tensor::init;
 
 fn median(v: &mut [f64]) -> f64 {
     v.sort_by(f64::total_cmp);
@@ -24,7 +24,10 @@ pub fn run() -> ExperimentResult {
     let sample = SamplingEstimator::build(&table_data, 300, &mut rng);
     let mut neural = NeuralEstimator::train(&table_data, 800, 4, 102);
     let mut table = Table::new(&[
-        "predicate dims", "hist median q-err", "sample median q-err", "neural median q-err",
+        "predicate dims",
+        "hist median q-err",
+        "sample median q-err",
+        "neural median q-err",
     ]);
     let mut records = Vec::new();
     let mut neural_wins_high_dim = false;

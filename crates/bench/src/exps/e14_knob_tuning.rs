@@ -12,7 +12,12 @@ use dl_obs::fields;
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
     let mut table = Table::new(&[
-        "workload", "optimum", "q-learning", "random", "grid", "q-learn % of opt",
+        "workload",
+        "optimum",
+        "q-learning",
+        "random",
+        "grid",
+        "q-learn % of opt",
     ]);
     let mut records = Vec::new();
     let mut all_near_optimal = true;
@@ -39,7 +44,11 @@ pub fn run() -> ExperimentResult {
             r_sum += r_best;
             g_sum += g_best;
         }
-        let (q, r, g) = (q_sum / seeds as f64, r_sum / seeds as f64, g_sum / seeds as f64);
+        let (q, r, g) = (
+            q_sum / seeds as f64,
+            r_sum / seeds as f64,
+            g_sum / seeds as f64,
+        );
         table.row(&[
             name.into(),
             format!("{opt:.0}"),

@@ -9,13 +9,17 @@ use crate::table::{f3, ExperimentResult, Table};
 use dl_data::{CensusConfig, CensusData};
 use dl_fairness::FairnessReport;
 use dl_nn::{Network, Optimizer, TrainConfig, Trainer};
-use dl_tensor::init;
 use dl_obs::fields;
+use dl_tensor::init;
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
     let mut table = Table::new(&[
-        "injected bias", "data base-rate gap", "model parity gap", "eq-odds gap", "accuracy",
+        "injected bias",
+        "data base-rate gap",
+        "model parity gap",
+        "eq-odds gap",
+        "accuracy",
     ]);
     let mut records = Vec::new();
     let mut gaps = Vec::new();

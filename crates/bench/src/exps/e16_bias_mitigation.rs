@@ -11,8 +11,8 @@ use dl_fairness::{
     FairnessReport,
 };
 use dl_nn::{Network, Optimizer, TrainConfig, Trainer};
-use dl_tensor::init;
 use dl_obs::fields;
+use dl_tensor::init;
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {

@@ -6,8 +6,8 @@
 
 use crate::table::{f3, ExperimentResult, Table};
 use dl_interpret::{neighborhood_preservation, pca, tsne, TsneConfig};
-use dl_tensor::init;
 use dl_obs::fields;
+use dl_tensor::init;
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {

@@ -8,8 +8,8 @@
 use crate::table::{f3, ExperimentResult, Table};
 use dl_interpret::{lime_explain, saliency, SurrogateTree};
 use dl_nn::{Dataset, Network, Optimizer, TrainConfig, Trainer};
-use dl_tensor::init;
 use dl_obs::fields;
+use dl_tensor::init;
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -63,7 +63,11 @@ pub fn run() -> ExperimentResult {
     table.row(&[
         "saliency top".into(),
         format!("feature {sal_top}"),
-        if sal_top == causal { "agrees".into() } else { "disagrees".into() },
+        if sal_top == causal {
+            "agrees".into()
+        } else {
+            "disagrees".into()
+        },
     ]);
     table.row(&[
         "tree surrogate".into(),

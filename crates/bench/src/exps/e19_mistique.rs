@@ -8,8 +8,8 @@ use crate::table::{bytes, ExperimentResult, Table};
 use dl_interpret::store::IntermediateKey;
 use dl_interpret::{ActivationQuery, IntermediateStore};
 use dl_nn::{Network, Optimizer, TrainConfig, Trainer};
-use dl_tensor::init;
 use dl_obs::fields;
+use dl_tensor::init;
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -95,7 +95,11 @@ pub fn run() -> ExperimentResult {
              answers inspection queries"
                 .into()
         } else {
-            format!("PARTIAL: ratio={:.1} point_chunks={}", stats.ratio(), point.1)
+            format!(
+                "PARTIAL: ratio={:.1} point_chunks={}",
+                stats.ratio(),
+                point.1
+            )
         },
         records,
     }

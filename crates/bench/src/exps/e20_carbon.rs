@@ -8,14 +8,12 @@ use crate::table::{f3, flops, ExperimentResult, Table};
 use dl_green::{
     energy::energy_for, schedule_jobs, CarbonReport, HardwareProfile, Job, Region, SchedulePolicy,
 };
-use dl_tensor::init;
 use dl_obs::fields;
+use dl_tensor::init;
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
-    let mut table = Table::new(&[
-        "model", "train flops", "hardware", "region", "kWh", "gCO2e",
-    ]);
+    let mut table = Table::new(&["model", "train flops", "hardware", "region", "kWh", "gCO2e"]);
     let mut records = Vec::new();
     // model-size sweep: small/medium/large MLPs trained for 200 epochs
     // over a 2M-sample corpus (cost-model math; FLOPs come from dl-nn)
@@ -30,7 +28,10 @@ pub fn run() -> ExperimentResult {
         let step = net.cost_profile(64).train_step_flops();
         let steps = 200u64 * 2_000_000 / 64;
         let total_flops = step * steps;
-        for hw in [HardwareProfile::datacenter_gpu(), HardwareProfile::laptop_cpu()] {
+        for hw in [
+            HardwareProfile::datacenter_gpu(),
+            HardwareProfile::laptop_cpu(),
+        ] {
             for region in [Region::HydroNorth, Region::CoalBelt] {
                 let energy = energy_for(&hw, total_flops, 1.4);
                 let carbon = CarbonReport::from_energy(&energy, region);

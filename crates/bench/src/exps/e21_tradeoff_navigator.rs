@@ -96,12 +96,18 @@ pub fn run() -> ExperimentResult {
         ]);
     }
     // constraint queries
-    let budget = registry.get("fp32-baseline").expect("registered").metrics.memory_bytes / 4;
+    let budget = registry
+        .get("fp32-baseline")
+        .expect("registered")
+        .metrics
+        .memory_bytes
+        / 4;
     let pick = nav.recommend(&[Constraint::MaxMemoryBytes(budget)]);
     table.row(&[
         format!("query: memory <= {budget}"),
         pick.map(|t| f3(t.metrics.accuracy)).unwrap_or_default(),
-        pick.map(|t| t.name.clone()).unwrap_or_else(|| "none".into()),
+        pick.map(|t| t.name.clone())
+            .unwrap_or_else(|| "none".into()),
         "-".into(),
     ]);
     let records: Vec<dl_obs::Fields> = registry
@@ -127,7 +133,11 @@ pub fn run() -> ExperimentResult {
              the unconstrained best"
                 .into()
         } else {
-            format!("PARTIAL: frontier size {}/{}", frontier.len(), registry.len())
+            format!(
+                "PARTIAL: frontier size {}/{}",
+                frontier.len(),
+                registry.len()
+            )
         },
         records,
     }

@@ -68,8 +68,15 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     let clean = FaultPlan::none();
 
     let mut table = Table::new(&[
-        "crashes", "sync", "ckpt every", "total s", "goodput smp/s", "lost smp", "recovery s",
-        "ckpt s", "accuracy",
+        "crashes",
+        "sync",
+        "ckpt every",
+        "total s",
+        "goodput smp/s",
+        "lost smp",
+        "recovery s",
+        "ckpt s",
+        "accuracy",
     ]);
     let mut records = Vec::new();
     let mut registry = Registry::new();
@@ -155,15 +162,15 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         "-".into(),
         "-".into(),
         "-".into(),
-        pick.map(|t| t.name.clone()).unwrap_or_else(|| "none".into()),
+        pick.map(|t| t.name.clone())
+            .unwrap_or_else(|| "none".into()),
         pick.map(|t| f3(t.metrics.accuracy)).unwrap_or_default(),
     ]);
 
     let t = |sync: usize, interval: usize| seconds[&("mtbf48", sync, interval)];
     // the headline: at sync 8 under faults, a middling interval finishes
     // the workload faster than both extremes and "never"
-    let interior_optimum =
-        t(8, 32) < t(8, 8) && t(8, 32) < t(8, 128) && t(8, 32) < t(8, 0);
+    let interior_optimum = t(8, 32) < t(8, 8) && t(8, 32) < t(8, 128) && t(8, 32) < t(8, 0);
     // Local SGD amortizes recovery: its best faulted completion time
     // beats synchronous training's best
     let best = |sync: usize| {
@@ -174,8 +181,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     };
     let local_sgd_wins = best(8) < best(1);
     // without faults, checkpointing is pure overhead
-    let clean_overhead =
-        seconds[&("none", 8, 0)] <= seconds[&("none", 8, 8)];
+    let clean_overhead = seconds[&("none", 8, 0)] <= seconds[&("none", 8, 8)];
     ExperimentResult {
         id: "e22".into(),
         title: "fault tolerance: checkpoint interval vs completion time under crashes".into(),
@@ -213,9 +219,9 @@ mod tests {
     fn e22_plan_spares_worker_zero() {
         let plan = super::faulty_plan();
         assert!(plan.crash_count() > 0, "the sweep needs real crashes");
-        assert!(plan.events().iter().all(|e| !matches!(
-            e,
-            dl_distributed::FaultEvent::WorkerCrash { worker: 0, .. }
-        )));
+        assert!(plan
+            .events()
+            .iter()
+            .all(|e| !matches!(e, dl_distributed::FaultEvent::WorkerCrash { worker: 0, .. })));
     }
 }

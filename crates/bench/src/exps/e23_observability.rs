@@ -136,7 +136,10 @@ pub fn run() -> ExperimentResult {
         ("trace events", events.len().to_string()),
         (
             "modeled overhead",
-            format!("{overhead_pct:.4}% of {:.4} sim s", traced.simulated_seconds),
+            format!(
+                "{overhead_pct:.4}% of {:.4} sim s",
+                traced.simulated_seconds
+            ),
         ),
         (
             "trajectory parity",

@@ -56,7 +56,13 @@ pub fn run() -> ExperimentResult {
     let cluster = Cluster::homogeneous(4, Device::accelerator(), Link::ethernet());
 
     let mut table = Table::new(&[
-        "run / worker", "total s", "compute s", "sync s", "ckpt s", "lost s", "crit path s",
+        "run / worker",
+        "total s",
+        "compute s",
+        "sync s",
+        "ckpt s",
+        "lost s",
+        "crit path s",
         "explained",
     ]);
     let mut records = Vec::new();
@@ -185,7 +191,11 @@ pub fn run() -> ExperimentResult {
         "-".into(),
         "-".into(),
         flops(prof.forward.flops),
-        if dense_exact { "exact".into() } else { "DRIFT".into() },
+        if dense_exact {
+            "exact".into()
+        } else {
+            "DRIFT".into()
+        },
     ]);
     table.row(&[
         "sqrt(n) peak, measured vs modeled".into(),
@@ -195,7 +205,11 @@ pub fn run() -> ExperimentResult {
         "-".into(),
         "-".into(),
         format!("{} vs {}", sq_measured.peak_bytes, sq_modeled.peak_bytes),
-        if peak_match { "equal".into() } else { "DRIFT".into() },
+        if peak_match {
+            "equal".into()
+        } else {
+            "DRIFT".into()
+        },
     ]);
     records.push(fields! {
         "forward_parity" => prof.forward_parity(),
@@ -274,7 +288,11 @@ mod tests {
     #[test]
     fn e24_profiles_and_attributes() {
         let r = super::run();
-        assert!(r.verdict.contains("matches the claim"), "verdict: {}", r.verdict);
+        assert!(
+            r.verdict.contains("matches the claim"),
+            "verdict: {}",
+            r.verdict
+        );
         let summary = r.records.last().unwrap();
         let explained = crate::table::field_f64(summary, "sync_dominated_explained").unwrap();
         assert!(explained >= 0.95, "critical path explains only {explained}");

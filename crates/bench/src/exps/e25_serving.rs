@@ -91,7 +91,14 @@ pub fn run() -> ExperimentResult {
     let dynamic = BatchPolicy::dynamic(32, 8e-6);
 
     let mut table = Table::new(&[
-        "cell", "policy", "rate rps", "p99 us", "thr rps", "acc", "shed/down", "mean batch",
+        "cell",
+        "policy",
+        "rate rps",
+        "p99 us",
+        "thr rps",
+        "acc",
+        "shed/down",
+        "mean batch",
     ]);
     let mut records: Vec<Fields> = Vec::new();
 
@@ -132,8 +139,10 @@ pub fn run() -> ExperimentResult {
     let mut best_dynamic_thr = 0.0f64;
     for (i, &rate) in rates.iter().enumerate() {
         let seed = 100 + i as u64;
-        for (policy_name, batch) in [("batch=1", BatchPolicy::no_batching()), ("dynamic", dynamic)]
-        {
+        for (policy_name, batch) in [
+            ("batch=1", BatchPolicy::no_batching()),
+            ("dynamic", dynamic),
+        ] {
             let cfg = ServeConfig {
                 batch,
                 admission: AdmissionPolicy::AcceptAll,
@@ -210,7 +219,13 @@ pub fn run() -> ExperimentResult {
         },
         &rec,
     );
-    cell_row(&mut table, "overload x2.5", "slo-aware", overload, &governed);
+    cell_row(
+        &mut table,
+        "overload x2.5",
+        "slo-aware",
+        overload,
+        &governed,
+    );
     records.push(cell_record("overload", "slo-aware", overload, &governed));
     let hist = rec
         .histogram("serve.latency_s")
@@ -314,7 +329,11 @@ mod tests {
     #[test]
     fn e25_serves_and_matches_claim() {
         let r = super::run();
-        assert!(r.verdict.contains("matches the claim"), "verdict: {}", r.verdict);
+        assert!(
+            r.verdict.contains("matches the claim"),
+            "verdict: {}",
+            r.verdict
+        );
         let summary = r.records.last().unwrap();
         let speedup = crate::table::field_f64(summary, "speedup_at_slo").unwrap();
         assert!(speedup >= 2.0, "dynamic batching speedup only {speedup}");

@@ -74,7 +74,14 @@ fn run_inner() -> ExperimentResult {
     ];
 
     let mut table = Table::new(&[
-        "shape", "threads", "tile", "naive us", "par us", "speedup", "efficiency", "bitwise",
+        "shape",
+        "threads",
+        "tile",
+        "naive us",
+        "par us",
+        "speedup",
+        "efficiency",
+        "bitwise",
         "cost ==",
     ]);
     let mut records: Vec<Fields> = Vec::new();
@@ -171,14 +178,17 @@ fn run_inner() -> ExperimentResult {
             }
         }
     }
-    let img = filled(3 * 14, 11, 8).reshape([3, 14, 11]).expect("3*14*11 elements");
+    let img = filled(3 * 14, 11, 8)
+        .reshape([3, 14, 11])
+        .expect("3*14*11 elements");
     let (cols_seq, cols_cost) = acct::measure(|| img.im2col(3, 3, 2, 1));
     let (cols_par, cols_par_cost) =
         par::with_threads(4, || acct::measure(|| par::im2col(&img, 3, 3, 2, 1)));
     let grad = filled(cols_seq.dims()[0], cols_seq.dims()[1], 6);
     let (back_seq, back_cost) = acct::measure(|| grad.col2im(3, 14, 11, 3, 3, 2, 1));
-    let (back_par, back_par_cost) =
-        par::with_threads(4, || acct::measure(|| par::col2im(&grad, 3, 14, 11, 3, 3, 2, 1)));
+    let (back_par, back_par_cost) = par::with_threads(4, || {
+        acct::measure(|| par::col2im(&grad, 3, 14, 11, 3, 3, 2, 1))
+    });
     let x = filled(37, 19, 7);
     let map_ok = par::with_threads(4, || par::map(&x, |v| v * 0.5 + 0.125)).data()
         == x.map(|v| v * 0.5 + 0.125).data();
@@ -271,9 +281,16 @@ mod tests {
     #[test]
     fn e26_matches_claim_and_gates_deterministically() {
         let a = super::run();
-        assert!(a.verdict.contains("matches the claim"), "verdict: {}", a.verdict);
+        assert!(
+            a.verdict.contains("matches the claim"),
+            "verdict: {}",
+            a.verdict
+        );
         let b = super::run();
-        assert_eq!(a.verdict, b.verdict, "verdict must not depend on wall clock");
+        assert_eq!(
+            a.verdict, b.verdict,
+            "verdict must not depend on wall clock"
+        );
         // The baseline gate's view of two runs must be drift-free even
         // though wall-clock string fields differ.
         let ba = Baseline::from_records("e26", &a.title, &a.verdict, &a.records);

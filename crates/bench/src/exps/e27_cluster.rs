@@ -121,7 +121,13 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     };
 
     let mut table = Table::new(&[
-        "scenario", "config", "repl", "p99 us", "served", "shed/lost/unav", "retr/hedge",
+        "scenario",
+        "config",
+        "repl",
+        "p99 us",
+        "served",
+        "shed/lost/unav",
+        "retr/hedge",
         "fail %",
     ]);
     let mut records: Vec<Fields> = Vec::new();
@@ -163,7 +169,11 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
             )
         };
         // The 3-replica cell is the headline trace.
-        let cell_rec: &dyn Recorder = if replicas == 3 { rec } else { &NullRecorder::new() };
+        let cell_rec: &dyn Recorder = if replicas == 3 {
+            rec
+        } else {
+            &NullRecorder::new()
+        };
         let r = serve_cluster(&family, &eval, &storm_reqs, &cfg, cell_rec);
         cluster_row(&mut table, "crash-storm", "slo+retry2", replicas, &r);
         records.push(cluster_record("crash-storm", "slo+retry2", replicas, &r));
@@ -215,8 +225,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     }
     let rr_p99 = router_p99[0].1;
     let ll_p99 = router_p99[1].1;
-    let routing_wins = router_p99.iter().all(|&(_, _, served)| served == 900)
-        && ll_p99 < rr_p99;
+    let routing_wins = router_p99.iter().all(|&(_, _, served)| served == 900) && ll_p99 < rr_p99;
 
     // --- pillar 3: retry vs hedge under crashes + a straggler --------------
     let tail_rate = 1.5 * cap_dyn;
@@ -263,8 +272,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         && tail_cells[1].1.retried > 0
         && tail_cells[1].1.serve.served > tail_cells[0].1.serve.served;
     let hedge = &tail_cells[2].1;
-    let hedge_cuts_tail =
-        hedge.hedged > 0 && hedge.serve.p99_s < tail_cells[1].1.serve.p99_s;
+    let hedge_cuts_tail = hedge.hedged > 0 && hedge.serve.p99_s < tail_cells[1].1.serve.p99_s;
 
     // --- pillar 4: autoscale reaction to a 3x load step --------------------
     // Off-first bursty load: the first half-period runs at 70% of one
@@ -285,14 +293,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         rows,
     );
     let provision_delay_s = t_off / 20.0;
-    let scale_cfg = AutoscaleConfig::new(
-        t_off / 10.0,
-        t_off / 8.0,
-        0.7,
-        1,
-        6,
-        provision_delay_s,
-    );
+    let scale_cfg = AutoscaleConfig::new(t_off / 10.0, t_off / 8.0, 0.7, 1, 6, provision_delay_s);
     let auto_cfg = ClusterConfig {
         autoscale: Some(scale_cfg),
         warmup_s: t_off / 40.0,
@@ -379,8 +380,12 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         "recommended_under_budget" => budget_pick.clone(),
     });
 
-    let ok = replication_wins && routing_wins && retry_recovers && hedge_cuts_tail
-        && autoscale_reacts && navigable;
+    let ok = replication_wins
+        && routing_wins
+        && retry_recovers
+        && hedge_cuts_tail
+        && autoscale_reacts
+        && navigable;
     ExperimentResult {
         id: "e27".into(),
         title: "cluster serving: replication, fault-aware routing, autoscaling".into(),
@@ -417,13 +422,23 @@ mod tests {
     #[test]
     fn e27_cluster_matches_claim() {
         let r = super::run();
-        assert!(r.verdict.contains("matches the claim"), "verdict: {}", r.verdict);
+        assert!(
+            r.verdict.contains("matches the claim"),
+            "verdict: {}",
+            r.verdict
+        );
         let summary = r.records.last().unwrap();
         let fail_1 = crate::table::field_f64(summary, "fail_frac_1").unwrap();
         let fail_4 = crate::table::field_f64(summary, "fail_frac_4").unwrap();
-        assert!(fail_4 < fail_1, "replication must cut failures: {fail_4} vs {fail_1}");
+        assert!(
+            fail_4 < fail_1,
+            "replication must cut failures: {fail_4} vs {fail_1}"
+        );
         let reaction = crate::table::field_f64(summary, "reaction_s").unwrap();
-        assert!(reaction.is_finite() && reaction > 0.0, "reaction {reaction}");
+        assert!(
+            reaction.is_finite() && reaction > 0.0,
+            "reaction {reaction}"
+        );
     }
 
     #[test]

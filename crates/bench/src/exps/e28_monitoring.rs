@@ -117,7 +117,13 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     let scfg = engine_cfg();
 
     let mut table = Table::new(&[
-        "scenario", "config", "p99 us", "served", "alerts", "first alert us", "note",
+        "scenario",
+        "config",
+        "p99 us",
+        "served",
+        "alerts",
+        "first alert us",
+        "note",
     ]);
     let mut records: Vec<Fields> = Vec::new();
 
@@ -263,7 +269,10 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         for p in preds {
             counts[p] += 1;
         }
-        counts.iter().map(|&c| c as f64 / total).collect::<Vec<f64>>()
+        counts
+            .iter()
+            .map(|&c| c as f64 / total)
+            .collect::<Vec<f64>>()
     };
     let mut drift_cells: Vec<(f64, usize, usize, Option<f64>, f64, f64)> = Vec::new();
     for &m in &DRIFT_MAGNITUDES {
@@ -421,8 +430,8 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         let counters = 4 * 8;
         (cfg.history as u64 + 1) * (sketch + counters) + 2 * 16
     };
-    let ramp_cfg_bytes = series_state_bytes(ramp_monitor.config())
-        * (1 + ramp_rep.replicas.len() as u64);
+    let ramp_cfg_bytes =
+        series_state_bytes(ramp_monitor.config()) * (1 + ramp_rep.replicas.len() as u64);
     let drift_state_bytes = ((DRIFT_BINS as u64 + 2) + data.classes as u64) * 8 * 5;
     let mut registry = Registry::new();
     registry

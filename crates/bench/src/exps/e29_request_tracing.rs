@@ -84,7 +84,10 @@ fn trace_record(scenario: &'static str, config: &'static str, set: &TraceSet) ->
         "tail_e2e_us" => tail_e2e,
     };
     for (i, phase) in Phase::ALL.iter().enumerate() {
-        f.push((format!("p99_{}_us", phase.label()).into(), pb.p99_us[i].into()));
+        f.push((
+            format!("p99_{}_us", phase.label()).into(),
+            pb.p99_us[i].into(),
+        ));
         f.push((format!("tail_{}_us", phase.label()).into(), tail[i].into()));
     }
     f
@@ -138,7 +141,14 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     };
 
     let mut table = Table::new(&[
-        "scenario", "config", "served", "p50 us", "p99 us", "tailQ us", "tailS us", "tailE2E us",
+        "scenario",
+        "config",
+        "served",
+        "p50 us",
+        "p99 us",
+        "tailQ us",
+        "tailS us",
+        "tailE2E us",
     ]);
     let mut records: Vec<Fields> = Vec::new();
 
@@ -294,8 +304,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     let over_null = serve_cluster(&family, &eval, &steady_reqs, &steady_cfg, &traced_null);
     let timeline_inner = TimelineRecorder::new();
     let traced_timeline = Tracer::new(&timeline_inner);
-    let over_timeline =
-        serve_cluster(&family, &eval, &steady_reqs, &steady_cfg, &traced_timeline);
+    let over_timeline = serve_cluster(&family, &eval, &steady_reqs, &steady_cfg, &traced_timeline);
     let invisible = plain_null == plain_timeline
         && plain_null == over_null
         && plain_null == over_timeline
@@ -428,7 +437,11 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         "observability_techniques" => registry.by_category(Category::Observability).len(),
     });
 
-    let ok = queue_attributed && hedge_attributed && invisible && exact && exemplar_linked
+    let ok = queue_attributed
+        && hedge_attributed
+        && invisible
+        && exact
+        && exemplar_linked
         && storm_conserved;
     ExperimentResult {
         id: "e29".into(),
@@ -463,10 +476,17 @@ mod tests {
     #[test]
     fn e29_request_tracing_matches_claim() {
         let r = super::run();
-        assert!(r.verdict.contains("matches the claim"), "verdict: {}", r.verdict);
+        assert!(
+            r.verdict.contains("matches the claim"),
+            "verdict: {}",
+            r.verdict
+        );
         let summary = r.records.last().unwrap();
         let share = crate::table::field_f64(summary, "queue_share_of_gap").unwrap();
-        assert!(share > 0.5, "queue wait must dominate the routing gap: {share}");
+        assert!(
+            share > 0.5,
+            "queue wait must dominate the routing gap: {share}"
+        );
         let winners = crate::table::field_f64(summary, "hedge_winners").unwrap();
         assert!(winners > 0.0, "hedge branches must win visibly");
     }

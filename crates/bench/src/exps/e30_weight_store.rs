@@ -242,7 +242,13 @@ pub fn run() -> ExperimentResult {
     let fits_one = max + min / 2;
 
     let mut table = Table::new(&[
-        "cell", "families", "budget", "cold loads", "evictions", "p99 us", "warm p99 us",
+        "cell",
+        "families",
+        "budget",
+        "cold loads",
+        "evictions",
+        "p99 us",
+        "warm p99 us",
         "cold p99 us",
     ]);
     let mut records: Vec<Fields> = Vec::new();
@@ -253,7 +259,14 @@ pub fn run() -> ExperimentResult {
     // --- pillar 1: warm-started steady state ------------------------------
     let n_samples = eval.x.dims()[0];
     let full_load = cycling_load(N_FAMILIES, 330, n_samples);
-    let warm = run_cell(families, eval, &full_load, fits_all, EvictionPolicy::Lru, true);
+    let warm = run_cell(
+        families,
+        eval,
+        &full_load,
+        fits_all,
+        EvictionPolicy::Lru,
+        true,
+    );
     cell_row(&mut table, "warm-start", N_FAMILIES, fits_all, &warm);
     records.push(cell_record("warm-start", N_FAMILIES, fits_all, &warm));
     let warm_clean = warm.report.cold_loads == 0
@@ -347,7 +360,13 @@ pub fn run() -> ExperimentResult {
         EvictionPolicy::CostAware,
         false,
     );
-    cell_row(&mut table, "3fam/fits-two/cost-aware", N_FAMILIES, fits_two, &aware);
+    cell_row(
+        &mut table,
+        "3fam/fits-two/cost-aware",
+        N_FAMILIES,
+        fits_two,
+        &aware,
+    );
     records.push(cell_record("cost-aware", N_FAMILIES, fits_two, &aware));
 
     records.push(fields! {
@@ -409,13 +428,20 @@ mod tests {
     #[test]
     fn e30_measures_the_cold_start_cliff() {
         let r = super::run();
-        assert!(r.verdict.contains("matches the claim"), "verdict: {}", r.verdict);
+        assert!(
+            r.verdict.contains("matches the claim"),
+            "verdict: {}",
+            r.verdict
+        );
         let summary = r.records.last().unwrap();
         let cliff = crate::table::field_f64(summary, "cold_over_warm_p99").unwrap();
         assert!(cliff >= 1.5, "cold/warm p99 ratio only {cliff}");
         let thrash_ev = crate::table::field_f64(summary, "thrash_evictions").unwrap();
         let stable_ev = crate::table::field_f64(summary, "stable_evictions").unwrap();
-        assert!(stable_ev == 0.0 && thrash_ev > 0.0, "budget must flip residency");
+        assert!(
+            stable_ev == 0.0 && thrash_ev > 0.0,
+            "budget must flip residency"
+        );
     }
 
     #[test]

@@ -229,8 +229,9 @@ pub fn run() -> ExperimentResult {
     let ref_sum_axis = par::with_kernel(par::Kernel::Unrolled, || {
         par::with_threads(1, || par::sum_axis(&x, 0))
     });
-    let ref_sum =
-        par::with_kernel(par::Kernel::Unrolled, || par::with_threads(1, || par::sum(&v)));
+    let ref_sum = par::with_kernel(par::Kernel::Unrolled, || {
+        par::with_threads(1, || par::sum(&v))
+    });
     let ref_dot = par::with_kernel(par::Kernel::Unrolled, || {
         par::with_threads(1, || par::dot(&v, &w))
     });
@@ -340,8 +341,9 @@ pub fn run() -> ExperimentResult {
     // shadow and serve the identical open-loop trace. The rate is pinned
     // just past the shadow's full-batch capacity, so only a cheaper
     // per-batch cost can hold the tail inside the SLO.
-    let shadow_costs: Vec<OpCost> =
-        (1..=32).map(|b| cost_at_batch(&shadow_model, &eval.x, b)).collect();
+    let shadow_costs: Vec<OpCost> = (1..=32)
+        .map(|b| cost_at_batch(&shadow_model, &eval.x, b))
+        .collect();
     let shadow_cap = 32.0 / device.service_time(&shadow_costs[31]);
     let rate = 1.2 * shadow_cap;
     let native_report = serve_cell(&mut family, &eval, rate, "int8", &device);
@@ -439,9 +441,16 @@ mod tests {
     #[test]
     fn e31_matches_claim_and_gates_deterministically() {
         let a = super::run();
-        assert!(a.verdict.contains("matches the claim"), "verdict: {}", a.verdict);
+        assert!(
+            a.verdict.contains("matches the claim"),
+            "verdict: {}",
+            a.verdict
+        );
         let b = super::run();
-        assert_eq!(a.verdict, b.verdict, "verdict must not depend on wall clock");
+        assert_eq!(
+            a.verdict, b.verdict,
+            "verdict must not depend on wall clock"
+        );
         let ba = Baseline::from_records("e31", &a.title, &a.verdict, &a.records);
         let bb = Baseline::from_records("e31", &b.title, &b.verdict, &b.records);
         assert!(
@@ -456,7 +465,10 @@ mod tests {
         let summary = r.records.last().unwrap();
         for key in ["svc_reduction_b1", "svc_reduction_b8", "svc_reduction_b32"] {
             let red = crate::table::field_f64(summary, key).unwrap();
-            assert!(red > 1.0, "{key} = {red}: native int8 must beat the f32 shadow");
+            assert!(
+                red > 1.0,
+                "{key} = {red}: native int8 must beat the f32 shadow"
+            );
         }
         let native = crate::table::field_f64(summary, "native_p99_s").unwrap();
         let shadow = crate::table::field_f64(summary, "shadow_p99_s").unwrap();

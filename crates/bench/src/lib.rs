@@ -47,8 +47,14 @@ pub fn run_experiment_traced(id: &str, rec: &dyn Recorder) -> Result<ExperimentR
     // compute backend onto the same recorder for the span's duration.
     let result = dl_tensor::par::with_recorder(rec, || dispatch(&canonical, rec));
     match &result {
-        Ok(r) => rec.span_end(span, fields! { "id" => canonical.clone(), "verdict" => r.verdict.clone() }),
-        Err(e) => rec.span_end(span, fields! { "id" => canonical.clone(), "error" => e.clone() }),
+        Ok(r) => rec.span_end(
+            span,
+            fields! { "id" => canonical.clone(), "verdict" => r.verdict.clone() },
+        ),
+        Err(e) => rec.span_end(
+            span,
+            fields! { "id" => canonical.clone(), "error" => e.clone() },
+        ),
     }
     result
 }

@@ -135,7 +135,10 @@ mod tests {
         let soft = soft_targets(&mut teacher, &data.x, 5.0);
         // entropy grows with temperature
         let entropy = |t: &Tensor| -> f32 {
-            -t.data().iter().map(|&p| if p > 0.0 { p * p.ln() } else { 0.0 }).sum::<f32>()
+            -t.data()
+                .iter()
+                .map(|&p| if p > 0.0 { p * p.ln() } else { 0.0 })
+                .sum::<f32>()
         };
         assert!(entropy(&soft) > entropy(&sharp));
     }
@@ -153,7 +156,11 @@ mod tests {
         let mut r = rng(2);
         let mut student = Network::mlp(&[144, 8, 10], &mut r);
         let report = distill(&mut teacher, &mut student, &data, &DistillConfig::default());
-        assert!(report.compression() > 5.0, "compression {}", report.compression());
+        assert!(
+            report.compression() > 5.0,
+            "compression {}",
+            report.compression()
+        );
         assert!(
             report.student_accuracy > 0.7,
             "student accuracy {}",

@@ -29,8 +29,10 @@ pub mod qnn;
 pub mod quant;
 
 pub use distill::{distill, DistillConfig, DistillReport};
+pub use prune::{
+    filter_prune, magnitude_prune, neuron_prune, saliency_prune, sparsity, PruneReport,
+};
 pub use qnn::{QuantizedDense, QuantizedMlp};
-pub use prune::{filter_prune, magnitude_prune, neuron_prune, saliency_prune, sparsity, PruneReport};
 pub use quant::{
     quantize_network, quantize_network_tensors, CodebookQuantizer, HuffmanCode, QuantScheme,
     QuantizedTensor,

@@ -150,7 +150,8 @@ impl QuantizedMlp {
                 }
                 Layer::ReLU(_) => {
                     let last = layers.last_mut();
-                    last.expect("ReLU must follow a Dense layer in a quantized MLP").relu = true;
+                    last.expect("ReLU must follow a Dense layer in a quantized MLP")
+                        .relu = true;
                 }
                 other => panic!(
                     "native int8 serving supports Dense/ReLU MLPs; got a {} layer",

@@ -254,10 +254,7 @@ impl CodebookQuantizer {
 
     /// Decodes centroid indices back to values.
     pub fn decode(&self, codes: &[u8], dims: &[usize]) -> Tensor {
-        let data = codes
-            .iter()
-            .map(|&c| self.centroids[c as usize])
-            .collect();
+        let data = codes.iter().map(|&c| self.centroids[c as usize]).collect();
         Tensor::from_vec(data, dims).expect("caller supplies matching dims")
     }
 
@@ -318,10 +315,7 @@ impl HuffmanCode {
         }
         impl Ord for Node {
             fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                other
-                    .weight
-                    .cmp(&self.weight)
-                    .then(other.id.cmp(&self.id))
+                other.weight.cmp(&self.weight).then(other.id.cmp(&self.id))
             }
         }
         impl PartialOrd for Node {
@@ -826,7 +820,10 @@ mod tests {
         let (q8, rep8) = quantize_network(&net, QuantScheme::Affine { bits: 8 });
         let acc8 = Trainer::evaluate(&q8, &data);
         assert!(rep8.ratio() > 3.5, "8-bit ratio {}", rep8.ratio());
-        assert!(base_acc - acc8 < 0.02, "8-bit hurt too much: {base_acc} -> {acc8}");
+        assert!(
+            base_acc - acc8 < 0.02,
+            "8-bit hurt too much: {base_acc} -> {acc8}"
+        );
         let (q1, rep1) = quantize_network(&net, QuantScheme::Binary);
         let acc1 = Trainer::evaluate(&q1, &data);
         assert!(rep1.ratio() > 20.0);

@@ -12,7 +12,10 @@ use dl_tensor::{init, Tensor};
 /// # Panics
 /// Panics when `k == 0` or `dim == 0` or `n == 0`.
 pub fn blobs(n: usize, k: usize, dim: usize, separation: f32, noise: f32, seed: u64) -> Dataset {
-    assert!(n > 0 && k > 0 && dim > 0, "blobs requires positive n, k, dim");
+    assert!(
+        n > 0 && k > 0 && dim > 0,
+        "blobs requires positive n, k, dim"
+    );
     let mut rng = init::rng(seed);
     // Deterministic, well-spread centers: one coordinate pattern per class.
     let centers: Vec<Vec<f32>> = (0..k)
@@ -45,12 +48,7 @@ pub fn blobs(n: usize, k: usize, dim: usize, separation: f32, noise: f32, seed: 
 /// High-dimensional clustered data for the t-SNE experiment (E17): `k`
 /// clusters embedded in `dim` dimensions with tight within-cluster noise.
 /// Returns the data matrix and the cluster label of every row.
-pub fn high_dim_clusters(
-    n: usize,
-    k: usize,
-    dim: usize,
-    seed: u64,
-) -> (Tensor, Vec<usize>) {
+pub fn high_dim_clusters(n: usize, k: usize, dim: usize, seed: u64) -> (Tensor, Vec<usize>) {
     let ds = blobs(n, k, dim, 10.0, 1.0, seed);
     (ds.x, ds.y)
 }

@@ -20,16 +20,16 @@ pub const DIGIT_CLASSES: usize = 10;
 /// Seven-segment truth table: segments a,b,c,d,e,f,g per digit.
 const SEGMENTS: [[bool; 7]; 10] = [
     // a      b      c      d      e      f      g
-    [true, true, true, true, true, true, false],    // 0
+    [true, true, true, true, true, true, false],     // 0
     [false, true, true, false, false, false, false], // 1
-    [true, true, false, true, true, false, true],   // 2
-    [true, true, true, true, false, false, true],   // 3
-    [false, true, true, false, false, true, true],  // 4
-    [true, false, true, true, false, true, true],   // 5
-    [true, false, true, true, true, true, true],    // 6
-    [true, true, true, false, false, false, false], // 7
-    [true, true, true, true, true, true, true],     // 8
-    [true, true, true, true, false, true, true],    // 9
+    [true, true, false, true, true, false, true],    // 2
+    [true, true, true, true, false, false, true],    // 3
+    [false, true, true, false, false, true, true],   // 4
+    [true, false, true, true, false, true, true],    // 5
+    [true, false, true, true, true, true, true],     // 6
+    [true, true, true, false, false, false, false],  // 7
+    [true, true, true, true, true, true, true],      // 8
+    [true, true, true, true, false, true, true],     // 9
 ];
 
 /// Renders one clean glyph of `digit` into a `DIGIT_SIDE^2` buffer

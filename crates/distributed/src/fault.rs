@@ -122,7 +122,10 @@ impl FaultPlan {
                     to_step,
                     ..
                 } => {
-                    assert!(slowdown >= 1.0, "straggler slowdown must be >= 1, got {slowdown}");
+                    assert!(
+                        slowdown >= 1.0,
+                        "straggler slowdown must be >= 1, got {slowdown}"
+                    );
                     assert!(from_step < to_step, "straggler episode must be non-empty");
                 }
                 FaultEvent::WorkerCrash { .. } | FaultEvent::WorkerRejoin { .. } => {}
@@ -384,7 +387,10 @@ mod tests {
         let profile = FaultProfile::crashes(3, 30.0, 10.0);
         let plan = FaultPlan::from_profile(&profile, 4, 200);
         let steps: Vec<usize> = plan.events().iter().map(FaultEvent::at_step).collect();
-        assert!(steps.windows(2).all(|w| w[0] <= w[1]), "events must be sorted");
+        assert!(
+            steps.windows(2).all(|w| w[0] <= w[1]),
+            "events must be sorted"
+        );
         assert!(steps.iter().all(|&s| s < 200));
         assert!(plan.crash_count() >= 1);
     }

@@ -79,8 +79,7 @@ impl Placement {
         let mut load = vec![0.0f64; cluster.len()];
         for (i, c) in costs.iter().enumerate() {
             let d = self.assignment[i];
-            load[d] += cluster.devices[d]
-                .compute_time(c.forward_flops + c.backward_flops);
+            load[d] += cluster.devices[d].compute_time(c.forward_flops + c.backward_flops);
         }
         let bottleneck = load.iter().copied().fold(0.0, f64::max);
         // activations crossing boundaries (forward) + gradients back
@@ -170,8 +169,8 @@ pub fn optimize_placement(
         let cost = proposal.simulate(cluster, costs);
         evals += 1;
         let delta = cost.step_seconds - current_cost.step_seconds;
-        let accept = delta <= 0.0
-            || (temperature > 0.0 && rng.gen::<f64>() < (-delta / temperature).exp());
+        let accept =
+            delta <= 0.0 || (temperature > 0.0 && rng.gen::<f64>() < (-delta / temperature).exp());
         if accept {
             current = proposal;
             current_cost = cost;
@@ -234,7 +233,12 @@ mod tests {
         };
         let a = lopsided.simulate(&cl, &cs);
         let b = spread.simulate(&cl, &cs);
-        assert!(b.step_seconds < a.step_seconds, "{} vs {}", b.step_seconds, a.step_seconds);
+        assert!(
+            b.step_seconds < a.step_seconds,
+            "{} vs {}",
+            b.step_seconds,
+            a.step_seconds
+        );
     }
 
     #[test]

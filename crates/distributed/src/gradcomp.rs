@@ -279,7 +279,10 @@ mod tests {
         let step = 2.0 / 15.0;
         for ((&d, &o), &res) in g.iter().zip(&orig).zip(&r) {
             assert!((d - o).abs() <= step / 2.0 + 1e-6);
-            assert!((d + res - o).abs() < 1e-6, "feedback must capture the error");
+            assert!(
+                (d + res - o).abs() < 1e-6,
+                "feedback must capture the error"
+            );
         }
     }
 

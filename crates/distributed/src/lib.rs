@@ -45,12 +45,14 @@ pub mod sim;
 pub use checkpoint::{Checkpoint, CheckpointStore, StorageProfile};
 pub use datapar::{local_sgd, local_sgd_traced, LocalSgdConfig, LocalSgdReport};
 pub use fault::{FaultEvent, FaultPlan, FaultProfile};
+pub use flexflow::{
+    data_parallel_cost, optimize_placement, Placement, PlacementSearchConfig, StrategyCost,
+};
+pub use gradcomp::{compressed_sgd, compressed_sgd_opts, GradCompressionReport, GradCompressor};
+pub use morph::{morph_resize, uniform_baseline, MorphConfig, MorphReport};
+pub use priority::{schedule_backward_comm, CommSchedule, LayerComm, SchedulePolicy};
 pub use resilient::{
     resilient_local_sgd, resilient_local_sgd_traced, BackoffPolicy, ResilienceReport,
     ResilientConfig,
 };
-pub use flexflow::{data_parallel_cost, optimize_placement, Placement, PlacementSearchConfig, StrategyCost};
-pub use gradcomp::{compressed_sgd, compressed_sgd_opts, GradCompressionReport, GradCompressor};
-pub use morph::{morph_resize, uniform_baseline, MorphConfig, MorphReport};
-pub use priority::{schedule_backward_comm, CommSchedule, LayerComm, SchedulePolicy};
 pub use sim::{Cluster, Device, Link};

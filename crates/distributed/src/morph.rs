@@ -86,7 +86,13 @@ fn widths_for_budget(
     let total_imp: f64 = importance.iter().sum();
     let shares: Vec<f64> = importance
         .iter()
-        .map(|&i| if total_imp > 0.0 { i / total_imp } else { 1.0 / importance.len() as f64 })
+        .map(|&i| {
+            if total_imp > 0.0 {
+                i / total_imp
+            } else {
+                1.0 / importance.len() as f64
+            }
+        })
         .collect();
     // binary search a global scale so params(widths = scale * share) ~ budget
     let params_of = |widths: &[usize]| -> usize {
@@ -149,7 +155,13 @@ pub fn morph_resize(
             break; // final round trains only
         }
         let importance = layer_importance(&net);
-        widths = widths_for_budget(input, classes, &importance, config.param_budget, config.min_width);
+        widths = widths_for_budget(
+            input,
+            classes,
+            &importance,
+            config.param_budget,
+            config.min_width,
+        );
         let mut new_dims = vec![input];
         new_dims.extend(&widths);
         new_dims.push(classes);

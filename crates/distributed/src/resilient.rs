@@ -180,7 +180,15 @@ pub fn resilient_local_sgd(
     config: &ResilientConfig,
     plan: &FaultPlan,
 ) -> (Network, ResilienceReport) {
-    resilient_local_sgd_traced(cluster, data, eval, dims, config, plan, &NullRecorder::new())
+    resilient_local_sgd_traced(
+        cluster,
+        data,
+        eval,
+        dims,
+        config,
+        plan,
+        &NullRecorder::new(),
+    )
 }
 
 /// [`resilient_local_sgd`] with tracing: the run and every averaging
@@ -480,7 +488,10 @@ pub(crate) fn train(
             rounds += 1;
             rec.clock().set(t0 + seconds);
             rec.counter(0, "bytes_communicated", grad_bytes * living.len() as u64);
-            rec.span_end(round_span, fields! { "bytes" => grad_bytes * living.len() as u64 });
+            rec.span_end(
+                round_span,
+                fields! { "bytes" => grad_bytes * living.len() as u64 },
+            );
 
             if config.checkpoint_interval > 0
                 && (step + 1) - last_ckpt_step >= config.checkpoint_interval
@@ -519,7 +530,10 @@ pub(crate) fn train(
         let survivor = (0..workers)
             .find(|&w| alive[w])
             .expect("non-aborted run has a survivor");
-        (nets.swap_remove(survivor), alive.iter().filter(|&&a| a).count())
+        (
+            nets.swap_remove(survivor),
+            alive.iter().filter(|&&a| a).count(),
+        )
     };
     model.clear_caches();
     let accuracy = dl_nn::metrics::accuracy(&model.predict(&eval.x), &eval.y);
@@ -615,7 +629,8 @@ mod tests {
         let plan = FaultPlan::from_profile(&FaultProfile::none(5), 4, 40);
         assert!(plan.is_empty());
         let (plain_net, plain) = local_sgd(&cluster(4), &data, &eval, &dims, &config.base);
-        let (res_net, report) = resilient_local_sgd(&cluster(4), &data, &eval, &dims, &config, &plan);
+        let (res_net, report) =
+            resilient_local_sgd(&cluster(4), &data, &eval, &dims, &config, &plan);
         assert_eq!(plain_net.flat_params(), res_net.flat_params());
         assert_eq!(report.accuracy, plain.accuracy);
         assert_eq!(report.bytes_communicated, plain.bytes_communicated);
@@ -706,8 +721,14 @@ mod tests {
             },
         ]);
         let clean_bytes = {
-            let (_, r) =
-                resilient_local_sgd(&cluster(4), &data, &eval, &dims, &config, &FaultPlan::none());
+            let (_, r) = resilient_local_sgd(
+                &cluster(4),
+                &data,
+                &eval,
+                &dims,
+                &config,
+                &FaultPlan::none(),
+            );
             r.bytes_communicated
         };
         let (_, report) = resilient_local_sgd(&cluster(4), &data, &eval, &dims, &config, &plan);
@@ -729,8 +750,14 @@ mod tests {
             from_step: 4,
             to_step: 12,
         }]);
-        let (_, clean) =
-            resilient_local_sgd(&cluster(4), &data, &eval, &dims, &config, &FaultPlan::none());
+        let (_, clean) = resilient_local_sgd(
+            &cluster(4),
+            &data,
+            &eval,
+            &dims,
+            &config,
+            &FaultPlan::none(),
+        );
         let (_, degraded) = resilient_local_sgd(&cluster(4), &data, &eval, &dims, &config, &plan);
         assert!(degraded.allreduce_retries > 0);
         assert!(degraded.simulated_seconds > clean.simulated_seconds);
@@ -749,9 +776,16 @@ mod tests {
             from_step: 0,
             to_step: 24,
         }]);
-        let (clean_net, clean) =
-            resilient_local_sgd(&cluster(4), &data, &eval, &dims, &config, &FaultPlan::none());
-        let (slow_net, slow) = resilient_local_sgd(&cluster(4), &data, &eval, &dims, &config, &plan);
+        let (clean_net, clean) = resilient_local_sgd(
+            &cluster(4),
+            &data,
+            &eval,
+            &dims,
+            &config,
+            &FaultPlan::none(),
+        );
+        let (slow_net, slow) =
+            resilient_local_sgd(&cluster(4), &data, &eval, &dims, &config, &plan);
         // a straggler changes time, not the parameter trajectory
         assert_eq!(clean_net.flat_params(), slow_net.flat_params());
         assert!(slow.simulated_seconds > clean.simulated_seconds);
@@ -866,10 +900,20 @@ mod tests {
             };
             let (clean_net, clean) = run(&FaultPlan::none());
             let (slow_net, slow) = run(&FaultPlan::new(events));
-            assert_eq!(clean_net.flat_params(), slow_net.flat_params(), "case {case}");
-            assert!(slow.simulated_seconds >= clean.simulated_seconds, "case {case}");
+            assert_eq!(
+                clean_net.flat_params(),
+                slow_net.flat_params(),
+                "case {case}"
+            );
+            assert!(
+                slow.simulated_seconds >= clean.simulated_seconds,
+                "case {case}"
+            );
             assert_eq!(slow.sync_rounds, clean.sync_rounds, "case {case}");
-            assert_eq!(slow.bytes_communicated, clean.bytes_communicated, "case {case}");
+            assert_eq!(
+                slow.bytes_communicated, clean.bytes_communicated,
+                "case {case}"
+            );
         }
     }
 
@@ -897,7 +941,11 @@ mod tests {
             let run = || resilient_local_sgd(&cluster, &data, &data, &[4, 6, 2], &config, &plan);
             let (net_a, a) = run();
             let (net_b, b) = run();
-            assert_eq!(a.useful_samples + a.lost_samples, a.total_samples, "case {case}");
+            assert_eq!(
+                a.useful_samples + a.lost_samples,
+                a.total_samples,
+                "case {case}"
+            );
             assert!(a.crashes <= plan.crash_count(), "case {case}");
             assert!(a.final_workers <= cluster.len(), "case {case}");
             assert_eq!(a, b, "case {case}");
@@ -927,8 +975,7 @@ mod tests {
                 })
                 .collect();
             let plan = FaultPlan::new(events);
-            let (_, report) =
-                resilient_local_sgd(&cluster(4), &data, &eval, &dims, &config, &plan);
+            let (_, report) = resilient_local_sgd(&cluster(4), &data, &eval, &dims, &config, &plan);
             assert!(
                 report.goodput <= last + 1e-9,
                 "goodput rose from {last} to {} at {k} crashes",

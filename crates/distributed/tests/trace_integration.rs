@@ -211,10 +211,16 @@ fn local_sgd_trace_is_the_fault_free_resilient_trace_in_its_own_run_span() {
     let (p, r) = (plain.events(), resilient.events());
     assert_eq!(p.len(), r.len());
     let (start, end) = (&p[0], &p[p.len() - 1]);
-    assert_eq!((start.kind, start.name), (EventKind::SpanStart, "local_sgd"));
+    assert_eq!(
+        (start.kind, start.name),
+        (EventKind::SpanStart, "local_sgd")
+    );
     assert_eq!((end.kind, end.name), (EventKind::SpanEnd, "local_sgd"));
     assert_eq!(end.fields, report.to_fields());
-    assert_eq!((r[0].kind, r[0].name), (EventKind::SpanStart, "resilient_local_sgd"));
+    assert_eq!(
+        (r[0].kind, r[0].name),
+        (EventKind::SpanStart, "resilient_local_sgd")
+    );
     assert_eq!(p[1..p.len() - 1], r[1..r.len() - 1]);
     assert_eq!(plain.clock().now(), report.simulated_seconds);
 }

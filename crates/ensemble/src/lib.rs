@@ -95,7 +95,10 @@ impl Ensemble {
     /// Total forward FLOPs for one input across all members (the
     /// inference-time metric).
     pub fn inference_flops(&self) -> u64 {
-        self.members.iter().map(|m| m.cost_profile(1).forward_flops).sum()
+        self.members
+            .iter()
+            .map(|m| m.cost_profile(1).forward_flops)
+            .sum()
     }
 }
 

@@ -11,8 +11,8 @@
 //! heterogeneous widths; the mother is the per-layer minimum width.
 
 use crate::{Ensemble, EnsembleReport};
-use dl_nn::{Dense, Layer, Network, Optimizer, TrainConfig, Trainer};
 use dl_nn::Dataset;
+use dl_nn::{Dense, Layer, Network, Optimizer, TrainConfig, Trainer};
 use dl_tensor::init;
 use rand::rngs::StdRng;
 

@@ -27,7 +27,10 @@ pub fn snapshot(
     seed: u64,
     rng: &mut StdRng,
 ) -> (Ensemble, EnsembleReport) {
-    assert!(members > 0 && cycle_len > 0, "members and cycle_len must be positive");
+    assert!(
+        members > 0 && cycle_len > 0,
+        "members and cycle_len must be positive"
+    );
     let mut net = Network::mlp(dims, rng);
     let mut trainer = Trainer::new(
         TrainConfig {

@@ -94,7 +94,12 @@ impl TreeNet {
 
     /// Total parameters (trunk counted once — the memory saving).
     pub fn total_params(&self) -> usize {
-        self.trunk.param_count() + self.branches.iter().map(Network::param_count).sum::<usize>()
+        self.trunk.param_count()
+            + self
+                .branches
+                .iter()
+                .map(Network::param_count)
+                .sum::<usize>()
     }
 
     /// Forward FLOPs per input (trunk counted once — the inference saving).
@@ -155,7 +160,10 @@ pub fn treenet(
         (0..config.members).map(|_| Optimizer::adam(0.01)).collect();
     let mut shuffle_rng = init::rng(config.seed);
     // FLOP accounting: trunk once + branches per step
-    let trunk_step = tree.trunk.cost_profile(config.batch_size).train_step_flops();
+    let trunk_step = tree
+        .trunk
+        .cost_profile(config.batch_size)
+        .train_step_flops();
     let branch_step: u64 = tree
         .branches
         .iter()
@@ -204,8 +212,8 @@ pub fn flatten(tree: &TreeNet) -> Ensemble {
 mod tests {
     use super::*;
     use crate::independent;
-    use dl_nn::TrainConfig;
     use dl_data::blobs;
+    use dl_nn::TrainConfig;
     use dl_tensor::init::rng;
 
     fn config() -> TreeNetConfig {
@@ -304,6 +312,9 @@ mod tests {
             seed: 2,
         };
         let (tree, _) = treenet(&data, &data, &cfg, &mut r);
-        assert_ne!(tree.branches[0].flat_params(), tree.branches[1].flat_params());
+        assert_ne!(
+            tree.branches[0].flat_params(),
+            tree.branches[1].flat_params()
+        );
     }
 }

@@ -359,9 +359,15 @@ mod tests {
             assert_eq!(folded.group1, full.group1, "window {window}");
             // Integer counts -> every derived metric is bit-identical.
             for (a, b) in [
-                (folded.demographic_parity_diff(), full.demographic_parity_diff()),
+                (
+                    folded.demographic_parity_diff(),
+                    full.demographic_parity_diff(),
+                ),
                 (folded.equalized_odds_gap(), full.equalized_odds_gap()),
-                (folded.equal_opportunity_diff(), full.equal_opportunity_diff()),
+                (
+                    folded.equal_opportunity_diff(),
+                    full.equal_opportunity_diff(),
+                ),
                 (folded.disparate_impact(), full.disparate_impact()),
                 (folded.accuracy(), full.accuracy()),
             ] {

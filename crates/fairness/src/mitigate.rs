@@ -186,17 +186,12 @@ pub fn adversarial_debias(
 ///
 /// # Panics
 /// Panics on length mismatch.
-pub fn threshold_adjust(
-    scores: &Tensor,
-    labels: &[usize],
-    groups: &[usize],
-) -> MitigationResult {
+pub fn threshold_adjust(scores: &Tensor, labels: &[usize], groups: &[usize]) -> MitigationResult {
     assert_eq!(scores.dims()[0], labels.len(), "length mismatch");
     assert_eq!(labels.len(), groups.len(), "length mismatch");
     let pos_scores: Vec<f32> = (0..labels.len()).map(|i| scores.get(&[i, 1])).collect();
     // overall positive rate at threshold 0.5 is the target
-    let target_rate =
-        pos_scores.iter().filter(|&&s| s >= 0.5).count() as f64 / labels.len() as f64;
+    let target_rate = pos_scores.iter().filter(|&&s| s >= 0.5).count() as f64 / labels.len() as f64;
     // per group, pick the threshold whose positive rate is closest to the target
     let mut thresholds = [0.5f32; 2];
     for (g, threshold) in thresholds.iter_mut().enumerate() {
@@ -406,8 +401,7 @@ mod tests {
         let census = biased_census(10);
         let (net, base) = baseline(&census, 11);
         let scores = net.predict_proba(&census.features);
-        let result =
-            threshold_equal_opportunity(&scores, &census.labels, &census.groups, 0.85);
+        let result = threshold_equal_opportunity(&scores, &census.labels, &census.groups, 0.85);
         let gap = result.report.equal_opportunity_diff().abs();
         assert!(
             gap < base.equal_opportunity_diff().abs(),

@@ -96,7 +96,11 @@ mod tests {
 
     #[test]
     fn emissions_proportional_to_intensity() {
-        let e = energy_for(&HardwareProfile::datacenter_gpu(), 1_000_000_000_000_000, 1.1);
+        let e = energy_for(
+            &HardwareProfile::datacenter_gpu(),
+            1_000_000_000_000_000,
+            1.1,
+        );
         let hydro = CarbonReport::from_energy(&e, Region::HydroNorth);
         let coal = CarbonReport::from_energy(&e, Region::CoalBelt);
         assert!((coal.grams_co2e / hydro.grams_co2e - 25.0).abs() < 0.1);
@@ -105,8 +109,7 @@ mod tests {
     #[test]
     fn diurnal_profile_averages_to_base() {
         for region in Region::all() {
-            let mean: f64 =
-                (0..24).map(|h| region.intensity_at(h)).sum::<f64>() / 24.0;
+            let mean: f64 = (0..24).map(|h| region.intensity_at(h)).sum::<f64>() / 24.0;
             assert!(
                 (mean - region.intensity()).abs() < region.intensity() * 0.02,
                 "{}: mean {mean}",

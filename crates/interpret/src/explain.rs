@@ -100,7 +100,10 @@ pub fn lime_explain(
 ) -> LimeExplanation {
     assert_eq!(x.dims()[0], 1, "lime expects a single row");
     let d = x.dims()[1];
-    assert!(samples >= d + 2, "need more samples ({samples}) than features ({d})");
+    assert!(
+        samples >= d + 2,
+        "need more samples ({samples}) than features ({d})"
+    );
     let mut rng = init::rng(seed);
     // perturbations and their model outputs
     let noise = init::normal([samples, d], 0.0, 0.5, &mut rng);
@@ -287,8 +290,8 @@ impl SurrogateTree {
                     continue;
                 }
                 let n = indices.len() as f64;
-                let weighted = gini(&left) * left.len() as f64 / n
-                    + gini(&right) * right.len() as f64 / n;
+                let weighted =
+                    gini(&left) * left.len() as f64 / n + gini(&right) * right.len() as f64 / n;
                 let gain = parent_gini - weighted;
                 if best.is_none_or(|(g, _, _)| gain > g) {
                     best = Some((gain, f, t));

@@ -31,10 +31,10 @@ pub mod query;
 pub mod reduce;
 pub mod store;
 
+pub use evolution::{class_correlation_evolution, dead_unit_census, UnitTrajectory};
 pub use explain::{
     activation_maximization, lime_explain, saliency, LimeExplanation, SurrogateTree,
 };
-pub use evolution::{class_correlation_evolution, dead_unit_census, UnitTrajectory};
 pub use inversion::{invert_input, truncate, Inversion, InversionConfig};
 pub use query::{ActivationQuery, QueryResult};
 pub use reduce::{neighborhood_preservation, pca, tsne, TsneConfig};

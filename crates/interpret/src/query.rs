@@ -68,8 +68,7 @@ impl ActivationQuery {
                 let var_y: f64 = indicator.iter().map(|y| (y - mean_y).powi(2)).sum();
                 let mut scored: Vec<UnitScore> = (0..units)
                     .map(|u| {
-                        let vals: Vec<f64> =
-                            (0..n).map(|i| f64::from(acts.get(&[i, u]))).collect();
+                        let vals: Vec<f64> = (0..n).map(|i| f64::from(acts.get(&[i, u]))).collect();
                         let mean_x = vals.iter().sum::<f64>() / n as f64;
                         let var_x: f64 = vals.iter().map(|x| (x - mean_x).powi(2)).sum();
                         let cov: f64 = vals

@@ -134,7 +134,11 @@ pub fn tsne(x: &Tensor, config: &TsneConfig) -> Tensor {
             }
             if entropy > target_entropy {
                 beta_lo = beta;
-                beta = if beta_hi >= 1e12 { beta * 2.0 } else { 0.5 * (beta + beta_hi) };
+                beta = if beta_hi >= 1e12 {
+                    beta * 2.0
+                } else {
+                    0.5 * (beta + beta_hi)
+                };
             } else {
                 beta_hi = beta;
                 beta = 0.5 * (beta + beta_lo);
@@ -169,7 +173,11 @@ pub fn tsne(x: &Tensor, config: &TsneConfig) -> Tensor {
         .collect();
     let mut velocity = vec![0.0f64; n * 2];
     for iter in 0..config.iterations {
-        let exaggeration = if iter < config.exaggeration_iters { 4.0 } else { 1.0 };
+        let exaggeration = if iter < config.exaggeration_iters {
+            4.0
+        } else {
+            1.0
+        };
         // student-t affinities in the embedding
         let mut q = vec![0.0f64; n * n];
         let mut qsum = 0.0f64;

@@ -155,7 +155,8 @@ impl IntermediateStore {
             chunks.push(h);
         }
         self.logical_bytes += (rows * cols * 4) as u64;
-        self.matrices.insert(key, StoredMatrix { rows, cols, chunks });
+        self.matrices
+            .insert(key, StoredMatrix { rows, cols, chunks });
     }
 
     /// Fetches (dequantizes) a stored matrix. Returns the tensor and the

@@ -38,7 +38,9 @@ impl BloomFilter {
     pub fn with_fpr(n: usize, fpr: f64) -> Self {
         assert!(fpr > 0.0 && fpr < 1.0, "fpr must lie in (0,1)");
         let nbits = (-(n.max(1) as f64) * fpr.ln() / (2f64.ln().powi(2))).ceil() as usize;
-        let k = ((nbits as f64 / n.max(1) as f64) * 2f64.ln()).round().max(1.0) as u32;
+        let k = ((nbits as f64 / n.max(1) as f64) * 2f64.ln())
+            .round()
+            .max(1.0) as u32;
         BloomFilter::new(nbits.max(8), k)
     }
 
@@ -119,7 +121,10 @@ impl LearnedBloom {
     /// # Panics
     /// Panics when `keys` or `negatives` is empty.
     pub fn build(keys: &[u64], negatives: &[u64], target_fpr: f64, seed: u64) -> Self {
-        assert!(!keys.is_empty() && !negatives.is_empty(), "need keys and negatives");
+        assert!(
+            !keys.is_empty() && !negatives.is_empty(),
+            "need keys and negatives"
+        );
         let max_key = keys
             .iter()
             .chain(negatives.iter())
@@ -180,7 +185,10 @@ impl LearnedBloom {
     }
 
     fn scores(model: &mut Network, keys: &[u64], max_key: u64) -> Vec<f32> {
-        let xs: Vec<f32> = keys.iter().flat_map(|&k| key_features(k, max_key)).collect();
+        let xs: Vec<f32> = keys
+            .iter()
+            .flat_map(|&k| key_features(k, max_key))
+            .collect();
         let x = Tensor::from_vec(xs, [keys.len(), 6]).expect("feature length");
         let p = model.predict_proba(&x);
         (0..keys.len()).map(|i| p.get(&[i, 1])).collect()

@@ -81,7 +81,8 @@ impl HistogramEstimator {
         let min = self.mins[col];
         let max = self.maxs[col];
         let span = (max - min).max(1e-12);
-        let to_pos = |v: f32| (((v - min) / span) * self.buckets as f32).clamp(0.0, self.buckets as f32);
+        let to_pos =
+            |v: f32| (((v - min) / span) * self.buckets as f32).clamp(0.0, self.buckets as f32);
         let (plo, phi) = (to_pos(lo), to_pos(hi));
         let mut total = 0.0;
         for b in 0..self.buckets {
@@ -248,7 +249,10 @@ mod tests {
         let p = RangePredicate::new(vec![(0, 20.0, 60.0)]);
         let est = h.estimate(&p);
         let truth = t.true_selectivity(&p);
-        assert!(q_error(est, truth, t.rows()) < 1.3, "est {est} truth {truth}");
+        assert!(
+            q_error(est, truth, t.rows()) < 1.3,
+            "est {est} truth {truth}"
+        );
     }
 
     #[test]

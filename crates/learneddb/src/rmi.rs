@@ -111,7 +111,11 @@ impl RecursiveModelIndex {
             if counts[l] == 0 {
                 leaves.push(Linear {
                     slope: 0.0,
-                    intercept: if starts[l] == usize::MAX { 0.0 } else { starts[l] as f64 },
+                    intercept: if starts[l] == usize::MAX {
+                        0.0
+                    } else {
+                        starts[l] as f64
+                    },
                 });
                 errors.push(0);
                 continue;
@@ -169,11 +173,7 @@ impl RecursiveModelIndex {
         let mut max = 0usize;
         for (leaf, &err) in self.errors.iter().enumerate() {
             // weight by the number of keys routed to this leaf
-            let count = self
-                .keys
-                .iter()
-                .filter(|&&k| self.route(k) == leaf)
-                .count();
+            let count = self.keys.iter().filter(|&&k| self.route(k) == leaf).count();
             total += count * (2 * err + 1);
             max = max.max(2 * err + 1);
         }

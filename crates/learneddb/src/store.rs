@@ -218,7 +218,8 @@ mod tests {
         let ks = keys();
         let mut rng = dl_tensor::init::rng(3);
         let absent = dl_data::keys::absent_keys(&ks, 2000, &mut rng);
-        let mut unfiltered = LearnedStore::build(ks.clone(), IndexChoice::BTree, FilterChoice::None, 4);
+        let mut unfiltered =
+            LearnedStore::build(ks.clone(), IndexChoice::BTree, FilterChoice::None, 4);
         let mut filtered = LearnedStore::build(
             ks.clone(),
             IndexChoice::BTree,

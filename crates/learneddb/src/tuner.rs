@@ -312,8 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn page_size_sweet_spot_follows_workload()
-    {
+    fn page_size_sweet_spot_follows_workload() {
         let scan_heavy = DbSimulator::new(8, 0.9, 0.1);
         let point_heavy = DbSimulator::new(8, 0.1, 0.1);
         let best_ps = |d: &DbSimulator| d.optimum().0.page_size;

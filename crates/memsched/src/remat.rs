@@ -232,11 +232,10 @@ pub fn optimal_schedule(costs: &[LayerCost], budget: u64) -> Option<RematSchedul
         }
     }
     best.map(|s| RematSchedule {
-        peak_bytes: s.ckpt_bytes
-            + {
-                // recompute true max segment including the tail
-                evaluate(costs, &s.checkpoints).peak_bytes - s.ckpt_bytes
-            },
+        peak_bytes: s.ckpt_bytes + {
+            // recompute true max segment including the tail
+            evaluate(costs, &s.checkpoints).peak_bytes - s.ckpt_bytes
+        },
         recompute_flops: s.recompute,
         checkpoints: s.checkpoints,
     })
@@ -275,7 +274,11 @@ mod tests {
         let base = store_all(&chain);
         let sq = sqrt_schedule(&chain);
         // sqrt(64) = 8: 8 checkpoints + 7-layer segments ~ 15 units
-        assert!(sq.peak_bytes <= base.peak_bytes / 4, "peak {}", sq.peak_bytes);
+        assert!(
+            sq.peak_bytes <= base.peak_bytes / 4,
+            "peak {}",
+            sq.peak_bytes
+        );
         // at most one extra forward pass
         let total_fwd: u64 = chain.iter().map(|c| c.forward_flops).sum();
         assert!(sq.recompute_flops <= total_fwd);
@@ -344,7 +347,11 @@ mod tests {
         let mut last = 0u64;
         for &b in &budgets {
             let s = optimal_schedule(&chain, b).expect("feasible");
-            assert!(s.peak_bytes <= b, "peak {} exceeds budget {b}", s.peak_bytes);
+            assert!(
+                s.peak_bytes <= b,
+                "peak {} exceeds budget {b}",
+                s.peak_bytes
+            );
             assert!(
                 s.recompute_flops >= last,
                 "less memory must not reduce recompute"

@@ -101,8 +101,14 @@ mod tests {
     #[test]
     fn staler_models_are_better_victims() {
         let c = reload_cost(100_000_000, 1e9, 1e-4);
-        let hot = ResidencyStats { hits: 5, last_access: 100 };
-        let cold = ResidencyStats { hits: 5, last_access: 10 };
+        let hot = ResidencyStats {
+            hits: 5,
+            last_access: 100,
+        };
+        let cold = ResidencyStats {
+            hits: 5,
+            last_access: 10,
+        };
         assert!(eviction_score(c, cold, 100) < eviction_score(c, hot, 100));
     }
 
@@ -110,15 +116,24 @@ mod tests {
     fn cheaper_reloads_are_better_victims() {
         let small = reload_cost(1_000_000, 1e9, 1e-4);
         let big = reload_cost(1_000_000_000, 1e9, 1e-4);
-        let s = ResidencyStats { hits: 3, last_access: 50 };
+        let s = ResidencyStats {
+            hits: 3,
+            last_access: 50,
+        };
         assert!(eviction_score(small, s, 60) < eviction_score(big, s, 60));
     }
 
     #[test]
     fn hotter_models_are_worse_victims() {
         let c = reload_cost(50_000_000, 1e9, 1e-4);
-        let rare = ResidencyStats { hits: 1, last_access: 40 };
-        let hot = ResidencyStats { hits: 100, last_access: 40 };
+        let rare = ResidencyStats {
+            hits: 1,
+            last_access: 40,
+        };
+        let hot = ResidencyStats {
+            hits: 100,
+            last_access: 40,
+        };
         assert!(eviction_score(c, rare, 50) < eviction_score(c, hot, 50));
     }
 
@@ -126,7 +141,10 @@ mod tests {
     #[should_panic(expected = "never rewind")]
     fn rewinding_ticks_panic() {
         let c = reload_cost(1, 1e9, 0.0);
-        let s = ResidencyStats { hits: 0, last_access: 10 };
+        let s = ResidencyStats {
+            hits: 0,
+            last_access: 10,
+        };
         let _ = eviction_score(c, s, 5);
     }
 }

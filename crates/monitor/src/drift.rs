@@ -91,7 +91,11 @@ impl ReferenceProfile {
             hi = hi.max(v);
         }
         // Degenerate all-equal data still gets a positive-width grid.
-        let width = if hi > lo { (hi - lo) / bins as f64 } else { 1.0 };
+        let width = if hi > lo {
+            (hi - lo) / bins as f64
+        } else {
+            1.0
+        };
         let mut counts = vec![0u64; bins + 2];
         let mut profile = ReferenceProfile {
             lo,
@@ -328,7 +332,10 @@ mod tests {
     fn degenerate_constant_reference_still_bins() {
         let r = ReferenceProfile::from_values(&[3.0; 50], 4);
         let b = r.bin_of(3.0);
-        assert!((1..=4).contains(&b), "constant data lands in an interior bin");
+        assert!(
+            (1..=4).contains(&b),
+            "constant data lands in an interior bin"
+        );
         assert!((r.probs().iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
@@ -378,8 +385,14 @@ mod tests {
             d.observe_pred(0);
         }
         let s = d.roll();
-        assert!(s.input_psi.expect("enough samples") > 0.25, "must flag shift");
-        assert!(s.pred_kl.expect("enough samples") > 0.3, "must flag collapse");
+        assert!(
+            s.input_psi.expect("enough samples") > 0.25,
+            "must flag shift"
+        );
+        assert!(
+            s.pred_kl.expect("enough samples") > 0.3,
+            "must flag collapse"
+        );
         // Sliding window: two clean windows later the verdict clears.
         for _ in 0..2 {
             for i in 0..50 {

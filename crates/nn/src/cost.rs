@@ -152,10 +152,7 @@ mod tests {
         assert_eq!(p.params, (2 * 3 + 3) + (3 + 1));
         assert_eq!(p.param_bytes(), p.params * 4);
         assert_eq!(p.activation_elems, 3 + 3 + 1);
-        assert_eq!(
-            p.train_step_flops(),
-            p.forward_flops + p.backward_flops
-        );
+        assert_eq!(p.train_step_flops(), p.forward_flops + p.backward_flops);
     }
 
     #[test]

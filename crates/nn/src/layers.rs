@@ -92,9 +92,18 @@ impl Layer {
     /// Trainable parameters, paired with their gradients, in a fixed order.
     pub fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
         match self {
-            Layer::Dense(l) => vec![(&mut l.weight, &mut l.grad_weight), (&mut l.bias, &mut l.grad_bias)],
-            Layer::Conv2d(l) => vec![(&mut l.weight, &mut l.grad_weight), (&mut l.bias, &mut l.grad_bias)],
-            Layer::BatchNorm1d(l) => vec![(&mut l.gamma, &mut l.grad_gamma), (&mut l.beta, &mut l.grad_beta)],
+            Layer::Dense(l) => vec![
+                (&mut l.weight, &mut l.grad_weight),
+                (&mut l.bias, &mut l.grad_bias),
+            ],
+            Layer::Conv2d(l) => vec![
+                (&mut l.weight, &mut l.grad_weight),
+                (&mut l.bias, &mut l.grad_bias),
+            ],
+            Layer::BatchNorm1d(l) => vec![
+                (&mut l.gamma, &mut l.grad_gamma),
+                (&mut l.beta, &mut l.grad_beta),
+            ],
             _ => Vec::new(),
         }
     }
@@ -396,7 +405,10 @@ impl Dropout {
     /// # Panics
     /// Panics unless `0 <= p < 1`.
     pub fn new(p: f32, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&p), "dropout probability must be in [0,1), got {p}");
+        assert!(
+            (0.0..1.0).contains(&p),
+            "dropout probability must be in [0,1), got {p}"
+        );
         Dropout {
             p,
             seed,
@@ -413,7 +425,10 @@ impl Dropout {
     /// Panics unless `0 <= p < 1`.
     #[must_use]
     pub fn from_state(p: f32, seed: u64, step: u64) -> Self {
-        assert!((0.0..1.0).contains(&p), "dropout probability must be in [0,1), got {p}");
+        assert!(
+            (0.0..1.0).contains(&p),
+            "dropout probability must be in [0,1), got {p}"
+        );
         Dropout {
             p,
             seed,
@@ -444,7 +459,13 @@ impl Dropout {
         let keep = 1.0 - self.p;
         let mask = Tensor::from_vec(
             (0..x.len())
-                .map(|_| if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 })
+                .map(|_| {
+                    if rng.gen::<f32>() < keep {
+                        1.0 / keep
+                    } else {
+                        0.0
+                    }
+                })
                 .collect(),
             x.shape().clone(),
         )
@@ -698,8 +719,7 @@ impl MaxPool2d {
                             for kx in 0..self.k {
                                 let iy = oy * self.stride + ky;
                                 let ix = ox * self.stride + kx;
-                                let idx =
-                                    base + (c * self.height + iy) * self.width + ix;
+                                let idx = base + (c * self.height + iy) * self.width + ix;
                                 let v = x.data()[idx];
                                 if v > best_val {
                                     best_val = v;
@@ -886,8 +906,7 @@ mod tests {
             xm.data_mut()[i] -= eps;
             let mut lm = layer.clone();
             let ym = lm.forward(&xm, true);
-            let numeric =
-                (yp.sum_squares() / 2.0 - ym.sum_squares() / 2.0) / (2.0 * eps);
+            let numeric = (yp.sum_squares() / 2.0 - ym.sum_squares() / 2.0) / (2.0 * eps);
             let analytic = gx.data()[i];
             assert!(
                 (numeric - analytic).abs() <= tol * (1.0 + numeric.abs()),
@@ -995,11 +1014,8 @@ mod tests {
         let mut conv = Conv2d::new(1, 1, 3, 3, 2, 2, 1, 0, &mut r);
         conv.weight = Tensor::from_vec(vec![1.0, 0.0, 0.0, -1.0], [1, 4]).unwrap();
         conv.bias = Tensor::zeros([1]);
-        let x = Tensor::from_vec(
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
-            [1, 9],
-        )
-        .unwrap();
+        let x =
+            Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0], [1, 9]).unwrap();
         let y = conv.forward(&x);
         assert_eq!(y.dims(), &[1, 4]);
         assert_eq!(y.data(), &[-4.0, -4.0, -4.0, -4.0]);
@@ -1044,11 +1060,7 @@ mod tests {
     #[test]
     fn maxpool_forward_and_routing() {
         let mut pool = MaxPool2d::new(1, 4, 4, 2, 2);
-        let x = Tensor::from_vec(
-            (0..16).map(|i| i as f32).collect(),
-            [1, 16],
-        )
-        .unwrap();
+        let x = Tensor::from_vec((0..16).map(|i| i as f32).collect(), [1, 16]).unwrap();
         let y = pool.forward(&x);
         assert_eq!(y.dims(), &[1, 4]);
         assert_eq!(y.data(), &[5.0, 7.0, 13.0, 15.0]);

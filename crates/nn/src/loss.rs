@@ -41,7 +41,10 @@ impl Loss {
                 let batch = predictions.dims()[0] as f32;
                 // CE = -sum(t * log p) / batch, guard log(0)
                 let loss = -probs
-                    .zip(targets, |p, t| if t > 0.0 { t * p.max(1e-12).ln() } else { 0.0 })
+                    .zip(
+                        targets,
+                        |p, t| if t > 0.0 { t * p.max(1e-12).ln() } else { 0.0 },
+                    )
                     .sum()
                     / batch;
                 let grad = (&probs - targets).map(|g| g / batch);

@@ -47,14 +47,18 @@ impl Network {
     /// # Panics
     /// Panics when fewer than two widths are given.
     pub fn mlp(dims: &[usize], rng: &mut StdRng) -> Self {
-        assert!(dims.len() >= 2, "an MLP needs at least input and output widths");
+        assert!(
+            dims.len() >= 2,
+            "an MLP needs at least input and output widths"
+        );
         let mut net = Network::new(dims[0]);
         for w in dims.windows(2).take(dims.len() - 2) {
             net.layers.push(Layer::Dense(Dense::new(w[0], w[1], rng)));
             net.layers.push(Layer::ReLU(ReLU::new()));
         }
         let last = &dims[dims.len() - 2..];
-        net.layers.push(Layer::Dense(Dense::new(last[0], last[1], rng)));
+        net.layers
+            .push(Layer::Dense(Dense::new(last[0], last[1], rng)));
         net
     }
 
@@ -89,9 +93,11 @@ impl Network {
         net.layers.push(Layer::Conv2d(conv));
         net.layers.push(Layer::ReLU(ReLU::new()));
         net.layers.push(Layer::MaxPool2d(pool));
-        net.layers.push(Layer::Dense(Dense::new(pooled, hidden, rng)));
+        net.layers
+            .push(Layer::Dense(Dense::new(pooled, hidden, rng)));
         net.layers.push(Layer::ReLU(ReLU::new()));
-        net.layers.push(Layer::Dense(Dense::new(hidden, classes, rng)));
+        net.layers
+            .push(Layer::Dense(Dense::new(hidden, classes, rng)));
         net
     }
 
@@ -335,7 +341,10 @@ mod tests {
         // dense, relu, dense, relu, dense
         assert_eq!(net.layers().len(), 5);
         assert_eq!(Network::mlp(&[4, 2], &mut r).layers().len(), 1);
-        assert_eq!(net.param_count(), (4 * 16 + 16) + (16 * 8 + 8) + (8 * 3 + 3));
+        assert_eq!(
+            net.param_count(),
+            (4 * 16 + 16) + (16 * 8 + 8) + (8 * 3 + 3)
+        );
     }
 
     #[test]

@@ -179,7 +179,11 @@ impl LrSchedule {
                 let cycle_len = (*cycle_len).max(2);
                 let pos = (epoch % cycle_len) as f32 / cycle_len as f32;
                 // descend for the first half, ascend for the second
-                let t = if pos < 0.5 { pos * 2.0 } else { 2.0 - pos * 2.0 };
+                let t = if pos < 0.5 {
+                    pos * 2.0
+                } else {
+                    2.0 - pos * 2.0
+                };
                 1.0 + (floor - 1.0) * t
             }
         }
@@ -190,7 +194,9 @@ impl LrSchedule {
     /// cycle (Fast Geometric Ensembles).
     pub fn is_cycle_end(&self, epoch: usize) -> bool {
         match self {
-            LrSchedule::CyclicCosine { cycle_len } => (epoch + 1).is_multiple_of((*cycle_len).max(1)),
+            LrSchedule::CyclicCosine { cycle_len } => {
+                (epoch + 1).is_multiple_of((*cycle_len).max(1))
+            }
             LrSchedule::CyclicTriangular { cycle_len, .. } => {
                 let cycle_len = (*cycle_len).max(2);
                 epoch % cycle_len == cycle_len / 2
@@ -277,7 +283,11 @@ mod tests {
         let mut g = Tensor::from_vec(vec![0.3], [1]).unwrap();
         let mut opt = Optimizer::adam(0.1);
         opt.step(&mut [(&mut p, &mut g)], 1.0);
-        assert!((p.data()[0].abs() - 0.1).abs() < 1e-3, "step was {}", p.data()[0]);
+        assert!(
+            (p.data()[0].abs() - 0.1).abs() < 1e-3,
+            "step was {}",
+            p.data()[0]
+        );
     }
 
     #[test]

@@ -60,7 +60,10 @@ fn chrome_record(event: &Event) -> String {
         // instant scope: thread-local, the narrowest marker
         out.push_str(",\"s\":\"t\"");
     }
-    out.push_str(&format!(",\"tid\":{},\"ts\":{}", event.track, event.ts_micros));
+    out.push_str(&format!(
+        ",\"tid\":{},\"ts\":{}",
+        event.track, event.ts_micros
+    ));
     out.push('}');
     out
 }
@@ -303,6 +306,9 @@ mod tests {
         let s = String::from_utf8(buf).unwrap();
         assert!(s.starts_with("[\n") && s.ends_with("]\n"));
         assert_eq!(s.matches("\"cat\":\"flow\"").count(), 2);
-        assert!(!s.contains("\n,"), "comma placement stays on the record line");
+        assert!(
+            !s.contains("\n,"),
+            "comma placement stays on the record line"
+        );
     }
 }

@@ -33,7 +33,11 @@ fn scenario() -> TimelineRecorder {
     let ckpt = rec.span_start(0, "checkpoint_write", fields! { "step" => 24usize });
     rec.clock().advance(0.03125);
     rec.span_end(ckpt, fields! { "bytes" => 2080u64 });
-    rec.instant(2, "rejoin", fields! { "worker" => 2usize, "source" => "checkpoint" });
+    rec.instant(
+        2,
+        "rejoin",
+        fields! { "worker" => 2usize, "source" => "checkpoint" },
+    );
     rec.span_end(
         run,
         fields! { "accuracy" => 0.9375, "note" => "quote \" backslash \\ done" },
@@ -45,7 +49,10 @@ fn scenario() -> TimelineRecorder {
 fn chrome_trace_matches_golden_file() {
     let rendered = export::chrome_trace_to_string(&scenario().events());
     if std::env::var_os("DL_OBS_REGEN_GOLDEN").is_some() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chrome_trace.json");
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/chrome_trace.json"
+        );
         std::fs::write(path, &rendered).expect("write golden file");
         return;
     }
@@ -64,14 +71,18 @@ fn golden_file_is_loadable_trace_event_json() {
     // required trace_event keys, and B/E edges are balanced per tid.
     let golden = include_str!("golden/chrome_trace.json");
     assert!(golden.starts_with("[\n") && golden.ends_with("]\n"));
-    let records: Vec<&str> = golden
-        .lines()
-        .filter(|l| l.starts_with('{'))
-        .collect();
+    let records: Vec<&str> = golden.lines().filter(|l| l.starts_with('{')).collect();
     assert!(!records.is_empty());
     let mut depth = 0i64;
     for r in &records {
-        for key in ["\"name\":", "\"ph\":", "\"pid\":", "\"tid\":", "\"ts\":", "\"args\":"] {
+        for key in [
+            "\"name\":",
+            "\"ph\":",
+            "\"pid\":",
+            "\"tid\":",
+            "\"ts\":",
+            "\"args\":",
+        ] {
             assert!(r.contains(key), "record missing {key}: {r}");
         }
         if r.contains("\"ph\":\"B\"") {
@@ -127,8 +138,7 @@ fn flow_scenario() -> (TimelineRecorder, Vec<export::Flow>) {
 fn chrome_trace_with_flows_matches_golden_file() {
     let (rec, flows) = flow_scenario();
     let mut buf = Vec::new();
-    export::write_chrome_trace_with_flows(&rec.events(), &flows, &mut buf)
-        .expect("in-memory sink");
+    export::write_chrome_trace_with_flows(&rec.events(), &flows, &mut buf).expect("in-memory sink");
     let rendered = String::from_utf8(buf).expect("utf-8");
     if std::env::var_os("DL_OBS_REGEN_GOLDEN").is_some() {
         let path = concat!(

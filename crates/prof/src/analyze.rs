@@ -400,7 +400,11 @@ mod tests {
         let run = rec.span_start(0, "resilient_local_sgd", fields! { "workers" => 2usize });
         // round 0 (step 0): 1s compute, 2s sync
         rec.clock().advance(1.0);
-        let s = rec.span_start(0, "sync_round", fields! { "round" => 0usize, "step" => 0usize });
+        let s = rec.span_start(
+            0,
+            "sync_round",
+            fields! { "round" => 0usize, "step" => 0usize },
+        );
         rec.clock().advance(2.0);
         rec.span_end(s, fields! {});
         // checkpoint: 0.5s
@@ -409,7 +413,11 @@ mod tests {
         rec.span_end(c, fields! {});
         // round 1 (step 1): 1s compute, 2s sync
         rec.clock().advance(1.0);
-        let s = rec.span_start(0, "sync_round", fields! { "round" => 1usize, "step" => 1usize });
+        let s = rec.span_start(
+            0,
+            "sync_round",
+            fields! { "round" => 1usize, "step" => 1usize },
+        );
         rec.clock().advance(2.0);
         rec.span_end(s, fields! {});
         // crash on worker 1: 3s detection, then 1s restore to rollback
@@ -423,17 +431,29 @@ mod tests {
         );
         // replayed round (step 1 again): 1s compute, 2s sync
         rec.clock().advance(1.0);
-        let s = rec.span_start(0, "sync_round", fields! { "round" => 2usize, "step" => 1usize });
+        let s = rec.span_start(
+            0,
+            "sync_round",
+            fields! { "round" => 2usize, "step" => 1usize },
+        );
         rec.clock().advance(2.0);
         rec.span_end(s, fields! {});
         // new progress (step 2): 1s compute, 2s sync
         rec.clock().advance(1.0);
-        let s = rec.span_start(0, "sync_round", fields! { "round" => 3usize, "step" => 2usize });
+        let s = rec.span_start(
+            0,
+            "sync_round",
+            fields! { "round" => 3usize, "step" => 2usize },
+        );
         rec.clock().advance(2.0);
         rec.span_end(s, fields! {});
         // rejoin of worker 1 after 0.5s regroup, then run tail
         rec.clock().advance(0.5);
-        rec.instant(2, "rejoin", fields! { "worker" => 1usize, "step" => 3usize, "source" => "checkpoint" });
+        rec.instant(
+            2,
+            "rejoin",
+            fields! { "worker" => 1usize, "step" => 3usize, "source" => "checkpoint" },
+        );
         rec.clock().advance(0.25);
         rec.span_end(run, fields! {});
         rec.events()
@@ -445,9 +465,18 @@ mod tests {
         assert!((p.total_seconds - 17.25).abs() < 1e-9);
         assert!((p.sync_seconds - 6.0).abs() < 1e-9, "3 live rounds x 2s");
         assert!((p.checkpoint_seconds - 0.5).abs() < 1e-9);
-        assert!((p.recovery_seconds - 4.5).abs() < 1e-9, "3s detect + 1s restore + 0.5s rejoin");
-        assert!((p.replay_seconds - 3.0).abs() < 1e-9, "replayed round + its compute");
-        assert!((p.compute_seconds - 3.25).abs() < 1e-9, "3 fresh rounds + tail");
+        assert!(
+            (p.recovery_seconds - 4.5).abs() < 1e-9,
+            "3s detect + 1s restore + 0.5s rejoin"
+        );
+        assert!(
+            (p.replay_seconds - 3.0).abs() < 1e-9,
+            "replayed round + its compute"
+        );
+        assert!(
+            (p.compute_seconds - 3.25).abs() < 1e-9,
+            "3 fresh rounds + tail"
+        );
         assert!(p.unattributed_seconds() < 1e-9);
         assert_eq!(p.crash_count, 1);
         assert_eq!(p.rollback_count, 1);
@@ -462,13 +491,17 @@ mod tests {
         assert_eq!(w.crashes, 1);
         assert_eq!(w.rejoins, 1);
         assert!((w.lost_seconds() - 7.5).abs() < 1e-9);
-        assert!((w.share - 1.0).abs() < 1e-12, "only crasher owns all lost time");
+        assert!(
+            (w.share - 1.0).abs() < 1e-12,
+            "only crasher owns all lost time"
+        );
     }
 
     #[test]
     fn critical_path_excludes_parallel_compute() {
         let p = analyze(&fault_trace());
-        let expected = p.sync_seconds + p.checkpoint_seconds + p.recovery_seconds + p.replay_seconds;
+        let expected =
+            p.sync_seconds + p.checkpoint_seconds + p.recovery_seconds + p.replay_seconds;
         assert!((p.critical_path_seconds() - expected).abs() < 1e-12);
         assert!(p.explained_fraction() > 0.0 && p.explained_fraction() < 1.0);
     }
@@ -479,7 +512,11 @@ mod tests {
         let sync = p.spans.iter().find(|s| s.name == "sync_round").unwrap();
         assert_eq!(sync.count, 4);
         assert!((sync.seconds - 8.0).abs() < 1e-9);
-        let ckpt = p.spans.iter().find(|s| s.name == "checkpoint_write").unwrap();
+        let ckpt = p
+            .spans
+            .iter()
+            .find(|s| s.name == "checkpoint_write")
+            .unwrap();
         assert_eq!(ckpt.count, 1);
     }
 

@@ -48,7 +48,10 @@ impl Default for Tolerance {
     /// 2% relative with a tiny absolute floor — tight enough to catch a
     /// real perf change, loose enough to ignore float formatting jitter.
     fn default() -> Self {
-        Tolerance { rel: 0.02, abs: 1e-9 }
+        Tolerance {
+            rel: 0.02,
+            abs: 1e-9,
+        }
     }
 }
 
@@ -129,8 +132,7 @@ impl Baseline {
     /// `BENCH_E05.json`, `a1` -> `BENCH_A01.json`.
     #[must_use]
     pub fn file_name(id: &str) -> String {
-        let (letters, digits): (String, String) =
-            id.chars().partition(|c| !c.is_ascii_digit());
+        let (letters, digits): (String, String) = id.chars().partition(|c| !c.is_ascii_digit());
         let number: u64 = digits.parse().unwrap_or(0);
         format!("BENCH_{}{number:02}.json", letters.to_ascii_uppercase())
     }
@@ -219,8 +221,12 @@ impl Baseline {
     pub fn load(dir: &Path, id: &str) -> io::Result<Self> {
         let path = Self::path_for(dir, id);
         let text = std::fs::read_to_string(&path)?;
-        Self::from_json(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display())))
+        Self::from_json(&text).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: {e}", path.display()),
+            )
+        })
     }
 
     /// Diffs `current` against this baseline: every metric outside
@@ -475,8 +481,8 @@ mod json {
         {
             *pos += 1;
         }
-        let text = std::str::from_utf8(&bytes[start..*pos])
-            .map_err(|_| "invalid number".to_string())?;
+        let text =
+            std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid number".to_string())?;
         text.parse::<f64>()
             .map(Value::Number)
             .map_err(|_| format!("invalid number {text:?} at byte {start}"))

@@ -125,7 +125,10 @@ pub fn admit(policy: &AdmissionPolicy, ctx: &AdmissionContext<'_>, target: usize
             });
             for v in candidates {
                 if ctx.predicted_delay_s(v) <= budget {
-                    return Decision::Downgrade { from: target, to: v };
+                    return Decision::Downgrade {
+                        from: target,
+                        to: v,
+                    };
                 }
             }
             Decision::Shed
@@ -168,7 +171,10 @@ mod tests {
             busy_remaining_s: 1.0,
             residency_delay_s: 0.0,
         };
-        assert_eq!(admit(&AdmissionPolicy::AcceptAll, &ctx, 0), Decision::Accept(0));
+        assert_eq!(
+            admit(&AdmissionPolicy::AcceptAll, &ctx, 0),
+            Decision::Accept(0)
+        );
     }
 
     #[test]

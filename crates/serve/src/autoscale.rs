@@ -59,7 +59,10 @@ impl AutoscaleConfig {
             min_replicas >= 1 && min_replicas <= max_replicas,
             "need 1 <= min <= max replicas"
         );
-        assert!(provision_delay_s >= 0.0, "provision delay cannot be negative");
+        assert!(
+            provision_delay_s >= 0.0,
+            "provision delay cannot be negative"
+        );
         AutoscaleConfig {
             eval_period_s,
             window_s,

@@ -52,8 +52,7 @@ impl BatchPolicy {
     /// (`now - head >= delay` can round the other way in f64).
     #[must_use]
     pub fn ready(&self, len: usize, head_arrival_s: f64, now_s: f64, drain: bool) -> bool {
-        len > 0
-            && (len >= self.max_batch || drain || now_s >= head_arrival_s + self.max_delay_s)
+        len > 0 && (len >= self.max_batch || drain || now_s >= head_arrival_s + self.max_delay_s)
     }
 
     /// The earliest future time a queue of `len` requests with the given

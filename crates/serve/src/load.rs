@@ -247,10 +247,7 @@ mod tests {
         );
         // Identical draw sequence: samples match open_loop's exactly.
         let plain = open_loop(&cfg, 8);
-        assert!(flat
-            .iter()
-            .zip(&plain)
-            .all(|(b, p)| b.sample == p.sample));
+        assert!(flat.iter().zip(&plain).all(|(b, p)| b.sample == p.sample));
     }
 
     #[test]
@@ -291,13 +288,25 @@ mod tests {
         // valid (empty) schedule, not a panic or a NaN-rate one, and
         // every downstream rate estimator reads exactly 0.0 over it.
         assert!(open_loop(
-            &LoadConfig { rate_rps: 100.0, requests: 0, seed: 1 },
+            &LoadConfig {
+                rate_rps: 100.0,
+                requests: 0,
+                seed: 1
+            },
             4
         )
         .is_empty());
         assert!(bursty(
-            &LoadConfig { rate_rps: 100.0, requests: 0, seed: 1 },
-            &BurstConfig { period_s: 1.0, duty: 0.5, multiplier: 2.0 },
+            &LoadConfig {
+                rate_rps: 100.0,
+                requests: 0,
+                seed: 1
+            },
+            &BurstConfig {
+                period_s: 1.0,
+                duty: 0.5,
+                multiplier: 2.0
+            },
             4
         )
         .is_empty());
@@ -306,11 +315,19 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let a = open_loop(
-            &LoadConfig { rate_rps: 50.0, requests: 50, seed: 1 },
+            &LoadConfig {
+                rate_rps: 50.0,
+                requests: 50,
+                seed: 1,
+            },
             8,
         );
         let b = open_loop(
-            &LoadConfig { rate_rps: 50.0, requests: 50, seed: 2 },
+            &LoadConfig {
+                rate_rps: 50.0,
+                requests: 50,
+                seed: 2,
+            },
             8,
         );
         assert_ne!(a, b);

@@ -17,13 +17,13 @@
 //! and the numbers are already exact u64/f64 values.
 
 use crate::variant::{Variant, VariantModel, VariantRegistry};
+use dl_ensemble::Ensemble;
+use dl_nn::{CostProfile, LayerCost, Network};
 use dl_prof::{LayerProfile, NetworkProfile};
 use dl_store::{
     decode_network, decode_quantized_mlp, encode_network, encode_quantized_mlp, Artifact,
     ArtifactBuilder, HParam, StoreError,
 };
-use dl_ensemble::Ensemble;
-use dl_nn::{CostProfile, LayerCost, Network};
 use dl_tensor::acct::OpCost;
 
 /// Value of the `artifact.kind` hparam written by [`save_family`].
@@ -188,10 +188,7 @@ pub fn save_family(reg: &VariantRegistry) -> Vec<u8> {
             }
             VariantModel::Ensemble(e) => {
                 b.hparam(format!("v{i}.model"), HParam::Str("ensemble".into()));
-                b.hparam(
-                    format!("v{i}.members"),
-                    HParam::U64(e.members.len() as u64),
-                );
+                b.hparam(format!("v{i}.members"), HParam::U64(e.members.len() as u64));
                 for (j, m) in e.members.iter().enumerate() {
                     encode_network(&mut b, &format!("v{i}.m{j}"), m);
                 }
@@ -213,7 +210,10 @@ pub fn save_family(reg: &VariantRegistry) -> Vec<u8> {
 
 /// The widths of the rows `net` takes and of the logits it returns.
 fn row_widths(net: &Network) -> (usize, usize) {
-    let out = net.layers().iter().fold(net.input_dim, |d, l| l.cost(1, d).1);
+    let out = net
+        .layers()
+        .iter()
+        .fold(net.input_dim, |d, l| l.cost(1, d).1);
     (net.input_dim, out)
 }
 

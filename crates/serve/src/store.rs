@@ -241,7 +241,13 @@ impl WeightStore {
     /// time without recording anything; cold fetches emit one
     /// `store.evict` instant per victim and one `store.load` instant, on
     /// `track`.
-    pub fn fetch(&mut self, id: usize, device: &DeviceModel, track: u32, rec: &dyn Recorder) -> FetchOutcome {
+    pub fn fetch(
+        &mut self,
+        id: usize,
+        device: &DeviceModel,
+        track: u32,
+        rec: &dyn Recorder,
+    ) -> FetchOutcome {
         let all = vec![true; self.families.len()];
         self.fetch_guarded(id, device, &all, track, rec)
             .expect("insert checked the artifact fits an empty store")
@@ -504,7 +510,12 @@ mod tests {
         let _ = store.fetch(id, &DeviceModel::nominal(), 0, &NullRecorder::new());
         let loaded = store.registry(id);
         for (v, w) in reg.variants.iter().zip(&loaded.variants) {
-            assert_eq!(v.model.predict(&eval.x), w.model.predict(&eval.x), "{}", v.name);
+            assert_eq!(
+                v.model.predict(&eval.x),
+                w.model.predict(&eval.x),
+                "{}",
+                v.name
+            );
         }
     }
 }

@@ -9,7 +9,9 @@
 //! it with a per-layer [`dl_prof::NetworkProfile`]. The admission
 //! controller later routes between these variants by measured cost.
 
-use dl_compress::{distill, magnitude_prune, quantize_network_tensors, DistillConfig, QuantizedMlp};
+use dl_compress::{
+    distill, magnitude_prune, quantize_network_tensors, DistillConfig, QuantizedMlp,
+};
 use dl_distributed::{morph_resize, MorphConfig};
 use dl_ensemble::{snapshot, Ensemble};
 use dl_nn::{metrics, Dataset, Network, Optimizer, TrainConfig, Trainer};
@@ -377,13 +379,29 @@ mod tests {
         let names: Vec<&str> = reg.variants.iter().map(|v| v.name.as_str()).collect();
         assert_eq!(
             names,
-            ["fp32-base", "int8", "pruned", "distilled", "morph", "ensemble"]
+            [
+                "fp32-base",
+                "int8",
+                "pruned",
+                "distilled",
+                "morph",
+                "ensemble"
+            ]
         );
         for v in &reg.variants {
-            assert_eq!(v.batch_costs.len(), 8, "{}: cost table covers 1..=8", v.name);
+            assert_eq!(
+                v.batch_costs.len(),
+                8,
+                "{}: cost table covers 1..=8",
+                v.name
+            );
             assert!(v.cost_at(1).flops > 0, "{}: measured flops", v.name);
             assert!(v.accuracy > 1.0 / 3.0, "{}: above chance", v.name);
-            assert!(!v.profile.layers.is_empty(), "{}: per-layer profile", v.name);
+            assert!(
+                !v.profile.layers.is_empty(),
+                "{}: per-layer profile",
+                v.name
+            );
             assert!(v.weight_bytes > 0);
         }
     }

@@ -52,7 +52,10 @@ fn saved_family_matches_the_golden_and_resaves_identically() {
     }
     let golden = std::fs::read(&path)
         .expect("committed golden family (regen with DL_SERVE_REGEN_FAMILY_GOLDEN=1)");
-    assert!(bytes == golden, "save_family drifted from the committed golden file");
+    assert!(
+        bytes == golden,
+        "save_family drifted from the committed golden file"
+    );
     let back = load_family(&golden).expect("the golden family loads");
     assert!(
         save_family(&back) == golden,

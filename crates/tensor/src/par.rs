@@ -310,7 +310,13 @@ fn with_rec<T>(f: impl FnOnce(&dyn Recorder) -> T) -> Option<T> {
 
 /// Opens a `kernel.<name>` span when a recorder is installed *and*
 /// enabled; the geometry fields are only built in that case.
-fn kernel_span_start(name: &'static str, m: usize, n: usize, k: usize, t: usize) -> Option<dl_obs::SpanId> {
+fn kernel_span_start(
+    name: &'static str,
+    m: usize,
+    n: usize,
+    k: usize,
+    t: usize,
+) -> Option<dl_obs::SpanId> {
     with_rec(|r| {
         if r.enabled() {
             Some(r.span_start(
@@ -810,7 +816,11 @@ pub fn matmul_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     let span = kernel_span_start("kernel.matmul_acc", m, n, k, t);
     let nnz = gemm_parallel(a, b, out.data_mut(), k, n, DEFAULT_TILE_COLS);
     let flops = 2 * nnz * n as u64;
-    acct::charge(flops, 4 * (m * k + k * n + m * n) as u64, 4 * (m * n) as u64);
+    acct::charge(
+        flops,
+        4 * (m * k + k * n + m * n) as u64,
+        4 * (m * n) as u64,
+    );
     kernel_span_end(span, flops);
 }
 
@@ -951,7 +961,9 @@ pub fn im2col(img: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -> 
     let out_w = (w + 2 * pad).checked_sub(kw).map(|v| v / stride + 1);
     let (out_h, out_w) = match (out_h, out_w) {
         (Some(a), Some(b)) if a > 0 && b > 0 => (a, b),
-        _ => panic!("im2col: kernel {kh}x{kw} stride {stride} pad {pad} does not fit input {h}x{w}"),
+        _ => {
+            panic!("im2col: kernel {kh}x{kw} stride {stride} pad {pad} does not fit input {h}x{w}")
+        }
     };
     let rows = c * kh * kw;
     let cols = out_h * out_w;
@@ -976,15 +988,13 @@ pub fn im2col(img: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -> 
                                 for ox in 0..out_w {
                                     let ix = (ox * stride + kx) as isize - pad as isize;
                                     let col = oy * out_w + ox;
-                                    let v = if iy >= 0
-                                        && iy < h as isize
-                                        && ix >= 0
-                                        && ix < w as isize
-                                    {
-                                        data[(ch * h + iy as usize) * w + ix as usize]
-                                    } else {
-                                        0.0
-                                    };
+                                    let v =
+                                        if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize
+                                        {
+                                            data[(ch * h + iy as usize) * w + ix as usize]
+                                        } else {
+                                            0.0
+                                        };
                                     mine[row * cols + col] = v;
                                 }
                             }
@@ -1179,12 +1189,7 @@ pub fn dot(a: &Tensor, b: &Tensor) -> f32 {
     let n = a.len() as u64;
     acct::charge(2 * n, 8 * n, 0);
     match kernel() {
-        Kernel::Scalar => a
-            .data()
-            .iter()
-            .zip(b.data())
-            .map(|(&x, &y)| x * y)
-            .sum(),
+        Kernel::Scalar => a.data().iter().zip(b.data()).map(|(&x, &y)| x * y).sum(),
         Kernel::Unrolled => {
             let mut lanes = [0.0f32; 8];
             for (i, (&x, &y)) in a.data().iter().zip(b.data()).enumerate() {
@@ -1256,11 +1261,7 @@ pub fn sum_axis(t_in: &Tensor, axis: usize) -> Tensor {
         }
         run_tasks(tasks);
     }
-    acct::charge(
-        t_in.len() as u64,
-        4 * t_in.len() as u64,
-        4 * out_len as u64,
-    );
+    acct::charge(t_in.len() as u64, 4 * t_in.len() as u64, 4 * out_len as u64);
     let mut new_dims = dims.to_vec();
     new_dims.remove(axis);
     Tensor::from_vec(out, new_dims).expect("sum_axis output length matches by construction")
@@ -1507,7 +1508,10 @@ mod tests {
         assert_eq!(d_scalar.to_bits(), x.dot(&y).to_bits());
         // Unrolled: deterministic (same bits every call), close to scalar.
         let s_u = with_kernel(Kernel::Unrolled, || sum(&x));
-        assert_eq!(s_u.to_bits(), with_kernel(Kernel::Unrolled, || sum(&x)).to_bits());
+        assert_eq!(
+            s_u.to_bits(),
+            with_kernel(Kernel::Unrolled, || sum(&x)).to_bits()
+        );
         assert!((s_u - s_scalar).abs() <= 1e-3 * s_scalar.abs().max(1.0));
         let d_u = with_kernel(Kernel::Unrolled, || dot(&x, &y));
         assert_eq!(
@@ -1544,9 +1548,8 @@ mod tests {
         let (_, seq_map) = acct::measure(|| a.map(|v| v + 1.0));
         let (_, seq_red) = acct::measure(|| a.sum_axis(0));
         for kern in [Kernel::Scalar, Kernel::Unrolled] {
-            let (_, par_map) = acct::measure(|| {
-                with_kernel(kern, || with_threads(3, || map(&a, |v| v + 1.0)))
-            });
+            let (_, par_map) =
+                acct::measure(|| with_kernel(kern, || with_threads(3, || map(&a, |v| v + 1.0))));
             assert_eq!(par_map, seq_map);
             let (_, par_red) =
                 acct::measure(|| with_kernel(kern, || with_threads(3, || sum_axis(&a, 0))));
@@ -1562,7 +1565,10 @@ mod tests {
                 if i % 7 == 0 {
                     0
                 } else {
-                    ((i as u64).wrapping_mul(2_654_435_761).wrapping_add(salt * 13) % 256) as u8
+                    ((i as u64)
+                        .wrapping_mul(2_654_435_761)
+                        .wrapping_add(salt * 13)
+                        % 256) as u8
                 }
             })
             .collect()
@@ -1570,7 +1576,14 @@ mod tests {
 
     #[test]
     fn matmul_q8_matches_dequantized_reference_and_is_thread_stable() {
-        for &(m, k, n) in &[(4usize, 6usize, 5usize), (17, 33, 9), (1, 1, 1), (0, 3, 2), (3, 0, 2), (3, 2, 0)] {
+        for &(m, k, n) in &[
+            (4usize, 6usize, 5usize),
+            (17, 33, 9),
+            (1, 1, 1),
+            (0, 3, 2),
+            (3, 0, 2),
+            (3, 2, 0),
+        ] {
             let ac = codes(m * k, 1);
             let bc = codes(k * n, 2);
             let (sa, za, sb, zb) = (0.031f32, -1.7f32, 0.011f32, -0.4f32);
@@ -1587,16 +1600,10 @@ mod tests {
             assert_eq!(got_u, want);
             // Close to the dequantize-then-f32 reference (the int8 path
             // is *more* exact: integer accumulation + one f64 rescale).
-            let a = Tensor::from_vec(
-                ac.iter().map(|&c| za + sa * f32::from(c)).collect(),
-                [m, k],
-            )
-            .unwrap();
-            let b = Tensor::from_vec(
-                bc.iter().map(|&c| zb + sb * f32::from(c)).collect(),
-                [k, n],
-            )
-            .unwrap();
+            let a = Tensor::from_vec(ac.iter().map(|&c| za + sa * f32::from(c)).collect(), [m, k])
+                .unwrap();
+            let b = Tensor::from_vec(bc.iter().map(|&c| zb + sb * f32::from(c)).collect(), [k, n])
+                .unwrap();
             let reference = a.matmul(&b);
             for (g, w) in want.iter().zip(reference.data()) {
                 assert!(
@@ -1615,7 +1622,11 @@ mod tests {
         let (_, cost) =
             acct::measure(|| with_threads(3, || matmul_q8(&ac, 0.1, 0.0, &bc, 0.2, -1.0, m, k, n)));
         assert_eq!(cost.flops, 2 * (m * k * n) as u64 + 4 * (m * n) as u64);
-        assert_eq!(cost.bytes_read, (m * k + k * n) as u64, "one byte per packed code");
+        assert_eq!(
+            cost.bytes_read,
+            (m * k + k * n) as u64,
+            "one byte per packed code"
+        );
         assert_eq!(cost.bytes_written, 4 * (m * n) as u64);
         // Same totals at any thread count (merged-charge parity).
         let (_, c1) =

@@ -192,7 +192,12 @@ impl Tensor {
     /// # Panics
     /// Panics on non-matrix input.
     pub fn transpose(&self) -> Self {
-        assert_eq!(self.rank(), 2, "transpose requires a matrix, got {}", self.shape);
+        assert_eq!(
+            self.rank(),
+            2,
+            "transpose requires a matrix, got {}",
+            self.shape
+        );
         let (r, c) = (self.dims()[0], self.dims()[1]);
         let mut out = vec![0.0; r * c];
         for i in 0..r {
@@ -212,7 +217,12 @@ impl Tensor {
     /// # Panics
     /// Panics on non-matrix input or out-of-range `i`.
     pub fn row(&self, i: usize) -> Self {
-        assert_eq!(self.rank(), 2, "row() requires a matrix, got {}", self.shape);
+        assert_eq!(
+            self.rank(),
+            2,
+            "row() requires a matrix, got {}",
+            self.shape
+        );
         let cols = self.dims()[1];
         let start = i * cols;
         Tensor {
@@ -351,12 +361,10 @@ impl Tensor {
         if self.shape == other.shape {
             return self.zip(other, f);
         }
-        let out_shape = self.shape.broadcast(&other.shape).unwrap_or_else(|| {
-            panic!(
-                "cannot broadcast {} with {}",
-                self.shape, other.shape
-            )
-        });
+        let out_shape = self
+            .shape
+            .broadcast(&other.shape)
+            .unwrap_or_else(|| panic!("cannot broadcast {} with {}", self.shape, other.shape));
         let rank = out_shape.rank();
         let a_strides = broadcast_strides(&pad_dims(self.shape.dims(), rank), &self.shape);
         let b_strides = broadcast_strides(&pad_dims(other.shape.dims(), rank), &other.shape);
@@ -478,7 +486,11 @@ impl Tensor {
     /// # Panics
     /// Panics when `axis >= rank`.
     pub fn sum_axis(&self, axis: usize) -> Self {
-        assert!(axis < self.rank(), "axis {axis} out of range for {}", self.shape);
+        assert!(
+            axis < self.rank(),
+            "axis {axis} out of range for {}",
+            self.shape
+        );
         let dims = self.dims();
         let outer: usize = dims[..axis].iter().product();
         let mid = dims[axis];
@@ -601,7 +613,11 @@ impl Tensor {
         assert_eq!(self.len(), other.len(), "dot requires equal lengths");
         let n = self.data.len() as u64;
         acct::charge(2 * n, 8 * n, 0);
-        self.data.iter().zip(&other.data).map(|(&a, &b)| a * b).sum()
+        self.data
+            .iter()
+            .zip(&other.data)
+            .map(|(&a, &b)| a * b)
+            .sum()
     }
 
     /// `im2col` for 2-D convolution.

@@ -57,14 +57,24 @@ fn main() {
 
     // candidate 1: distilled student
     let mut student = Network::mlp(&[144, 24, 10], &mut init::rng(10));
-    distill(&mut teacher, &mut student, &train, &DistillConfig::default());
+    distill(
+        &mut teacher,
+        &mut student,
+        &train,
+        &DistillConfig::default(),
+    );
     let student_acc = Trainer::evaluate(&student, &test);
     register("distilled-24", &student, student_acc, None);
 
     // candidate 2: distilled + int8 quantized
     let (q8, q8_report) = quantize_network(&student, QuantScheme::Affine { bits: 8 });
     let q8_acc = Trainer::evaluate(&q8, &test);
-    register("distilled-24-int8", &q8, q8_acc, Some(q8_report.compressed_bytes as u64));
+    register(
+        "distilled-24-int8",
+        &q8,
+        q8_acc,
+        Some(q8_report.compressed_bytes as u64),
+    );
 
     // candidate 3: structurally pruned student (physically smaller)
     let mut slim = student.clone();
@@ -75,7 +85,12 @@ fn main() {
     // candidate 4: binary extreme
     let (bin, bin_report) = quantize_network(&student, QuantScheme::Binary);
     let bin_acc = Trainer::evaluate(&bin, &test);
-    register("distilled-24-binary", &bin, bin_acc, Some(bin_report.compressed_bytes as u64));
+    register(
+        "distilled-24-binary",
+        &bin,
+        bin_acc,
+        Some(bin_report.compressed_bytes as u64),
+    );
 
     // the navigator answers the deployment question
     let nav = TradeoffNavigator::new(&registry);

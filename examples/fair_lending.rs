@@ -58,8 +58,14 @@ fn main() {
     let audit = FairnessReport::new(&preds, &census.labels, &census.groups);
     println!("\naudit of the raw model:");
     println!("  accuracy            {:.3}", audit.accuracy());
-    println!("  parity gap          {:.3}", audit.demographic_parity_diff());
-    println!("  disparate impact    {:.3} (80% rule flags < 0.8)", audit.disparate_impact());
+    println!(
+        "  parity gap          {:.3}",
+        audit.demographic_parity_diff()
+    );
+    println!(
+        "  disparate impact    {:.3} (80% rule flags < 0.8)",
+        audit.disparate_impact()
+    );
     println!("  equalized-odds gap  {:.3}", audit.equalized_odds_gap());
 
     // Explain one denial with LIME: which features drove it?
@@ -69,13 +75,18 @@ fn main() {
         .expect("someone was denied");
     let xi = data.x.select_rows(&[denied]);
     let exp = lime_explain(&mut net, &xi, 0, 400, 2.0, 3);
-    println!("\nwhy was applicant #{denied} denied? (local R² {:.2})", exp.r_squared);
+    println!(
+        "\nwhy was applicant #{denied} denied? (local R² {:.2})",
+        exp.r_squared
+    );
     for f in exp.top_features(3) {
         println!("  {:<18} weight {:+.3}", FEATURES[f], exp.weights[f]);
     }
     if exp.top_features(3).contains(&5) {
-        println!("  ^ the zip-code proxy carries group information — \
-                  fairness through unawareness fails");
+        println!(
+            "  ^ the zip-code proxy carries group information — \
+                  fairness through unawareness fails"
+        );
     }
 
     // Interventions at all three levels.

@@ -11,8 +11,7 @@
 //! ```
 
 use dl_distributed::{
-    data_parallel_cost, optimize_placement, Cluster, Device, Link, Placement,
-    PlacementSearchConfig,
+    data_parallel_cost, optimize_placement, Cluster, Device, Link, Placement, PlacementSearchConfig,
 };
 use dl_green::{
     energy::energy_for, schedule_jobs, CarbonReport, HardwareProfile, Job, Region, SchedulePolicy,
@@ -54,7 +53,10 @@ fn main() {
     let base = store_all(&costs);
     let sq = sqrt_schedule(&costs);
     let budget = sq.peak_bytes;
-    println!("\nrematerialization under a {} MiB budget:", budget / (1 << 20));
+    println!(
+        "\nrematerialization under a {} MiB budget:",
+        budget / (1 << 20)
+    );
     println!(
         "  store-all : {} MiB, no recompute",
         base.peak_bytes / (1 << 20)
@@ -87,7 +89,11 @@ fn main() {
     );
     for region in Region::all() {
         let c = CarbonReport::from_energy(&energy, region);
-        println!("  if run in {:<14}: {:>8.0} gCO2e", region.name(), c.grams_co2e);
+        println!(
+            "  if run in {:<14}: {:>8.0} gCO2e",
+            region.name(),
+            c.grams_co2e
+        );
     }
     let job = Job {
         kwh: energy.total_kwh,

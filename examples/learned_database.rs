@@ -34,7 +34,11 @@ fn main() {
         max_window
     );
     let probe = keys[keys.len() / 3];
-    assert_eq!(bt.lookup(probe).0, rmi.lookup(probe).0, "indexes must agree");
+    assert_eq!(
+        bt.lookup(probe).0,
+        rmi.lookup(probe).0,
+        "indexes must agree"
+    );
 
     // --- membership: learned Bloom vs classic --------------------------
     let member_keys: Vec<u64> = (0..20_000u64).map(|i| i * 4).collect();

@@ -87,14 +87,13 @@ fn main() {
         None => println!("never crossed |corr| = 0.5"),
     }
     let dead = dead_unit_census(&store, 2, &epochs, 1e-6);
-    println!("dead units per epoch: {:?}", dead.iter().map(|&(_, n)| n).collect::<Vec<_>>());
+    println!(
+        "dead units per epoch: {:?}",
+        dead.iter().map(|&(_, n)| n).collect::<Vec<_>>()
+    );
 
     // Network inversion: what does the second layer preserve of a "3"?
-    let three = data
-        .y
-        .iter()
-        .position(|&l| l == 3)
-        .expect("a 3 exists");
+    let three = data.y.iter().position(|&l| l == 3).expect("a 3 exists");
     let x3 = data.x.select_rows(&[three]);
     let (inv, err) = invert_input(&net, 2, &x3, &InversionConfig::default());
     println!(
@@ -112,9 +111,6 @@ fn main() {
             canopy.mean(0, 0, n / 2),
             canopy.mean(0, n / 2, n)
         );
-        println!(
-            "canopy cache after both queries: {:?}",
-            canopy.stats()
-        );
+        println!("canopy cache after both queries: {:?}", canopy.stats());
     }
 }

@@ -108,7 +108,8 @@ fn elastic_training_survives_generated_faults_and_still_learns() {
     // deterministically until one schedules a crash on an unpinned worker
     let plan = (5u64..25)
         .map(|seed| {
-            let generated = FaultPlan::from_profile(&FaultProfile::crashes(seed, 60.0, 20.0), 4, 120);
+            let generated =
+                FaultPlan::from_profile(&FaultProfile::crashes(seed, 60.0, 20.0), 4, 120);
             FaultPlan::new(
                 generated
                     .events()

@@ -38,7 +38,11 @@ fn serve_once(
     family: &mut dl_serve::VariantRegistry,
     eval: &dl_nn::Dataset,
     threads: usize,
-) -> (dl_serve::ServeReport, Vec<dl_obs::Event>, Option<dl_obs::Histogram>) {
+) -> (
+    dl_serve::ServeReport,
+    Vec<dl_obs::Event>,
+    Option<dl_obs::Histogram>,
+) {
     let device = DeviceModel::nominal();
     let load = open_loop(
         &LoadConfig {
@@ -59,8 +63,7 @@ fn serve_once(
         device,
     };
     let rec = TimelineRecorder::new();
-    let report =
-        dl_tensor::par::with_threads(threads, || serve(family, eval, &load, &cfg, &rec));
+    let report = dl_tensor::par::with_threads(threads, || serve(family, eval, &load, &cfg, &rec));
     let hist = rec.histogram("serve.latency_s");
     (report, rec.events(), hist)
 }
@@ -87,7 +90,11 @@ fn trained_network_round_trips_bitwise_through_the_artifact() {
     let b = back.flat_params();
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.to_bits(), y.to_bits(), "trained weights must survive bitwise");
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "trained weights must survive bitwise"
+        );
     }
     // Re-encoding the reload reproduces the artifact byte-for-byte.
     assert_eq!(bytes, save_network(&back), "artifact bytes must be stable");
@@ -102,17 +109,32 @@ fn saved_family_serves_bit_identically_at_one_and_four_threads() {
         let mut reloaded = load_family(&artifact).expect("family artifact loads");
         let (r1, ev1, h1) = serve_once(&mut original, &eval, threads);
         let (r2, ev2, h2) = serve_once(&mut reloaded, &eval, threads);
-        assert_eq!(r1, r2, "reloaded family changed the report at {threads} threads");
-        assert_eq!(h1, h2, "reloaded family changed the histogram at {threads} threads");
-        assert_eq!(ev1, ev2, "reloaded family changed the timeline at {threads} threads");
+        assert_eq!(
+            r1, r2,
+            "reloaded family changed the report at {threads} threads"
+        );
+        assert_eq!(
+            h1, h2,
+            "reloaded family changed the histogram at {threads} threads"
+        );
+        assert_eq!(
+            ev1, ev2,
+            "reloaded family changed the timeline at {threads} threads"
+        );
         assert!(r1.served > 0, "the run actually served traffic");
     }
     // The thread count itself must also be invisible across the reload.
     let mut reloaded = load_family(&artifact).expect("family artifact loads");
     let (r1, ev1, _) = serve_once(&mut reloaded.clone(), &eval, 1);
     let (r4, ev4, _) = serve_once(&mut reloaded, &eval, 4);
-    assert_eq!(r1, r4, "thread count leaked into the reloaded family's report");
-    assert_eq!(ev1, ev4, "thread count leaked into the reloaded family's timeline");
+    assert_eq!(
+        r1, r4,
+        "thread count leaked into the reloaded family's report"
+    );
+    assert_eq!(
+        ev1, ev4,
+        "thread count leaked into the reloaded family's timeline"
+    );
 }
 
 #[test]

@@ -142,9 +142,15 @@ fn all_four_recorder_paths_agree_on_the_outcome() {
     let traced_timeline = Tracer::new(&timeline_inner);
     let over_timeline = serve_cluster(&family, &eval, &load, &cfg, &traced_timeline);
 
-    assert_eq!(plain_null, plain_timeline, "timeline recording is invisible");
+    assert_eq!(
+        plain_null, plain_timeline,
+        "timeline recording is invisible"
+    );
     assert_eq!(plain_null, over_null, "tracing over null is invisible");
-    assert_eq!(plain_null, over_timeline, "tracing over timeline is invisible");
+    assert_eq!(
+        plain_null, over_timeline,
+        "tracing over timeline is invisible"
+    );
     assert_eq!(
         timeline.events(),
         timeline_inner.events(),

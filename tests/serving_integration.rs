@@ -57,7 +57,10 @@ fn traced_and_untraced_serving_agree_and_the_trace_is_complete() {
     let rec = TimelineRecorder::new();
     let traced = serve(&family, &eval, &load, &cfg, &rec);
     // Tracing must be invisible to the simulated outcome.
-    assert_eq!(silent, traced, "recorder choice changed the serving outcome");
+    assert_eq!(
+        silent, traced,
+        "recorder choice changed the serving outcome"
+    );
     assert_eq!(silent.offered, 400);
     assert_eq!(
         silent.served + silent.shed,
