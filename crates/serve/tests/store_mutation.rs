@@ -181,8 +181,11 @@ fn random_builder_artifacts_round_trip_and_survive_mutation() {
             b.hparam(format!("h{i}"), value.clone());
             hparams.push(value);
         }
+        // Each tensor with its stored bytes, and its f32 values if it
+        // has any; the builder borrows both.
         let mut tensors = Vec::new();
-        for i in 0..rng.gen_range(0..4usize) {
+        let mut values = Vec::new();
+        for _ in 0..rng.gen_range(0..4usize) {
             let dims: Vec<usize> = (0..rng.gen_range(0..4usize))
                 .map(|_| rng.gen_range(0..6usize))
                 .collect();
@@ -190,15 +193,21 @@ fn random_builder_artifacts_round_trip_and_survive_mutation() {
             let codes: Vec<u8> = (0..count).map(|_| rng.next_u32() as u8).collect();
             if rng.gen::<bool>() {
                 let data: Vec<f32> = codes.iter().map(|&c| f32::from(c) - 100.0).collect();
-                b.tensor_f32(format!("t{i}"), &dims, &data);
                 tensors.push((
                     Dtype::F32,
                     dims,
                     data.iter().flat_map(|v| v.to_le_bytes()).collect(),
                 ));
+                values.push(Some(data));
             } else {
-                b.tensor_q8(format!("t{i}"), &dims, &codes, 0.5, -3.0, 8);
                 tensors.push((Dtype::Q8, dims, codes));
+                values.push(None);
+            }
+        }
+        for (i, ((_, dims, payload), data)) in tensors.iter().zip(&values).enumerate() {
+            match data {
+                Some(data) => b.tensor_f32(format!("t{i}"), dims, data),
+                None => b.tensor_q8(format!("t{i}"), dims, payload, 0.5, -3.0, 8),
             }
         }
         let clean = b.finish();
@@ -314,23 +323,30 @@ impl<'a> Parts<'a> {
     }
 
     fn build(&self) -> Vec<u8> {
+        // The f32 values of each unquantized tensor, for the builder to
+        // borrow.
+        let values: Vec<Vec<f32>> = self
+            .tensors
+            .iter()
+            .map(|t| match t.quant {
+                Some(_) => Vec::new(),
+                None => t
+                    .payload
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+                    .collect(),
+            })
+            .collect();
         let mut b = ArtifactBuilder::new();
         for (name, value) in &self.hparams {
             b.hparam(name.clone(), value.clone());
         }
-        for t in &self.tensors {
+        for (t, data) in self.tensors.iter().zip(&values) {
             match t.quant {
                 Some((scale, zero, bits)) => {
                     b.tensor_q8(t.name.clone(), &t.dims, &t.payload, scale, zero, bits);
                 }
-                None => {
-                    let data: Vec<f32> = t
-                        .payload
-                        .chunks_exact(4)
-                        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                        .collect();
-                    b.tensor_f32(t.name.clone(), &t.dims, &data);
-                }
+                None => b.tensor_f32(t.name.clone(), &t.dims, data),
             }
         }
         b.finish()

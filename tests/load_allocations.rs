@@ -1,12 +1,14 @@
-//! Allocation budget of one cold family load.
+//! Allocation budgets of one family save and one cold family load.
 //!
 //! A counting global allocator tallies the heap allocations of
-//! `Artifact::parse` and `load_family` on a family shaped like the serving
-//! benchmark's fleet families (a 16-64-64-5 teacher with its int8,
-//! pruned, distilled, morph and ensemble variants). Parsing reads names,
+//! `save_family`, `Artifact::parse` and `load_family` on a family shaped
+//! like the serving benchmark's fleet families (a 16-64-64-5 teacher with
+//! its int8, pruned, distilled, morph and ensemble variants). Parsing
+//! reads names,
 //! string and byte hparams and dims in place, so it allocates the same
 //! for an artifact with twice the sections; decoding builds every lookup
-//! name in one reused buffer and reads each tensor once. This file is a
+//! name in one reused buffer and reads each tensor once. Saving borrows
+//! every payload and writes it into the artifact once. This file is a
 //! test binary of its own with a single test, so no other test allocates
 //! while it counts.
 
@@ -21,10 +23,31 @@ use dl_store::{Artifact, ArtifactBuilder, Dtype};
 /// was copied out of the artifact and every lookup formatted its name).
 const LOAD_FAMILY_ALLOCS: u64 = 300;
 
+/// Allocations of one `save_family` of the same family: the measured 564
+/// plus 16 of headroom. Nearly all are lookup names; when every payload
+/// was first copied into a buffer of its own, this read 603.
+const SAVE_FAMILY_ALLOCS: u64 = 580;
+
 /// `clean` with every hparam and tensor stored a second time under a
 /// `copy.` prefix: twice the sections of each kind.
 fn doubled(clean: &[u8]) -> Vec<u8> {
     let a = Artifact::parse(clean).expect("clean artifact");
+    // Every payload in its builder form: the codes as stored, f32 values
+    // decoded from their little-endian bytes.
+    let payloads: Vec<Result<&[u8], Vec<f32>>> = a
+        .entries()
+        .iter()
+        .map(|e| {
+            let payload = a.payload(e).expect("own entry");
+            match e.dtype {
+                Dtype::Q8 => Ok(payload),
+                Dtype::F32 => Err(payload
+                    .chunks_exact(4)
+                    .map(|w| f32::from_le_bytes(w.try_into().expect("4 bytes")))
+                    .collect()),
+            }
+        })
+        .collect();
     let mut b = ArtifactBuilder::new();
     for prefix in ["", "copy."] {
         for (name, value) in a.hparams() {
@@ -32,20 +55,15 @@ fn doubled(clean: &[u8]) -> Vec<u8> {
         }
     }
     for prefix in ["", "copy."] {
-        for e in a.entries() {
+        for (e, payload) in a.entries().iter().zip(&payloads) {
             let name = format!("{prefix}{}", e.name);
-            let (dims, payload) = (e.dims.to_vec(), a.payload(e).expect("own entry"));
-            match (e.dtype, e.quant) {
-                (Dtype::Q8, Some((scale, zero, bits))) => {
-                    b.tensor_q8(name, &dims, payload, scale, zero, bits);
+            let dims = e.dims.to_vec();
+            match (payload, e.quant) {
+                (Ok(codes), Some((scale, zero, bits))) => {
+                    b.tensor_q8(name, &dims, codes, scale, zero, bits);
                 }
-                _ => {
-                    let data: Vec<f32> = payload
-                        .chunks_exact(4)
-                        .map(|w| f32::from_le_bytes(w.try_into().expect("4 bytes")))
-                        .collect();
-                    b.tensor_f32(name, &dims, &data);
-                }
+                (Err(data), _) => b.tensor_f32(name, &dims, data),
+                (Ok(_), None) => panic!("a q8 entry without quant params"),
             }
         }
     }
@@ -70,7 +88,12 @@ fn cold_load_stays_within_its_allocation_budget() {
             seed: 310,
         },
     );
-    let family = save_family(&reg);
+    let (family, save_allocs) = allocations_during(|| save_family(&reg));
+    eprintln!("allocations per save_family: {save_allocs}");
+    assert!(
+        save_allocs <= SAVE_FAMILY_ALLOCS,
+        "{save_allocs} allocations per save_family, budget {SAVE_FAMILY_ALLOCS}"
+    );
     let twice = doubled(&family);
 
     let (a, family_parse) = allocations_during(|| Artifact::parse(&family).map(drop));
