@@ -1,6 +1,7 @@
 //! The [`Recorder`] trait, its event model, and the two full recorders:
 //! the unbounded [`TimelineRecorder`] and the no-op [`NullRecorder`].
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -62,6 +63,23 @@ pub struct SpanId {
     track: u32,
 }
 
+/// A point event held as a typed value rather than as [`Fields`].
+///
+/// [`Recorder::typed_instant`] takes one. A recorder that keeps events
+/// asks it for its [`name`](TypedEvent::name) and
+/// [`fields`](TypedEvent::fields); a tap that understands the concrete
+/// type downcasts it (`TypedEvent: Any`) and reads the value directly,
+/// so neither builds nor parses a field list. `fields` must write the
+/// layout the type's own decoder reads back, so that both routes see the
+/// same event.
+pub trait TypedEvent: Any {
+    /// The event name the instant carries.
+    fn name(&self) -> &'static str;
+
+    /// The instant's fields, as a recorder that keeps them stores them.
+    fn fields(&self) -> Fields;
+}
+
 /// A span-style structured event recorder over a [`VirtualClock`].
 ///
 /// Implementations must be cheap to call and must never consult the wall
@@ -70,6 +88,15 @@ pub struct SpanId {
 /// accounting. All methods take `&self` so one recorder can be threaded
 /// through nested drivers (interior mutability is the implementation's
 /// concern; a `Mutex` is fine at this event volume).
+///
+/// Point events reach a recorder in one of two forms. [`Recorder::instant`]
+/// carries a name and a built [`Fields`] list. [`Recorder::typed_instant`]
+/// carries a [`TypedEvent`] and builds that list only when the recorder is
+/// [enabled](Recorder::enabled) and does not override it: the default is
+/// exactly `instant(track, ev.name(), ev.fields())`, so a recorder that
+/// keeps events stores the same event either way, and a [`NullRecorder`]
+/// builds nothing. Taps that read typed events override it to skip the
+/// field list and forward the same reference inward.
 pub trait Recorder: Send + Sync {
     /// The clock this recorder timestamps events against.
     fn clock(&self) -> &VirtualClock;
@@ -138,6 +165,15 @@ pub trait Recorder: Send + Sync {
             track,
             fields,
         });
+    }
+
+    /// Marks a point event given as a typed value. The default records
+    /// `instant(track, ev.name(), ev.fields())` when the recorder is
+    /// enabled and does nothing otherwise.
+    fn typed_instant(&self, track: u32, ev: &dyn TypedEvent) {
+        if self.enabled() {
+            self.instant(track, ev.name(), ev.fields());
+        }
     }
 
     /// Bumps the named counter by `delta` and drops a counter sample on

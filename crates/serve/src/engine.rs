@@ -19,6 +19,7 @@ use std::collections::VecDeque;
 
 use dl_nn::Dataset;
 use dl_obs::{fields, Recorder};
+use dl_trace::{FlushTrigger, ServeEvent};
 
 use crate::admission::{admit, AdmissionContext, AdmissionPolicy, Decision};
 use crate::batcher::BatchPolicy;
@@ -203,12 +204,13 @@ impl ReplicaEngine {
                 self.wasted += 1;
                 // The losing copy of a hedge race: it burned a batch slot
                 // but another replica had already answered.
-                dl_trace::emit_hedge_loser(
-                    rec,
+                rec.typed_instant(
                     self.track_base + fl.variant as u32,
-                    req.id,
-                    self.replica,
-                    fl.done_s - req.arrival_s,
+                    &ServeEvent::HedgeLoser {
+                        request: req.id,
+                        replica: self.replica,
+                        elapsed_s: fl.done_s - req.arrival_s,
+                    },
                 );
                 continue;
             }
@@ -218,23 +220,20 @@ impl ReplicaEngine {
             // The request id rides along as a bucket exemplar, linking
             // histogram tail buckets back to concrete waterfalls.
             rec.observe_exemplar("serve.latency_s", latency, req.id);
-            if rec.enabled() {
-                // The structured per-request sample the monitor tier
-                // subscribes to (skipped entirely on the NullRecorder
-                // path, which keeps unmonitored serving allocation-free).
-                rec.instant(
-                    self.track_base + fl.variant as u32,
-                    "serve.complete",
-                    fields! {
-                        "request" => req.id,
-                        "replica" => self.replica,
-                        "latency_s" => latency,
-                        "sample" => req.sample,
-                        "pred" => fl.preds[i],
-                        "downgraded" => *downgraded,
-                    },
-                );
-            }
+            // The structured per-request sample the monitor tier
+            // subscribes to (the NullRecorder builds nothing for it, which
+            // keeps unmonitored serving allocation-free).
+            rec.typed_instant(
+                self.track_base + fl.variant as u32,
+                &ServeEvent::Complete {
+                    request: req.id,
+                    replica: self.replica,
+                    latency_s: latency,
+                    sample: Some(req.sample as u64),
+                    pred: Some(fl.preds[i] as u64),
+                    downgraded: *downgraded,
+                },
+            );
             correct += usize::from(fl.correct[i]);
             downgrades += usize::from(*downgraded);
         }
@@ -288,17 +287,14 @@ impl ReplicaEngine {
         match decision {
             Decision::Accept(v) => {
                 self.queues[v].push_back((req, false));
-                if rec.enabled() {
-                    rec.instant(
-                        self.track_base + v as u32,
-                        "serve.admit",
-                        fields! {
-                            "request" => req.id,
-                            "replica" => self.replica,
-                            "queue" => self.load(),
-                        },
-                    );
-                }
+                rec.typed_instant(
+                    self.track_base + v as u32,
+                    &ServeEvent::Admit {
+                        request: req.id,
+                        replica: self.replica,
+                        queue: Some(self.load() as u64),
+                    },
+                );
             }
             Decision::Downgrade { from, to } => {
                 self.queues[to].push_back((req, true));
@@ -319,13 +315,13 @@ impl ReplicaEngine {
             Decision::Shed => {
                 self.shed += 1;
                 rec.add_counter("serve.shed", 1);
-                if rec.enabled() {
-                    rec.instant(
-                        self.track_base + self.primary as u32,
-                        "serve.shed",
-                        fields! { "request" => req.id, "replica" => self.replica },
-                    );
-                }
+                rec.typed_instant(
+                    self.track_base + self.primary as u32,
+                    &ServeEvent::Shed {
+                        request: req.id,
+                        replica: self.replica,
+                    },
+                );
             }
         }
         decision
@@ -365,11 +361,11 @@ impl ReplicaEngine {
         // precedence: a full queue flushes regardless, drain mode flushes
         // whatever is left, and otherwise the head request aged out.
         let trigger = if self.queues[v].len() >= cfg.batch.max_batch {
-            dl_trace::FlushTrigger::Full
+            FlushTrigger::Full
         } else if drain {
-            dl_trace::FlushTrigger::Drain
+            FlushTrigger::Drain
         } else {
-            dl_trace::FlushTrigger::Aged
+            FlushTrigger::Aged
         };
         let b = self.queues[v].len().min(cfg.batch.max_batch);
         let requests: Vec<(Request, bool)> = self.queues[v].drain(..b).collect();
@@ -401,19 +397,18 @@ impl ReplicaEngine {
             fields!()
         };
         let span = rec.span_start(self.track_base + v as u32, "serve.batch", start_fields);
-        if rec.enabled() {
-            for (pos, (r, _)) in requests.iter().enumerate() {
-                dl_trace::emit_batch_join(
-                    rec,
-                    self.track_base + v as u32,
-                    r.id,
-                    self.replica,
-                    self.batch_seq,
-                    pos,
-                    b,
+        for (pos, (r, _)) in requests.iter().enumerate() {
+            rec.typed_instant(
+                self.track_base + v as u32,
+                &ServeEvent::BatchJoin {
+                    request: r.id,
+                    replica: self.replica,
+                    seq: self.batch_seq,
+                    pos: pos as u32,
+                    size: b as u32,
                     trigger,
-                );
-            }
+                },
+            );
         }
         self.batch_seq += 1;
         self.in_flight = Some(InFlight {

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use dl_distributed::FaultEvent;
 use dl_nn::Dataset;
 use dl_obs::{fields, Recorder};
-use dl_trace::{DispatchKind, RequestId, SpanContext};
+use dl_trace::{DispatchKind, ServeEvent};
 
 use crate::autoscale::{replica_capacity_rps, Autoscaler};
 use crate::batcher::BatchPolicy;
@@ -472,7 +472,7 @@ impl Sim<'_> {
                 if !self.dispatch(req, model, None, DispatchKind::Primary, 0, now) {
                     self.tally.unavailable += 1;
                     rec.add_counter("cluster.unavailable", 1);
-                    dl_trace::emit_unavailable(rec, 0, req.id);
+                    rec.typed_instant(0, &ServeEvent::Unavailable { request: req.id });
                 } else if let Some(delay) = cfg.retry.hedge_delay_s {
                     hedges.push(self.timed(now + delay, usize::MAX, model, req));
                 }
@@ -571,7 +571,12 @@ impl Sim<'_> {
             r.up = false;
             r.crashes += 1;
             rec.add_counter("cluster.crash", 1);
-            rec.instant(track, "cluster.crash", fields! { "replica" => worker });
+            rec.typed_instant(
+                track,
+                &ServeEvent::Crash {
+                    replica: worker as u32,
+                },
+            );
             let mut dropped = Vec::new();
             for (m, eng) in r.engines.iter_mut().enumerate() {
                 dropped.extend(eng.crash_drain(rec).into_iter().map(|req| (req, m)));
@@ -587,7 +592,12 @@ impl Sim<'_> {
             r.rejoins += 1;
             r.warm_until_s = now + self.cfg.warmup_s;
             rec.add_counter("cluster.rejoin", 1);
-            rec.instant(track, "cluster.rejoin", fields! { "replica" => worker });
+            rec.typed_instant(
+                track,
+                &ServeEvent::Rejoin {
+                    replica: worker as u32,
+                },
+            );
         }
     }
 
@@ -610,11 +620,13 @@ impl Sim<'_> {
         }
         self.tally.lost += 1;
         self.rec.add_counter("cluster.lost", 1);
-        let ctx = SpanContext {
-            request: RequestId(req.id),
-            attempt,
-        };
-        dl_trace::emit_lost(self.rec, self.track(from, model), ctx);
+        self.rec.typed_instant(
+            self.track(from, model),
+            &ServeEvent::Lost {
+                request: req.id,
+                attempt,
+            },
+        );
     }
 
     /// Routes `req` to an eligible replica other than `exclude`, preferring
@@ -659,11 +671,15 @@ impl Sim<'_> {
             0.0
         };
         if delay > 0.0 || kind != DispatchKind::Primary {
-            let ctx = SpanContext {
-                request: RequestId(req.id),
-                attempt,
-            };
-            dl_trace::emit_dispatch(self.rec, self.track(target, model), ctx, target, kind);
+            self.rec.typed_instant(
+                self.track(target, model),
+                &ServeEvent::Dispatch {
+                    request: req.id,
+                    replica: target as u32,
+                    attempt,
+                    kind,
+                },
+            );
         }
         if delay > 0.0 {
             let delivery = self.timed(now + delay, target, model, req);
