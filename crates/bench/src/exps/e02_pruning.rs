@@ -24,7 +24,7 @@ fn measured_sparse_fwd(net: &Network, x: &dl_tensor::Tensor) -> u64 {
             let at = act.transpose();
             total += acct::measure(|| wt.matmul(&at)).1.flops;
         }
-        act = layer.forward(&act, false);
+        act = layer.forward(act, false);
     }
     total
 }

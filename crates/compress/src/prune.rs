@@ -53,6 +53,17 @@ fn weight_of(layer: &Layer) -> Option<&Tensor> {
     }
 }
 
+/// A weight matrix and its gradient, for a layer that has been run
+/// backward.
+fn weight_and_grad(layer: &mut Layer) -> Option<(&mut Tensor, &Tensor)> {
+    let (w, g) = match layer {
+        Layer::Dense(d) => (&mut d.weight, &d.grad_weight),
+        Layer::Conv2d(c) => (&mut c.weight, &c.grad_weight),
+        _ => return None,
+    };
+    Some((w, g.as_ref().expect("backward sizes every weight gradient")))
+}
+
 /// Zeroes the `target_sparsity` fraction of weight entries with smallest
 /// absolute value, chosen **globally** across all weight matrices.
 ///
@@ -131,26 +142,8 @@ pub fn saliency_prune(
     // collect saliencies of weight matrices only
     let mut saliencies: Vec<f32> = Vec::new();
     for layer in net.layers_mut() {
-        match layer {
-            Layer::Dense(d) => {
-                saliencies.extend(
-                    d.weight
-                        .data()
-                        .iter()
-                        .zip(d.grad_weight.data())
-                        .map(|(&w, &g)| (w * g).abs()),
-                );
-            }
-            Layer::Conv2d(c) => {
-                saliencies.extend(
-                    c.weight
-                        .data()
-                        .iter()
-                        .zip(c.grad_weight.data())
-                        .map(|(&w, &g)| (w * g).abs()),
-                );
-            }
-            _ => {}
+        if let Some((w, g)) = weight_and_grad(layer) {
+            saliencies.extend(w.data().iter().zip(g.data()).map(|(&w, &g)| (w * g).abs()));
         }
     }
     let params_before = saliencies.len();
@@ -163,10 +156,8 @@ pub fn saliency_prune(
     };
     let mut zeroed = 0usize;
     for layer in net.layers_mut() {
-        let (w, g) = match layer {
-            Layer::Dense(d) => (&mut d.weight, &d.grad_weight),
-            Layer::Conv2d(c) => (&mut c.weight, &c.grad_weight),
-            _ => continue,
+        let Some((w, g)) = weight_and_grad(layer) else {
+            continue;
         };
         for (v, &gv) in w.data_mut().iter_mut().zip(g.data()) {
             if (*v * gv).abs() <= threshold && zeroed < cut {
@@ -484,7 +475,7 @@ mod tests {
         let x = dl_tensor::init::uniform([2, 144], 0.0, 1.0, &mut r);
         if let Layer::Conv2d(c) = &mut net.layers_mut()[0] {
             let mut probe = c.clone();
-            let y = Layer::Conv2d(probe.clone()).forward(&x, false);
+            let y = Layer::Conv2d(probe.clone()).forward(x, false);
             let (oh, ow) = probe.output_hw();
             for s in 0..2 {
                 for p in 0..oh * ow {

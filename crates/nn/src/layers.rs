@@ -57,22 +57,24 @@ impl Layer {
     }
 
     /// Runs the layer forward. `train` enables training-only behaviour
-    /// (dropout masks, batch statistics).
-    pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    /// (dropout masks, batch statistics). The layer takes its input by
+    /// value, so one that keeps it for backward (Dense) keeps it without
+    /// a copy.
+    pub fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
         match self {
             Layer::Dense(l) => l.forward(x),
             Layer::ReLU(l) => l.forward(x),
-            Layer::Sigmoid(l) => l.forward(x),
-            Layer::Tanh(l) => l.forward(x),
+            Layer::Sigmoid(l) => l.forward(&x),
+            Layer::Tanh(l) => l.forward(&x),
             Layer::Dropout(l) => l.forward(x, train),
-            Layer::Conv2d(l) => l.forward(x),
-            Layer::MaxPool2d(l) => l.forward(x),
-            Layer::BatchNorm1d(l) => l.forward(x, train),
+            Layer::Conv2d(l) => l.forward(&x),
+            Layer::MaxPool2d(l) => l.forward(&x),
+            Layer::BatchNorm1d(l) => l.forward(&x, train),
         }
     }
 
-    /// Propagates `grad` (d loss / d output) backward, accumulating
-    /// parameter gradients and returning d loss / d input.
+    /// Propagates `grad` (d loss / d output) backward, writing parameter
+    /// gradients over the previous ones and returning d loss / d input.
     ///
     /// # Panics
     /// Panics if called before `forward` (no cached intermediates).
@@ -90,16 +92,20 @@ impl Layer {
     }
 
     /// Trainable parameters, paired with their gradients, in a fixed order.
+    /// A Dense or Conv2d layer that has no gradient buffers yet (a loaded
+    /// model, or one not yet run backward) gets zeroed ones here.
     pub fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
         match self {
-            Layer::Dense(l) => vec![
-                (&mut l.weight, &mut l.grad_weight),
-                (&mut l.bias, &mut l.grad_bias),
-            ],
-            Layer::Conv2d(l) => vec![
-                (&mut l.weight, &mut l.grad_weight),
-                (&mut l.bias, &mut l.grad_bias),
-            ],
+            Layer::Dense(l) => {
+                let gw = sized(&mut l.grad_weight, &l.weight);
+                let gb = sized(&mut l.grad_bias, &l.bias);
+                vec![(&mut l.weight, gw), (&mut l.bias, gb)]
+            }
+            Layer::Conv2d(l) => {
+                let gw = sized(&mut l.grad_weight, &l.weight);
+                let gb = sized(&mut l.grad_bias, &l.bias);
+                vec![(&mut l.weight, gw), (&mut l.bias, gb)]
+            }
             Layer::BatchNorm1d(l) => vec![
                 (&mut l.gamma, &mut l.grad_gamma),
                 (&mut l.beta, &mut l.grad_beta),
@@ -190,6 +196,12 @@ impl Layer {
     }
 }
 
+/// The gradient buffer `grad`, made a zeroed tensor shaped like `param`
+/// if the layer has none yet.
+fn sized<'a>(grad: &'a mut Option<Tensor>, param: &Tensor) -> &'a mut Tensor {
+    grad.get_or_insert_with(|| Tensor::zeros(param.shape().clone()))
+}
+
 // ----------------------------------------------------------------------
 // Dense
 // ----------------------------------------------------------------------
@@ -201,34 +213,31 @@ pub struct Dense {
     pub weight: Tensor,
     /// Bias vector `[out]`.
     pub bias: Tensor,
-    /// Gradient of the loss with respect to [`Dense::weight`].
-    pub grad_weight: Tensor,
-    /// Gradient of the loss with respect to [`Dense::bias`].
-    pub grad_bias: Tensor,
+    /// Gradient of the loss with respect to [`Dense::weight`]. `None`
+    /// until the first backward (or [`Layer::params_and_grads`]) sizes
+    /// it, so a model built for serving carries no gradient buffers; each
+    /// later backward writes over it in place.
+    pub grad_weight: Option<Tensor>,
+    /// Gradient of the loss with respect to [`Dense::bias`], sized like
+    /// [`Dense::grad_weight`].
+    pub grad_bias: Option<Tensor>,
     input: Option<Tensor>,
 }
 
 impl Dense {
     /// He-initialized dense layer (suited to the ReLU nets used throughout).
     pub fn new(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Self {
-        Dense {
-            weight: init::he(fan_in, fan_out, rng),
-            bias: Tensor::zeros([fan_out]),
-            grad_weight: Tensor::zeros([fan_in, fan_out]),
-            grad_bias: Tensor::zeros([fan_out]),
-            input: None,
-        }
+        Dense::from_parts(init::he(fan_in, fan_out, rng), Tensor::zeros([fan_out]))
     }
 
-    /// Dense layer with explicit weights (used by distillation / hatching).
+    /// Dense layer with explicit weights (used by distillation / hatching,
+    /// and by the model store's decoder).
     pub fn from_parts(weight: Tensor, bias: Tensor) -> Self {
-        let gw = Tensor::zeros(weight.shape().clone());
-        let gb = Tensor::zeros(bias.shape().clone());
         Dense {
             weight,
             bias,
-            grad_weight: gw,
-            grad_bias: gb,
+            grad_weight: None,
+            grad_bias: None,
             input: None,
         }
     }
@@ -256,19 +265,22 @@ impl Dense {
         y
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.input = Some(x.clone());
-        self.eval(x, false)
+    fn forward(&mut self, x: Tensor) -> Tensor {
+        let y = self.eval(&x, false);
+        self.input = Some(x);
+        y
     }
 
+    /// `dW = xᵀ·g` and `db = Σ_rows g` written over the gradient buffers,
+    /// and `dx = g·Wᵀ` returned; neither transpose is materialised.
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         let x = self
             .input
             .as_ref()
             .expect("Dense::backward called before forward");
-        self.grad_weight = par::matmul(&x.transpose(), grad);
-        self.grad_bias = grad.sum_axis(0);
-        par::matmul(grad, &self.weight.transpose())
+        par::matmul_tn(x, grad, sized(&mut self.grad_weight, &self.weight));
+        grad.sum_rows_into(sized(&mut self.grad_bias, &self.bias));
+        par::matmul_nt(grad, &self.weight)
     }
 }
 
@@ -303,19 +315,25 @@ impl ReLU {
         x.map(|v| v.max(0.0))
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    /// Builds the mask and rectifies `x` in place: the bits and the
+    /// charge of [`ReLU::eval`].
+    fn forward(&mut self, mut x: Tensor) -> Tensor {
         let mask = x.data().iter().map(|&v| if v > 0.0 { 1.0 } else { 0.0 });
         self.mask =
             Some(Tensor::from_vec(mask.collect(), x.shape().clone()).expect("mask matches input"));
-        ReLU::eval(x)
+        ReLU::charge_mask(x.len());
+        x.map_inplace(|v| v.max(0.0));
+        x
     }
 
+    /// `grad · mask`, a multiply rather than a select: a negative
+    /// gradient times `0.0` gives `-0.0`, and a NaN stays NaN.
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         let mask = self
             .mask
             .as_ref()
             .expect("ReLU::backward called before forward");
-        grad * mask.clone()
+        grad * mask
     }
 }
 
@@ -449,10 +467,10 @@ impl Dropout {
         self.step
     }
 
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
         if !train || self.p == 0.0 {
             self.mask = Some(Tensor::ones(x.shape().clone()));
-            return x.clone();
+            return x;
         }
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(self.step));
         self.step += 1;
@@ -470,8 +488,9 @@ impl Dropout {
             x.shape().clone(),
         )
         .expect("mask length matches input");
-        self.mask = Some(mask.clone());
-        x * &mask
+        let y = &x * &mask;
+        self.mask = Some(mask);
+        y
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -479,7 +498,7 @@ impl Dropout {
             .mask
             .as_ref()
             .expect("Dropout::backward called before forward");
-        grad * mask.clone()
+        grad * mask
     }
 }
 
@@ -497,10 +516,11 @@ pub struct Conv2d {
     pub weight: Tensor,
     /// Per-filter bias `[out_channels]`.
     pub bias: Tensor,
-    /// Gradient for [`Conv2d::weight`].
-    pub grad_weight: Tensor,
-    /// Gradient for [`Conv2d::bias`].
-    pub grad_bias: Tensor,
+    /// Gradient for [`Conv2d::weight`]; `None` until the first backward
+    /// (or [`Layer::params_and_grads`]) sizes it.
+    pub grad_weight: Option<Tensor>,
+    /// Gradient for [`Conv2d::bias`], sized like [`Conv2d::grad_weight`].
+    pub grad_bias: Option<Tensor>,
     /// Input channels.
     pub in_channels: usize,
     /// Output channels (number of filters).
@@ -540,8 +560,8 @@ impl Conv2d {
                 .reshape([out_channels, fan_in])
                 .expect("he init shape"),
             bias: Tensor::zeros([out_channels]),
-            grad_weight: Tensor::zeros([out_channels, fan_in]),
-            grad_bias: Tensor::zeros([out_channels]),
+            grad_weight: None,
+            grad_bias: None,
             in_channels,
             out_channels,
             height,
@@ -623,15 +643,17 @@ impl Conv2d {
         let in_dim = self.in_channels * self.height * self.width;
         let mut gw = Tensor::zeros([self.out_channels, fan_in]);
         let mut gb = Tensor::zeros([self.out_channels]);
+        let mut dcols = Tensor::zeros([fan_in, positions]);
         let mut gx = Vec::with_capacity(batch * in_dim);
         for (s, cols) in cols_cache.iter().enumerate().take(batch) {
             let g_s = grad
                 .row(s)
                 .reshape([self.out_channels, positions])
                 .expect("grad row matches output geometry");
-            gw = &gw + &par::matmul(&g_s, &cols.transpose());
+            // g·colsᵀ and Wᵀ·g, each transposed operand read in place.
+            gw = &gw + &par::matmul_nt(&g_s, cols);
             gb = &gb + &g_s.sum_axis(1);
-            let dcols = par::matmul(&self.weight.transpose(), &g_s);
+            par::matmul_tn(&self.weight, &g_s, &mut dcols);
             let dx = par::col2im(
                 &dcols,
                 self.in_channels,
@@ -644,8 +666,8 @@ impl Conv2d {
             );
             gx.extend_from_slice(dx.data());
         }
-        self.grad_weight = gw;
-        self.grad_bias = gb;
+        self.grad_weight = Some(gw);
+        self.grad_bias = Some(gb);
         Tensor::from_vec(gx, [batch, in_dim]).expect("length matches by construction")
     }
 }
@@ -888,7 +910,7 @@ mod tests {
         tol: f32,
         skip: impl Fn(usize) -> bool,
     ) -> usize {
-        let y = layer.forward(x, true);
+        let y = layer.forward(x.clone(), true);
         // loss = sum(y^2)/2, so dL/dy = y
         let gx = layer.backward(&y);
         let eps = FD_EPS;
@@ -901,11 +923,11 @@ mod tests {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
             let mut lp = layer.clone();
-            let yp = lp.forward(&xp, true);
+            let yp = lp.forward(xp, true);
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
             let mut lm = layer.clone();
-            let ym = lm.forward(&xm, true);
+            let ym = lm.forward(xm, true);
             let numeric = (yp.sum_squares() / 2.0 - ym.sum_squares() / 2.0) / (2.0 * eps);
             let analytic = gx.data()[i];
             assert!(
@@ -923,7 +945,7 @@ mod tests {
             Tensor::from_vec(vec![0.5, -0.5], [2]).unwrap(),
         );
         let x = Tensor::from_vec(vec![1.0, 1.0], [1, 2]).unwrap();
-        let y = l.forward(&x);
+        let y = l.forward(x);
         assert_eq!(y.data(), &[1.0 + 3.0 + 0.5, 2.0 + 4.0 - 0.5]);
     }
 
@@ -934,14 +956,14 @@ mod tests {
             Tensor::zeros([2]),
         );
         let x = Tensor::from_vec(vec![2.0, 3.0], [1, 2]).unwrap();
-        let _ = l.forward(&x);
+        let _ = l.forward(x);
         let g = Tensor::from_vec(vec![1.0, 1.0], [1, 2]).unwrap();
         let gx = l.backward(&g);
         // identity weights: grad passes straight through
         assert_eq!(gx.data(), &[1.0, 1.0]);
         // dW = x^T g
-        assert_eq!(l.grad_weight.data(), &[2.0, 2.0, 3.0, 3.0]);
-        assert_eq!(l.grad_bias.data(), &[1.0, 1.0]);
+        assert_eq!(l.grad_weight.unwrap().data(), &[2.0, 2.0, 3.0, 3.0]);
+        assert_eq!(l.grad_bias.unwrap().data(), &[1.0, 1.0]);
     }
 
     #[test]
@@ -956,7 +978,7 @@ mod tests {
     fn relu_masks_negative() {
         let mut l = ReLU::new();
         let x = Tensor::from_vec(vec![-1.0, 2.0], [1, 2]).unwrap();
-        let y = l.forward(&x);
+        let y = l.forward(x);
         assert_eq!(y.data(), &[0.0, 2.0]);
         let g = Tensor::from_vec(vec![5.0, 5.0], [1, 2]).unwrap();
         assert_eq!(l.backward(&g).data(), &[0.0, 5.0]);
@@ -967,7 +989,7 @@ mod tests {
         let mut r = rng(2);
         let mut layer = Layer::Sigmoid(Sigmoid::new());
         let x = init::uniform([2, 4], -2.0, 2.0, &mut r);
-        let y = layer.forward(&x, true);
+        let y = layer.forward(x.clone(), true);
         assert!(y.min() > 0.0 && y.max() < 1.0);
         check_input_grad(&mut layer, &x, 1e-2);
     }
@@ -984,11 +1006,11 @@ mod tests {
     fn dropout_scales_survivors_and_is_identity_at_eval() {
         let mut l = Dropout::new(0.5, 7);
         let x = Tensor::ones([1, 1000]);
-        let y = l.forward(&x, true);
+        let y = l.forward(x.clone(), true);
         // inverted dropout: survivors scaled to 2.0, mean stays ~1
         assert!(y.data().iter().all(|&v| v == 0.0 || v == 2.0));
         assert!((y.mean() - 1.0).abs() < 0.1);
-        let y_eval = l.forward(&x, false);
+        let y_eval = l.forward(x.clone(), false);
         assert_eq!(y_eval.data(), x.data());
     }
 
@@ -998,7 +1020,10 @@ mod tests {
         let mut a = Dropout::new(0.3, 42);
         let mut b = Dropout::new(0.3, 42);
         for _ in 0..3 {
-            assert_eq!(a.forward(&xs, true).data(), b.forward(&xs, true).data());
+            assert_eq!(
+                a.forward(xs.clone(), true).data(),
+                b.forward(xs.clone(), true).data()
+            );
         }
     }
 
@@ -1035,10 +1060,10 @@ mod tests {
         let conv = Conv2d::new(1, 1, 3, 3, 2, 2, 1, 0, &mut r);
         let x = init::uniform([1, 9], -1.0, 1.0, &mut r);
         let mut layer = Layer::Conv2d(conv.clone());
-        let y = layer.forward(&x, true);
+        let y = layer.forward(x.clone(), true);
         let _ = layer.backward(&y);
         let analytic = match &layer {
-            Layer::Conv2d(c) => c.grad_weight.clone(),
+            Layer::Conv2d(c) => c.grad_weight.clone().unwrap(),
             _ => unreachable!(),
         };
         let eps = 1e-2;
@@ -1158,7 +1183,7 @@ mod tests {
         let mut r = rng(11);
         let mut layer = Layer::Dense(Dense::new(2, 2, &mut r));
         let x = init::uniform([3, 2], -1.0, 1.0, &mut r);
-        let y = layer.forward(&x, true);
+        let y = layer.forward(x, true);
         let _ = layer.backward(&y);
         layer.zero_grads();
         for (_, g) in layer.params_and_grads() {

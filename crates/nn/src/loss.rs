@@ -47,14 +47,16 @@ impl Loss {
                     )
                     .sum()
                     / batch;
-                let grad = (&probs - targets).map(|g| g / batch);
+                let mut grad = &probs - targets;
+                grad.map_inplace(|g| g / batch);
                 (loss, grad)
             }
             Loss::MeanSquaredError => {
                 let diff = predictions - targets;
                 let n = predictions.len() as f32;
                 let loss = diff.sum_squares() / n;
-                let grad = diff.map(|d| 2.0 * d / n);
+                let mut grad = diff;
+                grad.map_inplace(|d| 2.0 * d / n);
                 (loss, grad)
             }
         }
@@ -73,9 +75,15 @@ pub fn softmax(logits: &Tensor) -> Tensor {
     for r in 0..rows {
         let row = &logits.data()[r * cols..(r + 1) * cols];
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = row.iter().map(|&v| (v - max).exp()).collect();
+        // The row's exponentials go straight into the output, which is
+        // then normalised in place.
+        let start = out.len();
+        out.extend(row.iter().map(|&v| (v - max).exp()));
+        let exps = &mut out[start..];
         let total: f32 = exps.iter().sum();
-        out.extend(exps.iter().map(|e| e / total));
+        for e in exps {
+            *e /= total;
+        }
     }
     Tensor::from_vec(out, [rows, cols]).expect("length matches by construction")
 }

@@ -113,10 +113,12 @@ impl Network {
     }
 
     /// Runs the pipeline forward. `train` enables dropout/batch statistics.
+    /// `x` is copied once; each activation then passes to the next layer
+    /// by value, so a layer that keeps its input keeps it without a copy.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let mut cur = x.clone();
         for layer in &mut self.layers {
-            cur = layer.forward(&cur, train);
+            cur = layer.forward(cur, train);
         }
         cur
     }
@@ -148,19 +150,21 @@ impl Network {
         let mut acts = Vec::with_capacity(self.layers.len() + 1);
         acts.push(x.clone());
         for layer in &mut self.layers {
-            let next = layer.forward(acts.last().expect("non-empty"), train);
+            let next = layer.forward(acts.last().expect("non-empty").clone(), train);
             acts.push(next);
         }
         acts
     }
 
-    /// Backward pass from the loss gradient; accumulates parameter grads.
+    /// Backward pass from the loss gradient, which it reads without a
+    /// copy; writes every layer's parameter gradients and returns
+    /// d loss / d input.
     pub fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let mut cur = grad.clone();
+        let mut cur: Option<Tensor> = None;
         for layer in self.layers.iter_mut().rev() {
-            cur = layer.backward(&cur);
+            cur = Some(layer.backward(cur.as_ref().unwrap_or(grad)));
         }
-        cur
+        cur.unwrap_or_else(|| grad.clone())
     }
 
     /// Zeroes all parameter gradients.

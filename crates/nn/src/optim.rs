@@ -4,7 +4,7 @@
 //! behind Snapshot Ensembles (§2.1 of the tutorial): the learning rate is
 //! repeatedly annealed to ~0 (where a snapshot is taken) and restarted.
 
-use dl_tensor::Tensor;
+use dl_tensor::{acct, Tensor};
 
 /// Gradient-descent update rules over a flat list of parameter tensors.
 #[derive(Debug, Clone)]
@@ -73,15 +73,27 @@ impl Optimizer {
     /// Applies one update to `params` given `grads`, scaling the base
     /// learning rate by `lr_scale` (supplied by the active [`LrSchedule`]).
     ///
+    /// Each rule updates its state and the parameter in place, in one
+    /// elementwise pass per parameter. Every element evaluates the same
+    /// expressions in the same order as a chain of whole-tensor
+    /// operations would, one temporary per operation, so the bits are
+    /// theirs. So is the [`acct`] charge: each operation is charged as
+    /// the elementwise kernel it would have run (SGD two, momentum four,
+    /// Adam ten per element).
+    ///
     /// # Panics
-    /// Panics if `params` and `grads` differ in length or any pair differs
-    /// in shape, or if the parameter list changes shape between calls.
+    /// Panics if any parameter and its gradient differ in shape, or if
+    /// the parameter list changes shape between calls.
     pub fn step(&mut self, params: &mut [(&mut Tensor, &mut Tensor)], lr_scale: f32) {
         match self {
             Optimizer::Sgd { lr } => {
                 let lr = *lr * lr_scale;
                 for (p, g) in params.iter_mut() {
-                    **p = &**p - &(&**g * lr);
+                    // p - g·lr
+                    charge_passes(same_shape(p, g), 1, 1);
+                    for (p, &g) in p.data_mut().iter_mut().zip(g.data()) {
+                        *p -= g * lr;
+                    }
                 }
             }
             Optimizer::Momentum { lr, beta, velocity } => {
@@ -92,10 +104,16 @@ impl Optimizer {
                         .collect();
                 }
                 assert_eq!(velocity.len(), params.len(), "parameter list changed");
-                let lr = *lr * lr_scale;
+                let (lr, beta) = (*lr * lr_scale, *beta);
                 for ((p, g), vel) in params.iter_mut().zip(velocity.iter_mut()) {
-                    *vel = &(&*vel * *beta) + &(&**g * lr);
-                    **p = &**p - &*vel;
+                    // vel = vel·beta + g·lr, then p - vel
+                    same_shape(p, vel);
+                    charge_passes(same_shape(p, g), 2, 2);
+                    let state = p.data_mut().iter_mut().zip(vel.data_mut());
+                    for ((p, vel), &g) in state.zip(g.data()) {
+                        *vel = *vel * beta + g * lr;
+                        *p -= *vel;
+                    }
                 }
             }
             Optimizer::Adam {
@@ -117,19 +135,54 @@ impl Optimizer {
                 assert_eq!(m.len(), params.len(), "parameter list changed");
                 *t += 1;
                 let lr = *lr * lr_scale;
+                let (beta1, beta2, eps) = (*beta1, *beta2, *eps);
+                let (keep1, keep2) = (1.0 - beta1, 1.0 - beta2);
                 let bc1 = 1.0 - beta1.powi(*t as i32);
                 let bc2 = 1.0 - beta2.powi(*t as i32);
-                for (i, (p, g)) in params.iter_mut().enumerate() {
-                    m[i] = &(&m[i] * *beta1) + &(&**g * (1.0 - *beta1));
-                    v[i] = &(&v[i] * *beta2) + &(g.map(|x| x * x) * (1.0 - *beta2));
-                    let m_hat = &m[i] * (1.0 / bc1);
-                    let v_hat = &v[i] * (1.0 / bc2);
-                    let update = m_hat.zip(&v_hat, |mh, vh| lr * mh / (vh.sqrt() + *eps));
-                    **p = &**p - &update;
+                let (unbias1, unbias2) = (1.0 / bc1, 1.0 / bc2);
+                for ((p, g), (m, v)) in params.iter_mut().zip(m.iter_mut().zip(v.iter_mut())) {
+                    // m = m·β1 + g·(1-β1); v = v·β2 + g²·(1-β2);
+                    // p - lr·m̂ / (√v̂ + ε) with m̂ = m/bc1 and v̂ = v/bc2
+                    same_shape(p, m);
+                    same_shape(p, v);
+                    charge_passes(same_shape(p, g), 6, 4);
+                    let state = p.data_mut().iter_mut().zip(m.data_mut()).zip(v.data_mut());
+                    for (((p, m), v), &g) in state.zip(g.data()) {
+                        *m = *m * beta1 + g * keep1;
+                        *v = *v * beta2 + g * g * keep2;
+                        let (m_hat, v_hat) = (*m * unbias1, *v * unbias2);
+                        *p -= lr * m_hat / (v_hat.sqrt() + eps);
+                    }
                 }
             }
         }
     }
+}
+
+/// The element count of `p`, after checking that `other` has its shape.
+fn same_shape(p: &Tensor, other: &Tensor) -> usize {
+    assert_eq!(
+        p.shape(),
+        other.shape(),
+        "optimizer state {} does not match parameter {}",
+        other.shape(),
+        p.shape()
+    );
+    p.len()
+}
+
+/// Charges `maps` one-operand and `zips` two-operand elementwise passes
+/// over `n` elements: what the update rule costs when each of its
+/// operations runs as a whole-tensor kernel. A fused update charges this
+/// too, so the measured cost of a training step does not depend on how
+/// its update is scheduled.
+fn charge_passes(n: usize, maps: u64, zips: u64) {
+    let n = n as u64;
+    acct::charge(
+        (maps + zips) * n,
+        (4 * maps + 8 * zips) * n,
+        4 * (maps + zips) * n,
+    );
 }
 
 /// Learning-rate schedules, expressed as a multiplier on the base rate.

@@ -191,14 +191,7 @@ impl Trainer {
                         one_hot(&labels, data.classes)
                     }
                 };
-                net.zero_grads();
-                let logits = net.forward(&xb, true);
-                let (loss, grad) = self.config.loss.evaluate(&logits, &targets);
-                net.backward(&grad);
-                let mut pg = net.params_and_grads();
-                apply_grad_transforms(&mut pg, self.config.weight_decay, self.config.clip_norm);
-                self.optimizer.step(&mut pg, scale);
-                loss_sum += loss;
+                loss_sum += self.step(net, &xb, &targets, scale);
                 batches += 1;
                 self.flops += step_flops;
             }
@@ -219,6 +212,21 @@ impl Trainer {
         }
         net.clear_caches();
         added
+    }
+
+    /// One training step on a batch: forward, loss, backward, the
+    /// configured gradient transforms and the optimizer's update, with
+    /// the base learning rate scaled by `lr_scale`. Returns the batch
+    /// loss. Backward writes every parameter gradient over the last
+    /// step's, so no separate zeroing pass is needed.
+    pub fn step(&mut self, net: &mut Network, x: &Tensor, targets: &Tensor, lr_scale: f32) -> f32 {
+        let logits = net.forward(x, true);
+        let (loss, grad) = self.config.loss.evaluate(&logits, targets);
+        net.backward(&grad);
+        let mut pg = net.params_and_grads();
+        apply_grad_transforms(&mut pg, self.config.weight_decay, self.config.clip_norm);
+        self.optimizer.step(&mut pg, lr_scale);
+        loss
     }
 
     /// Rows per evaluation chunk. Small enough that the workspace's

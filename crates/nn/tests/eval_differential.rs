@@ -77,7 +77,7 @@ fn check_layer(name: &str, mut layer: Layer, width: usize, rng: &mut StdRng) {
         let x = input(rows, width, rng);
         every_setting(|setting| {
             let eval = acct::measure(|| layer.eval(&x));
-            let forward = acct::measure(|| layer.clone().forward(&x, false));
+            let forward = acct::measure(|| layer.clone().forward(x.clone(), false));
             assert_same(&format!("{name}, {rows} rows, {setting}"), eval, forward);
         });
     }
@@ -112,7 +112,7 @@ fn check_network(name: &str, mut net: Network, rng: &mut StdRng) {
 fn warmed_batchnorm(width: usize, rng: &mut StdRng) -> Layer {
     let mut bn = Layer::BatchNorm1d(BatchNorm1d::new(width));
     for _ in 0..3 {
-        let _ = bn.forward(&init::uniform([16, width], -2.0, 2.0, rng), true);
+        let _ = bn.forward(init::uniform([16, width], -2.0, 2.0, rng), true);
     }
     bn
 }

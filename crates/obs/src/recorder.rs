@@ -237,13 +237,17 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// The bucket index `value` falls into.
+    /// The bucket index `value` falls into. The binary exponent
+    /// `floor(log2(value))` is read from the IEEE exponent field, which is
+    /// exact for every normal value (a libm `log2` can round a value a
+    /// few ulps below `2^k` up to `k`); a subnormal reads `-1023`, far
+    /// below bucket 1, so it lands in bucket 0 as its true exponent would.
     #[must_use]
     fn bucket_index(value: f64) -> usize {
         if !value.is_finite() || value <= 0.0 {
             return 0;
         }
-        let exp = value.log2().floor() as i32;
+        let exp = ((value.to_bits() >> 52) & 0x7ff) as i32 - 1023;
         (exp - HISTOGRAM_MIN_EXP + 1).clamp(0, HISTOGRAM_BUCKETS as i32 - 1) as usize
     }
 
@@ -596,6 +600,42 @@ mod tests {
         let events = rec.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[1].fields[0].1, crate::FieldValue::U64(128));
+    }
+
+    #[test]
+    fn bucket_edges_are_exact_powers_of_two() {
+        let top = HISTOGRAM_BUCKETS as i32 - 1;
+        let bucket_of_exp = |e: i32| (e - HISTOGRAM_MIN_EXP + 1).clamp(0, top) as usize;
+        // Every edge across the range and past both ends: 2^k opens its
+        // bucket and the largest value below it closes the one before.
+        for k in HISTOGRAM_MIN_EXP - 3..=HISTOGRAM_MIN_EXP + top + 3 {
+            let edge = 2f64.powi(k);
+            assert_eq!(Histogram::bucket_index(edge), bucket_of_exp(k), "2^{k}");
+            let below = edge.next_down();
+            assert_eq!(
+                Histogram::bucket_index(below),
+                bucket_of_exp(k - 1),
+                "2^{k} - 1 ulp"
+            );
+            assert_eq!(Histogram::bucket_index(edge.next_up()), bucket_of_exp(k));
+        }
+        assert_eq!(Histogram::bucket_index(f64::MIN_POSITIVE), 0);
+        assert_eq!(Histogram::bucket_index(f64::MAX), HISTOGRAM_BUCKETS - 1);
+        // Subnormals, zeros, negatives, infinities and NaN go to bucket 0.
+        for v in [
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE.next_down(),
+            0.0,
+            -0.0,
+            -f64::from_bits(1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            assert_eq!(Histogram::bucket_index(v), 0, "{v:e}");
+        }
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl NetworkProfile {
         let mut input_dim = x.dims()[1];
         for (index, layer) in net.layers_mut().iter_mut().enumerate() {
             let (modeled, out_dim) = layer.cost(batch, input_dim);
-            let (out, forward) = acct::measure(|| layer.forward(&activation, true));
+            let (out, forward) = acct::measure(|| layer.forward(activation, true));
             layers.push(LayerProfile {
                 index,
                 name: layer.name().to_string(),

@@ -256,8 +256,6 @@ pub fn decode_network(a: &Artifact<'_>, prefix: &str) -> Result<Network, StoreEr
                 );
                 c.weight = w;
                 c.bias = bias;
-                c.grad_weight = Tensor::zeros(c.weight.shape().clone());
-                c.grad_bias = Tensor::zeros(c.bias.shape().clone());
                 Layer::Conv2d(c)
             }
             "maxpool2d" => {

@@ -518,6 +518,41 @@ impl Tensor {
         }
     }
 
+    /// `sum_axis(0)` of a matrix, written over `out`, which becomes
+    /// `[cols]` (its buffer is reused when it is large enough). Same bits
+    /// and same charge as `sum_axis(0)`.
+    ///
+    /// # Panics
+    /// Panics on non-matrix input.
+    pub fn sum_rows_into(&self, out: &mut Tensor) {
+        assert_eq!(self.rank(), 2, "sum_rows_into requires a matrix");
+        let cols = self.dims()[1];
+        out.fill_zeros_as(&[cols]);
+        if cols > 0 {
+            for row in self.data.chunks_exact(cols) {
+                for (o, &v) in out.data.iter_mut().zip(row) {
+                    *o += v;
+                }
+            }
+        }
+        acct::charge(
+            self.data.len() as u64,
+            4 * self.data.len() as u64,
+            4 * cols as u64,
+        );
+    }
+
+    /// Makes this a `dims`-shaped tensor of zeros, keeping its buffer: no
+    /// allocation when the shape is unchanged or the buffer is large
+    /// enough. Charges nothing, like the zeroed buffer of a fresh result.
+    pub(crate) fn fill_zeros_as(&mut self, dims: &[usize]) {
+        if self.dims() != dims {
+            self.shape = Shape::new(dims.to_vec());
+        }
+        self.data.clear();
+        self.data.resize(self.shape.len(), 0.0);
+    }
+
     /// Mean along `axis` (axis removed from the result).
     pub fn mean_axis(&self, axis: usize) -> Self {
         let n = self.dims()[axis] as f32;

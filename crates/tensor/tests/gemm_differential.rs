@@ -1,6 +1,7 @@
 //! Differential test of the one GEMM routine behind `par::matmul`,
-//! `par::matmul_blocked` and `par::matmul_acc`, and the pinned IEEE
-//! behaviour of its zero-skip.
+//! `par::matmul_blocked`, `par::matmul_acc` and the transposed-operand
+//! `par::matmul_tn` and `par::matmul_nt`, and the pinned IEEE behaviour
+//! of its zero-skip.
 //!
 //! Seeded random operands, about half of `A` exact zeros (a quarter of
 //! them `-0.0`), over shapes that straddle every column-strip width and
@@ -10,7 +11,11 @@
 //! * `Kernel::Unrolled` must equal [`ikj`], the plain i-k-j loop that adds
 //!   each non-zero `a`'s fused products into the output row in ascending
 //!   `k`;
-//! * both must charge the sequential kernel's `acct` cost.
+//! * both must charge the sequential kernel's `acct` cost;
+//! * `matmul_tn(aᵀ, b)` and `matmul_nt(a, bᵀ)`, given the transposed
+//!   operand as `transpose()` stores it, must give the bits and the
+//!   charge of `matmul` on the untransposed operands (the oracle of
+//!   `transpose()` + `matmul`), whatever `matmul_tn`'s output held.
 //!
 //! The same check runs again with NaN, ±inf and subnormals placed in `B`
 //! and at random positions of `A`. A NaN result only has to be a NaN.
@@ -91,13 +96,15 @@ fn run<R>(kern: Kernel, threads: usize, f: impl FnOnce() -> R) -> (R, OpCost) {
 }
 
 /// Runs `a · b` through `matmul_blocked` at every thread count and tile
-/// width, and `start += a · b` through `matmul_acc`, on both kernels:
-/// `Kernel::Scalar` must give `Tensor::matmul`'s bits and [`ikj`]'s
-/// unfused sums, `Kernel::Unrolled` [`ikj`]'s fused ones, each with the
-/// sequential kernel's charge.
+/// width, `start += a · b` through `matmul_acc`, and the same product
+/// from stored transposes through `matmul_tn` and `matmul_nt`, on both
+/// kernels: `Kernel::Scalar` must give `Tensor::matmul`'s bits and
+/// [`ikj`]'s unfused sums, `Kernel::Unrolled` [`ikj`]'s fused ones, each
+/// with the sequential kernel's charge.
 fn check_against_oracles(a: &Tensor, b: &Tensor, start: &Tensor) {
     let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
     let shape = format!("({m},{k},{n})");
+    let (a_t, b_t) = (a.transpose(), b.transpose());
 
     let (scalar_want, seq_cost) = acct::measure(|| a.matmul(b));
     let mut fused_want = vec![0.0f32; m * n];
@@ -129,6 +136,21 @@ fn check_against_oracles(a: &Tensor, b: &Tensor, start: &Tensor) {
             let at = format!("{kern:?} matmul_acc {shape} threads {t}");
             assert_eq!(bits(out.data()), bits(acc_want), "{at}");
             assert_eq!(cost, acc_cost, "{at}: charge");
+
+            // matmul_tn overwrites whatever its output held: the same
+            // shape full of other values, or another shape entirely.
+            for mut out in [start.clone(), Tensor::full([n + 1, 2], 7.0)] {
+                let ((), cost) = run(kern, t, || par::matmul_tn(&a_t, b, &mut out));
+                let at = format!("{kern:?} matmul_tn {shape} threads {t}");
+                assert_eq!(out.dims(), &[m, n], "{at}");
+                assert_eq!(bits(out.data()), bits(want), "{at}");
+                assert_eq!(cost, seq_cost, "{at}: charge");
+            }
+            let (got, cost) = run(kern, t, || par::matmul_nt(a, &b_t));
+            let at = format!("{kern:?} matmul_nt {shape} threads {t}");
+            assert_eq!(got.dims(), &[m, n], "{at}");
+            assert_eq!(bits(got.data()), bits(want), "{at}");
+            assert_eq!(cost, seq_cost, "{at}: charge");
         }
     }
 }
