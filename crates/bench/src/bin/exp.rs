@@ -35,22 +35,25 @@
 //!   ASCII waterfalls for the slowest requests.
 //! * `--requests-json <path>` — write the same per-request attribution
 //!   as byte-stable JSON (one object per experiment).
-//! * `--baseline <dir>` — snapshot each experiment's numeric records to
-//!   `<dir>/BENCH_<ID>.json` for later `exp check` runs.
-//! * `check --against <dir>` — re-run every experiment that has a
-//!   `BENCH_<ID>.json` in `<dir>` (or just the listed ids) and diff the
-//!   fresh records against the stored baseline under tolerance bands.
+//! * `--baseline <dir>` — snapshot each experiment's title, verdict and
+//!   numeric records to `<dir>/BENCH_<ID>.json` for later `exp check` runs.
+//! * `check --against <dir>` — run every experiment (or just the listed
+//!   ids) once and compare the baseline it would write with
+//!   `<dir>/BENCH_<ID>.json` byte for byte, printing the lines that differ
+//!   (`-` committed, `+` fresh; one metric per line).
 //!
-//! Exit codes: `0` success, `1` an experiment failed, `2` bad usage
-//! (unknown id or flag — detected before anything runs), `3` baseline
-//! regression (`exp check` found drift).
+//! Exit codes: `0` success, `1` an experiment failed or a baseline file is
+//! missing or unreadable, `2` bad usage (unknown id or flag — detected
+//! before anything runs), `3` baseline mismatch (`exp check` found a
+//! committed file that the fresh run does not reproduce byte for byte).
 
 use std::path::{Path, PathBuf};
 
+use dl_bench::table::baseline_file_name;
 use dl_bench::{all_ids, run_experiment, run_experiment_traced, Table};
 use dl_monitor::{Monitor, MonitorConfig, MonitorReport};
 use dl_obs::{export, NullRecorder, Recorder, TimelineRecorder, ToFields};
-use dl_prof::{analyze, runs, Baseline, Tolerance, TraceProfile};
+use dl_prof::{analyze, runs, TraceProfile};
 use dl_trace::Tracer;
 
 /// Slowest-request waterfalls shown/exported per experiment.
@@ -319,94 +322,56 @@ fn chrome_trace_with_requests(events: &[dl_obs::Event]) -> String {
     String::from_utf8(buf).expect("exporter emits UTF-8")
 }
 
-/// Maps a `BENCH_E05.json` file name back to its experiment id (`e5`).
-fn id_of_baseline_file(name: &str) -> Option<String> {
-    let stem = name.strip_prefix("BENCH_")?.strip_suffix(".json")?;
-    let mut id = String::new();
-    let mut digits = String::new();
-    for c in stem.chars() {
-        if c.is_ascii_digit() {
-            digits.push(c);
-        } else {
-            id.extend(c.to_lowercase());
-        }
-    }
-    let trimmed = digits.trim_start_matches('0');
-    id.push_str(if trimmed.is_empty() { "0" } else { trimmed });
-    Some(id)
-}
-
-/// `exp check --against <dir>`: re-run and diff. Returns the exit code.
+/// `exp check --against <dir>`: re-runs each experiment (every id when
+/// none are listed) and compares its baseline with the committed file
+/// byte for byte. Returns the exit code.
 fn check(dir: &Path, ids: &[String]) -> i32 {
-    let ids: Vec<String> = if ids.is_empty() {
-        let mut found: Vec<String> = match std::fs::read_dir(dir) {
-            Ok(entries) => entries
-                .filter_map(|e| e.ok())
-                .filter_map(|e| id_of_baseline_file(&e.file_name().to_string_lossy()))
-                .filter(|id| all_ids().contains(id))
-                .collect(),
-            Err(e) => {
-                eprintln!("error: cannot read baseline dir {}: {e}", dir.display());
-                return 2;
-            }
-        };
-        found.sort();
-        if found.is_empty() {
-            eprintln!("error: no BENCH_*.json baselines in {}", dir.display());
-            return 2;
-        }
-        found
+    let ids = if ids.is_empty() {
+        all_ids()
     } else {
         ids.to_vec()
     };
-
     let mut failed = false;
-    let mut drifted = false;
+    let mut mismatched = false;
     for id in &ids {
-        let stored = match Baseline::load(dir, id) {
-            Ok(b) => b,
+        let path = dir.join(baseline_file_name(id));
+        let committed = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
             Err(e) => {
-                eprintln!("{id}: cannot load baseline: {e}");
+                eprintln!("{id}: cannot read {}: {e}", path.display());
                 failed = true;
                 continue;
             }
         };
-        let result = match run_experiment(id) {
-            Ok(r) => r,
+        let fresh = match run_experiment(id) {
+            Ok(result) => result.baseline_json(),
             Err(e) => {
                 eprintln!("{id}: experiment failed: {e}");
                 failed = true;
                 continue;
             }
         };
-        let current = Baseline::from_records(id, &result.title, &result.verdict, &result.records);
-        let drifts = stored.diff(&current, Tolerance::default());
-        let verdict_changed = stored.verdict != current.verdict;
-        if drifts.is_empty() && !verdict_changed {
-            println!(
-                "{id}: ok ({} metrics within tolerance)",
-                stored.metrics.len()
-            );
+        if committed == fresh.as_bytes() {
+            println!("{id}: ok ({} matches byte for byte)", path.display());
             continue;
         }
-        drifted = true;
-        println!(
-            "{id}: REGRESSION ({} drifts)",
-            drifts.len() + usize::from(verdict_changed)
-        );
-        for d in &drifts {
-            println!("  {}", d.describe());
+        mismatched = true;
+        println!("{id}: MISMATCH against {}", path.display());
+        let committed = String::from_utf8_lossy(&committed);
+        let mut shown = false;
+        for (sign, lines, other) in [('-', &*committed, &*fresh), ('+', &*fresh, &*committed)] {
+            for line in lines.lines().filter(|l| !other.lines().any(|o| o == *l)) {
+                println!("{sign} {line}");
+                shown = true;
+            }
         }
-        if verdict_changed {
-            println!(
-                "  verdict changed: {:?} -> {:?}",
-                stored.verdict, current.verdict
-            );
+        if !shown {
+            println!("  (same lines; they differ in order, repeats or line endings)");
         }
     }
     if failed {
         1
-    } else if drifted {
+    } else if mismatched {
         3
     } else {
         0
@@ -422,7 +387,7 @@ fn main() {
              \x20           [--requests] [--requests-json <path>] [--baseline <dir>]\n\
              \x20      exp check --against <dir> [id...]\n\
              \x20      exp --list\n\
-             exit codes: 0 ok, 1 experiment failed, 2 bad usage, 3 baseline regression"
+             exit codes: 0 ok, 1 experiment failed or baseline missing, 2 bad usage, 3 baseline mismatch"
         );
         std::process::exit(2);
     }
@@ -500,10 +465,9 @@ fn main() {
                     Err(e) => eprintln!("warning: could not save record: {e}"),
                 }
                 if let Some(dir) = &args.baseline_dir {
-                    let b =
-                        Baseline::from_records(id, &result.title, &result.verdict, &result.records);
-                    match b.save(Path::new(dir)) {
-                        Ok(path) => println!("baseline: {}\n", path.display()),
+                    let path = Path::new(dir).join(baseline_file_name(id));
+                    match std::fs::write(&path, result.baseline_json()) {
+                        Ok(()) => println!("baseline: {}\n", path.display()),
                         Err(e) => {
                             eprintln!("error: could not save baseline: {e}");
                             failed = true;

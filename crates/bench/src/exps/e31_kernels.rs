@@ -15,8 +15,8 @@
 //! itself.
 //!
 //! Determinism note: as in E26, wall-clock microseconds and speedups
-//! ride along as *string* fields, which `dl_prof::Baseline::from_records`
-//! excludes from the numeric gate. Every numeric field — bitwise pins,
+//! ride along as *string* fields, which `ExperimentResult::baseline_json`
+//! leaves out of the byte-exact baseline. Every numeric field — bitwise pins,
 //! cost-parity booleans, max relative kernel drift, measured per-batch
 //! costs, modeled service times, VirtualClock p99s — is reproducible on
 //! any machine.
@@ -436,8 +436,6 @@ pub fn run() -> ExperimentResult {
 
 #[cfg(test)]
 mod tests {
-    use dl_prof::{Baseline, Tolerance};
-
     #[test]
     fn e31_matches_claim_and_gates_deterministically() {
         let a = super::run();
@@ -451,11 +449,12 @@ mod tests {
             a.verdict, b.verdict,
             "verdict must not depend on wall clock"
         );
-        let ba = Baseline::from_records("e31", &a.title, &a.verdict, &a.records);
-        let bb = Baseline::from_records("e31", &b.title, &b.verdict, &b.records);
-        assert!(
-            ba.diff(&bb, Tolerance::default()).is_empty(),
-            "numeric records drifted between identical runs"
+        // The baseline `exp check` compares must come out byte-identical
+        // even though the wall-clock string fields differ.
+        assert_eq!(
+            a.baseline_json(),
+            b.baseline_json(),
+            "baseline differs between identical runs"
         );
     }
 

@@ -8,9 +8,14 @@
 //! tradeoff navigator re-reads. `exp <id> --trace <path>` additionally
 //! exports the run as a Chrome `trace_event` file.
 //!
+//! Baselines: `exp <id> --baseline <dir>` writes the result's
+//! [`ExperimentResult::baseline_json`] to `<dir>/BENCH_<ID>.json`, and
+//! `exp check --against <dir>` re-runs each experiment and compares that
+//! encoding with the committed file byte for byte.
+//!
 //! Determinism: every experiment takes no inputs and uses fixed seeds, so
 //! reruns reproduce identical rows (E26 and E31 also report wall-clock
-//! figures, but only as string fields that the baseline gate ignores).
+//! figures, but only as string fields that the baseline leaves out).
 //! Traces are timestamped by `dl_obs::VirtualClock` simulated time, so
 //! they are byte-reproducible too.
 

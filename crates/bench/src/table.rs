@@ -3,12 +3,14 @@
 //! Persistence is hand-rolled on top of `dl-obs`'s byte-stable field
 //! encoding (sorted keys, shortest round-trip floats) rather than any
 //! serde machinery, so a seeded experiment writes the identical JSON file
-//! on every run and the perf baselines can diff runs without noise.
+//! on every run and `exp check` can hold its baseline to exact bytes.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use dl_obs::field::write_json_string;
+use dl_obs::FieldValue;
 
 /// A rendered experiment table.
 #[derive(Debug, Clone)]
@@ -76,7 +78,7 @@ impl Table {
 /// structured records E21 and the perf baselines consume.
 #[derive(Debug, Clone)]
 pub struct ExperimentResult {
-    /// Experiment id (`e1`..`e25`).
+    /// Experiment id (`e1`..`e31`, `a1`..`a4`).
     pub id: String,
     /// One-line title (the tutorial claim being regenerated).
     pub title: String,
@@ -150,6 +152,48 @@ impl ExperimentResult {
         std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
+
+    /// The baseline snapshot `exp --baseline` writes and `exp check`
+    /// compares byte for byte: id, title, verdict and every numeric
+    /// record field flattened to `r<i>.<key>` (record index, then field
+    /// name), sorted by key, one metric per line. Booleans count as 0/1;
+    /// strings and non-finite floats are dropped, so wall-clock figures
+    /// reported as strings never reach the file.
+    pub fn baseline_json(&self) -> String {
+        let mut metrics = BTreeMap::new();
+        for (i, record) in self.records.iter().enumerate() {
+            for (key, value) in record {
+                if let Some(v) = numeric(value).filter(|v| v.is_finite()) {
+                    metrics.insert(format!("r{i}.{key}"), v);
+                }
+            }
+        }
+        let mut out = String::from("{\n  \"id\": ");
+        write_json_string(&mut out, &self.id);
+        out.push_str(",\n  \"metrics\": {");
+        for (i, (key, value)) in metrics.iter().enumerate() {
+            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
+            write_json_string(&mut out, key);
+            let _ = write!(out, ": {value}");
+        }
+        if !metrics.is_empty() {
+            out.push_str("\n  ");
+        }
+        out.push_str("},\n  \"title\": ");
+        write_json_string(&mut out, &self.title);
+        out.push_str(",\n  \"verdict\": ");
+        write_json_string(&mut out, &self.verdict);
+        out.push_str("\n}\n");
+        out
+    }
+}
+
+/// The baseline file name for an experiment id: `e5` ->
+/// `BENCH_E05.json`, `a1` -> `BENCH_A01.json`.
+pub fn baseline_file_name(id: &str) -> String {
+    let (letters, digits): (String, String) = id.chars().partition(|c| !c.is_ascii_digit());
+    let number: u64 = digits.parse().unwrap_or(0);
+    format!("BENCH_{}{number:02}.json", letters.to_ascii_uppercase())
 }
 
 fn write_str_array(out: &mut String, items: &[String]) {
@@ -163,14 +207,19 @@ fn write_str_array(out: &mut String, items: &[String]) {
     out.push(']');
 }
 
+/// A field's numeric reading: integers widen, bools count as 0/1,
+/// strings have none.
+fn numeric(value: &FieldValue) -> Option<f64> {
+    match value {
+        FieldValue::Bool(b) => Some(f64::from(u8::from(*b))),
+        other => other.as_f64(),
+    }
+}
+
 /// Looks up a numeric field in a record (integers widen, bools count as
 /// 0/1) — the replacement for indexing into a dynamic JSON value.
 pub fn field_f64(fields: &dl_obs::Fields, key: &str) -> Option<f64> {
-    use dl_obs::FieldValue;
-    dl_obs::find_field(fields, key).and_then(|v| match v {
-        FieldValue::Bool(b) => Some(f64::from(u8::from(*b))),
-        other => other.as_f64(),
-    })
+    dl_obs::find_field(fields, key).and_then(numeric)
 }
 
 /// Formats a float with 3 significant decimals.
@@ -269,5 +318,40 @@ mod tests {
         assert_eq!(field_f64(&record, "ok"), Some(1.0));
         assert_eq!(field_f64(&record, "name"), None);
         assert_eq!(field_f64(&record, "missing"), None);
+    }
+
+    #[test]
+    fn flattening_keeps_numerics_and_drops_strings() {
+        use dl_obs::fields;
+        let r = ExperimentResult {
+            id: "e5".into(),
+            title: "Local SGD \"sync\"".into(),
+            table: Table::new(&["a"]),
+            verdict: "PASS".into(),
+            records: vec![
+                fields! { "sync_period" => 1usize, "accuracy" => 0.8751, "note" => "dense" },
+                fields! { "sync_period" => 8usize, "converged" => true, "loss" => f64::NAN },
+            ],
+        };
+        let expected = r#"{
+  "id": "e5",
+  "metrics": {
+    "r0.accuracy": 0.8751,
+    "r0.sync_period": 1,
+    "r1.converged": 1,
+    "r1.sync_period": 8
+  },
+  "title": "Local SGD \"sync\"",
+  "verdict": "PASS"
+}
+"#;
+        assert_eq!(r.baseline_json(), expected);
+    }
+
+    #[test]
+    fn file_names_are_zero_padded_and_uppercase() {
+        assert_eq!(baseline_file_name("e5"), "BENCH_E05.json");
+        assert_eq!(baseline_file_name("e22"), "BENCH_E22.json");
+        assert_eq!(baseline_file_name("a1"), "BENCH_A01.json");
     }
 }

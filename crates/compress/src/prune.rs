@@ -134,7 +134,6 @@ pub fn saliency_prune(
     );
     assert!(!calibration.is_empty(), "calibration data required");
     // one forward/backward over the calibration set to populate gradients
-    net.zero_grads();
     let logits = net.forward(&calibration.x, true);
     let targets = dl_nn::loss::one_hot(&calibration.y, calibration.classes);
     let (_, grad) = Loss::SoftmaxCrossEntropy.evaluate(&logits, &targets);

@@ -200,7 +200,6 @@ impl<'a> Shards<'a> {
         let xb = self.data.x.select_rows(&idx);
         let labels: Vec<usize> = idx.iter().map(|&i| self.data.y[i]).collect();
         let targets = one_hot(&labels, self.data.classes);
-        net.zero_grads();
         let logits = net.forward(&xb, true);
         let (_, grad) = Loss::SoftmaxCrossEntropy.evaluate(&logits, &targets);
         net.backward(&grad);

@@ -126,7 +126,6 @@ impl TreeNet {
         let mut trunk_grad: Option<Tensor> = None;
         let mut total_loss = 0.0;
         for (branch, opt) in self.branches.iter_mut().zip(branch_opts.iter_mut()) {
-            branch.zero_grads();
             let logits = branch.forward(&features, true);
             let (loss, grad) = Loss::SoftmaxCrossEntropy.evaluate(&logits, targets);
             let gin = branch.backward(&grad);
@@ -139,7 +138,6 @@ impl TreeNet {
             });
         }
         let gin = &trunk_grad.expect("at least one branch") * (1.0 / self.branches.len() as f32);
-        self.trunk.zero_grads();
         self.trunk.backward(&gin);
         let mut pg = self.trunk.params_and_grads();
         trunk_opt.step(&mut pg, 1.0);

@@ -78,7 +78,6 @@ pub fn train_reweighed(
             let xb = data.x.select_rows(&idx);
             let labels: Vec<usize> = idx.iter().map(|&i| data.y[i]).collect();
             let targets = one_hot(&labels, 2);
-            net.zero_grads();
             let logits = net.forward(&xb, true);
             let (_, grad) = Loss::SoftmaxCrossEntropy.evaluate(&logits, &targets);
             net.backward(&grad);
@@ -150,14 +149,12 @@ pub fn adversarial_debias(
             let g_targets = one_hot(&grp, 2);
             // 1) adversary step: predict group from predictor logits
             let logits = predictor.forward(&xb, true);
-            adversary.zero_grads();
             let g_logits = adversary.forward(&logits, true);
             let (_, g_grad) = Loss::SoftmaxCrossEntropy.evaluate(&g_logits, &g_targets);
             let grad_into_logits = adversary.backward(&g_grad);
             let mut pg = adversary.params_and_grads();
             a_opt.step(&mut pg, 1.0);
             // 2) predictor step: task gradient minus adversary leak gradient
-            predictor.zero_grads();
             let logits = predictor.forward(&xb, true);
             let (_, task_grad) = Loss::SoftmaxCrossEntropy.evaluate(&logits, &y_targets);
             // gradient reversal: subtract lambda * d(adv loss)/d(logits)

@@ -150,7 +150,6 @@ impl LearnedBloom {
         // brief full-batch training
         let targets = one_hot(&data.y, 2);
         for _ in 0..150 {
-            model.zero_grads();
             let logits = model.forward(&data.x, true);
             let (_, grad) = Loss::SoftmaxCrossEntropy.evaluate(&logits, &targets);
             model.backward(&grad);

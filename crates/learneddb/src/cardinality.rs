@@ -181,7 +181,6 @@ impl NeuralEstimator {
         let mut model = Network::mlp(&[cols * 2, 64, 32, 1], &mut rng);
         let mut opt = Optimizer::adam(0.005);
         for _ in 0..400 {
-            model.zero_grads();
             let pred = model.forward(&x, true);
             let (_, grad) = Loss::MeanSquaredError.evaluate(&pred, &y);
             model.backward(&grad);

@@ -125,13 +125,6 @@ impl Layer {
         }
     }
 
-    /// Zeroes accumulated parameter gradients.
-    pub fn zero_grads(&mut self) {
-        for (_, g) in self.params_and_grads() {
-            g.map_inplace(|_| 0.0);
-        }
-    }
-
     /// Drops cached activations (between steps, or to model checkpointing).
     pub fn clear_cache(&mut self) {
         match self {
@@ -555,15 +548,45 @@ impl Conv2d {
         rng: &mut StdRng,
     ) -> Self {
         let fan_in = in_channels * kh * kw;
+        let weight = init::he(out_channels, fan_in, rng)
+            .reshape([out_channels, fan_in])
+            .expect("he init shape");
+        let bias = Tensor::zeros([out_channels]);
+        Conv2d::from_parts(
+            weight,
+            bias,
+            in_channels,
+            height,
+            width,
+            kh,
+            kw,
+            stride,
+            pad,
+        )
+    }
+
+    /// Convolution with an explicit filter bank `[out_channels,
+    /// in_channels * kh * kw]` and bias `[out_channels]` (used by the
+    /// model store's decoder); the output channels are the weight's rows.
+    #[allow(clippy::too_many_arguments)]
+    pub fn from_parts(
+        weight: Tensor,
+        bias: Tensor,
+        in_channels: usize,
+        height: usize,
+        width: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+    ) -> Self {
         Conv2d {
-            weight: init::he(out_channels, fan_in, rng)
-                .reshape([out_channels, fan_in])
-                .expect("he init shape"),
-            bias: Tensor::zeros([out_channels]),
+            out_channels: weight.dims()[0],
+            weight,
+            bias,
             grad_weight: None,
             grad_bias: None,
             in_channels,
-            out_channels,
             height,
             width,
             kh,
@@ -1176,19 +1199,6 @@ mod tests {
         assert_eq!(pg[0].0.dims(), &[2, 3]); // weight first
         assert_eq!(pg[1].0.dims(), &[3]); // bias second
         assert!(Layer::ReLU(ReLU::new()).params_and_grads().is_empty());
-    }
-
-    #[test]
-    fn zero_grads_clears_accumulation() {
-        let mut r = rng(11);
-        let mut layer = Layer::Dense(Dense::new(2, 2, &mut r));
-        let x = init::uniform([3, 2], -1.0, 1.0, &mut r);
-        let y = layer.forward(x, true);
-        let _ = layer.backward(&y);
-        layer.zero_grads();
-        for (_, g) in layer.params_and_grads() {
-            assert_eq!(g.sum(), 0.0);
-        }
     }
 
     #[test]

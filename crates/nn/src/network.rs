@@ -167,13 +167,6 @@ impl Network {
         cur.unwrap_or_else(|| grad.clone())
     }
 
-    /// Zeroes all parameter gradients.
-    pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
-    }
-
     /// Drops all cached activations.
     pub fn clear_caches(&mut self) {
         for layer in &mut self.layers {
@@ -435,7 +428,6 @@ mod tests {
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..60 {
-            net.zero_grads();
             let logits = net.forward(&x, true);
             let (loss, grad) = Loss::SoftmaxCrossEntropy.evaluate(&logits, &y);
             net.backward(&grad);
@@ -542,7 +534,6 @@ mod tests {
         let y = net.forward(&x, false);
         assert_eq!(y.dims(), &[3, 10]);
         // backward runs end to end through conv/pool/dense
-        net.zero_grads();
         let logits = net.forward(&x, true);
         net.backward(&logits);
         assert!(net.flat_grads().iter().any(|&g| g != 0.0));

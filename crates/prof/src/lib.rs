@@ -1,8 +1,8 @@
 //! # dl-prof
 //!
-//! The profiling and analysis layer on top of `dl-obs`: where PR 2's
-//! observability stack records *events*, this crate quantifies *costs* and
-//! guards them against regression. Three pillars:
+//! The profiling and analysis layer on top of `dl-obs`: where the
+//! observability stack records *events*, this crate quantifies *costs*.
+//! Two pillars:
 //!
 //! * [`cost`] — deterministic cost accounting: drive a network layer by
 //!   layer under `dl-tensor`'s [`acct`](dl_tensor::acct) scopes and report
@@ -14,21 +14,16 @@
 //!   recovery / replay, extract the critical path through distributed
 //!   sync rounds, and attribute lost time to the workers whose crashes
 //!   caused it.
-//! * [`baseline`] — perf-regression baselines: snapshot an experiment's
-//!   numeric record set to `BENCH_<ID>.json`, diff later runs against it
-//!   under tolerance bands, and report drifts for CI to gate on.
 //!
 //! Everything here is deterministic: costs come from instruction-exact
-//! kernel accounting, times from the simulated `VirtualClock`, and the
-//! baseline files are byte-stable JSON — so a regression signal is a real
-//! change in the code, never noise.
+//! kernel accounting and times from the simulated `VirtualClock`, so the
+//! experiments that report them pin them byte for byte in their
+//! `BENCH_<ID>.json` baselines (written and checked by dl-bench's `exp`).
 
 #![warn(missing_docs)]
 
 pub mod analyze;
-pub mod baseline;
 pub mod cost;
 
 pub use analyze::{analyze, runs, SpanStat, TraceProfile, WorkerLostTime};
-pub use baseline::{Baseline, Drift, Tolerance};
 pub use cost::{LayerProfile, NetworkProfile};

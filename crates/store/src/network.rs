@@ -14,8 +14,8 @@
 //! them, since no f32 network holds codes.
 //!
 //! Gradients are training scratch and are not persisted; a loaded network
-//! carries zeroed gradient buffers, identical to a freshly constructed
-//! one. Parameters, structure, dropout mask streams and batch-norm
+//! carries no gradient buffers until a backward sizes them, like a
+//! freshly constructed one. Parameters, structure, dropout mask streams and batch-norm
 //! running statistics round-trip bit-for-bit.
 
 use crate::format::{Artifact, ArtifactBuilder, HParam};
@@ -23,7 +23,7 @@ use crate::StoreError;
 use dl_compress::{QuantizedDense, QuantizedMlp, QuantizedTensor};
 use dl_nn::layers::{BatchNorm1d, Conv2d, Dense, Dropout, Layer, MaxPool2d, ReLU, Sigmoid, Tanh};
 use dl_nn::Network;
-use dl_tensor::{init, Tensor};
+use dl_tensor::Tensor;
 
 /// Value of the `artifact.kind` hparam written by [`save_network`].
 const NETWORK_KIND: &str = "network";
@@ -209,12 +209,9 @@ pub fn decode_network(a: &Artifact<'_>, prefix: &str) -> Result<Network, StoreEr
                 Layer::Dropout(Dropout::from_state(p, seed, step))
             }
             "conv2d" => {
-                // Constructed through `new` (which needs an rng for its
-                // He init), then the freshly drawn weights are replaced
-                // by the stored ones — the rng never leaks into the
-                // reconstruction. The stored tensors are read and their
-                // shapes checked against the claimed geometry first, so
-                // `new` allocates no more than the file holds.
+                // The stored tensors are read and their shapes checked
+                // against the claimed geometry before the layer is built
+                // from them.
                 let w = a.f32_of(s.tensor("weight")?)?;
                 let bias = a.f32_of(s.tensor("bias")?)?;
                 let mut u = |field: &str| s.u64(field).map(|v| v as usize);
@@ -243,20 +240,9 @@ pub fn decode_network(a: &Artifact<'_>, prefix: &str) -> Result<Network, StoreEr
                          does not take {width}-wide rows"
                     ))
                 })?;
-                let mut c = Conv2d::new(
-                    cin,
-                    cout,
-                    height,
-                    wide,
-                    kh,
-                    kw,
-                    stride,
-                    pad,
-                    &mut init::rng(0),
-                );
-                c.weight = w;
-                c.bias = bias;
-                Layer::Conv2d(c)
+                Layer::Conv2d(Conv2d::from_parts(
+                    w, bias, cin, height, wide, kh, kw, stride, pad,
+                ))
             }
             "maxpool2d" => {
                 let mut u = |field: &str| s.u64(field).map(|v| v as usize);
@@ -392,6 +378,7 @@ pub fn load_network(bytes: &[u8]) -> Result<Network, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dl_tensor::init;
     use rand::Rng;
 
     fn all_kinds_network() -> Network {

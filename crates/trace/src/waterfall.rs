@@ -219,7 +219,8 @@ pub struct TraceSet {
 
 impl TraceSet {
     /// Rebuilds every request's lifecycle from `events`: decodes each
-    /// with [`ServeEvent::decode`], then runs [`TraceSet::from_records`].
+    /// with [`ServeEvent::decode`] into the [`crate::Tracer`]'s compact
+    /// `(ts_micros, event)` record form, then rebuilds from the records.
     ///
     /// Events must be in record order (as `TimelineRecorder::events`
     /// returns them); record order doubles as the chronological
@@ -231,12 +232,12 @@ impl TraceSet {
             .iter()
             .filter_map(|e| Some((e.ts_micros, ServeEvent::decode(e)?)))
             .collect();
-        TraceSet::from_records(&records)
+        TraceSet::from_blocks(&[records])
     }
 
     /// Rebuilds every request's lifecycle from decoded `(ts_micros,
-    /// event)` records in record order — the [`crate::Tracer`]'s compact
-    /// form of the stream.
+    /// event)` records in record order, stored as consecutive blocks,
+    /// every block but the last holding the same number of records.
     ///
     /// One pass in record order tags each lifecycle record with its
     /// request and record index (and each batch join with the moment its
@@ -244,14 +245,6 @@ impl TraceSet {
     /// compact keys by request lines every request's records up in record
     /// order, and one linear pass over the groups finishes each trace
     /// without allocating per request.
-    #[must_use]
-    pub fn from_records(records: &[(u64, ServeEvent)]) -> TraceSet {
-        TraceSet::from_blocks(&[records])
-    }
-
-    /// [`TraceSet::from_records`] over records stored as consecutive
-    /// blocks, every block but the last holding the same number of
-    /// records.
     pub(crate) fn from_blocks<B: AsRef<[(u64, ServeEvent)]>>(blocks: &[B]) -> TraceSet {
         let len: usize = blocks.iter().map(|b| b.as_ref().len()).sum();
         assert!(
