@@ -3,9 +3,12 @@
 //! `par::matmul_tn` and `par::matmul_nt`, and the pinned IEEE behaviour
 //! of its zero-skip.
 //!
-//! Seeded random operands, about half of `A` exact zeros (a quarter of
-//! them `-0.0`), over shapes that straddle every column-strip width and
-//! tile edge, at one and four threads and several tile widths:
+//! Seeded random operands over shapes that straddle every column-strip
+//! width, tile edge and eight-row lane group, at one and four threads and
+//! several tile widths. `A` comes in three kinds, one for each loop order
+//! the routine picks per row block: about half exact zeros (a quarter of
+//! them `-0.0`), no zero at all, and exactly one `±0.0` in every run of
+//! [`ROW_BLOCK`] rows:
 //!
 //! * `Kernel::Scalar` must equal `Tensor::matmul` bit for bit;
 //! * `Kernel::Unrolled` must equal [`ikj`], the plain i-k-j loop that adds
@@ -25,7 +28,7 @@ use dl_tensor::par::{self, Kernel};
 use dl_tensor::{init, Tensor};
 use rand::Rng;
 
-const MS: [usize; 6] = [0, 1, 3, 7, 32, 33];
+const MS: [usize; 11] = [0, 1, 3, 7, 8, 9, 15, 16, 17, 32, 33];
 const KS: [usize; 6] = [0, 1, 5, 16, 64, 129];
 const THREADS: [usize; 2] = [1, 4];
 const TILES: [usize; 4] = [1, 3, 8, 128];
@@ -42,16 +45,38 @@ fn widths() -> Vec<usize> {
         .collect()
 }
 
-/// A `[rows, cols]` operand. With `zeros`, about half the elements are
-/// exact zeros and a quarter of those are `-0.0`.
-fn operand(rows: usize, cols: usize, zeros: bool, rng: &mut rand::rngs::StdRng) -> Tensor {
-    let data = (0..rows * cols)
-        .map(|_| match rng.gen_range(0u32..8) {
-            0 if zeros => -0.0,
-            1..=3 if zeros => 0.0,
+/// Rows per block of the GEMM routine, which picks each block's loop
+/// order from the block's own values.
+const ROW_BLOCK: usize = 32;
+
+/// Where an operand's exact zeros fall.
+#[derive(Clone, Copy, Debug)]
+enum Zeros {
+    /// None: every row block of `A` runs zero-free.
+    None,
+    /// About half the elements, a quarter of those `-0.0`.
+    Half,
+    /// Exactly one, `+0.0` or `-0.0`, in every run of [`ROW_BLOCK`] rows.
+    OnePerBlock,
+}
+
+const A_ZEROS: [Zeros; 3] = [Zeros::None, Zeros::Half, Zeros::OnePerBlock];
+
+/// A `[rows, cols]` operand with its zeros placed as `zeros` says.
+fn operand(rows: usize, cols: usize, zeros: Zeros, rng: &mut rand::rngs::StdRng) -> Tensor {
+    let mut data: Vec<f32> = (0..rows * cols)
+        .map(|_| match (zeros, rng.gen_range(0u32..8)) {
+            (Zeros::Half, 0) => -0.0,
+            (Zeros::Half, 1..=3) => 0.0,
             _ => rng.gen_range(-1.0f32..1.0),
         })
         .collect();
+    if let Zeros::OnePerBlock = zeros {
+        for block in data.chunks_mut((ROW_BLOCK * cols).max(1)) {
+            let at = rng.gen_range(0..block.len());
+            block[at] = if rng.gen_range(0..2) == 0 { 0.0 } else { -0.0 };
+        }
+    }
     Tensor::from_vec(data, [rows, cols]).expect("length matches by construction")
 }
 
@@ -160,17 +185,19 @@ fn both_kernels_match_their_oracles_bitwise_with_equal_charges() {
     let mut rng = init::rng(0x6e3d);
     let mut cases = 0;
     for n in widths() {
-        for _ in 0..8 {
-            let m = MS[rng.gen_range(0..MS.len())];
-            let k = KS[rng.gen_range(0..KS.len())];
-            let a = operand(m, k, true, &mut rng);
-            let b = operand(k, n, false, &mut rng);
-            let start = operand(m, n, true, &mut rng);
-            check_against_oracles(&a, &b, &start);
-            cases += 1;
+        for a_zeros in A_ZEROS {
+            for _ in 0..8 {
+                let m = MS[rng.gen_range(0..MS.len())];
+                let k = KS[rng.gen_range(0..KS.len())];
+                let a = operand(m, k, a_zeros, &mut rng);
+                let b = operand(k, n, Zeros::None, &mut rng);
+                let start = operand(m, n, Zeros::Half, &mut rng);
+                check_against_oracles(&a, &b, &start);
+                cases += 1;
+            }
         }
     }
-    assert_eq!(cases, 8 * widths().len());
+    assert_eq!(cases, 8 * A_ZEROS.len() * widths().len());
 }
 
 /// Replaces about one element in `every` of `t` with NaN, ±inf or a
@@ -195,12 +222,12 @@ fn sprinkle_specials(t: &mut Tensor, every: u32, rng: &mut rand::rngs::StdRng) {
 fn special_values_in_b_and_anywhere_in_a_match_the_oracles() {
     let mut rng = init::rng(0x5bec);
     for n in widths() {
-        for _ in 0..4 {
+        for a_zeros in A_ZEROS.into_iter().cycle().take(6) {
             let m = MS[rng.gen_range(0..MS.len())];
             let k = KS[rng.gen_range(0..KS.len())];
-            let mut a = operand(m, k, true, &mut rng);
-            let mut b = operand(k, n, false, &mut rng);
-            let start = operand(m, n, true, &mut rng);
+            let mut a = operand(m, k, a_zeros, &mut rng);
+            let mut b = operand(k, n, Zeros::None, &mut rng);
+            let start = operand(m, n, Zeros::Half, &mut rng);
             // Specials in B meet both skipped zeros and live values of A;
             // specials in A land in any row, column and strip.
             sprinkle_specials(&mut b, 16, &mut rng);
