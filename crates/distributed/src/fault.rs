@@ -192,6 +192,31 @@ impl FaultPlan {
         slowdown
     }
 
+    /// [`FaultPlan::link_factor_at`] and [`FaultPlan::slowdown_at`] for
+    /// workers `0..workers`, resolved once per step up to the plan's
+    /// horizon, for a caller that asks at every event of a run.
+    #[must_use]
+    pub fn table(&self, workers: usize) -> FaultTable<'_> {
+        let end = |e: &FaultEvent| match *e {
+            FaultEvent::LinkDegrade { to_step, .. } | FaultEvent::Straggler { to_step, .. } => {
+                to_step
+            }
+            FaultEvent::WorkerCrash { at_step, .. } | FaultEvent::WorkerRejoin { at_step, .. } => {
+                at_step.saturating_add(1)
+            }
+        };
+        let steps = self.events.iter().map(end).max().unwrap_or(0);
+        let steps = steps.min(MAX_TABLE_STEPS);
+        FaultTable {
+            plan: self,
+            workers,
+            link: (0..steps).map(|s| self.link_factor_at(s)).collect(),
+            slowdown: (0..steps)
+                .flat_map(|s| (0..workers).map(move |w| self.slowdown_at(s, w)))
+                .collect(),
+        }
+    }
+
     /// Generates a plan for `workers` workers over `horizon` steps from an
     /// MTBF/MTTR-style profile. Fully determined by `profile.seed`; an
     /// all-zero profile yields the empty plan.
@@ -272,6 +297,47 @@ impl FaultPlan {
             }
         }
         FaultPlan::new(events)
+    }
+}
+
+/// Steps a [`FaultTable`] holds at most, so a plan with a far-off episode
+/// end does not size a table the run never reads.
+const MAX_TABLE_STEPS: usize = 1 << 12;
+
+/// A [`FaultPlan`]'s per-step lookups, each value computed by the plan's
+/// own [`FaultPlan::link_factor_at`] or [`FaultPlan::slowdown_at`], so a
+/// lookup returns its bits. A step past the plan's last event (or past
+/// the table's cap) or a worker outside the table asks the plan.
+#[derive(Debug, Clone)]
+pub struct FaultTable<'a> {
+    plan: &'a FaultPlan,
+    workers: usize,
+    /// Indexed by step.
+    link: Vec<f64>,
+    /// Indexed by `step * workers + worker`.
+    slowdown: Vec<f64>,
+}
+
+impl FaultTable<'_> {
+    /// [`FaultPlan::link_factor_at`]`(step)`.
+    #[must_use]
+    #[inline]
+    pub fn link_factor_at(&self, step: usize) -> f64 {
+        match self.link.get(step) {
+            Some(&f) => f,
+            None => self.plan.link_factor_at(step),
+        }
+    }
+
+    /// [`FaultPlan::slowdown_at`]`(step, worker)`.
+    #[must_use]
+    #[inline]
+    pub fn slowdown_at(&self, step: usize, worker: usize) -> f64 {
+        if worker < self.workers && step < self.link.len() {
+            self.slowdown[step * self.workers + worker]
+        } else {
+            self.plan.slowdown_at(step, worker)
+        }
     }
 }
 
@@ -464,6 +530,76 @@ mod tests {
         assert_eq!(plan.slowdown_at(6, 1), 3.0);
         assert_eq!(plan.slowdown_at(6, 0), 1.0, "stragglers are per-worker");
         assert_eq!(plan.slowdown_at(8, 1), 1.0);
+    }
+
+    /// Every table lookup of `plan` over `workers` equals the plan's own
+    /// function bit for bit, on every step up to 8 past the horizon and
+    /// on 3 workers past the table.
+    fn assert_table_matches(plan: &FaultPlan, workers: usize, horizon: usize) {
+        let table = plan.table(workers);
+        for step in 0..horizon + 8 {
+            assert_eq!(
+                table.link_factor_at(step).to_bits(),
+                plan.link_factor_at(step).to_bits(),
+                "link factor at step {step}"
+            );
+            for w in 0..workers + 3 {
+                assert_eq!(
+                    table.slowdown_at(step, w).to_bits(),
+                    plan.slowdown_at(step, w).to_bits(),
+                    "slowdown at step {step}, worker {w}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn table_lookups_equal_the_plan_bit_for_bit() {
+        for seed in 0..200u64 {
+            // A rate of zero switches a class off in about one case in four.
+            fn rate(rng: &mut StdRng, mean: f64) -> f64 {
+                if rng.gen::<f64>() < 0.25 {
+                    0.0
+                } else {
+                    mean * (0.5 + rng.gen::<f64>())
+                }
+            }
+            let rng = &mut init::rng(seed);
+            let profile = FaultProfile {
+                seed,
+                crash_mtbf: rate(rng, 30.0),
+                repair_mttr: rate(rng, 8.0),
+                degrade_mtbf: rate(rng, 20.0),
+                degrade_duration: rate(rng, 6.0),
+                degrade_factor: 0.1 + 0.9 * rng.gen::<f64>(),
+                straggler_mtbf: rate(rng, 15.0),
+                straggler_duration: rate(rng, 5.0),
+                straggler_slowdown: 1.0 + 7.0 * rng.gen::<f64>(),
+            };
+            let workers = 1 + (seed % 6) as usize;
+            let horizon = 16 + (seed * 37 % 300) as usize;
+            let plan = FaultPlan::from_profile(&profile, workers, horizon);
+            assert_table_matches(&plan, workers, horizon);
+        }
+        assert_table_matches(&FaultPlan::none(), 3, 40);
+        assert!(FaultPlan::none().table(3).link.is_empty());
+        // An episode ending past the table's cap: the steps beyond it ask
+        // the plan.
+        let far = FaultPlan::new(vec![
+            FaultEvent::Straggler {
+                worker: 1,
+                slowdown: 3.0,
+                from_step: MAX_TABLE_STEPS - 2,
+                to_step: MAX_TABLE_STEPS + 2,
+            },
+            FaultEvent::LinkDegrade {
+                factor: 0.5,
+                from_step: 1,
+                to_step: MAX_TABLE_STEPS + 3,
+            },
+        ]);
+        assert_eq!(far.table(2).link.len(), MAX_TABLE_STEPS);
+        assert_table_matches(&far, 2, MAX_TABLE_STEPS + 4);
     }
 
     #[test]

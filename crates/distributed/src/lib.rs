@@ -44,7 +44,7 @@ pub mod sim;
 
 pub use checkpoint::{Checkpoint, CheckpointStore, StorageProfile};
 pub use datapar::{local_sgd, local_sgd_traced, LocalSgdConfig, LocalSgdReport};
-pub use fault::{FaultEvent, FaultPlan, FaultProfile};
+pub use fault::{FaultEvent, FaultPlan, FaultProfile, FaultTable};
 pub use flexflow::{
     data_parallel_cost, optimize_placement, Placement, PlacementSearchConfig, StrategyCost,
 };

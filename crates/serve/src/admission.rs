@@ -46,15 +46,74 @@ pub enum Decision {
     Shed,
 }
 
+/// What the controller knows of one family for a whole run: each
+/// variant's measured service seconds per batch size, its accuracy, the
+/// variants in descending accuracy order, and the flush policy's bounds.
+/// Built once per engine, so an arrival's prediction is table lookups.
+#[derive(Debug, Clone)]
+pub struct PriceTable {
+    /// Batch sizes the table covers: `max_batch`, or the longest cost
+    /// table when that is shorter (`cost_at` clamps to it).
+    width: usize,
+    /// `service_s[v * width + b - 1]` is
+    /// `device.service_time(variants[v].cost_at(b))`.
+    service_s: Vec<f64>,
+    accuracy: Vec<f64>,
+    /// Variant indices sorted stably by descending accuracy.
+    by_accuracy: Vec<usize>,
+    max_batch: usize,
+    max_delay_s: f64,
+}
+
+impl PriceTable {
+    /// Prices `registry`'s variants on `device` under `batch`.
+    #[must_use]
+    pub fn new(registry: &VariantRegistry, device: &DeviceModel, batch: &BatchPolicy) -> Self {
+        let variants = &registry.variants;
+        let longest = variants.iter().map(|v| v.max_batch()).max().unwrap_or(1);
+        let width = batch.max_batch.min(longest).max(1);
+        let service_s = variants
+            .iter()
+            .flat_map(|v| (1..=width).map(|b| device.service_time(v.cost_at(b))))
+            .collect();
+        let accuracy: Vec<f64> = variants.iter().map(|v| v.accuracy).collect();
+        let mut by_accuracy: Vec<usize> = (0..variants.len()).collect();
+        by_accuracy.sort_by(|&a, &b| accuracy[b].total_cmp(&accuracy[a]));
+        PriceTable {
+            width,
+            service_s,
+            accuracy,
+            by_accuracy,
+            max_batch: batch.max_batch,
+            max_delay_s: batch.max_delay_s,
+        }
+    }
+
+    /// Seconds one batch of `b` requests of variant `v` runs.
+    fn batch_s(&self, v: usize, b: usize) -> f64 {
+        self.service_s[v * self.width + b.min(self.width) - 1]
+    }
+
+    /// Seconds to drain `len` queued requests of variant `v`, flushed in
+    /// `max_batch`-sized chunks, summed chunk by chunk in queue order.
+    fn drain_time_s(&self, v: usize, len: usize) -> f64 {
+        let (chunks, rest) = (len / self.max_batch, len % self.max_batch);
+        let mut total = 0.0;
+        for _ in 0..chunks {
+            total += self.batch_s(v, self.max_batch);
+        }
+        if rest > 0 {
+            total += self.batch_s(v, rest);
+        }
+        total
+    }
+}
+
 /// Everything the controller can see at one arrival instant.
 #[derive(Debug)]
 pub struct AdmissionContext<'a> {
-    /// The served family (for measured cost tables and accuracies).
-    pub registry: &'a VariantRegistry,
-    /// The device converting costs to seconds.
-    pub device: &'a DeviceModel,
-    /// The flush policy (its delay bound is part of predicted latency).
-    pub batch: &'a BatchPolicy,
+    /// The served family's prices on this device and flush policy.
+    pub prices: &'a PriceTable,
     /// Current queue length per variant.
     pub queue_lens: &'a [usize],
     /// Seconds of already-committed work: remaining in-flight batch time.
@@ -68,30 +127,17 @@ pub struct AdmissionContext<'a> {
 }
 
 impl AdmissionContext<'_> {
-    /// Seconds to drain `len` queued requests of variant `v`, flushed in
-    /// `max_batch`-sized chunks at measured per-chunk cost.
-    fn drain_time_s(&self, v: usize, len: usize) -> f64 {
-        let variant = &self.registry.variants[v];
-        let mut rest = len;
-        let mut total = 0.0;
-        while rest > 0 {
-            let b = rest.min(self.batch.max_batch);
-            total += self.device.service_time(variant.cost_at(b));
-            rest -= b;
-        }
-        total
-    }
-
     /// Predicted completion delay for a request joining variant `v` now:
     /// any weight-store load the request must wait for, committed
     /// in-flight work, every queue drained ahead of it (the server is
     /// shared), the flush-delay wait, and its own batch.
     #[must_use]
     fn predicted_delay_s(&self, v: usize) -> f64 {
+        let prices = self.prices;
         let queued: f64 = (0..self.queue_lens.len())
-            .map(|u| self.drain_time_s(u, self.queue_lens[u] + usize::from(u == v)))
+            .map(|u| prices.drain_time_s(u, self.queue_lens[u] + usize::from(u == v)))
             .sum();
-        self.residency_delay_s + self.busy_remaining_s + queued + self.batch.max_delay_s
+        self.residency_delay_s + self.busy_remaining_s + queued + prices.max_delay_s
     }
 }
 
@@ -99,8 +145,9 @@ impl AdmissionContext<'_> {
 ///
 /// Under [`AdmissionPolicy::SloAware`], candidates are considered in
 /// descending accuracy order among variants meeting the accuracy floor
-/// (the requested variant first when tied), and the first whose predicted
-/// delay fits inside `headroom * p99_slo_s` wins; nothing fits → shed.
+/// (registry order among ties), and the first whose predicted delay fits
+/// inside `headroom * p99_slo_s` wins; nothing fits → shed. The requested
+/// variant is tried first, whatever its accuracy.
 pub fn admit(policy: &AdmissionPolicy, ctx: &AdmissionContext<'_>, target: usize) -> Decision {
     match *policy {
         AdmissionPolicy::AcceptAll => Decision::Accept(target),
@@ -113,25 +160,17 @@ pub fn admit(policy: &AdmissionPolicy, ctx: &AdmissionContext<'_>, target: usize
             if ctx.predicted_delay_s(target) <= budget {
                 return Decision::Accept(target);
             }
-            // Highest-accuracy variant that still fits the budget; sort is
-            // stable over registry order, so ties are deterministic.
-            let mut candidates: Vec<usize> = (0..ctx.registry.variants.len())
-                .filter(|&v| v != target && ctx.registry.variants[v].accuracy >= min_accuracy)
-                .collect();
-            candidates.sort_by(|&a, &b| {
-                ctx.registry.variants[b]
-                    .accuracy
-                    .total_cmp(&ctx.registry.variants[a].accuracy)
-            });
-            for v in candidates {
-                if ctx.predicted_delay_s(v) <= budget {
-                    return Decision::Downgrade {
-                        from: target,
-                        to: v,
-                    };
-                }
-            }
-            Decision::Shed
+            let prices = ctx.prices;
+            prices
+                .by_accuracy
+                .iter()
+                .copied()
+                .filter(|&v| v != target && prices.accuracy[v] >= min_accuracy)
+                .find(|&v| ctx.predicted_delay_s(v) <= budget)
+                .map_or(Decision::Shed, |to| Decision::Downgrade {
+                    from: target,
+                    to,
+                })
         }
     }
 }
@@ -160,13 +199,54 @@ mod tests {
         )
     }
 
+    /// The pre-table prediction: each chunk priced through the device
+    /// model as it is summed.
+    fn direct_drain_time_s(
+        reg: &VariantRegistry,
+        device: &DeviceModel,
+        batch: &BatchPolicy,
+        v: usize,
+        len: usize,
+    ) -> f64 {
+        let mut rest = len;
+        let mut total = 0.0;
+        while rest > 0 {
+            let b = rest.min(batch.max_batch);
+            total += device.service_time(reg.variants[v].cost_at(b));
+            rest -= b;
+        }
+        total
+    }
+
+    #[test]
+    fn priced_drain_times_equal_the_device_model_bit_for_bit() {
+        let reg = small_registry();
+        let device = DeviceModel::nominal();
+        // Narrower, equal to and wider than the family's cost tables.
+        for max_batch in [1, 3, reg.variants[0].max_batch(), 64] {
+            let batch = BatchPolicy::dynamic(max_batch, 1e-6);
+            let prices = PriceTable::new(&reg, &device, &batch);
+            for v in 0..reg.variants.len() {
+                for len in 0..3 * max_batch + 2 {
+                    assert_eq!(
+                        prices.drain_time_s(v, len).to_bits(),
+                        direct_drain_time_s(&reg, &device, &batch, v, len).to_bits(),
+                        "max_batch {max_batch}, variant {v}, {len} queued"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn accept_all_never_sheds() {
         let reg = small_registry();
         let ctx = AdmissionContext {
-            registry: &reg,
-            device: &DeviceModel::nominal(),
-            batch: &BatchPolicy::dynamic(4, 1e-6),
+            prices: &PriceTable::new(
+                &reg,
+                &DeviceModel::nominal(),
+                &BatchPolicy::dynamic(4, 1e-6),
+            ),
             queue_lens: &[10_000, 0, 0, 0, 0, 0],
             busy_remaining_s: 1.0,
             residency_delay_s: 0.0,
@@ -189,9 +269,7 @@ mod tests {
         };
         let empty = [0usize; 6];
         let ctx = AdmissionContext {
-            registry: &reg,
-            device: &device,
-            batch: &batch,
+            prices: &PriceTable::new(&reg, &device, &batch),
             queue_lens: &empty,
             busy_remaining_s: 0.0,
             residency_delay_s: 0.0,
@@ -224,9 +302,7 @@ mod tests {
         let mut lens = [0usize; 6];
         lens[target] = 8;
         let ctx = AdmissionContext {
-            registry: &reg,
-            device: &device,
-            batch: &batch,
+            prices: &PriceTable::new(&reg, &device, &batch),
             queue_lens: &lens,
             busy_remaining_s: 0.0,
             residency_delay_s: 0.0,
@@ -263,9 +339,7 @@ mod tests {
         let batch = BatchPolicy::dynamic(4, 1e-6);
         let empty = [0usize; 6];
         let warm = AdmissionContext {
-            registry: &reg,
-            device: &device,
-            batch: &batch,
+            prices: &PriceTable::new(&reg, &device, &batch),
             queue_lens: &empty,
             busy_remaining_s: 0.0,
             residency_delay_s: 0.0,

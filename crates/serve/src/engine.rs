@@ -21,7 +21,7 @@ use dl_nn::Dataset;
 use dl_obs::{fields, Recorder};
 use dl_trace::{FlushTrigger, ServeEvent};
 
-use crate::admission::{admit, AdmissionContext, AdmissionPolicy, Decision};
+use crate::admission::{admit, AdmissionContext, AdmissionPolicy, Decision, PriceTable};
 use crate::batcher::BatchPolicy;
 use crate::cluster::ClusterConfig;
 use crate::device::DeviceModel;
@@ -70,8 +70,13 @@ pub struct ReplicaEngine {
     primary: usize,
     /// Per-variant queues of requests, each flagged when downgraded.
     queues: Vec<VecDeque<(Request, bool)>>,
+    /// Requests over every queue.
+    queued: usize,
     /// Per-variant queue lengths handed to admission, reused per arrival.
     queue_lens: Vec<usize>,
+    /// The family priced for admission on this engine's device and
+    /// flush policy.
+    prices: PriceTable,
     in_flight: Option<InFlight>,
     /// Per-variant traffic accounting, registry order.
     pub(crate) stats: Vec<VariantServeStats>,
@@ -108,7 +113,9 @@ impl ReplicaEngine {
             replica: track_base / n_variants.max(1) as u32,
             primary,
             queues: vec![VecDeque::new(); n_variants],
+            queued: 0,
             queue_lens: Vec::with_capacity(n_variants),
+            prices: PriceTable::new(registry, &cfg.device, &cfg.batch),
             in_flight: None,
             stats: registry
                 .variants
@@ -147,7 +154,7 @@ impl ReplicaEngine {
         now_s: f64,
         drain: bool,
     ) -> Option<f64> {
-        if self.in_flight.is_some() {
+        if self.in_flight.is_some() || self.queued == 0 {
             return None;
         }
         let mut t = f64::INFINITY;
@@ -165,21 +172,20 @@ impl ReplicaEngine {
     /// Queued plus in-flight requests — the router's load signal.
     #[must_use]
     pub fn load(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum::<usize>()
-            + self.in_flight.as_ref().map_or(0, |fl| fl.requests.len())
+        self.queued + self.in_flight.as_ref().map_or(0, |fl| fl.requests.len())
     }
 
     /// True when nothing is queued or executing.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.in_flight.is_none() && self.queues.iter().all(VecDeque::is_empty)
+        self.in_flight.is_none() && self.queued == 0
     }
 
     /// Requests waiting in queues — work that still needs the family's
     /// weights (an in-flight batch already read them).
     #[must_use]
     pub fn queued_len(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.queued
     }
 
     /// Completes the in-flight batch if it is due at `now_s`. `fresh`
@@ -256,8 +262,10 @@ impl ReplicaEngine {
     /// Runs one arrival through admission control and enqueues (or sheds)
     /// it. The prediction is charged `residency_delay_s` extra seconds
     /// before the family's weights are usable (a store's cold-start
-    /// signal; `0.0` for always-resident weights). Returns the
-    /// controller's decision.
+    /// signal; `0.0` for always-resident weights). `registry` and `cfg`
+    /// are the ones the engine was built with: admission reads the prices
+    /// [`ReplicaEngine::new`] took from them. Returns the controller's
+    /// decision.
     pub fn admit_arrival(
         &mut self,
         req: Request,
@@ -276,9 +284,7 @@ impl ReplicaEngine {
             .as_ref()
             .map_or(0.0, |fl| (fl.done_s - now_s).max(0.0));
         let ctx = AdmissionContext {
-            registry,
-            device: &cfg.device,
-            batch: &cfg.batch,
+            prices: &self.prices,
             queue_lens: &self.queue_lens,
             busy_remaining_s,
             residency_delay_s,
@@ -287,6 +293,7 @@ impl ReplicaEngine {
         match decision {
             Decision::Accept(v) => {
                 self.queues[v].push_back((req, false));
+                self.queued += 1;
                 rec.typed_instant(
                     self.track_base + v as u32,
                     &ServeEvent::Admit {
@@ -298,6 +305,7 @@ impl ReplicaEngine {
             }
             Decision::Downgrade { from, to } => {
                 self.queues[to].push_back((req, true));
+                self.queued += 1;
                 if rec.enabled() {
                     rec.instant(
                         self.track_base + to as u32,
@@ -342,7 +350,7 @@ impl ReplicaEngine {
         service_factor: f64,
         rec: &dyn Recorder,
     ) -> bool {
-        if self.in_flight.is_some() {
+        if self.in_flight.is_some() || self.queued == 0 {
             return false;
         }
         // Oldest ready head wins; ties break on the lower variant index.
@@ -369,6 +377,7 @@ impl ReplicaEngine {
         };
         let b = self.queues[v].len().min(cfg.batch.max_batch);
         let requests: Vec<(Request, bool)> = self.queues[v].drain(..b).collect();
+        self.queued -= b;
         let samples: Vec<usize> = requests.iter().map(|(r, _)| r.sample).collect();
         // The real batched forward: one [B, d] eval-mode pass, fanned
         // across the kernel pool only when the batch's measured cost
@@ -438,6 +447,7 @@ impl ReplicaEngine {
         for q in &mut self.queues {
             lost.extend(q.drain(..).map(|(r, _)| r));
         }
+        self.queued = 0;
         lost
     }
 }

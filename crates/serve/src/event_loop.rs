@@ -9,10 +9,10 @@
 //! engine, the chaos-tested cluster and the store-fronted fleet.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use dl_distributed::FaultEvent;
+use dl_distributed::{FaultEvent, FaultTable};
 use dl_nn::Dataset;
 use dl_obs::{fields, Recorder};
 use dl_trace::{DispatchKind, ServeEvent};
@@ -88,19 +88,30 @@ impl Replica {
     }
 
     /// The earliest batch completion or flush deadline (a queue cannot
-    /// flush before its weights load). With `after` set, only instants
-    /// strictly later count, and loads finishing count too: the time a
-    /// deferred fault should retry.
-    fn next_event(&self, batch: &BatchPolicy, now: f64, drain: bool, after: Option<f64>) -> f64 {
+    /// flush before its weights load), and the family of the first
+    /// earliest completion under `total_cmp` (NaN never completes). With
+    /// `after` set, only instants strictly later count, and loads
+    /// finishing count too: the time a deferred fault should retry.
+    fn next_event(
+        &self,
+        batch: &BatchPolicy,
+        now: f64,
+        drain: bool,
+        after: Option<f64>,
+    ) -> (f64, Option<(f64, usize)>) {
         let mut t = f64::INFINITY;
+        let mut first_done: Option<(f64, usize)> = None;
         let mut push = |x: f64| {
             if after.is_none_or(|a| x > a) {
                 t = t.min(x);
             }
         };
-        for (eng, &ready) in self.engines.iter().zip(&self.ready_s) {
+        for (m, (eng, &ready)) in self.engines.iter().zip(&self.ready_s).enumerate() {
             if let Some(c) = eng.next_completion_s() {
                 push(c);
+                if !c.is_nan() && first_done.is_none_or(|(d, _)| c.total_cmp(&d).is_lt()) {
+                    first_done = Some((c, m));
+                }
             }
             if let Some(d) = eng.next_flush_deadline_s(batch, now, drain) {
                 push(d.max(ready));
@@ -109,7 +120,7 @@ impl Replica {
                 push(ready);
             }
         }
-        t
+        (t, first_done)
     }
 }
 
@@ -152,6 +163,29 @@ fn peek_s(timers: &BinaryHeap<Timed>) -> Option<f64> {
     timers.peek().map(|t| t.at_s)
 }
 
+/// Hedge timers in firing order. Each is due a fixed delay after the
+/// (never decreasing) instant it was set, so timers arrive in `(at_s,
+/// seq)` order and a FIFO pops exactly what a heap would.
+#[derive(Default)]
+struct HedgeTimers(VecDeque<Timed>);
+
+impl HedgeTimers {
+    fn push(&mut self, timer: Timed) {
+        debug_assert!(
+            self.0.back().is_none_or(|last| {
+                let by_time = last.at_s.total_cmp(&timer.at_s);
+                by_time.then(last.seq.cmp(&timer.seq)).is_lt()
+            }),
+            "hedge timers must be set in firing order"
+        );
+        self.0.push_back(timer);
+    }
+
+    fn peek_s(&self) -> Option<f64> {
+        self.0.front().map(|t| t.at_s)
+    }
+}
+
 /// Retry and hedge state indexed by dense request id.
 struct PerRequest {
     answered: Vec<bool>,
@@ -175,6 +209,8 @@ struct Sim<'a> {
     weights: Weights<'a>,
     data: &'a Dataset,
     cfg: &'a ClusterConfig,
+    /// `cfg.faults` resolved per step for the initial replicas.
+    faults: FaultTable<'a>,
     rec: &'a dyn Recorder,
     n_models: usize,
     n_variants: usize,
@@ -226,6 +262,7 @@ pub(crate) fn run(
         weights,
         data,
         cfg,
+        faults: cfg.faults.table(cfg.replicas),
         rec,
         replicas: Vec::with_capacity(cfg.replicas),
         router: Router::new(cfg.router),
@@ -341,7 +378,7 @@ impl Sim<'_> {
             replica_capacity_rps(&cfg.engine.device, &primary.variants[p])
         });
         let mut activations: Vec<f64> = Vec::new();
-        let mut hedges = BinaryHeap::new();
+        let mut hedges = HedgeTimers::default();
         let mut now = 0.0f64;
         let mut next_arrival = 0usize;
 
@@ -352,11 +389,20 @@ impl Sim<'_> {
                 || !self.deliveries.is_empty()
                 || self.replicas.iter().any(|r| !r.retired && r.load() > 0);
             let mut t_next = f64::INFINITY;
-            for r in self.replicas.iter().filter(|r| r.live()) {
-                t_next = t_next.min(r.next_event(&cfg.engine.batch, now, self.drain, None));
+            // The first earliest completion (lowest replica, then family),
+            // due if it is no later than the instant picked below.
+            let mut first_done: Option<(f64, usize, usize)> = None;
+            for (i, r) in self.replicas.iter().enumerate().filter(|(_, r)| r.live()) {
+                let (t, done) = r.next_event(&cfg.engine.batch, now, self.drain, None);
+                t_next = t_next.min(t);
+                if let Some((d, m)) = done {
+                    if first_done.is_none_or(|(f, ..)| d.total_cmp(&f).is_lt()) {
+                        first_done = Some((d, i, m));
+                    }
+                }
             }
             let next_arrival_s = (next_arrival < n).then(|| arrival(next_arrival).0.arrival_s);
-            for t in [next_arrival_s, peek_s(&self.deliveries), peek_s(&hedges)] {
+            for t in [next_arrival_s, peek_s(&self.deliveries), hedges.peek_s()] {
                 t_next = t_next.min(t.unwrap_or(f64::INFINITY));
             }
             if work_remains {
@@ -377,18 +423,7 @@ impl Sim<'_> {
             rec.clock().set(now);
 
             // ---- 1: completion (earliest due, lowest replica/family) -------
-            let due = self
-                .replicas
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.live())
-                .flat_map(|(i, r)| {
-                    let done = r.engines.iter().map(ReplicaEngine::next_completion_s);
-                    done.enumerate().filter_map(move |(m, t)| Some((t?, i, m)))
-                })
-                .filter(|&(t, ..)| t <= now)
-                .min_by(|a, b| a.0.total_cmp(&b.0));
-            if let Some((_, i, m)) = due {
+            if let Some((_, i, m)) = first_done.filter(|&(t, ..)| t <= now) {
                 // Only a request's first completion counts (hedge dedup).
                 let mut answered = self.per_request.as_mut().map(|p| &mut p.answered);
                 let fired = self.replicas[i].engines[m].try_complete(now, rec, &mut |req| {
@@ -444,8 +479,8 @@ impl Sim<'_> {
             }
 
             // ---- 5: hedge --------------------------------------------------
-            if peek_s(&hedges).is_some_and(|t| t <= now) {
-                let Timed { model, req, .. } = hedges.pop().expect("peeked");
+            if hedges.peek_s().is_some_and(|t| t <= now) {
+                let Timed { model, req, .. } = hedges.0.pop_front().expect("peeked");
                 let p = self.per_request.as_ref().expect("hedging tracks requests");
                 let (home, attempt) = (p.home[req.id as usize], p.attempts[req.id as usize]);
                 if !self.answered(req.id)
@@ -533,7 +568,7 @@ impl Sim<'_> {
                 } else {
                     1.0
                 };
-                let factor = warm * cfg.faults.slowdown_at(step, i);
+                let factor = warm * self.faults.slowdown_at(step, i);
                 // Ready residents flush first, so a family that just
                 // finished loading serves its queue before any re-fault
                 // can steal its slot back.
@@ -666,7 +701,7 @@ impl Sim<'_> {
         }
         let cfg = self.cfg;
         let delay = if cfg.dispatch_s > 0.0 {
-            cfg.dispatch_s / cfg.faults.link_factor_at(self.step_of(now))
+            cfg.dispatch_s / self.faults.link_factor_at(self.step_of(now))
         } else {
             0.0
         };
@@ -733,7 +768,7 @@ impl Sim<'_> {
             }
             None => {
                 let load_s = store.load_seconds(model, device);
-                let next = r.next_event(&cfg.engine.batch, now, self.drain, Some(now));
+                let (next, _) = r.next_event(&cfg.engine.batch, now, self.drain, Some(now));
                 let retry = if next.is_finite() { next } else { now + load_s };
                 r.ready_s[model] = retry;
                 retry - now + load_s

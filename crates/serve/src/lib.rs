@@ -72,7 +72,7 @@ pub mod router;
 pub mod store;
 pub mod variant;
 
-pub use admission::{admit, AdmissionContext, AdmissionPolicy, Decision};
+pub use admission::{admit, AdmissionContext, AdmissionPolicy, Decision, PriceTable};
 pub use autoscale::{replica_capacity_rps, AutoscaleConfig, Autoscaler};
 pub use batcher::BatchPolicy;
 pub use cluster::{

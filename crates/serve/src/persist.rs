@@ -407,7 +407,7 @@ mod tests {
 
     #[test]
     fn loaded_family_admits_identically() {
-        use crate::admission::{admit, AdmissionContext, AdmissionPolicy};
+        use crate::admission::{admit, AdmissionContext, AdmissionPolicy, PriceTable};
         use crate::batcher::BatchPolicy;
         use crate::device::DeviceModel;
         let (reg, _) = tiny_registry();
@@ -422,9 +422,7 @@ mod tests {
         let busy = 0.0005;
         let d1 = {
             let ctx = AdmissionContext {
-                registry: &reg,
-                device: &DeviceModel::nominal(),
-                batch: &batch,
+                prices: &PriceTable::new(&reg, &DeviceModel::nominal(), &batch),
                 queue_lens: &queue_lens,
                 busy_remaining_s: busy,
                 residency_delay_s: 0.0,
@@ -433,9 +431,7 @@ mod tests {
         };
         let d2 = {
             let ctx = AdmissionContext {
-                registry: &back,
-                device: &DeviceModel::nominal(),
-                batch: &batch,
+                prices: &PriceTable::new(&back, &DeviceModel::nominal(), &batch),
                 queue_lens: &queue_lens,
                 busy_remaining_s: busy,
                 residency_delay_s: 0.0,
