@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 use dl_obs::Event;
 
 use crate::context::{DispatchKind, FlushTrigger, ServeEvent};
+use crate::tracer::{Blocks, JoinSlot, Kind, Record, Records};
 
 /// Number of phase slots in a [`RequestTrace`].
 pub const PHASE_COUNT: usize = 7;
@@ -195,17 +196,18 @@ impl OutcomeCounts {
     }
 }
 
-/// The `join_free` index of a record that is not a batch join.
-const NOT_A_JOIN: u32 = u32::MAX;
+/// The side-table index of a record that has no side-table entry.
+const NO_SIDE: u32 = u32::MAX;
 
-/// One lifecycle record tagged with its request, ready to be grouped.
-struct Keyed {
-    request: u64,
-    ts: u64,
-    /// For a batch join: when the joining replica's device last went
-    /// idle, as of the join (0 before its first batch ended).
-    free: u64,
-    event: ServeEvent,
+/// The records a reconstruction reads, where they lie.
+struct View<'a> {
+    records: &'a Blocks<Record>,
+    joins: &'a Blocks<JoinSlot>,
+    values: &'a Blocks<f64>,
+    /// For each batch join, in join order: when the joining replica's
+    /// device last went idle, as of the join (0 before its first batch
+    /// ended).
+    join_free: &'a [u64],
 }
 
 /// All requests reconstructed from one event stream.
@@ -219,8 +221,9 @@ pub struct TraceSet {
 
 impl TraceSet {
     /// Rebuilds every request's lifecycle from `events`: decodes each
-    /// with [`ServeEvent::decode`] into the [`crate::Tracer`]'s compact
-    /// `(ts_micros, event)` record form, then rebuilds from the records.
+    /// with [`ServeEvent::decode`] and encodes it into the
+    /// [`crate::Tracer`]'s compact record form, then rebuilds from the
+    /// records exactly as [`crate::Tracer::traces`] does.
     ///
     /// Events must be in record order (as `TimelineRecorder::events`
     /// returns them); record order doubles as the chronological
@@ -228,74 +231,71 @@ impl TraceSet {
     /// by time.
     #[must_use]
     pub fn reconstruct(events: &[Event]) -> TraceSet {
-        let records: Vec<(u64, ServeEvent)> = events
-            .iter()
-            .filter_map(|e| Some((e.ts_micros, ServeEvent::decode(e)?)))
-            .collect();
-        TraceSet::from_blocks(&[records])
+        let mut records = Records::default();
+        for e in events {
+            if let Some(event) = ServeEvent::decode(e) {
+                records.push(e.ts_micros, &event);
+            }
+        }
+        TraceSet::from_records(&records)
     }
 
-    /// Rebuilds every request's lifecycle from decoded `(ts_micros,
-    /// event)` records in record order, stored as consecutive blocks,
-    /// every block but the last holding the same number of records.
+    /// Rebuilds every request's lifecycle from `records`.
     ///
     /// One pass in record order tags each lifecycle record with its
-    /// request and record index (and each batch join with the moment its
-    /// replica's device last went idle); a stable radix sort of those
-    /// compact keys by request lines every request's records up in record
-    /// order, and one linear pass over the groups finishes each trace
-    /// without allocating per request.
-    pub(crate) fn from_blocks<B: AsRef<[(u64, ServeEvent)]>>(blocks: &[B]) -> TraceSet {
-        let len: usize = blocks.iter().map(|b| b.as_ref().len()).sum();
+    /// request, record index and side-table index (and each batch join
+    /// with the moment its replica's device last went idle); a stable
+    /// radix sort of those compact keys by request lines every request's
+    /// records up in record order, and one linear pass over the groups
+    /// finishes each trace, reading records in place, without allocating
+    /// per request.
+    pub(crate) fn from_records(records: &Records) -> TraceSet {
+        let len = records.records.len();
         assert!(
             u32::try_from(len).is_ok(),
             "more trace records than a u32 index can address"
         );
-        let per_block = blocks.first().map_or(1, |b| b.as_ref().len().max(1));
-        let record = |i: u32| blocks[i as usize / per_block].as_ref()[i as usize % per_block];
-        let records = blocks.iter().flat_map(AsRef::as_ref);
         // Latest `serve.batch` end edge per replica, maintained in record
         // order: when a request joins a batch, this is the moment its
         // replica's device last went idle — the queue/batch-wait split.
         let mut device_free: BTreeMap<u32, u64> = BTreeMap::new();
-        // That moment for each batch join, in record order.
-        let mut join_free: Vec<u64> = Vec::new();
-        // (request, record index, `join_free` index) per lifecycle record,
+        let mut join_free: Vec<u64> = Vec::with_capacity(records.joins.len());
+        let mut values = 0u32;
+        // (request, record index, side-table index) per lifecycle record,
         // pushed in record order.
         let mut order: Vec<(u64, u32, u32)> = Vec::with_capacity(len);
-        for (i, &(ts, event)) in (0u32..).zip(records) {
-            if let ServeEvent::BatchEnd { replica } = event {
-                device_free.insert(replica, ts);
-            }
-            let Some(request) = event.request() else {
-                continue;
-            };
-            let join = match event {
-                ServeEvent::BatchJoin { replica, .. } => {
-                    join_free.push(device_free.get(&replica).copied().unwrap_or(0));
+        for (i, r) in (0u32..).zip(records.records.iter()) {
+            let side = match r.kind {
+                Kind::BatchEnd => {
+                    device_free.insert(r.replica, r.ts);
+                    continue;
+                }
+                Kind::Join(_) => {
+                    join_free.push(device_free.get(&r.replica).copied().unwrap_or(0));
                     (join_free.len() - 1) as u32
                 }
-                _ => NOT_A_JOIN,
+                Kind::Complete | Kind::HedgeLoser => {
+                    values += 1;
+                    values - 1
+                }
+                _ => NO_SIDE,
             };
-            order.push((request, i, join));
+            order.push((r.request, i, side));
         }
         sort_by_request(&mut order);
 
-        let keyed = |&(request, i, join): &(u64, u32, u32)| {
-            let (ts, event) = record(i);
-            Keyed {
-                request,
-                ts,
-                free: join_free.get(join as usize).copied().unwrap_or(0),
-                event,
-            }
+        let view = View {
+            records: &records.records,
+            joins: &records.joins,
+            values: &records.values,
+            join_free: &join_free,
         };
         let mut counts = OutcomeCounts::default();
         let mut requests = Vec::with_capacity(order.len());
         requests.extend(
             order
                 .chunk_by(|a, b| a.0 == b.0)
-                .map(|group| finalize(group.iter().map(keyed), &mut counts)),
+                .map(|group| finalize(group, &view, &mut counts)),
         );
         TraceSet { requests, counts }
     }
@@ -389,16 +389,21 @@ fn sort_by_request(keys: &mut Vec<(u64, u32, u32)>) {
     }
 }
 
-/// Collapses one request's records (in record order) into its trace and
+/// Collapses one request's keys (in record order) into its trace and
 /// adds its outcomes to `counts`. Cut points are clamped into monotone
 /// order before differencing, so the phase sum telescopes to
 /// `end - start` exactly no matter what the stream held.
 fn finalize(
-    group: impl DoubleEndedIterator<Item = Keyed> + Clone,
+    group: &[(u64, u32, u32)],
+    view: &View<'_>,
     counts: &mut OutcomeCounts,
 ) -> RequestTrace {
-    let first = group.clone().next().expect("groups are non-empty");
-    let (id, start) = (first.request, first.ts);
+    let records = || {
+        group
+            .iter()
+            .map(|&(_, i, side)| (view.records.get(i as usize), side as usize))
+    };
+    let (id, start) = (group[0].0, view.records.get(group[0].1 as usize).ts);
     let mut last_ts = 0;
     let mut dispatches = 0u32;
     let mut hedged = false;
@@ -407,85 +412,78 @@ fn finalize(
     // the first defensively.
     let mut complete: Option<(u64, u32, f64)> = None;
     let (mut shed, mut lost, mut unavailable) = (None, None, None);
-    for k in group.clone() {
-        last_ts = last_ts.max(k.ts);
-        match k.event {
-            ServeEvent::Dispatch { kind, .. } => {
+    for (r, side) in records() {
+        last_ts = last_ts.max(r.ts);
+        match r.kind {
+            Kind::Dispatch(kind) => {
                 dispatches += 1;
                 hedged |= kind == DispatchKind::Hedge;
             }
-            ServeEvent::Complete {
-                replica, latency_s, ..
-            } => {
-                complete.get_or_insert((k.ts, replica, latency_s));
+            Kind::Complete => {
+                complete.get_or_insert_with(|| (r.ts, r.replica, *view.values.get(side)));
             }
-            ServeEvent::Shed { .. } => {
+            Kind::Shed => {
                 counts.shed += 1;
-                shed = Some(k.ts);
+                shed = Some(r.ts);
             }
-            ServeEvent::Lost { .. } => {
+            Kind::Lost => {
                 counts.lost += 1;
-                lost = Some(k.ts);
+                lost = Some(r.ts);
             }
-            ServeEvent::Unavailable { .. } => {
+            Kind::Unavailable => {
                 counts.unavailable += 1;
-                unavailable = Some(k.ts);
+                unavailable = Some(r.ts);
             }
-            ServeEvent::HedgeLoser { elapsed_s, .. } => {
+            Kind::HedgeLoser => {
+                let elapsed_s = *view.values.get(side);
                 wasted_us += (elapsed_s.max(0.0) * 1e6).round() as u64;
             }
-            _ => {}
+            Kind::Admit | Kind::Join(_) | Kind::BatchEnd => {}
         }
     }
     let mut phases = [0u64; PHASE_COUNT];
 
     if let Some((done, winner, latency)) = complete {
         counts.served += 1;
+        // A completion stamped before the request's first event ends it
+        // there, like a non-served terminal.
+        let done = done.max(start);
         // The winning copy's latest edges toward the serving replica at or
         // before completion.
-        let winning = || group.clone().rev().filter(move |k| k.ts <= done);
+        let winning = || {
+            records()
+                .rev()
+                .filter(move |(r, _)| r.ts <= done && r.replica == winner)
+        };
         // Winning attempt: the last dispatch toward the serving replica.
         // No explicit dispatch edge means the instantaneous primary path.
         let (wd_raw, via) = winning()
-            .find_map(|k| match k.event {
-                ServeEvent::Dispatch { replica, kind, .. } if replica == winner => {
-                    Some((k.ts, kind))
-                }
+            .find_map(|(r, _)| match r.kind {
+                Kind::Dispatch(kind) => Some((r.ts, kind)),
                 _ => None,
             })
             .unwrap_or((start, DispatchKind::Primary));
         let wd = wd_raw.clamp(start, done);
         let wa = winning()
-            .find_map(|k| match k.event {
-                ServeEvent::Admit { replica, .. } | ServeEvent::Downgrade { replica, .. }
-                    if replica == winner =>
-                {
-                    Some(k.ts)
-                }
-                _ => None,
-            })
+            .find_map(|(r, _)| (r.kind == Kind::Admit).then_some(r.ts))
             .unwrap_or(wd)
             .clamp(wd, done);
         let (wj_raw, free_raw, batch) = winning()
-            .find_map(|k| match k.event {
-                ServeEvent::BatchJoin {
-                    replica,
-                    seq,
-                    pos,
-                    size,
-                    trigger,
-                    ..
-                } if replica == winner => Some((
-                    k.ts,
-                    k.free,
-                    Some(BatchRef {
-                        replica,
-                        seq,
-                        pos,
-                        size,
-                        trigger,
-                    }),
-                )),
+            .find_map(|(r, side)| match r.kind {
+                Kind::Join(trigger) => {
+                    let join = view.joins.get(side);
+                    Some((
+                        r.ts,
+                        view.join_free[side],
+                        Some(BatchRef {
+                            replica: r.replica,
+                            seq: join.seq,
+                            pos: join.pos,
+                            size: join.size,
+                            trigger,
+                        }),
+                    ))
+                }
                 _ => None,
             })
             .unwrap_or((wa, wa, None));
