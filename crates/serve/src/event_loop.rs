@@ -184,6 +184,10 @@ impl HedgeTimers {
     fn peek_s(&self) -> Option<f64> {
         self.0.front().map(|t| t.at_s)
     }
+
+    fn pop(&mut self) -> Option<Timed> {
+        self.0.pop_front()
+    }
 }
 
 /// Retry and hedge state indexed by dense request id.
@@ -480,7 +484,7 @@ impl Sim<'_> {
 
             // ---- 5: hedge --------------------------------------------------
             if hedges.peek_s().is_some_and(|t| t <= now) {
-                let Timed { model, req, .. } = hedges.0.pop_front().expect("peeked");
+                let Timed { model, req, .. } = hedges.pop().expect("peeked");
                 let p = self.per_request.as_ref().expect("hedging tracks requests");
                 let (home, attempt) = (p.home[req.id as usize], p.attempts[req.id as usize]);
                 if !self.answered(req.id)

@@ -30,9 +30,11 @@
 //! number, any `u32` replica and any `f64` (NaN, infinities and `-0.0`
 //! included) reconstruct exactly as they would from the timeline.
 //!
-//! A 64-byte `(ts, ServeEvent)` record per event made writing records
-//! most of the tap's cost and the reconstruction memory-bound; a
-//! serve-chaos replay now keeps about 30 bytes per event.
+//! Reconstruction is bound by the bytes it moves, and writing records
+//! is a large share of the tap's cost, so the layout is sized for both:
+//! the 68,383 serve events of perfbench's serve-chaos replay keep
+//! 2,040,112 bytes (29.8 per event) where whole `(ts, ServeEvent)` pairs
+//! kept 64 bytes each, 4,376,512 in all.
 //!
 //! Records and side tables are kept in fixed-size blocks, not one growing
 //! vector each. A long trace holds megabytes of records, and a vector
