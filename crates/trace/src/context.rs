@@ -381,25 +381,6 @@ impl ServeEvent {
         any.downcast_ref::<ServeEvent>()
             .filter(|e| !matches!(e, ServeEvent::BatchEnd { .. }))
     }
-
-    /// The request this event belongs to, for lifecycle events.
-    #[must_use]
-    pub fn request(&self) -> Option<u64> {
-        match *self {
-            ServeEvent::Dispatch { request, .. }
-            | ServeEvent::Admit { request, .. }
-            | ServeEvent::Downgrade { request, .. }
-            | ServeEvent::Shed { request, .. }
-            | ServeEvent::BatchJoin { request, .. }
-            | ServeEvent::Complete { request, .. }
-            | ServeEvent::HedgeLoser { request, .. }
-            | ServeEvent::Lost { request, .. }
-            | ServeEvent::Unavailable { request } => Some(request),
-            ServeEvent::Crash { .. } | ServeEvent::Rejoin { .. } | ServeEvent::BatchEnd { .. } => {
-                None
-            }
-        }
-    }
 }
 
 /// The one writer of the serve schema's instant layout, which

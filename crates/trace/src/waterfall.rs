@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use dl_obs::Event;
 
 use crate::context::{DispatchKind, FlushTrigger, ServeEvent};
-use crate::tracer::{Blocks, JoinSlot, Kind, Record, Records};
+use crate::tracer::{Kind, Records};
 
 /// Number of phase slots in a [`RequestTrace`].
 pub const PHASE_COUNT: usize = 7;
@@ -201,9 +201,7 @@ const NO_SIDE: u32 = u32::MAX;
 
 /// The records a reconstruction reads, where they lie.
 struct View<'a> {
-    records: &'a Blocks<Record>,
-    joins: &'a Blocks<JoinSlot>,
-    values: &'a Blocks<f64>,
+    records: &'a Records,
     /// For each batch join, in join order: when the joining replica's
     /// device last went idle, as of the join (0 before its first batch
     /// ended).
@@ -285,9 +283,7 @@ impl TraceSet {
         sort_by_request(&mut order);
 
         let view = View {
-            records: &records.records,
-            joins: &records.joins,
-            values: &records.values,
+            records,
             join_free: &join_free,
         };
         let mut counts = OutcomeCounts::default();
@@ -401,9 +397,9 @@ fn finalize(
     let records = || {
         group
             .iter()
-            .map(|&(_, i, side)| (view.records.get(i as usize), side as usize))
+            .map(|&(_, i, side)| (view.records.records.get(i as usize), side as usize))
     };
-    let (id, start) = (group[0].0, view.records.get(group[0].1 as usize).ts);
+    let (id, start) = (group[0].0, view.records.records.get(group[0].1 as usize).ts);
     let mut last_ts = 0;
     let mut dispatches = 0u32;
     let mut hedged = false;
@@ -420,7 +416,7 @@ fn finalize(
                 hedged |= kind == DispatchKind::Hedge;
             }
             Kind::Complete => {
-                complete.get_or_insert_with(|| (r.ts, r.replica, *view.values.get(side)));
+                complete.get_or_insert_with(|| (r.ts, r.replica, *view.records.values.get(side)));
             }
             Kind::Shed => {
                 counts.shed += 1;
@@ -435,7 +431,7 @@ fn finalize(
                 unavailable = Some(r.ts);
             }
             Kind::HedgeLoser => {
-                let elapsed_s = *view.values.get(side);
+                let elapsed_s = *view.records.values.get(side);
                 wasted_us += (elapsed_s.max(0.0) * 1e6).round() as u64;
             }
             Kind::Admit | Kind::Join(_) | Kind::BatchEnd => {}
@@ -471,7 +467,7 @@ fn finalize(
         let (wj_raw, free_raw, batch) = winning()
             .find_map(|(r, side)| match r.kind {
                 Kind::Join(trigger) => {
-                    let join = view.joins.get(side);
+                    let join = view.records.joins.get(side);
                     Some((
                         r.ts,
                         view.join_free[side],
