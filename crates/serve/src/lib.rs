@@ -7,8 +7,7 @@
 //! 1. **Variant registry** ([`build_family`]): one trained dl-nn teacher
 //!    is materialized into the tutorial's whole Part-1 menu — int8
 //!    quantized, magnitude-pruned, distilled, MorphNet-resized and
-//!    snapshot-ensembled — each measured for accuracy and annotated with
-//!    per-layer costs from `dl_prof::NetworkProfile` plus a measured
+//!    snapshot-ensembled — each measured for accuracy and for its
 //!    eval-mode forward cost at every batch size.
 //! 2. **Dynamic batcher** ([`BatchPolicy`]): per-variant queues flushed
 //!    by max-batch / max-delay, executing the *batched* dl-nn forward so

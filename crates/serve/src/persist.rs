@@ -2,24 +2,23 @@
 //!
 //! One artifact carries the entire served family: every variant's model
 //! (single network, ensemble members, or native-int8 quantized MLP), its
-//! measured accuracy, weight footprint, per-layer profile and batch cost
-//! tables. The int8 variant's parameters are written as their packed
-//! codes plus quant params — never dequantized on the way to disk — and
-//! load rebuilds the *native* [`dl_compress::QuantizedMlp`] from those
-//! codes, so a loaded int8 variant serves on packed codes exactly like
-//! the one that was saved.
+//! measured accuracy, weight footprint and batch cost table. The int8
+//! variant's parameters are written as their packed codes plus quant
+//! params — never dequantized on the way to disk — and load rebuilds the
+//! *native* [`dl_compress::QuantizedMlp`] from those codes, so a loaded
+//! int8 variant serves on packed codes exactly like the one that was
+//! saved.
 //!
 //! The round-trip contract is the serving-side analogue of dl-store's:
 //! a loaded registry is bit-identical to the one saved (predictions,
 //! admission decisions, cost tables, accuracies), and re-saving it is
 //! byte-identical. Measured metadata is persisted rather than re-measured
-//! on load: re-profiling would need calibration data and real compute,
+//! on load: re-measuring would need calibration data and real compute,
 //! and the numbers are already exact u64/f64 values.
 
 use crate::variant::{Variant, VariantModel, VariantRegistry};
 use dl_ensemble::Ensemble;
-use dl_nn::{CostProfile, LayerCost, Network};
-use dl_prof::{LayerProfile, NetworkProfile};
+use dl_nn::Network;
 use dl_store::{
     decode_network, decode_quantized_mlp, encode_network, encode_quantized_mlp, Artifact,
     ArtifactBuilder, HParam, StoreError,
@@ -29,143 +28,13 @@ use dl_tensor::acct::OpCost;
 /// Value of the `artifact.kind` hparam written by [`save_family`].
 const FAMILY_KIND: &str = "variant-family";
 
-struct U64Packer(Vec<u8>);
+/// Bytes of one batch-cost entry: flops, bytes read, bytes written, each
+/// a little-endian `u64`.
+const COST_BYTES: usize = 24;
 
-impl U64Packer {
-    fn push(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn push_op(&mut self, c: &OpCost) {
-        self.push(c.flops);
-        self.push(c.bytes_read);
-        self.push(c.bytes_written);
-    }
-
-    fn push_layer_cost(&mut self, c: &LayerCost) {
-        self.push(c.forward_flops);
-        self.push(c.backward_flops);
-        self.push(c.params);
-        self.push(c.activation_elems);
-    }
-}
-
-struct U64Unpacker<'a>(&'a [u8]);
-
-impl U64Unpacker<'_> {
-    fn pop(&mut self) -> Result<u64, StoreError> {
-        if self.0.len() < 8 {
-            return Err(StoreError::Corrupt("metadata blob too short".to_string()));
-        }
-        let (head, rest) = self.0.split_at(8);
-        self.0 = rest;
-        Ok(u64::from_le_bytes(head.try_into().expect("8 bytes")))
-    }
-
-    fn pop_op(&mut self) -> Result<OpCost, StoreError> {
-        Ok(OpCost {
-            flops: self.pop()?,
-            bytes_read: self.pop()?,
-            bytes_written: self.pop()?,
-        })
-    }
-
-    fn pop_layer_cost(&mut self) -> Result<LayerCost, StoreError> {
-        Ok(LayerCost {
-            forward_flops: self.pop()?,
-            backward_flops: self.pop()?,
-            params: self.pop()?,
-            activation_elems: self.pop()?,
-        })
-    }
-}
-
-fn encode_profile<'a>(b: &mut ArtifactBuilder<'a>, prefix: &str, p: &'a NetworkProfile) {
-    b.hparam(format!("{prefix}.batch"), HParam::U64(p.batch as u64));
-    b.hparam(
-        format!("{prefix}.layer_count"),
-        HParam::U64(p.layers.len() as u64),
-    );
-    let mut pk = U64Packer(Vec::new());
-    for l in &p.layers {
-        b.hparam(
-            format!("{prefix}.layer{}.name", l.index),
-            HParam::Str(l.name.as_str().into()),
-        );
-        pk.push(l.index as u64);
-        pk.push_op(&l.forward);
-        pk.push_op(&l.backward);
-        pk.push_layer_cost(&l.modeled);
-        pk.push(l.output_elems);
-    }
-    pk.push_op(&p.forward);
-    pk.push_op(&p.backward);
-    pk.push(p.param_bytes);
-    pk.push(p.input_bytes);
-    pk.push(p.peak_live_bytes);
-    pk.push_layer_cost(&LayerCost {
-        forward_flops: p.modeled.forward_flops,
-        backward_flops: p.modeled.backward_flops,
-        params: p.modeled.params,
-        activation_elems: p.modeled.activation_elems,
-    });
-    b.hparam(format!("{prefix}.nums"), HParam::Bytes(pk.0.into()));
-}
-
-fn decode_profile(a: &Artifact<'_>, prefix: &str) -> Result<NetworkProfile, StoreError> {
-    let mut s = a.scope(format_args!("{prefix}."));
-    let batch = s.u64("batch")? as usize;
-    let layer_count = s.u64("layer_count")? as usize;
-    let raw = s.bytes("nums")?;
-    // Twelve words per layer, thirteen for the totals: checking the blob
-    // against the claimed count first keeps the reservation to the
-    // bytes the file really holds.
-    let expect = layer_count
-        .checked_mul(12)
-        .and_then(|w| w.checked_add(13))
-        .and_then(|w| w.checked_mul(8));
-    if expect != Some(raw.len()) {
-        return Err(StoreError::Corrupt(format!(
-            "profile blob {prefix}.nums holds {} bytes, not {layer_count} layers",
-            raw.len()
-        )));
-    }
-    let mut up = U64Unpacker(raw);
-    let mut layers = Vec::with_capacity(layer_count);
-    for _ in 0..layer_count {
-        let index = up.pop()? as usize;
-        s.enter(format_args!("{prefix}.layer{index}."));
-        let name = s.str("name")?.to_string();
-        layers.push(LayerProfile {
-            index,
-            name,
-            forward: up.pop_op()?,
-            backward: up.pop_op()?,
-            modeled: up.pop_layer_cost()?,
-            output_elems: up.pop()?,
-        });
-    }
-    let forward = up.pop_op()?;
-    let backward = up.pop_op()?;
-    let param_bytes = up.pop()?;
-    let input_bytes = up.pop()?;
-    let peak_live_bytes = up.pop()?;
-    let m = up.pop_layer_cost()?;
-    Ok(NetworkProfile {
-        batch,
-        layers,
-        forward,
-        backward,
-        param_bytes,
-        input_bytes,
-        peak_live_bytes,
-        modeled: CostProfile {
-            forward_flops: m.forward_flops,
-            backward_flops: m.backward_flops,
-            params: m.params,
-            activation_elems: m.activation_elems,
-        },
-    })
+/// The little-endian `u64` at word `i` of `entry`.
+fn word(entry: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(entry[8 * i..8 * i + 8].try_into().expect("8 bytes"))
 }
 
 /// Serializes a whole variant family as one artifact.
@@ -198,12 +67,13 @@ pub fn save_family(reg: &VariantRegistry) -> Vec<u8> {
                 encode_quantized_mlp(&mut b, &format!("v{i}.net"), q);
             }
         }
-        encode_profile(&mut b, &format!("v{i}.profile"), &v.profile);
-        let mut pk = U64Packer(Vec::new());
+        let mut costs = Vec::with_capacity(COST_BYTES * v.batch_costs.len());
         for c in &v.batch_costs {
-            pk.push_op(c);
+            for w in [c.flops, c.bytes_read, c.bytes_written] {
+                costs.extend_from_slice(&w.to_le_bytes());
+            }
         }
-        b.hparam(format!("v{i}.batch_costs"), HParam::Bytes(pk.0.into()));
+        b.hparam(format!("v{i}.batch_costs"), HParam::Bytes(costs.into()));
     }
     b.finish()
 }
@@ -222,8 +92,8 @@ fn row_widths(net: &Network) -> (usize, usize) {
 /// # Errors
 /// Format errors from [`Artifact::parse`]; [`StoreError::Corrupt`] for a
 /// non-family artifact or inconsistent sections. Counts the file claims
-/// (variants, ensemble members, profile layers) reserve nothing before
-/// the sections they count are found, and a `quantized` variant that is
+/// (variants, ensemble members) reserve nothing before the sections
+/// they count are found, and a `quantized` variant that is
 /// not a Dense/ReLU MLP of packed tensors whose widths chain is corrupt.
 /// So is a family whose variants or ensemble members do not all take
 /// rows of one width and return logits of one width: any variant must
@@ -291,24 +161,25 @@ pub fn load_family(bytes: &[u8]) -> Result<VariantRegistry, StoreError> {
                 )))
             }
         };
-        let profile = decode_profile(&a, s.name("profile"))?;
         let raw = s.bytes("batch_costs")?;
-        if raw.len() % 24 != 0 {
+        if raw.len() % COST_BYTES != 0 {
             return Err(StoreError::Corrupt(format!(
                 "batch-cost blob for v{i} is not a whole number of entries"
             )));
         }
-        let mut up = U64Unpacker(raw);
-        let mut batch_costs = Vec::with_capacity(raw.len() / 24);
-        for _ in 0..raw.len() / 24 {
-            batch_costs.push(up.pop_op()?);
-        }
+        let batch_costs = raw
+            .chunks_exact(COST_BYTES)
+            .map(|e| OpCost {
+                flops: word(e, 0),
+                bytes_read: word(e, 1),
+                bytes_written: word(e, 2),
+            })
+            .collect();
         variants.push(Variant {
             name,
             model,
             accuracy,
             weight_bytes,
-            profile,
             batch_costs,
         });
     }
@@ -353,17 +224,12 @@ mod tests {
             assert_eq!(v.accuracy.to_bits(), w.accuracy.to_bits());
             assert_eq!(v.weight_bytes, w.weight_bytes);
             assert_eq!(v.batch_costs, w.batch_costs);
-            assert_eq!(v.profile.layers.len(), w.profile.layers.len());
-            assert_eq!(v.profile.forward, w.profile.forward);
-            assert_eq!(v.profile.modeled, w.profile.modeled);
             let preds_a = v.model.predict(&eval.x);
             let preds_b = w.model.predict(&eval.x);
             assert_eq!(preds_a, preds_b, "{}: identical predictions", v.name);
         }
         // The loaded registry re-saves byte-identically.
         assert_eq!(save_family(&back), bytes);
-        // The downgrade chain — what admission navigates — is unchanged.
-        assert_eq!(reg.by_cost(), back.by_cost());
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! experiments; serving is where that menu becomes a *choice*. The
 //! registry materializes every entry from a single teacher network,
 //! measures each variant's accuracy on a holdout set and its eval-mode
-//! forward cost at every batch size the batcher may form, and annotates
-//! it with a per-layer [`dl_prof::NetworkProfile`]. The admission
+//! forward cost at every batch size the batcher may form. The admission
 //! controller later routes between these variants by measured cost.
 
 use dl_compress::{
@@ -15,7 +14,6 @@ use dl_compress::{
 use dl_distributed::{morph_resize, MorphConfig};
 use dl_ensemble::{snapshot, Ensemble};
 use dl_nn::{metrics, Dataset, Network, Optimizer, TrainConfig, Trainer};
-use dl_prof::NetworkProfile;
 use dl_tensor::acct::{self, OpCost};
 use dl_tensor::{init, Tensor};
 
@@ -66,9 +64,6 @@ pub struct Variant {
     /// Stored weight footprint in bytes (packed size for the int8
     /// variant, fp32 parameter bytes otherwise).
     pub weight_bytes: u64,
-    /// Per-layer measured forward/backward costs at batch 1, from
-    /// `dl_prof::NetworkProfile` (representative member for ensembles).
-    pub profile: NetworkProfile,
     /// Measured eval-mode forward cost of the whole model at batch
     /// `b`, stored at index `b - 1` for `b` in `1..=max_batch`.
     pub batch_costs: Vec<OpCost>,
@@ -140,25 +135,6 @@ impl VariantRegistry {
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.variants.iter().position(|v| v.name == name)
     }
-
-    /// Variant indices ordered by measured per-request service cost at
-    /// full batch, cheapest first — the admission controller's downgrade
-    /// chain. Cost here is the device-independent proxy
-    /// `flops + bytes_read + bytes_written` per request; ties break by
-    /// registry order so the chain is deterministic.
-    #[must_use]
-    pub fn by_cost(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.variants.len()).collect();
-        let per_request = |v: &Variant| {
-            let b = v.max_batch();
-            let c = v.cost_at(b);
-            (c.flops + c.bytes_read + c.bytes_written) as f64 / b as f64
-        };
-        idx.sort_by(|&a, &b| {
-            per_request(&self.variants[a]).total_cmp(&per_request(&self.variants[b]))
-        });
-        idx
-    }
 }
 
 /// Measures the eval-mode forward cost of `model` at every batch size in
@@ -179,7 +155,7 @@ fn measure_batch_costs(model: &VariantModel, calib: &Tensor, max_batch: usize) -
 
 fn build_variant(
     name: &str,
-    mut model: VariantModel,
+    model: VariantModel,
     weight_bytes: u64,
     eval: &Dataset,
     max_batch: usize,
@@ -189,22 +165,12 @@ fn build_variant(
         VariantModel::Ensemble(e) => e.accuracy(eval),
         VariantModel::Quantized(q) => metrics::accuracy(&q.predict(&eval.x), &eval.y),
     };
-    let x1 = eval.x.select_rows(&[0]);
-    // Per-layer profiles need a structural f32 network: member 0 for an
-    // ensemble, the dequantized shadow (built once, off the hot path)
-    // for the native int8 variant.
-    let profile = match &mut model {
-        VariantModel::Single(net) => NetworkProfile::profile(net, &x1),
-        VariantModel::Ensemble(e) => NetworkProfile::profile(&mut e.members[0], &x1),
-        VariantModel::Quantized(q) => NetworkProfile::profile(&mut q.to_network(), &x1),
-    };
     let batch_costs = measure_batch_costs(&model, &eval.x, max_batch);
     Variant {
         name: name.to_string(),
         model,
         accuracy,
         weight_bytes,
-        profile,
         batch_costs,
     }
 }
@@ -397,11 +363,6 @@ mod tests {
             );
             assert!(v.cost_at(1).flops > 0, "{}: measured flops", v.name);
             assert!(v.accuracy > 1.0 / 3.0, "{}: above chance", v.name);
-            assert!(
-                !v.profile.layers.is_empty(),
-                "{}: per-layer profile",
-                v.name
-            );
             assert!(v.weight_bytes > 0);
         }
     }
@@ -483,23 +444,5 @@ mod tests {
         // Compute shrinks too: integer GEMM flops ≈ f32 flops without
         // the zero-skip discount, but the byte traffic is the point.
         assert!(int8.cost_at(b).flops > 0);
-    }
-
-    #[test]
-    fn downgrade_chain_is_cost_sorted_and_deterministic() {
-        let (reg, _) = tiny_family();
-        let chain = reg.by_cost();
-        assert_eq!(chain.len(), reg.variants.len());
-        let per_req = |i: usize| {
-            let v = &reg.variants[i];
-            let c = v.cost_at(v.max_batch());
-            (c.flops + c.bytes_read + c.bytes_written) as f64 / v.max_batch() as f64
-        };
-        for w in chain.windows(2) {
-            assert!(per_req(w[0]) <= per_req(w[1]));
-        }
-        // The ensemble forwards every member: it can never be cheapest.
-        assert_ne!(chain[0], reg.index_of("ensemble").unwrap());
-        assert_eq!(chain, reg.by_cost(), "same family, same chain");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! `tests/golden/tiny_family.dlst` is `save_family` of a small
 //! deterministic `build_family` run: every variant kind (fp32 networks,
-//! the native int8 MLP, the ensemble), its profile and cost tables. If
+//! the native int8 MLP, the ensemble) and its cost tables. If
 //! any codec a family passes through drifts — hparam names or order, a
 //! parameter's dtype, the int8 codes — this test fails before a consumer
 //! does.
