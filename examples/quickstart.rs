@@ -34,7 +34,7 @@ fn main() {
         "trained {} epochs | loss {:.4} | train acc {:.3} | {:.1} MFLOP spent",
         history.len(),
         last.train_loss,
-        last.train_accuracy,
+        Trainer::evaluate(&net, &train),
         last.cumulative_flops as f64 / 1e6
     );
     println!("test accuracy: {:.3}", Trainer::evaluate(&net, &test));
