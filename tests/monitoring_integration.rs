@@ -204,24 +204,17 @@ fn cluster_crash_instants_reach_the_health_series() {
     assert_eq!(rep.lost as usize, report.lost, "lost counter taps through");
 }
 
-/// One call a recorder received, with the exact clock reading it came at.
-#[derive(Debug, PartialEq)]
-enum Taped {
-    Event(f64, dl_obs::Event),
-    Counter(f64, &'static str, u64),
-}
-
-/// A recorder that keeps every event and every counter bump in call
-/// order, each with the clock's exact `f64` reading (event timestamps are
-/// rounded to whole microseconds, too coarse to replay window rolls).
+/// A recorder that keeps every event in call order, each with the
+/// clock's exact `f64` reading (event timestamps are rounded to whole
+/// microseconds, too coarse to replay window rolls).
 #[derive(Default)]
 struct Tape {
     clock: dl_obs::VirtualClock,
-    calls: std::sync::Mutex<Vec<Taped>>,
+    calls: std::sync::Mutex<Vec<(f64, dl_obs::Event)>>,
 }
 
 impl Tape {
-    fn take(&self) -> Vec<Taped> {
+    fn take(&self) -> Vec<(f64, dl_obs::Event)> {
         std::mem::take(&mut *self.calls.lock().unwrap())
     }
 }
@@ -233,18 +226,10 @@ impl Recorder for Tape {
 
     fn record(&self, event: dl_obs::Event) {
         let now = self.clock.now();
-        self.calls.lock().unwrap().push(Taped::Event(now, event));
+        self.calls.lock().unwrap().push((now, event));
     }
 
-    fn add_counter(&self, name: &str, delta: u64) -> u64 {
-        // Only the monitor's one counter matters for the replay.
-        if name == "cluster.lost" {
-            let now = self.clock.now();
-            self.calls
-                .lock()
-                .unwrap()
-                .push(Taped::Counter(now, "cluster.lost", delta));
-        }
+    fn add_counter(&self, _name: &str, _delta: u64) -> u64 {
         0
     }
 
@@ -361,18 +346,11 @@ fn typed_monitor_input_equals_replayed_timeline_over_many_seeds() {
 
         let replay_tape = Tape::default();
         let replayed = Monitor::new(&replay_tape, monitor_cfg);
-        for call in &calls {
-            match call {
-                // The live monitor's own alerts are its output, not input.
-                Taped::Event(_, e) if e.name == "monitor.alert" => {}
-                Taped::Event(t, e) => {
-                    replay_tape.clock().set(*t);
-                    replayed.record(e.clone());
-                }
-                Taped::Counter(t, name, delta) => {
-                    replay_tape.clock().set(*t);
-                    replayed.add_counter(name, *delta);
-                }
+        for (t, e) in &calls {
+            // The live monitor's own alerts are its output, not input.
+            if e.name != "monitor.alert" {
+                replay_tape.clock().set(*t);
+                replayed.record(e.clone());
             }
         }
         replay_tape.clock().set(end_s);
