@@ -114,7 +114,7 @@ impl ExperimentResult {
 
     /// The full result as byte-stable JSON: fixed top-level key order,
     /// records encoded with sorted keys via `dl_obs::export`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"id\": ");
         write_json_string(&mut out, &self.id);
         out.push_str(",\n  \"records\": [");

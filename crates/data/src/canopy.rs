@@ -248,7 +248,7 @@ mod tests {
     fn table(rows: usize, cols: usize, seed: u64) -> Vec<Vec<f32>> {
         let mut rng = init::rng(seed);
         (0..cols)
-            .map(|_| init::uniform([rows], -5.0, 5.0, &mut rng).into_vec())
+            .map(|_| init::uniform([rows], -5.0, 5.0, &mut rng).data().to_vec())
             .collect()
     }
 
@@ -286,7 +286,7 @@ mod tests {
     fn correlation_matches_naive() {
         // strongly correlated pair
         let mut rng = init::rng(2);
-        let base = init::uniform([800], -1.0, 1.0, &mut rng).into_vec();
+        let base = init::uniform([800], -1.0, 1.0, &mut rng).data().to_vec();
         let noisy: Vec<f32> = base
             .iter()
             .map(|&v| v + 0.1 * init::uniform([1], -1.0, 1.0, &mut rng).data()[0])

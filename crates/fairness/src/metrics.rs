@@ -33,7 +33,7 @@ impl GroupConfusion {
     }
 
     /// True-positive rate (recall): `TP / (TP + FN)`.
-    pub fn tpr(&self) -> f64 {
+    pub(crate) fn tpr(&self) -> f64 {
         let p = self.tp + self.fn_;
         if p == 0 {
             0.0

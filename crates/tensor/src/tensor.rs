@@ -99,16 +99,6 @@ impl Tensor {
         }
     }
 
-    /// Evenly spaced values `start, start+step, ...` of length `len`,
-    /// shaped `[len]`.
-    pub fn arange(start: f32, step: f32, len: usize) -> Self {
-        let data = (0..len).map(|i| start + step * i as f32).collect();
-        Tensor {
-            shape: Shape::from([len]),
-            data,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
@@ -146,11 +136,6 @@ impl Tensor {
     /// Mutable access to the flat buffer.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Element at a multi-dimensional index.
@@ -922,7 +907,6 @@ mod tests {
         assert_eq!(Tensor::ones([2, 2]).sum(), 4.0);
         assert_eq!(Tensor::full([3], 2.5).sum(), 7.5);
         assert_eq!(Tensor::scalar(3.0).item(), 3.0);
-        assert_eq!(Tensor::arange(1.0, 0.5, 3).data(), &[1.0, 1.5, 2.0]);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 A word-match scan over the `.rs` files under `crates/`, `tests/` and
 `examples/`: a `pub fn` counts as referenced when its name appears as a
 whole word in any other of those files or in `perfbench/src`. A `pub use`
-re-export is not a reference, since it only passes the name on. The
+re-export is not a reference, since it only passes the name on, and
+neither is a name inside a column-0 `#[cfg(test)]` item of a `src` file:
+a function that only unit tests call is not part of the program. The
 benchmark's own functions are not checked; its files only count as
 references. Run from the repository root:
 
@@ -21,6 +23,8 @@ import sys
 ALLOWLIST = {
     "activation_maximization": "tutorial 4.2 feature visualisation, tested in its own file",
     "threshold_equal_opportunity": "tutorial 4.1 equal-opportunity post-processing, tested in its own file",
+    "equal_opportunity_diff": "tutorial 4.1 equal-opportunity gap, the one threshold_equal_opportunity closes",
+    "approx_eq": "tolerance comparison shared by unit tests across the workspace",
 }
 
 CHECKED = ("crates", "tests", "examples")
@@ -28,17 +32,27 @@ REFERENCE_ONLY = ("perfbench/src",)
 PUB_FN = re.compile(r"^\s*pub\s+(?:const\s+|async\s+|unsafe\s+)*fn\s+(\w+)", re.M)
 WORD = re.compile(r"\w+")
 PUB_USE = re.compile(r"^\s*pub(?:\([^)]*\))?\s+use\b[^;]*;", re.M)
+# A column-0 `#[cfg(test)]` item: one line ending in `;`, or a block that
+# runs to the next column-0 `}` (the workspace is rustfmt-clean).
+CFG_TEST_ITEM = re.compile(r"^#\[cfg\(test\)\]\n(?:[^\n]*;$|.*?^\}$)", re.M | re.S)
 
 
 def rust_files(root):
     return [p for p in sorted(pathlib.Path(root).rglob("*.rs")) if "target" not in p.parts]
 
 
+def references(path, text):
+    """The part of `text` whose words count as references."""
+    if "src" in path.parts:
+        text = CFG_TEST_ITEM.sub("", text)
+    return PUB_USE.sub("", text)
+
+
 def main():
     files = {p: p.read_text() for root in CHECKED + REFERENCE_ONLY for p in rust_files(root)}
     named_in = {}
     for path, text in files.items():
-        for word in set(WORD.findall(PUB_USE.sub("", text))):
+        for word in set(WORD.findall(references(path, text))):
             named_in.setdefault(word, set()).add(path)
     hits = []
     checked = 0
@@ -48,7 +62,7 @@ def main():
         for m in PUB_FN.finditer(text):
             checked += 1
             name = m.group(1)
-            if name in ALLOWLIST or named_in[name] - {path}:
+            if name in ALLOWLIST or named_in.get(name, set()) - {path}:
                 continue
             line = text.count("\n", 0, m.start()) + 1
             hits.append(f"{path}:{line}: pub fn {name} is named in no other file")
