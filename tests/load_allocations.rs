@@ -19,16 +19,18 @@ use dl_serve::{build_family, load_family, save_family, FamilyConfig};
 use dl_store::{Artifact, ArtifactBuilder, Dtype};
 
 /// Allocations of one `load_family` of the fleet-shaped family, rounded
-/// up from the measured 192 (260 when every decoded f32 dense layer also
+/// up from the measured 140 (192 when every variant also decoded a
+/// per-layer profile; 260 when every decoded f32 dense layer also
 /// allocated zeroed gradient buffers that serving never touches; 1,003
 /// when every hparam, name and dims list was copied out of the artifact
 /// and every lookup formatted its name).
-const LOAD_FAMILY_ALLOCS: u64 = 200;
+const LOAD_FAMILY_ALLOCS: u64 = 148;
 
-/// Allocations of one `save_family` of the same family: the measured 564
-/// plus 16 of headroom. Nearly all are lookup names; when every payload
-/// was first copied into a buffer of its own, this read 603.
-const SAVE_FAMILY_ALLOCS: u64 = 580;
+/// Allocations of one `save_family` of the same family: the measured 359
+/// plus 16 of headroom. Nearly all are lookup names; when every variant
+/// also saved a per-layer profile, this read 564, and 603 when every
+/// payload was also first copied into a buffer of its own.
+const SAVE_FAMILY_ALLOCS: u64 = 375;
 
 /// `clean` with every hparam and tensor stored a second time under a
 /// `copy.` prefix: twice the sections of each kind.
