@@ -49,8 +49,8 @@
 
 use std::path::{Path, PathBuf};
 
-use dl_bench::table::baseline_file_name;
-use dl_bench::{all_ids, run_experiment, run_experiment_traced, Table};
+use dl_bench::table::{baseline_file_name, col, fixed, pct, render_table, text, us, Column};
+use dl_bench::{all_ids, run_experiment, run_experiment_traced};
 use dl_monitor::{Monitor, MonitorConfig, MonitorReport};
 use dl_obs::{export, NullRecorder, Recorder, TimelineRecorder, ToFields};
 use dl_prof::{analyze, runs, TraceProfile};
@@ -151,56 +151,43 @@ fn parse(args: &[String]) -> Result<Args, String> {
     Ok(parsed)
 }
 
+const PHASES: &[Column] = &[
+    col("run", "run", text),
+    col("total s", "total_seconds", fixed::<4>),
+    col("compute s", "compute_seconds", fixed::<4>),
+    col("sync s", "sync_seconds", fixed::<4>),
+    col("ckpt s", "checkpoint_seconds", fixed::<4>),
+    col("recovery s", "recovery_seconds", fixed::<4>),
+    col("replay s", "replay_seconds", fixed::<4>),
+    col("crit path s", "critical_path_seconds", fixed::<4>),
+    col("explained", "explained_fraction", pct::<1>),
+];
+
+const WORKERS: &[Column] = &[
+    col("worker", "worker", text),
+    col("crashes", "crashes", text),
+    col("rejoins", "rejoins", text),
+    col("recovery s", "recovery_seconds", fixed::<4>),
+    col("replay s", "replay_seconds", fixed::<4>),
+    col("lost s", "lost_seconds", fixed::<4>),
+    col("share of lost", "share", pct::<1>),
+];
+
+/// One profile's fields, labelled with its run.
+fn profile_fields(label: &str, p: &TraceProfile) -> dl_obs::Fields {
+    let mut fields = p.to_fields();
+    fields.insert(0, ("run".into(), label.to_string().into()));
+    fields
+}
+
 /// Renders one run's wall-time decomposition and, when the run saw
 /// crashes, the per-worker lost-time attribution.
 fn render_profile(label: &str, p: &TraceProfile) -> String {
-    let mut out = String::new();
-    let mut phases = Table::new(&[
-        "run",
-        "total s",
-        "compute s",
-        "sync s",
-        "ckpt s",
-        "recovery s",
-        "replay s",
-        "crit path s",
-        "explained",
-    ]);
-    phases.row(&[
-        label.into(),
-        format!("{:.4}", p.total_seconds),
-        format!("{:.4}", p.compute_seconds),
-        format!("{:.4}", p.sync_seconds),
-        format!("{:.4}", p.checkpoint_seconds),
-        format!("{:.4}", p.recovery_seconds),
-        format!("{:.4}", p.replay_seconds),
-        format!("{:.4}", p.critical_path_seconds()),
-        format!("{:.1}%", p.explained_fraction() * 100.0),
-    ]);
-    out.push_str(&phases.render());
+    let mut out = render_table(PHASES, &[profile_fields(label, p)]);
     if !p.workers.is_empty() {
-        let mut workers = Table::new(&[
-            "worker",
-            "crashes",
-            "rejoins",
-            "recovery s",
-            "replay s",
-            "lost s",
-            "share of lost",
-        ]);
-        for w in &p.workers {
-            workers.row(&[
-                format!("{}", w.worker),
-                format!("{}", w.crashes),
-                format!("{}", w.rejoins),
-                format!("{:.4}", w.recovery_seconds),
-                format!("{:.4}", w.replay_seconds),
-                format!("{:.4}", w.lost_seconds()),
-                format!("{:.1}%", w.share * 100.0),
-            ]);
-        }
+        let workers: Vec<_> = p.workers.iter().map(ToFields::to_fields).collect();
         out.push('\n');
-        out.push_str(&workers.render());
+        out.push_str(&render_table(WORKERS, &workers));
     }
     out
 }
@@ -224,10 +211,8 @@ fn profiles_json(id: &str, profiles: &[(String, TraceProfile)]) -> String {
         if i > 0 {
             out.push_str(", ");
         }
-        let mut fields = p.to_fields();
-        fields.insert(0, ("run".into(), label.clone().into()));
         out.push_str("{\"profile\": ");
-        out.push_str(&export::fields_to_json(&fields));
+        out.push_str(&export::fields_to_json(&profile_fields(label, p)));
         out.push_str(", \"workers\": [");
         for (j, w) in p.workers.iter().enumerate() {
             if j > 0 {
@@ -241,6 +226,20 @@ fn profiles_json(id: &str, profiles: &[(String, TraceProfile)]) -> String {
     out
 }
 
+const SERIES: &[Column] = &[
+    col("scope", "scope", text),
+    col("admit", "admits", text),
+    col("done", "completions", text),
+    col("shed", "sheds", text),
+    col("downgr", "downgrades", text),
+    col("p50 us", "p50_s", us::<1>),
+    col("p99 us", "p99_s", us::<1>),
+    col("p999 us", "p999_s", us::<1>),
+    col("rate rps", "completion_rate_rps", fixed::<1>),
+    col("queue", "queue_depth", fixed::<2>),
+    col("health", "health", fixed::<2>),
+];
+
 /// Renders the monitor's live-series table: fleet first, then replicas,
 /// then one line per alert fired.
 fn render_monitor(id: &str, rep: &MonitorReport) -> String {
@@ -248,26 +247,11 @@ fn render_monitor(id: &str, rep: &MonitorReport) -> String {
         "monitor: {id} ({} windows of {:.2e}s, {} lost)\n",
         rep.windows_closed, rep.window_s, rep.lost
     );
-    let mut series = Table::new(&[
-        "scope", "admit", "done", "shed", "downgr", "p50 us", "p99 us", "p999 us", "rate rps",
-        "queue", "health",
-    ]);
-    for s in std::iter::once(&rep.fleet).chain(rep.replicas.iter()) {
-        series.row(&[
-            s.scope.clone(),
-            format!("{}", s.admits),
-            format!("{}", s.completions),
-            format!("{}", s.sheds),
-            format!("{}", s.downgrades),
-            format!("{:.1}", s.p50_s * 1e6),
-            format!("{:.1}", s.p99_s * 1e6),
-            format!("{:.1}", s.p999_s * 1e6),
-            format!("{:.1}", s.completion_rate_rps),
-            format!("{:.2}", s.queue_depth),
-            format!("{:.2}", s.health),
-        ]);
-    }
-    out.push_str(&series.render());
+    let series: Vec<_> = std::iter::once(&rep.fleet)
+        .chain(rep.replicas.iter())
+        .map(ToFields::to_fields)
+        .collect();
+    out.push_str(&render_table(SERIES, &series));
     for a in &rep.alerts {
         out.push_str(&format!(
             "\nalert: {} [{}] {} at {:.6}s (value {:.4e}, threshold {:.4e})",

@@ -6,9 +6,16 @@
 //! eventually transmitted; dropping the bank should hurt at high
 //! compression.
 
-use crate::table::{f3, ExperimentResult, Table};
+use crate::table::{col, fixed, signed, text, Column, ExperimentResult};
 use dl_distributed::{compressed_sgd_opts, Cluster, Device, GradCompressor, Link};
 use dl_obs::fields;
+
+const COLUMNS: &[Column] = &[
+    col("compressor", "compressor", text),
+    col("with feedback", "with_feedback", fixed::<3>),
+    col("without feedback", "without_feedback", fixed::<3>),
+    col("delta", "delta", signed::<3>),
+];
 
 /// Runs the ablation.
 pub fn run() -> ExperimentResult {
@@ -17,7 +24,6 @@ pub fn run() -> ExperimentResult {
     let data = dl_data::blobs(600, 8, 10, 3.0, 0.9, 200);
     let eval = dl_data::blobs(240, 8, 10, 3.0, 0.9, 201);
     let cluster = Cluster::homogeneous(4, Device::accelerator(), Link::ethernet());
-    let mut table = Table::new(&["compressor", "with feedback", "without feedback", "delta"]);
     let mut records = Vec::new();
     let mut worst_delta = 0.0f64;
     for c in [
@@ -43,28 +49,22 @@ pub fn run() -> ExperimentResult {
         let with = run(true);
         let without = run(false);
         let delta = with.accuracy - without.accuracy;
-        table.row(&[
-            with.compressor.clone(),
-            f3(with.accuracy),
-            f3(without.accuracy),
-            format!("{delta:+.3}"),
-        ]);
         records.push(fields! {
             "compressor" => with.compressor,
             "with_feedback" => with.accuracy,
             "without_feedback" => without.accuracy,
+            "delta" => delta,
         });
         worst_delta = worst_delta.max(delta);
     }
     ExperimentResult {
         id: "a1".into(),
         title: "ablation: error feedback in compressed gradient exchange".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if worst_delta > 0.05 {
             format!(
-                "the design choice matters: dropping error feedback costs up to {} accuracy \
-                 at high compression",
-                f3(worst_delta)
+                "the design choice matters: dropping error feedback costs up to {worst_delta:.3} \
+                 accuracy at high compression"
             )
         } else {
             "inconclusive at this scale: feedback made little difference".into()
@@ -78,6 +78,6 @@ mod tests {
     #[test]
     fn a1_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 3);
+        assert_eq!(r.row_counts(), [3]);
     }
 }

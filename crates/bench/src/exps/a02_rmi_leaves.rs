@@ -5,14 +5,20 @@
 //! depends on the key distribution's smoothness. This sweep produces the
 //! size/window curve a deployment would tune on.
 
-use crate::table::{bytes, f3, ExperimentResult, Table};
+use crate::table::{bytes, col, fixed, text, Column, ExperimentResult};
 use dl_data::KeyDistribution;
 use dl_learneddb::RecursiveModelIndex;
 use dl_obs::fields;
 
+const COLUMNS: &[Column] = &[
+    col("distribution", "distribution", text),
+    col("leaves", "leaves", text),
+    col("index size", "bytes", bytes),
+    col("mean window", "mean_window", fixed::<3>),
+];
+
 /// Runs the ablation.
 pub fn run() -> ExperimentResult {
-    let mut table = Table::new(&["distribution", "leaves", "index size", "mean window"]);
     let mut records = Vec::new();
     let mut monotone = true;
     for dist in [KeyDistribution::Uniform, KeyDistribution::Lognormal] {
@@ -21,12 +27,6 @@ pub fn run() -> ExperimentResult {
         for leaves in [16usize, 64, 256, 1024, 4096] {
             let rmi = RecursiveModelIndex::build(keys.clone(), leaves);
             let (mean_w, _) = rmi.error_profile();
-            table.row(&[
-                dist.name().into(),
-                format!("{leaves}"),
-                bytes(rmi.size_bytes() as u64),
-                f3(mean_w),
-            ]);
             records.push(fields! {
                 "distribution" => dist.name(), "leaves" => leaves,
                 "bytes" => rmi.size_bytes(), "mean_window" => mean_w,
@@ -40,7 +40,7 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "a2".into(),
         title: "ablation: RMI leaf count vs size and search window".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if monotone {
             "the knob behaves as designed: windows shrink monotonically with leaf budget \
              while index bytes grow linearly — a tunable size/latency dial"
@@ -57,6 +57,6 @@ mod tests {
     #[test]
     fn a2_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 10);
+        assert_eq!(r.row_counts(), [10]);
     }
 }

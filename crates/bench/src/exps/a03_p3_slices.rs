@@ -10,9 +10,9 @@
 //! reimplements the same schedule locally with a variable count so the
 //! shipped code stays simple.
 
-use crate::table::{ExperimentResult, Table};
+use crate::table::{col, fixed, text, Column, ExperimentResult};
 use dl_distributed::{LayerComm, Link};
-use dl_obs::fields;
+use dl_obs::{fields, FieldValue};
 
 /// A local re-implementation of the priority schedule with configurable
 /// slice count (mirrors `dl_distributed::priority`, kept in sync by the
@@ -99,27 +99,34 @@ fn cnn_profile() -> Vec<LayerComm> {
         .collect()
 }
 
+const COLUMNS: &[Column] = &[
+    col("schedule", "schedule", text),
+    col("iteration seconds", "seconds", fixed::<5>),
+    col("vs FIFO", "vs_fifo", signed_pct),
+];
+
+/// A relative change as a signed percentage (`-16.3%`).
+fn signed_pct(v: &FieldValue) -> String {
+    format!("{:+.1}%", v.as_f64().expect("numeric field") * 100.0)
+}
+
 /// Runs the ablation.
 pub fn run() -> ExperimentResult {
     use dl_distributed::{schedule_backward_comm, SchedulePolicy};
     let link = Link::ethernet();
     let layers = cnn_profile();
-    let mut table = Table::new(&["schedule", "iteration seconds", "vs FIFO"]);
     let mut records = Vec::new();
     let fifo = schedule_backward_comm(&layers, &link, SchedulePolicy::Fifo).iteration_seconds;
-    table.row(&["fifo".into(), format!("{fifo:.5}"), "+0.0%".into()]);
-    records.push(fields! {"schedule" => "fifo", "seconds" => fifo});
+    records.push(fields! {"schedule" => "fifo", "seconds" => fifo, "vs_fifo" => 0.0});
     let base = priority_with_slices(&layers, &link, 1);
     let mut s8 = base;
     let mut s64 = base;
     for slices in [1usize, 2, 4, 8, 16, 64] {
         let secs = priority_with_slices(&layers, &link, slices);
-        table.row(&[
-            format!("priority/{slices}"),
-            format!("{secs:.5}"),
-            format!("{:+.1}%", (secs / fifo - 1.0) * 100.0),
-        ]);
-        records.push(fields! {"schedule" => format!("priority-{slices}"), "seconds" => secs});
+        records.push(fields! {
+            "schedule" => format!("priority/{slices}"), "seconds" => secs,
+            "vs_fifo" => secs / fifo - 1.0,
+        });
         if slices == 8 {
             s8 = secs;
         }
@@ -135,7 +142,7 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "a3".into(),
         title: "ablation: P3 slice granularity (vs FIFO and non-preemptive priority)".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if reordering_pays && preemption_pays && returns_flatten {
             "both halves of the design pay: priority reordering beats FIFO, slice \
              preemption adds several percent more, and returns flatten near the shipped \
@@ -158,7 +165,7 @@ mod tests {
     #[test]
     fn a3_runs() {
         let r = run();
-        assert_eq!(r.table.rows.len(), 7); // fifo + six slice counts
+        assert_eq!(r.row_counts(), [7]); // fifo + six slice counts
     }
 
     /// The local reimplementation at 8 slices matches the shipped module.

@@ -5,23 +5,25 @@
 //! few long cycles give few strong but similar members. FGE's warmup +
 //! short triangular cycles is the refinement the literature proposes.
 
-use crate::table::{f3, flops, ExperimentResult, Table};
+use crate::table::{col, fixed, flops, text, Column, ExperimentResult};
 use dl_ensemble::{fge, snapshot, FgeConfig};
 use dl_obs::fields;
 use dl_tensor::init;
+
+const COLUMNS: &[Column] = &[
+    col("strategy", "strategy", text),
+    col("members", "members", text),
+    col("cycle len", "cycle", text),
+    col("warmup", "warmup", text),
+    col("accuracy", "accuracy", fixed::<3>),
+    col("train flops", "train_flops", flops),
+];
 
 /// Runs the ablation.
 pub fn run() -> ExperimentResult {
     let all = dl_data::digits_dataset(600, 0.12, 220);
     let (train, test) = all.split(0.3, 221);
     let budget = 24usize; // total epochs, fixed across variants
-    let mut table = Table::new(&[
-        "strategy",
-        "members",
-        "cycle len",
-        "accuracy",
-        "train flops",
-    ]);
     let mut records = Vec::new();
     let mut best_snapshot = 0.0f64;
     for (members, cycle) in [(12usize, 2usize), (6, 4), (4, 6), (2, 12)] {
@@ -34,42 +36,25 @@ pub fn run() -> ExperimentResult {
             222,
             &mut init::rng(222),
         );
-        table.row(&[
-            "snapshot".into(),
-            format!("{members}"),
-            format!("{cycle}"),
-            f3(report.accuracy),
-            flops(report.train_flops),
-        ]);
         records.push(fields! {
             "strategy" => "snapshot", "members" => members, "cycle" => cycle,
-            "accuracy" => report.accuracy,
+            "accuracy" => report.accuracy, "train_flops" => report.train_flops,
         });
         best_snapshot = best_snapshot.max(report.accuracy);
     }
     // FGE at the same budget: 12 warmup + 4 cycles of 3
-    let (_, fge_report) = fge(
-        &train,
-        &test,
-        &[144, 32, 10],
-        &FgeConfig {
-            warmup_epochs: budget / 2,
-            members: 4,
-            cycle_len: 3,
-            floor: 0.1,
-            seed: 223,
-        },
-        &mut init::rng(223),
-    );
-    table.row(&[
-        "fge".into(),
-        "4".into(),
-        "3 (+12 warmup)".into(),
-        f3(fge_report.accuracy),
-        flops(fge_report.train_flops),
-    ]);
+    let fge_cfg = FgeConfig {
+        warmup_epochs: budget / 2,
+        members: 4,
+        cycle_len: 3,
+        floor: 0.1,
+        seed: 223,
+    };
+    let (_, fge_report) = fge(&train, &test, &[144, 32, 10], &fge_cfg, &mut init::rng(223));
     records.push(fields! {
         "strategy" => "fge", "accuracy" => fge_report.accuracy,
+        "members" => fge_cfg.members, "cycle" => fge_cfg.cycle_len,
+        "warmup" => fge_cfg.warmup_epochs, "train_flops" => fge_report.train_flops,
     });
     let extremes_lose = {
         use crate::table::field_f64;
@@ -83,7 +68,7 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "a4".into(),
         title: format!("ablation: snapshot cycle length at a fixed {budget}-epoch budget"),
-        table,
+        tables: vec![COLUMNS],
         verdict: if extremes_lose && fge_report.accuracy > best_snapshot - 0.05 {
             "the design choice matters: very short cycles under-converge members; \
              mid-length cycles win, and FGE's warmup+short-cycles matches the best \
@@ -104,6 +89,6 @@ mod tests {
     #[test]
     fn a4_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 5);
+        assert_eq!(r.row_counts(), [5]);
     }
 }

@@ -4,7 +4,7 @@
 //! pruning and falls off a cliff at extreme sparsity. Loss-saliency
 //! pruning should tolerate more sparsity than magnitude pruning.
 
-use crate::table::{f3, flops, ExperimentResult, Table};
+use crate::table::{col, fixed, flops, pct, text, Column, ExperimentResult};
 use dl_compress::{filter_prune, magnitude_prune, saliency_prune};
 use dl_nn::{Network, Optimizer, TrainConfig, Trainer};
 use dl_obs::fields;
@@ -29,11 +29,30 @@ fn measured_sparse_fwd(net: &Network, x: &dl_tensor::Tensor) -> u64 {
     total
 }
 
+const SWEEP: &[Column] = &[
+    col("sparsity", "sparsity", pct::<0>),
+    col("magnitude acc", "magnitude_acc", fixed::<3>),
+    col("saliency acc", "saliency_acc", fixed::<3>),
+    col("measured fwd", "measured_fwd_flops", flops),
+];
+
+const STRUCTURAL: &[Column] = &[
+    col("structural prune", "structural_prune", text),
+    col("accuracy", "accuracy", fixed::<3>),
+    col("params before", "params_before", text),
+    col("params after", "params_after", text),
+];
+
+const FILTER: &[Column] = &[
+    col("filter prune", "filter_prune", text),
+    col("base acc", "base", fixed::<3>),
+    col("pruned acc", "pruned", fixed::<3>),
+];
+
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
     let (train, test, net, _) = super::digits_setup(600, &[48], 20, 2);
     let base_acc = Trainer::evaluate(&net, &test);
-    let mut table = Table::new(&["sparsity", "magnitude acc", "saliency acc", "measured fwd"]);
     let mut records = Vec::new();
     let mut cliff_seen = false;
     let mut survives_half = false;
@@ -51,12 +70,6 @@ pub fn run() -> ExperimentResult {
         let mut sal = net.clone();
         saliency_prune(&mut sal, &train, sparsity);
         let sal_acc = Trainer::evaluate(&sal, &test);
-        table.row(&[
-            format!("{:.0}%", sparsity * 100.0),
-            f3(mag_acc),
-            f3(sal_acc),
-            flops(mag_fwd),
-        ]);
         records.push(fields! {
             "sparsity" => sparsity, "magnitude_acc" => mag_acc, "saliency_acc" => sal_acc,
             "measured_fwd_flops" => mag_fwd,
@@ -68,21 +81,12 @@ pub fn run() -> ExperimentResult {
             cliff_seen = true;
         }
     }
-    // structural pruning row: physically remove half the hidden neurons
+    // structural pruning: physically remove half the hidden neurons
     let mut structural = net.clone();
     let report = dl_compress::neuron_prune(&mut structural, 0, 24);
     let s_acc = Trainer::evaluate(&structural, &test);
-    table.row(&[
-        "24/48 neurons".into(),
-        f3(s_acc),
-        "-".into(),
-        format!(
-            "params {} -> {} (real shrink)",
-            report.params_before, report.params_after
-        ),
-    ]);
     records.push(fields! {
-        "structural" => true, "accuracy" => s_acc,
+        "structural" => true, "accuracy" => s_acc, "structural_prune" => "24/48 neurons",
         "params_before" => report.params_before, "params_after" => report.params_after,
     });
     // filter-level pruning on a small CNN (the tutorial's example class)
@@ -99,14 +103,9 @@ pub fn run() -> ExperimentResult {
     let cnn_base = Trainer::evaluate(&cnn, &cnn_data);
     filter_prune(&mut cnn, 0, 1);
     let cnn_pruned = Trainer::evaluate(&cnn, &cnn_data);
-    table.row(&[
-        "cnn: 1/4 filters".into(),
-        f3(cnn_pruned),
-        "-".into(),
-        format!("filter-level (conv), base {}", f3(cnn_base)),
-    ]);
     records.push(fields! {
         "cnn_filter_prune" => true, "base" => cnn_base, "pruned" => cnn_pruned,
+        "filter_prune" => "cnn: 1/4 filters",
     });
     records.push(fields! {
         "dense_measured_fwd" => dense_fwd, "min_measured_fwd" => sparse_fwd,
@@ -115,7 +114,7 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "e2".into(),
         title: "pruning: sparsity vs accuracy, with the cliff".into(),
-        table,
+        tables: vec![SWEEP, STRUCTURAL, FILTER],
         verdict: if survives_half && cliff_seen {
             "matches the claim: graceful to ~50-70% sparsity, cliff by 90%+".into()
         } else if survives_half {
@@ -132,7 +131,7 @@ mod tests {
     #[test]
     fn e2_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 8);
+        assert_eq!(r.row_counts(), [6, 1, 1]);
         assert!(r.verdict.contains("claim") || r.verdict.contains("PARTIAL"));
         // the sparse-aware kernel must measure real savings at 98% sparsity
         let summary = r.records.last().unwrap();

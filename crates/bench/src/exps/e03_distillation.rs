@@ -4,11 +4,19 @@
 //! the same architecture trained on hard labels alone, at a fraction of
 //! the teacher's footprint.
 
-use crate::table::{f3, ExperimentResult, Table};
+use crate::table::{col, fixed, signed, text, Column, ExperimentResult};
 use dl_compress::{distill, DistillConfig};
 use dl_nn::{Network, Optimizer, TrainConfig, Trainer};
 use dl_obs::fields;
 use dl_tensor::init;
+
+const COLUMNS: &[Column] = &[
+    col("student hidden", "hidden", text),
+    col("params", "params", text),
+    col("scratch acc", "scratch_acc", fixed::<3>),
+    col("distilled acc", "distilled_acc", fixed::<3>),
+    col("gain", "gain", signed::<3>),
+];
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -27,13 +35,6 @@ pub fn run() -> ExperimentResult {
     );
     teacher_trainer.fit(&mut teacher, &train);
     let teacher_acc = Trainer::evaluate(&teacher, &test);
-    let mut table = Table::new(&[
-        "student hidden",
-        "params",
-        "scratch acc",
-        "distilled acc",
-        "gain",
-    ]);
     let mut records = Vec::new();
     let mut gains = Vec::new();
     for hidden in [6usize, 10, 16] {
@@ -64,28 +65,19 @@ pub fn run() -> ExperimentResult {
             },
         );
         let distilled_acc = Trainer::evaluate(&student, &test);
-        table.row(&[
-            format!("{hidden}"),
-            format!("{}", student.param_count()),
-            f3(scratch_acc),
-            f3(distilled_acc),
-            format!("{:+.3}", distilled_acc - scratch_acc),
-        ]);
         records.push(fields! {
             "hidden" => hidden, "params" => student.param_count(),
             "scratch_acc" => scratch_acc, "distilled_acc" => distilled_acc,
             "teacher_params" => report.teacher_params,
+            "gain" => distilled_acc - scratch_acc,
         });
         gains.push(distilled_acc - scratch_acc);
     }
     records.push(fields! {"teacher_acc" => teacher_acc, "teacher_params" => teacher.param_count()});
     ExperimentResult {
         id: "e3".into(),
-        title: format!(
-            "distillation into small students (teacher acc {})",
-            f3(teacher_acc)
-        ),
-        table,
+        title: format!("distillation into small students (teacher acc {teacher_acc:.3})"),
+        tables: vec![COLUMNS],
         // the published shape: large gains well below teacher capacity,
         // vanishing as the student approaches the teacher
         verdict: if gains[0] > 0.05 && gains.iter().all(|&g| g > -0.05) {
@@ -104,6 +96,6 @@ mod tests {
     #[test]
     fn e3_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 3);
+        assert_eq!(r.row_counts(), [3]);
     }
 }

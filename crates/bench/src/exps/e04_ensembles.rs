@@ -4,11 +4,19 @@
 //! accuracy at a fraction of the training FLOPs; TreeNets and MotherNets
 //! also cut memory and inference cost.
 
-use crate::table::{f3, flops, ExperimentResult, Table};
+use crate::table::{col, fixed, flops, text, Column, ExperimentResult};
 use dl_ensemble::{independent, mothernet, snapshot, treenet, MotherNetConfig, TreeNetConfig};
 use dl_nn::TrainConfig;
 use dl_obs::fields;
 use dl_tensor::init;
+
+const COLUMNS: &[Column] = &[
+    col("strategy", "strategy", text),
+    col("accuracy", "accuracy", fixed::<3>),
+    col("train flops", "train_flops", flops),
+    col("params", "params", text),
+    col("inference flops", "inference_flops", flops),
+];
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -16,22 +24,8 @@ pub fn run() -> ExperimentResult {
     let (train, test) = all.split(0.3, 5);
     let members = 3;
     let epochs = 18;
-    let mut table = Table::new(&[
-        "strategy",
-        "accuracy",
-        "train flops",
-        "params",
-        "inference flops",
-    ]);
     let mut records = Vec::new();
     let mut push = |r: &dl_ensemble::EnsembleReport| {
-        table.row(&[
-            r.strategy.into(),
-            f3(r.accuracy),
-            flops(r.train_flops),
-            format!("{}", r.params),
-            flops(r.inference_flops),
-        ]);
         records.push(fields! {
             "strategy" => r.strategy, "accuracy" => r.accuracy,
             "train_flops" => r.train_flops, "params" => r.params,
@@ -100,7 +94,7 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "e4".into(),
         title: "ensemble training: independent vs snapshot vs treenet vs mothernet".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if cheap_enough && close_enough && sharing_saves {
             "matches the claim: fast strategies near baseline accuracy at a fraction of \
              the FLOPs; treenet also cuts params and inference"
@@ -117,6 +111,6 @@ mod tests {
     #[test]
     fn e4_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 4);
+        assert_eq!(r.row_counts(), [4]);
     }
 }

@@ -3,9 +3,17 @@
 //! Claim: training communicates less as the averaging period grows, with
 //! only a modest accuracy cost.
 
-use crate::table::{bytes, f3, ExperimentResult, Table};
+use crate::table::{bytes, col, fixed, text, Column, ExperimentResult};
 use dl_distributed::{local_sgd_traced, Cluster, Device, Link, LocalSgdConfig};
 use dl_obs::{NullRecorder, Recorder, ToFields};
+
+const COLUMNS: &[Column] = &[
+    col("sync period", "sync_period", text),
+    col("accuracy", "accuracy", fixed::<3>),
+    col("bytes", "bytes_communicated", bytes),
+    col("sim seconds", "simulated_seconds", fixed::<4>),
+    col("sync rounds", "sync_rounds", text),
+];
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -18,13 +26,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     let data = dl_data::blobs(400, 3, 8, 6.0, 0.5, 6);
     let eval = dl_data::blobs(150, 3, 8, 6.0, 0.5, 7);
     let cluster = Cluster::homogeneous(4, Device::accelerator(), Link::ethernet());
-    let mut table = Table::new(&[
-        "sync period",
-        "accuracy",
-        "bytes",
-        "sim seconds",
-        "sync rounds",
-    ]);
     let mut records = Vec::new();
     let mut results = Vec::new();
     for period in [1usize, 4, 16, 64] {
@@ -42,13 +43,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
             },
             rec,
         );
-        table.row(&[
-            format!("{period}"),
-            f3(report.accuracy),
-            bytes(report.bytes_communicated),
-            format!("{:.4}", report.simulated_seconds),
-            format!("{}", report.sync_rounds),
-        ]);
         // the span-annotation schema doubles as the JSON record
         records.push(report.to_fields());
         results.push(report);
@@ -60,7 +54,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     ExperimentResult {
         id: "e5".into(),
         title: "Local SGD: averaging period vs communication and accuracy".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if comm_drops && acc_holds {
             "matches the claim: bytes fall ~1/period; accuracy within a few points through period 16"
                 .into()
@@ -76,6 +70,6 @@ mod tests {
     #[test]
     fn e5_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 4);
+        assert_eq!(r.row_counts(), [4]);
     }
 }

@@ -4,24 +4,31 @@
 //! feedback cut communicated bytes by 1-2 orders of magnitude at a small
 //! accuracy cost; priority scheduling further hides what remains.
 
-use crate::table::{bytes, f3, ExperimentResult, Table};
+use crate::table::{bytes, col, fixed, pct, text, times, Column, ExperimentResult};
 use dl_distributed::{
     compressed_sgd, schedule_backward_comm, Cluster, Device, GradCompressor, Link, SchedulePolicy,
 };
 use dl_obs::fields;
+
+const COMPRESSORS: &[Column] = &[
+    col("compressor", "compressor", text),
+    col("accuracy", "accuracy", fixed::<3>),
+    col("wire bytes", "bytes", bytes),
+    col("ratio", "ratio", times::<1>),
+    col("sim seconds", "sim_seconds", fixed::<4>),
+];
+
+const P3: &[Column] = &[
+    col("P3 fifo s", "p3_fifo_seconds", fixed::<5>),
+    col("P3 priority s", "p3_priority_seconds", fixed::<5>),
+    col("iteration faster", "p3_faster", pct::<1>),
+];
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
     let data = dl_data::blobs(400, 3, 8, 6.0, 0.5, 8);
     let eval = dl_data::blobs(150, 3, 8, 6.0, 0.5, 9);
     let cluster = Cluster::homogeneous(4, Device::accelerator(), Link::ethernet());
-    let mut table = Table::new(&[
-        "compressor",
-        "accuracy",
-        "wire bytes",
-        "ratio",
-        "sim seconds",
-    ]);
     let mut records = Vec::new();
     let compressors = [
         GradCompressor::None,
@@ -33,16 +40,10 @@ pub fn run() -> ExperimentResult {
     let mut reports = Vec::new();
     for c in &compressors {
         let (_, r) = compressed_sgd(&cluster, &data, &eval, &[8, 24, 3], c, 200, 16, 0.05, 30);
-        table.row(&[
-            r.compressor.clone(),
-            f3(r.accuracy),
-            bytes(r.bytes_communicated),
-            format!("{:.1}x", r.ratio()),
-            format!("{:.4}", r.simulated_seconds),
-        ]);
         records.push(fields! {
             "compressor" => r.compressor.clone(), "accuracy" => r.accuracy,
             "bytes" => r.bytes_communicated, "ratio" => r.ratio(),
+            "sim_seconds" => r.simulated_seconds,
         });
         reports.push(r);
     }
@@ -62,22 +63,10 @@ pub fn run() -> ExperimentResult {
         .collect();
     let fifo = schedule_backward_comm(&profile, &Link::ethernet(), SchedulePolicy::Fifo);
     let prio = schedule_backward_comm(&profile, &Link::ethernet(), SchedulePolicy::Priority);
-    table.row(&[
-        "— P3 schedule".into(),
-        "-".into(),
-        "-".into(),
-        format!(
-            "{:.1}% faster iter",
-            (1.0 - prio.iteration_seconds / fifo.iteration_seconds) * 100.0
-        ),
-        format!(
-            "{:.5} vs {:.5}",
-            prio.iteration_seconds, fifo.iteration_seconds
-        ),
-    ]);
     records.push(fields! {
         "p3_fifo_seconds" => fifo.iteration_seconds,
         "p3_priority_seconds" => prio.iteration_seconds,
+        "p3_faster" => 1.0 - prio.iteration_seconds / fifo.iteration_seconds,
     });
     let dense_acc = reports[0].accuracy;
     let big_ratio = reports.last().map(|r| r.ratio()).unwrap_or(1.0);
@@ -85,7 +74,7 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "e6".into(),
         title: "gradient compression: wire bytes vs accuracy (+ P3 scheduling)".into(),
-        table,
+        tables: vec![COMPRESSORS, P3],
         verdict: if big_ratio > 20.0 && acc_holds {
             "matches the claim: 1-2 orders of magnitude fewer bytes at small accuracy cost; \
              priority scheduling shortens the iteration further"
@@ -102,6 +91,6 @@ mod tests {
     #[test]
     fn e6_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 6);
+        assert_eq!(r.row_counts(), [5, 1]);
     }
 }

@@ -4,12 +4,19 @@
 //! strategies finds placements that beat the standard defaults
 //! (single-device, data-parallel, round-robin model-parallel).
 
-use crate::table::{f3, ExperimentResult, Table};
+use crate::table::{col, fixed, text, Column, ExperimentResult};
 use dl_distributed::{
     data_parallel_cost, optimize_placement, Cluster, Device, Link, Placement, PlacementSearchConfig,
 };
 use dl_obs::fields;
 use dl_tensor::init;
+
+const COLUMNS: &[Column] = &[
+    col("strategy", "strategy", text),
+    col("step seconds", "step_seconds", fixed::<6>),
+    col("transfer bytes", "transfer_bytes", text),
+    col("sim evals", "sim_evals", text),
+];
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -21,19 +28,15 @@ pub fn run() -> ExperimentResult {
     );
     let costs = net.layer_costs(256);
     let cluster = Cluster::homogeneous(4, Device::accelerator(), Link::nvlink());
-    let mut table = Table::new(&["strategy", "step seconds", "transfer bytes", "sim evals"]);
     let mut records = Vec::new();
     let single = Placement::single_device(costs.len()).simulate(&cluster, &costs);
     let rr = Placement::round_robin(costs.len(), cluster.len()).simulate(&cluster, &costs);
     let dp = data_parallel_cost(&cluster, &costs);
     let mut add = |name: &str, secs: f64, bytes: u64, evals: usize| {
-        table.row(&[
-            name.into(),
-            format!("{secs:.6}"),
-            format!("{bytes}"),
-            format!("{evals}"),
-        ]);
-        records.push(fields! {"strategy" => name.to_string(), "step_seconds" => secs, "transfer_bytes" => bytes});
+        records.push(fields! {
+            "strategy" => name.to_string(), "step_seconds" => secs, "transfer_bytes" => bytes,
+            "sim_evals" => evals,
+        });
     };
     add(
         "single-device",
@@ -77,11 +80,10 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "e7".into(),
         title: "FlexFlow-style placement search vs standard parallelization defaults".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if beats_defaults {
             format!(
-                "matches the claim: searched placement is {}x faster than the best default",
-                f3(speedup)
+                "matches the claim: searched placement is {speedup:.3}x faster than the best default"
             )
         } else {
             "PARTIAL: search only matched the best default on this model".into()
@@ -95,6 +97,6 @@ mod tests {
     #[test]
     fn e7_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 6);
+        assert_eq!(r.row_counts(), [6]);
     }
 }

@@ -4,11 +4,20 @@
 //! the cost of one extra forward pass; Checkmate-style optimization finds
 //! the best schedule for *any* budget.
 
-use crate::table::{bytes, flops, ExperimentResult, Table};
+use crate::table::{bytes, col, flops, text, Column, ExperimentResult};
 use dl_memsched::{optimal_schedule, sqrt_schedule, store_all};
 use dl_obs::fields;
 use dl_prof::NetworkProfile;
 use dl_tensor::init;
+
+const COLUMNS: &[Column] = &[
+    col("schedule", "schedule", text),
+    col("budget", "budget", bytes),
+    col("feasible", "feasible", text),
+    col("peak memory", "peak", bytes),
+    col("recompute", "recompute", flops),
+    col("checkpoints", "checkpoints", text),
+];
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -29,38 +38,23 @@ pub fn run() -> ExperimentResult {
     let base = store_all(&costs);
     let sq = sqrt_schedule(&costs);
     let sq_measured = sqrt_schedule(&measured_costs);
-    let mut table = Table::new(&["schedule", "peak memory", "recompute", "checkpoints"]);
     let mut records = Vec::new();
-    table.row(&[
-        "store-all".into(),
-        bytes(base.peak_bytes),
-        flops(base.recompute_flops),
-        format!("{}", base.checkpoints.len()),
-    ]);
-    table.row(&[
-        "sqrt(n)".into(),
-        bytes(sq.peak_bytes),
-        flops(sq.recompute_flops),
-        format!("{}", sq.checkpoints.len()),
-    ]);
-    table.row(&[
-        "sqrt(n), measured".into(),
-        bytes(sq_measured.peak_bytes),
-        flops(sq_measured.recompute_flops),
-        format!("{}", sq_measured.checkpoints.len()),
-    ]);
-    records
-        .push(fields! {"schedule" => "store-all", "peak" => base.peak_bytes, "recompute" => 0u64});
     records.push(fields! {
-        "schedule" => "sqrt", "peak" => sq.peak_bytes, "recompute" => sq.recompute_flops
+        "schedule" => "store-all", "peak" => base.peak_bytes, "recompute" => 0u64,
+        "checkpoints" => base.checkpoints.len(),
     });
     records.push(fields! {
-        "schedule" => "sqrt-measured",
+        "schedule" => "sqrt(n)", "peak" => sq.peak_bytes, "recompute" => sq.recompute_flops,
+        "checkpoints" => sq.checkpoints.len(),
+    });
+    records.push(fields! {
+        "schedule" => "sqrt(n), measured",
         "peak" => sq_measured.peak_bytes,
         "recompute" => sq_measured.recompute_flops,
         "measured_fwd_flops" => measured_prof.forward.flops,
         "modeled_fwd_flops" => measured_prof.modeled.forward_flops,
         "peak_live_bytes" => measured_prof.peak_live_bytes,
+        "checkpoints" => sq_measured.checkpoints.len(),
     });
     // optimal DP across a budget sweep
     let mut optimal_beats_sqrt = false;
@@ -68,28 +62,21 @@ pub fn run() -> ExperimentResult {
         let budget = (base.peak_bytes as f64 * frac) as u64;
         match optimal_schedule(&costs, budget) {
             Some(opt) => {
-                table.row(&[
-                    format!("optimal@{:.0}%", frac * 100.0),
-                    bytes(opt.peak_bytes),
-                    flops(opt.recompute_flops),
-                    format!("{}", opt.checkpoints.len()),
-                ]);
                 records.push(fields! {
-                    "schedule" => format!("optimal-{frac}"),
+                    "schedule" => format!("optimal@{:.0}%", frac * 100.0),
                     "budget" => budget, "peak" => opt.peak_bytes,
                     "recompute" => opt.recompute_flops,
+                    "checkpoints" => opt.checkpoints.len(), "feasible" => true,
                 });
                 if opt.peak_bytes <= sq.peak_bytes && opt.recompute_flops <= sq.recompute_flops {
                     optimal_beats_sqrt = true;
                 }
             }
             None => {
-                table.row(&[
-                    format!("optimal@{:.0}%", frac * 100.0),
-                    "infeasible".into(),
-                    "-".into(),
-                    "-".into(),
-                ]);
+                records.push(fields! {
+                    "schedule" => format!("optimal@{:.0}%", frac * 100.0),
+                    "budget" => budget, "feasible" => false,
+                });
             }
         }
     }
@@ -102,7 +89,7 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "e9".into(),
         title: "rematerialization: store-all vs sqrt(n) vs optimal DP under budgets".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if sqrt_saves && one_extra_fwd && optimal_beats_sqrt {
             "matches the claim: sqrt(n) cuts memory for <= one extra forward; the DP \
              dominates sqrt(n) and extends to any feasible budget"
@@ -121,6 +108,6 @@ mod tests {
     #[test]
     fn e9_runs() {
         let r = super::run();
-        assert!(r.table.rows.len() >= 5);
+        assert_eq!(r.row_counts(), [7]);
     }
 }

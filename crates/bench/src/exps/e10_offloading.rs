@@ -4,11 +4,19 @@
 //! over the host link; the cost is hidden while transfers fit under
 //! compute.
 
-use crate::table::{bytes, f3, ExperimentResult, Table};
+use crate::table::{bytes, col, fixed, pct, Column, ExperimentResult};
 use dl_memsched::offload_plan;
 use dl_obs::fields;
 use dl_prof::NetworkProfile;
 use dl_tensor::init;
+
+const COLUMNS: &[Column] = &[
+    col("offload %", "fraction", pct::<0>),
+    col("device bytes", "device_bytes", bytes),
+    col("host bytes", "host_bytes", bytes),
+    col("slowdown (fast link)", "slowdown_fast", fixed::<3>),
+    col("slowdown (slow link)", "slowdown_slow", fixed::<3>),
+];
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -25,31 +33,18 @@ pub fn run() -> ExperimentResult {
     let act_parity = measured.peak_live_bytes as f64
         / (measured.param_bytes + measured.input_bytes + modeled_small.activation_bytes()) as f64;
     let flops_per_sec = 10e12;
-    let mut table = Table::new(&[
-        "offload %",
-        "device bytes",
-        "host bytes",
-        "slowdown (fast link)",
-        "slowdown (slow link)",
-    ]);
     let mut records = Vec::new();
     let mut hidden_on_fast = true;
     let mut visible_on_slow = false;
     for frac in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let fast = offload_plan(&profile, frac, flops_per_sec, 50e9); // PCIe5-class
         let slow = offload_plan(&profile, frac, flops_per_sec, 2e9); // constrained link
-        table.row(&[
-            format!("{:.0}%", frac * 100.0),
-            bytes(fast.device_bytes),
-            bytes(fast.host_bytes),
-            f3(fast.slowdown()),
-            f3(slow.slowdown()),
-        ]);
         records.push(fields! {
             "fraction" => frac,
             "device_bytes" => fast.device_bytes,
             "slowdown_fast" => fast.slowdown(),
             "slowdown_slow" => slow.slowdown(),
+            "host_bytes" => fast.host_bytes,
         });
         if frac > 0.0 {
             if fast.slowdown() > 1.001 {
@@ -69,7 +64,7 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "e10".into(),
         title: "offloading: device memory vs training-time overhead".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if hidden_on_fast && visible_on_slow {
             "matches the claim: transfers hide behind compute on a fast link and surface \
              as training-time overhead on a slow one"
@@ -86,6 +81,6 @@ mod tests {
     #[test]
     fn e10_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 5);
+        assert_eq!(r.row_counts(), [5]);
     }
 }

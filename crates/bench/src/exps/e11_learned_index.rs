@@ -4,22 +4,24 @@
 //! B-tree and needs less search work per lookup; adversarial (clustered)
 //! keys erode the advantage.
 
-use crate::table::{bytes, f3, ExperimentResult, Table};
+use crate::table::{bytes, col, fixed, text, Column, ExperimentResult};
 use dl_data::KeyDistribution;
 use dl_learneddb::{BTreeIndex, RecursiveModelIndex};
 use dl_obs::fields;
 
+const COLUMNS: &[Column] = &[
+    col("distribution", "distribution", text),
+    col("btree size", "btree_bytes", bytes),
+    col("btree depth", "btree_depth", text),
+    col("rmi size", "rmi_bytes", bytes),
+    col("rmi leaves", "rmi_leaves", text),
+    col("rmi mean window", "rmi_mean_window", fixed::<3>),
+    col("rmi max window", "rmi_max_window", text),
+];
+
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
     let n = 200_000;
-    let mut table = Table::new(&[
-        "distribution",
-        "index",
-        "size",
-        "mean window",
-        "max window",
-        "depth/leaves",
-    ]);
     let mut records = Vec::new();
     let mut rmi_smaller_on_smooth = true;
     // mean windows per distribution, to show hardness varies with the CDF
@@ -30,27 +32,11 @@ pub fn run() -> ExperimentResult {
         let rmi = RecursiveModelIndex::build(keys.clone(), 256);
         let (mean_w, max_w) = rmi.error_profile();
         // B-tree "window" = fanout-bounded leaf search; cost proxy = depth
-        table.row(&[
-            dist.name().into(),
-            "btree".into(),
-            bytes(bt.size_bytes() as u64),
-            format!("{} nodes", bt.depth()),
-            "-".into(),
-            format!("depth {}", bt.depth()),
-        ]);
-        table.row(&[
-            dist.name().into(),
-            "rmi".into(),
-            bytes(rmi.size_bytes() as u64),
-            f3(mean_w),
-            format!("{max_w}"),
-            format!("{} leaves", rmi.leaf_count()),
-        ]);
         records.push(fields! {
             "distribution" => dist.name(),
             "btree_bytes" => bt.size_bytes(), "btree_depth" => bt.depth(),
             "rmi_bytes" => rmi.size_bytes(), "rmi_mean_window" => mean_w,
-            "rmi_max_window" => max_w,
+            "rmi_max_window" => max_w, "rmi_leaves" => rmi.leaf_count(),
         });
         if matches!(dist, KeyDistribution::Uniform | KeyDistribution::Lognormal)
             && rmi.size_bytes() >= bt.size_bytes()
@@ -69,7 +55,7 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "e11".into(),
         title: format!("learned index (RMI) vs B-tree over {n} keys"),
-        table,
+        tables: vec![COLUMNS],
         verdict: if rmi_smaller_on_smooth && crossover {
             "matches the claim: the RMI is smaller with small search windows on smooth \
              CDFs, and its windows blow up on skewed/clustered key sets — the expected \
@@ -87,6 +73,6 @@ mod tests {
     #[test]
     fn e11_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 8);
+        assert_eq!(r.row_counts(), [4]);
     }
 }

@@ -4,10 +4,20 @@
 //! reaches a comparable false-positive rate in less memory than a classic
 //! Bloom filter; zero false negatives are preserved either way.
 
-use crate::table::{bytes, ExperimentResult, Table};
+use crate::table::{bytes, col, fixed, text, Column, ExperimentResult};
 use dl_learneddb::{BloomFilter, LearnedBloom};
 use dl_obs::fields;
 use dl_tensor::init;
+
+const COLUMNS: &[Column] = &[
+    col("target fpr", "target_fpr", text),
+    col("classic fpr", "classic_fpr", fixed::<4>),
+    col("classic bytes", "classic_bytes", bytes),
+    col("classic false negs", "classic_false_negs", text),
+    col("learned fpr", "learned_fpr", fixed::<4>),
+    col("learned bytes", "learned_bytes", bytes),
+    col("learned false negs", "learned_false_negs", text),
+];
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -16,13 +26,6 @@ pub fn run() -> ExperimentResult {
     let mut rng = init::rng(90);
     let train_neg = dl_data::keys::absent_keys(&keys, 20_000, &mut rng);
     let test_neg = dl_data::keys::absent_keys(&keys, 30_000, &mut rng);
-    let mut table = Table::new(&[
-        "filter",
-        "target fpr",
-        "measured fpr",
-        "bytes",
-        "false negs",
-    ]);
     let mut records = Vec::new();
     let mut learned_smaller_somewhere = false;
     for target in [0.05f64, 0.01] {
@@ -32,13 +35,6 @@ pub fn run() -> ExperimentResult {
         }
         let c_fpr = classic.empirical_fpr(&test_neg);
         let c_fn = keys.iter().filter(|&&k| !classic.contains(k)).count();
-        table.row(&[
-            "classic".into(),
-            format!("{target}"),
-            format!("{c_fpr:.4}"),
-            bytes(classic.size_bytes() as u64),
-            format!("{c_fn}"),
-        ]);
         let mut learned = LearnedBloom::build(&keys, &train_neg, target, 91);
         let l_fpr = learned.empirical_fpr(&test_neg);
         let l_fn = keys
@@ -46,17 +42,11 @@ pub fn run() -> ExperimentResult {
             .step_by(17)
             .filter(|&&k| !learned.contains(k))
             .count();
-        table.row(&[
-            "learned".into(),
-            format!("{target}"),
-            format!("{l_fpr:.4}"),
-            bytes(learned.size_bytes() as u64),
-            format!("{l_fn}"),
-        ]);
         records.push(fields! {
             "target_fpr" => target,
             "classic_fpr" => c_fpr, "classic_bytes" => classic.size_bytes(),
             "learned_fpr" => l_fpr, "learned_bytes" => learned.size_bytes(),
+            "classic_false_negs" => c_fn, "learned_false_negs" => l_fn,
         });
         if learned.size_bytes() < classic.size_bytes() && l_fpr < target * 4.0 {
             learned_smaller_somewhere = true;
@@ -67,7 +57,7 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "e12".into(),
         title: "learned Bloom filter vs classic at matched FPR targets".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if learned_smaller_somewhere {
             "matches the claim: on a learnable key set the model + backup is smaller at a \
              comparable FPR, with zero false negatives preserved"
@@ -84,6 +74,6 @@ mod tests {
     #[test]
     fn e12_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 4);
+        assert_eq!(r.row_counts(), [2]);
     }
 }

@@ -4,7 +4,7 @@
 //! correlated multi-attribute predicates; the gap widens with predicate
 //! dimensionality.
 
-use crate::table::{f3, ExperimentResult, Table};
+use crate::table::{col, fixed, text, Column, ExperimentResult};
 use dl_data::{CorrelatedTable, RangePredicate};
 use dl_learneddb::cardinality::q_error;
 use dl_learneddb::{HistogramEstimator, NeuralEstimator, SamplingEstimator};
@@ -16,6 +16,13 @@ fn median(v: &mut [f64]) -> f64 {
     v[v.len() / 2]
 }
 
+const COLUMNS: &[Column] = &[
+    col("predicate dims", "dims", text),
+    col("hist median q-err", "hist_qerr", fixed::<3>),
+    col("sample median q-err", "sample_qerr", fixed::<3>),
+    col("neural median q-err", "neural_qerr", fixed::<3>),
+];
+
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
     let table_data = CorrelatedTable::generate(6000, 5, 0.9, 100);
@@ -23,12 +30,6 @@ pub fn run() -> ExperimentResult {
     let mut rng = init::rng(101);
     let sample = SamplingEstimator::build(&table_data, 300, &mut rng);
     let mut neural = NeuralEstimator::train(&table_data, 800, 4, 102);
-    let mut table = Table::new(&[
-        "predicate dims",
-        "hist median q-err",
-        "sample median q-err",
-        "neural median q-err",
-    ]);
     let mut records = Vec::new();
     let mut neural_wins_high_dim = false;
     let mut query_rng = init::rng(103);
@@ -44,7 +45,6 @@ pub fn run() -> ExperimentResult {
             nq.push(q_error(neural.estimate(&p), truth, table_data.rows()));
         }
         let (h, s, n) = (median(&mut hq), median(&mut sq), median(&mut nq));
-        table.row(&[format!("{dims}"), f3(h), f3(s), f3(n)]);
         records.push(fields! {
             "dims" => dims, "hist_qerr" => h, "sample_qerr" => s, "neural_qerr" => n,
         });
@@ -55,7 +55,7 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "e13".into(),
         title: "selectivity estimation on correlated data: histogram vs sample vs neural".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if neural_wins_high_dim {
             "matches the claim: the learned estimator overtakes independence histograms on \
              multi-attribute predicates over correlated columns"
@@ -72,6 +72,6 @@ mod tests {
     #[test]
     fn e13_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 4);
+        assert_eq!(r.row_counts(), [4]);
     }
 }

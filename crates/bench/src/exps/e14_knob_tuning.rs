@@ -4,21 +4,22 @@
 //! throughput, competitively with search baselines under the same
 //! evaluation budget, while learning a reusable policy.
 
-use crate::table::{f3, ExperimentResult, Table};
+use crate::table::{col, fixed, text, Column, ExperimentResult};
 use dl_learneddb::tuner::{grid_search, random_search, tuner_rng};
 use dl_learneddb::{DbSimulator, QLearningTuner};
 use dl_obs::fields;
 
+const COLUMNS: &[Column] = &[
+    col("workload", "workload", text),
+    col("optimum", "optimum", fixed::<0>),
+    col("q-learning", "qlearning", fixed::<0>),
+    col("random", "random", fixed::<0>),
+    col("grid", "grid", fixed::<0>),
+    col("q-learn % of opt", "qlearn_of_opt", fixed::<3>),
+];
+
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
-    let mut table = Table::new(&[
-        "workload",
-        "optimum",
-        "q-learning",
-        "random",
-        "grid",
-        "q-learn % of opt",
-    ]);
     let mut records = Vec::new();
     let mut all_near_optimal = true;
     for (name, scan, write) in [
@@ -49,17 +50,9 @@ pub fn run() -> ExperimentResult {
             r_sum / seeds as f64,
             g_sum / seeds as f64,
         );
-        table.row(&[
-            name.into(),
-            format!("{opt:.0}"),
-            format!("{q:.0}"),
-            format!("{r:.0}"),
-            format!("{g:.0}"),
-            f3(q / opt),
-        ]);
         records.push(fields! {
             "workload" => name, "optimum" => opt,
-            "qlearning" => q, "random" => r, "grid" => g,
+            "qlearning" => q, "random" => r, "grid" => g, "qlearn_of_opt" => q / opt,
         });
         if q / opt < 0.95 {
             all_near_optimal = false;
@@ -68,7 +61,7 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "e14".into(),
         title: "knob tuning: Q-learning vs random and grid search".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if all_near_optimal {
             "matches the claim: RL tuning reaches >95% of the exhaustive optimum on every \
              workload within the same evaluation budget as the baselines"
@@ -85,6 +78,6 @@ mod tests {
     #[test]
     fn e14_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 3);
+        assert_eq!(r.row_counts(), [3]);
     }
 }

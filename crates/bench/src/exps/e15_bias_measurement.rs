@@ -5,22 +5,23 @@
 //! is *not* a model input (the proxy column leaks it, the tutorial's
 //! retina example).
 
-use crate::table::{f3, ExperimentResult, Table};
+use crate::table::{col, fixed, Column, ExperimentResult};
 use dl_data::{CensusConfig, CensusData};
 use dl_fairness::FairnessReport;
 use dl_nn::{Network, Optimizer, TrainConfig, Trainer};
 use dl_obs::fields;
 use dl_tensor::init;
 
+const COLUMNS: &[Column] = &[
+    col("injected bias", "bias", fixed::<3>),
+    col("data base-rate gap", "data_gap", fixed::<3>),
+    col("model parity gap", "parity_gap", fixed::<3>),
+    col("eq-odds gap", "eq_odds_gap", fixed::<3>),
+    col("accuracy", "accuracy", fixed::<3>),
+];
+
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
-    let mut table = Table::new(&[
-        "injected bias",
-        "data base-rate gap",
-        "model parity gap",
-        "eq-odds gap",
-        "accuracy",
-    ]);
     let mut records = Vec::new();
     let mut gaps = Vec::new();
     for bias in [0.0f64, 0.2, 0.4, 0.6, 0.8] {
@@ -43,13 +44,6 @@ pub fn run() -> ExperimentResult {
         let preds = net.predict(&data.x);
         let report = FairnessReport::new(&preds, &census.labels, &census.groups);
         let data_gap = census.base_rate(0) - census.base_rate(1);
-        table.row(&[
-            f3(bias),
-            f3(data_gap),
-            f3(report.demographic_parity_diff()),
-            f3(report.equalized_odds_gap()),
-            f3(report.accuracy()),
-        ]);
         records.push(fields! {
             "bias" => bias, "data_gap" => data_gap,
             "parity_gap" => report.demographic_parity_diff(),
@@ -63,7 +57,7 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "e15".into(),
         title: "bias knob sweep: injected data bias vs measured model bias".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if tracks {
             "matches the claim: the model's demographic-parity gap tracks the injected bias \
              even though group membership is never a feature"
@@ -80,6 +74,6 @@ mod tests {
     #[test]
     fn e15_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 5);
+        assert_eq!(r.row_counts(), [5]);
     }
 }

@@ -4,7 +4,7 @@
 //! reduce the parity gap, trading some accuracy (measured against the
 //! biased labels).
 
-use crate::table::{f3, ExperimentResult, Table};
+use crate::table::{col, fixed, text, Column, ExperimentResult};
 use dl_data::{CensusConfig, CensusData};
 use dl_fairness::{
     adversarial_debias, mitigate::train_reweighed, threshold_adjust, AdversarialConfig,
@@ -13,6 +13,13 @@ use dl_fairness::{
 use dl_nn::{Network, Optimizer, TrainConfig, Trainer};
 use dl_obs::fields;
 use dl_tensor::init;
+
+const COLUMNS: &[Column] = &[
+    col("intervention", "intervention", text),
+    col("parity gap", "parity_gap", fixed::<3>),
+    col("eq-odds gap", "eq_odds_gap", fixed::<3>),
+    col("accuracy", "accuracy", fixed::<3>),
+];
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -35,15 +42,8 @@ pub fn run() -> ExperimentResult {
     trainer.fit(&mut base_net, &data);
     let base_preds = base_net.predict(&data.x);
     let base = FairnessReport::new(&base_preds, &census.labels, &census.groups);
-    let mut table = Table::new(&["intervention", "parity gap", "eq-odds gap", "accuracy"]);
     let mut records = Vec::new();
     let mut add = |name: &str, r: &FairnessReport| {
-        table.row(&[
-            name.into(),
-            f3(r.demographic_parity_diff()),
-            f3(r.equalized_odds_gap()),
-            f3(r.accuracy()),
-        ]);
         records.push(fields! {
             "intervention" => name.to_string(),
             "parity_gap" => r.demographic_parity_diff(),
@@ -78,7 +78,7 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "e16".into(),
         title: "bias mitigation at three intervention points (bias=0.6 census)".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if all_reduce && acc_held {
             "matches the claim: every intervention level shrinks the parity gap at a \
              bounded accuracy cost; post-processing closes it most directly"
@@ -95,6 +95,6 @@ mod tests {
     #[test]
     fn e16_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 4);
+        assert_eq!(r.row_counts(), [4]);
     }
 }

@@ -4,14 +4,21 @@
 //! neighborhoods (clusters stay clusters), beating linear PCA on the
 //! neighborhood-preservation score.
 
-use crate::table::{f3, ExperimentResult, Table};
+use crate::table::{col, fixed, text, Column, ExperimentResult};
 use dl_interpret::{neighborhood_preservation, pca, tsne, TsneConfig};
 use dl_obs::fields;
 use dl_tensor::init;
 
+/// Neighborhood preservation at k = 10, one column per 2-D embedding.
+const COLUMNS: &[Column] = &[
+    col("dim", "dim", text),
+    col("t-sne (k=10)", "tsne", fixed::<3>),
+    col("pca (k=10)", "pca", fixed::<3>),
+    col("random (k=10)", "random", fixed::<3>),
+];
+
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
-    let mut table = Table::new(&["dim", "method", "neighborhood preservation (k=10)"]);
     let mut records = Vec::new();
     let mut tsne_wins = 0usize;
     let mut cases = 0usize;
@@ -31,9 +38,6 @@ pub fn run() -> ExperimentResult {
         let np_t = neighborhood_preservation(&x, &emb, 10);
         let np_p = neighborhood_preservation(&x, &p, 10);
         let np_r = neighborhood_preservation(&x, &rand, 10);
-        table.row(&[format!("{dim}"), "t-sne".into(), f3(np_t)]);
-        table.row(&[format!("{dim}"), "pca".into(), f3(np_p)]);
-        table.row(&[format!("{dim}"), "random".into(), f3(np_r)]);
         records.push(fields! {
             "dim" => dim, "tsne" => np_t, "pca" => np_p, "random" => np_r,
         });
@@ -45,7 +49,7 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "e17".into(),
         title: "t-SNE vs PCA vs random: neighborhood preservation in 2-D".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if tsne_wins == cases {
             "matches the claim: t-SNE keeps local neighborhoods best at every input dimension"
                 .into()
@@ -61,6 +65,6 @@ mod tests {
     #[test]
     fn e17_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 9);
+        assert_eq!(r.row_counts(), [3]);
     }
 }

@@ -5,11 +5,24 @@
 //! generative cause; fidelity stabilizes as the perturbation sample
 //! grows. Saliency and the surrogate tree corroborate.
 
-use crate::table::{f3, ExperimentResult, Table};
+use crate::table::{col, fixed, text, Column, ExperimentResult};
 use dl_interpret::{lime_explain, saliency, SurrogateTree};
 use dl_nn::{Dataset, Network, Optimizer, TrainConfig, Trainer};
 use dl_obs::fields;
 use dl_tensor::init;
+
+const LIME: &[Column] = &[
+    col("samples", "samples", text),
+    col("median local R²", "median_r2", fixed::<3>),
+    col("top-feature recovery", "recovery", fixed::<3>),
+];
+
+const CORROBORATION: &[Column] = &[
+    col("saliency top feature", "saliency_top", text),
+    col("agrees", "saliency_agrees", text),
+    col("tree surrogate fidelity", "tree_fidelity", fixed::<3>),
+    col("tree nodes", "tree_nodes", text),
+];
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -30,7 +43,6 @@ pub fn run() -> ExperimentResult {
         Optimizer::adam(0.01),
     );
     trainer.fit(&mut net, &data);
-    let mut table = Table::new(&["samples", "median local R²", "top-feature recovery"]);
     let mut records = Vec::new();
     let mut final_recovery = 0.0;
     let mut final_r2 = 0.0;
@@ -49,7 +61,6 @@ pub fn run() -> ExperimentResult {
         r2s.sort_by(f64::total_cmp);
         let med = r2s[r2s.len() / 2];
         let rec = recovered as f64 / probes as f64;
-        table.row(&[format!("{samples}"), f3(med), f3(rec)]);
         records.push(fields! {"samples" => samples, "median_r2" => med, "recovery" => rec});
         final_recovery = rec;
         final_r2 = med;
@@ -60,25 +71,14 @@ pub fn run() -> ExperimentResult {
     let sal_top = sal.argmax();
     let tree = SurrogateTree::distill(&mut net, &data.x, 3);
     let fid = tree.fidelity(&mut net, &data.x);
-    table.row(&[
-        "saliency top".into(),
-        format!("feature {sal_top}"),
-        if sal_top == causal {
-            "agrees".into()
-        } else {
-            "disagrees".into()
-        },
-    ]);
-    table.row(&[
-        "tree surrogate".into(),
-        format!("fidelity {}", f3(fid)),
-        format!("{} nodes", tree.node_count()),
-    ]);
-    records.push(fields! {"saliency_top" => sal_top, "tree_fidelity" => fid});
+    records.push(fields! {
+        "saliency_top" => sal_top, "tree_fidelity" => fid,
+        "saliency_agrees" => sal_top == causal, "tree_nodes" => tree.node_count(),
+    });
     ExperimentResult {
         id: "e18".into(),
         title: "LIME fidelity vs sample count + saliency/surrogate corroboration".into(),
-        table,
+        tables: vec![LIME, CORROBORATION],
         verdict: if final_recovery >= 0.9 && final_r2 > 0.3 && sal_top == causal && fid > 0.85 {
             "matches the claim: LIME recovers the causal feature with high local fidelity; \
              saliency and the tree surrogate agree"
@@ -98,6 +98,6 @@ mod tests {
     #[test]
     fn e18_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 5);
+        assert_eq!(r.row_counts(), [3, 1]);
     }
 }

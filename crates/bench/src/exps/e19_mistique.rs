@@ -4,12 +4,23 @@
 //! intermediates at a fraction of their raw size, while point queries
 //! stay cheap (touch one chunk).
 
-use crate::table::{bytes, ExperimentResult, Table};
+use crate::table::{bytes, col, fixed, text, times, Column, ExperimentResult};
 use dl_interpret::store::IntermediateKey;
 use dl_interpret::{ActivationQuery, IntermediateStore};
 use dl_nn::{Network, Optimizer, TrainConfig, Trainer};
 use dl_obs::fields;
 use dl_tensor::init;
+
+const COLUMNS: &[Column] = &[
+    col("matrices", "matrices", text),
+    col("logical (raw f32)", "logical_bytes", bytes),
+    col("physical (quant+dedup)", "physical_bytes", bytes),
+    col("ratio", "ratio", times::<2>),
+    col("dedup hits", "dedup_hits", text),
+    col("full fetch chunks", "full_fetch_chunks", text),
+    col("point fetch chunks", "point_fetch_chunks", text),
+    col("best class-3 |corr|", "best_corr", fixed::<3>),
+];
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -45,12 +56,6 @@ pub fn run() -> ExperimentResult {
         );
     }
     let stats = store.stats();
-    let mut table = Table::new(&["metric", "value"]);
-    table.row(&["matrices stored".into(), format!("{}", stats.matrices)]);
-    table.row(&["logical (raw f32)".into(), bytes(stats.logical_bytes)]);
-    table.row(&["physical (quant+dedup)".into(), bytes(stats.physical_bytes)]);
-    table.row(&["compression ratio".into(), format!("{:.2}x", stats.ratio())]);
-    table.row(&["dedup hits".into(), format!("{}", stats.dedup_hits)]);
     // query path: full fetch vs point fetch cost
     let full = store
         .get(IntermediateKey {
@@ -67,15 +72,9 @@ pub fn run() -> ExperimentResult {
             5,
         )
         .expect("stored");
-    table.row(&["full fetch chunks".into(), format!("{}", full.1)]);
-    table.row(&["point fetch chunks".into(), format!("{}", point.1)]);
     // a DeepBase-style query over the *stored* (lossy) activations still
     // finds class-selective units
     let q = ActivationQuery::CorrelatesWithClass { class: 3 }.run(&full.0, &all.y);
-    table.row(&[
-        "best class-3 unit |corr| (from store)".into(),
-        format!("{:.3}", q.units[0].score.abs()),
-    ]);
     let records = vec![fields! {
         "logical_bytes" => stats.logical_bytes,
         "physical_bytes" => stats.physical_bytes,
@@ -84,11 +83,12 @@ pub fn run() -> ExperimentResult {
         "full_fetch_chunks" => full.1,
         "point_fetch_chunks" => point.1,
         "best_corr" => q.units[0].score.abs(),
+        "matrices" => stats.matrices,
     }];
     ExperimentResult {
         id: "e19".into(),
         title: "Mistique-lite: storing 12 epochs of intermediates".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if stats.ratio() > 2.5 && point.1 == 1 && q.units[0].score.abs() > 0.3 {
             "matches the claim: ~3x footprint reduction (8-bit codes minus chunk-ref \
              overhead), single-chunk point queries, and the lossy store still \
@@ -110,6 +110,6 @@ mod tests {
     #[test]
     fn e19_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 8);
+        assert_eq!(r.row_counts(), [1]);
     }
 }

@@ -4,16 +4,29 @@
 //! magnitude across hardware efficiency and grid region; carbon-aware
 //! scheduling recovers most of the regional gap for deferrable jobs.
 
-use crate::table::{f3, flops, ExperimentResult, Table};
+use crate::table::{col, fixed, flops, text, Column, ExperimentResult};
 use dl_green::{
     energy::energy_for, schedule_jobs, CarbonReport, HardwareProfile, Job, Region, SchedulePolicy,
 };
 use dl_obs::fields;
 use dl_tensor::init;
 
+const FOOTPRINT: &[Column] = &[
+    col("model", "model", text),
+    col("train flops", "flops", flops),
+    col("hardware", "hardware", text),
+    col("region", "region", text),
+    col("kWh", "kwh", fixed::<4>),
+    col("gCO2e", "grams", fixed::<1>),
+];
+
+const SCHEDULER: &[Column] = &[
+    col("naive@mixed gCO2e", "scheduler_naive_grams", fixed::<0>),
+    col("carbon-aware gCO2e", "scheduler_aware_grams", fixed::<0>),
+];
+
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
-    let mut table = Table::new(&["model", "train flops", "hardware", "region", "kWh", "gCO2e"]);
     let mut records = Vec::new();
     // model-size sweep: small/medium/large MLPs trained for 200 epochs
     // over a 2M-sample corpus (cost-model math; FLOPs come from dl-nn)
@@ -35,14 +48,6 @@ pub fn run() -> ExperimentResult {
             for region in [Region::HydroNorth, Region::CoalBelt] {
                 let energy = energy_for(&hw, total_flops, 1.4);
                 let carbon = CarbonReport::from_energy(&energy, region);
-                table.row(&[
-                    (*name).into(),
-                    flops(total_flops),
-                    hw.name.into(),
-                    region.name().into(),
-                    format!("{:.4}", carbon.kwh),
-                    format!("{:.1}", carbon.grams_co2e),
-                ]);
                 records.push(fields! {
                     "model" => *name, "flops" => total_flops, "hardware" => hw.name,
                     "region" => region.name(), "kwh" => carbon.kwh,
@@ -70,14 +75,6 @@ pub fn run() -> ExperimentResult {
         },
     );
     let aware = schedule_jobs(&jobs, SchedulePolicy::CarbonAware);
-    table.row(&[
-        "scheduler".into(),
-        "-".into(),
-        "-".into(),
-        "naive@mixed vs aware".into(),
-        "-".into(),
-        format!("{:.0} vs {:.0}", naive.total_grams, aware.total_grams),
-    ]);
     records.push(fields! {
         "scheduler_naive_grams" => naive.total_grams,
         "scheduler_aware_grams" => aware.total_grams,
@@ -88,12 +85,11 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "e20".into(),
         title: "carbon footprint: size x hardware x region, plus scheduling".into(),
-        table,
+        tables: vec![FOOTPRINT, SCHEDULER],
         verdict: if grows && sched_saves {
             format!(
                 "matches the claim: emissions grow superlinearly with model size, span a \
-                 {}x regional gap, and carbon-aware scheduling recovers most of it",
-                f3(region_gap)
+                 {region_gap:.3}x regional gap, and carbon-aware scheduling recovers most of it"
             )
         } else {
             format!("PARTIAL: grows={grows} sched_saves={sched_saves}")
@@ -107,6 +103,6 @@ mod tests {
     #[test]
     fn e20_runs() {
         let r = super::run();
-        assert_eq!(r.table.rows.len(), 13);
+        assert_eq!(r.row_counts(), [12, 1]);
     }
 }

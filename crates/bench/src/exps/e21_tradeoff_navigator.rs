@@ -8,11 +8,23 @@
 //! every point in `dl-core`, then extracts the frontier and runs
 //! recommendation queries.
 
-use crate::table::{f3, ExperimentResult, Table};
+use crate::table::{col, fixed, text, yes_no, Column, ExperimentResult};
 use dl_compress::{magnitude_prune, quantize_network, QuantScheme};
 use dl_core::{Category, Constraint, Metrics, Registry, Technique, TradeoffNavigator};
 use dl_nn::Trainer;
 use dl_obs::fields;
+
+const TECHNIQUES: &[Column] = &[
+    col("technique", "name", text),
+    col("accuracy", "accuracy", fixed::<3>),
+    col("memory B", "memory", text),
+    col("on frontier", "frontier", yes_no),
+];
+
+const QUERY: &[Column] = &[
+    col("query: max memory B", "query_memory_budget", text),
+    col("pick", "pick", text),
+];
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -81,20 +93,7 @@ pub fn run() -> ExperimentResult {
     }
     let nav = TradeoffNavigator::new(&registry);
     let frontier = nav.frontier();
-    let mut table = Table::new(&["technique", "accuracy", "memory B", "on frontier"]);
     let frontier_names: Vec<&str> = frontier.iter().map(|t| t.name.as_str()).collect();
-    for t in registry.techniques() {
-        table.row(&[
-            t.name.clone(),
-            f3(t.metrics.accuracy),
-            format!("{}", t.metrics.memory_bytes),
-            if frontier_names.contains(&t.name.as_str()) {
-                "yes".into()
-            } else {
-                "no".into()
-            },
-        ]);
-    }
     // constraint queries
     let budget = registry
         .get("fp32-baseline")
@@ -103,14 +102,7 @@ pub fn run() -> ExperimentResult {
         .memory_bytes
         / 4;
     let pick = nav.recommend(&[Constraint::MaxMemoryBytes(budget)]);
-    table.row(&[
-        format!("query: memory <= {budget}"),
-        pick.map(|t| f3(t.metrics.accuracy)).unwrap_or_default(),
-        pick.map(|t| t.name.clone())
-            .unwrap_or_else(|| "none".into()),
-        "-".into(),
-    ]);
-    let records: Vec<dl_obs::Fields> = registry
+    let mut records: Vec<dl_obs::Fields> = registry
         .techniques()
         .iter()
         .map(|t| {
@@ -121,12 +113,16 @@ pub fn run() -> ExperimentResult {
             }
         })
         .collect();
+    records.push(fields! {
+        "query_memory_budget" => budget,
+        "pick" => pick.map_or_else(|| "none".to_string(), |t| t.name.clone()),
+    });
     let multi_point_frontier = frontier.len() >= 3;
     let has_dominated_points = frontier.len() < registry.len();
     ExperimentResult {
         id: "e21".into(),
         title: "tradeoff navigator: Pareto frontier over measured techniques".into(),
-        table,
+        tables: vec![TECHNIQUES, QUERY],
         verdict: if multi_point_frontier && has_dominated_points {
             "matches the claim: multiple techniques are Pareto-optimal (no single winner), \
              others are dominated, and constrained queries pick different techniques than \
@@ -148,6 +144,6 @@ mod tests {
     #[test]
     fn e21_runs() {
         let r = super::run();
-        assert!(r.table.rows.len() >= 7);
+        assert_eq!(r.row_counts(), [6, 1]);
     }
 }

@@ -8,13 +8,13 @@
 //! each crash — and Local SGD's larger sync periods make recovery
 //! cheaper by shrinking the per-step replay cost.
 
-use crate::table::{f3, ExperimentResult, Table};
+use crate::table::{col, fixed, text, Column, ExperimentResult};
 use dl_core::{Category, Constraint, Metrics, Registry, Technique, TradeoffNavigator};
 use dl_distributed::{
     resilient_local_sgd_traced, Cluster, Device, FaultEvent, FaultPlan, FaultProfile, Link,
     LocalSgdConfig, ResilientConfig, StorageProfile,
 };
-use dl_obs::{NullRecorder, Recorder, ToFields};
+use dl_obs::{fields, FieldValue, NullRecorder, Recorder, ToFields};
 
 const STEPS: usize = 256;
 const WORKERS: usize = 4;
@@ -51,6 +51,31 @@ pub(crate) fn faulty_plan() -> FaultPlan {
 /// faulty plan. `run_with` threads the recorder into exactly this run.
 pub const TRACED_CONFIG: (&str, usize, usize) = ("mtbf48", 8, 32);
 
+const SWEEP: &[Column] = &[
+    col("crashes", "faults", text),
+    col("sync", "sync_period", text),
+    col("ckpt every", "checkpoint_interval", never_if_zero),
+    col("total s", "simulated_seconds", fixed::<4>),
+    col("goodput smp/s", "goodput", fixed::<0>),
+    col("lost smp", "lost_samples", text),
+    col("recovery s", "recovery_seconds", fixed::<4>),
+    col("ckpt s", "checkpoint_seconds", fixed::<4>),
+    col("accuracy", "accuracy", fixed::<3>),
+];
+
+const QUERY: &[Column] = &[
+    col("query: ckpt storage <= B", "query_ckpt_budget", text),
+    col("pick", "pick", text),
+];
+
+/// A checkpoint interval, where 0 means checkpointing is off.
+fn never_if_zero(v: &FieldValue) -> String {
+    match v.as_u64() {
+        Some(0) => "never".into(),
+        _ => text(v),
+    }
+}
+
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
     run_with(&NullRecorder::new())
@@ -67,17 +92,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     let faulty = faulty_plan();
     let clean = FaultPlan::none();
 
-    let mut table = Table::new(&[
-        "crashes",
-        "sync",
-        "ckpt every",
-        "total s",
-        "goodput smp/s",
-        "lost smp",
-        "recovery s",
-        "ckpt s",
-        "accuracy",
-    ]);
     let mut records = Vec::new();
     let mut registry = Registry::new();
     // completion time [(faults, sync_period, interval)]
@@ -107,21 +121,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
                 let (net, report) = resilient_local_sgd_traced(
                     &cluster, &data, &eval, &dims, &config, plan, point_rec,
                 );
-                table.row(&[
-                    label.into(),
-                    format!("{sync_period}"),
-                    if interval == 0 {
-                        "never".into()
-                    } else {
-                        format!("{interval}")
-                    },
-                    format!("{:.4}", report.simulated_seconds),
-                    format!("{:.0}", report.goodput),
-                    format!("{}", report.lost_samples),
-                    format!("{:.4}", report.recovery_seconds),
-                    format!("{:.4}", report.checkpoint_seconds),
-                    f3(report.accuracy),
-                ]);
                 // One serialization path: the same fields annotate the
                 // run span and become the machine-readable record.
                 let mut fields = report.to_fields();
@@ -154,19 +153,10 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     let nav = TradeoffNavigator::new(&registry);
     let budget = 64 * 1024u64;
     let pick = nav.recommend(&[Constraint::MaxMemoryBytes(budget)]);
-    table.row(&[
-        format!("query: ckpt storage <= {budget} B"),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        pick.map(|t| t.name.clone())
-            .unwrap_or_else(|| "none".into()),
-        pick.map(|t| f3(t.metrics.accuracy)).unwrap_or_default(),
-    ]);
-
+    records.push(fields! {
+        "query_ckpt_budget" => budget,
+        "pick" => pick.map_or_else(|| "none".to_string(), |t| t.name.clone()),
+    });
     let t = |sync: usize, interval: usize| seconds[&("mtbf48", sync, interval)];
     // the headline: at sync 8 under faults, a middling interval finishes
     // the workload faster than both extremes and "never"
@@ -185,7 +175,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     ExperimentResult {
         id: "e22".into(),
         title: "fault tolerance: checkpoint interval vs completion time under crashes".into(),
-        table,
+        tables: vec![SWEEP, QUERY],
         verdict: if interior_optimum && local_sgd_wins && clean_overhead {
             "matches the claim: completion time bottoms out at an interior checkpoint \
              interval (frequent checkpoints pay write overhead, rare ones replay lost \
@@ -212,7 +202,7 @@ mod tests {
     #[test]
     fn e22_runs() {
         let r = super::run();
-        assert!(r.table.rows.len() >= 16);
+        assert_eq!(r.row_counts(), [16, 1]);
     }
 
     #[test]

@@ -13,15 +13,13 @@
 //! cluster cost model itself.
 
 use super::e22_fault_tolerance;
-use crate::table::{ExperimentResult, Table};
+use crate::table::{col, fixed, text, Column, ExperimentResult};
 use dl_core::{Category, Metrics, Registry, Technique};
 use dl_distributed::{
     resilient_local_sgd, resilient_local_sgd_traced, Cluster, Device, Link, LocalSgdConfig,
     ResilientConfig, StorageProfile,
 };
-use dl_obs::{
-    fields, find_field, EventKind, FieldValue, FlightRecorder, Recorder, TimelineRecorder, ToFields,
-};
+use dl_obs::{fields, find_field, EventKind, FlightRecorder, Recorder, TimelineRecorder, ToFields};
 
 /// Modeled simulated cost per recorded event: 0.5 µs, an upper bound for
 /// pushing a preallocated record and reading an atomic clock.
@@ -50,32 +48,38 @@ fn headline_config() -> ResilientConfig {
 }
 
 /// Renders one fault-recovery event as a `detail` cell.
-fn detail(event: &dl_obs::Event) -> String {
-    let get = |k: &str| {
-        find_field(&event.fields, k)
-            .map(|v| match v {
-                FieldValue::Str(s) => s.to_string(),
-                FieldValue::U64(n) => n.to_string(),
-                FieldValue::I64(n) => n.to_string(),
-                FieldValue::F64(x) => format!("{x:.4}"),
-                FieldValue::Bool(b) => b.to_string(),
-            })
-            .unwrap_or_default()
-    };
-    match event.name {
-        "crash" => format!("worker {} at step {}", get("worker"), get("step")),
-        "rollback" => format!(
-            "step {} -> {} ({} samples lost)",
-            get("from_step"),
-            get("to_step"),
-            get("lost_samples")
-        ),
-        "rejoin" => format!("worker {} from {}", get("worker"), get("source")),
-        "checkpoint_write" => format!("at step {}", get("step")),
-        "allreduce_retry" => format!("attempt {}", get("attempt")),
-        _ => String::new(),
-    }
-}
+/// Event fields each timeline record copies. `attempt` belongs to
+/// `allreduce_retry`, which this scenario never raises, so no column
+/// prints it.
+const DETAIL_KEYS: [&str; 7] = [
+    "worker",
+    "step",
+    "from_step",
+    "to_step",
+    "lost_samples",
+    "source",
+    "attempt",
+];
+
+const TIMELINE: &[Column] = &[
+    col("t (s)", "t_s", fixed::<4>),
+    col("track", "track", text),
+    col("event", "event", text),
+    col("worker", "worker", text),
+    col("step", "step", text),
+    col("from step", "from_step", text),
+    col("to step", "to_step", text),
+    col("lost smp", "lost_samples", text),
+    col("source", "source", text),
+];
+
+const SUMMARY: &[Column] = &[
+    col("trace events", "events", text),
+    col("modeled overhead %", "overhead_pct", fixed::<4>),
+    col("bit-identical", "parity", text),
+    col("flight kept", "flight_kept", text),
+    col("flight dropped", "flight_dropped", text),
+];
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -106,8 +110,7 @@ pub fn run() -> ExperimentResult {
 
     // The fault-recovery timeline: every membership/recovery event plus
     // checkpoint writes, in simulated-time order.
-    let mut table = Table::new(&["t (s)", "track", "event", "detail"]);
-    let mut timeline_rows = 0usize;
+    let mut timeline_records = Vec::new();
     for e in &events {
         let interesting = matches!(
             e.name,
@@ -117,45 +120,23 @@ pub fn run() -> ExperimentResult {
         if !interesting {
             continue;
         }
-        timeline_rows += 1;
         let track = if e.track == 0 {
             "coord".to_string()
         } else {
             format!("w{}", e.track - 1)
         };
-        table.row(&[
-            format!("{:.4}", e.ts_micros as f64 / 1e6),
-            track,
-            e.name.to_string(),
-            detail(e),
-        ]);
+        let mut row = fields! {
+            "t_s" => e.ts_micros as f64 / 1e6, "track" => track, "event" => e.name,
+        };
+        for key in DETAIL_KEYS {
+            if let Some(v) = find_field(&e.fields, key) {
+                row.push((key.into(), v.clone()));
+            }
+        }
+        timeline_records.push(row);
     }
-    // Summary rows after the timeline.
+    let timeline_rows = timeline_records.len();
     let dumped = flight.dump().len();
-    for (name, value) in [
-        ("trace events", events.len().to_string()),
-        (
-            "modeled overhead",
-            format!(
-                "{overhead_pct:.4}% of {:.4} sim s",
-                traced.simulated_seconds
-            ),
-        ),
-        (
-            "trajectory parity",
-            if parity { "bit-identical" } else { "DIVERGED" }.to_string(),
-        ),
-        (
-            "flight recorder",
-            format!(
-                "kept {dumped}/{} events, dropped {}",
-                events.len(),
-                flight.dropped()
-            ),
-        ),
-    ] {
-        table.row(&["-".into(), "-".into(), name.into(), value]);
-    }
 
     // The observability layer is itself a technique in the tradeoff
     // space: it spends (simulated) time to make every other tradeoff
@@ -189,14 +170,16 @@ pub fn run() -> ExperimentResult {
         "rollbacks" => traced.rollbacks,
         "rejoins" => traced.rejoins,
         "timeline_rows" => timeline_rows,
+        "flight_kept" => dumped,
         "observability_techniques" => registry.by_category(Category::Observability).len(),
     });
+    records.extend(timeline_records);
 
     let ok = parity && overhead_pct < 5.0 && clock_mirrors && traced.crashes > 0;
     ExperimentResult {
         id: "e23".into(),
         title: "observability: fault-recovery timeline and tracing overhead".into(),
-        table,
+        tables: vec![TIMELINE, SUMMARY],
         verdict: if ok {
             format!(
                 "matches the claim: the E22 scenario's {} crashes, {} rollbacks and {} \
@@ -227,9 +210,11 @@ mod tests {
             "verdict: {}",
             r.verdict
         );
-        // timeline rows + 4 summary rows
-        assert!(r.table.rows.len() > 4);
-        assert_eq!(r.records.len(), 2);
+        // One record per timeline row after the run and summary records.
+        let rows = r.row_counts();
+        assert!(rows[0] > 4);
+        assert_eq!(rows[1], 1);
+        assert_eq!(r.records.len(), 2 + rows[0]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! model exactly on dense layers, so the measured sqrt(n) remat schedule
 //! reaches the same peak.
 
-use crate::table::{f3, flops, ExperimentResult, Table};
+use crate::table::{col, fixed, flops, pct, text, Column, ExperimentResult};
 use dl_core::{Category, Metrics, Registry, Technique};
 use dl_distributed::{
     local_sgd_traced, resilient_local_sgd_traced, Cluster, Device, Link, LocalSgdConfig,
@@ -20,7 +20,7 @@ use dl_memsched::sqrt_schedule;
 use dl_nn::layers::{Dense, Sigmoid};
 use dl_nn::{Layer, Network};
 use dl_obs::{fields, TimelineRecorder, ToFields};
-use dl_prof::{analyze, runs, NetworkProfile, TraceProfile};
+use dl_prof::{analyze, runs, NetworkProfile};
 use dl_tensor::init;
 
 /// Sigmoid activations keep every activation strictly positive, so the
@@ -36,18 +36,32 @@ fn sigmoid_mlp(dims: &[usize], seed: u64) -> Network {
     net
 }
 
-fn profile_row(table: &mut Table, label: &str, p: &TraceProfile) {
-    table.row(&[
-        label.into(),
-        format!("{:.4}", p.total_seconds),
-        format!("{:.4}", p.compute_seconds),
-        format!("{:.4}", p.sync_seconds),
-        format!("{:.4}", p.checkpoint_seconds),
-        format!("{:.4}", p.lost_seconds()),
-        format!("{:.4}", p.critical_path_seconds()),
-        format!("{:.1}%", p.explained_fraction() * 100.0),
-    ]);
-}
+const RUNS: &[Column] = &[
+    col("run", "run", text),
+    col("total s", "total_seconds", fixed::<4>),
+    col("compute s", "compute_seconds", fixed::<4>),
+    col("sync s", "sync_seconds", fixed::<4>),
+    col("ckpt s", "checkpoint_seconds", fixed::<4>),
+    col("lost s", "lost_seconds", fixed::<4>),
+    col("crit path s", "critical_path_seconds", fixed::<4>),
+    col("explained", "explained_fraction", pct::<1>),
+];
+
+/// Lost-time attribution of the resilient run.
+const WORKERS: &[Column] = &[
+    col("worker", "worker", text),
+    col("crashes", "crashes", text),
+    col("lost s", "lost_seconds", fixed::<4>),
+    col("share of lost", "share", pct::<1>),
+];
+
+/// Measured against modeled costs on a sigmoid MLP.
+const PARITY: &[Column] = &[
+    col("dense fwd", "measured_fwd_flops", flops),
+    col("dense exact", "dense_exact", text),
+    col("sqrt(n) peak measured", "sqrt_peak_measured", text),
+    col("sqrt(n) peak modeled", "sqrt_peak_modeled", text),
+];
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -55,16 +69,6 @@ pub fn run() -> ExperimentResult {
     let eval = dl_data::blobs(150, 3, 8, 6.0, 0.5, 7);
     let cluster = Cluster::homogeneous(4, Device::accelerator(), Link::ethernet());
 
-    let mut table = Table::new(&[
-        "run / worker",
-        "total s",
-        "compute s",
-        "sync s",
-        "ckpt s",
-        "lost s",
-        "crit path s",
-        "explained",
-    ]);
     let mut records = Vec::new();
 
     // --- pillar 1: E5's sweep under the trace analyzer --------------------
@@ -93,7 +97,6 @@ pub fn run() -> ExperimentResult {
     for (window, period) in windows.iter().zip([1usize, 16]) {
         let p = analyze(window);
         let label = format!("local sgd, sync={period}");
-        profile_row(&mut table, &label, &p);
         let mut f = p.to_fields();
         f.insert(0, ("run".into(), label.into()));
         records.push(f);
@@ -141,21 +144,10 @@ pub fn run() -> ExperimentResult {
     let fwindows = runs(&fevents, "resilient_local_sgd");
     let fault = fwindows.first().map(|w| analyze(w)).unwrap_or_default();
     let flabel = format!("resilient, sync={sync_period} ckpt={interval}");
-    profile_row(&mut table, &flabel, &fault);
     let mut f = fault.to_fields();
     f.insert(0, ("run".into(), flabel.into()));
     records.push(f);
     for w in &fault.workers {
-        table.row(&[
-            format!("  worker {}: {} crashes", w.worker, w.crashes),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            format!("{:.4}", w.lost_seconds()),
-            "-".into(),
-            format!("{:.1}% of lost", w.share * 100.0),
-        ]);
         records.push(w.to_fields());
     }
     // The analyzed window and the run report describe the same simulated
@@ -183,34 +175,6 @@ pub fn run() -> ExperimentResult {
     let sq_measured = sqrt_schedule(&prof.measured_layer_costs());
     let sq_modeled = sqrt_schedule(&net.layer_costs(32));
     let peak_match = sq_measured.peak_bytes == sq_modeled.peak_bytes;
-    table.row(&[
-        "dense parity (sigmoid mlp)".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        flops(prof.forward.flops),
-        if dense_exact {
-            "exact".into()
-        } else {
-            "DRIFT".into()
-        },
-    ]);
-    table.row(&[
-        "sqrt(n) peak, measured vs modeled".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        format!("{} vs {}", sq_measured.peak_bytes, sq_modeled.peak_bytes),
-        if peak_match {
-            "equal".into()
-        } else {
-            "DRIFT".into()
-        },
-    ]);
     records.push(fields! {
         "forward_parity" => prof.forward_parity(),
         "backward_parity" => prof.backward_parity(),
@@ -218,6 +182,7 @@ pub fn run() -> ExperimentResult {
         "peak_live_bytes" => prof.peak_live_bytes,
         "sqrt_peak_measured" => sq_measured.peak_bytes,
         "sqrt_peak_modeled" => sq_modeled.peak_bytes,
+        "dense_exact" => dense_exact,
     });
 
     // The profiler is itself an observability technique: it spends trace
@@ -260,14 +225,14 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "e24".into(),
         title: "profiling: critical path, lost-time attribution, measured costs".into(),
-        table,
+        tables: vec![RUNS, WORKERS, PARITY],
         verdict: if ok {
             let w = top.expect("attribution implies a worker");
             format!(
-                "matches the claim: the critical path explains {} of sync-dominated wall time, \
+                "matches the claim: the critical path explains {:.3} of sync-dominated wall time, \
                  worker {} contributed {:.0}% of lost time across its {} crashes, and measured \
                  dense costs equal the static model",
-                f3(local_profiles[0].explained_fraction()),
+                local_profiles[0].explained_fraction(),
                 w.worker,
                 w.share * 100.0,
                 w.crashes
@@ -293,6 +258,7 @@ mod tests {
             "verdict: {}",
             r.verdict
         );
+        assert_eq!(r.row_counts(), [3, 3, 1]);
         let summary = r.records.last().unwrap();
         let explained = crate::table::field_f64(summary, "sync_dominated_explained").unwrap();
         assert!(explained >= 0.95, "critical path explains only {explained}");

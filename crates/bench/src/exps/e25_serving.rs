@@ -11,7 +11,7 @@
 //! from one teacher) populates the tradeoff navigator under
 //! `Category::Serving`, so a memory or latency budget picks a variant.
 
-use crate::table::{f3, ExperimentResult, Table};
+use crate::table::{bytes, col, fixed, text, us, Column, ExperimentResult};
 use dl_core::{Category, Constraint, Metrics, Registry, Technique, TradeoffNavigator};
 use dl_obs::{fields, Fields, NullRecorder, TimelineRecorder, ToFields};
 use dl_serve::{
@@ -56,18 +56,31 @@ fn cell_record(label: &str, policy: &str, rate_rps: f64, r: &ServeReport) -> Fie
     f
 }
 
-fn cell_row(table: &mut Table, label: &str, policy: &str, rate_rps: f64, r: &ServeReport) {
-    table.row(&[
-        label.into(),
-        policy.into(),
-        format!("{rate_rps:.0}"),
-        format!("{:.1}", r.p99_s * 1e6),
-        format!("{:.0}", r.throughput_rps),
-        f3(r.accuracy),
-        format!("{}/{}", r.shed, r.downgraded),
-        format!("{:.1}", r.mean_batch),
-    ]);
-}
+const VARIANTS: &[Column] = &[
+    col("variant", "variant", text),
+    col("weight bytes", "weight_bytes", bytes),
+    col("acc", "accuracy", fixed::<3>),
+    col("svc1 us", "svc1_s", us::<2>),
+    col("full-batch us/req", "svc_full_batch_per_req_s", us::<3>),
+];
+
+const CELLS: &[Column] = &[
+    col("cell", "cell", text),
+    col("policy", "policy", text),
+    col("rate rps", "rate_rps", fixed::<0>),
+    col("p99 us", "p99_s", us::<1>),
+    col("thr rps", "throughput_rps", fixed::<0>),
+    col("acc", "accuracy", fixed::<3>),
+    col("shed", "shed", text),
+    col("down", "downgraded", text),
+    col("mean batch", "mean_batch", fixed::<1>),
+];
+
+const NAVIGATOR: &[Column] = &[
+    col("memory budget B", "budget_bytes", text),
+    col("serving pick", "recommended_under_budget", text),
+    col("frontier", "frontier_size", text),
+];
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
@@ -90,16 +103,6 @@ pub fn run() -> ExperimentResult {
     let device = DeviceModel::nominal();
     let dynamic = BatchPolicy::dynamic(32, 8e-6);
 
-    let mut table = Table::new(&[
-        "cell",
-        "policy",
-        "rate rps",
-        "p99 us",
-        "thr rps",
-        "acc",
-        "shed/down",
-        "mean batch",
-    ]);
     let mut records: Vec<Fields> = Vec::new();
 
     // --- the served family -----------------------------------------------
@@ -107,16 +110,6 @@ pub fn run() -> ExperimentResult {
         let svc1 = device.service_time(v.cost_at(1));
         let b = v.max_batch();
         let svc_b_per_req = device.service_time(v.cost_at(b)) / b as f64;
-        table.row(&[
-            format!("variant {}", v.name),
-            "family".into(),
-            crate::table::bytes(v.weight_bytes),
-            format!("{:.2}", svc1 * 1e6),
-            format!("{:.0}", 1.0 / svc_b_per_req),
-            f3(v.accuracy),
-            "-".into(),
-            "-".into(),
-        ]);
         records.push(fields! {
             "variant" => v.name.clone(),
             "accuracy" => v.accuracy,
@@ -159,7 +152,6 @@ pub fn run() -> ExperimentResult {
                 &NullRecorder::new(),
             );
             let label = format!("sweep x{:.1}", rate / cap1);
-            cell_row(&mut table, &label, policy_name, rate, &r);
             records.push(cell_record(&label, policy_name, rate, &r));
             if r.p99_s <= SLO_S && r.shed == 0 {
                 if policy_name == "batch=1" && rate > best_single {
@@ -196,7 +188,6 @@ pub fn run() -> ExperimentResult {
         },
         &NullRecorder::new(),
     );
-    cell_row(&mut table, "overload x2.5", "accept-all", overload, &melted);
     records.push(cell_record("overload", "accept-all", overload, &melted));
     // The SLO gate for the governed run reads the dl-obs histogram tails
     // (p99/p999), exactly what a production gate would scrape.
@@ -218,13 +209,6 @@ pub fn run() -> ExperimentResult {
             device: device.clone(),
         },
         &rec,
-    );
-    cell_row(
-        &mut table,
-        "overload x2.5",
-        "slo-aware",
-        overload,
-        &governed,
     );
     records.push(cell_record("overload", "slo-aware", overload, &governed));
     let hist = rec
@@ -265,17 +249,6 @@ pub fn run() -> ExperimentResult {
         .map(|t| t.name.clone())
         .unwrap_or_default();
     let navigable = frontier > 0 && !budget_pick.is_empty() && budget_pick != "serve-fp32-base";
-    table.row(&[
-        "navigator".into(),
-        "serving".into(),
-        format!("budget {} B", fp32_bytes / 3),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        budget_pick.clone(),
-        format!("frontier {frontier}"),
-    ]);
-
     records.push(fields! {
         "cap1_rps" => cap1,
         "cap_dyn_rps" => cap_dyn,
@@ -293,13 +266,14 @@ pub fn run() -> ExperimentResult {
         "frontier_size" => frontier,
         "serving_techniques" => registry.by_category(Category::Serving).len(),
         "recommended_under_budget" => budget_pick.clone(),
+        "budget_bytes" => fp32_bytes / 3,
     });
 
     let ok = batching_wins && shedding_holds && navigable;
     ExperimentResult {
         id: "e25".into(),
         title: "serving: dynamic batching, variant selection, load shedding".into(),
-        table,
+        tables: vec![VARIANTS, CELLS, NAVIGATOR],
         verdict: if ok {
             format!(
                 "matches the claim: dynamic batching sustains {:.1}x the batch=1 throughput \
@@ -334,6 +308,7 @@ mod tests {
             "verdict: {}",
             r.verdict
         );
+        assert_eq!(r.row_counts(), [6, 12, 1]);
         let summary = r.records.last().unwrap();
         let speedup = crate::table::field_f64(summary, "speedup_at_slo").unwrap();
         assert!(speedup >= 2.0, "dynamic batching speedup only {speedup}");

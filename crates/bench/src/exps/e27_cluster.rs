@@ -12,7 +12,7 @@
 //! `VirtualClock`, so every cell is byte-reproducible and the whole
 //! experiment is gated by `BENCH_E27.json`.
 
-use crate::table::{ExperimentResult, Table};
+use crate::table::{col, pct, text, us, Column, ExperimentResult};
 use dl_core::{Category, Constraint, Metrics, Registry, Technique, TradeoffNavigator};
 use dl_distributed::{FaultEvent, FaultPlan, FaultProfile};
 use dl_obs::{fields, Fields, NullRecorder, Recorder, ToFields};
@@ -55,25 +55,6 @@ fn cluster_record(scenario: &str, config: &str, replicas: usize, r: &ClusterRepo
     f
 }
 
-fn cluster_row(
-    table: &mut Table,
-    scenario: &str,
-    config: &str,
-    replicas: usize,
-    r: &ClusterReport,
-) {
-    table.row(&[
-        scenario.into(),
-        config.into(),
-        format!("{replicas}"),
-        format!("{:.1}", r.serve.p99_s * 1e6),
-        format!("{}", r.serve.served),
-        format!("{}/{}/{}", r.serve.shed, r.lost, r.unavailable),
-        format!("{}/{}", r.retried, r.hedged),
-        format!("{:.1}", r.failure_fraction() * 100.0),
-    ]);
-}
-
 fn load(rate_rps: f64, requests: usize, seed: u64, rows: usize) -> Vec<Request> {
     open_loop(
         &LoadConfig {
@@ -84,6 +65,20 @@ fn load(rate_rps: f64, requests: usize, seed: u64, rows: usize) -> Vec<Request> 
         rows,
     )
 }
+
+const COLUMNS: &[Column] = &[
+    col("scenario", "scenario", text),
+    col("config", "config", text),
+    col("repl", "replicas", text),
+    col("p99 us", "p99_s", us::<1>),
+    col("served", "served", text),
+    col("shed", "shed", text),
+    col("lost", "lost", text),
+    col("unav", "unavailable", text),
+    col("retr", "retried", text),
+    col("hedge", "hedged", text),
+    col("fail", "failure_fraction", pct::<1>),
+];
 
 /// Runs the experiment without tracing.
 pub fn run() -> ExperimentResult {
@@ -120,16 +115,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         v.max_batch() as f64 / device.service_time(v.cost_at(v.max_batch()))
     };
 
-    let mut table = Table::new(&[
-        "scenario",
-        "config",
-        "repl",
-        "p99 us",
-        "served",
-        "shed/lost/unav",
-        "retr/hedge",
-        "fail %",
-    ]);
     let mut records: Vec<Fields> = Vec::new();
 
     // Cost accounting for the served family (dl-prof measured costs).
@@ -175,7 +160,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
             &NullRecorder::new()
         };
         let r = serve_cluster(&family, &eval, &storm_reqs, &cfg, cell_rec);
-        cluster_row(&mut table, "crash-storm", "slo+retry2", replicas, &r);
         records.push(cluster_record("crash-storm", "slo+retry2", replicas, &r));
         sweep.push((replicas, r));
     }
@@ -219,7 +203,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
             ..ClusterConfig::new(3, base_engine(AdmissionPolicy::AcceptAll))
         };
         let r = serve_cluster(&family, &eval, &router_reqs, &cfg, &NullRecorder::new());
-        cluster_row(&mut table, "degraded", name, 3, &r);
         records.push(cluster_record("degraded", name, 3, &r));
         router_p99.push((name, r.serve.p99_s, r.serve.served));
     }
@@ -261,7 +244,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
             ..ClusterConfig::new(3, base_engine(AdmissionPolicy::AcceptAll))
         };
         let r = serve_cluster(&family, &eval, &tail_reqs, &cfg, &NullRecorder::new());
-        cluster_row(&mut table, "tail", name, 3, &r);
         records.push(cluster_record("tail", name, 3, &r));
         tail_cells.push((name, r));
     }
@@ -301,7 +283,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         ..ClusterConfig::new(1, base_engine(AdmissionPolicy::AcceptAll))
     };
     let auto = serve_cluster(&family, &eval, &step_reqs, &auto_cfg, &NullRecorder::new());
-    cluster_row(&mut table, "load-step", "autoscale", 1, &auto);
     records.push(cluster_record("load-step", "autoscale", 1, &auto));
     let fixed = serve_cluster(
         &family,
@@ -310,7 +291,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         &ClusterConfig::new(1, base_engine(AdmissionPolicy::AcceptAll)),
         &NullRecorder::new(),
     );
-    cluster_row(&mut table, "load-step", "fixed-1", 1, &fixed);
     records.push(cluster_record("load-step", "fixed-1", 1, &fixed));
     // Reaction time: step onset until enough capacity for the 3x rate
     // (ceil(3 * 0.7 / 0.7) = 3 replicas) is *live*, provisioning included.
@@ -389,7 +369,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     ExperimentResult {
         id: "e27".into(),
         title: "cluster serving: replication, fault-aware routing, autoscaling".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if ok {
             format!(
                 "matches the claim: 4 replicas cut the crash-storm failure fraction {:.1}% -> \
@@ -427,6 +407,7 @@ mod tests {
             "verdict: {}",
             r.verdict
         );
+        assert_eq!(r.row_counts(), [12]);
         let summary = r.records.last().unwrap();
         let fail_1 = crate::table::field_f64(summary, "fail_frac_1").unwrap();
         let fail_4 = crate::table::field_f64(summary, "fail_frac_4").unwrap();

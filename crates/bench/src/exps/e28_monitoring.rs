@@ -14,11 +14,11 @@
 //! to the unmonitored run. Everything runs on one `VirtualClock`, so
 //! every cell is byte-reproducible and gated by `BENCH_E28.json`.
 
-use crate::table::{ExperimentResult, Table};
+use crate::table::{col, fixed, text, us, Column, ExperimentResult};
 use dl_core::{Category, Metrics, Registry, Technique};
 use dl_monitor::{AlertKind, DriftConfig, Monitor, MonitorConfig, ReferenceProfile, SloRule};
 use dl_nn::Dataset;
-use dl_obs::{fields, Fields, NullRecorder, Recorder, TimelineRecorder, ToFields};
+use dl_obs::{fields, FieldValue, Fields, NullRecorder, Recorder, TimelineRecorder, ToFields};
 use dl_serve::{
     build_family, bursty, open_loop, serve, AdmissionPolicy, BatchPolicy, BurstConfig, DeviceModel,
     FamilyConfig, LoadConfig, ServeConfig,
@@ -75,10 +75,47 @@ fn with_shifted_copy(eval: &Dataset, m: f32) -> Dataset {
     }
 }
 
-fn fmt_alert_us(t: Option<f64>) -> String {
-    match t {
-        Some(s) => format!("{:.1}", s * 1e6),
-        None => "-".into(),
+const SCENARIOS: &[Column] = &[
+    col("scenario", "scenario", text),
+    col("config", "config", text),
+    col("shift", "magnitude", text),
+    col("p99 us", "p99_s", us::<1>),
+    col("served", "served", text),
+    col("slo us", "latency_slo_s", us::<1>),
+];
+
+const RAMP: &[Column] = &[
+    col("ramp burn alerts", "burn_alerts", text),
+    col("latency alerts", "latency_alerts", text),
+    col("health alerts", "health_alerts", text),
+    col("first burn us", "t_burn_alert_s", alert_us),
+    col("first slo us", "t_slo_alert_s", alert_us),
+    col("lead us", "lead_s", alert_us),
+];
+
+const DRIFT: &[Column] = &[
+    col("drift shift", "magnitude", text),
+    col("input alerts", "input_alerts", text),
+    col("pred alerts", "pred_alerts", text),
+    col("first alert us", "t_input_alert_s", alert_us),
+    col("detect latency us", "detect_latency_s", alert_us),
+    col("max psi", "max_input_psi", fixed::<3>),
+    col("max kl", "max_pred_kl", fixed::<3>),
+];
+
+const STEADY: &[Column] = &[
+    col("steady false alerts", "false_alerts", text),
+    col("bit-identical", "bit_identical", text),
+    col("fleet health", "fleet_health", fixed::<2>),
+    col("queue depth", "fleet_queue_depth", fixed::<2>),
+];
+
+/// An alert time in microseconds, or `-` for the no-alert sentinel.
+fn alert_us(v: &FieldValue) -> String {
+    if v.as_f64() == Some(NO_ALERT) {
+        "-".into()
+    } else {
+        us::<1>(v)
     }
 }
 
@@ -116,15 +153,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     };
     let scfg = engine_cfg();
 
-    let mut table = Table::new(&[
-        "scenario",
-        "config",
-        "p99 us",
-        "served",
-        "alerts",
-        "first alert us",
-        "note",
-    ]);
     let mut records: Vec<Fields> = Vec::new();
 
     // --- calibration: a healthy steady run fixes the SLO ------------------
@@ -144,17 +172,9 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     let p99h = healthy.p99_s;
     let slo_s = 6.0 * p99h;
     let tight_s = 1.5 * p99h;
-    table.row(&[
-        "calibrate".into(),
-        "steady 0.6x cap".into(),
-        format!("{:.1}", healthy.p99_s * 1e6),
-        format!("{}", healthy.served),
-        "-".into(),
-        "-".into(),
-        format!("slo={:.1}us", slo_s * 1e6),
-    ]);
     let mut rec_healthy = fields! {
         "scenario" => "calibrate",
+        "config" => "steady 0.6x cap",
         "p99_healthy_s" => p99h,
         "latency_slo_s" => slo_s,
         "burn_objective_s" => tight_s,
@@ -232,17 +252,9 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     // healthy phase) and before the compliance violation.
     let burn_leads = matches!((t_burn, t_slo), (Some(a), Some(v)) if a < v)
         && t_burn.is_some_and(|a| a > 0.9 * t_off);
-    table.row(&[
-        "ramp".into(),
-        "3x step, burn+slo".into(),
-        format!("{:.1}", ramp.p99_s * 1e6),
-        format!("{}", ramp.served),
-        format!("{}", ramp_rep.alerts.len()),
-        fmt_alert_us(t_burn),
-        format!("lead={:.1}us", lead_s * 1e6),
-    ]);
     let mut rec_ramp = fields! {
         "scenario" => "ramp",
+        "config" => "3x step, burn+slo",
         "step_at_s" => t_off,
         "window_s" => window_s,
         "t_burn_alert_s" => t_burn.unwrap_or(NO_ALERT),
@@ -316,15 +328,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         let input_alerts = rep.alert_count(AlertKind::InputDrift);
         let pred_alerts = rep.alert_count(AlertKind::PredictionDrift);
         let latency = rep.first_alert_s(AlertKind::InputDrift).map(|t| t - t_mid);
-        table.row(&[
-            "drift".into(),
-            format!("shift {m}"),
-            format!("{:.1}", drift_serve.p99_s * 1e6),
-            format!("{}", drift_serve.served),
-            format!("{}/{}", input_alerts, pred_alerts),
-            fmt_alert_us(rep.first_alert_s(AlertKind::InputDrift)),
-            format!("psi={:.3}", rep.max_input_psi),
-        ]);
         records.push(fields! {
             "scenario" => "drift",
             "magnitude" => f64::from(m),
@@ -334,6 +337,9 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
             "detect_latency_s" => latency.unwrap_or(NO_ALERT),
             "max_input_psi" => rep.max_input_psi,
             "max_pred_kl" => rep.max_pred_kl,
+            "p99_s" => drift_serve.p99_s,
+            "served" => drift_serve.served,
+            "t_input_alert_s" => rep.first_alert_s(AlertKind::InputDrift).unwrap_or(NO_ALERT),
         });
         drift_cells.push((
             f64::from(m),
@@ -399,17 +405,9 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         && plain == monitored_null
         && plain_tl.events() == mon_tl.events()
         && plain_tl.histogram("serve.latency_s") == mon_tl.histogram("serve.latency_s");
-    table.row(&[
-        "steady".into(),
-        "full rules + drift".into(),
-        format!("{:.1}", monitored.p99_s * 1e6),
-        format!("{}", monitored.served),
-        format!("{}", false_alerts),
-        "-".into(),
-        format!("bit-identical={bit_identical}"),
-    ]);
     let mut rec_steady = fields! {
         "scenario" => "steady",
+        "config" => "full rules + drift",
         "false_alerts" => false_alerts,
         "bit_identical" => bit_identical,
         "fleet_health" => steady_rep.fleet.health,
@@ -478,7 +476,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         .expect("unique");
 
     records.push(fields! {
-        "scenario" => "summary",
         "cap_dyn_rps" => cap_dyn,
         "burn_leads" => burn_leads,
         "drift_silent_at_zero" => drift_silent_at_zero,
@@ -498,7 +495,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     ExperimentResult {
         id: "e28".into(),
         title: "online monitoring: SLO burn-rate alerts, health, and drift detection".into(),
-        table,
+        tables: vec![SCENARIOS, RAMP, DRIFT, STEADY],
         verdict: if ok {
             format!(
                 "matches the claim: the burn-rate alert fires {:.1}us before the p99 \
@@ -553,6 +550,7 @@ mod tests {
             "verdict: {}",
             r.verdict
         );
+        assert_eq!(r.row_counts(), [7, 1, 4, 1]);
         let ramp = record(r, "ramp");
         let lead = field_f64(ramp, "lead_s").expect("lead_s");
         assert!(lead > 0.0, "burn alert must lead the SLO violation: {lead}");

@@ -17,7 +17,7 @@
 //! the engine report's own accounting. Everything runs on one
 //! `VirtualClock` and is gated by `BENCH_E29.json`.
 
-use crate::table::{ExperimentResult, Table};
+use crate::table::{col, fixed, text, Column, ExperimentResult};
 use dl_core::{Category, Metrics, Registry, Technique};
 use dl_distributed::{FaultEvent, FaultPlan, FaultProfile};
 use dl_obs::{fields, Fields, NullRecorder, Recorder, TimelineRecorder};
@@ -93,20 +93,16 @@ fn trace_record(scenario: &'static str, config: &'static str, set: &TraceSet) ->
     f
 }
 
-fn trace_row(table: &mut Table, scenario: &str, config: &str, set: &TraceSet) {
-    let pb = phase_breakdown(set);
-    let (tail, tail_e2e) = tail_of(set);
-    table.row(&[
-        scenario.into(),
-        config.into(),
-        format!("{}", set.counts.served),
-        format!("{}", pb.e2e_p50_us),
-        format!("{}", pb.e2e_p99_us),
-        format!("{:.1}", tail[Phase::Queue as usize]),
-        format!("{:.1}", tail[Phase::Service as usize]),
-        format!("{:.1}", tail_e2e),
-    ]);
-}
+const COLUMNS: &[Column] = &[
+    col("scenario", "scenario", text),
+    col("config", "config", text),
+    col("served", "served", text),
+    col("p50 us", "e2e_p50_us", text),
+    col("p99 us", "e2e_p99_us", text),
+    col("tailQ us", "tail_queue_us", fixed::<1>),
+    col("tailS us", "tail_service_us", fixed::<1>),
+    col("tailE2E us", "tail_e2e_us", fixed::<1>),
+];
 
 /// Runs the experiment without tracing.
 pub fn run() -> ExperimentResult {
@@ -140,16 +136,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         v.max_batch() as f64 / device.service_time(v.cost_at(v.max_batch()))
     };
 
-    let mut table = Table::new(&[
-        "scenario",
-        "config",
-        "served",
-        "p50 us",
-        "p99 us",
-        "tailQ us",
-        "tailS us",
-        "tailE2E us",
-    ]);
     let mut records: Vec<Fields> = Vec::new();
 
     // --- pillar 1: attribute the RR-vs-LL p99 gap to queue wait ------------
@@ -192,7 +178,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         set.matches_report(r.serve.served, r.serve.shed, r.lost, r.unavailable)
             .expect("degraded cell conserves");
         set.verify_conservation().expect("exact phases");
-        trace_row(&mut table, "degraded", name, &set);
         records.push(trace_record("degraded", name, &set));
         routed.push((name, set));
     }
@@ -253,7 +238,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         set.matches_report(r.serve.served, r.serve.shed, r.lost, r.unavailable)
             .expect("chaos cell conserves");
         set.verify_conservation().expect("exact phases");
-        trace_row(&mut table, "chaos", name, &set);
         records.push(trace_record("chaos", name, &set));
         chaos_cells.push((name, set));
     }
@@ -328,7 +312,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         .and_then(|h| h.quantile_bucket(0.99).and_then(|b| h.exemplar(b)))
         .and_then(|id| steady_set.requests.iter().find(|t| t.id == id))
         .is_some_and(|t| matches!(t.outcome, Outcome::Served { .. }));
-    trace_row(&mut table, "steady", "traced", &steady_set);
     records.push(trace_record("steady", "traced", &steady_set));
 
     // --- pillar 4: crash-storm conservation (headline trace) ---------------
@@ -378,7 +361,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
             ) || matches!(t.outcome, Outcome::Lost)
         })
         .count();
-    trace_row(&mut table, "crash-storm", "slo+retry2", &storm_set);
     records.push(trace_record("crash-storm", "slo+retry2", &storm_set));
 
     // --- the trace tap in the tradeoff navigator ---------------------------
@@ -416,7 +398,6 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         .expect("unique");
 
     records.push(fields! {
-        "scenario" => "summary",
         "cap_dyn_rps" => cap_dyn,
         "slo_s" => SLO_S,
         "rr_p99_us" => rr_p99,
@@ -446,7 +427,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     ExperimentResult {
         id: "e29".into(),
         title: "request tracing: waterfalls, tail attribution, conservation".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if ok {
             format!(
                 "matches the claim: the RR-vs-LL tail gap of {gap:.1}us is {:.0}% queue wait \
@@ -481,6 +462,7 @@ mod tests {
             "verdict: {}",
             r.verdict
         );
+        assert_eq!(r.row_counts(), [6]);
         let summary = r.records.last().unwrap();
         let share = crate::table::field_f64(summary, "queue_share_of_gap").unwrap();
         assert!(

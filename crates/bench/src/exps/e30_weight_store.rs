@@ -19,8 +19,8 @@
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
-use crate::table::{field_f64, ExperimentResult, Table};
-use dl_obs::{fields, EventKind, Fields, TimelineRecorder};
+use crate::table::{bytes, col, field_f64, text, us, Column, ExperimentResult};
+use dl_obs::{fields, EventKind, FieldValue, Fields, TimelineRecorder};
 use dl_serve::{
     build_family, open_loop, percentile, save_family, serve_fleet, AdmissionPolicy, BatchPolicy,
     DeviceModel, EvictionPolicy, FamilyConfig, FleetConfig, FleetReport, LoadConfig, ModelRequest,
@@ -208,21 +208,25 @@ fn cell_record(label: &str, families: usize, budget: u64, c: &Cell) -> Fields {
     }
 }
 
-fn cell_row(table: &mut Table, label: &str, families: usize, budget: u64, c: &Cell) {
-    table.row(&[
-        label.into(),
-        families.to_string(),
-        crate::table::bytes(budget),
-        c.report.cold_loads.to_string(),
-        c.report.evictions.to_string(),
-        format!("{:.1}", c.report.report.p99_s * 1e6),
-        format!("{:.1}", c.warm_p99_s * 1e6),
-        if c.cold_n == 0 {
-            "-".into()
-        } else {
-            format!("{:.1}", c.cold_p99_s * 1e6)
-        },
-    ]);
+const COLUMNS: &[Column] = &[
+    col("cell", "cell", text),
+    col("families", "families", text),
+    col("budget", "budget_bytes", bytes),
+    col("cold loads", "cold_loads", text),
+    col("evictions", "evictions", text),
+    col("p99 us", "p99_s", us::<1>),
+    col("warm p99 us", "warm_p99_s", us::<1>),
+    col("cold p99 us", "cold_p99_s", cold_us),
+];
+
+/// A cold-cohort p99 in microseconds; an empty cohort's percentile is 0
+/// by convention and prints `-`.
+fn cold_us(v: &FieldValue) -> String {
+    if v.as_f64() == Some(0.0) {
+        "-".into()
+    } else {
+        us::<1>(v)
+    }
 }
 
 /// Runs the experiment.
@@ -241,16 +245,6 @@ pub fn run() -> ExperimentResult {
     let fits_two = total - min / 2;
     let fits_one = max + min / 2;
 
-    let mut table = Table::new(&[
-        "cell",
-        "families",
-        "budget",
-        "cold loads",
-        "evictions",
-        "p99 us",
-        "warm p99 us",
-        "cold p99 us",
-    ]);
     let mut records: Vec<Fields> = Vec::new();
     for (m, s) in sizes.iter().enumerate() {
         records.push(fields! { "family" => m, "artifact_bytes" => *s });
@@ -267,7 +261,6 @@ pub fn run() -> ExperimentResult {
         EvictionPolicy::Lru,
         true,
     );
-    cell_row(&mut table, "warm-start", N_FAMILIES, fits_all, &warm);
     records.push(cell_record("warm-start", N_FAMILIES, fits_all, &warm));
     let warm_clean = warm.report.cold_loads == 0
         && warm.report.evictions == 0
@@ -286,7 +279,6 @@ pub fn run() -> ExperimentResult {
         ] {
             let c = run_cell(fams, eval, &load, budget, EvictionPolicy::Lru, false);
             let label = format!("{n_models}fam/{bname}");
-            cell_row(&mut table, &label, n_models, budget, &c);
             records.push(cell_record(&label, n_models, budget, &c));
             cells.push((bname.into(), n_models, budget, c));
         }
@@ -325,8 +317,7 @@ pub fn run() -> ExperimentResult {
         EvictionPolicy::Lru,
         false,
     );
-    cell_row(&mut table, "2fam/paired/fits-one", 2, fits_one, &pair);
-    records.push(cell_record("paired", 2, fits_one, &pair));
+    records.push(cell_record("2fam/paired/fits-one", 2, fits_one, &pair));
     let cliff = if pair.warm_p99_s > 0.0 {
         pair.cold_p99_s / pair.warm_p99_s
     } else {
@@ -360,14 +351,12 @@ pub fn run() -> ExperimentResult {
         EvictionPolicy::CostAware,
         false,
     );
-    cell_row(
-        &mut table,
+    records.push(cell_record(
         "3fam/fits-two/cost-aware",
         N_FAMILIES,
         fits_two,
         &aware,
-    );
-    records.push(cell_record("cost-aware", N_FAMILIES, fits_two, &aware));
+    ));
 
     records.push(fields! {
         "total_artifact_bytes" => total,
@@ -396,7 +385,7 @@ pub fn run() -> ExperimentResult {
     ExperimentResult {
         id: "e30".into(),
         title: "weight store: multi-model serving under a memory budget".into(),
-        table,
+        tables: vec![COLUMNS],
         verdict: if ok {
             format!(
                 "matches the claim: shrinking the budget from fits-all to fits-two flips \
@@ -433,6 +422,7 @@ mod tests {
             "verdict: {}",
             r.verdict
         );
+        assert_eq!(r.row_counts(), [12]);
         let summary = r.records.last().unwrap();
         let cliff = crate::table::field_f64(summary, "cold_over_warm_p99").unwrap();
         assert!(cliff >= 1.5, "cold/warm p99 ratio only {cliff}");

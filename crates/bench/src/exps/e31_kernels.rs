@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use crate::table::{f3, ExperimentResult, Table};
+use crate::table::{col, fixed, sci, text, times, us, Column, ExperimentResult};
 use dl_obs::{fields, Fields, NullRecorder};
 use dl_serve::{
     build_family, open_loop, serve, AdmissionPolicy, BatchPolicy, DeviceModel, FamilyConfig,
@@ -118,11 +118,43 @@ fn serve_cell(
     serve(registry, eval, &load, &cfg, &NullRecorder::new())
 }
 
+/// f32 GEMM cells: drift of the unrolled kernel from the scalar
+/// reference, and whether both kernels pin across threads and tiles.
+const F32: &[Column] = &[
+    col("f32 gemm", "shape", text),
+    col("threads", "threads", text),
+    col("unrolled drift", "max_rel_drift", sci::<1>),
+    col("pinned", "pinned", text),
+    col("parity", "cost_parity", text),
+];
+
+/// Wall-clock cells (large GEMM, 4 threads) are string fields, which the
+/// baseline leaves out; the reductions pin at 1, 2 and 4 threads.
+const KERNELS: &[Column] = &[
+    col("wall scalar us", "wall_scalar_us_large_4t", text),
+    col("wall unrolled us", "wall_unrolled_us_large_4t", text),
+    col("wall speedup", "wall_speedup_unrolled_large_4t", text),
+    col("reduce pinned", "reduce_pinned", text),
+    col("scalar == tensor", "scalar_matches_tensor", text),
+];
+
+const INT8_SVC: &[Column] = &[
+    col("int8 svc batch", "batch", text),
+    col("shadow us", "shadow_svc_s", us::<2>),
+    col("native us", "native_svc_s", us::<2>),
+    col("reduction", "svc_reduction", times::<2>),
+];
+
+const INT8_SERVE: &[Column] = &[
+    col("int8 serve", "mode", text),
+    col("rate rps", "rate_rps", fixed::<0>),
+    col("p99 us", "p99_s", us::<1>),
+    col("thr rps", "throughput_rps", fixed::<0>),
+    col("acc", "accuracy", fixed::<3>),
+];
+
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
-    let mut table = Table::new(&[
-        "cell", "detail", "threads", "scalar", "unrolled", "pinned", "parity", "note",
-    ]);
     let mut records: Vec<Fields> = Vec::new();
 
     // --- pillar 1: the f32 GEMM sweep -------------------------------------
@@ -135,6 +167,8 @@ pub fn run() -> ExperimentResult {
     let mut pinned_cells = 0usize;
     let mut parity_cells = 0usize;
     let mut worst_drift = 0.0f64;
+    let mut wall_scalar_large = String::new();
+    let mut wall_unrolled_large = String::new();
     let mut wall_speedup_large = String::new();
 
     for &(label, m, k, n) in &shapes {
@@ -170,16 +204,6 @@ pub fn run() -> ExperimentResult {
             cells += 1;
             pinned_cells += usize::from(pinned);
             parity_cells += usize::from(parity);
-            table.row(&[
-                "f32 gemm".into(),
-                label.into(),
-                format!("{t}"),
-                "ref".into(),
-                format!("drift {drift:.1e}"),
-                format!("{pinned}"),
-                format!("{parity}"),
-                "-".into(),
-            ]);
             records.push(fields! {
                 "cell" => "f32",
                 "shape" => label,
@@ -207,17 +231,9 @@ pub fn run() -> ExperimentResult {
                     });
                 });
             });
+            wall_scalar_large = format!("{scalar_us:.0}");
+            wall_unrolled_large = format!("{unrolled_us:.0}");
             wall_speedup_large = format!("{:.3}", scalar_us / unrolled_us);
-            table.row(&[
-                "f32 wall".into(),
-                label.into(),
-                "4".into(),
-                format!("{scalar_us:.0}us"),
-                format!("{unrolled_us:.0}us"),
-                "-".into(),
-                "-".into(),
-                format!("speedup {}", wall_speedup_large),
-            ]);
         }
     }
 
@@ -255,16 +271,6 @@ pub fn run() -> ExperimentResult {
                 && par::dot(&v, &w).to_bits() == v.dot(&w).to_bits()
         })
     });
-    table.row(&[
-        "reduce".into(),
-        "sum/dot/sum_axis/map".into(),
-        "1,2,4".into(),
-        format!("{scalar_matches_tensor}"),
-        "lane tree".into(),
-        format!("{reduce_pinned}"),
-        "-".into(),
-        "-".into(),
-    ]);
 
     // --- pillar 3: native int8 serving vs its dequantized shadow ----------
     let data = dl_data::blobs(400, 5, 16, 2.4, 1.1, 90);
@@ -314,16 +320,6 @@ pub fn run() -> ExperimentResult {
         let reduction = shadow_s / native_s;
         svc_reductions.push(reduction);
         bytes_shrink &= native_cost.bytes_read < shadow_cost.bytes_read;
-        table.row(&[
-            "int8 svc".into(),
-            format!("batch {b}"),
-            "-".into(),
-            format!("{:.2}us", shadow_s * 1e6),
-            format!("{:.2}us", native_s * 1e6),
-            "-".into(),
-            "-".into(),
-            format!("x{reduction:.2}"),
-        ]);
         records.push(fields! {
             "cell" => "int8-service",
             "batch" => b,
@@ -352,16 +348,6 @@ pub fn run() -> ExperimentResult {
     shadow_family.variants[int8_idx].batch_costs = shadow_costs;
     let shadow_report = serve_cell(&mut shadow_family, &eval, rate, "int8", &device);
     for (mode, r) in [("native", &native_report), ("shadow", &shadow_report)] {
-        table.row(&[
-            "int8 serve".into(),
-            format!("{mode} @ {rate:.0} rps"),
-            "-".into(),
-            format!("p99 {:.1}us", r.p99_s * 1e6),
-            format!("thr {:.0}", r.throughput_rps),
-            "-".into(),
-            "-".into(),
-            f3(r.accuracy),
-        ]);
         records.push(fields! {
             "cell" => "int8-serve",
             "mode" => mode,
@@ -401,13 +387,15 @@ pub fn run() -> ExperimentResult {
         // Hardware-dependent wall clock rides along as a string, invisible
         // to the numeric baseline gate.
         "wall_speedup_unrolled_large_4t" => wall_speedup_large.clone(),
+        "wall_scalar_us_large_4t" => wall_scalar_large,
+        "wall_unrolled_us_large_4t" => wall_unrolled_large,
     });
 
     let ok = f32_pinned && drift_small && int8_wins;
     ExperimentResult {
         id: "e31".into(),
         title: "reduced-precision kernels: unrolled f32 FMA + native int8 GEMM".into(),
-        table,
+        tables: vec![F32, KERNELS, INT8_SVC, INT8_SERVE],
         verdict: if ok {
             format!(
                 "matches the claim: {cells}/{cells} f32 sweep cells are bitwise-pinned across \
@@ -444,6 +432,7 @@ mod tests {
             "verdict: {}",
             a.verdict
         );
+        assert_eq!(a.row_counts(), [9, 1, 3, 2]);
         let b = super::run();
         assert_eq!(
             a.verdict, b.verdict,

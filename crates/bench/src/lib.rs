@@ -2,11 +2,14 @@
 //!
 //! The experiment harness: one module per experiment in `DESIGN.md`'s
 //! index (E1-E31), each regenerating one quantitative claim of the
-//! tutorial. The `exp` binary dispatches on experiment id and prints the
-//! result rows; every run also writes a JSON record under
-//! `target/experiments/` which `EXPERIMENTS.md` references and E21's
-//! tradeoff navigator re-reads. `exp <id> --trace <path>` additionally
-//! exports the run as a Chrome `trace_event` file.
+//! tutorial. Each experiment states every number once, as a field of its
+//! records; the `exp` binary dispatches on experiment id and prints the
+//! tables its column lists render from those records. Every run also
+//! writes the id, title, verdict and records as JSON under
+//! `target/experiments/`, which `EXPERIMENTS.md` references (E21's
+//! tradeoff navigator re-measures E1-E4 in process rather than reading
+//! them). `exp <id> --trace <path>` additionally exports the run as a
+//! Chrome `trace_event` file.
 //!
 //! Baselines: `exp <id> --baseline <dir>` writes the result's
 //! [`ExperimentResult::baseline_json`] to `<dir>/BENCH_<ID>.json`, and
@@ -24,7 +27,7 @@
 pub mod exps;
 pub mod table;
 
-pub use table::{ExperimentResult, Table};
+pub use table::ExperimentResult;
 
 use dl_obs::{fields, NullRecorder, Recorder};
 

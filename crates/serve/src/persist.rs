@@ -97,7 +97,9 @@ fn row_widths(net: &Network) -> (usize, usize) {
 /// not a Dense/ReLU MLP of packed tensors whose widths chain is corrupt.
 /// So is a family whose variants or ensemble members do not all take
 /// rows of one width and return logits of one width: any variant must
-/// be able to answer any request.
+/// be able to answer any request. A family with no variants, or a
+/// variant with an empty batch-cost table, is corrupt too: the engine
+/// needs a variant to route to and prices every batch from that table.
 pub fn load_family(bytes: &[u8]) -> Result<VariantRegistry, StoreError> {
     let a = Artifact::parse(bytes)?;
     let kind = a.hparam_str("artifact.kind")?;
@@ -107,6 +109,9 @@ pub fn load_family(bytes: &[u8]) -> Result<VariantRegistry, StoreError> {
         )));
     }
     let count = a.hparam_u64("family.variant_count")? as usize;
+    if count == 0 {
+        return Err(StoreError::Corrupt("family has no variants".into()));
+    }
     let mut variants = Vec::new();
     // Row and logit widths of the first model decoded; every other
     // model must match them.
@@ -162,6 +167,11 @@ pub fn load_family(bytes: &[u8]) -> Result<VariantRegistry, StoreError> {
             }
         };
         let raw = s.bytes("batch_costs")?;
+        if raw.is_empty() {
+            return Err(StoreError::Corrupt(format!(
+                "batch-cost table for v{i} is empty"
+            )));
+        }
         if raw.len() % COST_BYTES != 0 {
             return Err(StoreError::Corrupt(format!(
                 "batch-cost blob for v{i} is not a whole number of entries"

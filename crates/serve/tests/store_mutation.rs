@@ -4,8 +4,9 @@
 //! that no writer produced, and requires every outcome to be `Ok` or a
 //! typed [`StoreError`]: never a panic, never a reservation sized by a
 //! count the file claims. Every model that loads `Ok` then predicts
-//! once, on zero rows of the width it takes, which must not panic
-//! either. Inputs come in three kinds:
+//! once, on zero rows of the width it takes, and every family that
+//! loads `Ok` is priced for admission as an engine would price it;
+//! neither may panic either. Inputs come in three kinds:
 //!
 //! - random [`ArtifactBuilder`] artifacts, which must also round-trip;
 //! - byte mutations of the committed `tiny_mlp.dlst` golden and of a
@@ -21,7 +22,9 @@
 //! hostile families that panicked before `load_family` checked them.
 
 use dl_serve::variant::VariantModel;
-use dl_serve::{build_family, load_family, save_family, FamilyConfig};
+use dl_serve::{
+    build_family, load_family, save_family, BatchPolicy, DeviceModel, FamilyConfig, PriceTable,
+};
 use dl_store::{checksum, load_network, Artifact, ArtifactBuilder, Dtype, HParam, StoreError};
 use dl_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -73,10 +76,16 @@ fn load_and_predict_network(bytes: &[u8]) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Loads a family and runs one forward of every variant on two zero
-/// rows. `load_family` holds every variant to one row width.
+/// Loads a family, prices it on the nominal device under dynamic
+/// batching, and runs one forward of every variant on two zero rows.
+/// `load_family` holds every variant to one row width.
 fn load_and_predict_family(bytes: &[u8]) -> Result<(), StoreError> {
     let reg = load_family(bytes)?;
+    let _ = PriceTable::new(
+        &reg,
+        &DeviceModel::nominal(),
+        &BatchPolicy::dynamic(32, 8e-6),
+    );
     let width = reg.variants.iter().find_map(|v| match &v.model {
         VariantModel::Single(net) => Some(net.input_dim),
         VariantModel::Quantized(q) => Some(q.input_dim()),
@@ -570,4 +579,18 @@ fn variants_of_another_logit_width_are_corrupt() {
         p.set(&format!("v{i}.m1.layer_count"), HParam::U64(1));
     });
     expect_corrupt(&bytes, "ensemble member cut short");
+}
+
+#[test]
+fn an_empty_batch_cost_table_is_corrupt() {
+    // Pricing the family would index the empty table in `cost_at`.
+    let bytes = edited_family(|p| p.set("v0.batch_costs", HParam::Bytes(Vec::new().into())));
+    expect_corrupt(&bytes, "empty batch-cost table");
+}
+
+#[test]
+fn a_family_without_variants_is_corrupt() {
+    // No engine can serve a family with nothing to route to.
+    let bytes = edited_family(|p| p.set("family.variant_count", HParam::U64(0)));
+    expect_corrupt(&bytes, "zero variants");
 }

@@ -2,12 +2,14 @@
 //! carbon accounting, no training) against a scratch directory and must
 //! accept the committed baseline byte for byte, reject a one-digit edit
 //! with exit 3 while printing the edited line, and fail a directory
-//! without the file with exit 1.
+//! without the file with exit 1. E20's rendered report is pinned too,
+//! so a change to the table renderer or to a column list shows up here.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 const COMMITTED: &str = include_str!("../BENCH_E20.json");
+const RENDERED: &str = include_str!("golden/e20.txt");
 
 fn scratch(case: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("exp_check_{}_{case}", std::process::id()));
@@ -63,4 +65,10 @@ fn one_changed_digit_exits_3_and_prints_the_metric() {
 fn a_missing_baseline_exits_1() {
     let (code, stdout) = check(&scratch("missing"));
     assert_eq!(code, 1, "stdout:\n{stdout}");
+}
+
+#[test]
+fn e20_renders_the_committed_tables() {
+    let result = dl_bench::run_experiment("e20").expect("e20 runs");
+    assert_eq!(result.render(), RENDERED);
 }
