@@ -18,7 +18,7 @@
 //!   sequential ones and charge identical [`acct`] costs. It also hosts the
 //!   reduced-precision kernel layer: a `DL_KERNEL={scalar,unrolled}` dispatch
 //!   knob ([`par::with_kernel`]) selecting between the scalar reference
-//!   oracle and width-8 `mul_add` kernels with a fixed lane tree-reduce, and
+//!   oracle and a `mul_add` GEMM with its own pinned accumulation order, and
 //!   [`par::matmul_q8`] — a native int8 GEMM over packed affine codes with
 //!   exact integer accumulation and one rescale per output.
 //!

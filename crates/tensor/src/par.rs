@@ -2,25 +2,28 @@
 //!
 //! Every FLOP in the workspace funnels through the scalar kernels in
 //! [`Tensor`]; this module provides drop-in parallel and cache-blocked
-//! variants built on `std::thread` alone (the build environment has no
-//! route to a crates registry, so no rayon/crossbeam). Three design rules
-//! govern everything here:
+//! variants of the ones the system runs (the GEMMs, the native int8
+//! GEMM and the convolution lowering), built on `std::thread` alone (the
+//! build environment has no route to a crates registry, so no
+//! rayon/crossbeam). Three design rules govern everything here:
 //!
 //! 1. **Bit-identical results.** Parallelism splits only over *output*
-//!    rows, channels, or column tiles; the per-element accumulation order
-//!    (the `k` loop in matmul, the `mid` loop in `sum_axis`, the
-//!    `ky/kx/oy/ox` scatter order in `col2im`) is exactly the sequential
-//!    kernel's. Identical `f32` operation sequences produce identical
-//!    bits, so [`par::matmul`](matmul) == [`Tensor::matmul`] bitwise at
-//!    any thread count — the same contract the `NullRecorder` paths keep.
+//!    rows or channels; the per-element accumulation order (the `k` loop
+//!    in matmul, the `ky/kx/oy/ox` scatter order in `col2im`) is exactly
+//!    the sequential kernel's. Identical `f32` operation sequences
+//!    produce identical bits, so [`par::matmul`](matmul) ==
+//!    [`Tensor::matmul`] bitwise at any thread count — the same contract
+//!    the `NullRecorder` paths keep.
 //! 2. **Exact cost accounting.** Worker threads never touch
 //!    [`acct`]'s thread-local scopes; each worker returns its share of
 //!    the work counters (the `nnz` count for matmul) and the *calling*
 //!    thread issues one [`acct::charge`] with the merged totals — the
 //!    same totals the sequential kernel charges. See the merge rule in
 //!    the [`acct`] module docs.
-//! 3. **A persistent pool.** Workers are spawned once (lazily, up to
-//!    `MAX_THREADS`, 64) and parked on a condvar between kernels, so a
+//! 3. **One fork-join over a persistent pool.** Every kernel splits its
+//!    output through the same fork-join, which runs a single split
+//!    inline on the calling thread. Workers are spawned once (lazily, up
+//!    to `MAX_THREADS`, 64) and parked on a condvar between kernels, so a
 //!    training loop issuing thousands of small launches pays no
 //!    per-kernel thread spawn. Panics inside a worker task are caught
 //!    and re-raised on the calling thread after every sibling task has
@@ -32,28 +35,27 @@
 //!
 //! # Kernel dispatch (`DL_KERNEL`)
 //!
-//! The f32 kernels come in two implementations selected by a knob that
-//! mirrors the thread knob exactly: a scoped [`with_kernel`] override,
+//! The f32 GEMM comes in two implementations selected by a knob that
+//! resolves like the thread knob: a scoped [`with_kernel`] override,
 //! then [`set_kernel`], then the `DL_KERNEL` environment variable
 //! (`scalar` or `unrolled`), defaulting to [`Kernel::Scalar`].
 //!
 //! * [`Kernel::Scalar`] is the reference oracle: plain multiply-then-add
 //!   in strict ascending order, bit-identical to the sequential
 //!   [`Tensor`] kernels.
-//! * [`Kernel::Unrolled`] is the data-level parallel path: the GEMM adds
-//!   each term with [`f32::mul_add`] (one rounding per multiply-add
-//!   instead of two), [`map`] runs a width-8 unrolled body, and one-output
-//!   reductions ([`sum`], [`dot`], the `mid` loop of [`sum_axis`])
-//!   accumulate in **eight lanes folded by a fixed tree**: element `i`
-//!   goes to lane `i % 8` in ascending order, and the lanes reduce as
-//!   `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`. Because the accumulation
-//!   order is fixed per output element and work only ever splits along
-//!   independent outputs, unrolled results are bitwise-pinned: identical
-//!   at every `DL_THREADS` count and every tile width — they just differ
-//!   from the scalar oracle in the last bits (fused roundings), which is
-//!   why goldens are pinned *per precision*. Both kernels charge the
-//!   identical [`acct`] cost (an FMA counts as 2 flops, the static
-//!   model's convention), so cost tables never depend on the knob.
+//! * [`Kernel::Unrolled`] is the fused path: the GEMM adds each term with
+//!   [`f32::mul_add`] (one rounding per multiply-add instead of two).
+//!   Because the accumulation order is fixed per output element and work
+//!   only ever splits along independent outputs, unrolled results are
+//!   bitwise-pinned: identical at every `DL_THREADS` count and every tile
+//!   width — they just differ from the scalar oracle in the last bits
+//!   (fused roundings), which is why goldens are pinned *per precision*.
+//!   Both kernels charge the identical [`acct`] cost (an FMA counts as 2
+//!   flops, the static model's convention), so cost tables never depend
+//!   on the knob.
+//!
+//! The convolution lowering ([`im2col`], [`col2im`]) multiplies nothing,
+//! so it has one implementation under either kernel.
 //!
 //! [`matmul_q8`] is the third precision: a native int8 GEMM over packed
 //! affine codes with exact integer accumulation (see its docs and the
@@ -106,6 +108,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::LocalKey;
 
 use crate::acct;
 use crate::Tensor;
@@ -121,18 +124,75 @@ const MAX_THREADS: usize = 64;
 const DEFAULT_TILE_COLS: usize = 128;
 
 // ----------------------------------------------------------------------
-// Thread-count configuration
+// Thread-count and kernel settings
 // ----------------------------------------------------------------------
 
-/// Global thread count; 0 = not yet resolved.
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
+/// A setting resolved per launch: the innermost scoped override on this
+/// thread if any, else the process-wide value, which `default` supplies
+/// on first use. Zero marks an empty slot, so every value is at least 1.
+struct Setting {
+    global: AtomicUsize,
+    scoped: &'static LocalKey<Cell<usize>>,
+    default: fn() -> usize,
+}
+
+impl Setting {
+    fn get(&self) -> usize {
+        let o = self.scoped.with(Cell::get);
+        if o > 0 {
+            return o;
+        }
+        let g = self.global.load(Ordering::SeqCst);
+        if g > 0 {
+            return g;
+        }
+        let d = (self.default)();
+        // First resolver wins; a concurrent set simply overwrites.
+        let _ = self
+            .global
+            .compare_exchange(0, d, Ordering::SeqCst, Ordering::SeqCst);
+        self.global.load(Ordering::SeqCst)
+    }
+
+    fn set(&self, v: usize) {
+        self.global.store(v, Ordering::SeqCst);
+    }
+
+    /// Runs `f` with the scoped override set to `v`, restoring the
+    /// previous one on exit — including on panic.
+    fn with<R>(&self, v: usize, f: impl FnOnce() -> R) -> R {
+        struct Reset(&'static LocalKey<Cell<usize>>, usize);
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                self.0.with(|o| o.set(self.1));
+            }
+        }
+        let prev = self.scoped.with(|o| o.replace(v));
+        let _reset = Reset(self.scoped, prev);
+        f()
+    }
+}
 
 thread_local! {
-    /// Scoped override installed by [`with_threads`]; 0 = none.
-    static OVERRIDE: Cell<usize> = const { Cell::new(0) };
+    static THREADS_OVERRIDE: Cell<usize> = const { Cell::new(0) };
+    static KERNEL_OVERRIDE: Cell<usize> = const { Cell::new(0) };
     /// Recorder installed by [`with_recorder`] for kernel spans.
     static KERNEL_REC: Cell<Option<*const (dyn Recorder + 'static)>> = const { Cell::new(None) };
 }
+
+/// The thread count, `DL_THREADS` by default.
+static THREADS: Setting = Setting {
+    global: AtomicUsize::new(0),
+    scoped: &THREADS_OVERRIDE,
+    default: default_threads,
+};
+
+/// The [`Kernel`] as its discriminant, `DL_KERNEL` by default.
+static KERNEL: Setting = Setting {
+    global: AtomicUsize::new(0),
+    scoped: &KERNEL_OVERRIDE,
+    default: default_kernel,
+};
 
 /// Number of threads the machine advertises (never less than 1).
 #[must_use]
@@ -153,7 +213,7 @@ fn default_threads() -> usize {
 /// Sets the process-wide default thread count (clamped to
 /// `1..=MAX_THREADS`). Overrides the `DL_THREADS` environment variable.
 pub fn set_threads(n: usize) {
-    GLOBAL_THREADS.store(n.clamp(1, MAX_THREADS), Ordering::SeqCst);
+    THREADS.set(n.clamp(1, MAX_THREADS));
 }
 
 /// The effective thread count for kernels launched from this thread:
@@ -161,90 +221,42 @@ pub fn set_threads(n: usize) {
 /// setting, resolved on first use from `DL_THREADS` / hardware.
 #[must_use]
 pub fn threads() -> usize {
-    let o = OVERRIDE.with(Cell::get);
-    if o > 0 {
-        return o;
-    }
-    let g = GLOBAL_THREADS.load(Ordering::SeqCst);
-    if g > 0 {
-        return g;
-    }
-    let d = default_threads();
-    // First resolver wins; a concurrent set_threads simply overwrites.
-    let _ = GLOBAL_THREADS.compare_exchange(0, d, Ordering::SeqCst, Ordering::SeqCst);
-    GLOBAL_THREADS.load(Ordering::SeqCst)
+    THREADS.get()
 }
 
 /// Runs `f` with the effective thread count forced to `n` (clamped to
 /// `1..=MAX_THREADS`) on this thread, restoring the previous override on
 /// exit — including on panic.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Reset(usize);
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            OVERRIDE.with(|o| o.set(self.0));
-        }
-    }
-    let prev = OVERRIDE.with(|o| o.replace(n.clamp(1, MAX_THREADS)));
-    let _reset = Reset(prev);
-    f()
+    THREADS.with(n.clamp(1, MAX_THREADS), f)
 }
 
-// ----------------------------------------------------------------------
-// Kernel dispatch
-// ----------------------------------------------------------------------
-
-/// Which f32 micro-kernel implementation the backend dispatches to. See
-/// the module docs for the exact accumulation-order contract of each.
+/// Which f32 GEMM implementation the backend dispatches to. See the
+/// module docs for the exact accumulation-order contract of each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Reference kernels: plain multiply-then-add in strict ascending
+    /// Reference kernel: plain multiply-then-add in strict ascending
     /// order, bit-identical to the sequential [`Tensor`] kernels. The
     /// oracle every other implementation is tested against.
-    Scalar,
-    /// Fused kernels: the GEMM adds each term with [`f32::mul_add`], and
-    /// one-output reductions use the fixed eight-lane tree-reduce.
+    Scalar = 1,
+    /// Fused kernel: the GEMM adds each term with [`f32::mul_add`].
     /// Bitwise-pinned across thread counts and tile widths; differs from
     /// [`Kernel::Scalar`] only by the fused roundings.
-    Unrolled,
-}
-
-/// Global kernel choice; 0 = not yet resolved, else `kernel_code`.
-static GLOBAL_KERNEL: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Scoped override installed by [`with_kernel`]; 0 = none.
-    static KERNEL_OVERRIDE: Cell<usize> = const { Cell::new(0) };
-}
-
-fn kernel_code(k: Kernel) -> usize {
-    match k {
-        Kernel::Scalar => 1,
-        Kernel::Unrolled => 2,
-    }
-}
-
-fn kernel_from_code(code: usize) -> Kernel {
-    if code == 2 {
-        Kernel::Unrolled
-    } else {
-        Kernel::Scalar
-    }
+    Unrolled = 2,
 }
 
 /// `DL_KERNEL` when set to a recognised name, else [`Kernel::Scalar`].
 fn default_kernel() -> usize {
-    let k = match std::env::var("DL_KERNEL").ok().as_deref().map(str::trim) {
-        Some(s) if s.eq_ignore_ascii_case("unrolled") => Kernel::Unrolled,
-        _ => Kernel::Scalar,
-    };
-    kernel_code(k)
+    match std::env::var("DL_KERNEL").ok().as_deref().map(str::trim) {
+        Some(s) if s.eq_ignore_ascii_case("unrolled") => Kernel::Unrolled as usize,
+        _ => Kernel::Scalar as usize,
+    }
 }
 
 /// Sets the process-wide default kernel. Overrides the `DL_KERNEL`
 /// environment variable.
 pub fn set_kernel(k: Kernel) {
-    GLOBAL_KERNEL.store(kernel_code(k), Ordering::SeqCst);
+    KERNEL.set(k as usize);
 }
 
 /// The effective kernel for launches from this thread: the innermost
@@ -252,18 +264,11 @@ pub fn set_kernel(k: Kernel) {
 /// first use from `DL_KERNEL` (default [`Kernel::Scalar`]).
 #[must_use]
 pub fn kernel() -> Kernel {
-    let o = KERNEL_OVERRIDE.with(Cell::get);
-    if o > 0 {
-        return kernel_from_code(o);
+    if KERNEL.get() == Kernel::Unrolled as usize {
+        Kernel::Unrolled
+    } else {
+        Kernel::Scalar
     }
-    let g = GLOBAL_KERNEL.load(Ordering::SeqCst);
-    if g > 0 {
-        return kernel_from_code(g);
-    }
-    let d = default_kernel();
-    // First resolver wins; a concurrent set_kernel simply overwrites.
-    let _ = GLOBAL_KERNEL.compare_exchange(0, d, Ordering::SeqCst, Ordering::SeqCst);
-    kernel_from_code(GLOBAL_KERNEL.load(Ordering::SeqCst))
 }
 
 /// Runs `f` with the effective kernel forced to `k` on this thread,
@@ -271,15 +276,7 @@ pub fn kernel() -> Kernel {
 /// kernel is resolved on the *launching* thread and handed to pool
 /// workers, so the override governs parallel launches too.
 pub fn with_kernel<R>(k: Kernel, f: impl FnOnce() -> R) -> R {
-    struct Reset(usize);
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            KERNEL_OVERRIDE.with(|o| o.set(self.0));
-        }
-    }
-    let prev = KERNEL_OVERRIDE.with(|o| o.replace(kernel_code(k)));
-    let _reset = Reset(prev);
-    f()
+    KERNEL.with(k as usize, f)
 }
 
 // ----------------------------------------------------------------------
@@ -288,7 +285,8 @@ pub fn with_kernel<R>(k: Kernel, f: impl FnOnce() -> R) -> R {
 
 /// Runs `f` with `rec` installed as this thread's kernel-span recorder:
 /// every parallel kernel launched inside emits a `kernel.<name>` span
-/// (with `rows`/`cols`/`k`/`threads` fields) onto it, so `exp --profile`
+/// onto it, with `rows`/`cols`/`k` fields at its start and `flops` and
+/// `threads` (the splits the kernel ran) at its end, so `exp --profile`
 /// can decompose where kernel time goes. The previous recorder is
 /// restored on exit. When `rec.enabled()` is false (the `NullRecorder`),
 /// kernels skip span emission entirely — no `Fields` are ever built, so
@@ -321,20 +319,10 @@ fn with_rec<T>(f: impl FnOnce(&dyn Recorder) -> T) -> Option<T> {
 
 /// Opens a `kernel.<name>` span when a recorder is installed *and*
 /// enabled; the geometry fields are only built in that case.
-fn kernel_span_start(
-    name: &'static str,
-    m: usize,
-    n: usize,
-    k: usize,
-    t: usize,
-) -> Option<dl_obs::SpanId> {
+fn kernel_span_start(name: &'static str, m: usize, n: usize, k: usize) -> Option<dl_obs::SpanId> {
     with_rec(|r| {
         if r.enabled() {
-            Some(r.span_start(
-                0,
-                name,
-                fields! { "rows" => m, "cols" => n, "k" => k, "threads" => t },
-            ))
+            Some(r.span_start(0, name, fields! { "rows" => m, "cols" => n, "k" => k }))
         } else {
             None
         }
@@ -342,10 +330,11 @@ fn kernel_span_start(
     .flatten()
 }
 
-/// Closes a span opened by [`kernel_span_start`].
-fn kernel_span_end(span: Option<dl_obs::SpanId>, flops: u64) {
+/// Closes a span opened by [`kernel_span_start`], recording the kernel's
+/// flops and how many splits it ran.
+fn kernel_span_end(span: Option<dl_obs::SpanId>, flops: u64, splits: usize) {
     if let Some(s) = span {
-        with_rec(move |r| r.span_end(s, fields! { "flops" => flops }));
+        with_rec(move |r| r.span_end(s, fields! { "flops" => flops, "threads" => splits }));
     }
 }
 
@@ -446,10 +435,6 @@ impl Latch {
 /// borrow the caller's stack sound.
 fn run_tasks(mut tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
     let Some(own) = tasks.pop() else { return };
-    if tasks.is_empty() {
-        own();
-        return;
-    }
     ensure_workers(tasks.len());
     let latch = Arc::new(Latch::new(tasks.len()));
     let p = pool();
@@ -485,6 +470,36 @@ fn run_tasks(mut tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
 fn ranges(count: usize, parts: usize) -> impl ExactSizeIterator<Item = (usize, usize)> {
     let chunk = count.div_ceil(parts.clamp(1, count.max(1))).max(1);
     (0..count.div_ceil(chunk).max(1)).map(move |i| (i * chunk, count.min((i + 1) * chunk)))
+}
+
+/// The fork-join every parallel kernel runs. Splits the items `0..count`
+/// into at most [`threads`] contiguous ranges and `out` into the matching
+/// runs of `width` elements per item, and calls `f(lo, hi, run)` once per
+/// split: a single split inline on the calling thread, with no task or
+/// allocation, several across the pool. Returns the sum of the counters
+/// the calls return and the number of splits.
+fn for_splits(
+    out: &mut [f32],
+    count: usize,
+    width: usize,
+    f: impl Fn(usize, usize, &mut [f32]) -> u64 + Sync,
+) -> (u64, usize) {
+    let splits = ranges(count, threads());
+    let parts = splits.len();
+    if parts == 1 {
+        return (f(0, count, out), 1);
+    }
+    let mut shares = [0u64; MAX_THREADS];
+    let f = &f;
+    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(parts);
+    let mut rest = out;
+    for ((lo, hi), share) in splits.zip(&mut shares) {
+        let (run, tail) = rest.split_at_mut((hi - lo) * width);
+        rest = tail;
+        tasks.push(Box::new(move || *share = f(lo, hi, run)));
+    }
+    run_tasks(tasks);
+    (shares.iter().sum(), parts)
 }
 
 // ----------------------------------------------------------------------
@@ -1048,42 +1063,35 @@ fn matmul_dims(a: &Tensor, b: &Tensor, layout: Layout) -> (usize, usize, usize) 
     (m, k, n)
 }
 
-/// Runs the blocked GEMM over `out` split row-wise across the effective
-/// thread count and returns the merged `nnz`. The caller charges acct.
-fn gemm_parallel(
+/// The one routine behind every f32 GEMM entry point: opens the `name`
+/// span, adds `A · B` into `out` (`[m, n]`) with [`gemm_rows`] split
+/// row-wise by [`for_splits`], charges [`acct`] once on the calling
+/// thread with the workers' merged `nnz` — `2·nnz·n` flops, `bytes_read`
+/// and `4·m·n` bytes written, exactly what the sequential kernel charges
+/// — and closes the span.
+#[allow(clippy::too_many_arguments)]
+fn gemm(
+    name: &'static str,
     a: &Tensor,
     b: &Tensor,
     out: &mut [f32],
-    (k, n): (usize, usize),
+    (m, k, n): (usize, usize, usize),
     tile: usize,
     layout: Layout,
-) -> u64 {
+    bytes_read: usize,
+) {
+    let span = kernel_span_start(name, m, n, k);
     // Resolve the kernel on the launching thread: workers must not read
     // their own (unset) thread-local override.
     let kern = kernel();
     let (a, b) = (a.data(), b.data());
-    let rows = |out: &mut [f32], lo: usize, hi: usize| match kern {
-        Kernel::Scalar => gemm_rows::<false>(a, b, out, lo, hi, k, n, tile, layout),
-        Kernel::Unrolled => gemm_rows::<true>(a, b, out, lo, hi, k, n, tile, layout),
-    };
-    let m = out.len() / n.max(1);
-    let splits = ranges(m, threads());
-    if splits.len() <= 1 {
-        return rows(out, 0, m);
-    }
-    let mut shares = [0u64; MAX_THREADS];
-    {
-        let rows = &rows;
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(splits.len());
-        let mut remaining = out;
-        for ((lo, hi), share) in splits.zip(shares.iter_mut()) {
-            let (mine, rest) = remaining.split_at_mut((hi - lo) * n);
-            remaining = rest;
-            tasks.push(Box::new(move || *share = rows(mine, lo, hi)));
-        }
-        run_tasks(tasks);
-    }
-    shares.iter().sum()
+    let (nnz, splits) = for_splits(out, m, n, |lo, hi, rows| match kern {
+        Kernel::Scalar => gemm_rows::<false>(a, b, rows, lo, hi, k, n, tile, layout),
+        Kernel::Unrolled => gemm_rows::<true>(a, b, rows, lo, hi, k, n, tile, layout),
+    });
+    let flops = 2 * nnz * n as u64;
+    acct::charge(flops, bytes_read as u64, 4 * (m * n) as u64);
+    kernel_span_end(span, flops, splits);
 }
 
 /// Parallel, register-blocked matrix multiplication, bit-identical to
@@ -1108,15 +1116,17 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 #[must_use]
 pub fn matmul_blocked(a: &Tensor, b: &Tensor, tile_cols: usize) -> Tensor {
     let (m, k, n) = matmul_dims(a, b, Layout::Nn);
-    let t = threads().min(m.max(1));
-    let span = kernel_span_start("kernel.matmul", m, n, k, t);
     let mut out = vec![0.0f32; m * n];
-    let nnz = gemm_parallel(a, b, &mut out, (k, n), tile_cols.max(1), Layout::Nn);
-    let flops = 2 * nnz * n as u64;
-    // One charge on the calling thread with the workers' merged shares —
-    // exactly what the sequential kernel charges.
-    acct::charge(flops, 4 * (m * k + k * n) as u64, 4 * (m * n) as u64);
-    kernel_span_end(span, flops);
+    gemm(
+        "kernel.matmul",
+        a,
+        b,
+        &mut out,
+        (m, k, n),
+        tile_cols.max(1),
+        Layout::Nn,
+        4 * (m * k + k * n),
+    );
     Tensor::from_vec(out, [m, n]).expect("gemm output length matches by construction")
 }
 
@@ -1143,16 +1153,16 @@ pub fn matmul_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) {
         "matmul_acc output must be [{m}, {n}], got {}",
         out.shape()
     );
-    let t = threads().min(m.max(1));
-    let span = kernel_span_start("kernel.matmul_acc", m, n, k, t);
-    let nnz = gemm_parallel(a, b, out.data_mut(), (k, n), DEFAULT_TILE_COLS, Layout::Nn);
-    let flops = 2 * nnz * n as u64;
-    acct::charge(
-        flops,
-        4 * (m * k + k * n + m * n) as u64,
-        4 * (m * n) as u64,
+    gemm(
+        "kernel.matmul_acc",
+        a,
+        b,
+        out.data_mut(),
+        (m, k, n),
+        DEFAULT_TILE_COLS,
+        Layout::Nn,
+        4 * (m * k + k * n + m * n),
     );
-    kernel_span_end(span, flops);
 }
 
 /// `out = aᵀ · b` for `a` stored `[k, m]` and `b` `[k, n]`, written over
@@ -1170,12 +1180,16 @@ pub fn matmul_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 pub fn matmul_tn(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     let (m, k, n) = matmul_dims(a, b, Layout::Tn);
     out.fill_zeros_as(&[m, n]);
-    let t = threads().min(m.max(1));
-    let span = kernel_span_start("kernel.matmul_tn", m, n, k, t);
-    let nnz = gemm_parallel(a, b, out.data_mut(), (k, n), DEFAULT_TILE_COLS, Layout::Tn);
-    let flops = 2 * nnz * n as u64;
-    acct::charge(flops, 4 * (m * k + k * n) as u64, 4 * (m * n) as u64);
-    kernel_span_end(span, flops);
+    gemm(
+        "kernel.matmul_tn",
+        a,
+        b,
+        out.data_mut(),
+        (m, k, n),
+        DEFAULT_TILE_COLS,
+        Layout::Tn,
+        4 * (m * k + k * n),
+    );
 }
 
 /// `a · bᵀ` for `a` stored `[m, k]` and `b` `[n, k]`. No transposed copy
@@ -1189,13 +1203,17 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 #[must_use]
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k, n) = matmul_dims(a, b, Layout::Nt);
-    let t = threads().min(m.max(1));
-    let span = kernel_span_start("kernel.matmul_nt", m, n, k, t);
     let mut out = vec![0.0f32; m * n];
-    let nnz = gemm_parallel(a, b, &mut out, (k, n), DEFAULT_TILE_COLS, Layout::Nt);
-    let flops = 2 * nnz * n as u64;
-    acct::charge(flops, 4 * (m * k + k * n) as u64, 4 * (m * n) as u64);
-    kernel_span_end(span, flops);
+    gemm(
+        "kernel.matmul_nt",
+        a,
+        b,
+        &mut out,
+        (m, k, n),
+        DEFAULT_TILE_COLS,
+        Layout::Nt,
+        4 * (m * k + k * n),
+    );
     Tensor::from_vec(out, [m, n]).expect("gemm output length matches by construction")
 }
 
@@ -1273,24 +1291,20 @@ pub fn matmul_q8(
 ) -> Vec<f32> {
     assert_eq!(a_codes.len(), m * k, "a codes must be [m={m}, k={k}]");
     assert_eq!(b_codes.len(), k * n, "b codes must be [k={k}, n={n}]");
-    let t = threads().min(m.max(1));
-    let span = kernel_span_start("kernel.matmul_q8", m, n, k, t);
-    if k == 0 {
-        // An empty sum is exactly zero. Guarded up front because the
-        // affine parameters of an empty quantized tensor are degenerate
-        // (a range scan over no elements yields infinite zero points).
-        let flops = 4 * (m * n) as u64;
-        acct::charge(flops, 0, 4 * (m * n) as u64);
-        kernel_span_end(span, flops);
-        return vec![0.0f32; m * n];
-    }
-    let base = f64::from(a_zero) * f64::from(b_zero) * k as f64;
-    let za_sb = f64::from(a_zero) * f64::from(b_scale);
-    let zb_sa = f64::from(b_zero) * f64::from(a_scale);
-    let sa_sb = f64::from(a_scale) * f64::from(b_scale);
+    let span = kernel_span_start("kernel.matmul_q8", m, n, k);
     let mut out = vec![0.0f32; m * n];
-    let mut shared = Q8_SHARED.take();
-    if n > 0 {
+    // With k = 0 every output is an empty sum, exactly zero: skipped up
+    // front because the affine parameters of an empty quantized tensor
+    // are degenerate (a range scan over no elements yields infinite zero
+    // points). With n = 0 there is no output at all.
+    let splits = if k == 0 || n == 0 {
+        0
+    } else {
+        let base = f64::from(a_zero) * f64::from(b_zero) * k as f64;
+        let za_sb = f64::from(a_zero) * f64::from(b_scale);
+        let zb_sa = f64::from(b_zero) * f64::from(a_scale);
+        let sa_sb = f64::from(a_scale) * f64::from(b_scale);
+        let mut shared = Q8_SHARED.take();
         // Columns past the last 8-wide strip, each `k` contiguous codes,
         // and every column's code sum for the affine expansion — shared
         // by every row, computed once (excluded from the charge like
@@ -1308,13 +1322,12 @@ pub fn matmul_q8(
             }
         }
         let (narrow, col_sums) = (&*narrow, &*col_sums);
-        // Rows lo..hi into `mine`, which holds exactly those rows.
-        let row_loop = |lo: usize, hi: usize, mine: &mut [f32]| {
+        let (_, splits) = for_splits(&mut out, m, n, |lo, hi, rows| {
             let (mut run, mut acc) = Q8_ACC.take();
             let (run_s, acc_s) = (scratch(&mut run, wide), scratch(&mut acc, n));
             for (a_row, out_row) in a_codes[lo * k..hi * k]
                 .chunks_exact(k)
-                .zip(mine.chunks_exact_mut(n))
+                .zip(rows.chunks_exact_mut(n))
             {
                 let (acc_wide, acc_narrow) = acc_s.split_at_mut(wide);
                 acc_wide.fill(0);
@@ -1353,27 +1366,14 @@ pub fn matmul_q8(
                 }
             }
             Q8_ACC.set((run, acc));
-        };
-        let splits = ranges(m, t);
-        if splits.len() <= 1 {
-            // One split runs inline, with no boxed task.
-            row_loop(0, m, &mut out);
-        } else {
-            let row_loop = &row_loop;
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(splits.len());
-            let mut remaining = out.as_mut_slice();
-            for (lo, hi) in splits {
-                let (mine, rest) = remaining.split_at_mut((hi - lo) * n);
-                remaining = rest;
-                tasks.push(Box::new(move || row_loop(lo, hi, mine)));
-            }
-            run_tasks(tasks);
-        }
-    }
-    Q8_SHARED.set(shared);
+            0
+        });
+        Q8_SHARED.set(shared);
+        splits
+    };
     let flops = 2 * (m * k * n) as u64 + 4 * (m * n) as u64;
     acct::charge(flops, (m * k + k * n) as u64, 4 * (m * n) as u64);
-    kernel_span_end(span, flops);
+    kernel_span_end(span, flops, splits);
     out
 }
 
@@ -1402,46 +1402,34 @@ pub fn im2col(img: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -> 
     };
     let rows = c * kh * kw;
     let cols = out_h * out_w;
-    let t = threads().min(c.max(1));
-    let span = kernel_span_start("kernel.im2col", rows, cols, kh * kw, t);
+    let span = kernel_span_start("kernel.im2col", rows, cols, kh * kw);
     let mut out = vec![0.0f32; rows * cols];
-    {
-        let data = img.data();
-        let splits = ranges(c, t);
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(splits.len());
-        let mut remaining = out.as_mut_slice();
-        for (c_lo, c_hi) in splits {
-            let (mine, rest) = remaining.split_at_mut((c_hi - c_lo) * kh * kw * cols);
-            remaining = rest;
-            tasks.push(Box::new(move || {
-                for ch in c_lo..c_hi {
-                    for ky in 0..kh {
-                        for kx in 0..kw {
-                            let row = ((ch - c_lo) * kh + ky) * kw + kx;
-                            for oy in 0..out_h {
-                                let iy = (oy * stride + ky) as isize - pad as isize;
-                                for ox in 0..out_w {
-                                    let ix = (ox * stride + kx) as isize - pad as isize;
-                                    let col = oy * out_w + ox;
-                                    let v =
-                                        if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize
-                                        {
-                                            data[(ch * h + iy as usize) * w + ix as usize]
-                                        } else {
-                                            0.0
-                                        };
-                                    mine[row * cols + col] = v;
-                                }
-                            }
+    let data = img.data();
+    let (_, splits) = for_splits(&mut out, c, kh * kw * cols, |c_lo, c_hi, mine| {
+        for ch in c_lo..c_hi {
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let row = ((ch - c_lo) * kh + ky) * kw + kx;
+                    for oy in 0..out_h {
+                        let iy = (oy * stride + ky) as isize - pad as isize;
+                        for ox in 0..out_w {
+                            let ix = (ox * stride + kx) as isize - pad as isize;
+                            let col = oy * out_w + ox;
+                            let v = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                                data[(ch * h + iy as usize) * w + ix as usize]
+                            } else {
+                                0.0
+                            };
+                            mine[row * cols + col] = v;
                         }
                     }
                 }
-            }));
+            }
         }
-        run_tasks(tasks);
-    }
+        0
+    });
     acct::charge(0, 4 * (c * h * w) as u64, 4 * (rows * cols) as u64);
-    kernel_span_end(span, 0);
+    kernel_span_end(span, 0, splits);
     Tensor::from_vec(out, [rows, cols]).expect("im2col output length matches by construction")
 }
 
@@ -1473,233 +1461,38 @@ pub fn col2im(
         cols_mat.shape()
     );
     let cols = out_h * out_w;
-    let t = threads().min(channels.max(1));
-    let span = kernel_span_start("kernel.col2im", channels * height, width, kh * kw, t);
+    let span = kernel_span_start("kernel.col2im", channels * height, width, kh * kw);
     let mut out = vec![0.0f32; channels * height * width];
-    {
-        let data = cols_mat.data();
-        let splits = ranges(channels, t);
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(splits.len());
-        let mut remaining = out.as_mut_slice();
-        for (c_lo, c_hi) in splits {
-            let (mine, rest) = remaining.split_at_mut((c_hi - c_lo) * height * width);
-            remaining = rest;
-            tasks.push(Box::new(move || {
-                for ch in c_lo..c_hi {
-                    for ky in 0..kh {
-                        for kx in 0..kw {
-                            let row = (ch * kh + ky) * kw + kx;
-                            for oy in 0..out_h {
-                                let iy = (oy * stride + ky) as isize - pad as isize;
-                                for ox in 0..out_w {
-                                    let ix = (ox * stride + kx) as isize - pad as isize;
-                                    if iy >= 0
-                                        && iy < height as isize
-                                        && ix >= 0
-                                        && ix < width as isize
-                                    {
-                                        let col = oy * out_w + ox;
-                                        mine[((ch - c_lo) * height + iy as usize) * width
-                                            + ix as usize] += data[row * cols + col];
-                                    }
-                                }
+    let data = cols_mat.data();
+    let (_, splits) = for_splits(&mut out, channels, height * width, |c_lo, c_hi, mine| {
+        for ch in c_lo..c_hi {
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let row = (ch * kh + ky) * kw + kx;
+                    for oy in 0..out_h {
+                        let iy = (oy * stride + ky) as isize - pad as isize;
+                        for ox in 0..out_w {
+                            let ix = (ox * stride + kx) as isize - pad as isize;
+                            if iy >= 0 && iy < height as isize && ix >= 0 && ix < width as isize {
+                                let col = oy * out_w + ox;
+                                mine[((ch - c_lo) * height + iy as usize) * width + ix as usize] +=
+                                    data[row * cols + col];
                             }
                         }
                     }
                 }
-            }));
+            }
         }
-        run_tasks(tasks);
-    }
+        0
+    });
     acct::charge(
         cols_mat.len() as u64,
         4 * cols_mat.len() as u64,
         4 * out.len() as u64,
     );
-    kernel_span_end(span, cols_mat.len() as u64);
+    kernel_span_end(span, cols_mat.len() as u64, splits);
     Tensor::from_vec(out, [channels, height, width])
         .expect("col2im output length matches by construction")
-}
-
-// ----------------------------------------------------------------------
-// Elementwise map and order-preserving reduction
-// ----------------------------------------------------------------------
-
-/// Parallel [`Tensor::map`]: applies `f` to every element with the flat
-/// buffer split contiguously across threads. `f` is applied to each
-/// element independently, so any split is bit-identical — and so is the
-/// [`Kernel::Unrolled`] width-8 body (eight independent applications per
-/// iteration; no accumulation order to pin). Charges the sequential
-/// kernel's cost.
-#[must_use]
-pub fn map(t_in: &Tensor, f: impl Fn(f32) -> f32 + Send + Sync) -> Tensor {
-    let kern = kernel();
-    let len = t_in.len();
-    let t = threads().min(len.max(1));
-    let mut out = vec![0.0f32; len];
-    {
-        let data = t_in.data();
-        let splits = ranges(len, t);
-        let f = &f;
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(splits.len());
-        let mut remaining = out.as_mut_slice();
-        for (lo, hi) in splits {
-            let (mine, rest) = remaining.split_at_mut(hi - lo);
-            remaining = rest;
-            tasks.push(Box::new(move || match kern {
-                Kernel::Scalar => {
-                    for (o, &x) in mine.iter_mut().zip(&data[lo..hi]) {
-                        *o = f(x);
-                    }
-                }
-                Kernel::Unrolled => {
-                    let mut oc = mine.chunks_exact_mut(8);
-                    let mut xc = data[lo..hi].chunks_exact(8);
-                    for (o8, x8) in (&mut oc).zip(&mut xc) {
-                        o8[0] = f(x8[0]);
-                        o8[1] = f(x8[1]);
-                        o8[2] = f(x8[2]);
-                        o8[3] = f(x8[3]);
-                        o8[4] = f(x8[4]);
-                        o8[5] = f(x8[5]);
-                        o8[6] = f(x8[6]);
-                        o8[7] = f(x8[7]);
-                    }
-                    for (o, &x) in oc.into_remainder().iter_mut().zip(xc.remainder()) {
-                        *o = f(x);
-                    }
-                }
-            }));
-        }
-        run_tasks(tasks);
-    }
-    let n = len as u64;
-    acct::charge(n, 4 * n, 4 * n);
-    Tensor::from_vec(out, t_in.shape().clone()).expect("map output length matches input")
-}
-
-/// The fixed lane fold of the unrolled reductions:
-/// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`. Part of the documented
-/// accumulation order — changing this changes pinned goldens.
-#[inline]
-fn tree_reduce8(l: [f32; 8]) -> f32 {
-    ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
-}
-
-/// Full-tensor sum with kernel dispatch, charging [`Tensor::sum`]'s
-/// cost. [`Kernel::Scalar`] is bit-identical to [`Tensor::sum`]'s serial
-/// fold. [`Kernel::Unrolled`] accumulates element `i` into lane `i % 8`
-/// in ascending order and folds the lanes with the fixed tree — a
-/// single-output reduction, so it stays sequential (the lane tree is the
-/// data-level parallelism), and its bits are pinned independent of
-/// `DL_THREADS`.
-#[must_use]
-pub fn sum(t_in: &Tensor) -> f32 {
-    let n = t_in.len() as u64;
-    acct::charge(n, 4 * n, 0);
-    match kernel() {
-        Kernel::Scalar => t_in.data().iter().sum(),
-        Kernel::Unrolled => {
-            let mut lanes = [0.0f32; 8];
-            for (i, &x) in t_in.data().iter().enumerate() {
-                lanes[i % 8] += x;
-            }
-            tree_reduce8(lanes)
-        }
-    }
-}
-
-/// Vector dot product with kernel dispatch, charging [`Tensor::dot`]'s
-/// cost. [`Kernel::Scalar`] is bit-identical to [`Tensor::dot`].
-/// [`Kernel::Unrolled`] fuses each product into lane `i % 8` with
-/// [`f32::mul_add`] in ascending order and folds with the fixed tree.
-///
-/// # Panics
-/// Panics when operands are not vectors of equal length.
-#[must_use]
-pub fn dot(a: &Tensor, b: &Tensor) -> f32 {
-    assert_eq!(a.rank(), 1, "dot requires vectors");
-    assert_eq!(b.rank(), 1, "dot requires vectors");
-    assert_eq!(a.len(), b.len(), "dot requires equal lengths");
-    let n = a.len() as u64;
-    acct::charge(2 * n, 8 * n, 0);
-    match kernel() {
-        Kernel::Scalar => a.data().iter().zip(b.data()).map(|(&x, &y)| x * y).sum(),
-        Kernel::Unrolled => {
-            let mut lanes = [0.0f32; 8];
-            for (i, (&x, &y)) in a.data().iter().zip(b.data()).enumerate() {
-                lanes[i % 8] = x.mul_add(y, lanes[i % 8]);
-            }
-            tree_reduce8(lanes)
-        }
-    }
-}
-
-/// Parallel [`Tensor::sum_axis`]: the reduction is split over *output*
-/// elements, and each output element accumulates its `mid` addends in a
-/// fixed order, so the result is bit-identical at any thread count.
-/// Under [`Kernel::Scalar`] that order is the sequential kernel's
-/// ascending serial fold (== [`Tensor::sum_axis`] bitwise); under
-/// [`Kernel::Unrolled`] addend `m` goes to lane `m % 8` ascending and
-/// the lanes fold with the fixed tree. (A full serial-order
-/// [`Tensor::sum`] cannot be parallelized without reordering — see
-/// [`sum`] for the lane-tree version.) Charges the sequential kernel's
-/// cost.
-///
-/// # Panics
-/// Panics when `axis >= rank`.
-#[must_use]
-pub fn sum_axis(t_in: &Tensor, axis: usize) -> Tensor {
-    assert!(
-        axis < t_in.rank(),
-        "axis {axis} out of range for {}",
-        t_in.shape()
-    );
-    let dims = t_in.dims();
-    let outer: usize = dims[..axis].iter().product();
-    let mid = dims[axis];
-    let inner: usize = dims[axis + 1..].iter().product();
-    let out_len = outer * inner;
-    let kern = kernel();
-    let t = threads().min(out_len.max(1));
-    let mut out = vec![0.0f32; out_len];
-    {
-        let data = t_in.data();
-        let splits = ranges(out_len, t);
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(splits.len());
-        let mut remaining = out.as_mut_slice();
-        for (lo, hi) in splits {
-            let (mine, rest) = remaining.split_at_mut(hi - lo);
-            remaining = rest;
-            tasks.push(Box::new(move || {
-                for (off, o) in mine.iter_mut().enumerate() {
-                    let idx = lo + off;
-                    let (ob, i) = (idx / inner.max(1), idx % inner.max(1));
-                    *o = match kern {
-                        Kernel::Scalar => {
-                            let mut acc = 0.0f32;
-                            for m in 0..mid {
-                                acc += data[(ob * mid + m) * inner + i];
-                            }
-                            acc
-                        }
-                        Kernel::Unrolled => {
-                            let mut lanes = [0.0f32; 8];
-                            for m in 0..mid {
-                                lanes[m % 8] += data[(ob * mid + m) * inner + i];
-                            }
-                            tree_reduce8(lanes)
-                        }
-                    };
-                }
-            }));
-        }
-        run_tasks(tasks);
-    }
-    acct::charge(t_in.len() as u64, 4 * t_in.len() as u64, 4 * out_len as u64);
-    let mut new_dims = dims.to_vec();
-    new_dims.remove(axis);
-    Tensor::from_vec(out, new_dims).expect("sum_axis output length matches by construction")
 }
 
 #[cfg(test)]
@@ -1900,72 +1693,6 @@ mod tests {
     }
 
     #[test]
-    fn map_and_sum_axis_bitwise_equal_sequential() {
-        let mut r = init::rng(5);
-        let x = init::uniform([7, 11], -2.0, 2.0, &mut r);
-        let want_map = x.map(|v| v * 1.5 - 0.25);
-        let want_rows = x.sum_axis(0);
-        let want_cols = x.sum_axis(1);
-        for &t in &thread_counts() {
-            let (m2, r0, r1) = with_kernel(Kernel::Scalar, || {
-                with_threads(t, || {
-                    (
-                        map(&x, |v| v * 1.5 - 0.25),
-                        sum_axis(&x, 0),
-                        sum_axis(&x, 1),
-                    )
-                })
-            });
-            assert_eq!(m2.data(), want_map.data(), "map threads {t}");
-            assert_eq!(r0.data(), want_rows.data(), "sum_axis(0) threads {t}");
-            assert_eq!(r1.data(), want_cols.data(), "sum_axis(1) threads {t}");
-        }
-        // Map is kernel-independent bitwise; unrolled sum_axis is pinned
-        // across thread counts.
-        let (m_u, r_u) = with_kernel(Kernel::Unrolled, || {
-            with_threads(1, || (map(&x, |v| v * 1.5 - 0.25), sum_axis(&x, 0)))
-        });
-        assert_eq!(m_u.data(), want_map.data(), "map must not depend on kernel");
-        for &t in &thread_counts() {
-            let r = with_kernel(Kernel::Unrolled, || with_threads(t, || sum_axis(&x, 0)));
-            assert_eq!(r.data(), r_u.data(), "unrolled sum_axis threads {t}");
-        }
-    }
-
-    #[test]
-    fn sum_and_dot_scalar_match_tensor_bitwise_and_unrolled_are_pinned() {
-        let mut r = init::rng(77);
-        let x = init::uniform([203], -2.0, 2.0, &mut r);
-        let y = init::uniform([203], -2.0, 2.0, &mut r);
-        let s_scalar = with_kernel(Kernel::Scalar, || sum(&x));
-        assert_eq!(s_scalar.to_bits(), x.sum().to_bits());
-        let d_scalar = with_kernel(Kernel::Scalar, || dot(&x, &y));
-        assert_eq!(d_scalar.to_bits(), x.dot(&y).to_bits());
-        // Unrolled: deterministic (same bits every call), close to scalar.
-        let s_u = with_kernel(Kernel::Unrolled, || sum(&x));
-        assert_eq!(
-            s_u.to_bits(),
-            with_kernel(Kernel::Unrolled, || sum(&x)).to_bits()
-        );
-        assert!((s_u - s_scalar).abs() <= 1e-3 * s_scalar.abs().max(1.0));
-        let d_u = with_kernel(Kernel::Unrolled, || dot(&x, &y));
-        assert_eq!(
-            d_u.to_bits(),
-            with_kernel(Kernel::Unrolled, || dot(&x, &y)).to_bits()
-        );
-        assert!((d_u - d_scalar).abs() <= 1e-3 * d_scalar.abs().max(1.0));
-        // Both kernels charge the sequential cost.
-        let (_, want_sum) = acct::measure(|| x.sum());
-        let (_, want_dot) = acct::measure(|| x.dot(&y));
-        for kern in [Kernel::Scalar, Kernel::Unrolled] {
-            let (_, cs) = acct::measure(|| with_kernel(kern, || sum(&x)));
-            assert_eq!(cs, want_sum);
-            let (_, cd) = acct::measure(|| with_kernel(kern, || dot(&x, &y)));
-            assert_eq!(cd, want_dot);
-        }
-    }
-
-    #[test]
     fn parallel_matmul_charges_exactly_the_sequential_cost() {
         let a = sparse_random(33, 17, 11); // odd sizes => uneven splits
         let b = sparse_random(17, 29, 12);
@@ -1978,17 +1705,6 @@ mod tests {
                     acct::measure(|| with_kernel(kern, || with_threads(t, || matmul(&a, &b))));
                 assert_eq!(par_cost, seq, "{kern:?} threads {t}: OpCost diverged");
             }
-        }
-        // The other kernels too.
-        let (_, seq_map) = acct::measure(|| a.map(|v| v + 1.0));
-        let (_, seq_red) = acct::measure(|| a.sum_axis(0));
-        for kern in [Kernel::Scalar, Kernel::Unrolled] {
-            let (_, par_map) =
-                acct::measure(|| with_kernel(kern, || with_threads(3, || map(&a, |v| v + 1.0))));
-            assert_eq!(par_map, seq_map);
-            let (_, par_red) =
-                acct::measure(|| with_kernel(kern, || with_threads(3, || sum_axis(&a, 0))));
-            assert_eq!(par_red, seq_red);
         }
     }
 
@@ -2141,5 +1857,46 @@ mod tests {
         let null = dl_obs::NullRecorder::new();
         let quiet = with_kernel(Kernel::Scalar, || with_recorder(&null, || matmul(&a, &b)));
         assert_eq!(quiet.data(), traced.data());
+    }
+
+    #[test]
+    fn kernel_spans_record_the_splits_they_ran() {
+        // Five rows at four threads split as 2 + 2 + 1: three splits, not
+        // four.
+        let a = sparse_random(5, 3, 23);
+        let b = sparse_random(3, 4, 24);
+        let ac = codes(5 * 3, 5);
+        let bc = codes(3 * 4, 6);
+        let img = sparse_random(2, 16, 25).reshape([2, 4, 4]).unwrap();
+        for (t, want) in [(1, 1), (2, 2), (4, 3), (9, 5)] {
+            let rec = dl_obs::TimelineRecorder::new();
+            with_recorder(&rec, || {
+                with_threads(t, || {
+                    let _ = matmul(&a, &b);
+                    let _ = matmul_q8(&ac, 0.1, 0.0, &bc, 0.2, -1.0, 5, 3, 4);
+                    let _ = im2col(&img, 2, 2, 1, 0);
+                })
+            });
+            let ends: Vec<_> = rec
+                .events()
+                .iter()
+                .filter(|e| e.kind == dl_obs::EventKind::SpanEnd)
+                .map(|e| {
+                    let splits = e.fields.iter().find(|(k, _)| k == "threads");
+                    (e.name, splits.and_then(|(_, v)| v.as_u64()))
+                })
+                .collect();
+            // im2col splits its two channels.
+            let conv = want.min(2);
+            assert_eq!(
+                ends,
+                [
+                    ("kernel.matmul", Some(want)),
+                    ("kernel.matmul_q8", Some(want)),
+                    ("kernel.im2col", Some(conv)),
+                ],
+                "threads {t}"
+            );
+        }
     }
 }
