@@ -5,6 +5,8 @@
 //! first. `no_batching()` (batch 1, zero delay) is the baseline every
 //! speedup claim in E25 is measured against.
 
+use dl_trace::FlushTrigger;
+
 /// Flush policy for the per-variant queues.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchPolicy {
@@ -42,29 +44,33 @@ impl BatchPolicy {
         }
     }
 
-    /// Is a queue of `len` requests whose head arrived at `head_arrival_s`
-    /// ready to flush at time `now_s`? (`drain` marks that no further
-    /// arrivals can ever top the batch up, so waiting is pointless.)
+    /// When a queue of `len` requests whose head arrived at
+    /// `head_arrival_s` flushes, and why, judged at `now_s`; `None` when
+    /// the queue is empty. A full queue is due at its head arrival, a
+    /// queue under `drain` (no further arrivals can top the batch up, so
+    /// waiting is pointless) at `now_s`, and any other once its head has
+    /// waited `max_delay_s`, in that precedence.
     ///
-    /// The age test compares against `head_arrival_s + max_delay_s` — the
-    /// exact expression [`Self::next_deadline`] returns — so an event loop
-    /// stepping to that deadline always observes the queue as ready
-    /// (`now - head >= delay` can round the other way in f64).
+    /// A queue is due when this time is `<= now_s`. The aged time is the
+    /// exact expression an event loop steps to, so stepping to it always
+    /// finds the queue due (`now - head >= delay` can round the other way
+    /// in f64).
     #[must_use]
-    pub fn ready(&self, len: usize, head_arrival_s: f64, now_s: f64, drain: bool) -> bool {
-        len > 0 && (len >= self.max_batch || drain || now_s >= head_arrival_s + self.max_delay_s)
-    }
-
-    /// The earliest future time a queue of `len` requests with the given
-    /// head arrival could trigger a flush on its own (`None` when empty).
-    #[must_use]
-    pub fn next_deadline(&self, len: usize, head_arrival_s: f64) -> Option<f64> {
+    pub fn flush_at(
+        &self,
+        len: usize,
+        head_arrival_s: f64,
+        now_s: f64,
+        drain: bool,
+    ) -> Option<(f64, FlushTrigger)> {
         if len == 0 {
             None
         } else if len >= self.max_batch {
-            Some(head_arrival_s) // already ready; flush as soon as possible
+            Some((head_arrival_s, FlushTrigger::Full))
+        } else if drain {
+            Some((now_s, FlushTrigger::Drain))
         } else {
-            Some(head_arrival_s + self.max_delay_s)
+            Some((head_arrival_s + self.max_delay_s, FlushTrigger::Aged))
         }
     }
 }
@@ -76,20 +82,67 @@ mod tests {
     #[test]
     fn no_batching_flushes_every_single_request() {
         let p = BatchPolicy::no_batching();
-        assert!(p.ready(1, 5.0, 5.0, false));
-        assert!(!p.ready(0, 0.0, 1.0, true));
+        assert_eq!(
+            p.flush_at(1, 5.0, 5.0, false),
+            Some((5.0, FlushTrigger::Full))
+        );
+        assert_eq!(
+            p.flush_at(0, 0.0, 1.0, true),
+            None,
+            "empty: nothing to flush"
+        );
     }
 
     #[test]
     fn dynamic_waits_until_full_or_aged() {
         let p = BatchPolicy::dynamic(4, 1e-3);
-        assert!(!p.ready(2, 0.0, 0.5e-3, false), "young and short: wait");
-        assert!(p.ready(4, 0.0, 0.0, false), "full batch: go");
-        assert!(p.ready(1, 0.0, 1e-3, false), "aged out: go");
-        assert!(p.ready(2, 0.0, 0.5e-3, true), "drain: no arrivals left");
-        assert_eq!(p.next_deadline(0, 0.0), None);
-        assert_eq!(p.next_deadline(2, 3.0), Some(3.0 + 1e-3));
-        assert_eq!(p.next_deadline(4, 3.0), Some(3.0));
+        let due = |len, head, now, drain| {
+            p.flush_at(len, head, now, drain)
+                .filter(|&(t, _)| t <= now)
+                .map(|(_, trigger)| trigger)
+        };
+        assert_eq!(due(2, 0.0, 0.5e-3, false), None, "young and short: wait");
+        assert_eq!(due(4, 0.0, 0.0, false), Some(FlushTrigger::Full));
+        assert_eq!(due(1, 0.0, 1e-3, false), Some(FlushTrigger::Aged));
+        assert_eq!(due(2, 0.0, 0.5e-3, true), Some(FlushTrigger::Drain));
+        assert_eq!(p.flush_at(0, 0.0, 0.0, false), None);
+        assert_eq!(p.flush_at(0, 3.0, 9.0, true), None);
+    }
+
+    #[test]
+    fn full_beats_drain_beats_aged() {
+        let p = BatchPolicy::dynamic(4, 1e-3);
+        // A full queue is due at its head arrival, drain or not.
+        assert_eq!(
+            p.flush_at(4, 3.0, 7.0, true),
+            Some((3.0, FlushTrigger::Full))
+        );
+        assert_eq!(
+            p.flush_at(5, 3.0, 7.0, false),
+            Some((3.0, FlushTrigger::Full))
+        );
+        // Short of full, drain flushes at once, even an aged head.
+        assert_eq!(
+            p.flush_at(3, 3.0, 7.0, true),
+            Some((7.0, FlushTrigger::Drain))
+        );
+        assert_eq!(
+            p.flush_at(3, 3.0, 7.0, false).map(|f| f.1),
+            Some(FlushTrigger::Aged)
+        );
+    }
+
+    #[test]
+    fn aged_time_is_exactly_head_plus_delay() {
+        // Values where `now - head >= delay` rounds the other way: the
+        // deadline is the sum itself, so stepping to it finds it due.
+        for (head, delay) in [(0.1, 0.2), (1e6 + 0.3, 5e-6), (3.0, 1e-3), (0.7, 0.0)] {
+            let p = BatchPolicy::dynamic(8, delay);
+            let (t, trigger) = p.flush_at(1, head, 0.0, false).expect("non-empty");
+            assert_eq!(trigger, FlushTrigger::Aged);
+            assert_eq!(t.to_bits(), (head + delay).to_bits());
+            assert!(p.flush_at(1, head, t, false).is_some_and(|(d, _)| d <= t));
+        }
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! byte-identical across reruns, and a fault-free one-replica cluster is
 //! single-node [`crate::serve`] — the same loop.
 //!
-//! [`Router`]: crate::Router
-//! [`Autoscaler`]: crate::Autoscaler
+//! [`Router`]: crate::router::Router
+//! [`Autoscaler`]: crate::autoscale::Autoscaler
 //! [`ReplicaEngine`]: crate::engine::ReplicaEngine
 
 use dl_distributed::FaultPlan;
@@ -28,7 +28,7 @@ use dl_obs::Recorder;
 
 use crate::autoscale::AutoscaleConfig;
 use crate::engine::{assemble_report, ServeConfig};
-use crate::event_loop::{run, Weights};
+use crate::event_loop::run;
 use crate::load::Request;
 use crate::report::ServeReport;
 use crate::router::RouterPolicy;
@@ -229,14 +229,8 @@ pub fn serve_cluster(
         assert!(r.id == i as u64, "request ids must be dense 0..n");
     }
     let n = requests.len();
-    let (replicas, tally) = run(
-        Weights::Shared(registry),
-        data,
-        n,
-        |i| (requests[i], 0),
-        cfg,
-        rec,
-    );
+    let family = std::slice::from_ref(registry);
+    let (replicas, tally) = run(family, None, data, n, |i| (requests[i], 0), cfg, rec);
     let engines = || replicas.iter().map(|r| &r.engines[0]);
     let per_replica: Vec<ReplicaReport> = (replicas.iter().zip(engines()).enumerate())
         .map(|(i, (r, e))| ReplicaReport {

@@ -25,7 +25,7 @@ use crate::admission::{admit, AdmissionContext, AdmissionPolicy, Decision, Price
 use crate::batcher::BatchPolicy;
 use crate::cluster::ClusterConfig;
 use crate::device::DeviceModel;
-use crate::event_loop::{run, Weights};
+use crate::event_loop::run;
 use crate::load::Request;
 use crate::report::{percentile_of_sorted, ServeReport, VariantServeStats};
 use crate::variant::VariantRegistry;
@@ -61,12 +61,18 @@ struct InFlight {
 /// next event time from [`ReplicaEngine::next_completion_s`] /
 /// [`ReplicaEngine::next_flush_deadline_s`] (plus its own arrival
 /// schedule), then invokes the matching handler.
-pub struct ReplicaEngine {
+pub(crate) struct ReplicaEngine<'a> {
+    /// The caller's family: admission prices it, downgrades name its
+    /// variants, and a flush runs it unless a store holds a decoded copy.
+    family: &'a VariantRegistry,
+    cfg: &'a ServeConfig,
     track_base: u32,
-    /// Replica id recovered from the track layout (`track_base /
-    /// n_variants`), stamped on the structured serving samples the
-    /// monitor tier consumes.
-    replica: u32,
+    /// The execution stream this engine runs, `replica × families +
+    /// family` (the replica id when one family is served), stamped as
+    /// `replica` on the structured serving samples the monitor and trace
+    /// tiers consume. Waterfalls measure queue wait from the previous
+    /// batch end on the same stream, and each family runs its own.
+    stream: u32,
     primary: usize,
     /// Per-variant queues of requests, each flagged when downgraded.
     queues: Vec<VecDeque<(Request, bool)>>,
@@ -95,29 +101,31 @@ pub struct ReplicaEngine {
     batch_seq: u64,
 }
 
-impl ReplicaEngine {
-    /// A fresh, idle replica. `track_base` offsets the dl-obs track ids
-    /// this replica emits on (replica `r` of an `n`-variant family uses
-    /// tracks `r * n .. (r + 1) * n`, so single-node serving — base 0 —
-    /// keeps its historical track layout).
+impl<'a> ReplicaEngine<'a> {
+    /// A fresh, idle engine serving `family` under `cfg` on execution
+    /// stream `stream`. Stream `s` of an `n`-variant family emits on the
+    /// dl-obs tracks `s * n .. (s + 1) * n`, so single-node serving —
+    /// stream 0 — keeps its historical track layout.
     ///
     /// # Panics
     /// Panics when the configured primary variant is unknown.
-    pub fn new(registry: &VariantRegistry, cfg: &ServeConfig, track_base: u32) -> Self {
-        let primary = registry
+    pub(crate) fn new(family: &'a VariantRegistry, cfg: &'a ServeConfig, stream: u32) -> Self {
+        let primary = family
             .index_of(&cfg.primary)
             .unwrap_or_else(|| panic!("unknown primary variant {:?}", cfg.primary));
-        let n_variants = registry.variants.len();
+        let n_variants = family.variants.len();
         ReplicaEngine {
-            track_base,
-            replica: track_base / n_variants.max(1) as u32,
+            family,
+            cfg,
+            track_base: stream * n_variants as u32,
+            stream,
             primary,
             queues: vec![VecDeque::new(); n_variants],
             queued: 0,
             queue_lens: Vec::with_capacity(n_variants),
-            prices: PriceTable::new(registry, &cfg.device, &cfg.batch),
+            prices: PriceTable::new(family, &cfg.device, &cfg.batch),
             in_flight: None,
-            stats: registry
+            stats: family
                 .variants
                 .iter()
                 .map(|v| VariantServeStats {
@@ -139,31 +147,26 @@ impl ReplicaEngine {
 
     /// When the in-flight batch (if any) completes.
     #[must_use]
-    pub fn next_completion_s(&self) -> Option<f64> {
+    pub(crate) fn next_completion_s(&self) -> Option<f64> {
         self.in_flight.as_ref().map(|fl| fl.done_s)
     }
 
-    /// The earliest time a queue could flush on its own: `None` while a
-    /// batch is in flight or every queue is empty. Under `drain` (no
-    /// future arrivals can top a batch up) waiting is pointless, so any
-    /// non-empty queue is due at `now_s`.
+    /// The earliest time a queue flushes on its own (the earliest
+    /// [`BatchPolicy::flush_at`] time over the queues): `None` while a
+    /// batch is in flight or every queue is empty.
     #[must_use]
-    pub fn next_flush_deadline_s(
-        &self,
-        batch: &BatchPolicy,
-        now_s: f64,
-        drain: bool,
-    ) -> Option<f64> {
+    pub(crate) fn next_flush_deadline_s(&self, now_s: f64, drain: bool) -> Option<f64> {
         if self.in_flight.is_some() || self.queued == 0 {
             return None;
         }
         let mut t = f64::INFINITY;
         for q in &self.queues {
             if let Some((head, _)) = q.front() {
-                let deadline = batch
-                    .next_deadline(q.len(), head.arrival_s)
-                    .expect("non-empty queue has a deadline");
-                t = t.min(if drain { now_s } else { deadline });
+                let flush = self
+                    .cfg
+                    .batch
+                    .flush_at(q.len(), head.arrival_s, now_s, drain);
+                t = t.min(flush.expect("non-empty queue flushes").0);
             }
         }
         (t < f64::INFINITY).then_some(t)
@@ -171,20 +174,20 @@ impl ReplicaEngine {
 
     /// Queued plus in-flight requests — the router's load signal.
     #[must_use]
-    pub fn load(&self) -> usize {
+    pub(crate) fn load(&self) -> usize {
         self.queued + self.in_flight.as_ref().map_or(0, |fl| fl.requests.len())
     }
 
     /// True when nothing is queued or executing.
     #[must_use]
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.in_flight.is_none() && self.queued == 0
     }
 
     /// Requests waiting in queues — work that still needs the family's
     /// weights (an in-flight batch already read them).
     #[must_use]
-    pub fn queued_len(&self) -> usize {
+    pub(crate) fn queued_len(&self) -> usize {
         self.queued
     }
 
@@ -192,7 +195,7 @@ impl ReplicaEngine {
     /// decides per request whether this completion counts (the cluster's
     /// hedging dedup; single-node passes `|_| true`). Returns whether a
     /// completion happened.
-    pub fn try_complete(
+    pub(crate) fn try_complete(
         &mut self,
         now_s: f64,
         rec: &dyn Recorder,
@@ -214,7 +217,7 @@ impl ReplicaEngine {
                     self.track_base + fl.variant as u32,
                     &ServeEvent::HedgeLoser {
                         request: req.id,
-                        replica: self.replica,
+                        replica: self.stream,
                         elapsed_s: fl.done_s - req.arrival_s,
                     },
                 );
@@ -233,7 +236,7 @@ impl ReplicaEngine {
                 self.track_base + fl.variant as u32,
                 &ServeEvent::Complete {
                     request: req.id,
-                    replica: self.replica,
+                    replica: self.stream,
                     latency_s: latency,
                     sample: Some(req.sample as u64),
                     pred: Some(fl.preds[i] as u64),
@@ -250,7 +253,7 @@ impl ReplicaEngine {
         rec.add_counter("serve.served", served as u64);
         rec.add_counter("serve.downgraded", downgrades as u64);
         let end_fields = if rec.enabled() {
-            fields! { "batch" => b, "replica" => self.replica }
+            fields! { "batch" => b, "replica" => self.stream }
         } else {
             fields!()
         };
@@ -262,19 +265,14 @@ impl ReplicaEngine {
     /// Runs one arrival through admission control and enqueues (or sheds)
     /// it. The prediction is charged `residency_delay_s` extra seconds
     /// before the family's weights are usable (a store's cold-start
-    /// signal; `0.0` for always-resident weights). `registry` and `cfg`
-    /// are the ones the engine was built with: admission reads the prices
-    /// [`ReplicaEngine::new`] took from them. Returns the controller's
-    /// decision.
-    pub fn admit_arrival(
+    /// signal; `0.0` for always-resident weights).
+    pub(crate) fn admit_arrival(
         &mut self,
         req: Request,
-        registry: &VariantRegistry,
-        cfg: &ServeConfig,
         now_s: f64,
         residency_delay_s: f64,
         rec: &dyn Recorder,
-    ) -> Decision {
+    ) {
         self.first_arrival = self.first_arrival.min(req.arrival_s);
         self.queue_lens.clear();
         self.queue_lens
@@ -289,8 +287,7 @@ impl ReplicaEngine {
             busy_remaining_s,
             residency_delay_s,
         };
-        let decision = admit(&cfg.admission, &ctx, self.primary);
-        match decision {
+        match admit(&self.cfg.admission, &ctx, self.primary) {
             Decision::Accept(v) => {
                 self.queues[v].push_back((req, false));
                 self.queued += 1;
@@ -298,7 +295,7 @@ impl ReplicaEngine {
                     self.track_base + v as u32,
                     &ServeEvent::Admit {
                         request: req.id,
-                        replica: self.replica,
+                        replica: self.stream,
                         queue: Some(self.load() as u64),
                     },
                 );
@@ -312,10 +309,10 @@ impl ReplicaEngine {
                         "serve.downgrade",
                         fields! {
                             "request" => req.id,
-                            "replica" => self.replica,
+                            "replica" => self.stream,
                             "queue" => self.load(),
-                            "from" => registry.variants[from].name.clone(),
-                            "to" => registry.variants[to].name.clone(),
+                            "from" => self.family.variants[from].name.clone(),
+                            "to" => self.family.variants[to].name.clone(),
                         },
                     );
                 }
@@ -327,24 +324,23 @@ impl ReplicaEngine {
                     self.track_base + self.primary as u32,
                     &ServeEvent::Shed {
                         request: req.id,
-                        replica: self.replica,
+                        replica: self.stream,
                     },
                 );
             }
         }
-        decision
     }
 
-    /// Flushes the readiest queue into an in-flight batch if the device is
-    /// idle and some queue is due at `now_s`. `service_factor` scales the
-    /// batch's simulated duration (cold-start warmup, stragglers; 1.0
-    /// nominal). Returns whether a batch launched.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_flush(
+    /// Flushes the oldest head whose queue is due at `now_s` (ties break
+    /// on the lower variant index) into an in-flight batch, if the device
+    /// is idle. `stored` is a store's decoded copy of the family, which
+    /// the batch then runs instead of the caller's. `service_factor`
+    /// scales the batch's simulated duration (cold-start warmup,
+    /// stragglers; 1.0 nominal). Returns whether a batch launched.
+    pub(crate) fn try_flush(
         &mut self,
-        registry: &VariantRegistry,
+        stored: Option<&VariantRegistry>,
         data: &Dataset,
-        cfg: &ServeConfig,
         now_s: f64,
         drain: bool,
         service_factor: f64,
@@ -353,28 +349,25 @@ impl ReplicaEngine {
         if self.in_flight.is_some() || self.queued == 0 {
             return false;
         }
-        // Oldest ready head wins; ties break on the lower variant index.
-        let mut ready: Option<(usize, f64)> = None;
+        let mut due: Option<(usize, f64, FlushTrigger)> = None;
         for (v, q) in self.queues.iter().enumerate() {
             let Some(&(head, _)) = q.front() else {
                 continue;
             };
-            let older = ready.is_none_or(|(_, t)| head.arrival_s.total_cmp(&t).is_lt());
-            if older && cfg.batch.ready(q.len(), head.arrival_s, now_s, drain) {
-                ready = Some((v, head.arrival_s));
+            let older = due.is_none_or(|(_, t, _)| head.arrival_s.total_cmp(&t).is_lt());
+            let flush = self
+                .cfg
+                .batch
+                .flush_at(q.len(), head.arrival_s, now_s, drain);
+            let (at, trigger) = flush.expect("non-empty queue flushes");
+            if older && at <= now_s {
+                due = Some((v, head.arrival_s, trigger));
             }
         }
-        let Some((v, _)) = ready else { return false };
-        // Why this batch flushed *now*, mirroring `BatchPolicy::ready`'s
-        // precedence: a full queue flushes regardless, drain mode flushes
-        // whatever is left, and otherwise the head request aged out.
-        let trigger = if self.queues[v].len() >= cfg.batch.max_batch {
-            FlushTrigger::Full
-        } else if drain {
-            FlushTrigger::Drain
-        } else {
-            FlushTrigger::Aged
+        let Some((v, _, trigger)) = due else {
+            return false;
         };
+        let (family, cfg) = (stored.unwrap_or(self.family), self.cfg);
         let b = self.queues[v].len().min(cfg.batch.max_batch);
         let requests: Vec<(Request, bool)> = self.queues[v].drain(..b).collect();
         self.queued -= b;
@@ -384,10 +377,10 @@ impl ReplicaEngine {
         // amortizes the per-thread launch overhead (small batches stay
         // sequential). The parallel kernels are bit-identical, so neither
         // answers nor simulated time depend on the thread count.
-        let cost = *registry.variants[v].cost_at(b);
+        let cost = *family.variants[v].cost_at(b);
         let threads = cfg.device.threads_for(&cost, dl_tensor::par::threads());
         let xb = data.x.select_rows(&samples);
-        let variant = &registry.variants[v];
+        let variant = &family.variants[v];
         let preds = dl_tensor::par::with_threads(threads, || variant.model.predict(&xb));
         let correct: Vec<bool> = preds
             .iter()
@@ -397,9 +390,9 @@ impl ReplicaEngine {
         let dur = cfg.device.service_time(&cost) * service_factor;
         let start_fields = if rec.enabled() {
             fields! {
-                "variant" => registry.variants[v].name.clone(),
+                "variant" => variant.name.clone(),
                 "batch" => b,
-                "replica" => self.replica,
+                "replica" => self.stream,
                 "seq" => self.batch_seq,
             }
         } else {
@@ -411,7 +404,7 @@ impl ReplicaEngine {
                 self.track_base + v as u32,
                 &ServeEvent::BatchJoin {
                     request: r.id,
-                    replica: self.replica,
+                    replica: self.stream,
                     seq: self.batch_seq,
                     pos: pos as u32,
                     size: b as u32,
@@ -435,12 +428,12 @@ impl ReplicaEngine {
     /// ends marked `crashed`) and every queue empties. Returns the lost
     /// requests — in-flight first, then queued in variant order — for the
     /// retry policy to re-route or discard.
-    pub fn crash_drain(&mut self, rec: &dyn Recorder) -> Vec<Request> {
+    pub(crate) fn crash_drain(&mut self, rec: &dyn Recorder) -> Vec<Request> {
         let mut lost = Vec::new();
         if let Some(fl) = self.in_flight.take() {
             rec.span_end(
                 fl.span,
-                fields! { "batch" => fl.requests.len(), "crashed" => true, "replica" => self.replica },
+                fields! { "batch" => fl.requests.len(), "crashed" => true, "replica" => self.stream },
             );
             lost.extend(fl.requests.into_iter().map(|(r, _)| r));
         }
@@ -455,9 +448,9 @@ impl ReplicaEngine {
 /// Aggregates one or more engines' accounting into a [`ServeReport`].
 /// Latencies concatenate in engine order (percentiles sort internally, so
 /// the order only fixes the f64 summation order — deterministically).
-pub(crate) fn assemble_report<'a>(
+pub(crate) fn assemble_report<'e: 'a, 'a>(
     offered: usize,
-    engines: impl IntoIterator<Item = &'a ReplicaEngine>,
+    engines: impl IntoIterator<Item = &'a ReplicaEngine<'e>>,
 ) -> ServeReport {
     let mut stats: Vec<VariantServeStats> = Vec::new();
     let mut latencies: Vec<f64> = Vec::new();
@@ -533,7 +526,8 @@ pub fn serve(
 ) -> ServeReport {
     let (n, cluster) = (requests.len(), ClusterConfig::new(1, cfg.clone()));
     let arrival = |i| (requests[i], 0);
-    let (replicas, _) = run(Weights::Shared(registry), data, n, arrival, &cluster, rec);
+    let family = std::slice::from_ref(registry);
+    let (replicas, _) = run(family, None, data, n, arrival, &cluster, rec);
     assemble_report(n, &replicas[0].engines)
 }
 
@@ -543,6 +537,8 @@ mod tests {
     use crate::load::{open_loop, LoadConfig};
     use crate::variant::{build_family, FamilyConfig};
     use dl_obs::{NullRecorder, TimelineRecorder};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn family_and_data() -> (VariantRegistry, Dataset) {
         let data = dl_data::blobs(120, 3, 8, 6.0, 0.5, 70);
@@ -709,5 +705,64 @@ mod tests {
             governed.p99_s
         );
         assert!(governed.served + governed.shed == governed.offered);
+    }
+
+    #[test]
+    fn stepping_to_the_flush_deadline_flushes_with_the_policys_trigger() {
+        let (reg, eval) = family_and_data();
+        let rows = eval.x.dims()[0];
+        for case in 0..3000u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let batch = BatchPolicy::dynamic(rng.gen_range(1..=6), rng.gen_range(0.0..4e-6));
+            let c = cfg(batch, AdmissionPolicy::AcceptAll);
+            let mut eng = ReplicaEngine::new(&reg, &c, 0);
+            // Random queue state: up to 8 requests over random variants,
+            // each queue in arrival order.
+            let mut now = 0.0f64;
+            for id in 0..rng.gen_range(1..=8u64) {
+                now += rng.gen_range(0.0..2e-6);
+                let v = rng.gen_range(0..eng.queues.len());
+                let req = Request {
+                    id,
+                    arrival_s: now,
+                    sample: rng.gen_range(0..rows),
+                };
+                eng.queues[v].push_back((req, false));
+                eng.queued += 1;
+            }
+            now += rng.gen_range(0.0..4e-6);
+            let drain = case % 2 == 1;
+            let deadline = eng.next_flush_deadline_s(now, drain).expect("queued work");
+            // The event loop never steps backwards.
+            let at = now.max(deadline);
+            let flush_at: Vec<_> = (eng.queues.iter())
+                .map(|q| {
+                    q.front()
+                        .map(|(h, _)| batch.flush_at(q.len(), h.arrival_s, at, drain))
+                })
+                .collect();
+            let rec = TimelineRecorder::new();
+            assert!(
+                eng.try_flush(None, &eval, at, drain, 1.0, &rec),
+                "case {case}: nothing flushed at the deadline {deadline} (now {now})"
+            );
+            let v = eng.in_flight.as_ref().expect("a batch launched").variant;
+            let (due_s, trigger) = flush_at[v].flatten().expect("flushed queue was non-empty");
+            assert!(
+                due_s <= at,
+                "case {case}: flushed a queue due at {due_s} > {at}"
+            );
+            let joins: Vec<FlushTrigger> = (rec.events().iter())
+                .filter_map(|e| match ServeEvent::decode(e) {
+                    Some(ServeEvent::BatchJoin { trigger, .. }) => Some(trigger),
+                    _ => None,
+                })
+                .collect();
+            assert!(!joins.is_empty(), "case {case}: batch members join");
+            assert!(
+                joins.iter().all(|&t| t == trigger),
+                "case {case}: joins {joins:?}, flush_at named {trigger:?}"
+            );
+        }
     }
 }

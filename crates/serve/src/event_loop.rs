@@ -18,7 +18,6 @@ use dl_obs::{fields, Recorder};
 use dl_trace::{DispatchKind, ServeEvent};
 
 use crate::autoscale::{replica_capacity_rps, Autoscaler};
-use crate::batcher::BatchPolicy;
 use crate::cluster::{ClusterConfig, ScaleEvent};
 use crate::engine::ReplicaEngine;
 use crate::fleet::FleetConfig;
@@ -27,33 +26,14 @@ use crate::router::Router;
 use crate::store::WeightStore;
 use crate::variant::VariantRegistry;
 
-/// Where a run's weights live.
-pub(crate) enum Weights<'a> {
-    /// One family served in place from the caller's registry: resident
-    /// on every replica, never round-tripped through a store.
-    Shared(&'a VariantRegistry),
-    /// Many families and their encoded artifacts, each replica holding
-    /// them in its own store under the fleet's budget and eviction
-    /// policy. The stores share the artifact bytes.
-    Stored(&'a [VariantRegistry], &'a [Arc<[u8]>], &'a FleetConfig),
-}
-
-impl Weights<'_> {
-    /// The caller's definition of family `m`. Admission predicts from it:
-    /// it is bit-identical to any decoded resident copy (round-trip
-    /// tested), and unlike a store's copy it exists while a fault is
-    /// still deferred.
-    fn family(&self, m: usize) -> &VariantRegistry {
-        match self {
-            Weights::Shared(reg) => reg,
-            Weights::Stored(families, ..) => &families[m],
-        }
-    }
-}
+/// Each family's encoded artifact and the fleet's store settings: with
+/// them every replica holds the families in its own store (sharing the
+/// artifact bytes) under the fleet's budget and eviction policy.
+pub(crate) type Stored<'a> = (&'a [Arc<[u8]>], &'a FleetConfig);
 
 /// One replica: an engine per family, its store, and its membership.
-pub(crate) struct Replica {
-    pub(crate) engines: Vec<ReplicaEngine>,
+pub(crate) struct Replica<'a> {
+    pub(crate) engines: Vec<ReplicaEngine<'a>>,
     /// When each family's weights become usable; flushes gate on it and
     /// admissions are charged the remainder (always 0 without a store).
     ready_s: Vec<f64>,
@@ -66,7 +46,7 @@ pub(crate) struct Replica {
     pub(crate) rejoins: usize,
 }
 
-impl Replica {
+impl Replica<'_> {
     fn live(&self) -> bool {
         self.up && !self.retired
     }
@@ -92,13 +72,7 @@ impl Replica {
     /// earliest completion under `total_cmp` (NaN never completes). With
     /// `after` set, only instants strictly later count, and loads
     /// finishing count too: the time a deferred fault should retry.
-    fn next_event(
-        &self,
-        batch: &BatchPolicy,
-        now: f64,
-        drain: bool,
-        after: Option<f64>,
-    ) -> (f64, Option<(f64, usize)>) {
+    fn next_event(&self, now: f64, drain: bool, after: Option<f64>) -> (f64, Option<(f64, usize)>) {
         let mut t = f64::INFINITY;
         let mut first_done: Option<(f64, usize)> = None;
         let mut push = |x: f64| {
@@ -113,7 +87,7 @@ impl Replica {
                     first_done = Some((c, m));
                 }
             }
-            if let Some(d) = eng.next_flush_deadline_s(batch, now, drain) {
+            if let Some(d) = eng.next_flush_deadline_s(now, drain) {
                 push(d.max(ready));
             }
             if after.is_some() {
@@ -210,7 +184,12 @@ pub(crate) struct Tally {
 }
 
 struct Sim<'a> {
-    weights: Weights<'a>,
+    /// The caller's families. Admission predicts from them: each is
+    /// bit-identical to any decoded resident copy (round-trip tested),
+    /// and unlike a store's copy it exists while a fault is deferred.
+    families: &'a [VariantRegistry],
+    /// Set when replicas hold the families in stores.
+    stored: Option<Stored<'a>>,
     data: &'a Dataset,
     cfg: &'a ClusterConfig,
     /// `cfg.faults` resolved per step for the initial replicas.
@@ -218,7 +197,7 @@ struct Sim<'a> {
     rec: &'a dyn Recorder,
     n_models: usize,
     n_variants: usize,
-    replicas: Vec<Replica>,
+    replicas: Vec<Replica<'a>>,
     router: Router,
     /// Allocated only when the retry policy can re-route or duplicate.
     per_request: Option<PerRequest>,
@@ -234,7 +213,8 @@ struct Sim<'a> {
 }
 
 /// Serves `n` arrivals — `arrival(i)` is the `i`-th request (sorted by
-/// arrival time) and its family — under `cfg`. Returns the replicas,
+/// arrival time) and its index into `families` — under `cfg`, in place
+/// or, with `stored`, from per-replica stores. Returns the replicas,
 /// holding their engines' accounting, and the run's tallies.
 ///
 /// # Panics
@@ -242,14 +222,15 @@ struct Sim<'a> {
 /// a warmup factor below 1), an unknown primary variant, a request for
 /// an unknown family, or a family whose artifact alone exceeds the
 /// store budget.
-pub(crate) fn run(
-    weights: Weights<'_>,
-    data: &Dataset,
+pub(crate) fn run<'a>(
+    families: &'a [VariantRegistry],
+    stored: Option<Stored<'a>>,
+    data: &'a Dataset,
     n: usize,
     arrival: impl Fn(usize) -> (Request, usize),
-    cfg: &ClusterConfig,
-    rec: &dyn Recorder,
-) -> (Vec<Replica>, Tally) {
+    cfg: &'a ClusterConfig,
+    rec: &'a dyn Recorder,
+) -> (Vec<Replica<'a>>, Tally) {
     assert!(cfg.replicas > 0, "need at least one replica");
     assert!(
         cfg.seconds_per_step > 0.0 && cfg.seconds_per_step.is_finite(),
@@ -258,12 +239,10 @@ pub(crate) fn run(
     assert!(cfg.warmup_factor >= 1.0, "warmup factor must be >= 1");
     let retry = cfg.retry;
     let mut sim = Sim {
-        n_models: match &weights {
-            Weights::Shared(_) => 1,
-            Weights::Stored(families, ..) => families.len(),
-        },
-        n_variants: weights.family(0).variants.len(),
-        weights,
+        n_models: families.len(),
+        n_variants: families[0].variants.len(),
+        families,
+        stored,
         data,
         cfg,
         faults: cfg.faults.table(cfg.replicas),
@@ -294,9 +273,14 @@ pub(crate) fn run(
     (sim.replicas, sim.tally)
 }
 
-impl Sim<'_> {
+impl<'a> Sim<'a> {
+    /// The execution stream of `model` on `replica`.
+    fn stream(&self, replica: usize, model: usize) -> u32 {
+        (replica * self.n_models + model) as u32
+    }
+
     fn track(&self, replica: usize, model: usize) -> u32 {
-        ((replica * self.n_models + model) * self.n_variants) as u32
+        self.stream(replica, model) * self.n_variants as u32
     }
 
     fn step_of(&self, t_s: f64) -> usize {
@@ -325,29 +309,25 @@ impl Sim<'_> {
             .is_some_and(|p| p.answered[id as usize])
     }
 
-    fn new_replica(&self, idx: usize, warm_until_s: f64) -> Replica {
-        let store = match self.weights {
-            Weights::Shared(_) => None,
-            Weights::Stored(families, artifacts, fleet) => {
-                let mut store = WeightStore::new(fleet.store_budget_bytes, fleet.eviction);
-                for (m, artifact) in artifacts.iter().enumerate() {
-                    let id = store.insert(&format!("family{m}"), Arc::clone(artifact));
-                    debug_assert_eq!(id, m);
-                }
-                // Deployment-time warmup: first-fit in id order.
-                if fleet.warm_start {
-                    for m in 0..families.len() {
-                        if store.resident_bytes() + store.artifact_bytes(m) <= store.budget_bytes()
-                        {
-                            store.preload(m);
-                        }
+    fn new_replica(&self, idx: usize, warm_until_s: f64) -> Replica<'a> {
+        let store = self.stored.map(|(artifacts, fleet)| {
+            let mut store = WeightStore::new(fleet.store_budget_bytes, fleet.eviction);
+            for (m, artifact) in artifacts.iter().enumerate() {
+                let id = store.insert(&format!("family{m}"), Arc::clone(artifact));
+                debug_assert_eq!(id, m);
+            }
+            // Deployment-time warmup: first-fit in id order.
+            if fleet.warm_start {
+                for m in 0..artifacts.len() {
+                    if store.resident_bytes() + store.artifact_bytes(m) <= store.budget_bytes() {
+                        store.preload(m);
                     }
                 }
-                Some(store)
             }
-        };
-        let engine =
-            |m| ReplicaEngine::new(self.weights.family(m), &self.cfg.engine, self.track(idx, m));
+            store
+        });
+        let (families, cfg) = (self.families, self.cfg);
+        let engine = |m| ReplicaEngine::new(&families[m], &cfg.engine, self.stream(idx, m));
         Replica {
             engines: (0..self.n_models).map(engine).collect(),
             ready_s: vec![0.0; self.n_models],
@@ -377,7 +357,7 @@ impl Sim<'_> {
             .collect();
         let mut fault_idx = 0usize;
         let mut autoscaler = cfg.autoscale.clone().map(Autoscaler::new);
-        let primary = self.weights.family(0);
+        let primary = &self.families[0];
         let capacity_rps = primary.index_of(&cfg.engine.primary).map_or(0.0, |p| {
             replica_capacity_rps(&cfg.engine.device, &primary.variants[p])
         });
@@ -397,7 +377,7 @@ impl Sim<'_> {
             // due if it is no later than the instant picked below.
             let mut first_done: Option<(f64, usize, usize)> = None;
             for (i, r) in self.replicas.iter().enumerate().filter(|(_, r)| r.live()) {
-                let (t, done) = r.next_event(&cfg.engine.batch, now, self.drain, None);
+                let (t, done) = r.next_event(now, self.drain, None);
                 t_next = t_next.min(t);
                 if let Some((d, m)) = done {
                     if first_done.is_none_or(|(f, ..)| d.total_cmp(&f).is_lt()) {
@@ -580,12 +560,9 @@ impl Sim<'_> {
                     if now < r.ready_s[m] || !r.holds(m) {
                         continue;
                     }
-                    let registry = match (&self.weights, &r.store) {
-                        (Weights::Shared(reg), _) => reg,
-                        (_, store) => store.as_ref().expect("stored weights").registry(m),
-                    };
+                    let stored = r.store.as_ref().map(|s| s.registry(m));
                     let (data, drain) = (self.data, self.drain);
-                    r.engines[m].try_flush(registry, data, &cfg.engine, now, drain, factor, rec);
+                    r.engines[m].try_flush(stored, data, now, drain, factor, rec);
                 }
                 // Families evicted from under their own queue fault back
                 // in; a blocked fault retries at the replica's next event.
@@ -741,9 +718,8 @@ impl Sim<'_> {
         if residency_s > 0.0 {
             self.tally.cold_request_ids.push(req.id);
         }
-        let (registry, cfg) = (self.weights.family(model), &self.cfg.engine);
         let engine = &mut self.replicas[i].engines[model];
-        let _ = engine.admit_arrival(req, registry, cfg, now, residency_s, self.rec);
+        engine.admit_arrival(req, now, residency_s, self.rec);
     }
 
     /// Makes `model` resident on replica `i`, evicting only families that
@@ -772,7 +748,7 @@ impl Sim<'_> {
             }
             None => {
                 let load_s = store.load_seconds(model, device);
-                let (next, _) = r.next_event(&cfg.engine.batch, now, self.drain, Some(now));
+                let (next, _) = r.next_event(now, self.drain, Some(now));
                 let retry = if next.is_finite() { next } else { now + load_s };
                 r.ready_s[model] = retry;
                 retry - now + load_s

@@ -21,33 +21,33 @@
 //!    latency histogram through any `Recorder`, bit-identical under
 //!    `NullRecorder`.
 //!
-//! 5. **Cluster tier** ([`serve_cluster`]): N [`engine::ReplicaEngine`]s
-//!    behind a deterministic [`Router`] (round-robin, least-loaded,
+//! 5. **Cluster tier** ([`serve_cluster`]): N replica engines behind a
+//!    deterministic router ([`RouterPolicy`]: round-robin, least-loaded,
 //!    power-of-two-choices) on one shared clock, chaos-tested through
 //!    `dl_distributed::FaultPlan` — replica crashes with bounded
 //!    [`RetryPolicy`] re-routing and hedged duplicates, MTTR rejoins with
 //!    cold-queue warmup, degraded links inflating dispatch latency,
-//!    per-replica stragglers — plus a reactive [`Autoscaler`] sizing the
-//!    fleet from the observed arrival rate and the family's measured
+//!    per-replica stragglers — plus a reactive autoscaler
+//!    ([`AutoscaleConfig`]) sizing the fleet from the observed arrival rate and the family's measured
 //!    cost tables.
 //! 6. **Persistence & multi-model tier** ([`save_family`] /
-//!    [`WeightStore`] / [`serve_fleet`]): whole variant families
+//!    [`serve_fleet`]): whole variant families
 //!    round-trip bit-identically through `dl-store` artifacts (int8
-//!    codes stored packed, never dequantized), a memory-budgeted
-//!    [`WeightStore`] hosts many families with LRU or
-//!    `dl_memsched`-priced cost-aware eviction, and [`serve_fleet`]
+//!    codes stored packed, never dequantized), a memory-budgeted weight
+//!    store per replica hosts many families with LRU or
+//!    `dl_memsched`-priced cost-aware eviction ([`EvictionPolicy`]), and [`serve_fleet`]
 //!    serves model-tagged traffic with residency-aware routing and
 //!    cold-start-aware admission.
 //!
 //! Items 4–6 are one event loop, not three: it steps replicas × families
-//! of [`engine::ReplicaEngine`]s in one written priority order
+//! of replica engines in one written priority order
 //! (completion → membership → activation → delivery → hedge → arrival →
 //! autoscale → flush, where each replica's flush serves its resident,
 //! ready families first and then faults back in families evicted from
 //! under their own queue). [`serve`] runs it with one replica, one family
 //! and no faults; [`serve_cluster`] with one family served in place plus
 //! faults, retries, hedging, dispatch delay and the autoscaler;
-//! [`serve_fleet`] with a per-replica [`WeightStore`]. A fault-free
+//! [`serve_fleet`] with a per-replica weight store. A fault-free
 //! one-replica cluster or a preloaded one-family fleet *is* single-node
 //! serving — the same loop.
 //!
@@ -56,23 +56,23 @@
 //! rather than estimated); the deploy-stage focus follows *Engineering
 //! Reliable Deep Learning Systems*.
 
-pub mod admission;
-pub mod autoscale;
-pub mod batcher;
-pub mod cluster;
-pub mod device;
-pub mod engine;
+mod admission;
+mod autoscale;
+mod batcher;
+mod cluster;
+mod device;
+mod engine;
 mod event_loop;
-pub mod fleet;
-pub mod load;
-pub mod persist;
-pub mod report;
-pub mod router;
-pub mod store;
-pub mod variant;
+mod fleet;
+mod load;
+mod persist;
+mod report;
+mod router;
+mod store;
+mod variant;
 
-pub use admission::{admit, AdmissionContext, AdmissionPolicy, Decision, PriceTable};
-pub use autoscale::{replica_capacity_rps, AutoscaleConfig, Autoscaler};
+pub use admission::{AdmissionPolicy, PriceTable};
+pub use autoscale::{replica_capacity_rps, AutoscaleConfig};
 pub use batcher::BatchPolicy;
 pub use cluster::{
     serve_cluster, ClusterConfig, ClusterReport, ReplicaReport, RetryPolicy, ScaleEvent,
@@ -83,6 +83,6 @@ pub use fleet::{serve_fleet, FleetConfig, FleetReport, ModelRequest};
 pub use load::{bursty, open_loop, BurstConfig, LoadConfig, Request};
 pub use persist::{load_family, save_family};
 pub use report::{percentile, ServeReport, VariantServeStats};
-pub use router::{Router, RouterPolicy};
-pub use store::{EvictionPolicy, FetchOutcome, WeightStore};
+pub use router::RouterPolicy;
+pub use store::EvictionPolicy;
 pub use variant::{build_family, FamilyConfig, Variant, VariantModel, VariantRegistry};

@@ -120,28 +120,10 @@ impl WeightStore {
         self.families.len() - 1
     }
 
-    /// Registered family count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.families.len()
-    }
-
-    /// True when no family is registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.families.is_empty()
-    }
-
     /// The byte budget.
     #[must_use]
     pub fn budget_bytes(&self) -> u64 {
         self.budget_bytes
-    }
-
-    /// The registered family's name.
-    #[must_use]
-    pub fn name(&self, id: usize) -> &str {
-        &self.families[id].name
     }
 
     /// The family's artifact footprint in bytes — what residency costs.
@@ -177,17 +159,6 @@ impl WeightStore {
             bytes_read: self.families[id].artifact.len() as u64,
             bytes_written: 0,
         })
-    }
-
-    /// The residency delay an arrival for `id` would see: zero when warm,
-    /// the modeled load time when cold.
-    #[must_use]
-    pub fn residency_delay_s(&self, id: usize, device: &DeviceModel) -> f64 {
-        if self.is_resident(id) {
-            0.0
-        } else {
-            self.load_seconds(id, device)
-        }
     }
 
     /// Forces the family resident without charging time or emitting
@@ -236,30 +207,16 @@ impl WeightStore {
         }
     }
 
-    /// Makes the family resident, evicting as needed, and returns what it
-    /// cost. Warm fetches touch the recency state and return zero load
-    /// time without recording anything; cold fetches emit one
+    /// Makes the family resident, evicting as needed among the families
+    /// the caller marks `evictable` (indexed by family id), and returns
+    /// what it cost. Warm fetches touch the recency state and return
+    /// zero load time without recording anything; cold fetches emit one
     /// `store.evict` instant per victim and one `store.load` instant, on
-    /// `track`.
-    pub fn fetch(
-        &mut self,
-        id: usize,
-        device: &DeviceModel,
-        track: u32,
-        rec: &dyn Recorder,
-    ) -> FetchOutcome {
-        let all = vec![true; self.families.len()];
-        self.fetch_guarded(id, device, &all, track, rec)
-            .expect("insert checked the artifact fits an empty store")
-    }
-
-    /// [`Self::fetch`] restricted to evicting only families the caller
-    /// marks `evictable` (indexed by family id). Returns `None` — with
-    /// no state change and no events — when the artifact cannot fit
-    /// without evicting a protected family; callers use this to shield
-    /// families that are mid-load or still owe queued work, deferring
-    /// the fault instead of stealing a contended slot (which would
-    /// live-lock two queues over one slot).
+    /// `track`. Returns `None` — with no state change and no events —
+    /// when the artifact cannot fit without evicting a protected family;
+    /// callers use this to shield families that are mid-load or still
+    /// owe queued work, deferring the fault instead of stealing a
+    /// contended slot (which would live-lock two queues over one slot).
     pub fn fetch_guarded(
         &mut self,
         id: usize,
@@ -372,6 +329,21 @@ mod tests {
                 seed,
             },
         )
+    }
+
+    impl WeightStore {
+        /// A fetch free to evict any resident.
+        fn fetch(
+            &mut self,
+            id: usize,
+            device: &DeviceModel,
+            track: u32,
+            rec: &dyn Recorder,
+        ) -> FetchOutcome {
+            let all = vec![true; self.families.len()];
+            self.fetch_guarded(id, device, &all, track, rec)
+                .expect("insert checked the artifact fits an empty store")
+        }
     }
 
     fn two_family_store(policy: EvictionPolicy) -> (WeightStore, u64) {

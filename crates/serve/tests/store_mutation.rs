@@ -21,9 +21,9 @@
 //! that reproduces it. The named regression tests at the end pin the
 //! hostile families that panicked before `load_family` checked them.
 
-use dl_serve::variant::VariantModel;
 use dl_serve::{
     build_family, load_family, save_family, BatchPolicy, DeviceModel, FamilyConfig, PriceTable,
+    VariantModel,
 };
 use dl_store::{checksum, load_network, Artifact, ArtifactBuilder, Dtype, HParam, StoreError};
 use dl_tensor::Tensor;

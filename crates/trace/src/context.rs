@@ -137,6 +137,13 @@ pub mod names {
 /// primary, and an unknown batch `trigger` puts the event outside the
 /// schema. `serve.downgrade`'s variant names are not decoded: no tap
 /// reads them.
+///
+/// The `replica` a serving engine stamps (admit, downgrade, shed, batch
+/// join and end, completion, hedge loser) is its execution stream: the
+/// replica index when one family is served, and `replica × families +
+/// family` in a multi-family fleet, where each family on a replica runs
+/// its own stream. Queue wait is measured from the previous batch end on
+/// the same stream. Dispatch, crash and rejoin carry the replica index.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServeEvent {
     /// `serve.dispatch`: a router decision.
@@ -154,34 +161,34 @@ pub enum ServeEvent {
     Admit {
         /// Request id.
         request: u64,
-        /// Admitting replica.
+        /// Admitting execution stream.
         replica: u32,
-        /// The replica's queued + in-flight load after the admit.
+        /// The stream's queued + in-flight load after the admit.
         queue: Option<u64>,
     },
     /// `serve.downgrade`: admitted onto a cheaper variant.
     Downgrade {
         /// Request id.
         request: u64,
-        /// Admitting replica.
+        /// Admitting execution stream.
         replica: u32,
-        /// The replica's queued + in-flight load after the admit.
+        /// The stream's queued + in-flight load after the admit.
         queue: Option<u64>,
     },
     /// `serve.shed`: rejected by admission control.
     Shed {
         /// Request id.
         request: u64,
-        /// Shedding replica.
+        /// Shedding execution stream.
         replica: u32,
     },
     /// `serve.batch_join`: batch membership at flush.
     BatchJoin {
         /// Request id.
         request: u64,
-        /// Replica that formed the batch.
+        /// Execution stream that formed the batch.
         replica: u32,
-        /// Per-replica batch sequence number.
+        /// Per-stream batch sequence number.
         seq: u64,
         /// Position inside the batch.
         pos: u32,
@@ -194,7 +201,7 @@ pub enum ServeEvent {
     Complete {
         /// Request id.
         request: u64,
-        /// Serving replica.
+        /// Serving execution stream.
         replica: u32,
         /// Simulated end-to-end latency in seconds.
         latency_s: f64,
@@ -209,7 +216,7 @@ pub enum ServeEvent {
     HedgeLoser {
         /// Request id.
         request: u64,
-        /// Replica that ran the losing copy.
+        /// Execution stream that ran the losing copy.
         replica: u32,
         /// Seconds of wasted duplicate work.
         elapsed_s: f64,
@@ -236,9 +243,9 @@ pub enum ServeEvent {
         /// The rejoining replica.
         replica: u32,
     },
-    /// End edge of a `serve.batch` span: the replica's device went idle.
+    /// End edge of a `serve.batch` span: the stream's device went idle.
     BatchEnd {
-        /// Replica whose batch ended (required).
+        /// Execution stream whose batch ended (required).
         replica: u32,
     },
 }
