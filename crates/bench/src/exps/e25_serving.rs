@@ -11,12 +11,13 @@
 //! from one teacher) populates the tradeoff navigator under
 //! `Category::Serving`, so a memory or latency budget picks a variant.
 
+use super::{load, serving_family};
 use crate::table::{bytes, col, fixed, text, us, Column, ExperimentResult};
 use dl_core::{Category, Constraint, Metrics, Registry, Technique, TradeoffNavigator};
 use dl_obs::{fields, Fields, NullRecorder, TimelineRecorder, ToFields};
 use dl_serve::{
-    build_family, open_loop, serve, AdmissionPolicy, BatchPolicy, DeviceModel, FamilyConfig,
-    LoadConfig, ServeConfig, ServeReport, VariantRegistry,
+    replica_capacity_rps, serve, AdmissionPolicy, BatchPolicy, DeviceModel, ServeConfig,
+    ServeReport, VariantRegistry,
 };
 
 /// The p99 latency objective every sweep cell is judged against.
@@ -35,15 +36,8 @@ fn serve_cell(
     cfg: &ServeConfig,
     rec: &dyn dl_obs::Recorder,
 ) -> ServeReport {
-    let load = open_loop(
-        &LoadConfig {
-            rate_rps,
-            requests,
-            seed,
-        },
-        eval.x.dims()[0],
-    );
-    serve(registry, eval, &load, cfg, rec)
+    let requests = load(rate_rps, requests, seed, eval.x.dims()[0]);
+    serve(registry, eval, &requests, cfg, rec)
 }
 
 fn cell_record(label: &str, policy: &str, rate_rps: f64, r: &ServeReport) -> Fields {
@@ -84,22 +78,7 @@ const NAVIGATOR: &[Column] = &[
 
 /// Runs the experiment.
 pub fn run() -> ExperimentResult {
-    let data = dl_data::blobs(400, 5, 16, 2.4, 1.1, 90);
-    let eval = dl_data::blobs(200, 5, 16, 2.4, 1.1, 91);
-    let family = build_family(
-        &data,
-        &eval,
-        &FamilyConfig {
-            teacher_dims: vec![16, 64, 64, 5],
-            student_hidden: vec![16],
-            prune_sparsity: 0.8,
-            morph_budget: 1200,
-            ensemble_members: 3,
-            max_batch: 32,
-            epochs: 24,
-            seed: 92,
-        },
-    );
+    let (family, eval) = serving_family();
     let device = DeviceModel::nominal();
     let dynamic = BatchPolicy::dynamic(32, 8e-6);
 
@@ -124,7 +103,7 @@ pub fn run() -> ExperimentResult {
     // --- pillar 1: sustainable rate, batch=1 vs dynamic -------------------
     let base = &family.variants[0];
     let cap1 = 1.0 / device.service_time(base.cost_at(1));
-    let cap_dyn = 32.0 / device.service_time(base.cost_at(32));
+    let cap_dyn = replica_capacity_rps(&device, base);
     let rates: Vec<f64> = [0.5, 1.0, 2.0, 4.0, 8.0].iter().map(|m| m * cap1).collect();
     let mut best_single = 0.0f64;
     let mut best_single_thr = 0.0f64;

@@ -17,48 +17,17 @@
 //! matrices are filled by a closed-form formula (no RNG) so measured
 //! `nnz`-dependent FLOPs are environment-independent too.
 
-use std::time::Instant;
-
+use super::{best_us, filled};
 use crate::table::{col, text, Column, ExperimentResult};
 use dl_core::{Category, Metrics, Registry, Technique};
 use dl_obs::{fields, Fields};
-use dl_tensor::{acct, par, Tensor};
+use dl_tensor::{acct, par};
 
 /// Thread counts the sweep exercises (the pool handles counts beyond the
 /// physical cores; the speedup columns just won't scale there).
 const THREADS: [usize; 3] = [1, 2, 4];
 /// Output-column tile widths for the blocked kernel.
 const TILES: [usize; 3] = [32, 128, 512];
-/// Timing repetitions per cell; the minimum is reported.
-const REPS: usize = 3;
-
-/// Deterministic, RNG-free matrix fill: ~25% exact zeros (exercising the
-/// kernel's sparse skip and its nnz accounting) and values in [-1, 1].
-fn filled(rows: usize, cols: usize, salt: usize) -> Tensor {
-    let data: Vec<f32> = (0..rows * cols)
-        .map(|i| {
-            if (i + salt).is_multiple_of(4) {
-                0.0
-            } else {
-                let h = (i.wrapping_mul(2_654_435_761).wrapping_add(salt * 97)) % 1000;
-                h as f32 / 499.5 - 1.0
-            }
-        })
-        .collect();
-    Tensor::from_vec(data, [rows, cols]).expect("length matches by construction")
-}
-
-/// Minimum wall-clock microseconds over `REPS` runs of `f`.
-fn best_us(mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e6);
-    }
-    best
-}
-
 /// Wall-clock cells are string fields, which the baseline leaves out.
 const GEMM: &[Column] = &[
     col("shape", "shape", text),

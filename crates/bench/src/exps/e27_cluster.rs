@@ -12,29 +12,16 @@
 //! `VirtualClock`, so every cell is byte-reproducible and the whole
 //! experiment is gated by `BENCH_E27.json`.
 
+use super::{
+    cluster_engine, cluster_family, crash_storm, degraded_replica, straggler_tail, CLUSTER_SLO_S,
+};
 use crate::table::{col, pct, text, us, Column, ExperimentResult};
 use dl_core::{Category, Constraint, Metrics, Registry, Technique, TradeoffNavigator};
-use dl_distributed::{FaultEvent, FaultPlan, FaultProfile};
 use dl_obs::{fields, Fields, NullRecorder, Recorder, ToFields};
 use dl_serve::{
-    build_family, bursty, open_loop, serve_cluster, AdmissionPolicy, AutoscaleConfig, BatchPolicy,
-    BurstConfig, ClusterConfig, ClusterReport, DeviceModel, FamilyConfig, LoadConfig, Request,
-    RetryPolicy, RouterPolicy, ServeConfig,
+    bursty, replica_capacity_rps, serve_cluster, AdmissionPolicy, AutoscaleConfig, BurstConfig,
+    ClusterConfig, ClusterReport, DeviceModel, LoadConfig, RetryPolicy, RouterPolicy,
 };
-
-/// The p99 objective the SLO-aware cells are governed against.
-const SLO_S: f64 = 2e-5;
-/// Fault-plan step grid every chaos schedule is laid out on.
-const STEPS: usize = 64;
-
-fn base_engine(admission: AdmissionPolicy) -> ServeConfig {
-    ServeConfig {
-        batch: BatchPolicy::dynamic(16, 5e-6),
-        admission,
-        primary: "fp32-base".into(),
-        device: DeviceModel::nominal(),
-    }
-}
 
 fn cluster_record(scenario: &str, config: &str, replicas: usize, r: &ClusterReport) -> Fields {
     let mut f = fields! {
@@ -53,17 +40,6 @@ fn cluster_record(scenario: &str, config: &str, replicas: usize, r: &ClusterRepo
     };
     f.extend(r.serve.to_fields());
     f
-}
-
-fn load(rate_rps: f64, requests: usize, seed: u64, rows: usize) -> Vec<Request> {
-    open_loop(
-        &LoadConfig {
-            rate_rps,
-            requests,
-            seed,
-        },
-        rows,
-    )
 }
 
 const COLUMNS: &[Column] = &[
@@ -89,31 +65,13 @@ pub fn run() -> ExperimentResult {
 /// cell so its per-replica tracks, crash/rejoin instants and latency
 /// histogram land in the trace.
 pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
-    let data = dl_data::blobs(160, 3, 8, 6.0, 0.5, 93);
-    let eval = dl_data::blobs(96, 3, 8, 6.0, 0.5, 94);
+    let (_, eval, family) = cluster_family(93);
     let rows = eval.x.dims()[0];
-    let family = build_family(
-        &data,
-        &eval,
-        &FamilyConfig {
-            teacher_dims: vec![8, 24, 3],
-            student_hidden: vec![6],
-            prune_sparsity: 0.7,
-            morph_budget: 150,
-            ensemble_members: 2,
-            max_batch: 16,
-            epochs: 9,
-            seed: 95,
-        },
-    );
     let device = DeviceModel::nominal();
     // Measured per-replica capacity at full batch — the denominator every
     // rate in this experiment is expressed against (and the same number
     // the autoscaler sizes with).
-    let cap_dyn = {
-        let v = &family.variants[0];
-        v.max_batch() as f64 / device.service_time(v.cost_at(v.max_batch()))
-    };
+    let cap_dyn = replica_capacity_rps(&device, &family.variants[0]);
 
     let mut records: Vec<Fields> = Vec::new();
 
@@ -132,34 +90,16 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     // Total offered rate is fixed at 1.5x ONE replica's capacity, so the
     // one-replica cell is overloaded before the first crash and each added
     // replica buys real headroom against both load and faults.
-    let storm_rate = 1.5 * cap_dyn;
-    let storm_reqs = load(storm_rate, 1200, 101, rows);
-    let storm_span = storm_reqs.last().expect("non-empty").arrival_s;
-    let seconds_per_step = storm_span / (STEPS as f64 * 0.75);
     let mut sweep: Vec<(usize, ClusterReport)> = Vec::new();
     for replicas in 1..=4usize {
-        let cfg = ClusterConfig {
-            retry: RetryPolicy::retries(2),
-            faults: FaultPlan::from_profile(&FaultProfile::crashes(7, 20.0, 6.0), replicas, STEPS),
-            seconds_per_step,
-            warmup_s: seconds_per_step,
-            warmup_factor: 2.0,
-            ..ClusterConfig::new(
-                replicas,
-                base_engine(AdmissionPolicy::SloAware {
-                    p99_slo_s: SLO_S,
-                    headroom: 0.7,
-                    min_accuracy: 0.0,
-                }),
-            )
-        };
+        let storm = crash_storm(cap_dyn, rows, replicas);
         // The 3-replica cell is the headline trace.
         let cell_rec: &dyn Recorder = if replicas == 3 {
             rec
         } else {
             &NullRecorder::new()
         };
-        let r = serve_cluster(&family, &eval, &storm_reqs, &cfg, cell_rec);
+        let r = serve_cluster(&family, &eval, &storm.requests, &storm.cluster, cell_rec);
         records.push(cluster_record("crash-storm", "slo+retry2", replicas, &r));
         sweep.push((replicas, r));
     }
@@ -172,23 +112,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     // Replica 0 straggles at 4x all run; a mid-run link degradation
     // quadruples dispatch latency for everyone. Round-robin keeps feeding
     // the slow replica obliviously; load-aware policies see its backlog.
-    let router_rate = 1.8 * cap_dyn;
-    let router_reqs = load(router_rate, 900, 102, rows);
-    let router_span = router_reqs.last().expect("non-empty").arrival_s;
-    let router_sps = router_span / (STEPS as f64 * 0.75);
-    let degraded = FaultPlan::new(vec![
-        FaultEvent::Straggler {
-            worker: 0,
-            slowdown: 4.0,
-            from_step: 0,
-            to_step: STEPS,
-        },
-        FaultEvent::LinkDegrade {
-            factor: 0.25,
-            from_step: STEPS / 4,
-            to_step: STEPS / 2,
-        },
-    ]);
+    let degraded = degraded_replica(cap_dyn, rows);
     let mut router_p99 = Vec::new();
     for (name, policy) in [
         ("round-robin", RouterPolicy::RoundRobin),
@@ -197,12 +121,15 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     ] {
         let cfg = ClusterConfig {
             router: policy,
-            faults: degraded.clone(),
-            seconds_per_step: router_sps,
-            dispatch_s: 1e-6,
-            ..ClusterConfig::new(3, base_engine(AdmissionPolicy::AcceptAll))
+            ..degraded.cluster.clone()
         };
-        let r = serve_cluster(&family, &eval, &router_reqs, &cfg, &NullRecorder::new());
+        let r = serve_cluster(
+            &family,
+            &eval,
+            &degraded.requests,
+            &cfg,
+            &NullRecorder::new(),
+        );
         records.push(cluster_record("degraded", name, 3, &r));
         router_p99.push((name, r.serve.p99_s, r.serve.served));
     }
@@ -211,39 +138,18 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     let routing_wins = router_p99.iter().all(|&(_, _, served)| served == 900) && ll_p99 < rr_p99;
 
     // --- pillar 3: retry vs hedge under crashes + a straggler --------------
-    let tail_rate = 1.5 * cap_dyn;
-    let tail_reqs = load(tail_rate, 900, 103, rows);
-    let tail_span = tail_reqs.last().expect("non-empty").arrival_s;
-    let tail_sps = tail_span / (STEPS as f64 * 0.75);
-    let mut chaos_events = FaultPlan::from_profile(&FaultProfile::crashes(11, 24.0, 6.0), 3, STEPS)
-        .events()
-        .to_vec();
-    chaos_events.push(FaultEvent::Straggler {
-        worker: 1,
-        slowdown: 8.0,
-        from_step: 0,
-        to_step: STEPS,
-    });
-    let chaos = FaultPlan::new(chaos_events);
-    // The hedge fires after ~2 full-batch service times: long enough that
-    // healthy replicas never trigger it, short enough to escape the 8x
-    // straggler.
-    let hedge_delay_s = 2.0 * 16.0 / cap_dyn;
+    let (tail, hedged) = straggler_tail(cap_dyn, rows);
     let mut tail_cells: Vec<(&str, ClusterReport)> = Vec::new();
     for (name, retry) in [
         ("no-retry", RetryPolicy::none()),
         ("retry2", RetryPolicy::retries(2)),
-        ("retry2+hedge", RetryPolicy::hedged(2, hedge_delay_s)),
+        ("retry2+hedge", hedged),
     ] {
         let cfg = ClusterConfig {
             retry,
-            faults: chaos.clone(),
-            seconds_per_step: tail_sps,
-            warmup_s: tail_sps,
-            warmup_factor: 2.0,
-            ..ClusterConfig::new(3, base_engine(AdmissionPolicy::AcceptAll))
+            ..tail.cluster.clone()
         };
-        let r = serve_cluster(&family, &eval, &tail_reqs, &cfg, &NullRecorder::new());
+        let r = serve_cluster(&family, &eval, &tail.requests, &cfg, &NullRecorder::new());
         records.push(cluster_record("tail", name, 3, &r));
         tail_cells.push((name, r));
     }
@@ -280,7 +186,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         autoscale: Some(scale_cfg),
         warmup_s: t_off / 40.0,
         warmup_factor: 1.5,
-        ..ClusterConfig::new(1, base_engine(AdmissionPolicy::AcceptAll))
+        ..ClusterConfig::new(1, cluster_engine(AdmissionPolicy::AcceptAll))
     };
     let auto = serve_cluster(&family, &eval, &step_reqs, &auto_cfg, &NullRecorder::new());
     records.push(cluster_record("load-step", "autoscale", 1, &auto));
@@ -288,7 +194,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
         &family,
         &eval,
         &step_reqs,
-        &ClusterConfig::new(1, base_engine(AdmissionPolicy::AcceptAll)),
+        &ClusterConfig::new(1, cluster_engine(AdmissionPolicy::AcceptAll)),
         &NullRecorder::new(),
     );
     records.push(cluster_record("load-step", "fixed-1", 1, &fixed));
@@ -339,7 +245,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
 
     records.push(fields! {
         "cap_dyn_rps" => cap_dyn,
-        "slo_s" => SLO_S,
+        "slo_s" => CLUSTER_SLO_S,
         "fail_frac_1" => fail_1,
         "fail_frac_4" => fail_4,
         "storm_crashes" => storm_crashes,

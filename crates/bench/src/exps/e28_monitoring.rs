@@ -14,14 +14,14 @@
 //! to the unmonitored run. Everything runs on one `VirtualClock`, so
 //! every cell is byte-reproducible and gated by `BENCH_E28.json`.
 
+use super::{cluster_engine, cluster_family, load};
 use crate::table::{col, fixed, text, us, Column, ExperimentResult};
 use dl_core::{Category, Metrics, Registry, Technique};
 use dl_monitor::{AlertKind, DriftConfig, Monitor, MonitorConfig, ReferenceProfile, SloRule};
 use dl_nn::Dataset;
 use dl_obs::{fields, FieldValue, Fields, NullRecorder, Recorder, TimelineRecorder, ToFields};
 use dl_serve::{
-    build_family, bursty, open_loop, serve, AdmissionPolicy, BatchPolicy, BurstConfig, DeviceModel,
-    FamilyConfig, LoadConfig, ServeConfig,
+    bursty, replica_capacity_rps, serve, AdmissionPolicy, BurstConfig, DeviceModel, LoadConfig,
 };
 use dl_tensor::Tensor;
 
@@ -42,15 +42,6 @@ const PSI_THRESHOLD: f64 = 0.8;
 /// KL (nats) that fires a prediction-drift alert; the in-distribution
 /// predicted-class KL tops out near 0.04 here.
 const KL_THRESHOLD: f64 = 0.2;
-
-fn engine_cfg() -> ServeConfig {
-    ServeConfig {
-        batch: BatchPolicy::dynamic(16, 5e-6),
-        admission: AdmissionPolicy::AcceptAll,
-        primary: "fp32-base".into(),
-        device: DeviceModel::nominal(),
-    }
-}
 
 /// Scalar input-feature projection: column 0 of the dataset, row order.
 fn feature_column(x: &Tensor) -> Vec<f64> {
@@ -129,29 +120,10 @@ pub fn run() -> ExperimentResult {
 /// timeline — per-variant tracks, admit/complete instants, and the
 /// `monitor.alert` instants — is mirrored into `rec` afterwards.
 pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
-    let data = dl_data::blobs(160, 3, 8, 6.0, 0.5, 111);
-    let eval = dl_data::blobs(96, 3, 8, 6.0, 0.5, 112);
+    let (data, eval, family) = cluster_family(111);
     let rows = eval.x.dims()[0];
-    let family = build_family(
-        &data,
-        &eval,
-        &FamilyConfig {
-            teacher_dims: vec![8, 24, 3],
-            student_hidden: vec![6],
-            prune_sparsity: 0.7,
-            morph_budget: 150,
-            ensemble_members: 2,
-            max_batch: 16,
-            epochs: 9,
-            seed: 113,
-        },
-    );
-    let device = DeviceModel::nominal();
-    let cap_dyn = {
-        let v = &family.variants[0];
-        v.max_batch() as f64 / device.service_time(v.cost_at(v.max_batch()))
-    };
-    let scfg = engine_cfg();
+    let cap_dyn = replica_capacity_rps(&DeviceModel::nominal(), &family.variants[0]);
+    let scfg = cluster_engine(AdmissionPolicy::AcceptAll);
 
     let mut records: Vec<Fields> = Vec::new();
 
@@ -160,14 +132,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     // compliance SLO is 6x the healthy p99 and the burn rule's (stricter)
     // budget objective is 1.5x — the standard "alert on the objective you
     // can still do something about" split.
-    let healthy_reqs = open_loop(
-        &LoadConfig {
-            rate_rps: 0.6 * cap_dyn,
-            requests: 900,
-            seed: 201,
-        },
-        rows,
-    );
+    let healthy_reqs = load(0.6 * cap_dyn, 900, 201, rows);
     let healthy = serve(&family, &eval, &healthy_reqs, &scfg, &NullRecorder::new());
     let p99h = healthy.p99_s;
     let slo_s = 6.0 * p99h;
@@ -289,14 +254,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     let mut drift_cells: Vec<(f64, usize, usize, Option<f64>, f64, f64)> = Vec::new();
     for &m in &DRIFT_MAGNITUDES {
         let served_data = with_shifted_copy(&eval, m);
-        let mut reqs = open_loop(
-            &LoadConfig {
-                rate_rps: 0.5 * cap_dyn,
-                requests: 1200,
-                seed: 203,
-            },
-            rows,
-        );
+        let mut reqs = load(0.5 * cap_dyn, 1200, 203, rows);
         // Re-point the second half of the schedule at the shifted copy:
         // the arrival process is untouched, only the data drifts.
         let half = reqs.len() / 2;
@@ -362,14 +320,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     let psi_monotone = drift_cells.windows(2).all(|w| w[0].4 <= w[1].4);
 
     // --- pillar 3: steady run — zero false alerts, bit-identical ----------
-    let steady_reqs = open_loop(
-        &LoadConfig {
-            rate_rps: 0.5 * cap_dyn,
-            requests: 1000,
-            seed: 204,
-        },
-        rows,
-    );
+    let steady_reqs = load(0.5 * cap_dyn, 1000, 204, rows);
     let steady_span = steady_reqs.last().expect("non-empty").arrival_s;
     let steady_cfg = MonitorConfig {
         window_s: steady_span / 40.0,

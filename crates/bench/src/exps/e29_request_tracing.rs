@@ -17,45 +17,23 @@
 //! the engine report's own accounting. Everything runs on one
 //! `VirtualClock` and is gated by `BENCH_E29.json`.
 
+use super::{
+    cluster_engine, cluster_family, cluster_slo, crash_storm, degraded_replica, load,
+    straggler_tail, CLUSTER_SLO_S,
+};
 use crate::table::{col, fixed, text, Column, ExperimentResult};
 use dl_core::{Category, Metrics, Registry, Technique};
-use dl_distributed::{FaultEvent, FaultPlan, FaultProfile};
 use dl_obs::{fields, Fields, NullRecorder, Recorder, TimelineRecorder};
 use dl_serve::{
-    build_family, open_loop, serve_cluster, AdmissionPolicy, BatchPolicy, ClusterConfig,
-    DeviceModel, FamilyConfig, LoadConfig, Request, RetryPolicy, RouterPolicy, ServeConfig,
+    replica_capacity_rps, serve_cluster, ClusterConfig, DeviceModel, RetryPolicy, RouterPolicy,
 };
 use dl_trace::{
     by_replica, phase_breakdown, tail_mean_phase_us, DispatchKind, Outcome, Phase, TraceSet,
     Tracer, PHASE_COUNT,
 };
 
-/// The p99 objective the SLO-aware cells are governed against (E27's).
-const SLO_S: f64 = 2e-5;
-/// Fault-plan step grid every chaos schedule is laid out on.
-const STEPS: usize = 64;
 /// Slowest fraction of served requests called "the tail" here.
 const TAIL_FRAC: f64 = 0.01;
-
-fn base_engine(admission: AdmissionPolicy) -> ServeConfig {
-    ServeConfig {
-        batch: BatchPolicy::dynamic(16, 5e-6),
-        admission,
-        primary: "fp32-base".into(),
-        device: DeviceModel::nominal(),
-    }
-}
-
-fn load(rate_rps: f64, requests: usize, seed: u64, rows: usize) -> Vec<Request> {
-    open_loop(
-        &LoadConfig {
-            rate_rps,
-            requests,
-            seed,
-        },
-        rows,
-    )
-}
 
 /// Tail (slowest `TAIL_FRAC` of served) mean phase vector and its sum.
 /// Phase sums are exact per request, so the vector sums to the tail's
@@ -113,28 +91,9 @@ pub fn run() -> ExperimentResult {
 /// cell (through the dl-trace tap, so its timeline carries the full
 /// request-trace schema when `rec` records).
 pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
-    let data = dl_data::blobs(160, 3, 8, 6.0, 0.5, 93);
-    let eval = dl_data::blobs(96, 3, 8, 6.0, 0.5, 94);
+    let (_, eval, family) = cluster_family(93);
     let rows = eval.x.dims()[0];
-    let family = build_family(
-        &data,
-        &eval,
-        &FamilyConfig {
-            teacher_dims: vec![8, 24, 3],
-            student_hidden: vec![6],
-            prune_sparsity: 0.7,
-            morph_budget: 150,
-            ensemble_members: 2,
-            max_batch: 16,
-            epochs: 9,
-            seed: 95,
-        },
-    );
-    let device = DeviceModel::nominal();
-    let cap_dyn = {
-        let v = &family.variants[0];
-        v.max_batch() as f64 / device.service_time(v.cost_at(v.max_batch()))
-    };
+    let cap_dyn = replica_capacity_rps(&DeviceModel::nominal(), &family.variants[0]);
 
     let mut records: Vec<Fields> = Vec::new();
 
@@ -142,23 +101,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     // E27's degraded scenario: replica 0 straggles at 4x all run, a mid-run
     // link degradation quadruples dispatch latency. E27 showed least-loaded
     // beats round-robin on p99; the waterfalls show *why*.
-    let router_rate = 1.8 * cap_dyn;
-    let router_reqs = load(router_rate, 900, 102, rows);
-    let router_span = router_reqs.last().expect("non-empty").arrival_s;
-    let router_sps = router_span / (STEPS as f64 * 0.75);
-    let degraded = FaultPlan::new(vec![
-        FaultEvent::Straggler {
-            worker: 0,
-            slowdown: 4.0,
-            from_step: 0,
-            to_step: STEPS,
-        },
-        FaultEvent::LinkDegrade {
-            factor: 0.25,
-            from_step: STEPS / 4,
-            to_step: STEPS / 2,
-        },
-    ]);
+    let degraded = degraded_replica(cap_dyn, rows);
     let mut routed: Vec<(&str, TraceSet)> = Vec::new();
     for (name, policy) in [
         ("round-robin", RouterPolicy::RoundRobin),
@@ -166,14 +109,11 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     ] {
         let cfg = ClusterConfig {
             router: policy,
-            faults: degraded.clone(),
-            seconds_per_step: router_sps,
-            dispatch_s: 1e-6,
-            ..ClusterConfig::new(3, base_engine(AdmissionPolicy::AcceptAll))
+            ..degraded.cluster.clone()
         };
         let inner = NullRecorder::new();
         let tracer = Tracer::new(&inner);
-        let r = serve_cluster(&family, &eval, &router_reqs, &cfg, &tracer);
+        let r = serve_cluster(&family, &eval, &degraded.requests, &cfg, &tracer);
         let set = tracer.traces();
         set.matches_report(r.serve.served, r.serve.shed, r.lost, r.unavailable)
             .expect("degraded cell conserves");
@@ -203,37 +143,19 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
     // --- pillar 2: hedging's tail cut, branch by branch --------------------
     // E27's chaos tail scenario: crashes plus an 8x straggler on replica 1.
     // Hedged duplicates race the straggler; the traces show the winners.
-    let tail_rate = 1.5 * cap_dyn;
-    let tail_reqs = load(tail_rate, 900, 103, rows);
-    let tail_span = tail_reqs.last().expect("non-empty").arrival_s;
-    let tail_sps = tail_span / (STEPS as f64 * 0.75);
-    let mut chaos_events = FaultPlan::from_profile(&FaultProfile::crashes(11, 24.0, 6.0), 3, STEPS)
-        .events()
-        .to_vec();
-    chaos_events.push(FaultEvent::Straggler {
-        worker: 1,
-        slowdown: 8.0,
-        from_step: 0,
-        to_step: STEPS,
-    });
-    let chaos = FaultPlan::new(chaos_events);
-    let hedge_delay_s = 2.0 * 16.0 / cap_dyn;
+    let (tail, hedged) = straggler_tail(cap_dyn, rows);
     let mut chaos_cells: Vec<(&str, TraceSet)> = Vec::new();
     for (name, retry) in [
         ("retry2", RetryPolicy::retries(2)),
-        ("retry2+hedge", RetryPolicy::hedged(2, hedge_delay_s)),
+        ("retry2+hedge", hedged),
     ] {
         let cfg = ClusterConfig {
             retry,
-            faults: chaos.clone(),
-            seconds_per_step: tail_sps,
-            warmup_s: tail_sps,
-            warmup_factor: 2.0,
-            ..ClusterConfig::new(3, base_engine(AdmissionPolicy::AcceptAll))
+            ..tail.cluster.clone()
         };
         let inner = NullRecorder::new();
         let tracer = Tracer::new(&inner);
-        let r = serve_cluster(&family, &eval, &tail_reqs, &cfg, &tracer);
+        let r = serve_cluster(&family, &eval, &tail.requests, &cfg, &tracer);
         let set = tracer.traces();
         set.matches_report(r.serve.served, r.serve.shed, r.lost, r.unavailable)
             .expect("chaos cell conserves");
@@ -271,14 +193,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
 
     // --- pillar 3: steady run — invisibility, exactness, exemplars ---------
     let steady_reqs = load(1.2 * cap_dyn, 800, 105, rows);
-    let steady_cfg = ClusterConfig::new(
-        3,
-        base_engine(AdmissionPolicy::SloAware {
-            p99_slo_s: SLO_S,
-            headroom: 0.7,
-            min_accuracy: 0.0,
-        }),
-    );
+    let steady_cfg = ClusterConfig::new(3, cluster_engine(cluster_slo()));
     let null = NullRecorder::new();
     let plain_null = serve_cluster(&family, &eval, &steady_reqs, &steady_cfg, &null);
     let timeline = TimelineRecorder::new();
@@ -316,27 +231,9 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
 
     // --- pillar 4: crash-storm conservation (headline trace) ---------------
     // E27's storm at 3 replicas, threaded through `rec` via the tap.
-    let storm_rate = 1.5 * cap_dyn;
-    let storm_reqs = load(storm_rate, 1200, 101, rows);
-    let storm_span = storm_reqs.last().expect("non-empty").arrival_s;
-    let storm_sps = storm_span / (STEPS as f64 * 0.75);
-    let storm_cfg = ClusterConfig {
-        retry: RetryPolicy::retries(2),
-        faults: FaultPlan::from_profile(&FaultProfile::crashes(7, 20.0, 6.0), 3, STEPS),
-        seconds_per_step: storm_sps,
-        warmup_s: storm_sps,
-        warmup_factor: 2.0,
-        ..ClusterConfig::new(
-            3,
-            base_engine(AdmissionPolicy::SloAware {
-                p99_slo_s: SLO_S,
-                headroom: 0.7,
-                min_accuracy: 0.0,
-            }),
-        )
-    };
+    let cell = crash_storm(cap_dyn, rows, 3);
     let storm_tap = Tracer::new(rec);
-    let storm = serve_cluster(&family, &eval, &storm_reqs, &storm_cfg, &storm_tap);
+    let storm = serve_cluster(&family, &eval, &cell.requests, &cell.cluster, &storm_tap);
     let storm_set = storm_tap.traces();
     let storm_conserved = storm.crashes > 0
         && storm_set
@@ -399,7 +296,7 @@ pub fn run_with(rec: &dyn Recorder) -> ExperimentResult {
 
     records.push(fields! {
         "cap_dyn_rps" => cap_dyn,
-        "slo_s" => SLO_S,
+        "slo_s" => CLUSTER_SLO_S,
         "rr_p99_us" => rr_p99,
         "ll_p99_us" => ll_p99,
         "tail_gap_us" => gap,

@@ -19,12 +19,13 @@
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
+use super::load;
 use crate::table::{bytes, col, field_f64, text, us, Column, ExperimentResult};
 use dl_obs::{fields, EventKind, FieldValue, Fields, TimelineRecorder};
 use dl_serve::{
-    build_family, open_loop, percentile, save_family, serve_fleet, AdmissionPolicy, BatchPolicy,
-    DeviceModel, EvictionPolicy, FamilyConfig, FleetConfig, FleetReport, LoadConfig, ModelRequest,
-    RouterPolicy, ServeConfig, VariantRegistry,
+    build_family, percentile, save_family, serve_fleet, AdmissionPolicy, BatchPolicy, DeviceModel,
+    EvictionPolicy, FamilyConfig, FleetConfig, FleetReport, ModelRequest, RouterPolicy,
+    ServeConfig, VariantRegistry,
 };
 
 /// Families the fleet hosts (the working set).
@@ -71,20 +72,13 @@ fn build_families() -> &'static (Vec<VariantRegistry>, dl_nn::Dataset) {
 /// sequential access pattern that defeats LRU the moment the working set
 /// outgrows the budget.
 fn cycling_load(n_models: usize, seed: u64, n_samples: usize) -> Vec<ModelRequest> {
-    open_loop(
-        &LoadConfig {
-            rate_rps: RATE_RPS,
-            requests: CELL_REQUESTS,
-            seed,
-        },
-        n_samples,
-    )
-    .into_iter()
-    .map(|req| ModelRequest {
-        req,
-        model: (req.id % n_models as u64) as usize,
-    })
-    .collect()
+    load(RATE_RPS, CELL_REQUESTS, seed, n_samples)
+        .into_iter()
+        .map(|req| ModelRequest {
+            req,
+            model: (req.id % n_models as u64) as usize,
+        })
+        .collect()
 }
 
 /// Paired traffic over two families (`0,0,1,1,0,0,...`): at a one-family
@@ -92,20 +86,13 @@ fn cycling_load(n_models: usize, seed: u64, n_samples: usize) -> Vec<ModelReques
 /// warm, so a single run carries both cohorts in equal measure — the
 /// population the cold-start cliff is measured on.
 fn paired_load(seed: u64, n_samples: usize) -> Vec<ModelRequest> {
-    open_loop(
-        &LoadConfig {
-            rate_rps: RATE_RPS,
-            requests: CELL_REQUESTS,
-            seed,
-        },
-        n_samples,
-    )
-    .into_iter()
-    .map(|req| ModelRequest {
-        req,
-        model: ((req.id / 2) % 2) as usize,
-    })
-    .collect()
+    load(RATE_RPS, CELL_REQUESTS, seed, n_samples)
+        .into_iter()
+        .map(|req| ModelRequest {
+            req,
+            model: ((req.id / 2) % 2) as usize,
+        })
+        .collect()
 }
 
 struct Cell {

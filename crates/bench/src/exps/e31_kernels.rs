@@ -20,13 +20,11 @@
 //! costs, modeled service times, VirtualClock p99s — is reproducible on
 //! any machine.
 
-use std::time::Instant;
-
+use super::{best_us, filled, load, serving_family};
 use crate::table::{col, fixed, sci, text, times, us, Column, ExperimentResult};
 use dl_obs::{fields, Fields, NullRecorder};
 use dl_serve::{
-    build_family, open_loop, serve, AdmissionPolicy, BatchPolicy, DeviceModel, FamilyConfig,
-    LoadConfig, ServeConfig, ServeReport, VariantModel,
+    serve, AdmissionPolicy, BatchPolicy, DeviceModel, ServeConfig, ServeReport, VariantModel,
 };
 use dl_tensor::acct::{self, OpCost};
 use dl_tensor::{par, Tensor};
@@ -40,36 +38,6 @@ const CELL_REQUESTS: usize = 1200;
 const THREADS: [usize; 3] = [1, 2, 4];
 /// Batch sizes the int8 service-cost comparison reports.
 const BATCHES: [usize; 3] = [1, 8, 32];
-/// Timing repetitions per wall-clock cell; the minimum is reported.
-const REPS: usize = 3;
-
-/// Deterministic, RNG-free matrix fill (same recipe as E26): ~25% exact
-/// zeros and values in [-1, 1].
-fn filled(rows: usize, cols: usize, salt: usize) -> Tensor {
-    let data: Vec<f32> = (0..rows * cols)
-        .map(|i| {
-            if (i + salt).is_multiple_of(4) {
-                0.0
-            } else {
-                let h = (i.wrapping_mul(2_654_435_761).wrapping_add(salt * 97)) % 1000;
-                h as f32 / 499.5 - 1.0
-            }
-        })
-        .collect();
-    Tensor::from_vec(data, [rows, cols]).expect("length matches by construction")
-}
-
-/// Minimum wall-clock microseconds over `REPS` runs of `f`.
-fn best_us(mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e6);
-    }
-    best
-}
-
 /// Largest relative elementwise difference between two equally-shaped
 /// tensors (0 when both are empty).
 fn max_rel_diff(a: &Tensor, b: &Tensor) -> f64 {
@@ -100,21 +68,14 @@ fn serve_cell(
     primary: &str,
     device: &DeviceModel,
 ) -> ServeReport {
-    let load = open_loop(
-        &LoadConfig {
-            rate_rps,
-            requests: CELL_REQUESTS,
-            seed: 300,
-        },
-        eval.x.dims()[0],
-    );
+    let requests = load(rate_rps, CELL_REQUESTS, 300, eval.x.dims()[0]);
     let cfg = ServeConfig {
         batch: BatchPolicy::dynamic(32, 8e-6),
         admission: AdmissionPolicy::AcceptAll,
         primary: primary.into(),
         device: device.clone(),
     };
-    serve(registry, eval, &load, &cfg, &NullRecorder::new())
+    serve(registry, eval, &requests, &cfg, &NullRecorder::new())
 }
 
 /// f32 GEMM cells: drift of the unrolled kernel from the scalar
@@ -235,22 +196,7 @@ pub fn run() -> ExperimentResult {
     }
 
     // --- pillar 2: native int8 serving vs its dequantized shadow ----------
-    let data = dl_data::blobs(400, 5, 16, 2.4, 1.1, 90);
-    let eval = dl_data::blobs(200, 5, 16, 2.4, 1.1, 91);
-    let mut family = build_family(
-        &data,
-        &eval,
-        &FamilyConfig {
-            teacher_dims: vec![16, 64, 64, 5],
-            student_hidden: vec![16],
-            prune_sparsity: 0.8,
-            morph_budget: 1200,
-            ensemble_members: 3,
-            max_batch: 32,
-            epochs: 24,
-            seed: 92,
-        },
-    );
+    let (mut family, eval) = serving_family();
     let device = DeviceModel::nominal();
     let int8_idx = family
         .variants
