@@ -245,7 +245,7 @@ impl CodebookQuantizer {
     }
 
     /// Encodes each value as its nearest centroid index.
-    pub fn encode(&self, t: &Tensor) -> Vec<u8> {
+    fn encode(&self, t: &Tensor) -> Vec<u8> {
         t.data()
             .iter()
             .map(|&v| nearest(&self.centroids, v) as u8)

@@ -14,7 +14,7 @@
 //! * [`Technique`] — a named, categorized measurement.
 //! * [`Registry`] — the collection, with JSON persistence so experiment
 //!   runs can be accumulated across binaries.
-//! * [`pareto_frontier`] / [`TradeoffNavigator`] — frontier extraction and
+//! * [`TradeoffNavigator`] — Pareto-frontier extraction and
 //!   constraint-based recommendation.
 
 #![warn(missing_docs)]
@@ -22,5 +22,5 @@
 pub mod navigator;
 pub mod registry;
 
-pub use navigator::{pareto_frontier, Constraint, TradeoffNavigator};
+pub use navigator::{Constraint, TradeoffNavigator};
 pub use registry::{Category, Metrics, Registry, RegistryError, Technique};

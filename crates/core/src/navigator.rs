@@ -4,7 +4,7 @@ use crate::registry::{Registry, Technique};
 
 /// Indices (into `techniques`) of the Pareto-optimal points: those not
 /// dominated by any other (accuracy maximized, all resources minimized).
-pub fn pareto_frontier(techniques: &[Technique]) -> Vec<usize> {
+fn pareto_frontier(techniques: &[Technique]) -> Vec<usize> {
     (0..techniques.len())
         .filter(|&i| {
             !techniques

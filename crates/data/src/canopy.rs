@@ -183,7 +183,7 @@ impl DataCanopy {
     }
 
     /// Population variance of `col` over rows `lo..hi`.
-    pub fn variance(&self, col: usize, lo: usize, hi: usize) -> f64 {
+    fn variance(&self, col: usize, lo: usize, hi: usize) -> f64 {
         let a = self.range_agg(col, lo, hi);
         let mean = a.sum / a.count as f64;
         (a.sum_sq / a.count as f64 - mean * mean).max(0.0)

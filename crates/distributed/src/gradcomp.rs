@@ -58,7 +58,7 @@ impl GradCompressor {
     ///
     /// # Panics
     /// Panics on residual length mismatch or invalid parameters.
-    pub fn compress(&self, grad: &mut [f32], residual: &mut [f32]) -> u64 {
+    fn compress(&self, grad: &mut [f32], residual: &mut [f32]) -> u64 {
         assert_eq!(grad.len(), residual.len(), "residual length mismatch");
         // fold in the residual first: g <- g + r
         for (g, r) in grad.iter_mut().zip(residual.iter()) {

@@ -28,7 +28,7 @@ pub mod snapshot;
 pub mod treenet;
 
 pub use fge::{fge, FgeConfig};
-pub use mothernet::{hatch, mothernet, MotherNetConfig};
+pub use mothernet::{mothernet, MotherNetConfig};
 pub use snapshot::snapshot;
 pub use treenet::{treenet, TreeNet, TreeNetConfig};
 

@@ -54,7 +54,7 @@ impl Default for MotherNetConfig {
 ///
 /// # Panics
 /// Panics when depths differ or any member width is below the mother's.
-pub fn hatch(mother: &Network, dims: &[usize], noise: f32, rng: &mut StdRng) -> Network {
+fn hatch(mother: &Network, dims: &[usize], noise: f32, rng: &mut StdRng) -> Network {
     let mother_dense: Vec<&Dense> = mother
         .layers()
         .iter()

@@ -62,16 +62,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Recall of class `c`: TP / (TP + FN). `None` when class never occurs.
-    pub fn recall(&self, c: usize) -> Option<f64> {
-        let actual: usize = self.counts[c].iter().sum();
-        if actual == 0 {
-            None
-        } else {
-            Some(self.counts[c][c] as f64 / actual as f64)
-        }
-    }
-
     /// Overall accuracy (trace / total).
     pub fn accuracy(&self) -> f64 {
         let total: usize = self.counts.iter().flatten().sum();
@@ -111,19 +101,16 @@ mod tests {
     }
 
     #[test]
-    fn precision_and_recall() {
+    fn precision_per_class() {
         // predictions: class 0 predicted 3 times (2 right), class 1 once (right)
         let m = ConfusionMatrix::new(&[0, 0, 0, 1], &[0, 0, 1, 1], 2);
         assert_eq!(m.precision(0), Some(2.0 / 3.0));
-        assert_eq!(m.recall(0), Some(1.0));
         assert_eq!(m.precision(1), Some(1.0));
-        assert_eq!(m.recall(1), Some(0.5));
     }
 
     #[test]
     fn precision_none_when_never_predicted() {
         let m = ConfusionMatrix::new(&[0, 0], &[0, 1], 3);
         assert_eq!(m.precision(2), None);
-        assert_eq!(m.recall(2), None);
     }
 }

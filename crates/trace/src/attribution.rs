@@ -108,7 +108,7 @@ pub fn by_replica(set: &TraceSet) -> Vec<ReplicaBreakdown> {
 /// first; ties break toward the lower request id, so the order is
 /// deterministic.
 #[must_use]
-pub fn slowest(set: &TraceSet, k: usize) -> Vec<&RequestTrace> {
+fn slowest(set: &TraceSet, k: usize) -> Vec<&RequestTrace> {
     let mut all: Vec<&RequestTrace> = set.requests.iter().collect();
     all.sort_by(|a, b| b.e2e_us().cmp(&a.e2e_us()).then(a.id.cmp(&b.id)));
     all.truncate(k);

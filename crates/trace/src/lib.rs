@@ -41,8 +41,8 @@ pub mod tracer;
 pub mod waterfall;
 
 pub use attribution::{
-    by_replica, flows, phase_breakdown, render_requests, requests_json, slowest,
-    tail_mean_phase_us, PhaseBreakdown, ReplicaBreakdown,
+    by_replica, flows, phase_breakdown, render_requests, requests_json, tail_mean_phase_us,
+    PhaseBreakdown, ReplicaBreakdown,
 };
 pub use context::{DispatchKind, FlushTrigger, ServeEvent};
 pub use tracer::Tracer;
