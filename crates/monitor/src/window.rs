@@ -5,15 +5,15 @@
 //! * [`RateWindow`] holds raw event timestamps and answers "what is the
 //!   rate over the trailing `window_s` seconds as of *any* time `t`" —
 //!   the shape the serving autoscaler needs (its evaluation grid is not
-//!   the monitor's roll grid). This is the same primitive
-//!   `dl_serve::Autoscaler` now consumes instead of its private deque.
+//!   the monitor's roll grid). dl-serve's autoscaler consumes this
+//!   same primitive.
 //! * [`WindowCounter`] counts events on the monitor's fixed roll grid:
 //!   the pipeline closes one window per `window_s` and queries sums over
 //!   the last *k* closed windows (the fast/slow burn-rate pairs).
 //!
 //! **Empty-window convention**: a window containing no events has rate
 //! exactly `0.0` — never `NaN` — mirroring the empty-slice convention of
-//! `dl_serve::report::percentile`. Rates are always `count / window_s`
+//! `dl_serve::percentile`. Rates are always `count / window_s`
 //! with the configured window length as denominator, *not* the observed
 //! span, so a half-filled window reads as a genuinely lower rate.
 
