@@ -10,11 +10,11 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 
 use dl_distributed::{FaultEvent, FaultTable};
 use dl_nn::Dataset;
 use dl_obs::{fields, Recorder};
+use dl_store::Artifact;
 use dl_trace::{DispatchKind, ServeEvent};
 
 use crate::autoscale::{replica_capacity_rps, Autoscaler};
@@ -26,10 +26,10 @@ use crate::router::Router;
 use crate::store::WeightStore;
 use crate::variant::VariantRegistry;
 
-/// Each family's encoded artifact and the fleet's store settings: with
+/// Each family's verified artifact and the fleet's store settings: with
 /// them every replica holds the families in its own store (sharing the
-/// artifact bytes) under the fleet's budget and eviction policy.
-pub(crate) type Stored<'a> = (&'a [Arc<[u8]>], &'a FleetConfig);
+/// parsed artifacts) under the fleet's budget and eviction policy.
+pub(crate) type Stored<'a> = (&'a [Artifact<'a>], &'a FleetConfig);
 
 /// One replica: an engine per family, its store, and its membership.
 pub(crate) struct Replica<'a> {
@@ -37,7 +37,7 @@ pub(crate) struct Replica<'a> {
     /// When each family's weights become usable; flushes gate on it and
     /// admissions are charged the remainder (always 0 without a store).
     ready_s: Vec<f64>,
-    pub(crate) store: Option<WeightStore>,
+    pub(crate) store: Option<WeightStore<'a>>,
     up: bool,
     pub(crate) retired: bool,
     draining: bool,
@@ -313,7 +313,7 @@ impl<'a> Sim<'a> {
         let store = self.stored.map(|(artifacts, fleet)| {
             let mut store = WeightStore::new(fleet.store_budget_bytes, fleet.eviction);
             for (m, artifact) in artifacts.iter().enumerate() {
-                let id = store.insert(&format!("family{m}"), Arc::clone(artifact));
+                let id = store.insert(&format!("family{m}"), artifact);
                 debug_assert_eq!(id, m);
             }
             // Deployment-time warmup: first-fit in id order.

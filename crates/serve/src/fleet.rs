@@ -4,10 +4,11 @@
 //! The cluster tier scales one family across replicas; this tier hosts
 //! *many* families whose weights do not all fit in device memory at
 //! once. Each replica owns a [`WeightStore`] holding every family's
-//! serialized artifact (encoded once per run, shared by all replicas'
-//! stores) under a byte budget, plus one [`ReplicaEngine`]
+//! artifact under a byte budget, plus one [`ReplicaEngine`]
 //! per family (each family keeps a dedicated execution stream; the
-//! contended resource modeled here is weight memory, not compute).
+//! contended resource modeled here is weight memory, not compute). A run
+//! encodes and verifies each family's artifact once, and every replica's
+//! store shares the parsed artifact, so a cold fetch only decodes.
 //! Arrivals are tagged with a model id and routed residency-first: a
 //! warm replica at any load beats paying a cold artifact load. A cold
 //! arrival faults the family in — evicting victims per the store's
@@ -24,10 +25,9 @@
 //! [`ReplicaEngine`]: crate::engine::ReplicaEngine
 //! [`WeightStore`]: crate::store::WeightStore
 
-use std::sync::Arc;
-
 use dl_nn::Dataset;
 use dl_obs::Recorder;
+use dl_store::Artifact;
 
 use crate::cluster::ClusterConfig;
 use crate::engine::{assemble_report, ServeConfig};
@@ -114,8 +114,13 @@ pub fn serve_fleet(
         ..ClusterConfig::new(cfg.replicas, cfg.serve.clone())
     };
     let arrival = |i: usize| (requests[i].req, requests[i].model);
-    // Encode each family once; every replica's store shares the bytes.
-    let artifacts: Vec<Arc<[u8]>> = families.iter().map(|f| save_family(f).into()).collect();
+    // Encode and verify each family once; every replica's store shares
+    // the parsed artifact.
+    let bytes: Vec<Vec<u8>> = families.iter().map(save_family).collect();
+    let artifacts: Vec<Artifact<'_>> = bytes
+        .iter()
+        .map(|b| Artifact::parse(b).expect("save_family writes a valid artifact"))
+        .collect();
     let (n, stored) = (requests.len(), Some((&artifacts[..], cfg)));
     let (replicas, tally) = run(families, stored, data, n, arrival, &cluster, rec);
     let stores: Vec<&WeightStore> = replicas.iter().filter_map(|r| r.store.as_ref()).collect();

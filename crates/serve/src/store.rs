@@ -2,15 +2,17 @@
 //! budget.
 //!
 //! A serving device cannot hold every family's weights at once. The
-//! [`WeightStore`] keeps each family's serialized `dl-store` artifact on
-//! simulated "disk" and materializes decoded registries into a byte
-//! budget on demand. A warm fetch is free — zero simulated time, zero
-//! recorder events, so a store-fronted single-family run stays
-//! bit-identical to serving without a store. A cold fetch evicts
-//! residents until the artifact fits, decodes it, and charges the
-//! modeled load time: the artifact's bytes read through the
-//! [`DeviceModel`]'s memory system, exactly how batch service time is
-//! priced.
+//! [`WeightStore`] keeps each family's `dl-store` artifact on simulated
+//! "disk" and materializes decoded registries into a byte budget on
+//! demand. It holds only artifacts that [`Artifact::parse`] has already
+//! verified: the bytes are immutable for the whole run, so they are
+//! hashed once per run, not once per load. A warm fetch is free — zero
+//! simulated time, zero recorder events, so a store-fronted
+//! single-family run stays bit-identical to serving without a store. A
+//! cold fetch evicts residents until the artifact fits, decodes it
+//! (every structural check runs again), and charges the modeled load
+//! time: the artifact's bytes read through the [`DeviceModel`]'s memory
+//! system, exactly how batch service time is priced.
 //!
 //! Eviction is either classic LRU or cost-aware via
 //! `dl_memsched::residency`: victims are scored by reload price (from
@@ -18,13 +20,12 @@
 //! count and discounted by staleness, so a big, hot family survives over
 //! a small, idle one even when it was touched less recently.
 
-use std::sync::Arc;
-
 use crate::device::DeviceModel;
-use crate::persist::load_family;
+use crate::persist::decode_family;
 use crate::variant::VariantRegistry;
 use dl_memsched::residency::{eviction_score, reload_cost, ResidencyStats};
 use dl_obs::{fields, Recorder};
+use dl_store::Artifact;
 use dl_tensor::acct::OpCost;
 
 /// How the store picks an eviction victim when a cold load does not fit.
@@ -37,9 +38,9 @@ pub enum EvictionPolicy {
     CostAware,
 }
 
-struct FamilySlot {
+struct FamilySlot<'a> {
     name: String,
-    artifact: Arc<[u8]>,
+    artifact: &'a Artifact<'a>,
     resident: Option<VariantRegistry>,
     stats: ResidencyStats,
 }
@@ -57,10 +58,10 @@ pub struct FetchOutcome {
 }
 
 /// Hosts many serialized model families under one byte budget.
-pub struct WeightStore {
+pub struct WeightStore<'a> {
     budget_bytes: u64,
     policy: EvictionPolicy,
-    families: Vec<FamilySlot>,
+    families: Vec<FamilySlot<'a>>,
     tick: u64,
     /// Cold loads performed.
     pub loads: usize,
@@ -72,7 +73,7 @@ pub struct WeightStore {
     pub bytes_loaded: u64,
 }
 
-impl WeightStore {
+impl<'a> WeightStore<'a> {
     /// An empty store with a byte budget and an eviction policy.
     #[must_use]
     pub fn new(budget_bytes: u64, policy: EvictionPolicy) -> Self {
@@ -88,24 +89,24 @@ impl WeightStore {
         }
     }
 
-    /// Registers a family's encoded artifact (the bytes of
-    /// [`crate::save_family`]) under `name`, cold: on disk, not
-    /// resident. Stores can share one encoding. Returns the family's id
-    /// — the index every other method takes.
+    /// Registers a family's verified artifact (the bytes of
+    /// [`crate::save_family`], parsed once) under `name`, cold: on disk,
+    /// not resident. Stores can share one parsed artifact. Returns the
+    /// family's id — the index every other method takes.
     ///
     /// # Panics
     /// Panics on a duplicate name, or when the artifact alone exceeds
     /// the budget (it could never be served). A fetch or preload panics
-    /// when the artifact does not decode.
-    pub fn insert(&mut self, name: &str, artifact: Arc<[u8]>) -> usize {
+    /// when the verified artifact does not decode as a family.
+    pub fn insert(&mut self, name: &str, artifact: &'a Artifact<'a>) -> usize {
         assert!(
             self.families.iter().all(|f| f.name != name),
             "duplicate family {name:?}"
         );
         assert!(
-            artifact.len() as u64 <= self.budget_bytes,
+            artifact.byte_len() as u64 <= self.budget_bytes,
             "family {name:?} ({} bytes) exceeds the store budget ({} bytes)",
-            artifact.len(),
+            artifact.byte_len(),
             self.budget_bytes
         );
         self.families.push(FamilySlot {
@@ -129,7 +130,7 @@ impl WeightStore {
     /// The family's artifact footprint in bytes — what residency costs.
     #[must_use]
     pub fn artifact_bytes(&self, id: usize) -> u64 {
-        self.families[id].artifact.len() as u64
+        self.families[id].artifact.byte_len() as u64
     }
 
     /// Bytes currently held by resident families.
@@ -138,7 +139,7 @@ impl WeightStore {
         self.families
             .iter()
             .filter(|f| f.resident.is_some())
-            .map(|f| f.artifact.len() as u64)
+            .map(|f| f.artifact.byte_len() as u64)
             .sum()
     }
 
@@ -156,7 +157,7 @@ impl WeightStore {
     pub fn load_seconds(&self, id: usize, device: &DeviceModel) -> f64 {
         device.service_time(&OpCost {
             flops: 0,
-            bytes_read: self.families[id].artifact.len() as u64,
+            bytes_read: self.families[id].artifact.byte_len() as u64,
             bytes_written: 0,
         })
     }
@@ -171,13 +172,13 @@ impl WeightStore {
         if self.families[id].resident.is_some() {
             return;
         }
-        let need = self.families[id].artifact.len() as u64;
+        let need = self.families[id].artifact.byte_len() as u64;
         assert!(
             self.resident_bytes() + need <= self.budget_bytes,
             "preload of {:?} does not fit",
             self.families[id].name
         );
-        let reg = load_family(&self.families[id].artifact).expect("store-serialized artifact");
+        let reg = decode_family(self.families[id].artifact).expect("a family artifact");
         self.families[id].resident = Some(reg);
     }
 
@@ -196,7 +197,7 @@ impl WeightStore {
             EvictionPolicy::CostAware => residents
                 .map(|(i, f)| {
                     let cost = reload_cost(
-                        f.artifact.len() as u64,
+                        f.artifact.byte_len() as u64,
                         device.bytes_per_sec,
                         device.launch_overhead_s,
                     );
@@ -236,13 +237,13 @@ impl WeightStore {
                 evicted: 0,
             });
         }
-        let need = self.families[id].artifact.len() as u64;
+        let need = self.families[id].artifact.byte_len() as u64;
         let freeable: u64 = self
             .families
             .iter()
             .enumerate()
             .filter(|(i, f)| *i != id && f.resident.is_some() && evictable[*i])
-            .map(|(_, f)| f.artifact.len() as u64)
+            .map(|(_, f)| f.artifact.byte_len() as u64)
             .sum();
         if self.resident_bytes() - freeable + need > self.budget_bytes {
             return None;
@@ -256,17 +257,19 @@ impl WeightStore {
             self.families[v].resident = None;
             self.evictions += 1;
             evicted += 1;
-            rec.instant(
-                track,
-                "store.evict",
-                fields! {
-                    "family" => self.families[v].name.clone(),
-                    "bytes" => self.families[v].artifact.len(),
-                    "for" => self.families[id].name.clone(),
-                },
-            );
+            if rec.enabled() {
+                rec.instant(
+                    track,
+                    "store.evict",
+                    fields! {
+                        "family" => self.families[v].name.clone(),
+                        "bytes" => self.families[v].artifact.byte_len(),
+                        "for" => self.families[id].name.clone(),
+                    },
+                );
+            }
         }
-        let reg = load_family(&self.families[id].artifact).expect("store-serialized artifact");
+        let reg = decode_family(self.families[id].artifact).expect("a family artifact");
         let load_s = self.load_seconds(id, device);
         self.families[id].resident = Some(reg);
         self.families[id].stats = ResidencyStats {
@@ -275,16 +278,18 @@ impl WeightStore {
         };
         self.loads += 1;
         self.bytes_loaded += need;
-        rec.instant(
-            track,
-            "store.load",
-            fields! {
-                "family" => self.families[id].name.clone(),
-                "bytes" => need,
-                "load_s" => load_s,
-                "evicted" => evicted,
-            },
-        );
+        if rec.enabled() {
+            rec.instant(
+                track,
+                "store.load",
+                fields! {
+                    "family" => self.families[id].name.clone(),
+                    "bytes" => need,
+                    "load_s" => load_s,
+                    "evicted" => evicted,
+                },
+            );
+        }
         Some(FetchOutcome {
             warm: false,
             load_s,
@@ -331,7 +336,11 @@ mod tests {
         )
     }
 
-    impl WeightStore {
+    fn parse(bytes: &[u8]) -> Artifact<'_> {
+        Artifact::parse(bytes).expect("save_family writes a valid artifact")
+    }
+
+    impl WeightStore<'_> {
         /// A fetch free to evict any resident.
         fn fetch(
             &mut self,
@@ -346,22 +355,28 @@ mod tests {
         }
     }
 
-    fn two_family_store(policy: EvictionPolicy) -> (WeightStore, u64) {
-        let (a, b) = (save_family(&family(100)), save_family(&family(200)));
-        let (bytes_a, bytes_b) = (a.len() as u64, b.len() as u64);
-        // Budget fits either family alone but never both.
+    /// The encodings of two families, `a` and `b`.
+    fn two_families() -> [Vec<u8>; 2] {
+        [100, 200].map(|seed| save_family(&family(seed)))
+    }
+
+    /// A store holding `a` and `b` under a budget that fits either family
+    /// alone but never both.
+    fn two_family_store<'a>(policy: EvictionPolicy, ab: &'a [Artifact<'a>]) -> WeightStore<'a> {
+        let (bytes_a, bytes_b) = (ab[0].byte_len() as u64, ab[1].byte_len() as u64);
         let budget = bytes_a.max(bytes_b) + bytes_a.min(bytes_b) / 2;
         let mut store = WeightStore::new(budget, policy);
-        store.insert("a", a.into());
-        store.insert("b", b.into());
-        (store, budget)
+        store.insert("a", &ab[0]);
+        store.insert("b", &ab[1]);
+        store
     }
 
     #[test]
     fn warm_fetches_are_free_and_silent() {
-        let reg = family(300);
+        let bytes = save_family(&family(300));
+        let artifact = parse(&bytes);
         let mut store = WeightStore::new(u64::MAX, EvictionPolicy::Lru);
-        let id = store.insert("only", save_family(&reg).into());
+        let id = store.insert("only", &artifact);
         store.preload(id);
         let rec = TimelineRecorder::new();
         let out = store.fetch(id, &DeviceModel::nominal(), 0, &rec);
@@ -376,8 +391,11 @@ mod tests {
     #[test]
     fn cold_fetch_charges_the_modeled_artifact_read() {
         let reg = family(300);
+        let bytes = save_family(&reg);
+        let artifact = parse(&bytes);
         let mut store = WeightStore::new(u64::MAX, EvictionPolicy::Lru);
-        let id = store.insert("only", save_family(&reg).into());
+        let id = store.insert("only", &artifact);
+        assert_eq!(store.artifact_bytes(id), bytes.len() as u64);
         let device = DeviceModel::nominal();
         let rec = TimelineRecorder::new();
         let out = store.fetch(id, &device, 0, &rec);
@@ -400,7 +418,9 @@ mod tests {
 
     #[test]
     fn over_budget_fetch_evicts_lru_first() {
-        let (mut store, _) = two_family_store(EvictionPolicy::Lru);
+        let bytes = two_families();
+        let ab = bytes.each_ref().map(|b| parse(b));
+        let mut store = two_family_store(EvictionPolicy::Lru, &ab);
         let device = DeviceModel::nominal();
         let rec = NullRecorder::new();
         let _ = store.fetch(0, &device, 0, &rec);
@@ -417,14 +437,37 @@ mod tests {
     }
 
     #[test]
+    fn stores_sharing_one_parsed_artifact_decode_it_at_every_cold_load() {
+        let bytes = two_families();
+        let ab = bytes.each_ref().map(|b| parse(b));
+        let mut stores = [0, 1].map(|_| two_family_store(EvictionPolicy::Lru, &ab));
+        let device = DeviceModel::nominal();
+        let rec = NullRecorder::new();
+        for store in &mut stores {
+            // Cold-load a, evict it for b, and reload it.
+            for id in [0, 1, 0] {
+                let out = store.fetch(id, &device, 0, &rec);
+                assert!(!out.warm);
+                assert_eq!(save_family(store.registry(id)), bytes[id]);
+            }
+            assert_eq!((store.loads, store.evictions), (3, 2));
+            assert_eq!(
+                store.bytes_loaded,
+                2 * bytes[0].len() as u64 + bytes[1].len() as u64
+            );
+        }
+    }
+
+    #[test]
     fn cost_aware_eviction_spares_the_hot_family() {
-        let artifacts = [100, 200, 400].map(|seed| save_family(&family(seed)));
-        let sizes = artifacts.each_ref().map(|a| a.len() as u64);
+        let bytes = [100, 200, 400].map(|seed| save_family(&family(seed)));
+        let artifacts = bytes.each_ref().map(|b| parse(b));
+        let sizes = bytes.each_ref().map(|b| b.len() as u64);
         // Fits any two families, never all three.
         let budget = sizes.iter().sum::<u64>() - sizes.iter().min().unwrap() / 2;
         let mut store = WeightStore::new(budget, EvictionPolicy::CostAware);
-        for (name, artifact) in ["a", "b", "c"].into_iter().zip(artifacts) {
-            store.insert(name, artifact.into());
+        for (name, artifact) in ["a", "b", "c"].into_iter().zip(&artifacts) {
+            store.insert(name, artifact);
         }
         let device = DeviceModel::nominal();
         let rec = NullRecorder::new();
@@ -444,7 +487,9 @@ mod tests {
 
     #[test]
     fn guarded_fetch_defers_instead_of_evicting_protected_families() {
-        let (mut store, _) = two_family_store(EvictionPolicy::Lru);
+        let bytes = two_families();
+        let ab = bytes.each_ref().map(|b| parse(b));
+        let mut store = two_family_store(EvictionPolicy::Lru, &ab);
         let device = DeviceModel::nominal();
         let rec = NullRecorder::new();
         let _ = store.fetch(0, &device, 0, &rec);
@@ -468,17 +513,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the store budget")]
     fn oversized_family_is_rejected_at_insert() {
-        let reg = family(500);
+        let bytes = save_family(&family(500));
+        let artifact = parse(&bytes);
         let mut store = WeightStore::new(16, EvictionPolicy::Lru);
-        let _ = store.insert("too-big", save_family(&reg).into());
+        let _ = store.insert("too-big", &artifact);
     }
 
     #[test]
     fn loaded_registry_predicts_identically_to_the_original() {
         let reg = family(600);
         let eval = dl_data::blobs(50, 3, 8, 6.0, 0.5, 601);
+        let bytes = save_family(&reg);
+        let artifact = parse(&bytes);
         let mut store = WeightStore::new(u64::MAX, EvictionPolicy::Lru);
-        let id = store.insert("f", save_family(&reg).into());
+        let id = store.insert("f", &artifact);
         let _ = store.fetch(id, &DeviceModel::nominal(), 0, &NullRecorder::new());
         let loaded = store.registry(id);
         for (v, w) in reg.variants.iter().zip(&loaded.variants) {

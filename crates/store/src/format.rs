@@ -737,6 +737,12 @@ impl<'a> Artifact<'a> {
         self.head_len
     }
 
+    /// Length of the whole artifact in bytes, trailer included.
+    #[must_use]
+    pub fn byte_len(&self) -> usize {
+        self.data.len()
+    }
+
     /// All hparams in stored order.
     #[must_use]
     pub fn hparams(&self) -> &[(&'a str, HParam<'a>)] {

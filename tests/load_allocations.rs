@@ -1,13 +1,15 @@
-//! Allocation budgets of one family save and one cold family load.
+//! Allocation budgets of one family save, one cold family load and one
+//! weight-store cold fetch.
 //!
 //! A counting global allocator tallies the heap allocations of
 //! `save_family`, `Artifact::parse` and `load_family` on a family shaped
 //! like the serving benchmark's fleet families (a 16-64-64-5 teacher with
 //! its int8, pruned, distilled, morph and ensemble variants). Parsing
-//! reads names,
-//! string and byte hparams and dims in place, so it allocates the same
-//! for an artifact with twice the sections; decoding builds every lookup
-//! name in one reused buffer and reads each tensor once. Saving borrows
+//! reads names, string and byte hparams and dims in place, so it
+//! allocates the same for an artifact with twice the sections; decoding
+//! builds every lookup name in one reused buffer and reads each tensor
+//! once. A weight store parses each artifact once per run, so its cold
+//! fetch costs a load's allocations less a parse's. Saving borrows
 //! every payload and writes it into the artifact once. This file is a
 //! test binary of its own with a single test, so no other test allocates
 //! while it counts.
@@ -25,6 +27,11 @@ use dl_store::{Artifact, ArtifactBuilder, Dtype};
 /// when every hparam, name and dims list was copied out of the artifact
 /// and every lookup formatted its name).
 const LOAD_FAMILY_ALLOCS: u64 = 148;
+
+/// Allocations of one weight-store cold fetch, which decodes an artifact
+/// parsed once per run: one `load_family` less its `Artifact::parse`,
+/// the measured 138 (140 less 2) plus the load budget's 8 of headroom.
+const COLD_FETCH_ALLOCS: u64 = 146;
 
 /// Allocations of one `save_family` of the same family: the measured 359
 /// plus 16 of headroom. Nearly all are lookup names; when every variant
@@ -116,5 +123,11 @@ fn cold_load_stays_within_its_allocation_budget() {
     assert!(
         allocs <= LOAD_FAMILY_ALLOCS,
         "{allocs} allocations per load_family, budget {LOAD_FAMILY_ALLOCS}"
+    );
+    let fetch = allocs - family_parse;
+    eprintln!("allocations per cold fetch (load_family less parse): {fetch}");
+    assert!(
+        fetch <= COLD_FETCH_ALLOCS,
+        "{fetch} allocations per cold fetch, budget {COLD_FETCH_ALLOCS}"
     );
 }
