@@ -20,7 +20,7 @@
 //!   quality metrics (loss, accuracy) *and* the resource metrics (FLOPs,
 //!   parameter bytes, peak activation bytes) the tutorial's tradeoff
 //!   framework classifies techniques by,
-//! * [`metrics`] — accuracy, confusion matrices, per-group summaries.
+//! * [`metrics`] — classification accuracy.
 //!
 //! Everything is seeded and deterministic; no wall-clock time enters any
 //! algorithm.
