@@ -6,9 +6,12 @@
 //!
 //! The verdict checks both halves: accuracy against bit width, and
 //! `huffman_bytes < bytes` for every scheme, naming any scheme whose
-//! stream Huffman coding grows. A Huffman stream carries a 256-byte
-//! code-length table, which outweighs what it can save on codes of two
-//! bits or fewer (the k-means-4 and binary streams here).
+//! stream Huffman coding does not shrink. Both sizes count the same side
+//! data (scales, zero points, centroids); a Huffman stream also carries
+//! one code-length byte per symbol up to the largest used, and a stream
+//! that Huffman coding would not shrink stays bit-packed. A binary code
+//! already spends one bit per weight, the least a Huffman code can, so
+//! its stream stays packed.
 
 use crate::table::{bytes, col, fixed, flops, text, Column, ExperimentResult};
 use dl_compress::{quantize_network, QuantScheme};
@@ -52,7 +55,7 @@ pub fn run() -> ExperimentResult {
         "measured_fwd_flops" => base_fwd, "acc_drop" => 0.0, "ratio" => 1.0,
     });
     let mut monotone_check: Vec<(u8, f64)> = Vec::new();
-    let mut huffman_grows: Vec<String> = Vec::new();
+    let mut huffman_misses: Vec<String> = Vec::new();
     for scheme in schemes {
         let (q, report) = quantize_network(&net, scheme);
         let acc = Trainer::evaluate(&q, &test);
@@ -62,7 +65,7 @@ pub fn run() -> ExperimentResult {
             monotone_check.push((bits, acc));
         }
         if report.huffman_bytes >= report.compressed_bytes {
-            huffman_grows.push(report.scheme.clone());
+            huffman_misses.push(report.scheme.clone());
         }
         records.push(fields! {
             "scheme" => report.scheme, "accuracy" => acc,
@@ -78,10 +81,10 @@ pub fn run() -> ExperimentResult {
     if !shape_holds {
         misses.push("accuracy was not monotone in bit width on this run".to_string());
     }
-    if !huffman_grows.is_empty() {
-        let schemes = huffman_grows.join(", ");
+    if !huffman_misses.is_empty() {
+        let schemes = huffman_misses.join(", ");
         misses.push(format!(
-            "Huffman coding grows the code streams of {schemes}"
+            "Huffman coding does not shrink the code streams of {schemes}"
         ));
     }
     ExperimentResult {

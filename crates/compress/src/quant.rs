@@ -181,10 +181,10 @@ impl QuantizedTensor {
         &self.dims
     }
 
-    /// Storage in bytes after bit packing: `ceil(len * bits / 8)` plus the
-    /// 8-byte scale/zero header.
+    /// Storage in bytes after bit packing: the packed codes plus the
+    /// scale/zero header.
     fn storage_bytes(&self) -> usize {
-        (self.codes.len() * self.bits as usize).div_ceil(8) + 8
+        packed_bytes(self.codes.len(), self.bits) + AFFINE_HEADER_BYTES
     }
 
     /// Bit width of each code.
@@ -389,6 +389,17 @@ impl HuffmanCode {
         HuffmanCode { lengths, codes }
     }
 
+    /// Bytes of the code-length table a decoder rebuilds this canonical
+    /// code from: one length byte per symbol, from symbol 0 to the
+    /// largest symbol used (the lengths of unused symbols in between
+    /// read 0).
+    fn table_bytes(&self) -> usize {
+        self.lengths
+            .iter()
+            .rposition(|&l| l > 0)
+            .map_or(0, |s| s + 1)
+    }
+
     /// Total encoded size of `data` in bits.
     fn encoded_bits(&self, data: &[u8]) -> u64 {
         data.iter()
@@ -444,6 +455,14 @@ impl HuffmanCode {
     }
 }
 
+/// Bytes of an affine tensor's header: its `f32` scale and zero point.
+const AFFINE_HEADER_BYTES: usize = 8;
+
+/// Bytes of `n` codes of `bits` bits each, bit-packed.
+fn packed_bytes(n: usize, bits: u8) -> usize {
+    (n * bits as usize).div_ceil(8)
+}
+
 /// Report from quantizing a whole network.
 #[derive(Debug, Clone)]
 pub struct QuantReport {
@@ -453,7 +472,10 @@ pub struct QuantReport {
     pub original_bytes: usize,
     /// Compressed parameter bytes (packed codes + codebooks/headers).
     pub compressed_bytes: usize,
-    /// Compressed bytes after Huffman-coding the code stream.
+    /// Compressed bytes with the code stream Huffman-coded: the same side
+    /// data (scales, zero points, centroids) as `compressed_bytes`, plus
+    /// the coded stream and its code-length table, or plus the packed
+    /// codes when Huffman coding would not make the stream smaller.
     pub huffman_bytes: usize,
 }
 
@@ -501,7 +523,9 @@ fn quantize_params(
 ) -> (Network, QuantReport, Vec<QuantizedTensor>) {
     let mut out = net.clone();
     let mut original = 0usize;
-    let mut compressed = 0usize;
+    // Bit-packed codes, and the side data decoding them needs.
+    let mut packed = 0usize;
+    let mut side = 0usize;
     let mut all_codes: Vec<u8> = Vec::new();
     let mut tensors: Vec<QuantizedTensor> = Vec::new();
     for layer in out.layers_mut() {
@@ -510,7 +534,8 @@ fn quantize_params(
             match scheme {
                 QuantScheme::Affine { bits } => {
                     let q = QuantizedTensor::quantize(p, bits);
-                    compressed += q.storage_bytes();
+                    packed += q.storage_bytes() - AFFINE_HEADER_BYTES;
+                    side += AFFINE_HEADER_BYTES;
                     all_codes.extend_from_slice(q.codes());
                     *p = q.dequantize();
                     tensors.push(q);
@@ -518,33 +543,34 @@ fn quantize_params(
                 QuantScheme::KMeans { k } => {
                     let cb = CodebookQuantizer::fit(p, k);
                     let codes = cb.encode(p);
-                    compressed +=
-                        (codes.len() * cb.bits() as usize).div_ceil(8) + 4 * cb.centroids.len();
+                    packed += packed_bytes(codes.len(), cb.bits());
+                    side += 4 * cb.centroids.len();
                     *p = cb.decode(&codes, p.dims());
                     all_codes.extend_from_slice(&codes);
                 }
                 QuantScheme::Binary => {
                     let scale = p.map(f32::abs).mean().max(1e-12);
                     all_codes.extend(p.data().iter().map(|&v| u8::from(v >= 0.0)));
-                    compressed += p.len().div_ceil(8) + 4;
+                    packed += packed_bytes(p.len(), 1);
+                    side += 4;
                     *p = p.map(|v| if v >= 0.0 { scale } else { -scale });
                 }
             }
         }
     }
-    let huffman_bytes = if all_codes.is_empty() {
+    let coded = if all_codes.is_empty() {
         0
     } else {
         let h = HuffmanCode::build(&all_codes);
-        (h.encoded_bits(&all_codes).div_ceil(8)) as usize + 256 // + length table
+        h.encoded_bits(&all_codes).div_ceil(8) as usize + h.table_bytes()
     };
     (
         out,
         QuantReport {
             scheme: scheme.name(),
             original_bytes: original,
-            compressed_bytes: compressed,
-            huffman_bytes,
+            compressed_bytes: packed + side,
+            huffman_bytes: coded.min(packed) + side,
         },
         tensors,
     )
@@ -707,6 +733,39 @@ mod tests {
             let bits = h.encode(&data);
             assert_eq!(h.decode(&bits, data.len()), data, "case {case}");
         }
+    }
+
+    #[test]
+    fn code_length_table_covers_symbols_up_to_the_largest_used() {
+        assert_eq!(HuffmanCode::build(&[0, 1, 1, 3]).table_bytes(), 4);
+        assert_eq!(HuffmanCode::build(&[0; 10]).table_bytes(), 1);
+        assert_eq!(HuffmanCode::build(&[255, 0]).table_bytes(), 256);
+    }
+
+    #[test]
+    fn huffman_pricing_keeps_side_data_and_never_grows_a_stream() {
+        let net = dl_nn::Network::mlp(&[10, 12, 4], &mut rng(5));
+        for scheme in [
+            QuantScheme::Affine { bits: 8 },
+            QuantScheme::Affine { bits: 2 },
+            QuantScheme::KMeans { k: 4 },
+            QuantScheme::Binary,
+        ] {
+            let (_, rep) = quantize_network(&net, scheme);
+            assert!(
+                rep.huffman_bytes <= rep.compressed_bytes,
+                "{}: {} > {}",
+                rep.scheme,
+                rep.huffman_bytes,
+                rep.compressed_bytes
+            );
+        }
+        // A one-bit stream cannot shrink: it stays packed (120, 12, 48
+        // and 4 codes in 15 + 2 + 6 + 1 bytes), next to the same four
+        // 4-byte scales.
+        let (_, binary) = quantize_network(&net, QuantScheme::Binary);
+        assert_eq!(binary.huffman_bytes, binary.compressed_bytes);
+        assert_eq!(binary.compressed_bytes, 15 + 2 + 6 + 1 + 4 * 4);
     }
 
     #[test]
